@@ -174,6 +174,25 @@ fn end_to_end_benches(c: &mut Criterion) {
             })
         });
     }
+    // Endorsement with dissemination on a wide network: the per-package
+    // member selection and push grow with the peer count (Fig. 2, 7–9).
+    group.bench_function("endorse_pdc_write_8_peers", |b| {
+        let mut net = fixture_network(DefenseConfig::original(), 13);
+        for extra in 0..5 {
+            net.add_peer(["Org1MSP", "Org2MSP"][extra % 2]);
+        }
+        let channel = net.channel().clone();
+        b.iter(|| {
+            let proposal = net.client_mut("client0.org1").create_proposal(
+                channel.clone(),
+                NS,
+                "write",
+                vec![b"k1".to_vec(), b"12".to_vec()],
+                BTreeMap::new(),
+            );
+            black_box(net.endorse("peer0.org1", &proposal).expect("endorse"))
+        })
+    });
     group.finish();
 }
 

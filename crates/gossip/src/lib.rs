@@ -41,7 +41,7 @@
 use fabric_types::{PvtDataPackage, TxId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -98,17 +98,32 @@ pub struct GossipEvent {
 #[derive(Debug)]
 pub struct GossipHub {
     transient: BTreeMap<PeerId, HashMap<TxId, Arc<PvtDataPackage>>>,
-    events: Vec<GossipEvent>,
+    /// The most recent [`EVENT_LOG_CAPACITY`] events, oldest first.
+    events: VecDeque<GossipEvent>,
+    /// Totals since creation; unlike `events` they never forget.
+    delivered: u64,
+    dropped: u64,
+    pulled: u64,
     drop_rate: f64,
     rng: StdRng,
 }
+
+/// Events the hub retains before dropping the oldest. A long run logs one
+/// event per push recipient (hundreds of thousands), nothing in the
+/// program reads them back, and the totals live in counters — so the log
+/// is a bounded tail for tests and audits, sized well above any test's
+/// whole history.
+pub const EVENT_LOG_CAPACITY: usize = 1 << 16;
 
 impl GossipHub {
     /// Creates a hub with a seeded RNG for reproducible loss injection.
     pub fn new(seed: u64) -> Self {
         GossipHub {
             transient: BTreeMap::new(),
-            events: Vec::new(),
+            events: VecDeque::new(),
+            delivered: 0,
+            dropped: 0,
+            pulled: 0,
             drop_rate: 0.0,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -160,7 +175,7 @@ impl GossipHub {
                     .insert(pkg.tx_id.clone(), Arc::clone(&pkg));
                 delivered += 1;
             }
-            self.events.push(GossipEvent {
+            self.record(GossipEvent {
                 from: from.clone(),
                 to: to.clone(),
                 tx_id: pkg.tx_id.clone(),
@@ -169,6 +184,19 @@ impl GossipHub {
             });
         }
         delivered
+    }
+
+    /// Appends to the bounded log and bumps the matching total.
+    fn record(&mut self, event: GossipEvent) {
+        match (event.pull, event.delivered) {
+            (true, _) => self.pulled += 1,
+            (false, true) => self.delivered += 1,
+            (false, false) => self.dropped += 1,
+        }
+        if self.events.len() == EVENT_LOG_CAPACITY {
+            self.events.pop_front();
+        }
+        self.events.push_back(event);
     }
 
     /// Reads a package from a peer's transient store.
@@ -195,30 +223,35 @@ impl GossipHub {
         if let Some(existing) = self.get_shared(requester, tx_id) {
             return Some(existing);
         }
-        for c in candidates {
-            if c == requester {
-                continue;
-            }
-            let found = self
-                .transient
-                .get(c)
-                .and_then(|store| store.get(tx_id))
-                .cloned();
-            if let Some(pkg) = found {
-                self.events.push(GossipEvent {
-                    from: c.clone(),
-                    to: requester.clone(),
-                    tx_id: tx_id.clone(),
-                    delivered: true,
-                    pull: true,
-                });
-                if let Some(store) = self.transient.get_mut(requester) {
-                    store.insert(tx_id.clone(), Arc::clone(&pkg));
-                }
-                return Some(pkg);
-            }
+        let (from, pkg) = self.first_holder(requester, tx_id, candidates)?;
+        self.record(GossipEvent {
+            from: from.clone(),
+            to: requester.clone(),
+            tx_id: tx_id.clone(),
+            delivered: true,
+            pull: true,
+        });
+        if let Some(store) = self.transient.get_mut(requester) {
+            store.insert(tx_id.clone(), Arc::clone(&pkg));
         }
-        None
+        Some(pkg)
+    }
+
+    /// The read-only half of [`GossipHub::pull`]: the first of
+    /// `candidates` other than `requester` that holds `tx_id`'s package,
+    /// with the package. Nothing is stored or logged, so peers committing
+    /// concurrently can look up through a shared `&GossipHub`; the caller
+    /// replays the pull afterwards to record it.
+    pub fn first_holder<'a>(
+        &self,
+        requester: &PeerId,
+        tx_id: &TxId,
+        candidates: &'a [PeerId],
+    ) -> Option<(&'a PeerId, Arc<PvtDataPackage>)> {
+        candidates
+            .iter()
+            .filter(|c| *c != requester)
+            .find_map(|c| Some((c, self.get_shared(c, tx_id)?)))
     }
 
     /// Drops a committed transaction's package from a peer's transient
@@ -244,9 +277,26 @@ impl GossipHub {
         }
     }
 
-    /// The dissemination event log.
-    pub fn events(&self) -> &[GossipEvent] {
-        &self.events
+    /// The dissemination event log, oldest first: the most recent
+    /// [`EVENT_LOG_CAPACITY`] events (everything, until that many
+    /// happened).
+    pub fn events(&self) -> impl ExactSizeIterator<Item = &GossipEvent> + '_ {
+        self.events.iter()
+    }
+
+    /// Pushes delivered since creation.
+    pub fn delivered_total(&self) -> u64 {
+        self.delivered
+    }
+
+    /// Pushes lost to fault injection or sent to unregistered peers.
+    pub fn dropped_total(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Anti-entropy pulls served by another peer.
+    pub fn pulled_total(&self) -> u64 {
+        self.pulled
     }
 
     /// Number of packages currently in a peer's transient store.
@@ -312,7 +362,7 @@ mod tests {
             pkg("tx1"),
         );
         assert_eq!(delivered, 1);
-        let failures: Vec<_> = hub.events().iter().filter(|e| !e.delivered).collect();
+        let failures: Vec<_> = hub.events().filter(|e| !e.delivered).collect();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].to, PeerId::new("ghost"));
     }
@@ -337,7 +387,15 @@ mod tests {
             .expect("reconciled");
         assert_eq!(*got, pkg("tx1"));
         assert!(hub.get(&PeerId::new("m1"), &TxId::new("tx1")).is_some());
-        assert!(hub.events().iter().any(|e| e.pull && e.delivered));
+        assert!(hub.events().any(|e| e.pull && e.delivered));
+        assert_eq!(
+            (
+                hub.delivered_total(),
+                hub.dropped_total(),
+                hub.pulled_total()
+            ),
+            (0, 1, 1)
+        );
     }
 
     #[test]
@@ -348,6 +406,38 @@ mod tests {
         let got = hub.pull(&PeerId::new("m1"), &TxId::new("tx1"), &[]);
         assert!(got.is_some());
         assert_eq!(hub.events().len(), events_before);
+    }
+
+    #[test]
+    fn first_holder_names_pulls_source_without_side_effects() {
+        let mut hub = hub_with_peers(0, &["a", "b", "c"]);
+        hub.store_local(&PeerId::new("b"), pkg("tx1"));
+        hub.store_local(&PeerId::new("c"), pkg("tx1"));
+        let candidates = [PeerId::new("a"), PeerId::new("b"), PeerId::new("c")];
+        let tx = TxId::new("tx1");
+        // `b` asking skips itself; `a` asking finds `b` first.
+        let (from, _) = hub.first_holder(&candidates[1], &tx, &candidates).unwrap();
+        assert_eq!(from, &candidates[2]);
+        let (from, found) = hub.first_holder(&candidates[0], &tx, &candidates).unwrap();
+        assert_eq!(from, &candidates[1]);
+        assert_eq!(hub.events().len(), 0);
+        assert_eq!(hub.transient_len(&candidates[0]), 0);
+        // The pull that follows takes the same package from the same peer.
+        let pulled = hub.pull(&candidates[0], &tx, &candidates).unwrap();
+        assert!(Arc::ptr_eq(&pulled, &found));
+        assert_eq!(hub.events().last().unwrap().from, candidates[1]);
+    }
+
+    #[test]
+    fn event_log_drops_oldest_and_totals_keep_counting() {
+        let mut hub = hub_with_peers(0, &["e", "m1"]);
+        let recipients = [PeerId::new("m1")];
+        for i in 0..EVENT_LOG_CAPACITY + 3 {
+            hub.push(&PeerId::new("e"), &recipients, pkg(&format!("tx{i}")));
+        }
+        assert_eq!(hub.events().len(), EVENT_LOG_CAPACITY);
+        assert_eq!(hub.events().next().unwrap().tx_id, TxId::new("tx3"));
+        assert_eq!(hub.delivered_total(), (EVENT_LOG_CAPACITY + 3) as u64);
     }
 
     #[test]

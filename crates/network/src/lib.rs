@@ -42,4 +42,5 @@ mod net;
 pub use builder::NetworkBuilder;
 pub use consortium::Consortium;
 pub use error::NetworkError;
-pub use net::{FabricNetwork, FanoutMode, SubmitOutcome};
+pub use fabric_peer::host_cores;
+pub use net::{FabricNetwork, FanoutMode, PeerCommitErrors, SubmitOutcome};

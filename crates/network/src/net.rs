@@ -6,13 +6,13 @@ use fabric_client::Client;
 use fabric_gossip::{GossipHub, PeerId};
 use fabric_monitor::{Monitor, NodeSample};
 use fabric_orderer::OrderingService;
-use fabric_peer::Peer;
+use fabric_peer::{host_cores, BlockCommitOutcome, CommitError, Peer};
 use fabric_types::{
     Block, ChaincodeId, ChannelId, OrgId, Proposal, ProposalResponse, PvtDataPackage, Transaction,
     TxId, TxValidationCode,
 };
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The result of a committed transaction submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +42,105 @@ pub enum FanoutMode {
     DeepClone,
 }
 
+/// The blocks one peer refused to commit, as seen by the network's
+/// delivery; see [`FabricNetwork::commit_errors`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PeerCommitErrors {
+    /// Delivered blocks the peer returned an error for.
+    pub count: u64,
+    /// Number of the most recent such block, and why it was refused.
+    pub last: (u64, CommitError),
+}
+
+/// One peer's results for the blocks of a tick, in block order.
+type PeerOutcomes = Vec<Result<BlockCommitOutcome, CommitError>>;
+
+/// A commit-time private-data fetch that missed the peer's own transient
+/// store and was served from another peer's. Delivery only reads the hub;
+/// it records these (block and peer as indices into the tick's blocks and
+/// the name-ordered peers) and replays them through [`GossipHub::pull`]
+/// once every peer is done.
+struct RecordedPull {
+    block: usize,
+    peer: usize,
+    tx_id: TxId,
+}
+
+/// Tick size, in transactions × peers, from which delivery forks: about
+/// 16 ms of serial commit on the reference host, twice the measured
+/// break-even (DESIGN.md §8), so that 10- to 128-transaction blocks and
+/// 2-peer networks stay on the calling thread, where a fork only costs.
+const FORK_MIN_TX_PEERS: usize = 4_000;
+
+/// How many workers commit a tick's blocks: a function of the tick and
+/// the host, not a setting. One when the tick is too small to repay a
+/// fork, and one when the peers share a telemetry pipeline — its audit
+/// log, span ids and flight-recorder re-arm are one totally ordered
+/// stream that concurrent peers would interleave.
+fn delivery_workers(tick_txs: usize, peers: usize, cores: usize, shared_telemetry: bool) -> usize {
+    if shared_telemetry || tick_txs * peers < FORK_MIN_TX_PEERS {
+        1
+    } else {
+        cores.min(peers).max(1)
+    }
+}
+
+/// The delivery loop: commits every block of a tick, in order, on a
+/// name-ordered run of peers starting at index `first`. Peers share
+/// nothing but the (read-only) hub, so any split of the peers into runs
+/// gives each peer the same results.
+fn commit_chunk(
+    peers: &mut [&mut Peer],
+    first: usize,
+    blocks: &[Block],
+    gossip: &GossipHub,
+    gossip_ids: &[PeerId],
+    fanout: FanoutMode,
+    only_worker: bool,
+) -> (Vec<PeerOutcomes>, Vec<RecordedPull>) {
+    let mut outcomes: Vec<PeerOutcomes> = peers
+        .iter()
+        .map(|_| Vec::with_capacity(blocks.len()))
+        .collect();
+    let mut pulls = Vec::new();
+    for (b, block) in blocks.iter().enumerate() {
+        for (i, peer) in peers.iter_mut().enumerate() {
+            let own_id = &gossip_ids[first + i];
+            let mut provider = |tx_id: &TxId| -> Option<Arc<PvtDataPackage>> {
+                gossip.get_shared(own_id, tx_id).or_else(|| {
+                    let (_, pkg) = gossip.first_holder(own_id, tx_id, gossip_ids)?;
+                    pulls.push(RecordedPull {
+                        block: b,
+                        peer: first + i,
+                        tx_id: tx_id.clone(),
+                    });
+                    Some(pkg)
+                })
+            };
+            // All peers receive the same block; divergent outcomes would be
+            // a consensus bug, surfaced by the integration tests.
+            let delivered = match fanout {
+                // One refcount bump: all peers validate the same storage.
+                FanoutMode::Shared => block.clone(),
+                // Owned copy per peer, including fresh (empty) encode memos
+                // — the cost model of a fan-out without shared storage.
+                FanoutMode::DeepClone => Block {
+                    header: block.header.clone(),
+                    transactions: block.transactions.to_vec().into(),
+                    metadata: block.metadata.clone(),
+                },
+            };
+            // Beside other workers the cores are taken: the peer's own
+            // stateless fan-out would only nest threads under this one.
+            let nested = peer.parallel_validation();
+            peer.set_parallel_validation(nested && only_worker);
+            outcomes[i].push(peer.process_block(delivered, &mut provider));
+            peer.set_parallel_validation(nested);
+        }
+    }
+    (outcomes, pulls)
+}
+
 /// A complete in-process Fabric network for one channel.
 pub struct FabricNetwork {
     channel: ChannelId,
@@ -67,6 +166,9 @@ pub struct FabricNetwork {
     cached_peer_names: Vec<String>,
     /// Gossip IDs in the same order, cached for the same reason.
     cached_gossip_ids: Vec<PeerId>,
+    /// Delivered blocks a peer refused, by peer name; peers that never
+    /// refused one have no entry.
+    commit_errors: BTreeMap<String, PeerCommitErrors>,
 }
 
 impl std::fmt::Debug for FabricNetwork {
@@ -103,6 +205,7 @@ impl FabricNetwork {
             fanout: FanoutMode::default(),
             cached_peer_names: Vec::new(),
             cached_gossip_ids: Vec::new(),
+            commit_errors: BTreeMap::new(),
         };
         net.refresh_peer_caches();
         net
@@ -303,27 +406,28 @@ impl FabricNetwork {
         // Member peers persist private data beyond the transient window;
         // the archive models that durable store for late reconciliation.
         self.pvt_archive.insert(pkg.tx_id.clone(), Arc::clone(&pkg));
-        // Push to every peer whose org is a member of a touched collection.
-        let definition = self
+        // Push to every peer whose org is a member of a touched collection,
+        // read from the member sets compiled at install time.
+        let Some(installed) = self
             .peers
             .get(endorser)
             .and_then(|p| p.chaincode(&proposal.chaincode))
-            .map(|cc| cc.definition.clone());
-        let Some(definition) = definition else {
+        else {
             return Ok(());
         };
         for pvt in &pkg.collections {
+            let member_orgs = installed.compiled.members(&pvt.collection);
             let members: Vec<PeerId> = self
                 .peers
                 .values()
                 .filter(|p| {
                     p.gossip_id() != &endorser_id
-                        && definition.org_is_member(p.org(), &pvt.collection)
+                        && member_orgs.is_some_and(|orgs| orgs.contains(p.org()))
                 })
                 .map(|p| p.gossip_id().clone())
                 .collect();
             let delivered = self.gossip.push(&endorser_id, &members, Arc::clone(&pkg));
-            if let Some(cfg) = definition.collection(&pvt.collection) {
+            if let Some(cfg) = installed.definition.collection(&pvt.collection) {
                 if (delivered as u32) < cfg.required_peer_count {
                     return Err(NetworkError::DisseminationFailed {
                         collection: pvt.collection.to_string(),
@@ -347,8 +451,16 @@ impl FabricNetwork {
         for _ in 0..ticks {
             self.orderer.tick();
             let blocks = self.orderer.take_blocks();
-            for block in blocks {
-                self.deliver_block(block);
+            if !blocks.is_empty() {
+                let tick_txs = blocks.iter().map(|b| b.transactions.len()).sum();
+                let workers = delivery_workers(
+                    tick_txs,
+                    self.peers.len(),
+                    host_cores(),
+                    self.telemetry().is_some(),
+                );
+                let outcomes = self.commit_tick(&blocks, workers);
+                self.record_outcomes(&blocks, outcomes);
             }
             self.observe_monitor_tick();
         }
@@ -394,45 +506,115 @@ impl FabricNetwork {
         monitor.observe_tick(&samples);
     }
 
-    fn deliver_block(&mut self, block: Block) {
-        let peer_ids = &self.cached_peer_names;
-        let all_gossip_ids = &self.cached_gossip_ids;
+    /// Delivers the blocks the orderer released this tick to every peer in
+    /// one fork–join. The name-ordered peers are cut into runs that the
+    /// workers claim in order from a shared cursor — the calling thread
+    /// is a worker, so one worker spawns nothing — and each run goes
+    /// through [`commit_chunk`]; results are put back in name order. One
+    /// worker takes all peers as a single run (block by block, as serial
+    /// delivery always did); several take a peer at a time, so a worker
+    /// that starts late or sits on a slow core simply claims fewer peers.
+    /// Afterwards the hub is brought to the state serial delivery leaves:
+    /// block by block, the recorded pulls in peer-name order, then the
+    /// purge of that block's transactions.
+    fn commit_tick(&mut self, blocks: &[Block], workers: usize) -> Vec<PeerOutcomes> {
+        let gossip = &self.gossip;
+        let gossip_ids = self.cached_gossip_ids.as_slice();
         let fanout = self.fanout;
-        for name in peer_ids {
-            let gossip = &mut self.gossip;
-            let peer = self.peers.get_mut(name).expect("iterating known names");
-            let own_id = peer.gossip_id().clone();
-            let mut provider = |tx_id: &TxId| -> Option<Arc<PvtDataPackage>> {
-                gossip
-                    .get_shared(&own_id, tx_id)
-                    .or_else(|| gossip.pull(&own_id, tx_id, all_gossip_ids))
-            };
-            // All peers receive the same block; divergent outcomes would be
-            // a consensus bug, surfaced by the integration tests.
-            let delivered = match fanout {
-                // One refcount bump: all peers validate the same storage.
-                FanoutMode::Shared => block.clone(),
-                // Owned copy per peer, including fresh (empty) encode memos
-                // — the cost model of a fan-out without shared storage.
-                FanoutMode::DeepClone => Block {
-                    header: block.header.clone(),
-                    transactions: block.transactions.to_vec().into(),
-                    metadata: block.metadata.clone(),
-                },
-            };
-            let outcome = peer.process_block(delivered, &mut provider);
-            // Event listeners are fed once per block (from the first peer;
-            // all honest peers deliver identical event streams).
-            if let Ok(outcome) = outcome {
-                if Some(name) == peer_ids.first() {
-                    self.events.extend(outcome.events);
+        let mut peers: Vec<&mut Peer> = self.peers.values_mut().collect();
+        let only_worker = workers <= 1;
+        let per_run = if only_worker { peers.len().max(1) } else { 1 };
+        let cursor = Mutex::new(peers.chunks_mut(per_run).enumerate());
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let next = cursor.lock().expect("a commit worker panicked").next();
+                let Some((r, run)) = next else {
+                    return done;
+                };
+                let first = r * per_run;
+                let result =
+                    commit_chunk(run, first, blocks, gossip, gossip_ids, fanout, only_worker);
+                done.push((r, result));
+            }
+        };
+        let mut done = std::thread::scope(|scope| {
+            let others: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for worker in others {
+                done.extend(worker.join().expect("a commit worker panicked"));
+            }
+            done
+        });
+        done.sort_unstable_by_key(|(r, _)| *r);
+        let mut outcomes = Vec::with_capacity(peers.len());
+        let mut pulls = Vec::new();
+        for (_, (o, p)) in done {
+            outcomes.extend(o);
+            pulls.extend(p);
+        }
+        drop(peers);
+
+        // Each run recorded in (block, peer) order; the stable sort merges
+        // the runs and keeps a peer's pulls in transaction order.
+        pulls.sort_by_key(|p| (p.block, p.peer));
+        let mut pulls = pulls.into_iter().peekable();
+        for (b, block) in blocks.iter().enumerate() {
+            while let Some(p) = pulls.next_if(|p| p.block == b) {
+                self.gossip.pull(&gossip_ids[p.peer], &p.tx_id, gossip_ids);
+            }
+            // Transient data for committed transactions is no longer needed;
+            // one sweep over the registered stores purges the whole block.
+            self.gossip
+                .purge_committed(block.transactions.iter().map(|tx| &tx.tx_id));
+        }
+        outcomes
+    }
+
+    /// Folds a tick's per-peer results into what the network keeps: the
+    /// event stream and the refused-block record.
+    fn record_outcomes(&mut self, blocks: &[Block], outcomes: Vec<PeerOutcomes>) {
+        for (p, per_block) in outcomes.into_iter().enumerate() {
+            for (block, outcome) in blocks.iter().zip(per_block) {
+                match outcome {
+                    // Event listeners are fed once per block (from the first
+                    // peer; all honest peers deliver identical event streams).
+                    Ok(outcome) if p == 0 => self.events.extend(outcome.events),
+                    Ok(_) => {}
+                    Err(error) => self.record_commit_error(p, block.header.number, error),
                 }
             }
         }
-        // Transient data for committed transactions is no longer needed;
-        // one sweep over the registered stores purges the whole block.
-        self.gossip
-            .purge_committed(block.transactions.iter().map(|tx| &tx.tx_id));
+    }
+
+    fn record_commit_error(&mut self, peer: usize, block: u64, error: CommitError) {
+        let name = &self.cached_peer_names[peer];
+        if let Some(telemetry) = self.telemetry() {
+            telemetry
+                .metrics()
+                .counter(
+                    "fabric_commit_errors_total",
+                    "Delivered blocks a peer refused to commit",
+                    &[("peer", name), ("kind", error.kind())],
+                )
+                .inc();
+        }
+        let seen = self
+            .commit_errors
+            .entry(name.clone())
+            .or_insert_with(|| PeerCommitErrors {
+                count: 0,
+                last: (block, error.clone()),
+            });
+        seen.count += 1;
+        seen.last = (block, error);
+    }
+
+    /// Delivered blocks that peers refused to commit (today: blocks that
+    /// did not chain onto the peer's ledger), by peer name. A peer absent
+    /// from the map has refused none.
+    pub fn commit_errors(&self) -> &BTreeMap<String, PeerCommitErrors> {
+        &self.commit_errors
     }
 
     /// The validation code of a committed transaction, read from the first
@@ -854,5 +1036,347 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, NetworkError::Endorse { .. }));
+    }
+
+    /// A network of `peers` peers (Org1 and Org2 are PDC1's members, Org3
+    /// is not) with `hot` seeded, plus one tick's worth of hand-cut blocks
+    /// of 1, 7 and 600 transactions whose private data went through the
+    /// hub at `drop_rate`. Everything is seeded, so two calls stage
+    /// identical networks, hubs and blocks.
+    fn staged_tick(peers: usize, drop_rate: f64) -> (FabricNetwork, Vec<Block>) {
+        let orgs = ["Org1MSP", "Org2MSP", "Org3MSP"];
+        let mut net = NetworkBuilder::new("ch1").orgs(&orgs).seed(17).build();
+        let members = [OrgId::new("Org1MSP"), OrgId::new("Org2MSP")];
+        let def = ChaincodeDefinition::new("guarded").with_collection(
+            CollectionConfig::membership_of("PDC1", &members)
+                .with_endorsement_policy("AND('Org1MSP.peer','Org2MSP.peer')"),
+        );
+        net.deploy_chaincode(def, Arc::new(GuardedPdc::unconstrained("PDC1")));
+        net.submit_transaction(
+            "client0.org1",
+            "guarded",
+            "write",
+            &["hot", "1"],
+            &[],
+            &["peer0.org1", "peer0.org2"],
+        )
+        .unwrap();
+        for extra in 0..peers - orgs.len() {
+            net.add_peer(orgs[extra % orgs.len()]);
+        }
+        net.gossip_mut().set_drop_rate(drop_rate);
+
+        let mut client = Client::new(
+            "Org1MSP",
+            fabric_crypto::Keypair::generate_from_seed(0x5eed),
+            DefenseConfig::original(),
+        );
+        let mut tx = |net: &mut FabricNetwork, function: &str, key: &str, endorsers: &[&str]| {
+            let proposal = client.create_proposal(
+                net.channel().clone(),
+                ChaincodeId::new("guarded"),
+                function,
+                vec![key.as_bytes().to_vec(), b"2".to_vec()],
+                BTreeMap::new(),
+            );
+            let responses: Vec<_> = endorsers
+                .iter()
+                .map(|peer| net.endorse(peer, &proposal).unwrap())
+                .collect();
+            client
+                .assemble_transaction(&proposal, &responses)
+                .unwrap()
+                .0
+        };
+        let both = ["peer0.org1", "peer0.org2"];
+        let first = tx(&mut net, "write", "k0", &both);
+        let repeated = tx(&mut net, "write", "k3", &both);
+        let mixed = vec![
+            tx(&mut net, "write", "k1", &both),
+            tx(&mut net, "add", "hot", &both),
+            // Read `hot` at the same version as the add before it.
+            tx(&mut net, "add", "hot", &both),
+            // One endorsement misses the collection's AND policy.
+            tx(&mut net, "write", "k2", &both[..1]),
+            repeated.clone(),
+            repeated,
+            // Already in this tick's first block.
+            first.clone(),
+        ];
+        let bulk: Vec<Transaction> = (0..600)
+            .map(|i| tx(&mut net, "write", &format!("bulk{i}"), &both))
+            .collect();
+
+        let store = net.peer("peer0.org1").block_store();
+        let (mut number, mut previous) = (store.height(), store.tip_hash());
+        let blocks = [vec![first], mixed, bulk]
+            .into_iter()
+            .map(|txs| {
+                let block = Block::new(number, previous, txs);
+                (number, previous) = (number + 1, block.hash());
+                block
+            })
+            .collect();
+        (net, blocks)
+    }
+
+    /// Everything delivery leaves behind that a caller can see.
+    #[derive(Debug, PartialEq)]
+    struct Delivered {
+        /// Per peer per block: validity vector, `missing_private_data`
+        /// and events, or the refusal.
+        outcomes: Vec<PeerOutcomes>,
+        /// Per peer: tip hash, state digest, the stored validity vectors.
+        ledgers: Vec<(
+            fabric_crypto::Hash256,
+            fabric_crypto::Hash256,
+            Vec<Vec<TxValidationCode>>,
+        )>,
+        events: Vec<(TxId, fabric_types::ChaincodeEvent)>,
+        gossip_log: Vec<fabric_gossip::GossipEvent>,
+        transient: Vec<usize>,
+    }
+
+    fn observe(
+        net: &mut FabricNetwork,
+        blocks: &[Block],
+        outcomes: Vec<PeerOutcomes>,
+    ) -> Delivered {
+        net.record_outcomes(blocks, outcomes.clone());
+        let ledgers = net
+            .peers
+            .values()
+            .map(|peer| {
+                let store = peer.block_store();
+                let codes = blocks
+                    .iter()
+                    .map(|b| {
+                        let stored = store.block(b.header.number).expect("committed");
+                        stored.metadata.validation_codes.clone()
+                    })
+                    .collect();
+                (store.tip_hash(), peer.world_state().digest(), codes)
+            })
+            .collect();
+        Delivered {
+            outcomes,
+            ledgers,
+            events: net.drain_events(),
+            gossip_log: net.gossip.events().cloned().collect(),
+            transient: net
+                .cached_gossip_ids
+                .iter()
+                .map(|id| net.gossip.transient_len(id))
+                .collect(),
+        }
+    }
+
+    /// The delivery this crate had before ticks were forked: block by
+    /// block, peer by peer, each fetch pulling through the hub at once and
+    /// each block purged before the next. Kept as the oracle.
+    fn serial_reference(net: &mut FabricNetwork, blocks: &[Block]) -> Vec<PeerOutcomes> {
+        let mut outcomes: Vec<PeerOutcomes> = net.peers.values().map(|_| Vec::new()).collect();
+        for block in blocks {
+            for (i, peer) in net.peers.values_mut().enumerate() {
+                let (gossip, ids) = (&mut net.gossip, &net.cached_gossip_ids);
+                let mut provider = |tx_id: &TxId| {
+                    gossip
+                        .get_shared(&ids[i], tx_id)
+                        .or_else(|| gossip.pull(&ids[i], tx_id, ids))
+                };
+                outcomes[i].push(peer.process_block(block.clone(), &mut provider));
+            }
+            net.gossip
+                .purge_committed(block.transactions.iter().map(|tx| &tx.tx_id));
+        }
+        outcomes
+    }
+
+    #[test]
+    fn any_worker_count_delivers_what_serial_delivery_did() {
+        for peers in [3, 5, 8] {
+            for drop_rate in [0.0, 0.5, 1.0] {
+                let (mut net, blocks) = staged_tick(peers, drop_rate);
+                let outcomes = serial_reference(&mut net, &blocks);
+                let expected = observe(&mut net, &blocks, outcomes);
+
+                // The stage really holds the mix it claims.
+                let codes = &expected.ledgers[0].2;
+                assert_eq!(codes[0], [TxValidationCode::Valid]);
+                assert_eq!(
+                    codes[1],
+                    [
+                        TxValidationCode::Valid,
+                        TxValidationCode::Valid,
+                        TxValidationCode::MvccReadConflict,
+                        TxValidationCode::EndorsementPolicyFailure,
+                        TxValidationCode::Valid,
+                        TxValidationCode::DuplicateTxId,
+                        TxValidationCode::DuplicateTxId,
+                    ]
+                );
+                assert_eq!(codes[2].len(), 600);
+                let pulls = expected.gossip_log.iter().filter(|e| e.pull).count();
+                // Both of three peers' members endorsed; beyond that a lost
+                // push must be pulled, by every member peer that missed it.
+                assert_eq!(pulls > 0, peers > 3 && drop_rate > 0.0);
+                assert_eq!(expected.transient, vec![0; peers]);
+
+                for workers in [1, 2, 3] {
+                    let (mut net, blocks) = staged_tick(peers, drop_rate);
+                    let outcomes = net.commit_tick(&blocks, workers);
+                    let got = observe(&mut net, &blocks, outcomes);
+                    assert_eq!(
+                        got, expected,
+                        "{peers} peers, drop rate {drop_rate}, {workers} worker(s)"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forked_tick_is_orthogonal_to_fanout_mode_and_validation_setting() {
+        let (mut net, blocks) = staged_tick(5, 1.0);
+        let expected = net.commit_tick(&blocks, 1);
+        let (mut net, blocks) = staged_tick(5, 1.0);
+        net.set_parallel_validation(true);
+        net.set_fanout_mode(FanoutMode::DeepClone);
+        assert_eq!(net.commit_tick(&blocks, 2), expected);
+        // Switched off beside other workers, and put back.
+        assert!(net.peers.values().all(|p| p.parallel_validation()));
+    }
+
+    #[test]
+    fn worker_count_follows_tick_size_cores_and_telemetry() {
+        // 8 peers × 500 transactions reaches the constant; one less does not.
+        assert_eq!(delivery_workers(500, 8, 2, false), 2);
+        assert_eq!(delivery_workers(499, 8, 2, false), 1);
+        assert_eq!(delivery_workers(1_000_000, 8, 2, true), 1);
+        assert_eq!(delivery_workers(1_000_000, 1, 16, false), 1);
+        assert_eq!(delivery_workers(1_000_000, 8, 1, false), 1);
+        // Never more workers than peers or cores.
+        assert_eq!(delivery_workers(1_000_000, 3, 16, false), 3);
+        assert_eq!(delivery_workers(1_000_000, 8, 4, false), 4);
+    }
+
+    #[test]
+    fn refused_block_is_counted_for_that_peer_only() {
+        let telemetry = fabric_telemetry::Telemetry::new();
+        let mut net = NetworkBuilder::new("ch1")
+            .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
+            .seed(11)
+            .with_telemetry(telemetry.clone())
+            .build();
+        net.deploy_chaincode(ChaincodeDefinition::new("assets"), Arc::new(AssetTransfer));
+        // peer0.org2 runs one (empty) block ahead of the channel, so the
+        // orderer's next block does not chain onto its ledger.
+        let ahead = net.peer_mut("peer0.org2");
+        let store = ahead.block_store();
+        let stray = Block::new(store.height(), store.tip_hash(), Vec::new());
+        let refused_number = stray.header.number;
+        ahead.process_block(stray, &mut |_| None).unwrap();
+        assert!(net.commit_errors().is_empty());
+
+        let outcome = net
+            .submit_transaction(
+                "client0.org1",
+                "assets",
+                "CreateAsset",
+                &["a1", "red", "alice", "100"],
+                &[],
+                &["peer0.org1", "peer0.org3"],
+            )
+            .unwrap();
+        assert!(outcome.validation_code.is_valid());
+
+        let errors = net.commit_errors();
+        assert_eq!(errors.keys().collect::<Vec<_>>(), ["peer0.org2"]);
+        let refused = &errors["peer0.org2"];
+        assert_eq!(refused.count, 1);
+        assert_eq!(refused.last.0, refused_number);
+        assert_eq!(refused.last.1.kind(), "non_sequential_number");
+        for committed in ["peer0.org1", "peer0.org3"] {
+            let held = net.peer(committed).world_state();
+            assert!(held.get_public(&"assets".into(), "a1").is_some());
+        }
+        let counter = telemetry.metrics().counter(
+            "fabric_commit_errors_total",
+            "",
+            &[("peer", "peer0.org2"), ("kind", "non_sequential_number")],
+        );
+        assert_eq!(counter.get(), 1);
+    }
+
+    #[test]
+    fn dissemination_reaches_exactly_the_definitions_members() {
+        let unparsable = CollectionConfig::new("PDC1", "OR('Org1MSP.member'");
+        let two_of_three = CollectionConfig::membership_of(
+            "PDC1",
+            &[OrgId::new("Org1MSP"), OrgId::new("Org3MSP")],
+        );
+        for (cfg, expected_recipients) in [(unparsable, 0), (two_of_three, 3)] {
+            let mut net = NetworkBuilder::new("ch1")
+                .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
+                .seed(14)
+                .build();
+            let def = ChaincodeDefinition::new("guarded").with_collection(cfg);
+            net.deploy_chaincode(def.clone(), Arc::new(GuardedPdc::unconstrained("PDC1")));
+            for org in ["Org1MSP", "Org2MSP", "Org3MSP"] {
+                net.add_peer(org);
+            }
+            let proposal = net.client_mut("client0.org1").create_proposal(
+                "ch1",
+                "guarded",
+                "write",
+                vec![b"k".to_vec(), b"1".to_vec()],
+                BTreeMap::new(),
+            );
+            net.endorse("peer0.org1", &proposal).unwrap();
+
+            let col = CollectionName::new("PDC1");
+            let selected: Vec<PeerId> = net
+                .peers
+                .values()
+                .filter(|p| p.gossip_id().as_str() != "peer0.org1")
+                .filter(|p| def.org_is_member(p.org(), &col))
+                .map(|p| p.gossip_id().clone())
+                .collect();
+            assert_eq!(selected.len(), expected_recipients);
+            let pushed_to: Vec<PeerId> = net.gossip.events().map(|e| e.to.clone()).collect();
+            assert_eq!(pushed_to, selected);
+        }
+    }
+
+    #[test]
+    fn required_peer_count_counts_compiled_members_lost_pushes() {
+        let mut net = NetworkBuilder::new("ch1")
+            .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
+            .seed(15)
+            .build();
+        let members = [OrgId::new("Org1MSP"), OrgId::new("Org3MSP")];
+        let cfg = CollectionConfig::membership_of("PDC1", &members).with_required_peer_count(1);
+        let def = ChaincodeDefinition::new("guarded").with_collection(cfg);
+        net.deploy_chaincode(def, Arc::new(GuardedPdc::unconstrained("PDC1")));
+        net.gossip_mut().set_drop_rate(1.0);
+        let proposal = net.client_mut("client0.org1").create_proposal(
+            "ch1",
+            "guarded",
+            "write",
+            vec![b"k".to_vec(), b"1".to_vec()],
+            BTreeMap::new(),
+        );
+        let err = net.endorse("peer0.org1", &proposal).unwrap_err();
+        let NetworkError::DisseminationFailed {
+            delivered,
+            required,
+            ..
+        } = err
+        else {
+            panic!("expected DisseminationFailed, got {err:?}");
+        };
+        assert_eq!((delivered, required), (0, 1));
+        // The one member peer besides the endorser was tried, and lost.
+        assert_eq!(net.gossip.dropped_total(), 1);
     }
 }

@@ -166,10 +166,7 @@ impl<'a> ShardedScheduler<'a> {
     /// Commits every lane, in parallel when more than one hardware thread
     /// is available, and returns per-lane results in lane order.
     pub fn commit(self) -> Vec<Result<Vec<BlockCommitOutcome>, CommitError>> {
-        let cores = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        if self.lanes.len() < 2 || cores < 2 {
+        if self.lanes.len() < 2 || crate::host_cores() < 2 {
             return self.lanes.into_iter().map(CommitLane::run).collect();
         }
         let mut results: Vec<Option<Result<Vec<BlockCommitOutcome>, CommitError>>> =

@@ -60,6 +60,19 @@ impl fmt::Display for CommitError {
 
 impl std::error::Error for CommitError {}
 
+impl CommitError {
+    /// A stable snake_case name for the failure, for metric labels.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            CommitError::BlockStore(BlockStoreError::NonSequentialNumber { .. }) => {
+                "non_sequential_number"
+            }
+            CommitError::BlockStore(BlockStoreError::BrokenChain { .. }) => "broken_chain",
+            CommitError::BlockStore(BlockStoreError::DataHashMismatch) => "data_hash_mismatch",
+        }
+    }
+}
+
 impl From<BlockStoreError> for CommitError {
     fn from(e: BlockStoreError) -> Self {
         CommitError::BlockStore(e)
@@ -348,20 +361,9 @@ impl Peer {
         const MIN_PARALLEL: usize = 4;
         // Fan out only when it can actually help: parallel validation
         // enabled, enough transactions to amortize the spawns, and more
-        // than one hardware thread to run them on. The cheap flag checks
-        // come first — `available_parallelism` is a syscall, so it must
-        // not tax small blocks or sequential configurations.
-        if !self.parallel_validation || transactions.len() < MIN_PARALLEL {
-            let mut audit_cache = AuditFactsCache::default();
-            return transactions
-                .iter()
-                .map(|tx| self.stateless_checks(tx, &mut audit_cache))
-                .collect();
-        }
-        let cores = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        if cores < 2 {
+        // than one hardware thread to run them on.
+        let cores = crate::host_cores();
+        if !self.parallel_validation || transactions.len() < MIN_PARALLEL || cores < 2 {
             let mut audit_cache = AuditFactsCache::default();
             return transactions
                 .iter()

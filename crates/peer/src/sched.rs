@@ -419,9 +419,7 @@ impl Peer {
         blocks: Vec<Block>,
         pvt_provider: &mut PvtDataProvider<'_>,
     ) -> Result<Vec<BlockCommitOutcome>, CommitError> {
-        let cores = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
+        let cores = crate::host_cores();
         let Peer {
             gossip_id,
             channel,

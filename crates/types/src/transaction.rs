@@ -95,6 +95,22 @@ impl TxMemo {
     }
 }
 
+/// Reads `cell`, filling it from `compute` on a miss.
+///
+/// Unlike `OnceLock::get_or_init`, a thread that arrives while another is
+/// still encoding does not sleep behind it: both encode, the first `set`
+/// wins and the loser's identical bytes are dropped. Peers committing one
+/// shared block on several threads walk the same transactions in
+/// lockstep, so the blocking form would serialize them on every memo.
+fn memoized(cell: &OnceLock<Vec<u8>>, compute: impl FnOnce() -> Vec<u8>) -> &[u8] {
+    if let Some(bytes) = cell.get() {
+        return bytes;
+    }
+    let _ = cell.set(compute());
+    cell.get()
+        .expect("set above, by this thread or a racing one")
+}
+
 impl Clone for TxMemo {
     fn clone(&self) -> Self {
         Self::default()
@@ -154,7 +170,7 @@ pub struct Transaction {
 // full-transaction cache.
 impl fabric_wire::Encode for Transaction {
     fn encode(&self, buf: &mut Vec<u8>) {
-        let bytes = self.memo.tx_wire.get_or_init(|| {
+        let bytes = memoized(&self.memo.tx_wire, || {
             let mut b = Vec::new();
             self.tx_id.encode(&mut b);
             self.channel.encode(&mut b);
@@ -208,15 +224,13 @@ impl Transaction {
     /// Canonical wire bytes of the payload — the message every
     /// endorsement signature covers — computed once per instance.
     fn payload_wire(&self) -> &[u8] {
-        self.memo
-            .payload_wire
-            .get_or_init(|| self.payload.to_wire())
+        memoized(&self.memo.payload_wire, || self.payload.to_wire())
     }
 
     /// The client-signed tuple bytes (see
     /// [`Transaction::client_signed_bytes`]), computed once per instance.
     fn client_wire(&self) -> &[u8] {
-        self.memo.client_wire.get_or_init(|| {
+        memoized(&self.memo.client_wire, || {
             // `signed_bytes(Plain)` is the payload's canonical wire form,
             // so the payload cache doubles as the tuple's middle segment.
             let payload_bytes = self.payload_wire();
@@ -474,6 +488,39 @@ mod tests {
         );
         // A second verification must reuse the caches and agree.
         assert_eq!(tx.verify_signatures(), None);
+    }
+
+    #[test]
+    fn racing_threads_fill_the_memos_with_a_fresh_encodes_bytes() {
+        // Many cold instances, two threads released together on each, so
+        // the memo race (both miss, both encode, one `set` wins) actually
+        // happens; whoever wins, both must read a fresh encode's bytes.
+        let expected = sample_tx();
+        let fresh = (
+            expected.to_wire(),
+            expected.payload.to_wire(),
+            Transaction::client_signed_bytes(
+                &expected.tx_id,
+                &expected.payload,
+                &expected.endorsements,
+            ),
+        );
+        let txs: Vec<Transaction> = (0..256).map(|_| sample_tx()).collect();
+        let barriers: Vec<std::sync::Barrier> =
+            (0..txs.len()).map(|_| std::sync::Barrier::new(2)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for (tx, barrier) in txs.iter().zip(&barriers) {
+                        barrier.wait();
+                        assert_eq!(tx.verify_signatures(), None);
+                        assert_eq!(tx.to_wire(), fresh.0);
+                        assert_eq!(tx.payload_wire(), fresh.1);
+                        assert_eq!(tx.client_wire(), fresh.2);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

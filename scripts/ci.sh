@@ -26,6 +26,10 @@
 #      --flow` must keep flagging every flow rule on the leaky sample
 #      (with a rendered source→sink path) and stay silent on the
 #      defended samples
+#  10. benchmark self-check on `wide_fanout`          — the workload whose
+#      blocks are committed on several threads runs twice; every
+#      tick-denominated metric must be equal, i.e. results do not depend
+#      on how the threads were scheduled
 #
 # Run from anywhere; operates on the repository containing this script.
 
@@ -233,5 +237,10 @@ for clean in guarded sacc secured_trade; do
     fi
 done
 echo "flow smoke: all six flow rules fire on the leaky sample only"
+
+echo "==> fabric-benchmark check --smoke --workload wide_fanout"
+# Two full sets of the one workload that forks its block delivery; `check`
+# exits non-zero unless every tick-denominated metric is equal.
+cargo run --release -q -p fabric-benchmark -- check --smoke --workload wide_fanout
 
 echo "CI gate passed."
