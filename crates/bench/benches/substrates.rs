@@ -7,11 +7,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fabric_bench::{fixture_network, NS};
 use fabric_pdc::crypto::{hmac_sha256, sha256, Keypair};
+use fabric_pdc::gossip::{GossipHub, PeerId};
 use fabric_pdc::ledger::WorldState;
 use fabric_pdc::policy::{ImplicitMetaPolicy, SignaturePolicy};
 use fabric_pdc::prelude::*;
 use fabric_pdc::raft::Cluster;
-use fabric_pdc::types::Version;
+use fabric_pdc::types::{PvtDataPackage, Version};
 use fabric_pdc::wire::{Decode, Encode};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -88,6 +89,42 @@ fn policy_benches(c: &mut Criterion) {
     }
     group.bench_function("evaluate_majority5", |b| {
         b.iter(|| black_box(meta.evaluate(&org_policies, &ids)))
+    });
+
+    // The commit path's shape: the default chaincode-level policy on a
+    // two-org channel, over the two endorsements a transaction carries.
+    let two_orgs: BTreeMap<OrgId, SignaturePolicy> = org_policies.into_iter().take(2).collect();
+    let endorsers: Vec<&Identity> = ids.iter().take(2).collect();
+    let majority = Policy::ImplicitMeta(meta);
+    group.bench_function("evaluate_majority_2_endorsers", |b| {
+        b.iter(|| black_box(majority.evaluate_refs(&two_orgs, &endorsers)))
+    });
+    group.finish();
+}
+
+fn gossip_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gossip");
+    // One endorsement's dissemination on an 8-peer channel, then the
+    // post-commit purge that keeps the stores at their steady size.
+    let mut hub = GossipHub::new(5);
+    let endorser = PeerId::new("peer0.org1");
+    let recipients: Vec<PeerId> = (1..=7)
+        .map(|i| PeerId::new(format!("peer{i}.org2")))
+        .collect();
+    hub.register(endorser.clone());
+    for r in &recipients {
+        hub.register(r.clone());
+    }
+    let pkg = Arc::new(PvtDataPackage {
+        tx_id: TxId::new("tx-push"),
+        namespaces: vec![],
+        collections: vec![],
+    });
+    group.bench_function("push_7_recipients", |b| {
+        b.iter(|| {
+            black_box(hub.push(&endorser, &recipients, Arc::clone(&pkg)));
+            hub.purge_committed([&pkg.tx_id]);
+        })
     });
     group.finish();
 }
@@ -362,6 +399,7 @@ criterion_group!(
     crypto_benches,
     wire_benches,
     policy_benches,
+    gossip_benches,
     ledger_benches,
     raft_benches,
     end_to_end_benches,

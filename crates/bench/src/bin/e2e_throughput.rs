@@ -19,6 +19,10 @@
 //!   owned copy of every transaction (fresh encode memos included), so
 //!   each peer re-allocates and re-encodes everything it verifies.
 //!
+//! A counting allocator reports `allocs_per_tx`: heap allocations inside
+//! the timed window per transaction, all peers included — the number the
+//! allocation discipline of DESIGN.md is held to end to end.
+//!
 //! Writes `BENCH_e2e.json` at the repository root. Pass `--smoke` for a
 //! seconds-long CI run that skips the file write.
 
@@ -26,7 +30,41 @@ use fabric_bench::{COL, NS};
 use fabric_pdc::orderer::BatchConfig;
 use fabric_pdc::prelude::*;
 use fabric_pdc::wire::Encode;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// The system allocator, counting every allocation and reallocation.
+struct CountingAlloc;
+
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller already upholds; the counter is a
+// statistic and publishes nothing.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// One measured epoch: a (peer count, block size, fan-out mode) cell.
 #[derive(Debug, Clone, Copy)]
@@ -40,6 +78,8 @@ struct Sample {
     /// Transaction bytes deep-copied per delivered block across all
     /// peers (0 in shared mode: fan-out is a refcount bump).
     bytes_cloned_per_block: usize,
+    /// Heap allocations between submit and full commit, per transaction.
+    allocs_per_tx: f64,
 }
 
 fn mode_label(mode: FanoutMode) -> &'static str {
@@ -157,7 +197,9 @@ fn measure_cell(peers: usize, block_txs: usize, blocks: usize, mode: FanoutMode)
         FanoutMode::DeepClone => peers * tx_bytes,
     };
     let total = txs.len();
+    let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
     let elapsed = run_epoch(&mut net, txs, blocks);
+    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
     Sample {
         peers,
         block_txs,
@@ -166,6 +208,7 @@ fn measure_cell(peers: usize, block_txs: usize, blocks: usize, mode: FanoutMode)
         elapsed,
         txs_per_sec: total as f64 / elapsed.as_secs_f64(),
         bytes_cloned_per_block,
+        allocs_per_tx: allocs as f64 / total as f64,
     }
 }
 
@@ -251,11 +294,13 @@ fn main() {
             let s = measure_cell(peers, block_txs, blocks, mode);
             println!(
                 "peers={peers} block_txs={block_txs:>5} blocks={blocks} fanout={:<10} \
-                 elapsed={:>10.3?}  txs/sec={:>10.0}  bytes_cloned_per_block={}",
+                 elapsed={:>10.3?}  txs/sec={:>10.0}  bytes_cloned_per_block={}  \
+                 allocs_per_tx={:.1}",
                 mode_label(s.mode),
                 s.elapsed,
                 s.txs_per_sec,
                 s.bytes_cloned_per_block,
+                s.allocs_per_tx,
             );
             results.push(s);
         }
@@ -299,7 +344,8 @@ fn main() {
         let sep = if i + 1 == results.len() { "" } else { "," };
         json.push_str(&format!(
             "    {{\"peers\": {}, \"block_txs\": {}, \"blocks\": {}, \"fanout\": \"{}\", \
-             \"elapsed_ms\": {:.3}, \"txs_per_sec\": {:.0}, \"bytes_cloned_per_block\": {}}}{sep}\n",
+             \"elapsed_ms\": {:.3}, \"txs_per_sec\": {:.0}, \"bytes_cloned_per_block\": {}, \
+             \"allocs_per_tx\": {:.1}}}{sep}\n",
             s.peers,
             s.block_txs,
             s.blocks,
@@ -307,6 +353,7 @@ fn main() {
             s.elapsed.as_secs_f64() * 1e3,
             s.txs_per_sec,
             s.bytes_cloned_per_block,
+            s.allocs_per_tx,
         ));
     }
     json.push_str("  ],\n");

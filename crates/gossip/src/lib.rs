@@ -46,13 +46,15 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Identifier of a peer on the gossip network, e.g. `"peer0.org1"`.
+/// Shared storage, like the `fabric_types` identifiers: every logged
+/// event names two peers, and a clone is a refcount bump.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PeerId(String);
+pub struct PeerId(Arc<str>);
 
 impl PeerId {
     /// Creates a peer identifier.
     pub fn new(s: impl Into<String>) -> Self {
-        PeerId(s.into())
+        PeerId(Arc::from(s.into()))
     }
 
     /// The identifier as a string slice.
@@ -69,7 +71,7 @@ impl fmt::Display for PeerId {
 
 impl From<&str> for PeerId {
     fn from(s: &str) -> Self {
-        PeerId(s.to_string())
+        PeerId(Arc::from(s))
     }
 }
 
@@ -166,15 +168,14 @@ impl GossipHub {
                 continue;
             }
             let dropped = self.drop_rate > 0.0 && self.rng.gen_bool(self.drop_rate);
-            let exists = self.transient.contains_key(to);
-            let ok = exists && !dropped;
-            if ok {
-                self.transient
-                    .get_mut(to)
-                    .expect("checked exists")
-                    .insert(pkg.tx_id.clone(), Arc::clone(&pkg));
-                delivered += 1;
-            }
+            let ok = match self.transient.get_mut(to) {
+                Some(store) if !dropped => {
+                    store.insert(pkg.tx_id.clone(), Arc::clone(&pkg));
+                    true
+                }
+                _ => false,
+            };
+            delivered += usize::from(ok);
             self.record(GossipEvent {
                 from: from.clone(),
                 to: to.clone(),

@@ -7,11 +7,12 @@ use fabric_gossip::{GossipHub, PeerId};
 use fabric_monitor::{Monitor, NodeSample};
 use fabric_orderer::OrderingService;
 use fabric_peer::{host_cores, BlockCommitOutcome, CommitError, Peer};
+use fabric_telemetry::Histogram;
 use fabric_types::{
-    Block, ChaincodeId, ChannelId, OrgId, Proposal, ProposalResponse, PvtDataPackage, Transaction,
-    TxId, TxValidationCode,
+    Block, ChaincodeId, ChannelId, CollectionName, OrgId, Proposal, ProposalResponse,
+    PvtDataPackage, Transaction, TxId, TxValidationCode,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// The result of a committed transaction submission.
@@ -50,6 +51,45 @@ pub struct PeerCommitErrors {
     pub count: u64,
     /// Number of the most recent such block, and why it was refused.
     pub last: (u64, CommitError),
+}
+
+/// Whom one endorser pushes private data to, per chaincode and collection
+/// it has installed: the other peers whose org is a member, in name order.
+type PushRecipients = HashMap<ChaincodeId, HashMap<CollectionName, Vec<PeerId>>>;
+
+/// Resolves `endorser`'s [`PushRecipients`] among `peers` from the member
+/// sets it compiled at install time.
+fn push_recipients(endorser: &Peer, peers: &BTreeMap<String, Peer>) -> PushRecipients {
+    let members_of = |member_orgs: &BTreeSet<OrgId>| -> Vec<PeerId> {
+        peers
+            .values()
+            .filter(|p| p.gossip_id() != endorser.gossip_id() && member_orgs.contains(p.org()))
+            .map(|p| p.gossip_id().clone())
+            .collect()
+    };
+    endorser
+        .chaincodes()
+        .map(|installed| {
+            let per_collection = installed.definition.collections.iter().filter_map(|cfg| {
+                let member_orgs = installed.compiled.members(&cfg.name)?;
+                Some((cfg.name.clone(), members_of(member_orgs)))
+            });
+            (installed.definition.id.clone(), per_collection.collect())
+        })
+        .collect()
+}
+
+/// The attached [`Monitor`] with what its per-tick evaluation reads,
+/// resolved once instead of by name every tick.
+struct MonitorTick {
+    monitor: Monitor,
+    /// `fabric_commit_stage_seconds{stage="stateful"}`: the commit pipeline
+    /// is shared across peers in-process, so its p99 is a network-wide
+    /// signal sampled once per tick. `None` when no peer registered it.
+    stage_stateful: Option<Histogram>,
+    /// One row per peer in name order, then the orderer's; only the
+    /// numbers change from tick to tick.
+    samples: Vec<NodeSample>,
 }
 
 /// One peer's results for the blocks of a tick, in block order.
@@ -158,7 +198,7 @@ pub struct FabricNetwork {
     /// with the gossip layer — one allocation per dissemination.
     pvt_archive: HashMap<TxId, Arc<PvtDataPackage>>,
     /// Streaming alert engine driven one evaluation tick per network tick.
-    monitor: Option<Monitor>,
+    monitor: Option<MonitorTick>,
     /// Block fan-out strategy; see [`FanoutMode`].
     fanout: FanoutMode,
     /// Peer names in map order, cached so per-block delivery does not
@@ -166,6 +206,13 @@ pub struct FabricNetwork {
     cached_peer_names: Vec<String>,
     /// Gossip IDs in the same order, cached for the same reason.
     cached_gossip_ids: Vec<PeerId>,
+    /// Push recipients by endorsing peer, resolved from the member sets
+    /// each peer compiled at install time, so that dissemination builds no
+    /// list per package; rebuilt with the lists above.
+    cached_recipients: BTreeMap<String, PushRecipients>,
+    /// Set by [`FabricNetwork::peer_mut`], through which a caller may have
+    /// installed a chaincode: the caches are rebuilt before the next use.
+    peer_caches_stale: bool,
     /// Delivered blocks a peer refused, by peer name; peers that never
     /// refused one have no entry.
     commit_errors: BTreeMap<String, PeerCommitErrors>,
@@ -205,17 +252,35 @@ impl FabricNetwork {
             fanout: FanoutMode::default(),
             cached_peer_names: Vec::new(),
             cached_gossip_ids: Vec::new(),
+            cached_recipients: BTreeMap::new(),
+            peer_caches_stale: false,
             commit_errors: BTreeMap::new(),
         };
         net.refresh_peer_caches();
         net
     }
 
-    /// Rebuilds the cached peer-name/gossip-id lists. Must be called after
-    /// any change to the peer set.
+    /// Rebuilds the cached peer-name/gossip-id/recipient lists. Must be
+    /// called after any change to the peer set or to a peer's chaincodes.
     fn refresh_peer_caches(&mut self) {
         self.cached_peer_names = self.peers.keys().cloned().collect();
         self.cached_gossip_ids = self.peers.values().map(|p| p.gossip_id().clone()).collect();
+        self.cached_recipients = self
+            .peers
+            .iter()
+            .map(|(name, endorser)| (name.clone(), push_recipients(endorser, &self.peers)))
+            .collect();
+        if let Some(tick) = self.monitor.as_mut() {
+            let rows = self.cached_peer_names.iter().map(String::as_str);
+            tick.samples = rows
+                .chain(["orderer"])
+                .map(|node| NodeSample {
+                    node: node.to_string(),
+                    ..NodeSample::default()
+                })
+                .collect();
+        }
+        self.peer_caches_stale = false;
     }
 
     /// Selects the block fan-out strategy (default: [`FanoutMode::Shared`]).
@@ -229,13 +294,22 @@ impl FabricNetwork {
     }
 
     pub(crate) fn attach_monitor(&mut self, monitor: Monitor) {
-        self.monitor = Some(monitor);
+        let stage_stateful = monitor
+            .telemetry()
+            .metrics()
+            .find_histogram("fabric_commit_stage_seconds", &[("stage", "stateful")]);
+        self.monitor = Some(MonitorTick {
+            monitor,
+            stage_stateful,
+            samples: Vec::new(),
+        });
+        self.refresh_peer_caches();
     }
 
     /// The streaming monitor attached via `NetworkBuilder::with_monitor`,
     /// if any.
     pub fn monitor(&self) -> Option<&Monitor> {
-        self.monitor.as_ref()
+        self.monitor.as_ref().map(|m| &m.monitor)
     }
 
     /// The channel name.
@@ -277,6 +351,7 @@ impl FabricNetwork {
     /// Mutable access to a peer (e.g. to flip defenses or install a
     /// malicious chaincode variant).
     pub fn peer_mut(&mut self, name: &str) -> &mut Peer {
+        self.peer_caches_stale = true;
         self.peers.get_mut(name).expect("unknown peer")
     }
 
@@ -350,6 +425,7 @@ impl FabricNetwork {
             peer.install_chaincode(definition.clone(), handle.clone());
         }
         self.deployed.push((definition, handle));
+        self.refresh_peer_caches();
     }
 
     /// Installs a per-peer implementation (Fabric's customizable-chaincode
@@ -398,35 +474,31 @@ impl FabricNetwork {
         proposal: &Proposal,
         pkg: PvtDataPackage,
     ) -> Result<(), NetworkError> {
-        let endorser_id = PeerId::new(endorser);
+        if self.peer_caches_stale {
+            self.refresh_peer_caches();
+        }
+        let peer = &self.peers[endorser];
+        let endorser_id = peer.gossip_id();
         // One shared allocation serves the endorser's transient store, the
         // durable archive, and every push recipient below.
         let pkg = Arc::new(pkg);
-        self.gossip.store_local(&endorser_id, Arc::clone(&pkg));
+        self.gossip.store_local(endorser_id, Arc::clone(&pkg));
         // Member peers persist private data beyond the transient window;
         // the archive models that durable store for late reconciliation.
         self.pvt_archive.insert(pkg.tx_id.clone(), Arc::clone(&pkg));
-        // Push to every peer whose org is a member of a touched collection,
-        // read from the member sets compiled at install time.
-        let Some(installed) = self
-            .peers
-            .get(endorser)
-            .and_then(|p| p.chaincode(&proposal.chaincode))
-        else {
+        // Push to every peer whose org is a member of a touched collection.
+        let Some(installed) = peer.chaincode(&proposal.chaincode) else {
             return Ok(());
         };
+        let recipients = self
+            .cached_recipients
+            .get(endorser)
+            .and_then(|r| r.get(&proposal.chaincode));
         for pvt in &pkg.collections {
-            let member_orgs = installed.compiled.members(&pvt.collection);
-            let members: Vec<PeerId> = self
-                .peers
-                .values()
-                .filter(|p| {
-                    p.gossip_id() != &endorser_id
-                        && member_orgs.is_some_and(|orgs| orgs.contains(p.org()))
-                })
-                .map(|p| p.gossip_id().clone())
-                .collect();
-            let delivered = self.gossip.push(&endorser_id, &members, Arc::clone(&pkg));
+            let members = recipients
+                .and_then(|r| r.get(&pvt.collection))
+                .map_or(&[][..], Vec::as_slice);
+            let delivered = self.gossip.push(endorser_id, members, Arc::clone(&pkg));
             if let Some(cfg) = installed.definition.collection(&pvt.collection) {
                 if (delivered as u32) < cfg.required_peer_count {
                     return Err(NetworkError::DisseminationFailed {
@@ -469,41 +541,23 @@ impl FabricNetwork {
     /// One monitor evaluation per network tick: drain the audit events
     /// this tick produced and score every node's health from the same
     /// state the tick left behind.
-    fn observe_monitor_tick(&self) {
-        // `observe_tick` takes `&self`, so no per-tick clone of the monitor
-        // handle is needed — everything below is an immutable borrow.
-        let Some(monitor) = self.monitor.as_ref() else {
+    fn observe_monitor_tick(&mut self) {
+        let Some(tick) = self.monitor.as_mut() else {
             return;
         };
         let ordered_height = self.orderer.ordered_height();
-        // The commit pipeline is shared across peers in-process, so the
-        // stateful-stage p99 is a network-wide signal sampled once.
-        let stage_p99 = monitor
-            .telemetry()
-            .metrics()
-            .find_histogram("fabric_commit_stage_seconds", &[("stage", "stateful")])
-            .and_then(|h| h.quantile(0.99));
-        let mut samples: Vec<NodeSample> = self
-            .peers
-            .iter()
-            .map(|(name, peer)| NodeSample {
-                node: name.clone(),
-                committed_height: peer.block_store().height(),
-                ordered_height,
-                backlog: 0,
-                gossip_pending: self.gossip.transient_len(peer.gossip_id()) as u64,
-                stage_p99_seconds: stage_p99,
-            })
-            .collect();
-        samples.push(NodeSample {
-            node: "orderer".to_string(),
-            committed_height: ordered_height,
-            ordered_height,
-            backlog: self.orderer.pending_len() as u64,
-            gossip_pending: 0,
-            stage_p99_seconds: None,
-        });
-        monitor.observe_tick(&samples);
+        let stage_p99 = tick.stage_stateful.as_ref().and_then(|h| h.quantile(0.99));
+        let (orderer, peers) = tick.samples.split_last_mut().expect("the orderer's row");
+        for (sample, peer) in peers.iter_mut().zip(self.peers.values()) {
+            sample.committed_height = peer.block_store().height();
+            sample.ordered_height = ordered_height;
+            sample.gossip_pending = self.gossip.transient_len(peer.gossip_id()) as u64;
+            sample.stage_p99_seconds = stage_p99;
+        }
+        orderer.committed_height = ordered_height;
+        orderer.ordered_height = ordered_height;
+        orderer.backlog = self.orderer.pending_len() as u64;
+        tick.monitor.observe_tick(&tick.samples);
     }
 
     /// Delivers the blocks the orderer released this tick to every peer in

@@ -23,7 +23,9 @@
 
 use fabric_crypto::{Hash256, Keypair};
 use fabric_raft::{Cluster, NodeId, RaftConfig};
-use fabric_telemetry::{SpanGuard, Telemetry, TraceContext, TICK_BUCKETS};
+use fabric_telemetry::{
+    Counter, Gauge, Histogram, SpanGuard, Telemetry, TraceContext, TICK_BUCKETS,
+};
 use fabric_types::{Block, Identity, Role, Transaction, TxId};
 use fabric_wire::{Decode, Encode};
 use std::collections::{HashMap, VecDeque};
@@ -46,6 +48,66 @@ impl Default for BatchConfig {
     }
 }
 
+/// A shared [`Telemetry`] pipeline plus the metric handles the orderer
+/// updates on every cut and tick, resolved once when the pipeline is
+/// attached.
+#[derive(Debug)]
+struct OrdererTelemetry {
+    telemetry: Telemetry,
+    batch_cut_age: Histogram,
+    txs_ordered: Counter,
+    blocks_cut: Counter,
+    block_height: Gauge,
+    raft_term: Gauge,
+    raft_delivered: Gauge,
+    raft_dropped: Gauge,
+}
+
+impl OrdererTelemetry {
+    fn new(telemetry: Telemetry) -> Self {
+        let m = telemetry.metrics();
+        OrdererTelemetry {
+            batch_cut_age: m.histogram(
+                "fabric_orderer_batch_cut_age_ticks",
+                "Ticks a batch's oldest transaction waited before the cut",
+                &[],
+                TICK_BUCKETS,
+            ),
+            txs_ordered: m.counter(
+                "fabric_orderer_txs_ordered_total",
+                "Transactions proposed into Raft batches",
+                &[],
+            ),
+            blocks_cut: m.counter(
+                "fabric_orderer_blocks_cut_total",
+                "Blocks emitted by the ordering service",
+                &[],
+            ),
+            block_height: m.gauge(
+                "fabric_orderer_block_height",
+                "Blocks ordered so far (next block number)",
+                &[],
+            ),
+            raft_term: m.gauge(
+                "fabric_raft_term",
+                "Highest Raft term observed in the ordering cluster",
+                &[],
+            ),
+            raft_delivered: m.gauge(
+                "fabric_raft_messages_delivered",
+                "Raft messages delivered since cluster creation",
+                &[],
+            ),
+            raft_dropped: m.gauge(
+                "fabric_raft_messages_dropped",
+                "Raft messages lost to faults since cluster creation",
+                &[],
+            ),
+            telemetry,
+        }
+    }
+}
+
 /// A Raft-replicated ordering service for one channel.
 #[derive(Debug)]
 pub struct OrderingService {
@@ -60,7 +122,9 @@ pub struct OrderingService {
     identity: Identity,
     keypair: Keypair,
     ready: VecDeque<Block>,
-    telemetry: Option<Telemetry>,
+    /// Committed Raft entries that did not decode as a batch.
+    decode_failures: u64,
+    telemetry: Option<OrdererTelemetry>,
     /// Open `orderer.order` spans (queue wait: submit → batch cut), keyed
     /// by tx id. Populated only when span tracing is enabled.
     order_spans: HashMap<TxId, SpanGuard>,
@@ -83,6 +147,7 @@ impl OrderingService {
             identity,
             keypair,
             ready: VecDeque::new(),
+            decode_failures: 0,
             telemetry: None,
             order_spans: HashMap::new(),
         }
@@ -97,18 +162,18 @@ impl OrderingService {
     /// block height, and Raft transport statistics are then reported.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.raft.set_telemetry(telemetry.clone());
-        self.telemetry = Some(telemetry);
+        self.telemetry = Some(OrdererTelemetry::new(telemetry));
     }
 
     /// The attached telemetry pipeline, if any.
     pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
+        self.telemetry.as_ref().map(|t| &t.telemetry)
     }
 
     /// Queues a transaction for ordering. Contents are not inspected
     /// (only the tx id is read, to key the tracing span).
     pub fn submit(&mut self, tx: Transaction) {
-        if let Some(t) = self.telemetry.as_ref().filter(|t| t.tracing_enabled()) {
+        if let Some(t) = self.telemetry().filter(|t| t.tracing_enabled()) {
             let mut span = t.span("orderer.order");
             span.trace(TraceContext::for_tx(tx.tx_id.as_str()));
             span.node("orderer");
@@ -126,6 +191,15 @@ impl OrderingService {
     /// to (monitors score committed-height lag against this).
     pub fn ordered_height(&self) -> u64 {
         self.next_number
+    }
+
+    /// Committed Raft entries skipped because they did not decode as a
+    /// batch of transactions. The service only proposes valid encodings,
+    /// so anything but zero means corrupted or foreign log entries; with
+    /// telemetry attached the same count is
+    /// `fabric_orderer_decode_failures_total`.
+    pub fn decode_failures(&self) -> u64 {
+        self.decode_failures
     }
 
     /// Runs ticks until the Raft cluster has a leader (start-up helper).
@@ -211,21 +285,8 @@ impl OrderingService {
             }
         }
         if let Some(t) = &self.telemetry {
-            t.metrics()
-                .histogram(
-                    "fabric_orderer_batch_cut_age_ticks",
-                    "Ticks a batch's oldest transaction waited before the cut",
-                    &[],
-                    TICK_BUCKETS,
-                )
-                .observe(self.pending_age as f64);
-            t.metrics()
-                .counter(
-                    "fabric_orderer_txs_ordered_total",
-                    "Transactions proposed into Raft batches",
-                    &[],
-                )
-                .inc_by(batch.len() as u64);
+            t.batch_cut_age.observe(self.pending_age as f64);
+            t.txs_ordered.inc_by(batch.len() as u64);
         }
         self.pending_age = 0;
     }
@@ -240,7 +301,21 @@ impl OrderingService {
         self.delivered_cursor += newly_count;
         for raw in newly {
             let Ok(batch) = Vec::<Transaction>::from_wire(raw) else {
-                // Unreachable in practice: we only propose valid encodings.
+                // No block can be cut from it; the next good entry takes
+                // the block number this one would have had.
+                self.decode_failures += 1;
+                if let Some(t) = &self.telemetry {
+                    // Registered on first use, so a healthy run's
+                    // exposition does not list it.
+                    t.telemetry
+                        .metrics()
+                        .counter(
+                            "fabric_orderer_decode_failures_total",
+                            "Committed Raft entries that did not decode as a batch",
+                            &[],
+                        )
+                        .inc();
+                }
                 continue;
             };
             let mut block = Block::new(self.next_number, self.prev_hash, batch);
@@ -249,47 +324,17 @@ impl OrderingService {
             self.next_number += 1;
             self.prev_hash = block.hash();
             if let Some(t) = &self.telemetry {
-                t.metrics()
-                    .counter(
-                        "fabric_orderer_blocks_cut_total",
-                        "Blocks emitted by the ordering service",
-                        &[],
-                    )
-                    .inc();
+                t.blocks_cut.inc();
             }
             self.ready.push_back(block);
         }
         if newly_count > 0 {
             if let Some(t) = &self.telemetry {
-                t.metrics()
-                    .gauge(
-                        "fabric_orderer_block_height",
-                        "Blocks ordered so far (next block number)",
-                        &[],
-                    )
-                    .set(self.next_number as f64);
+                t.block_height.set(self.next_number as f64);
                 let stats = self.raft.stats();
-                t.metrics()
-                    .gauge(
-                        "fabric_raft_term",
-                        "Highest Raft term observed in the ordering cluster",
-                        &[],
-                    )
-                    .set(stats.term as f64);
-                t.metrics()
-                    .gauge(
-                        "fabric_raft_messages_delivered",
-                        "Raft messages delivered since cluster creation",
-                        &[],
-                    )
-                    .set(stats.messages_delivered as f64);
-                t.metrics()
-                    .gauge(
-                        "fabric_raft_messages_dropped",
-                        "Raft messages lost to faults since cluster creation",
-                        &[],
-                    )
-                    .set(stats.messages_dropped as f64);
+                t.raft_term.set(stats.term as f64);
+                t.raft_delivered.set(stats.messages_delivered as f64);
+                t.raft_dropped.set(stats.messages_dropped as f64);
             }
         }
     }
@@ -302,6 +347,7 @@ const ORDERER_SEED_MIX: u64 = 0xDEAD_BEEF_0BAD_F00D;
 mod tests {
     use super::*;
     use fabric_crypto::sha256;
+    use fabric_telemetry::MetricValue;
     use fabric_types::{
         ChaincodeId, ChannelId, PayloadCommitment, ProposalResponsePayload, Response, TxId, TxRwSet,
     };
@@ -428,6 +474,55 @@ mod tests {
         assert!(blocks
             .iter()
             .any(|b| b.transactions.iter().any(|t| t.tx_id == TxId::new("tx1"))));
+    }
+
+    /// A good block, then garbage proposed straight into the Raft cluster,
+    /// then another good block.
+    fn order_around_garbage(o: &mut OrderingService) -> Vec<Block> {
+        assert!(o.run_until_ready(1000));
+        o.submit(dummy_tx(0));
+        o.run_ticks(50);
+        let leader = o.raft.leader().expect("ready");
+        o.raft
+            .propose(leader, vec![0xff, 0xff, 0xff])
+            .expect("proposed at the leader");
+        o.run_ticks(50);
+        o.submit(dummy_tx(1));
+        o.run_ticks(50);
+        o.take_blocks()
+    }
+
+    #[test]
+    fn undecodable_entry_is_counted_and_numbering_continues() {
+        let config = BatchConfig {
+            max_message_count: 1,
+            batch_timeout_ticks: 2,
+        };
+        let mut o = OrderingService::new(3, 6, config);
+        let blocks = order_around_garbage(&mut o);
+        assert_eq!(o.decode_failures(), 1);
+        assert_eq!(blocks.len(), 2, "the garbage entry cuts no block");
+        assert_eq!(blocks[1].header.number, 1);
+        assert!(blocks[1].chains_onto(&blocks[0]));
+        assert!(blocks[1].data_hash_is_consistent());
+        assert_eq!(blocks[1].transactions[0].tx_id, TxId::new("tx1"));
+        assert_eq!(o.ordered_height(), 2);
+
+        // With telemetry the same count is exported, and only once it is
+        // non-zero does the series exist.
+        let telemetry = Telemetry::new();
+        let mut o = OrderingService::new(3, 6, config);
+        o.set_telemetry(telemetry.clone());
+        let exported = |t: &Telemetry| {
+            let mut samples = t.metrics().samples().into_iter();
+            samples
+                .find(|s| s.name == "fabric_orderer_decode_failures_total")
+                .map(|s| s.value)
+        };
+        assert_eq!(exported(&telemetry), None);
+        assert_eq!(order_around_garbage(&mut o).len(), 2);
+        assert_eq!(o.decode_failures(), 1);
+        assert_eq!(exported(&telemetry), Some(MetricValue::Counter(1)));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::node::{InstalledChaincode, Peer};
 use crate::telemetry::PeerTelemetry;
 use fabric_crypto::sha256;
 use fabric_ledger::{BlockStoreError, HistoryDb, WorldState};
-use fabric_policy::{Policy, PolicyCache, SignaturePolicy};
+use fabric_policy::{EndorserSet, Policy, PolicyCache, SignaturePolicy};
 use fabric_telemetry::{AuditEvent, TraceContext};
 use fabric_types::{
     Block, ChaincodeEvent, ChaincodeId, CollectionName, DefenseConfig, Identity, OrgId,
@@ -973,7 +973,8 @@ pub(crate) fn policy_checks_parts(
     world_state: &WorldState,
     tx: &Transaction,
 ) -> Option<TxValidationCode> {
-    let endorsers: Vec<&Identity> = tx.endorsements.iter().map(|e| &e.endorser).collect();
+    // De-duplicated once; every policy below is evaluated against it.
+    let endorsers: EndorserSet<'_> = tx.endorsements.iter().map(|e| &e.endorser).collect();
 
     for ns in &tx.payload.results.ns_rwsets {
         let Some(installed) = chaincodes.get(&ns.namespace) else {
@@ -994,7 +995,7 @@ pub(crate) fn policy_checks_parts(
                     let Some(key_policy) = sbe_policies.get_or_parse(expr) else {
                         return Some(TxValidationCode::BadPayload);
                     };
-                    if !key_policy.satisfied_by_refs(&endorsers) {
+                    if !key_policy.satisfied_by_set(&endorsers) {
                         return Some(TxValidationCode::EndorsementPolicyFailure);
                     }
                 }
@@ -1010,7 +1011,7 @@ pub(crate) fn policy_checks_parts(
             let Some(cc_policy) = compiled.endorsement() else {
                 return Some(TxValidationCode::BadPayload);
             };
-            if !cc_policy.evaluate_refs(channel_policies.org_policies(), &endorsers) {
+            if !cc_policy.evaluate_set(channel_policies.org_policies(), &endorsers) {
                 return Some(TxValidationCode::EndorsementPolicyFailure);
             }
         }
@@ -1033,7 +1034,7 @@ pub(crate) fn policy_checks_parts(
                     let Some(col_policy) = col_policy else {
                         return Some(TxValidationCode::BadPayload);
                     };
-                    if !col_policy.satisfied_by_refs(&endorsers) {
+                    if !col_policy.satisfied_by_set(&endorsers) {
                         return Some(TxValidationCode::EndorsementPolicyFailure);
                     }
                 }

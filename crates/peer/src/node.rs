@@ -194,6 +194,11 @@ impl Peer {
         self.chaincodes.get(id)
     }
 
+    /// Every installed chaincode record, in no particular order.
+    pub fn chaincodes(&self) -> impl Iterator<Item = &InstalledChaincode> {
+        self.chaincodes.values()
+    }
+
     /// Whether this peer's org is a member of `collection` in `chaincode`.
     pub fn is_collection_member(
         &self,

@@ -1,5 +1,6 @@
 //! Policy AST and evaluation.
 
+use crate::eval::{self, EndorserSet};
 use crate::parser::{self, ParsePolicyError};
 use fabric_types::{Identity, OrgId, Role};
 use std::collections::BTreeMap;
@@ -93,22 +94,21 @@ impl SignaturePolicy {
     /// Matching is exact: one endorsement satisfies at most one principal
     /// requirement, found by backtracking search.
     pub fn satisfied_by(&self, endorsers: &[Identity]) -> bool {
-        let refs: Vec<&Identity> = endorsers.iter().collect();
-        self.satisfied_by_refs(&refs)
+        self.satisfied_by_set(&endorsers.iter().collect())
     }
 
     /// [`satisfied_by`](Self::satisfied_by) over borrowed identities, so
     /// per-transaction hot paths can evaluate policies without cloning
     /// each endorser identity out of its endorsement first.
     pub fn satisfied_by_refs(&self, endorsers: &[&Identity]) -> bool {
-        let mut unique: Vec<&Identity> = Vec::new();
-        for &e in endorsers {
-            if !unique.iter().any(|u| u.public_key == e.public_key) {
-                unique.push(e);
-            }
-        }
-        let mut used = vec![false; unique.len()];
-        satisfy_all(&[self], &unique, &mut used)
+        self.satisfied_by_set(&endorsers.iter().copied().collect())
+    }
+
+    /// [`satisfied_by`](Self::satisfied_by) over an already de-duplicated
+    /// set: a transaction's endorsers are collected once and every policy
+    /// that governs it is evaluated against the same set.
+    pub fn satisfied_by_set(&self, endorsers: &EndorserSet<'_>) -> bool {
+        eval::satisfied(self, endorsers)
     }
 
     /// Whether the policy could be satisfied using only identities from
@@ -202,82 +202,6 @@ impl fmt::Display for SignaturePolicy {
     }
 }
 
-/// Backtracking satisfaction of a conjunction of policy goals using each
-/// identity at most once.
-fn satisfy_all(goals: &[&SignaturePolicy], ids: &[&Identity], used: &mut Vec<bool>) -> bool {
-    let Some((first, rest)) = goals.split_first() else {
-        return true;
-    };
-    match first {
-        SignaturePolicy::Principal(p) => {
-            for i in 0..ids.len() {
-                if !used[i] && p.matches(ids[i]) {
-                    used[i] = true;
-                    if satisfy_all(rest, ids, used) {
-                        return true;
-                    }
-                    used[i] = false;
-                }
-            }
-            false
-        }
-        SignaturePolicy::And(children) => {
-            let mut new_goals: Vec<&SignaturePolicy> = children.iter().collect();
-            new_goals.extend_from_slice(rest);
-            satisfy_all(&new_goals, ids, used)
-        }
-        SignaturePolicy::Or(children) => children.iter().any(|c| {
-            let mut new_goals: Vec<&SignaturePolicy> = vec![c];
-            new_goals.extend_from_slice(rest);
-            satisfy_all(&new_goals, ids, used)
-        }),
-        SignaturePolicy::OutOf(n, children) => {
-            let n = *n as usize;
-            if n == 0 {
-                return satisfy_all(rest, ids, used);
-            }
-            if n > children.len() {
-                return false;
-            }
-            // Try every n-combination of children (sizes are small in
-            // practice; policies rarely exceed a handful of branches).
-            combinations(children.len(), n).into_iter().any(|combo| {
-                let mut new_goals: Vec<&SignaturePolicy> =
-                    combo.iter().map(|&i| &children[i]).collect();
-                new_goals.extend_from_slice(rest);
-                satisfy_all(&new_goals, ids, used)
-            })
-        }
-    }
-}
-
-/// All `k`-combinations of `0..n`, in lexicographic order.
-fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut combo: Vec<usize> = (0..k).collect();
-    loop {
-        out.push(combo.clone());
-        // Advance to the next combination.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if combo[i] != i + n - k {
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
-        }
-        combo[i] += 1;
-        for j in i + 1..k {
-            combo[j] = combo[j - 1] + 1;
-        }
-    }
-}
-
 /// The combination rule of an implicitMeta policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ImplicitMetaRule {
@@ -330,8 +254,7 @@ impl ImplicitMetaPolicy {
         org_policies: &BTreeMap<OrgId, SignaturePolicy>,
         endorsers: &[Identity],
     ) -> bool {
-        let refs: Vec<&Identity> = endorsers.iter().collect();
-        self.evaluate_refs(org_policies, &refs)
+        self.evaluate_set(org_policies, &endorsers.iter().collect())
     }
 
     /// [`evaluate`](Self::evaluate) over borrowed identities (see
@@ -341,13 +264,23 @@ impl ImplicitMetaPolicy {
         org_policies: &BTreeMap<OrgId, SignaturePolicy>,
         endorsers: &[&Identity],
     ) -> bool {
+        self.evaluate_set(org_policies, &endorsers.iter().copied().collect())
+    }
+
+    /// [`evaluate`](Self::evaluate) over an already de-duplicated set (see
+    /// [`SignaturePolicy::satisfied_by_set`]).
+    pub fn evaluate_set(
+        &self,
+        org_policies: &BTreeMap<OrgId, SignaturePolicy>,
+        endorsers: &EndorserSet<'_>,
+    ) -> bool {
         let n = org_policies.len();
         if n == 0 {
             return false;
         }
         let satisfied = org_policies
             .values()
-            .filter(|p| p.satisfied_by_refs(endorsers))
+            .filter(|p| p.satisfied_by_set(endorsers))
             .count();
         match self.rule {
             ImplicitMetaRule::Any => satisfied >= 1,
@@ -394,10 +327,7 @@ impl Policy {
         org_policies: &BTreeMap<OrgId, SignaturePolicy>,
         endorsers: &[Identity],
     ) -> bool {
-        match self {
-            Policy::Signature(p) => p.satisfied_by(endorsers),
-            Policy::ImplicitMeta(p) => p.evaluate(org_policies, endorsers),
-        }
+        self.evaluate_set(org_policies, &endorsers.iter().collect())
     }
 
     /// [`evaluate`](Self::evaluate) over borrowed identities (see
@@ -407,9 +337,19 @@ impl Policy {
         org_policies: &BTreeMap<OrgId, SignaturePolicy>,
         endorsers: &[&Identity],
     ) -> bool {
+        self.evaluate_set(org_policies, &endorsers.iter().copied().collect())
+    }
+
+    /// [`evaluate`](Self::evaluate) over an already de-duplicated set (see
+    /// [`SignaturePolicy::satisfied_by_set`]).
+    pub fn evaluate_set(
+        &self,
+        org_policies: &BTreeMap<OrgId, SignaturePolicy>,
+        endorsers: &EndorserSet<'_>,
+    ) -> bool {
         match self {
-            Policy::Signature(p) => p.satisfied_by_refs(endorsers),
-            Policy::ImplicitMeta(p) => p.evaluate_refs(org_policies, endorsers),
+            Policy::Signature(p) => p.satisfied_by_set(endorsers),
+            Policy::ImplicitMeta(p) => p.evaluate_set(org_policies, endorsers),
         }
     }
 }
@@ -618,13 +558,6 @@ mod tests {
         let vacuous = SignaturePolicy::parse("OutOf(0,'Org1MSP.peer')").unwrap();
         assert!(!vacuous.is_unsatisfiable());
         assert!(vacuous.satisfied_by(&[]));
-    }
-
-    #[test]
-    fn combinations_enumerates_all() {
-        assert_eq!(combinations(4, 2).len(), 6);
-        assert_eq!(combinations(5, 3).len(), 10);
-        assert_eq!(combinations(3, 3), vec![vec![0, 1, 2]]);
     }
 
     #[test]

@@ -35,6 +35,7 @@
 
 mod ast;
 mod cache;
+mod eval;
 mod parser;
 mod plan;
 
@@ -42,5 +43,6 @@ pub use ast::{
     ImplicitMetaPolicy, ImplicitMetaRule, Policy, Principal, PrincipalRole, SignaturePolicy,
 };
 pub use cache::PolicyCache;
+pub use eval::EndorserSet;
 pub use parser::ParsePolicyError;
 pub use plan::{minimal_endorsement_set, minimal_endorsement_set_for};

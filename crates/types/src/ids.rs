@@ -2,17 +2,21 @@
 
 use fabric_wire::{Decode, Encode, Reader, WireError};
 use std::fmt;
+use std::sync::Arc;
 
+/// Identifiers are copied into every audit event, gossip log entry and
+/// ledger index a transaction touches, so they hold `Arc<str>`: a clone is
+/// a refcount bump. They compare, order, hash and encode as the string.
 macro_rules! string_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-        pub struct $name(String);
+        pub struct $name(Arc<str>);
 
         impl $name {
             /// Creates an identifier from anything string-like.
             pub fn new(s: impl Into<String>) -> Self {
-                $name(s.into())
+                $name(Arc::from(s.into()))
             }
 
             /// The identifier as a string slice.
@@ -29,13 +33,13 @@ macro_rules! string_id {
 
         impl From<&str> for $name {
             fn from(s: &str) -> Self {
-                $name(s.to_string())
+                $name(Arc::from(s))
             }
         }
 
         impl From<String> for $name {
             fn from(s: String) -> Self {
-                $name(s)
+                $name(Arc::from(s))
             }
         }
 
@@ -53,7 +57,7 @@ macro_rules! string_id {
 
         impl Decode for $name {
             fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok($name(String::decode(r)?))
+                Ok($name(Arc::<str>::decode(r)?))
             }
         }
     };

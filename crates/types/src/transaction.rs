@@ -375,6 +375,50 @@ mod tests {
         }
     }
 
+    /// The wire format is the ledger's hash pre-image and what Raft
+    /// replicates, so it must not move when a type's in-memory form does.
+    /// Digests recorded from the `String`-backed identifiers.
+    #[test]
+    fn golden_bytes_of_a_fixed_transaction_and_block() {
+        use crate::rwset::{CollectionHashedRwSet, HashedWrite, NsRwSet};
+        use crate::{Block, CollectionName, OrgId};
+        use fabric_crypto::Hash256;
+
+        assert_eq!(TxId::new("tx-1").to_wire(), b"\x04tx-1");
+        assert_eq!(ChannelId::from("ch1").to_wire(), b"\x03ch1");
+        assert_eq!(ChaincodeId::new("cc1").to_wire(), "cc1".to_wire());
+        assert_eq!(OrgId::new("Org1MSP").to_wire(), b"\x07Org1MSP");
+        assert_eq!(CollectionName::default().to_wire(), [0]);
+
+        let mut tx = sample_tx();
+        tx.payload.results.ns_rwsets.push(NsRwSet {
+            namespace: ChaincodeId::new("cc1"),
+            public: Default::default(),
+            metadata_writes: vec![],
+            collections: vec![CollectionHashedRwSet {
+                collection: CollectionName::new("collectionPDC1"),
+                reads: vec![],
+                writes: vec![HashedWrite {
+                    key_hash: sha256(b"k"),
+                    value_hash: Some(sha256(b"v")),
+                    is_delete: false,
+                }],
+            }],
+        });
+        let wire = tx.to_wire();
+        assert_eq!(wire.len(), 295);
+        assert_eq!(
+            sha256(&wire).to_hex(),
+            "b6a65ae3917b7d7c8793303f01ceecbc2af1285ace84a2087fd7ef33ce65067b"
+        );
+        assert_eq!(Transaction::from_wire(&wire).unwrap(), tx);
+        let block = Block::new(7, Hash256::default(), vec![tx]);
+        assert_eq!(
+            sha256(&block.to_wire()).to_hex(),
+            "7d095e20de908c5cf6204c260b6feaa75c7dbfb7a5532cca9080b4e2560d3162"
+        );
+    }
+
     #[test]
     fn signatures_verify() {
         let tx = sample_tx();

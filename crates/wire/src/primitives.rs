@@ -152,6 +152,18 @@ impl Decode for String {
     }
 }
 
+/// Decodes what `str` encodes straight into the shared allocation, with
+/// no intermediate `String`.
+impl Decode for std::sync::Arc<str> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = read_varint(r)?;
+        let len = r.check_len(len, 1)?;
+        std::str::from_utf8(r.read_exact(len)?)
+            .map(Into::into)
+            .map_err(|_| WireError::InvalidUtf8)
+    }
+}
+
 impl<const N: usize> Encode for [u8; N] {
     fn encode(&self, buf: &mut Vec<u8>) {
         // Fixed width: no length prefix needed.

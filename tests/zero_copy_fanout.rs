@@ -8,13 +8,20 @@
 //! [`FanoutMode::DeepClone`]) allocates at least once per transaction,
 //! and an end-to-end run shows the gap on the live submit→commit path.
 //!
-//! A final test drives the same workload through both fan-out modes and
+//! A further test drives the same workload through both fan-out modes and
 //! asserts they are observationally identical: same chain tips, same
 //! world-state digests on every peer, same audit-event sequence.
+//!
+//! The last group holds the per-transaction path to its allocation
+//! budgets (DESIGN.md, "Allocation discipline"): identifier clones, policy
+//! evaluation and gossip push allocate nothing, and endorsing on a wider
+//! network costs no allocation per extra recipient.
 
+use fabric_pdc::gossip::{GossipHub, PeerId};
 use fabric_pdc::orderer::BatchConfig;
+use fabric_pdc::peer::ChannelPolicies;
 use fabric_pdc::prelude::*;
-use fabric_pdc::types::Block;
+use fabric_pdc::types::{Block, PvtDataPackage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -257,5 +264,137 @@ fn fanout_modes_converge_identically() {
     assert_eq!(
         observed[0].1, observed[1].1,
         "audit-event sequence differs between fan-out modes"
+    );
+}
+
+/// Identifiers are shared strings: copying one into an event, an index or
+/// a log entry is a refcount bump.
+#[test]
+fn identifier_clones_are_allocation_free() {
+    let _guard = SERIAL.lock().unwrap();
+    let tx_id = TxId::new("6f1c".repeat(16));
+    let peer_id = PeerId::new("peer0.org1");
+    let ((tx_copy, peer_copy), calls, _) =
+        measured(|| std::hint::black_box((tx_id.clone(), peer_id.clone())));
+    assert_eq!(calls, 0, "TxId::clone and PeerId::clone must not allocate");
+    assert_eq!((tx_copy, peer_copy), (tx_id, peer_id));
+}
+
+/// Policy evaluation uses no heap for up to 16 endorsers, on every policy
+/// shape and both outcomes.
+#[test]
+fn policy_evaluation_is_allocation_free() {
+    let _guard = SERIAL.lock().unwrap();
+    let orgs: Vec<OrgId> = (1..=4).map(|i| OrgId::new(format!("Org{i}MSP"))).collect();
+    // 16 distinct peers over the four orgs, plus a duplicate of the first.
+    let mut peers: Vec<Identity> = (0..16u64)
+        .map(|i| {
+            let key = Keypair::generate_from_seed(9_100 + i).public_key();
+            Identity::new(orgs[i as usize % 4].clone(), Role::Peer, key)
+        })
+        .collect();
+    peers.push(peers[0].clone());
+    let all: Vec<&Identity> = peers.iter().collect();
+    let org_policies = ChannelPolicies::default_for(&orgs);
+    let org_policies = org_policies.org_policies();
+
+    let signature = [
+        "AND('Org1MSP.peer','Org2MSP.peer','Org3MSP.peer')",
+        "OR('Org9MSP.peer','Org4MSP.member')",
+        "OutOf(2,'Org1MSP.peer','Org2MSP.peer','Org3MSP.peer','Org4MSP.peer')",
+        "AND(OR('Org1MSP.peer','Org2MSP.peer'),OutOf(2,'Org1MSP.peer','Org1MSP.peer','Org9MSP.peer'))",
+        "AND('Org1MSP.peer','Org9MSP.peer')",
+    ];
+    for (expr, endorsers) in signature
+        .iter()
+        .flat_map(|expr| [(expr, &all[..]), (expr, &all[..2]), (expr, &all[..0])])
+    {
+        let policy = SignaturePolicy::parse(expr).unwrap();
+        let (_, calls, _) = measured(|| std::hint::black_box(policy.satisfied_by_refs(endorsers)));
+        assert_eq!(calls, 0, "{expr} over {} endorsers", endorsers.len());
+        let policy = Policy::Signature(policy);
+        let (_, calls, _) =
+            measured(|| std::hint::black_box(policy.evaluate_refs(org_policies, endorsers)));
+        assert_eq!(calls, 0, "Policy {expr} over {} endorsers", endorsers.len());
+    }
+    for expr in ["MAJORITY Endorsement", "ANY Endorsement", "ALL Endorsement"] {
+        let policy = Policy::parse(expr).unwrap();
+        for endorsers in [&all[..], &all[..2], &all[..0]] {
+            let (_, calls, _) =
+                measured(|| std::hint::black_box(policy.evaluate_refs(org_policies, endorsers)));
+            assert_eq!(calls, 0, "{expr} over {} endorsers", endorsers.len());
+        }
+    }
+    assert!(Policy::parse("MAJORITY Endorsement")
+        .unwrap()
+        .evaluate_refs(org_policies, &all));
+}
+
+/// A push shares the package and the ids: once the recipients' stores and
+/// the event log have room, seven deliveries allocate nothing.
+#[test]
+fn gossip_push_is_allocation_free_once_stores_have_capacity() {
+    let _guard = SERIAL.lock().unwrap();
+    let mut hub = GossipHub::new(3);
+    let endorser = PeerId::new("peer0.org1");
+    let recipients: Vec<PeerId> = (1..=7)
+        .map(|i| PeerId::new(format!("peer{i}.org2")))
+        .collect();
+    hub.register(endorser.clone());
+    for r in &recipients {
+        hub.register(r.clone());
+    }
+    let package = |i: u32| {
+        std::sync::Arc::new(PvtDataPackage {
+            tx_id: TxId::new(format!("tx{i}")),
+            namespaces: vec![],
+            collections: vec![],
+        })
+    };
+    // Five pushes leave room for a sixth entry in every store (hash maps
+    // grow at 4, 8, 15, ... entries) and in the log (35 of 64 slots).
+    for i in 0..5 {
+        hub.push(&endorser, &recipients, package(i));
+    }
+    let pkg = package(5);
+    let (delivered, calls, _) = measured(|| hub.push(&endorser, &recipients, pkg));
+    assert_eq!(delivered, 7);
+    assert_eq!(calls, 0, "push to 7 recipients must not allocate");
+}
+
+/// Dissemination hands `push` a cached recipient slice and shared ids, so
+/// endorsing a PDC write on 8 peers allocates (almost) no more than on 2.
+#[test]
+fn endorse_allocations_do_not_grow_with_recipients() {
+    let _guard = SERIAL.lock().unwrap();
+    let endorse_calls = |extra_peers: usize| -> u64 {
+        let mut net = fanout_network(extra_peers, 1_000, None);
+        let mut client = Client::new(
+            "Org1MSP",
+            Keypair::generate_from_seed(8_700_000),
+            DefenseConfig::original(),
+        );
+        let mut endorse_one = |i: usize| {
+            let proposal = client.create_proposal(
+                net.channel().clone(),
+                ChaincodeId::new(NS),
+                "write",
+                vec![format!("ek{i}").into_bytes(), b"12".to_vec()],
+                Default::default(),
+            );
+            measured(|| net.endorse("peer0.org1", &proposal).expect("endorse")).1
+        };
+        // Warm the stores past their first growth steps, then take the
+        // cheapest of three: a growth step of a store or of the log may
+        // fall on one of them, not on all.
+        for i in 0..5 {
+            endorse_one(i);
+        }
+        (5..8).map(&mut endorse_one).min().expect("three runs")
+    };
+    let (narrow, wide) = (endorse_calls(0), endorse_calls(6));
+    assert!(
+        wide <= narrow + 4,
+        "endorse on 8 peers allocated {wide} times, on 2 peers {narrow}"
     );
 }
