@@ -38,6 +38,58 @@ fn crypto_benches(c: &mut Criterion) {
     group.bench_function("verify_256B", |b| {
         b.iter(|| black_box(sig.verify(&kp.public_key(), &msg)))
     });
+    // What a peer pays per signature once the message digest is known.
+    let digest = sha256(&msg);
+    group.bench_function("verify_digest", |b| {
+        b.iter(|| black_box(sig.verify_digest(&kp.public_key(), &digest)))
+    });
+    group.finish();
+}
+
+/// One PDC write as the commit path sees it (client signature plus two
+/// endorsements), and 500 copies of it under distinct hex ids.
+fn pdc_write_and_500_copies() -> (Transaction, Vec<Transaction>) {
+    let mut net = fixture_network(DefenseConfig::original(), 17);
+    let channel = net.channel().clone();
+    let proposal = net.client_mut("client0.org1").create_proposal(
+        channel,
+        NS,
+        "write",
+        vec![b"k1".to_vec(), b"12".to_vec()],
+        BTreeMap::new(),
+    );
+    let responses = ["peer0.org1", "peer0.org2"].map(|p| net.endorse(p, &proposal).expect(p));
+    let (tx, _) = net
+        .client_mut("client0.org1")
+        .assemble_transaction(&proposal, &responses)
+        .expect("assemble");
+    let copies = (0..500u32)
+        .map(|i| Transaction {
+            tx_id: TxId::new(sha256(&i.to_be_bytes()).to_hex()),
+            ..tx.clone()
+        })
+        .collect();
+    (tx, copies)
+}
+
+fn types_benches(c: &mut Criterion) {
+    use fabric_pdc::crypto::BatchVerifier;
+    use fabric_pdc::types::Block;
+    let mut group = c.benchmark_group("types");
+    let (tx, copies) = pdc_write_and_500_copies();
+    // Every peer after the first: three signatures against digests the
+    // shared transaction already carries.
+    let mut batch = BatchVerifier::new();
+    assert_eq!(tx.verify_signatures_batched(&mut batch), None);
+    group.bench_function("verify_signatures_warm_memo", |b| {
+        b.iter(|| black_box(tx.verify_signatures_batched(&mut batch)))
+    });
+    // Likewise the data hash: 32 bytes per transaction.
+    black_box(Block::compute_data_hash(&copies));
+    group.throughput(Throughput::Elements(copies.len() as u64));
+    group.bench_function("data_hash_500_tx_warm", |b| {
+        b.iter(|| black_box(Block::compute_data_hash(&copies)))
+    });
     group.finish();
 }
 
@@ -130,7 +182,20 @@ fn gossip_benches(c: &mut Criterion) {
 }
 
 fn ledger_benches(c: &mut Criterion) {
+    use fabric_pdc::ledger::BlockStore;
+    use fabric_pdc::types::Block;
     let mut group = c.benchmark_group("ledger");
+    // Appending a block is indexing its transaction ids: 500 inserts
+    // keyed by 64-character hex strings.
+    let (_, copies) = pdc_write_and_500_copies();
+    let block = Block::new(0, Hash256::default(), copies);
+    group.bench_function("tx_index_insert_500", |b| {
+        b.iter(|| {
+            let mut store = BlockStore::new();
+            store.append_unchecked(block.clone());
+            black_box(store.contains_tx(&block.transactions[499].tx_id))
+        })
+    });
     group.bench_function("world_state_put_get_1k", |b| {
         b.iter(|| {
             let mut ws = WorldState::new();
@@ -397,6 +462,7 @@ fn chaincode_benches(c: &mut Criterion) {
 criterion_group!(
     benches,
     crypto_benches,
+    types_benches,
     wire_benches,
     policy_benches,
     gossip_benches,

@@ -14,10 +14,11 @@
 //!
 //! * `shared` — the production path: one block whose `Arc`-backed
 //!   transaction storage is refcount-bumped per peer, with per-transaction
-//!   signed-bytes memoized once and reused by every peer's verification.
+//!   digests computed once and reused by every peer's verification.
 //! * `deep-clone` — the pre-sharing cost model: every peer receives an
-//!   owned copy of every transaction (fresh encode memos included), so
-//!   each peer re-allocates and re-encodes everything it verifies.
+//!   owned copy of every transaction (empty digest memos included), so
+//!   each peer re-allocates, re-encodes and re-hashes everything it
+//!   verifies.
 //!
 //! A counting allocator reports `allocs_per_tx`: heap allocations inside
 //! the timed window per transaction, all peers included — the number the

@@ -22,6 +22,18 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+#[cfg(debug_assertions)]
+thread_local! {
+    static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// SHA-256 compressions run on the calling thread so far. Exists in debug
+/// builds only: it is how tests hold the commit path to a hash budget.
+#[cfg(debug_assertions)]
+pub fn compressions_on_this_thread() -> u64 {
+    COMPRESSIONS.with(std::cell::Cell::get)
+}
+
 /// A 32-byte SHA-256 digest.
 ///
 /// # Examples
@@ -46,27 +58,35 @@ impl Hash256 {
 
     /// Lowercase hexadecimal rendering of the digest.
     pub fn to_hex(&self) -> String {
-        let mut s = String::with_capacity(64);
-        for b in self.0 {
-            use std::fmt::Write;
-            write!(s, "{b:02x}").expect("writing to String cannot fail");
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [0u8; 64];
+        for (pair, byte) in out.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = DIGITS[usize::from(byte >> 4)];
+            pair[1] = DIGITS[usize::from(byte & 0x0f)];
         }
-        s
+        std::str::from_utf8(&out)
+            .expect("hex digits are ASCII")
+            .to_owned()
     }
 
     /// Parses a 64-character lowercase/uppercase hex string.
     ///
     /// Returns `None` on malformed input.
     pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 64 || !s.is_ascii() {
+        fn nibble(c: u8) -> Option<u8> {
+            match c {
+                b'0'..=b'9' => Some(c - b'0'),
+                b'a'..=b'f' => Some(c - b'a' + 10),
+                b'A'..=b'F' => Some(c - b'A' + 10),
+                _ => None,
+            }
+        }
+        if s.len() != 64 {
             return None;
         }
         let mut out = [0u8; 32];
-        let bytes = s.as_bytes();
-        for (i, chunk) in bytes.chunks_exact(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
+        for (byte, pair) in out.iter_mut().zip(s.as_bytes().chunks_exact(2)) {
+            *byte = (nibble(pair[0])? << 4) | nibble(pair[1])?;
         }
         Some(Hash256(out))
     }
@@ -237,6 +257,8 @@ impl Sha256 {
     /// One compression round: the SHA extensions when the CPU has them
     /// (probed once), the scalar FIPS loop otherwise.
     fn compress(&mut self, block: &[u8; 64]) {
+        #[cfg(debug_assertions)]
+        COMPRESSIONS.with(|count| count.set(count.get() + 1));
         if self.force_scalar {
             return self.compress_scalar(block);
         }
@@ -359,6 +381,45 @@ mod tests {
         assert_eq!(Hash256::from_hex(&d.to_hex()), Some(d));
         assert_eq!(Hash256::from_hex("zz"), None);
         assert_eq!(Hash256::from_hex(&"0".repeat(63)), None);
+        assert_eq!(Hash256::from_hex(&"0g".repeat(32)), None);
+        // 64 bytes, but not 64 hex characters.
+        assert_eq!(Hash256::from_hex(&"é".repeat(32)), None);
+        assert_eq!(
+            Hash256::from_hex(&d.to_hex().to_uppercase()),
+            Some(d),
+            "upper case parses"
+        );
+    }
+
+    #[test]
+    fn hex_matches_the_formatter_on_random_digests() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4e1b);
+        for _ in 0..1000 {
+            let mut bytes = [0u8; 32];
+            rng.fill_bytes(&mut bytes);
+            let d = Hash256(bytes);
+            let formatted: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(d.to_hex(), formatted);
+            assert_eq!(Hash256::from_hex(&formatted), Some(d));
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn compressions_are_counted_per_thread() {
+        let before = compressions_on_this_thread();
+        sha256(&[0u8; 55]); // one block with padding
+        sha256(&[0u8; 56]); // padding spills into a second block
+        assert_eq!(compressions_on_this_thread() - before, 3);
+        let elsewhere = std::thread::spawn(|| {
+            sha256(b"abc");
+            compressions_on_this_thread()
+        })
+        .join()
+        .expect("thread");
+        assert_eq!(elsewhere, 1);
+        assert_eq!(compressions_on_this_thread() - before, 3);
     }
 
     #[test]

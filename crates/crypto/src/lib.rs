@@ -8,7 +8,9 @@
 //!   the paper's "New Feature 2" payload hashing use this directly.
 //! * [`hmac_sha256`] — RFC 2104 HMAC, tested against RFC 4231 vectors.
 //! * [`Keypair`] / [`Signature`] — a *simulated* signature scheme: a keypair
-//!   holds a secret 32-byte key, signatures are `HMAC-SHA256(sk, msg)`, and
+//!   holds a secret 32-byte key, signatures are
+//!   `HMAC-SHA256(sk, SHA-256(msg))` (hash-then-sign, so a holder of the
+//!   digest signs and verifies in two compressions), and
 //!   verification resolves the public key through a process-private CA
 //!   registry populated at key generation. Within the simulation this gives
 //!   the property that matters for the paper's attacks — code that does not
@@ -36,6 +38,8 @@ mod hmac;
 mod sha_ni;
 mod sig;
 
+#[cfg(debug_assertions)]
+pub use hash::compressions_on_this_thread;
 pub use hash::{sha256, Hash256, Sha256};
 pub use hmac::hmac_sha256;
 pub use sig::{BatchVerifier, Keypair, PublicKey, Signature};

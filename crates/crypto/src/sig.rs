@@ -5,32 +5,39 @@
 //! guarantee is that code holding only public identities cannot fabricate a
 //! signature for someone else. We get that by keeping each identity's secret
 //! key inside [`Keypair`] (and a module-private registry used only by
-//! verification), and defining `sig = HMAC-SHA256(sk, msg)`.
+//! verification), and defining `sig = HMAC-SHA256(sk, SHA-256(msg))`:
+//! hash-then-sign, as Fabric's ECDSA does. Whoever already holds a
+//! message's digest signs or verifies it in two compressions.
 
 use crate::hash::{sha256, Hash256};
-use crate::hmac::{hmac_from_midstates, hmac_midstates, hmac_sha256};
-use fabric_wire::{Decode, Encode, Reader, WireError};
+use crate::hmac::{hmac_from_midstates, hmac_midstates};
+use fabric_wire::{Decode, Encode, IdMap, Reader, WireError};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A registered identity's verification material: the HMAC pad midstates
-/// precomputed from its secret key at registration, so each verification
-/// skips the key-pad setup and its two compression rounds.
+/// An identity's keyed material: the HMAC pad midstates precomputed from
+/// its secret key, so each signature or verification skips the key-pad
+/// setup and its two compression rounds.
 #[derive(Clone, Copy)]
 struct SecretEntry {
     inner: [u32; 8],
     outer: [u32; 8],
 }
 
+impl SecretEntry {
+    fn mac(&self, digest: &Hash256) -> [u8; 32] {
+        hmac_from_midstates(self.inner, self.outer, digest.as_bytes()).0
+    }
+}
+
 /// Registry of `public key -> verification material`, playing the role of
 /// the Fabric CA for signature verification inside the simulation.
 /// Module-private: attack code cannot reach other identities' secrets
 /// through the public API.
-static CA_REGISTRY: RwLock<Option<HashMap<[u8; 32], SecretEntry>>> = RwLock::new(None);
+static CA_REGISTRY: RwLock<Option<IdMap<[u8; 32], SecretEntry>>> = RwLock::new(None);
 
 /// Monotonic counter making `Keypair::generate` unique within a process.
 static KEYGEN_COUNTER: AtomicU64 = AtomicU64::new(1);
@@ -85,6 +92,12 @@ impl Signature {
     /// Returns `false` for unknown identities or mismatched messages;
     /// verification never panics.
     pub fn verify(&self, pk: &PublicKey, msg: &[u8]) -> bool {
+        self.verify_digest(pk, &sha256(msg))
+    }
+
+    /// [`Signature::verify`] for a caller that already holds
+    /// `SHA-256(msg)`.
+    pub fn verify_digest(&self, pk: &PublicKey, digest: &Hash256) -> bool {
         let entry = {
             let guard = CA_REGISTRY.read();
             let Some(map) = guard.as_ref() else {
@@ -95,7 +108,7 @@ impl Signature {
             };
             *entry
         };
-        hmac_from_midstates(entry.inner, entry.outer, msg).0 == self.0
+        entry.mac(digest) == self.0
     }
 
     /// Raw signature bytes.
@@ -137,8 +150,8 @@ impl Decode for Signature {
 /// those per-call costs hundreds of times for the same few identities. A
 /// `BatchVerifier` resolves each identity's verification material — the
 /// precomputed HMAC pad midstates — **once**, caches it locally, and replays
-/// only the per-message compression rounds for subsequent signatures by the
-/// same identity.
+/// only the two per-digest compression rounds for subsequent signatures by
+/// the same identity.
 ///
 /// Unknown identities are cached too (as "unknown"), so repeated forged
 /// signatures cost one registry probe total. The cache snapshots the
@@ -162,7 +175,7 @@ impl Decode for Signature {
 /// ```
 #[derive(Default)]
 pub struct BatchVerifier {
-    cache: HashMap<[u8; 32], Option<SecretEntry>>,
+    cache: IdMap<[u8; 32], Option<SecretEntry>>,
 }
 
 impl fmt::Debug for BatchVerifier {
@@ -181,6 +194,12 @@ impl BatchVerifier {
     /// material from the CA registry only on this verifier's first
     /// encounter with the identity. Same outcome as [`Signature::verify`].
     pub fn verify(&mut self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+        self.verify_digest(pk, &sha256(msg), sig)
+    }
+
+    /// [`BatchVerifier::verify`] for a caller that already holds
+    /// `SHA-256(msg)`.
+    pub fn verify_digest(&mut self, pk: &PublicKey, digest: &Hash256, sig: &Signature) -> bool {
         let entry = self.cache.entry(pk.0).or_insert_with(|| {
             CA_REGISTRY
                 .read()
@@ -188,10 +207,7 @@ impl BatchVerifier {
                 .and_then(|map| map.get(&pk.0))
                 .copied()
         });
-        match entry {
-            Some(entry) => hmac_from_midstates(entry.inner, entry.outer, msg).0 == sig.0,
-            None => false,
-        }
+        entry.is_some_and(|entry| entry.mac(digest) == sig.0)
     }
 
     /// Distinct identities resolved so far (known or unknown).
@@ -216,7 +232,8 @@ impl BatchVerifier {
 /// ```
 #[derive(Clone)]
 pub struct Keypair {
-    sk: [u8; 32],
+    /// The secret, in the only form signing needs it.
+    pads: SecretEntry,
     pk: PublicKey,
 }
 
@@ -252,11 +269,12 @@ impl Keypair {
     fn from_secret(sk: [u8; 32]) -> Self {
         let pk = PublicKey(sha256(&sk).0);
         let (inner, outer) = hmac_midstates(&sk);
+        let pads = SecretEntry { inner, outer };
         CA_REGISTRY
             .write()
-            .get_or_insert_with(HashMap::new)
-            .insert(pk.0, SecretEntry { inner, outer });
-        Keypair { sk, pk }
+            .get_or_insert_with(IdMap::default)
+            .insert(pk.0, pads);
+        Keypair { pads, pk }
     }
 
     /// The public identity of this keypair.
@@ -266,7 +284,12 @@ impl Keypair {
 
     /// Signs `msg` with this identity's secret key.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        Signature(hmac_sha256(&self.sk, msg).0)
+        self.sign_digest(&sha256(msg))
+    }
+
+    /// [`Keypair::sign`] for a caller that already holds `SHA-256(msg)`.
+    pub fn sign_digest(&self, digest: &Hash256) -> Signature {
+        Signature(self.pads.mac(digest))
     }
 }
 
@@ -280,6 +303,40 @@ mod tests {
         let sig = kp.sign(b"msg");
         assert!(sig.verify(&kp.public_key(), b"msg"));
         assert!(!sig.verify(&kp.public_key(), b"other"));
+    }
+
+    #[test]
+    fn a_signature_is_the_mac_of_the_message_digest() {
+        let mut sk = [0u8; 32];
+        StdRng::seed_from_u64(42).fill_bytes(&mut sk);
+        let kp = Keypair::generate_from_seed(42);
+        for msg in [&b""[..], b"msg", &[7u8; 200]] {
+            let digest = sha256(msg);
+            let sig = kp.sign(msg);
+            assert_eq!(sig, kp.sign_digest(&digest));
+            assert_eq!(sig.0, crate::hmac_sha256(&sk, digest.as_bytes()).0);
+            assert!(sig.verify_digest(&kp.public_key(), &digest));
+            assert!(!sig.verify_digest(&kp.public_key(), &sha256(b"other")));
+            // The digest is what is signed, not a message to hash again.
+            assert!(!sig.verify(&kp.public_key(), digest.as_bytes()));
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_digest_signs_and_verifies_in_two_compressions() {
+        let kp = Keypair::generate_from_seed(43);
+        let digest = sha256(b"counted");
+        let mut batch = BatchVerifier::new();
+        let sig = kp.sign_digest(&digest);
+        assert!(batch.verify_digest(&kp.public_key(), &digest, &sig));
+        let before = crate::compressions_on_this_thread();
+        kp.sign_digest(&digest);
+        assert_eq!(crate::compressions_on_this_thread() - before, 2);
+        assert!(sig.verify_digest(&kp.public_key(), &digest));
+        assert_eq!(crate::compressions_on_this_thread() - before, 4);
+        assert!(batch.verify_digest(&kp.public_key(), &digest, &sig));
+        assert_eq!(crate::compressions_on_this_thread() - before, 6);
     }
 
     #[test]
@@ -322,6 +379,7 @@ mod tests {
             let msg = format!("msg-{i}").into_bytes();
             let sig = kp.sign(&msg);
             assert!(batch.verify(&kp.public_key(), &msg, &sig));
+            assert!(batch.verify_digest(&kp.public_key(), &sha256(&msg), &sig));
             assert!(!batch.verify(&kp.public_key(), b"other", &sig));
             assert!(!batch.verify(&unknown, &msg, &sig));
             // Cross-identity confusion must fail exactly like `verify`.

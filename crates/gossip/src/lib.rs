@@ -39,9 +39,10 @@
 //! ```
 
 use fabric_types::{PvtDataPackage, TxId};
+use fabric_wire::IdMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -99,7 +100,7 @@ pub struct GossipEvent {
 /// immutable once disseminated, so sharing is safe.
 #[derive(Debug)]
 pub struct GossipHub {
-    transient: BTreeMap<PeerId, HashMap<TxId, Arc<PvtDataPackage>>>,
+    transient: BTreeMap<PeerId, IdMap<TxId, Arc<PvtDataPackage>>>,
     /// The most recent [`EVENT_LOG_CAPACITY`] events, oldest first.
     events: VecDeque<GossipEvent>,
     /// Totals since creation; unlike `events` they never forget.
@@ -302,7 +303,7 @@ impl GossipHub {
 
     /// Number of packages currently in a peer's transient store.
     pub fn transient_len(&self, peer: &PeerId) -> usize {
-        self.transient.get(peer).map_or(0, HashMap::len)
+        self.transient.get(peer).map_or(0, IdMap::len)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use fabric_crypto::Hash256;
 use fabric_types::{Block, Transaction, TxId, TxValidationCode};
-use std::collections::HashMap;
+use fabric_wire::IdMap;
 use std::fmt;
 
 /// Errors appending to a [`BlockStore`].
@@ -51,7 +51,7 @@ impl std::error::Error for BlockStoreError {}
 pub struct BlockStore {
     blocks: Vec<Block>,
     /// `tx_id -> (block number, tx index)`.
-    tx_index: HashMap<TxId, (u64, usize)>,
+    tx_index: IdMap<TxId, (u64, usize)>,
 }
 
 impl BlockStore {

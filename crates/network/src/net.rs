@@ -12,6 +12,7 @@ use fabric_types::{
     Block, ChaincodeId, ChannelId, CollectionName, OrgId, Proposal, ProposalResponse,
     PvtDataPackage, Transaction, TxId, TxValidationCode,
 };
+use fabric_wire::IdMap;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -162,7 +163,7 @@ fn commit_chunk(
             let delivered = match fanout {
                 // One refcount bump: all peers validate the same storage.
                 FanoutMode::Shared => block.clone(),
-                // Owned copy per peer, including fresh (empty) encode memos
+                // Owned copy per peer, including fresh (empty) digest memos
                 // — the cost model of a fan-out without shared storage.
                 FanoutMode::DeepClone => Block {
                     header: block.header.clone(),
@@ -196,7 +197,7 @@ pub struct FabricNetwork {
     /// member peers; the source of truth Fabric's reconciliation protocol
     /// queries when a peer joins late or lost data. Packages are shared
     /// with the gossip layer — one allocation per dissemination.
-    pvt_archive: HashMap<TxId, Arc<PvtDataPackage>>,
+    pvt_archive: IdMap<TxId, Arc<PvtDataPackage>>,
     /// Streaming alert engine driven one evaluation tick per network tick.
     monitor: Option<MonitorTick>,
     /// Block fan-out strategy; see [`FanoutMode`].
@@ -247,7 +248,7 @@ impl FabricNetwork {
             gossip,
             events: Vec::new(),
             deployed: Vec::new(),
-            pvt_archive: HashMap::new(),
+            pvt_archive: IdMap::default(),
             monitor: None,
             fanout: FanoutMode::default(),
             cached_peer_names: Vec::new(),

@@ -21,7 +21,7 @@
 use crate::channel::ChannelPolicies;
 use crate::node::{InstalledChaincode, Peer};
 use crate::telemetry::PeerTelemetry;
-use fabric_crypto::sha256;
+use fabric_crypto::{sha256, BatchVerifier};
 use fabric_ledger::{BlockStoreError, HistoryDb, WorldState};
 use fabric_policy::{EndorserSet, Policy, PolicyCache, SignaturePolicy};
 use fabric_telemetry::{AuditEvent, TraceContext};
@@ -30,7 +30,7 @@ use fabric_types::{
     PayloadCommitment, PvtDataPackage, SignatureFailure, Transaction, TxId, TxValidationCode,
     Version,
 };
-use fabric_wire::Encode;
+use fabric_wire::{Encode, IdSet};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -268,7 +268,8 @@ impl Peer {
             ..
         } = &mut block;
         {
-            let mut seen_in_block: HashSet<&TxId> = HashSet::with_capacity(transactions.len());
+            let mut seen_in_block: IdSet<&TxId> =
+                IdSet::with_capacity_and_hasher(transactions.len(), Default::default());
             // `(namespace, key)` pairs whose SBE validation parameter was
             // rewritten by an earlier valid transaction of this block. A
             // later transaction touching one of them must not reuse its
@@ -356,7 +357,10 @@ impl Peer {
 
     /// Runs [`Peer::stateless_checks`] over a block's transactions, fanned
     /// out across scoped threads when parallel validation is enabled and
-    /// the block is large enough to amortize the spawns.
+    /// the block is large enough to amortize the spawns. Signatures are
+    /// verified through one [`BatchVerifier`] per block (per chunk when
+    /// fanned out), so the CA registry's lock is taken once per signing
+    /// identity instead of once per signature.
     fn stateless_validate(&self, transactions: &[Transaction]) -> Vec<StatelessVerdict> {
         const MIN_PARALLEL: usize = 4;
         // Fan out only when it can actually help: parallel validation
@@ -364,10 +368,11 @@ impl Peer {
         // than one hardware thread to run them on.
         let cores = crate::host_cores();
         if !self.parallel_validation || transactions.len() < MIN_PARALLEL || cores < 2 {
+            let mut batch = BatchVerifier::new();
             let mut audit_cache = AuditFactsCache::default();
             return transactions
                 .iter()
-                .map(|tx| self.stateless_checks(tx, &mut audit_cache))
+                .map(|tx| self.stateless_checks(tx, &mut batch, &mut audit_cache))
                 .collect();
         }
         let workers = cores.min(transactions.len());
@@ -378,9 +383,10 @@ impl Peer {
             let result_chunks = results.chunks_mut(chunk_size);
             for (txs, out) in chunks.zip(result_chunks) {
                 scope.spawn(move || {
+                    let mut batch = BatchVerifier::new();
                     let mut audit_cache = AuditFactsCache::default();
                     for (tx, slot) in txs.iter().zip(out.iter_mut()) {
-                        *slot = self.stateless_checks(tx, &mut audit_cache);
+                        *slot = self.stateless_checks(tx, &mut batch, &mut audit_cache);
                     }
                 });
             }
@@ -394,6 +400,7 @@ impl Peer {
     fn stateless_checks<'a>(
         &'a self,
         tx: &'a Transaction,
+        batch: &mut BatchVerifier,
         audit_cache: &mut AuditFactsCache<'a>,
     ) -> StatelessVerdict {
         // Traced per-tx validation span (skipped entirely for no-op
@@ -413,7 +420,7 @@ impl Peer {
         } else {
             Vec::new()
         };
-        let structural = if let Some(code) = signature_check(tx) {
+        let structural = if let Some(code) = signature_check_batched(tx, batch) {
             Some(code)
         } else if tx.channel != self.channel {
             Some(TxValidationCode::BadPayload)
@@ -544,8 +551,8 @@ impl Peer {
     }
 
     /// The structural block checks as the pre-pipeline path performed
-    /// them, including the original data-hash computation that serialized
-    /// a deep copy of the whole transaction list.
+    /// them: the data hash is recomputed from a deep copy of the
+    /// transaction list, so no memoized digest is trusted or left behind.
     fn reference_check_extends(
         store: &fabric_ledger::BlockStore,
         block: &Block,
@@ -566,7 +573,11 @@ impl Peer {
             }
             .into());
         }
-        if block.header.data_hash != sha256(&block.transactions.to_vec().to_wire()) {
+        let mut preimage = (block.transactions.len() as u64).to_wire();
+        for tx in block.transactions.iter() {
+            preimage.extend_from_slice(sha256(&tx.clone().to_wire()).as_bytes());
+        }
+        if block.header.data_hash != sha256(&preimage) {
             return Err(BlockStoreError::DataHashMismatch.into());
         }
         Ok(())
@@ -931,8 +942,8 @@ pub(crate) fn record_block_metrics(
 
 /// The stateless signature checks of one transaction; `None` = passed.
 ///
-/// Uses the combined [`Transaction::verify_signatures`] pass, which
-/// serializes the shared payload bytes once for all signatures.
+/// Uses the combined [`Transaction::verify_signatures`] pass over the
+/// transaction's memoized digests.
 pub(crate) fn signature_check(tx: &Transaction) -> Option<TxValidationCode> {
     match tx.verify_signatures() {
         None => None,
@@ -946,7 +957,7 @@ pub(crate) fn signature_check(tx: &Transaction) -> Option<TxValidationCode> {
 /// batch. Identical outcomes to the per-call path.
 pub(crate) fn signature_check_batched(
     tx: &Transaction,
-    batch: &mut fabric_crypto::BatchVerifier,
+    batch: &mut BatchVerifier,
 ) -> Option<TxValidationCode> {
     match tx.verify_signatures_batched(batch) {
         None => None,

@@ -54,6 +54,7 @@ use fabric_ledger::{BlockStore, BlockStoreError, HistoryDb, WorldState};
 use fabric_policy::PolicyCache;
 use fabric_telemetry::{AuditEvent, TraceContext};
 use fabric_types::{Block, ChaincodeId, ChannelId, DefenseConfig, TxId, TxValidationCode, Version};
+use fabric_wire::IdSet;
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc;
 use std::time::Instant;
@@ -264,7 +265,8 @@ impl MergeParts<'_> {
             ..
         } = &mut block;
         {
-            let mut seen_in_block: HashSet<&TxId> = HashSet::with_capacity(transactions.len());
+            let mut seen_in_block: IdSet<&TxId> =
+                IdSet::with_capacity_and_hasher(transactions.len(), Default::default());
             let mut dirty_params: HashSet<(&ChaincodeId, &str)> = HashSet::new();
             for (i, tx) in transactions.iter().enumerate() {
                 let commit_span = if tracing {

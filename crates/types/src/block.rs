@@ -13,7 +13,8 @@ pub struct BlockHeader {
     pub number: u64,
     /// Hash of the previous block's header; all-zero for genesis.
     pub previous_hash: Hash256,
-    /// Hash of the serialized transaction list.
+    /// Hash over the transactions' digests; see
+    /// [`Block::compute_data_hash`].
     pub data_hash: Hash256,
 }
 
@@ -54,8 +55,8 @@ impl_wire_struct!(BlockMetadata {
 /// The transaction list is `Arc`-shared: cloning a block (the network
 /// fans each cut block out to every peer) bumps a reference count
 /// instead of deep-copying every transaction, and all receivers see the
-/// same instances — so per-transaction byte caches
-/// ([`crate::transaction::TxMemo`]) are populated once network-wide.
+/// same instances — so per-transaction digests
+/// ([`crate::transaction::TxMemo`]) are computed once network-wide.
 /// The wire form is unchanged (`Arc<[T]>` encodes exactly like
 /// `Vec<T>`); per-block mutable state lives in `metadata`, which stays
 /// owned.
@@ -97,22 +98,20 @@ impl Block {
         }
     }
 
-    /// Hash of the serialized transaction list.
+    /// The two-level hash of a transaction list:
+    /// `SHA-256(varint(n) ‖ tx_digest₁ ‖ … ‖ tx_digestₙ)` with
+    /// `tx_digest = SHA-256(canonical transaction wire)`.
     ///
-    /// Streams the canonical `Vec<Transaction>` wire form (varint count,
-    /// then each transaction) through the hasher one transaction at a
-    /// time, so verifying a block costs one reusable per-transaction
-    /// buffer instead of cloning and serializing the whole list.
+    /// The per-transaction digests are memoized on the (shared)
+    /// transactions, so the first holder of a block hashes every
+    /// transaction's bytes and each later one hashes 32 bytes per
+    /// transaction, against the header it received.
     pub fn compute_data_hash(transactions: &[Transaction]) -> Hash256 {
         let mut hasher = Sha256::new();
-        let mut buf = Vec::with_capacity(16);
-        fabric_wire::write_varint(&mut buf, transactions.len() as u64);
+        hasher.update(&(transactions.len() as u64).to_wire());
         for tx in transactions {
-            hasher.update(&buf);
-            buf.clear();
-            tx.encode(&mut buf);
+            hasher.update(tx.tx_digest().as_bytes());
         }
-        hasher.update(&buf);
         hasher.finalize()
     }
 
@@ -168,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_data_hash_matches_owned_serialization() {
+    fn data_hash_is_the_two_level_hash_recomputed_from_cold_memos() {
         use crate::identity::{Identity, Role};
         use crate::ids::{ChaincodeId, ChannelId, TxId};
         use crate::proposal::{PayloadCommitment, ProposalResponsePayload, Response};
@@ -196,13 +195,24 @@ mod tests {
                 }
             })
             .collect();
-        // The streaming hasher must reproduce the canonical hash of the
-        // fully-serialized transaction list, for every prefix length.
+        // Warm or cold, the data hash is the hash over the count and the
+        // digests of the transactions' encodings, for every prefix length.
         for n in 0..=txs.len() {
+            let mut preimage = (n as u64).to_wire();
+            for tx in &txs[..n] {
+                // A clone's memo is cold: encoded and hashed from scratch.
+                preimage.extend_from_slice(sha256(&tx.clone().to_wire()).as_bytes());
+            }
+            let cold: Vec<Transaction> = txs[..n].iter().map(Transaction::clone).collect();
+            assert_eq!(
+                Block::compute_data_hash(&cold),
+                sha256(&preimage),
+                "cold, prefix {n}"
+            );
             assert_eq!(
                 Block::compute_data_hash(&txs[..n]),
-                sha256(&txs[..n].to_vec().to_wire()),
-                "prefix {n}"
+                sha256(&preimage),
+                "warm after the first pass, prefix {n}"
             );
         }
     }

@@ -4,7 +4,7 @@ use crate::identity::Identity;
 use crate::ids::{ChaincodeId, ChannelId, TxId};
 use crate::proposal::{Endorsement, PayloadCommitment, ProposalResponsePayload};
 use crate::rwset::{TxKind, TxRwSet};
-use fabric_crypto::{BatchVerifier, PublicKey, Signature};
+use fabric_crypto::{sha256, BatchVerifier, Hash256, PublicKey, Sha256, Signature};
 use fabric_wire::Encode;
 use std::fmt;
 use std::sync::OnceLock;
@@ -67,29 +67,35 @@ impl fmt::Display for TxValidationCode {
     }
 }
 
-/// Lazily-populated per-transaction byte caches.
+/// Lazily-populated per-transaction digests.
 ///
-/// Three canonical encodings are recomputed over and over on the commit
-/// path — the payload bytes every endorsement signature covers, the
-/// client-signed tuple, and the full transaction wire form (hashed into
-/// every block's data hash). With `Arc`-shared blocks, one transaction
-/// instance is verified by every peer it fans out to, so caching these
-/// on first use turns N-peer validation into one encode total instead of
-/// one per peer per signature.
+/// Every peer checks the same three things about a committed transaction:
+/// the endorsement signatures over the payload, the client signature over
+/// the `(tx_id, payload, endorsements)` tuple, and the block's data hash
+/// over the transaction. Signatures cover SHA-256 digests, and with
+/// `Arc`-shared blocks one transaction instance reaches every peer, so the
+/// three digests are computed by whoever touches the instance first and
+/// read by everyone after. Each peer still runs its own keyed check
+/// against them and compares against its own header: what is shared is a
+/// function of immutable bytes, not a verdict.
 ///
-/// The cache is invisible everywhere that matters: it is excluded from
-/// the wire format, compares equal to any other cache, and `Clone`
-/// deliberately yields a *fresh* (empty) cache — a cloned transaction is
-/// independently mutable, so carried bytes could go stale.
+/// `payload_wire` stays as bytes: it is the middle segment of both the
+/// client tuple and the transaction encoding.
+///
+/// The memo is invisible everywhere that matters: it is excluded from
+/// the wire format, compares equal to any other memo, and `Clone`
+/// deliberately yields a *fresh* (empty) one — a cloned transaction is
+/// independently mutable, so carried digests could go stale.
 #[derive(Default)]
 pub struct TxMemo {
     payload_wire: OnceLock<Vec<u8>>,
-    client_wire: OnceLock<Vec<u8>>,
-    tx_wire: OnceLock<Vec<u8>>,
+    payload_digest: OnceLock<Hash256>,
+    client_digest: OnceLock<Hash256>,
+    tx_digest: OnceLock<Hash256>,
 }
 
 impl TxMemo {
-    /// A fresh, unpopulated cache.
+    /// A fresh, unpopulated memo.
     pub fn new() -> Self {
         Self::default()
     }
@@ -98,13 +104,13 @@ impl TxMemo {
 /// Reads `cell`, filling it from `compute` on a miss.
 ///
 /// Unlike `OnceLock::get_or_init`, a thread that arrives while another is
-/// still encoding does not sleep behind it: both encode, the first `set`
-/// wins and the loser's identical bytes are dropped. Peers committing one
+/// still computing does not sleep behind it: both compute, the first `set`
+/// wins and the loser's identical value is dropped. Peers committing one
 /// shared block on several threads walk the same transactions in
 /// lockstep, so the blocking form would serialize them on every memo.
-fn memoized(cell: &OnceLock<Vec<u8>>, compute: impl FnOnce() -> Vec<u8>) -> &[u8] {
-    if let Some(bytes) = cell.get() {
-        return bytes;
+fn memoized<T>(cell: &OnceLock<T>, compute: impl FnOnce() -> T) -> &T {
+    if let Some(value) = cell.get() {
+        return value;
     }
     let _ = cell.set(compute());
     cell.get()
@@ -129,8 +135,9 @@ impl fmt::Debug for TxMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TxMemo")
             .field("payload_cached", &self.payload_wire.get().is_some())
-            .field("client_cached", &self.client_wire.get().is_some())
-            .field("tx_cached", &self.tx_wire.get().is_some())
+            .field("payload_digest", &self.payload_digest.get())
+            .field("client_digest", &self.client_digest.get())
+            .field("tx_digest", &self.tx_digest.get())
             .finish()
     }
 }
@@ -158,31 +165,24 @@ pub struct Transaction {
     pub endorsements: Vec<Endorsement>,
     /// Client signature over the transaction content.
     pub client_signature: Signature,
-    /// Lazily-computed byte caches ([`TxMemo`]); excluded from the wire
-    /// form and from equality.
+    /// Lazily-computed digests ([`TxMemo`]); excluded from the wire form
+    /// and from equality.
     pub memo: TxMemo,
 }
 
 // `memo` is a cache, not data: the wire form is exactly the eight
 // payload-bearing fields, byte-identical to what `impl_wire_struct!`
-// produced before the cache existed (the macro can't skip fields, hence
-// the manual impls). Encoding populates — and afterwards reuses — the
-// full-transaction cache.
+// would produce (the macro can't skip fields, hence the manual impls).
 impl fabric_wire::Encode for Transaction {
     fn encode(&self, buf: &mut Vec<u8>) {
-        let bytes = memoized(&self.memo.tx_wire, || {
-            let mut b = Vec::new();
-            self.tx_id.encode(&mut b);
-            self.channel.encode(&mut b);
-            self.chaincode.encode(&mut b);
-            self.creator.encode(&mut b);
-            b.extend_from_slice(self.payload_wire());
-            self.commitment.encode(&mut b);
-            self.endorsements.encode(&mut b);
-            self.client_signature.encode(&mut b);
-            b
-        });
-        buf.extend_from_slice(bytes);
+        self.tx_id.encode(buf);
+        self.channel.encode(buf);
+        self.chaincode.encode(buf);
+        self.creator.encode(buf);
+        buf.extend_from_slice(self.payload_wire());
+        self.commitment.encode(buf);
+        self.endorsements.encode(buf);
+        self.client_signature.encode(buf);
     }
 }
 
@@ -224,22 +224,40 @@ impl Transaction {
     /// Canonical wire bytes of the payload — the message every
     /// endorsement signature covers — computed once per instance.
     fn payload_wire(&self) -> &[u8] {
-        memoized(&self.memo.payload_wire, || self.payload.to_wire())
+        memoized(&self.memo.payload_wire, || self.payload.to_wire()).as_slice()
     }
 
-    /// The client-signed tuple bytes (see
-    /// [`Transaction::client_signed_bytes`]), computed once per instance.
-    fn client_wire(&self) -> &[u8] {
-        memoized(&self.memo.client_wire, || {
-            // `signed_bytes(Plain)` is the payload's canonical wire form,
-            // so the payload cache doubles as the tuple's middle segment.
-            let payload_bytes = self.payload_wire();
-            let mut buf =
-                Vec::with_capacity(payload_bytes.len() + 96 * self.endorsements.len() + 24);
-            self.tx_id.encode(&mut buf);
-            buf.extend_from_slice(payload_bytes);
-            self.endorsements.encode(&mut buf);
-            buf
+    /// `SHA-256` of the payload bytes: what the endorsers signed.
+    fn payload_digest(&self) -> &Hash256 {
+        memoized(&self.memo.payload_digest, || sha256(self.payload_wire()))
+    }
+
+    /// `SHA-256` of the client-signed tuple (see
+    /// [`Transaction::client_signed_bytes`]), streamed segment by segment:
+    /// `signed_bytes(Plain)` is the payload's canonical wire form, so the
+    /// memoized payload bytes are the tuple's middle segment.
+    fn client_digest(&self) -> &Hash256 {
+        memoized(&self.memo.client_digest, || {
+            let mut hasher = Sha256::new();
+            let mut segment = Vec::with_capacity(96 * self.endorsements.len() + 8);
+            self.tx_id.encode(&mut segment);
+            hasher.update(&segment);
+            hasher.update(self.payload_wire());
+            segment.clear();
+            self.endorsements.encode(&mut segment);
+            hasher.update(&segment);
+            hasher.finalize()
+        })
+    }
+
+    /// `SHA-256` of the canonical transaction encoding: this
+    /// transaction's contribution to a block's data hash.
+    pub(crate) fn tx_digest(&self) -> &Hash256 {
+        memoized(&self.memo.tx_digest, || {
+            let payload_len = self.payload_wire().len();
+            let mut wire = Vec::with_capacity(payload_len + 96 * self.endorsements.len() + 256);
+            self.encode(&mut wire);
+            sha256(&wire)
         })
     }
 
@@ -280,40 +298,32 @@ impl Transaction {
     ///
     /// Equivalent to [`Transaction::verify_client_signature`] followed by
     /// an endorsements-present check and
-    /// [`Transaction::verify_endorsement_signatures`], but the payload —
-    /// the bulk of the signed bytes, shared by every signature — is
-    /// serialized once instead of once per verification. This is the
-    /// commit pipeline's hot path: every transaction in every block passes
-    /// through here.
+    /// [`Transaction::verify_endorsement_signatures`], but against the
+    /// memoized digests: whoever touches a shared instance first hashes
+    /// the signed bytes, and every later verification costs two
+    /// compressions per signature.
     pub fn verify_signatures(&self) -> Option<SignatureFailure> {
-        self.verify_signatures_impl(|pk, msg, sig| sig.verify(pk, msg))
+        self.verify_signatures_impl(|pk, digest, sig| sig.verify_digest(pk, digest))
     }
 
     /// [`Transaction::verify_signatures`] through a [`BatchVerifier`]:
     /// identical outcome, but each signer's verification material is
     /// resolved from the CA registry once per verifier instead of once per
-    /// signature. The overlap commit scheduler keeps one verifier per
-    /// validation worker across a whole block stream, so the handful of
-    /// endorsing identities that sign every transaction are resolved a
-    /// handful of times total.
+    /// signature. This is the commit path's form: one verifier per block,
+    /// or per stream under the overlap scheduler.
     pub fn verify_signatures_batched(&self, batch: &mut BatchVerifier) -> Option<SignatureFailure> {
-        self.verify_signatures_impl(|pk, msg, sig| batch.verify(pk, msg, sig))
+        self.verify_signatures_impl(|pk, digest, sig| batch.verify_digest(pk, digest, sig))
     }
 
     /// Shared body of the combined signature checks, parameterized over
     /// the primitive verification call.
-    ///
-    /// Both signed-bytes encodings come from the [`TxMemo`] caches, so
-    /// when an `Arc`-shared block fans the same transaction instance out
-    /// to N validating peers the serialization work is paid exactly once.
     fn verify_signatures_impl(
         &self,
-        mut verify: impl FnMut(&PublicKey, &[u8], &Signature) -> bool,
+        mut verify: impl FnMut(&PublicKey, &Hash256, &Signature) -> bool,
     ) -> Option<SignatureFailure> {
-        let client_bytes = self.client_wire();
         if !verify(
             &self.creator.public_key,
-            client_bytes,
+            self.client_digest(),
             &self.client_signature,
         ) {
             return Some(SignatureFailure::Client);
@@ -321,9 +331,9 @@ impl Transaction {
         if self.endorsements.is_empty() {
             return Some(SignatureFailure::Endorsement);
         }
-        let payload_bytes = self.payload_wire();
+        let payload_digest = self.payload_digest();
         for e in &self.endorsements {
-            if !verify(&e.endorser.public_key, payload_bytes, &e.signature) {
+            if !verify(&e.endorser.public_key, payload_digest, &e.signature) {
                 return Some(SignatureFailure::Endorsement);
             }
         }
@@ -336,7 +346,7 @@ mod tests {
     use super::*;
     use crate::identity::Role;
     use crate::proposal::Response;
-    use fabric_crypto::{sha256, Keypair};
+    use fabric_crypto::Keypair;
     use fabric_wire::Decode;
 
     fn sample_tx() -> Transaction {
@@ -377,12 +387,34 @@ mod tests {
 
     /// The wire format is the ledger's hash pre-image and what Raft
     /// replicates, so it must not move when a type's in-memory form does.
-    /// Digests recorded from the `String`-backed identifiers.
+    ///
+    /// Re-recorded when signatures became hash-then-sign and the data hash
+    /// two-level. Three things moved and nothing else: the 32 signature
+    /// bytes of each signer, the header's data hash, and with it the
+    /// header hash. The `PARENT_*` constants are what the previous
+    /// definitions produced; spliced back over the new values they must
+    /// reproduce the previously recorded encodings byte for byte, which
+    /// pins the lengths and every other field.
     #[test]
     fn golden_bytes_of_a_fixed_transaction_and_block() {
         use crate::rwset::{CollectionHashedRwSet, HashedWrite, NsRwSet};
         use crate::{Block, CollectionName, OrgId};
-        use fabric_crypto::Hash256;
+
+        const PARENT_ENDORSER_SIG: &str =
+            "90fc6033bbd5a7806356bf4114dc1d67590ab6b4f5c9a23b0ef17dc412dd676a";
+        const PARENT_CLIENT_SIG: &str =
+            "de185dac9c78954d3e3f4bafa6e000135e256fd5a1e584db9e0b38a427a67235";
+        const PARENT_DATA_HASH: &str =
+            "264ae8d517f89d77bebe5978326562371f6a1ed12c9fc64bfb3b605350f0273e";
+        /// Overwrites the one occurrence of `new` in `wire` with `parent`.
+        fn splice(wire: &mut [u8], new: &[u8; 32], parent: &str) {
+            let parent = Hash256::from_hex(parent).expect("hex constant");
+            let at: Vec<usize> = (0..=wire.len() - 32)
+                .filter(|&i| wire[i..i + 32] == new[..])
+                .collect();
+            assert_eq!(at.len(), 1, "value to splice occurs once");
+            wire[at[0]..at[0] + 32].copy_from_slice(parent.as_bytes());
+        }
 
         assert_eq!(TxId::new("tx-1").to_wire(), b"\x04tx-1");
         assert_eq!(ChannelId::from("ch1").to_wire(), b"\x03ch1");
@@ -409,12 +441,45 @@ mod tests {
         assert_eq!(wire.len(), 295);
         assert_eq!(
             sha256(&wire).to_hex(),
+            "41eac28cba4822cf6c5be519ef098b3edc10b1f9ca1e18c8fef37e97d762fd86"
+        );
+        assert_eq!(*tx.tx_digest(), sha256(&wire));
+        assert_eq!(Transaction::from_wire(&wire).unwrap(), tx);
+        let endorser_sig = *tx.endorsements[0].signature.as_bytes();
+        let client_sig = *tx.client_signature.as_bytes();
+        let mut as_parent = wire;
+        splice(&mut as_parent, &endorser_sig, PARENT_ENDORSER_SIG);
+        splice(&mut as_parent, &client_sig, PARENT_CLIENT_SIG);
+        assert_eq!(
+            sha256(&as_parent).to_hex(),
             "b6a65ae3917b7d7c8793303f01ceecbc2af1285ace84a2087fd7ef33ce65067b"
         );
-        assert_eq!(Transaction::from_wire(&wire).unwrap(), tx);
+
         let block = Block::new(7, Hash256::default(), vec![tx]);
+        let block_wire = block.to_wire();
+        assert_eq!(block_wire.len(), 364);
         assert_eq!(
-            sha256(&block.to_wire()).to_hex(),
+            block.header.data_hash.to_hex(),
+            "d46a8b1b9b40f6b34e885cf034c69ef935d27409a2b16a2cb437881ee8d8c907"
+        );
+        assert_eq!(
+            block.hash().to_hex(),
+            "2295b6cd61f30dea46d73b9f5a30b9781b0b5f56ad89c0eabb0f6531b3ce3305"
+        );
+        assert_eq!(
+            sha256(&block_wire).to_hex(),
+            "31d12250141c440d3f24df7f3dacab25ed8c2b6d6292456c4ee65c3c03e4c290"
+        );
+        let mut as_parent = block_wire;
+        splice(&mut as_parent, &endorser_sig, PARENT_ENDORSER_SIG);
+        splice(&mut as_parent, &client_sig, PARENT_CLIENT_SIG);
+        splice(
+            &mut as_parent,
+            block.header.data_hash.as_bytes(),
+            PARENT_DATA_HASH,
+        );
+        assert_eq!(
+            sha256(&as_parent).to_hex(),
             "7d095e20de908c5cf6204c260b6feaa75c7dbfb7a5532cca9080b4e2560d3162"
         );
     }
@@ -521,33 +586,59 @@ mod tests {
     #[test]
     fn memoized_signed_bytes_match_fresh_encodings() {
         let tx = sample_tx();
-        assert_eq!(tx.verify_signatures(), None); // populates the caches
+        assert_eq!(tx.verify_signatures(), None); // fills the signature memos
+        assert_eq!(tx.memo.tx_digest.get(), None);
         assert_eq!(
             tx.memo.payload_wire.get().unwrap().as_slice(),
             tx.payload.to_wire()
         );
         assert_eq!(
-            tx.memo.client_wire.get().unwrap().as_slice(),
-            Transaction::client_signed_bytes(&tx.tx_id, &tx.payload, &tx.endorsements)
+            tx.memo.payload_digest.get(),
+            Some(&sha256(&tx.payload.to_wire()))
         );
-        // A second verification must reuse the caches and agree.
+        assert_eq!(
+            tx.memo.client_digest.get(),
+            Some(&sha256(&Transaction::client_signed_bytes(
+                &tx.tx_id,
+                &tx.payload,
+                &tx.endorsements
+            )))
+        );
+        assert_eq!(*tx.tx_digest(), sha256(&tx.clone().to_wire()));
+        // A second verification must reuse the memos and agree.
         assert_eq!(tx.verify_signatures(), None);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_warm_memo_costs_two_compressions_per_signature() {
+        let tx = sample_tx();
+        let mut batch = BatchVerifier::new();
+        assert_eq!(tx.verify_signatures_batched(&mut batch), None);
+        tx.tx_digest();
+        let before = fabric_crypto::compressions_on_this_thread();
+        assert_eq!(tx.verify_signatures_batched(&mut batch), None);
+        assert_eq!(tx.verify_signatures(), None);
+        tx.tx_digest();
+        // Client + one endorser, twice over.
+        assert_eq!(fabric_crypto::compressions_on_this_thread() - before, 8);
     }
 
     #[test]
     fn racing_threads_fill_the_memos_with_a_fresh_encodes_bytes() {
         // Many cold instances, two threads released together on each, so
-        // the memo race (both miss, both encode, one `set` wins) actually
-        // happens; whoever wins, both must read a fresh encode's bytes.
+        // the memo race (both miss, both hash, one `set` wins) actually
+        // happens; whoever wins, both must read what a fresh hash gives.
         let expected = sample_tx();
         let fresh = (
             expected.to_wire(),
-            expected.payload.to_wire(),
-            Transaction::client_signed_bytes(
+            sha256(&expected.to_wire()),
+            sha256(&expected.payload.to_wire()),
+            sha256(&Transaction::client_signed_bytes(
                 &expected.tx_id,
                 &expected.payload,
                 &expected.endorsements,
-            ),
+            )),
         );
         let txs: Vec<Transaction> = (0..256).map(|_| sample_tx()).collect();
         let barriers: Vec<std::sync::Barrier> =
@@ -559,8 +650,9 @@ mod tests {
                         barrier.wait();
                         assert_eq!(tx.verify_signatures(), None);
                         assert_eq!(tx.to_wire(), fresh.0);
-                        assert_eq!(tx.payload_wire(), fresh.1);
-                        assert_eq!(tx.client_wire(), fresh.2);
+                        assert_eq!(*tx.tx_digest(), fresh.1);
+                        assert_eq!(*tx.payload_digest(), fresh.2);
+                        assert_eq!(*tx.client_digest(), fresh.3);
                     }
                 });
             }
@@ -570,25 +662,32 @@ mod tests {
     #[test]
     fn memo_is_reset_on_clone_and_excluded_from_equality() {
         let tx = sample_tx();
-        let bytes = tx.to_wire(); // populates the full-tx cache
-        assert!(tx.memo.tx_wire.get().is_some());
+        let digest = *tx.tx_digest();
+        assert_eq!(tx.verify_signatures(), None);
         let cloned = tx.clone();
         // The clone starts cold — it may be mutated independently — yet
-        // still encodes to the same bytes and compares equal.
-        assert!(cloned.memo.tx_wire.get().is_none());
-        assert_eq!(cloned.to_wire(), bytes);
+        // still hashes to the same digest and compares equal.
+        assert!(cloned.memo.payload_wire.get().is_none());
+        assert!(cloned.memo.payload_digest.get().is_none());
+        assert!(cloned.memo.client_digest.get().is_none());
+        assert!(cloned.memo.tx_digest.get().is_none());
+        assert_eq!(*cloned.tx_digest(), digest);
         assert_eq!(cloned, tx);
     }
 
     #[test]
     fn clone_then_tamper_reencodes_honestly() {
-        // The cache must never leak a pre-mutation encoding: cloning
-        // resets it, so a tampered clone hashes to different bytes.
+        // The memo must never leak a pre-mutation digest: cloning resets
+        // it, so a tampered clone encodes, hashes and verifies as what it
+        // now is.
         let tx = sample_tx();
-        let original = tx.to_wire();
+        let original = (tx.to_wire(), *tx.tx_digest());
+        assert_eq!(tx.verify_signatures(), None);
         let mut forged = tx.clone();
         forged.payload.response.payload = b"forged".to_vec();
-        assert_ne!(forged.to_wire(), original);
+        assert_ne!(forged.to_wire(), original.0);
+        assert_ne!(*forged.tx_digest(), original.1);
+        assert_eq!(forged.verify_signatures(), Some(SignatureFailure::Client));
     }
 
     #[test]
@@ -599,5 +698,260 @@ mod tests {
             TxValidationCode::EndorsementPolicyFailure.to_string(),
             "ENDORSEMENT_POLICY_FAILURE"
         );
+    }
+}
+
+/// Memo soundness: whatever a [`TxMemo`] holds, every way of checking a
+/// transaction gives the answer a from-scratch check gives.
+#[cfg(test)]
+mod memo_proptests {
+    use super::*;
+    use crate::identity::Role;
+    use crate::proposal::{ChaincodeEvent, Response};
+    use crate::rwset::{KvWrite, NsRwSet};
+    use crate::Block;
+    use fabric_crypto::Keypair;
+    use fabric_wire::Decode;
+    use proptest::prelude::*;
+
+    /// What is wrong with a generated transaction, if anything.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        None,
+        EndorserSignature,
+        ClientSignature,
+        UnknownEndorser,
+        UnknownClient,
+    }
+
+    #[derive(Debug, Clone)]
+    struct TxSpec {
+        id: u64,
+        endorsers: usize,
+        value: Vec<u8>,
+        writes: usize,
+        event: bool,
+        fault: Fault,
+    }
+
+    fn arb_tx() -> impl Strategy<Value = TxSpec> {
+        (
+            any::<u64>(),
+            0usize..4,
+            proptest::collection::vec(any::<u8>(), 0..80),
+            0usize..4,
+            any::<bool>(),
+            0u8..8,
+        )
+            .prop_map(|(id, endorsers, value, writes, event, fault)| TxSpec {
+                id,
+                endorsers,
+                value,
+                writes,
+                event,
+                // Half the transactions are sound.
+                fault: match fault {
+                    0 => Fault::EndorserSignature,
+                    1 => Fault::ClientSignature,
+                    2 => Fault::UnknownEndorser,
+                    3 => Fault::UnknownClient,
+                    _ => Fault::None,
+                },
+            })
+    }
+
+    fn unregistered_key() -> PublicKey {
+        PublicKey::from_wire(&[9u8; 32]).expect("32 bytes")
+    }
+
+    fn build(spec: &TxSpec) -> Transaction {
+        let client_kp = Keypair::generate_from_seed(700);
+        let mut creator = Identity::new("Org1MSP", Role::Client, client_kp.public_key());
+        let mut results = TxRwSet::new();
+        if spec.writes > 0 {
+            let mut ns = NsRwSet {
+                namespace: ChaincodeId::new("cc1"),
+                public: Default::default(),
+                metadata_writes: vec![],
+                collections: vec![],
+            };
+            ns.public.writes = (0..spec.writes)
+                .map(|i| KvWrite {
+                    key: format!("k{i}"),
+                    value: Some(spec.value.clone()),
+                    is_delete: false,
+                })
+                .collect();
+            results.ns_rwsets.push(ns);
+        }
+        let payload = ProposalResponsePayload {
+            proposal_hash: sha256(&spec.id.to_be_bytes()),
+            response: Response::ok(spec.value.clone()),
+            results,
+            event: spec.event.then(|| ChaincodeEvent {
+                name: "e".into(),
+                payload: spec.value.clone(),
+            }),
+        };
+        let signed = payload.signed_bytes(PayloadCommitment::Plain);
+        let mut endorsements: Vec<Endorsement> = (0..spec.endorsers)
+            .map(|i| {
+                let kp = Keypair::generate_from_seed(701 + i as u64);
+                Endorsement {
+                    endorser: Identity::new(format!("Org{i}MSP"), Role::Peer, kp.public_key()),
+                    signature: kp.sign(&signed),
+                }
+            })
+            .collect();
+        if let Some(last) = endorsements.last_mut() {
+            match spec.fault {
+                Fault::EndorserSignature => last.signature = client_kp.sign(&signed),
+                Fault::UnknownEndorser => last.endorser.public_key = unregistered_key(),
+                _ => {}
+            }
+        }
+        let tx_id = TxId::new(format!("{:016x}", spec.id));
+        let tuple = Transaction::client_signed_bytes(&tx_id, &payload, &endorsements);
+        let client_signature = match spec.fault {
+            Fault::ClientSignature => client_kp.sign(b"something else"),
+            _ => client_kp.sign(&tuple),
+        };
+        if spec.fault == Fault::UnknownClient {
+            creator.public_key = unregistered_key();
+        }
+        Transaction {
+            tx_id,
+            channel: ChannelId::new("ch1"),
+            chaincode: ChaincodeId::new("cc1"),
+            creator,
+            payload,
+            commitment: PayloadCommitment::Plain,
+            endorsements,
+            client_signature,
+            memo: TxMemo::default(),
+        }
+    }
+
+    /// The verdict of the two un-memoized checks, in the combined check's
+    /// order.
+    fn from_scratch(tx: &Transaction) -> Option<SignatureFailure> {
+        if !tx.verify_client_signature() {
+            Some(SignatureFailure::Client)
+        } else if tx.endorsements.is_empty() || !tx.verify_endorsement_signatures() {
+            Some(SignatureFailure::Endorsement)
+        } else {
+            None
+        }
+    }
+
+    fn memo_is_cold(tx: &Transaction) -> bool {
+        let memo = &tx.memo;
+        memo.payload_wire.get().is_none()
+            && memo.payload_digest.get().is_none()
+            && memo.client_digest.get().is_none()
+            && memo.tx_digest.get().is_none()
+    }
+
+    /// Every way to change something a signature covers; `which` picks.
+    fn tamper(tx: &mut Transaction, which: usize) {
+        let last = tx.endorsements.len() - 1;
+        match which % 9 {
+            0 => tx.tx_id = TxId::new(format!("{}0", tx.tx_id)),
+            1 => tx.payload.proposal_hash.0[31] ^= 1,
+            2 => tx.payload.response.payload.push(0),
+            3 => tx.payload.response.status ^= 1,
+            4 => tx.payload.results.ns_rwsets.push(NsRwSet {
+                namespace: ChaincodeId::new("cc2"),
+                public: Default::default(),
+                metadata_writes: vec![],
+                collections: vec![],
+            }),
+            5 => {
+                tx.payload.event = match tx.payload.event.take() {
+                    Some(_) => None,
+                    None => Some(ChaincodeEvent {
+                        name: "forged".into(),
+                        payload: vec![],
+                    }),
+                }
+            }
+            6 => tx.endorsements[last].endorser.org = crate::OrgId::new("OrgXMSP"),
+            7 => {
+                let mut bytes = *tx.endorsements[last].signature.as_bytes();
+                bytes[0] ^= 1;
+                tx.endorsements[last].signature = Signature::from_bytes(bytes);
+            }
+            _ => {
+                let again = tx.endorsements[last].clone();
+                tx.endorsements.push(again);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cold_warm_batched_and_from_scratch_checks_agree(
+            specs in proptest::collection::vec(arb_tx(), 1..8),
+        ) {
+            let txs: Vec<Transaction> = specs.iter().map(build).collect();
+            let mut batch = BatchVerifier::new();
+            for (tx, spec) in txs.iter().zip(&specs) {
+                let expected = from_scratch(tx);
+                prop_assert_eq!(
+                    expected.is_none(),
+                    spec.endorsers > 0 && spec.fault == Fault::None
+                );
+                prop_assert!(memo_is_cold(tx), "the un-memoized checks leave no memo");
+                prop_assert_eq!(tx.clone().verify_signatures_batched(&mut batch), expected);
+                prop_assert_eq!(tx.verify_signatures(), expected);
+                prop_assert_eq!(tx.verify_signatures(), expected);
+                prop_assert_eq!(tx.verify_signatures_batched(&mut batch), expected);
+                prop_assert_eq!(from_scratch(tx), expected);
+            }
+
+            // The block's hash over warm, shared transactions is the hash
+            // over their cold deep copies.
+            let block = Block::new(1, Hash256::default(), txs);
+            let copies: Vec<Transaction> = block.transactions.to_vec();
+            prop_assert!(copies.iter().all(memo_is_cold));
+            prop_assert_eq!(Block::compute_data_hash(&copies), block.header.data_hash);
+            prop_assert!(block.data_hash_is_consistent());
+        }
+
+        #[test]
+        fn a_tampered_clone_fails_and_rehashes(
+            spec in arb_tx(),
+            endorsers in 1usize..4,
+            which in 0usize..9,
+            others in proptest::collection::vec(arb_tx(), 0..4),
+            position in 0usize..4,
+        ) {
+            let tx = build(&TxSpec { fault: Fault::None, endorsers, ..spec });
+            prop_assert_eq!(tx.verify_signatures(), None);
+            let digest = *tx.tx_digest();
+
+            let mut forged = tx.clone();
+            prop_assert!(memo_is_cold(&forged));
+            tamper(&mut forged, which);
+            prop_assert_eq!(forged.verify_signatures(), from_scratch(&forged));
+            prop_assert!(forged.verify_signatures().is_some(), "mutation {which} verifies");
+            prop_assert_ne!(*forged.tx_digest(), digest);
+            prop_assert_eq!(*forged.tx_digest(), sha256(&forged.to_wire()));
+
+            // Swapped into a block under the honest header, it is caught.
+            let mut txs: Vec<Transaction> = others.iter().map(build).collect();
+            let position = position.min(txs.len());
+            txs.insert(position, tx);
+            let honest = Block::new(1, Hash256::default(), txs.clone());
+            txs[position] = forged;
+            let swapped = Block {
+                transactions: txs.into(),
+                ..honest.clone()
+            };
+            prop_assert!(honest.data_hash_is_consistent());
+            prop_assert!(!swapped.data_hash_is_consistent());
+        }
     }
 }

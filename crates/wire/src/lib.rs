@@ -31,10 +31,12 @@
 //! ```
 
 mod error;
+mod idmap;
 mod primitives;
 mod reader;
 
 pub use error::WireError;
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use primitives::{read_varint, write_varint};
 pub use reader::Reader;
 

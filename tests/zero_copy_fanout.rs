@@ -23,33 +23,44 @@ use fabric_pdc::peer::ChannelPolicies;
 use fabric_pdc::prelude::*;
 use fabric_pdc::types::{Block, PvtDataPackage};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 /// System allocator wrapper that counts allocation events and bytes.
 /// Deallocations are not tracked: the interesting quantity is how much
 /// allocator traffic a code path *causes*, not its live footprint.
+///
+/// The counters are per thread: every path measured here runs on the
+/// thread that measures it, and the test harness's own threads allocate
+/// whenever they like (a process-wide count read 1 for a refcount bump
+/// about once in forty runs).
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` and without destructors, so reading them from inside the
+    // allocator neither allocates nor outlives the thread's storage.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|total| total.set(total.get() + bytes as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -61,19 +72,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Serializes every test in this binary: the counters are process-global,
-/// so concurrent tests would bleed allocations into each other's windows.
+/// Serializes every test in this binary, so one test's threads never
+/// compete with another's measured window for the two cores.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Runs `f` and returns `(result, allocation calls, allocated bytes)`.
 fn measured<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
-    let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
-    let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
+    let calls0 = ALLOC_CALLS.get();
+    let bytes0 = ALLOC_BYTES.get();
     let result = f();
     (
         result,
-        ALLOC_CALLS.load(Ordering::Relaxed) - calls0,
-        ALLOC_BYTES.load(Ordering::Relaxed) - bytes0,
+        ALLOC_CALLS.get() - calls0,
+        ALLOC_BYTES.get() - bytes0,
     )
 }
 
