@@ -88,14 +88,12 @@ pub fn subject_from_report(report: &ProjectReport) -> LintSubject {
         collections,
         leaks,
         // Static scans cannot see a running network or executable
-        // chaincode, so PDC010/PDC011/PDC018/PDC019/PDC020 never fire on
+        // chaincode, so PDC010/PDC011/PDC018/PDC020 never fire on
         // corpus subjects.
         telemetry_attached: None,
         flight_recorder: None,
         flow_analyzed: None,
         monitor_attached: None,
-        commit_lanes: None,
-        consortium_channels: None,
     }
 }
 

@@ -375,56 +375,6 @@ fn sweep_benches(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_validation_benches(c: &mut Criterion) {
-    use fabric_pdc::types::Block;
-    let mut group = c.benchmark_group("parallel_validation");
-    group.sample_size(20);
-    // A 64-transaction block of independent public writes.
-    let mut net = fixture_network(DefenseConfig::original(), 15);
-    net.deploy_chaincode(ChaincodeDefinition::new("assets"), Arc::new(AssetTransfer));
-    let mut txs = Vec::new();
-    for i in 0..64u64 {
-        let mut client = Client::new(
-            "Org1MSP",
-            Keypair::generate_from_seed(42_000 + i),
-            DefenseConfig::original(),
-        );
-        let proposal = client.create_proposal(
-            net.channel().clone(),
-            ChaincodeId::new("assets"),
-            "CreateAsset",
-            vec![
-                format!("a{i}").into_bytes(),
-                b"red".to_vec(),
-                b"alice".to_vec(),
-                b"1".to_vec(),
-            ],
-            Default::default(),
-        );
-        let r1 = net.peer("peer0.org1").endorse(&proposal).unwrap().0;
-        let r2 = net.peer("peer0.org2").endorse(&proposal).unwrap().0;
-        let (tx, _) = client.assemble_transaction(&proposal, &[r1, r2]).unwrap();
-        txs.push(tx);
-    }
-    let template = net.peer("peer0.org3").clone();
-    let block = Block::new(
-        template.block_store().height(),
-        template.block_store().tip_hash(),
-        txs,
-    );
-    for (name, parallel) in [("sequential", false), ("parallel", true)] {
-        group.bench_function(BenchmarkId::new("validate_64tx_block", name), |b| {
-            b.iter(|| {
-                let mut peer = template.clone();
-                peer.set_parallel_validation(parallel);
-                let mut no_pvt = |_: &TxId| None;
-                black_box(peer.process_block(block.clone(), &mut no_pvt).unwrap())
-            })
-        });
-    }
-    group.finish();
-}
-
 fn analyzer_benches(c: &mut Criterion) {
     use fabric_pdc::analyzer::{corpus, scan_corpus, CorpusSpec};
     let mut group = c.benchmark_group("analyzer");
@@ -470,7 +420,6 @@ criterion_group!(
     raft_benches,
     end_to_end_benches,
     sweep_benches,
-    parallel_validation_benches,
     analyzer_benches,
     chaincode_benches,
 );

@@ -1,31 +1,18 @@
 //! Commit-throughput baseline for the staged validation pipeline.
 //!
-//! Measures `Peer::process_block` throughput (txs/sec) over blocks of
-//! 1/100/1000 PDC-write transactions in three modes:
+//! Measures block-commit throughput (txs/sec) over blocks of 1/100/1000
+//! PDC-write transactions in two modes:
 //!
 //! * `reference` — the pre-pipeline sequential validator
 //!   (`process_block_reference`): every policy expression parsed at use.
-//! * `pipeline-seq` — the staged pipeline with parallel validation off
-//!   (compiled-policy caches, sequential stateless pass).
-//! * `pipeline-par` — the staged pipeline with parallel validation on.
+//! * `pipeline` — `Peer::process_block`, the shipped path (compiled-policy
+//!   caches, batched signature verification).
 //!
-//! Two stream sections then measure the scheduler work of this PR:
-//!
-//! * `pipeline-overlap` — `Peer::process_blocks_overlapped` over a
-//!   pre-chained multi-block stream, overlapping block N+1's stateless
-//!   pass with block N's stateful merge (plus batched per-identity HMAC
-//!   verification), against the same stream committed one
-//!   `process_block` at a time.
-//! * `sharded-N` — one commit lane per channel through
-//!   `ShardedScheduler`, against the same channels drained on a single
-//!   lane. Channels share no ledger state, so the aggregate rate scales
-//!   with cores; single-core hosts serialize the lanes.
-//!
-//! Two further instrumented passes re-time `pipeline-par`: one with a
-//! no-op telemetry collector attached (interleaved with bare runs),
-//! yielding the disabled-instrumentation overhead, and one with a live
-//! collector, yielding the per-stage (stateless vs stateful) breakdown
-//! from the `fabric_commit_stage_seconds` histograms.
+//! Two further instrumented passes re-time `pipeline`: one with a no-op
+//! telemetry collector attached (interleaved with bare runs), yielding
+//! the disabled-instrumentation overhead, and one with a live collector,
+//! yielding the per-stage (stateless vs stateful) breakdown from the
+//! `fabric_commit_stage_seconds` histograms.
 //!
 //! Writes `BENCH_commit.json` at the repository root so future changes
 //! have a perf trajectory. Pass `--smoke` for a seconds-long CI run that
@@ -35,11 +22,7 @@
 //! cargo run --release -p fabric-bench --bin commit_throughput
 //! ```
 
-use fabric_bench::{
-    channel_fixture_network, fixture_network, prepared_commit_block, prepared_commit_stream,
-    traced_fixture_network, NS,
-};
-use fabric_pdc::peer::{CommitLane, ShardedScheduler};
+use fabric_bench::{fixture_network, prepared_commit_block, traced_fixture_network, NS};
 use fabric_pdc::prelude::*;
 use fabric_pdc::telemetry::PHASES;
 use fabric_pdc::types::{Block, PvtDataPackage};
@@ -49,20 +32,18 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Reference,
-    PipelineSeq,
-    PipelinePar,
+    Pipeline,
 }
 
 impl Mode {
-    fn all() -> [Mode; 3] {
-        [Mode::Reference, Mode::PipelineSeq, Mode::PipelinePar]
+    fn all() -> [Mode; 2] {
+        [Mode::Reference, Mode::Pipeline]
     }
 
     fn label(&self) -> &'static str {
         match self {
             Mode::Reference => "reference",
-            Mode::PipelineSeq => "pipeline-seq",
-            Mode::PipelinePar => "pipeline-par",
+            Mode::Pipeline => "pipeline",
         }
     }
 }
@@ -74,7 +55,7 @@ struct Sample {
     txs_per_sec: f64,
 }
 
-/// Per-stage timing of one instrumented `pipeline-par` configuration.
+/// Per-stage timing of one instrumented `pipeline` configuration.
 struct StageBreakdown {
     block_txs: usize,
     /// Mean per-block stateless-stage time under a live collector,
@@ -93,9 +74,7 @@ struct StageBreakdown {
     /// events, stepping every rate detector, and re-scoring node health
     /// once per block.
     monitor_overhead_pct: f64,
-    /// Security-audit events one commit of this block emits — identical
-    /// for sequential and parallel validation (asserted), since events
-    /// are emitted only from the sequential merge stage.
+    /// Security-audit events one commit of this block emits.
     audit_events_per_block: usize,
 }
 
@@ -111,7 +90,6 @@ fn time_mode(
     telemetry: Option<&Telemetry>,
 ) -> Duration {
     let mut base = peer.clone();
-    base.set_parallel_validation(mode == Mode::PipelinePar);
     if let Some(t) = telemetry {
         base.set_telemetry(t.clone());
     }
@@ -126,7 +104,7 @@ fn time_mode(
         let start = Instant::now();
         let outcome = match mode {
             Mode::Reference => p.process_block_reference(b, &mut provider),
-            _ => p.process_block(b, &mut provider),
+            Mode::Pipeline => p.process_block(b, &mut provider),
         }
         .expect("block chains");
         let elapsed = start.elapsed();
@@ -143,7 +121,7 @@ fn time_mode(
     samples[samples.len() / 2]
 }
 
-/// Times bare vs telemetry-instrumented `pipeline-par` with interleaved
+/// Times bare vs telemetry-instrumented `pipeline` with interleaved
 /// runs (bare, instrumented, bare, ...), so slow drift — thermal, cache,
 /// scheduler — biases both distributions equally. Returns each side's
 /// *minimum*: instrumentation is deterministic extra work, so the
@@ -157,15 +135,13 @@ fn time_overhead_pair(
     warmup: usize,
     noop: &Telemetry,
 ) -> (Duration, Duration) {
-    let mut bare = peer.clone();
-    bare.set_parallel_validation(true);
-    let mut instrumented = bare.clone();
+    let mut instrumented = peer.clone();
     instrumented.set_telemetry(noop.clone());
     let mut bare_samples = Vec::with_capacity(runs);
     let mut inst_samples = Vec::with_capacity(runs);
     for i in 0..warmup + runs {
         for (base, samples) in [
-            (&bare, &mut bare_samples),
+            (peer, &mut bare_samples),
             (&instrumented, &mut inst_samples),
         ] {
             let mut p = base.clone();
@@ -185,7 +161,7 @@ fn time_overhead_pair(
     )
 }
 
-/// Times `pipeline-par` under a live collector with and without a
+/// Times `pipeline` under a live collector with and without a
 /// streaming monitor ticking once per block, interleaved min-to-min as
 /// in [`time_overhead_pair`]. The monitored side runs the full online-
 /// alerting path of `FabricNetwork::advance`: drain the block's audit
@@ -199,8 +175,6 @@ fn time_monitor_pair(
     runs: usize,
     warmup: usize,
 ) -> (Duration, Duration) {
-    let mut base = peer.clone();
-    base.set_parallel_validation(true);
     // A fixture-shaped node roster (three peers and an orderer), all
     // healthy: the steady-state health-scoring cost, with no alert churn.
     let samples: Vec<NodeSample> = (0..4)
@@ -216,7 +190,7 @@ fn time_monitor_pair(
     for i in 0..warmup + runs {
         for (monitored, out) in [(false, &mut plain_samples), (true, &mut monitored_samples)] {
             let telemetry = Telemetry::new();
-            let mut p = base.clone();
+            let mut p = peer.clone();
             p.set_telemetry(telemetry.clone());
             let monitor = monitored.then(|| Monitor::new(&telemetry));
             let b = block.clone();
@@ -236,221 +210,6 @@ fn time_monitor_pair(
         plain_samples.iter().copied().min().expect("runs > 0"),
         monitored_samples.iter().copied().min().expect("runs > 0"),
     )
-}
-
-/// Times a whole-stream commit on fresh clones of `peer`: either the
-/// staged per-block pipeline in a loop (`overlap = false`) or the
-/// pipelined scheduler overlapping block N+1's stateless pass with
-/// block N's stateful merge (`overlap = true`).
-fn time_stream(
-    peer: &Peer,
-    blocks: &[Block],
-    pkgs: &HashMap<TxId, PvtDataPackage>,
-    overlap: bool,
-    runs: usize,
-    warmup: usize,
-) -> Duration {
-    let mut base = peer.clone();
-    base.set_parallel_validation(true);
-    let mut samples = Vec::with_capacity(runs);
-    for i in 0..warmup + runs {
-        let mut p = base.clone();
-        let bs = blocks.to_vec();
-        let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(std::sync::Arc::new);
-        let start = Instant::now();
-        if overlap {
-            let outcomes = p
-                .process_blocks_overlapped(bs, &mut provider)
-                .expect("stream chains");
-            assert!(
-                outcomes
-                    .iter()
-                    .all(|o| o.validation_codes.iter().all(|c| c.is_valid())),
-                "workload transactions must all validate"
-            );
-        } else {
-            for b in bs {
-                let outcome = p.process_block(b, &mut provider).expect("block chains");
-                assert!(
-                    outcome.validation_codes.iter().all(|c| c.is_valid()),
-                    "workload transactions must all validate"
-                );
-            }
-        }
-        let elapsed = start.elapsed();
-        if i >= warmup {
-            samples.push(elapsed);
-        }
-    }
-    samples.sort();
-    samples[samples.len() / 2]
-}
-
-/// One channel's commit workload: the validating peer, its pre-chained
-/// block stream, and the backing private-data packages.
-type ChannelWorkload = (Peer, Vec<Block>, HashMap<TxId, PvtDataPackage>);
-
-/// Times committing every channel's stream on fresh peer clones.
-/// `sharded = false` drains the channels one after another on the
-/// calling thread (a single commit lane); `sharded = true` hands one
-/// [`CommitLane`] per channel to the [`ShardedScheduler`], which runs
-/// them on scoped threads when the host has the cores.
-fn time_sharded(
-    channels: &[ChannelWorkload],
-    sharded: bool,
-    runs: usize,
-    warmup: usize,
-) -> Duration {
-    let mut samples = Vec::with_capacity(runs);
-    for i in 0..warmup + runs {
-        let mut peers: Vec<Peer> = channels
-            .iter()
-            .map(|(p, _, _)| {
-                let mut p = p.clone();
-                p.set_parallel_validation(true);
-                p
-            })
-            .collect();
-        let work: Vec<Vec<Block>> = channels.iter().map(|(_, b, _)| b.clone()).collect();
-        let elapsed = if sharded {
-            let mut lanes = Vec::with_capacity(channels.len());
-            for ((p, blocks), (_, _, pkgs)) in peers.iter_mut().zip(work).zip(channels) {
-                lanes.push(CommitLane::new(p, blocks, move |tx_id: &TxId| {
-                    pkgs.get(tx_id).cloned().map(std::sync::Arc::new)
-                }));
-            }
-            let scheduler = ShardedScheduler::new(lanes);
-            let start = Instant::now();
-            let results = scheduler.commit();
-            let elapsed = start.elapsed();
-            for lane in results {
-                let outcomes = lane.expect("lane commits");
-                assert!(
-                    outcomes
-                        .iter()
-                        .all(|o| o.validation_codes.iter().all(|c| c.is_valid())),
-                    "workload transactions must all validate"
-                );
-            }
-            elapsed
-        } else {
-            let start = Instant::now();
-            for ((p, blocks), (_, _, pkgs)) in peers.iter_mut().zip(work).zip(channels) {
-                let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(std::sync::Arc::new);
-                let outcomes = p
-                    .process_blocks_overlapped(blocks, &mut provider)
-                    .expect("lane commits");
-                assert!(
-                    outcomes
-                        .iter()
-                        .all(|o| o.validation_codes.iter().all(|c| c.is_valid())),
-                    "workload transactions must all validate"
-                );
-            }
-            start.elapsed()
-        };
-        if i >= warmup {
-            samples.push(elapsed);
-        }
-    }
-    samples.sort();
-    samples[samples.len() / 2]
-}
-
-/// Results of the stream and sharded sections, carried into the JSON
-/// report.
-struct StreamSharded {
-    stream_blocks: usize,
-    stream_block_txs: usize,
-    par_tps: f64,
-    overlap_tps: f64,
-    shard_channels: usize,
-    shard_blocks: usize,
-    shard_block_txs: usize,
-    lanes1_tps: f64,
-    lanesn_tps: f64,
-    cores: usize,
-}
-
-/// Measures the `pipeline-overlap` stream mode and the `sharded-N`
-/// multi-channel mode, printing one row per configuration.
-fn run_stream_and_sharded(smoke: bool) -> StreamSharded {
-    // Stream: a pre-chained multi-block single-channel stream (block
-    // headers do not cover metadata, so the whole stream exists up
-    // front), committed per-block vs through the overlap scheduler.
-    let (stream_blocks, stream_block_txs) = if smoke { (2, 8) } else { (6, 1000) };
-    let (runs, warmup) = if smoke { (3, 1) } else { (8, 2) };
-    let mut net = fixture_network(DefenseConfig::original(), 7);
-    let (peer, stream, pkgs) = prepared_commit_stream(&mut net, stream_blocks, stream_block_txs, 1);
-    let stream_txs = (stream_blocks * stream_block_txs) as f64;
-    let par = time_stream(&peer, &stream, &pkgs, false, runs, warmup);
-    let overlap = time_stream(&peer, &stream, &pkgs, true, runs, warmup);
-    let par_tps = stream_txs / par.as_secs_f64();
-    let overlap_tps = stream_txs / overlap.as_secs_f64();
-    for (mode, median, tps) in [
-        ("pipeline-par", par, par_tps),
-        ("pipeline-overlap", overlap, overlap_tps),
-    ] {
-        println!(
-            "stream blocks={stream_blocks} block_txs={stream_block_txs:>5}  mode={mode:<17} \
-             median={median:>10.3?}  txs/sec={tps:>10.0}"
-        );
-    }
-    println!(
-        "overlap speedup vs per-block pipeline-par: {:.2}x",
-        overlap_tps / par_tps
-    );
-
-    // Sharded: one independent ledger per channel; lanes=1 drains them
-    // sequentially, lanes=N commits them on per-channel lanes.
-    let (shard_channels, shard_blocks, shard_block_txs) =
-        if smoke { (2, 2, 8) } else { (4, 2, 500) };
-    let (runs, warmup) = if smoke { (3, 1) } else { (6, 1) };
-    let channels: Vec<ChannelWorkload> = (0..shard_channels)
-        .map(|c| {
-            let mut net = channel_fixture_network(
-                &format!("lane{c}"),
-                DefenseConfig::original(),
-                20 + c as u64,
-            );
-            prepared_commit_stream(
-                &mut net,
-                shard_blocks,
-                shard_block_txs,
-                (c * shard_blocks * shard_block_txs) as u64,
-            )
-        })
-        .collect();
-    let agg_txs = (shard_channels * shard_blocks * shard_block_txs) as f64;
-    let lanes1 = time_sharded(&channels, false, runs, warmup);
-    let lanesn = time_sharded(&channels, true, runs, warmup);
-    let lanes1_tps = agg_txs / lanes1.as_secs_f64();
-    let lanesn_tps = agg_txs / lanesn.as_secs_f64();
-    let cores = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    for (lanes, median, tps) in [
-        (1, lanes1, lanes1_tps),
-        (shard_channels, lanesn, lanesn_tps),
-    ] {
-        println!(
-            "sharded channels={shard_channels} lanes={lanes}  median={median:>10.3?}  \
-             aggregate_txs/sec={tps:>10.0}  (cores={cores})"
-        );
-    }
-
-    StreamSharded {
-        stream_blocks,
-        stream_block_txs,
-        par_tps,
-        overlap_tps,
-        shard_channels,
-        shard_blocks,
-        shard_block_txs,
-        lanes1_tps,
-        lanesn_tps,
-        cores,
-    }
 }
 
 /// Runs `txs` traced transactions through a fresh fixture network and
@@ -538,7 +297,7 @@ fn main() {
             });
         }
 
-        // Instrumented pass: pipeline-par again, now with a no-op
+        // Instrumented pass: pipeline again, now with a no-op
         // collector attached. Bare and instrumented runs interleave so
         // clock-speed drift hits both distributions equally, and the
         // min-to-min delta is the instrumentation overhead. Small blocks
@@ -570,7 +329,7 @@ fn main() {
             &peer,
             &block,
             &pkgs,
-            Mode::PipelinePar,
+            Mode::Pipeline,
             stage_runs,
             warmup.min(2),
             Some(&traced),
@@ -582,25 +341,16 @@ fn main() {
                 .map(|h| h.sum() / h.count() as f64 * 1e3)
                 .unwrap_or(f64::NAN)
         };
-        // Audit-event volume per committed block, measured once per
-        // parallelism setting on a fresh collector: events come only from
-        // the sequential merge stage, so the counts must match.
-        let audit_events = |parallel: bool| {
+        // Audit-event volume per committed block, on a fresh collector.
+        let audit_events_per_block = {
             let t = Telemetry::noop();
             let mut p = peer.clone();
-            p.set_parallel_validation(parallel);
             p.set_telemetry(t.clone());
             let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(std::sync::Arc::new);
             p.process_block(block.clone(), &mut provider)
                 .expect("block chains");
             t.audit().len()
         };
-        let audit_seq = audit_events(false);
-        let audit_par = audit_events(true);
-        assert_eq!(
-            audit_seq, audit_par,
-            "audit-event volume must not depend on the parallelism knob"
-        );
 
         let breakdown = StageBreakdown {
             block_txs: n,
@@ -609,10 +359,10 @@ fn main() {
             instrumented,
             overhead_pct,
             monitor_overhead_pct,
-            audit_events_per_block: audit_par,
+            audit_events_per_block,
         };
         println!(
-            "block_txs={n:>5}  mode=pipeline-par+telemetry min={:>10.3?}  \
+            "block_txs={n:>5}  mode=pipeline+telemetry min={:>10.3?}  \
              stateless={:.3}ms stateful={:.3}ms overhead={overhead_pct:+.2}% \
              monitor_overhead={monitor_overhead_pct:+.2}% audit_events={}",
             breakdown.instrumented,
@@ -631,21 +381,13 @@ fn main() {
     };
     let largest = *sizes.last().expect("sizes not empty");
     let speedup = match (
-        throughput(largest, Mode::PipelinePar),
+        throughput(largest, Mode::Pipeline),
         throughput(largest, Mode::Reference),
     ) {
-        (Some(par), Some(reference)) => par / reference,
+        (Some(pipeline), Some(reference)) => pipeline / reference,
         _ => f64::NAN,
     };
-    println!("speedup {largest}-tx pipeline-par vs reference: {speedup:.2}x");
-
-    // Stream + sharded sections (skipped under --sizes, which iterates
-    // on one per-block configuration).
-    let stream_sharded = if explicit_sizes.is_none() {
-        Some(run_stream_and_sharded(smoke))
-    } else {
-        None
-    };
+    println!("speedup {largest}-tx pipeline vs reference: {speedup:.2}x");
 
     // Per-phase lifecycle latencies: a traced end-to-end workload through
     // a full network (client → endorse → order → replicate → validate →
@@ -680,7 +422,7 @@ fn main() {
     for (i, b) in breakdowns.iter().enumerate() {
         let sep = if i + 1 == breakdowns.len() { "" } else { "," };
         json.push_str(&format!(
-            "    {{\"block_txs\": {}, \"mode\": \"pipeline-par+noop-telemetry\", \
+            "    {{\"block_txs\": {}, \"mode\": \"pipeline+noop-telemetry\", \
              \"min_block_ms\": {:.3}, \"stateless_ms\": {:.3}, \"stateful_ms\": {:.3}, \
              \"telemetry_overhead_pct\": {:.2}, \"monitor_overhead_pct\": {:.2}, \
              \"audit_events_per_block\": {}}}{sep}\n",
@@ -694,31 +436,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    let ss = stream_sharded.expect("full runs measure the stream and sharded sections");
-    json.push_str(&format!(
-        "  \"stream\": {{\"blocks\": {}, \"block_txs\": {}, \
-         \"pipeline_par_txs_per_sec\": {:.0}, \"pipeline_overlap_txs_per_sec\": {:.0}, \
-         \"overlap_speedup\": {:.2}}},\n",
-        ss.stream_blocks,
-        ss.stream_block_txs,
-        ss.par_tps,
-        ss.overlap_tps,
-        ss.overlap_tps / ss.par_tps
-    ));
-    json.push_str(&format!(
-        "  \"sharded\": {{\"channels\": {}, \"blocks_per_channel\": {}, \"block_txs\": {}, \
-         \"lanes_1_txs_per_sec\": {:.0}, \"lanes_{}_txs_per_sec\": {:.0}, \
-         \"hardware_cores\": {}, \"target_txs_per_sec\": 1000000, \
-         \"note\": \"channels share no ledger state; the aggregate rate scales with cores, \
-         and single-core hosts serialize the lanes\"}},\n",
-        ss.shard_channels,
-        ss.shard_blocks,
-        ss.shard_block_txs,
-        ss.lanes1_tps,
-        ss.shard_channels,
-        ss.lanesn_tps,
-        ss.cores
-    ));
     json.push_str("  \"phase_latency_p50_ms\": {");
     for (i, (phase, p50_ms)) in phase_p50.iter().enumerate() {
         let sep = if i + 1 == phase_p50.len() { "" } else { ", " };
@@ -748,7 +465,7 @@ fn main() {
         "  \"monitor_overhead_pct_{largest}tx\": {monitor_headline:.2},\n"
     ));
     json.push_str(&format!(
-        "  \"speedup_{largest}tx_parallel_vs_reference\": {speedup:.2}\n}}\n"
+        "  \"speedup_{largest}tx_pipeline_vs_reference\": {speedup:.2}\n}}\n"
     ));
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_commit.json");

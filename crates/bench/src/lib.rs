@@ -17,28 +17,17 @@ pub const COL: &str = "PDC1";
 /// Builds the Fig. 11 measurement network: 3 orgs, PDC = {org1, org2},
 /// unconstrained guarded chaincode, `k1 = 12` committed.
 pub fn fixture_network(defense: DefenseConfig, seed: u64) -> FabricNetwork {
-    fixture_network_with("mychannel", defense, seed, None)
-}
-
-/// [`fixture_network`] on a named channel, for multi-channel workloads
-/// (each sharded commit lane gets its own channel and ledger).
-pub fn channel_fixture_network(channel: &str, defense: DefenseConfig, seed: u64) -> FabricNetwork {
-    fixture_network_with(channel, defense, seed, None)
+    fixture_network_with(defense, seed, None)
 }
 
 /// [`fixture_network`] with a shared telemetry pipeline attached to every
 /// node, for benchmarks that measure the traced transaction lifecycle.
 pub fn traced_fixture_network(defense: DefenseConfig, seed: u64, t: Telemetry) -> FabricNetwork {
-    fixture_network_with("mychannel", defense, seed, Some(t))
+    fixture_network_with(defense, seed, Some(t))
 }
 
-fn fixture_network_with(
-    channel: &str,
-    defense: DefenseConfig,
-    seed: u64,
-    t: Option<Telemetry>,
-) -> FabricNetwork {
-    let mut builder = NetworkBuilder::new(channel)
+fn fixture_network_with(defense: DefenseConfig, seed: u64, t: Option<Telemetry>) -> FabricNetwork {
+    let mut builder = NetworkBuilder::new("mychannel")
         .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
         .seed(seed)
         .defense(defense);
@@ -212,62 +201,6 @@ pub fn prepared_commit_block(
         txs,
     );
     (peer, block, pkgs)
-}
-
-/// A ready-to-commit stream of `blocks` consecutive blocks of
-/// `txs_per_block` distinct-key PDC writes each, pre-chained through
-/// their header hashes (headers do not cover metadata, so the whole
-/// stream can be built before the first commit). The workload for the
-/// `pipeline-overlap` and `sharded-N` commit modes; per-block content
-/// matches [`prepared_commit_block`].
-pub fn prepared_commit_stream(
-    net: &mut FabricNetwork,
-    blocks: usize,
-    txs_per_block: usize,
-    first_nonce: u64,
-) -> (Peer, Vec<Block>, HashMap<TxId, PvtDataPackage>) {
-    let mut pkgs = HashMap::with_capacity(blocks * txs_per_block);
-    let peer = net.peer("peer0.org2").clone();
-    let mut prev = peer.block_store().tip_hash();
-    let mut stream = Vec::with_capacity(blocks);
-    for (b, number) in (0..blocks).zip(peer.block_store().height()..) {
-        let mut txs = Vec::with_capacity(txs_per_block);
-        for i in 0..txs_per_block {
-            let g = (b * txs_per_block + i) as u64;
-            let nonce = first_nonce + g;
-            let mut client = Client::new(
-                "Org1MSP",
-                Keypair::generate_from_seed(9_300_000 + nonce),
-                DefenseConfig::original(),
-            );
-            let proposal = client.create_proposal(
-                net.channel().clone(),
-                ChaincodeId::new(NS),
-                "write",
-                vec![format!("sk{g}").into_bytes(), b"12".to_vec()],
-                Default::default(),
-            );
-            let (r1, pvt) = net
-                .peer("peer0.org1")
-                .endorse(&proposal)
-                .expect("endorse org1");
-            let (r2, _) = net
-                .peer("peer0.org2")
-                .endorse(&proposal)
-                .expect("endorse org2");
-            let (tx, _) = client
-                .assemble_transaction(&proposal, &[r1, r2])
-                .expect("assemble");
-            if let Some(pkg) = pvt {
-                pkgs.insert(tx.tx_id.clone(), pkg);
-            }
-            txs.push(tx);
-        }
-        let block = Block::new(number, prev, txs);
-        prev = block.hash();
-        stream.push(block);
-    }
-    (peer, stream, pkgs)
 }
 
 /// Validates + commits one prepared block on a clone of the peer; the

@@ -165,15 +165,6 @@ const RULES: &[Rule] = &[
                       analysis; private-data leakage through its code paths is unchecked",
     },
     Rule {
-        id: "PDC019",
-        name: "single-commit-lane-multi-channel",
-        severity: Severity::Note,
-        use_case: None,
-        description: "the consortium operates multiple channels but commits them on a \
-                      single lane; channels are ledger-independent, so per-channel commit \
-                      lanes would multiply aggregate throughput",
-    },
-    Rule {
         id: "PDC020",
         name: "telemetry-without-monitor",
         severity: Severity::Note,
@@ -548,20 +539,6 @@ fn check_observability(subject: &LintSubject, out: &mut Vec<Finding>) {
                 .to_string(),
         ));
     }
-    if let (Some(lanes), Some(channels)) = (subject.commit_lanes, subject.consortium_channels) {
-        if lanes == 1 && channels > 1 {
-            out.push(finding(
-                "PDC019",
-                subject,
-                Location::artifact(&subject.uri),
-                format!(
-                    "the consortium runs {channels} channels on a single commit lane; \
-                     channels share no ledger state, so sharding commits across \
-                     per-channel lanes scales aggregate throughput with cores"
-                ),
-            ));
-        }
-    }
 }
 
 /// PDC009: known payload leaks.
@@ -623,8 +600,6 @@ mod tests {
             flight_recorder: None,
             flow_analyzed: None,
             monitor_attached: None,
-            commit_lanes: None,
-            consortium_channels: None,
         }
     }
 
@@ -716,29 +691,6 @@ mod tests {
             .iter()
             .find(|f| f.rule_id == "PDC020")
             .expect("PDC020 fires on a monitored-less audited network");
-        assert_eq!(f.severity, Severity::Note);
-    }
-
-    #[test]
-    fn pdc019_fires_only_on_known_single_lane_multi_channel() {
-        // Unknown (scans, plain definitions): silent.
-        assert!(!fires(&clean_subject(), "PDC019"));
-        // Multiple lanes, or a single channel: silent.
-        assert!(!fires(
-            &clean_subject().with_commit_scheduling(4, 4),
-            "PDC019"
-        ));
-        assert!(!fires(
-            &clean_subject().with_commit_scheduling(1, 1),
-            "PDC019"
-        ));
-        // One lane for several channels: notes.
-        let starved = clean_subject().with_commit_scheduling(1, 3);
-        let findings = lint_subject(&starved);
-        let f = findings
-            .iter()
-            .find(|f| f.rule_id == "PDC019")
-            .expect("PDC019 fires on a single-lane multi-channel consortium");
         assert_eq!(f.severity, Severity::Note);
     }
 

@@ -127,13 +127,6 @@ pub struct LintSubject {
     /// keeps PDC020 silent; `Some(false)` marks a live network that
     /// records audit events nobody evaluates online.
     pub monitor_attached: Option<bool>,
-    /// Number of commit lanes the hosting consortium schedules its
-    /// channels onto. `None` (the default) means unknown and keeps PDC019
-    /// silent.
-    pub commit_lanes: Option<usize>,
-    /// Number of channels the hosting consortium operates. `None` (the
-    /// default) means unknown and keeps PDC019 silent.
-    pub consortium_channels: Option<usize>,
 }
 
 impl LintSubject {
@@ -157,8 +150,6 @@ impl LintSubject {
             flight_recorder: None,
             flow_analyzed: None,
             monitor_attached: None,
-            commit_lanes: None,
-            consortium_channels: None,
         }
     }
 
@@ -195,16 +186,6 @@ impl LintSubject {
     /// [`Chaincode`]: fabric_chaincode::Chaincode
     pub fn with_flow_analyzed(mut self, analyzed: bool) -> Self {
         self.flow_analyzed = Some(analyzed);
-        self
-    }
-
-    /// Records how the hosting consortium schedules commits (feeds rule
-    /// PDC019): the number of per-channel commit lanes and the number of
-    /// channels. Typically `subject.with_commit_scheduling(
-    /// consortium.commit_lanes(), consortium.channel_names().len())`.
-    pub fn with_commit_scheduling(mut self, lanes: usize, channels: usize) -> Self {
-        self.commit_lanes = Some(lanes);
-        self.consortium_channels = Some(channels);
         self
     }
 

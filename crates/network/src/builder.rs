@@ -24,7 +24,6 @@ pub struct NetworkBuilder {
     batch_config: BatchConfig,
     defense: DefenseConfig,
     seed: u64,
-    parallel_validation: bool,
     telemetry: Option<Telemetry>,
     monitor: Option<Monitor>,
 }
@@ -42,7 +41,6 @@ impl NetworkBuilder {
             },
             defense: DefenseConfig::original(),
             seed: 0,
-            parallel_validation: false,
             telemetry: None,
             monitor: None,
         }
@@ -75,13 +73,6 @@ impl NetworkBuilder {
     /// Seeds all deterministic randomness (keys, Raft timeouts, gossip).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables the staged parallel validation pipeline on every peer
-    /// (results are identical to sequential validation).
-    pub fn parallel_validation(mut self, enabled: bool) -> Self {
-        self.parallel_validation = enabled;
         self
     }
 
@@ -154,7 +145,6 @@ impl NetworkBuilder {
                 Keypair::generate_from_seed(self.seed ^ 0x5eed_0000 ^ org_tag),
                 self.defense,
             );
-            peer.set_parallel_validation(self.parallel_validation);
             if let Some(t) = &self.telemetry {
                 peer.set_telemetry(t.clone());
             }

@@ -24,11 +24,6 @@ pub struct Consortium {
     defense: DefenseConfig,
     batch: BatchConfig,
     channels: BTreeMap<ChannelId, FabricNetwork>,
-    /// Commit lanes the consortium's channels are scheduled onto (see
-    /// `fabric_peer::ShardedScheduler`). The default of 1 serializes all
-    /// channels — correct but leaves cores idle; `fabric-lint` rule
-    /// PDC019 flags that configuration on multi-channel consortia.
-    commit_lanes: usize,
 }
 
 impl Consortium {
@@ -42,7 +37,6 @@ impl Consortium {
                 batch_timeout_ticks: 2,
             },
             channels: BTreeMap::new(),
-            commit_lanes: 1,
         }
     }
 
@@ -50,31 +44,6 @@ impl Consortium {
     pub fn with_defense(mut self, defense: DefenseConfig) -> Self {
         self.defense = defense;
         self
-    }
-
-    /// Sets the number of commit lanes channels are scheduled onto.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes` is 0.
-    pub fn with_commit_lanes(mut self, lanes: usize) -> Self {
-        self.set_commit_lanes(lanes);
-        self
-    }
-
-    /// Sets the number of commit lanes channels are scheduled onto.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes` is 0.
-    pub fn set_commit_lanes(&mut self, lanes: usize) {
-        assert!(lanes > 0, "a consortium needs at least one commit lane");
-        self.commit_lanes = lanes;
-    }
-
-    /// The number of commit lanes channels are scheduled onto.
-    pub fn commit_lanes(&self) -> usize {
-        self.commit_lanes
     }
 
     /// Creates a channel joining the given organizations.
@@ -169,21 +138,5 @@ mod tests {
         let mut consortium = Consortium::new(11);
         consortium.create_channel("c1", &["Org1MSP"]);
         consortium.create_channel("c1", &["Org1MSP"]);
-    }
-
-    #[test]
-    fn commit_lanes_default_and_override() {
-        let consortium = Consortium::new(12);
-        assert_eq!(consortium.commit_lanes(), 1);
-        let mut sharded = Consortium::new(13).with_commit_lanes(4);
-        assert_eq!(sharded.commit_lanes(), 4);
-        sharded.set_commit_lanes(2);
-        assert_eq!(sharded.commit_lanes(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one commit lane")]
-    fn zero_commit_lanes_rejected() {
-        Consortium::new(14).with_commit_lanes(0);
     }
 }

@@ -42,5 +42,4 @@ mod net;
 pub use builder::NetworkBuilder;
 pub use consortium::Consortium;
 pub use error::NetworkError;
-pub use fabric_peer::host_cores;
-pub use net::{FabricNetwork, FanoutMode, PeerCommitErrors, SubmitOutcome};
+pub use net::{host_cores, FabricNetwork, FanoutMode, PeerCommitErrors, SubmitOutcome};

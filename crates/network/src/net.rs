@@ -6,7 +6,7 @@ use fabric_client::Client;
 use fabric_gossip::{GossipHub, PeerId};
 use fabric_monitor::{Monitor, NodeSample};
 use fabric_orderer::OrderingService;
-use fabric_peer::{host_cores, BlockCommitOutcome, CommitError, Peer};
+use fabric_peer::{BlockCommitOutcome, CommitError, Peer};
 use fabric_telemetry::Histogram;
 use fabric_types::{
     Block, ChaincodeId, ChannelId, CollectionName, OrgId, Proposal, ProposalResponse,
@@ -113,6 +113,19 @@ struct RecordedPull {
 /// 2-peer networks stay on the calling thread, where a fork only costs.
 const FORK_MIN_TX_PEERS: usize = 4_000;
 
+/// Hardware threads available to this process, resolved on first use and
+/// fixed for the process's life. Block delivery reads this every tick
+/// instead of asking the OS again: the query is a syscall costing tens of
+/// microseconds, more than a small block's whole validation.
+pub fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)
+    })
+}
+
 /// How many workers commit a tick's blocks: a function of the tick and
 /// the host, not a setting. One when the tick is too small to repay a
 /// fork, and one when the peers share a telemetry pipeline — its audit
@@ -137,7 +150,6 @@ fn commit_chunk(
     gossip: &GossipHub,
     gossip_ids: &[PeerId],
     fanout: FanoutMode,
-    only_worker: bool,
 ) -> (Vec<PeerOutcomes>, Vec<RecordedPull>) {
     let mut outcomes: Vec<PeerOutcomes> = peers
         .iter()
@@ -171,12 +183,7 @@ fn commit_chunk(
                     metadata: block.metadata.clone(),
                 },
             };
-            // Beside other workers the cores are taken: the peer's own
-            // stateless fan-out would only nest threads under this one.
-            let nested = peer.parallel_validation();
-            peer.set_parallel_validation(nested && only_worker);
             outcomes[i].push(peer.process_block(delivered, &mut provider));
-            peer.set_parallel_validation(nested);
         }
     }
     (outcomes, pulls)
@@ -359,14 +366,6 @@ impl FabricNetwork {
     /// Mutable access to a client.
     pub fn client_mut(&mut self, name: &str) -> &mut Client {
         self.clients.get_mut(name).expect("unknown client")
-    }
-
-    /// Enables/disables the staged parallel validation pipeline on every
-    /// peer (results are identical either way; this is a throughput knob).
-    pub fn set_parallel_validation(&mut self, enabled: bool) {
-        for peer in self.peers.values_mut() {
-            peer.set_parallel_validation(enabled);
-        }
     }
 
     /// The gossip hub (fault injection in tests).
@@ -577,8 +576,7 @@ impl FabricNetwork {
         let gossip_ids = self.cached_gossip_ids.as_slice();
         let fanout = self.fanout;
         let mut peers: Vec<&mut Peer> = self.peers.values_mut().collect();
-        let only_worker = workers <= 1;
-        let per_run = if only_worker { peers.len().max(1) } else { 1 };
+        let per_run = if workers <= 1 { peers.len().max(1) } else { 1 };
         let cursor = Mutex::new(peers.chunks_mut(per_run).enumerate());
         let work = || {
             let mut done = Vec::new();
@@ -588,8 +586,7 @@ impl FabricNetwork {
                     return done;
                 };
                 let first = r * per_run;
-                let result =
-                    commit_chunk(run, first, blocks, gossip, gossip_ids, fanout, only_worker);
+                let result = commit_chunk(run, first, blocks, gossip, gossip_ids, fanout);
                 done.push((r, result));
             }
         };
@@ -774,7 +771,6 @@ impl FabricNetwork {
         let template = self.peers.values().next().expect("channel has peers");
         let policies = template.channel_policies().clone();
         let defense = template.defense();
-        let parallel_validation = template.parallel_validation();
         let telemetry = template.telemetry().cloned();
         let channel = self.channel.clone();
         let blocks: Vec<fabric_types::Block> = template.block_store().iter().cloned().collect();
@@ -789,7 +785,6 @@ impl FabricNetwork {
             ),
             defense,
         );
-        peer.set_parallel_validation(parallel_validation);
         if let Some(t) = telemetry {
             peer.set_telemetry(t);
         }
@@ -1291,15 +1286,12 @@ mod tests {
     }
 
     #[test]
-    fn forked_tick_is_orthogonal_to_fanout_mode_and_validation_setting() {
+    fn forked_tick_is_orthogonal_to_fanout_mode() {
         let (mut net, blocks) = staged_tick(5, 1.0);
         let expected = net.commit_tick(&blocks, 1);
         let (mut net, blocks) = staged_tick(5, 1.0);
-        net.set_parallel_validation(true);
         net.set_fanout_mode(FanoutMode::DeepClone);
         assert_eq!(net.commit_tick(&blocks, 2), expected);
-        // Switched off beside other workers, and put back.
-        assert!(net.peers.values().all(|p| p.parallel_validation()));
     }
 
     #[test]

@@ -7,30 +7,30 @@
 //!    depend on earlier transactions in the same block: signatures, channel
 //!    membership, committed-duplicate lookup, and every endorsement-policy
 //!    evaluation (chaincode-level, collection-level, key-level/SBE, and the
-//!    defense filters) against the *pre-block* state. This stage fans out
-//!    across scoped threads when parallel validation is enabled, and
-//!    evaluates policies from the compiled caches (`InstalledChaincode::
-//!    compiled` plus the peer's interned SBE expression cache) instead of
-//!    re-parsing expressions per transaction.
+//!    defense filters) against the *pre-block* state. Policies are
+//!    evaluated from the compiled caches (`InstalledChaincode::compiled`
+//!    plus the peer's interned SBE expression cache) instead of re-parsing
+//!    expressions per transaction.
 //! 2. **Sequential stage** — the order-dependent merge: in-block duplicate
 //!    tx-ids, re-evaluation of policy checks for transactions that touch an
 //!    SBE validation parameter written earlier in the block (dirty-key
 //!    detection), MVCC version conflicts, and the state mutations of valid
 //!    transactions.
+//!
+//! Both stages run on the calling thread; the only threads on the commit
+//! path are the cross-peer workers of `FabricNetwork::commit_tick`.
 
-use crate::channel::ChannelPolicies;
 use crate::node::{InstalledChaincode, Peer};
 use crate::telemetry::PeerTelemetry;
-use fabric_crypto::{sha256, BatchVerifier};
-use fabric_ledger::{BlockStoreError, HistoryDb, WorldState};
-use fabric_policy::{EndorserSet, Policy, PolicyCache, SignaturePolicy};
+use fabric_crypto::BatchVerifier;
+use fabric_ledger::BlockStoreError;
+use fabric_policy::EndorserSet;
 use fabric_telemetry::{AuditEvent, TraceContext};
 use fabric_types::{
-    Block, ChaincodeEvent, ChaincodeId, CollectionName, DefenseConfig, Identity, OrgId,
-    PayloadCommitment, PvtDataPackage, SignatureFailure, Transaction, TxId, TxValidationCode,
-    Version,
+    Block, ChaincodeEvent, ChaincodeId, CollectionName, OrgId, PayloadCommitment, PvtDataPackage,
+    SignatureFailure, Transaction, TxId, TxValidationCode, Version,
 };
-use fabric_wire::{Encode, IdSet};
+use fabric_wire::IdSet;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -94,7 +94,7 @@ pub struct BlockCommitOutcome {
 }
 
 /// Per-transaction result of the stateless stage.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct StatelessVerdict {
     /// Failure from checks that cannot be affected by in-block state:
     /// signatures, channel membership, committed-duplicate lookup.
@@ -106,9 +106,8 @@ struct StatelessVerdict {
     policy: Option<TxValidationCode>,
     /// Audit events derived from the transaction and pre-block state
     /// alone (non-member endorsements, collection-policy fallbacks,
-    /// plaintext payloads). Computed here so the parallel fan-out absorbs
-    /// the cost; *emitted* only by the sequential stage, in block order,
-    /// so the event sequence is independent of stage-1 parallelism.
+    /// plaintext payloads). Computed here, *emitted* only by the
+    /// sequential stage, in block order.
     audit: Vec<AuditEvent>,
 }
 
@@ -131,16 +130,16 @@ type AuditFactsEntry<'a> = (
     Option<CollectionAuditFacts<'a>>,
 );
 
-/// Memo of [`CollectionAuditFacts`] for one block (or one parallel
-/// worker's chunk of it). Blocks touch few distinct (namespace,
-/// collection) pairs, so a linear scan with two string compares beats
-/// re-hashing into the chaincode and policy maps for every transaction.
+/// Memo of [`CollectionAuditFacts`] for one block. Blocks touch few
+/// distinct (namespace, collection) pairs, so a linear scan with two
+/// string compares beats re-hashing into the chaincode and policy maps
+/// for every transaction.
 /// The first few entries live inline: a block touching up to
 /// [`AUDIT_CACHE_INLINE`] pairs — the overwhelmingly common case — never
 /// heap-allocates, which matters for the no-op-telemetry overhead of
 /// single-transaction blocks.
 #[derive(Default)]
-pub(crate) struct AuditFactsCache<'a> {
+struct AuditFactsCache<'a> {
     inline: [Option<AuditFactsEntry<'a>>; AUDIT_CACHE_INLINE],
     spill: Vec<AuditFactsEntry<'a>>,
 }
@@ -240,7 +239,7 @@ impl Peer {
         let mut stage_mark = tracing.then(Instant::now);
 
         // Stage 1 — stateless: signatures and policy evaluation against
-        // the pre-block state, fanned out across threads when enabled.
+        // the pre-block state.
         let stateless_span = block_span.as_ref().map(|s| s.child("commit.stateless"));
         let mut verdicts = self.stateless_validate(&block.transactions);
         drop(stateless_span);
@@ -253,8 +252,7 @@ impl Peer {
         // Stage 2 — sequential merge: in-block duplicates, SBE dirty-key
         // re-checks, MVCC, and state mutation, in block order. The validity
         // vector is written straight into the block's metadata. Audit
-        // events are emitted from this stage only, so their sequence is
-        // identical whether stage 1 ran sequentially or fanned out.
+        // events are emitted from this stage only.
         if let Some(t) = &telemetry {
             // New block entering the merge: re-arm per-block collector
             // state (the flight recorder's trigger dedup).
@@ -355,43 +353,17 @@ impl Peer {
         })
     }
 
-    /// Runs [`Peer::stateless_checks`] over a block's transactions, fanned
-    /// out across scoped threads when parallel validation is enabled and
-    /// the block is large enough to amortize the spawns. Signatures are
-    /// verified through one [`BatchVerifier`] per block (per chunk when
-    /// fanned out), so the CA registry's lock is taken once per signing
-    /// identity instead of once per signature.
+    /// Runs [`Peer::stateless_checks`] over a block's transactions.
+    /// Signatures are verified through one [`BatchVerifier`] per block, so
+    /// the CA registry's lock is taken once per signing identity instead
+    /// of once per signature.
     fn stateless_validate(&self, transactions: &[Transaction]) -> Vec<StatelessVerdict> {
-        const MIN_PARALLEL: usize = 4;
-        // Fan out only when it can actually help: parallel validation
-        // enabled, enough transactions to amortize the spawns, and more
-        // than one hardware thread to run them on.
-        let cores = crate::host_cores();
-        if !self.parallel_validation || transactions.len() < MIN_PARALLEL || cores < 2 {
-            let mut batch = BatchVerifier::new();
-            let mut audit_cache = AuditFactsCache::default();
-            return transactions
-                .iter()
-                .map(|tx| self.stateless_checks(tx, &mut batch, &mut audit_cache))
-                .collect();
-        }
-        let workers = cores.min(transactions.len());
-        let chunk_size = transactions.len().div_ceil(workers);
-        let mut results = vec![StatelessVerdict::default(); transactions.len()];
-        std::thread::scope(|scope| {
-            let chunks = transactions.chunks(chunk_size);
-            let result_chunks = results.chunks_mut(chunk_size);
-            for (txs, out) in chunks.zip(result_chunks) {
-                scope.spawn(move || {
-                    let mut batch = BatchVerifier::new();
-                    let mut audit_cache = AuditFactsCache::default();
-                    for (tx, slot) in txs.iter().zip(out.iter_mut()) {
-                        *slot = self.stateless_checks(tx, &mut batch, &mut audit_cache);
-                    }
-                });
-            }
-        });
-        results
+        let mut batch = BatchVerifier::new();
+        let mut audit_cache = AuditFactsCache::default();
+        transactions
+            .iter()
+            .map(|tx| self.stateless_checks(tx, &mut batch, &mut audit_cache))
+            .collect()
     }
 
     /// Every check of one transaction that is independent of the other
@@ -475,147 +447,14 @@ impl Peer {
     /// rwsets, and empty results. Note it does NOT distinguish member from
     /// non-member endorsements (Use Case 1).
     fn policy_checks(&self, tx: &Transaction) -> Option<TxValidationCode> {
-        policy_checks_parts(
-            &self.chaincodes,
-            &self.channel_policies,
-            self.defense,
-            &self.sbe_policies,
-            &self.world_state,
-            tx,
-        )
-    }
-
-    /// Proof-of-policy check 2 — MVCC version conflicts against the
-    /// current state; `None` = no conflict.
-    fn mvcc_checks(&self, tx: &Transaction) -> Option<TxValidationCode> {
-        mvcc_checks_parts(&self.world_state, tx)
-    }
-
-    /// The pre-pipeline validator, kept as a cost-faithful snapshot of the
-    /// sequential commit path this PR replaced: strictly sequential, every
-    /// policy expression parsed at the point of use (no compiled caches),
-    /// two-pass signature verification, whole-list data hashing on both the
-    /// pre-check and the append, and the original clone-heavy apply path.
-    /// It serves as the semantic oracle for the pipeline-equivalence
-    /// proptest and as the baseline the `commit_throughput` bench compares
-    /// the staged pipeline against.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Peer::process_block`].
-    pub fn process_block_reference(
-        &mut self,
-        block: Block,
-        pvt_provider: &mut PvtDataProvider<'_>,
-    ) -> Result<BlockCommitOutcome, CommitError> {
-        Self::reference_check_extends(&self.block_store, &block)?;
-
-        let block_num = block.header.number;
-        let mut codes = Vec::with_capacity(block.transactions.len());
-        let mut missing = Vec::new();
-        let mut events = Vec::new();
-        let mut seen_in_block: HashSet<TxId> = HashSet::new();
-
-        for (i, tx) in block.transactions.iter().enumerate() {
-            let code = if seen_in_block.contains(&tx.tx_id) {
-                TxValidationCode::DuplicateTxId
-            } else {
-                self.reference_validate(tx)
-            };
-            seen_in_block.insert(tx.tx_id.clone());
-            if code.is_valid() {
-                let version = Version::new(block_num, i as u64);
-                if !self.reference_apply_transaction(tx, version, pvt_provider) {
-                    missing.push(tx.tx_id.clone());
-                }
-                if let Some(event) = &tx.payload.event {
-                    events.push((tx.tx_id.clone(), event.clone()));
-                }
-            }
-            codes.push(code);
-        }
-
-        let mut block = block;
-        block.metadata.validation_codes = codes.clone();
-        // The original `append` re-ran every structural check, re-hashing
-        // the whole transaction list a second time.
-        Self::reference_check_extends(&self.block_store, &block)?;
-        self.block_store.append_unchecked(block);
-        self.purge_expired(block_num);
-
-        Ok(BlockCommitOutcome {
-            validation_codes: codes,
-            missing_private_data: missing,
-            events,
-        })
-    }
-
-    /// The structural block checks as the pre-pipeline path performed
-    /// them: the data hash is recomputed from a deep copy of the
-    /// transaction list, so no memoized digest is trusted or left behind.
-    fn reference_check_extends(
-        store: &fabric_ledger::BlockStore,
-        block: &Block,
-    ) -> Result<(), CommitError> {
-        let expected_number = store.height();
-        if block.header.number != expected_number {
-            return Err(BlockStoreError::NonSequentialNumber {
-                expected: expected_number,
-                found: block.header.number,
-            }
-            .into());
-        }
-        let expected_prev = store.tip_hash();
-        if block.header.previous_hash != expected_prev {
-            return Err(BlockStoreError::BrokenChain {
-                expected: expected_prev,
-                found: block.header.previous_hash,
-            }
-            .into());
-        }
-        let mut preimage = (block.transactions.len() as u64).to_wire();
-        for tx in block.transactions.iter() {
-            preimage.extend_from_slice(sha256(&tx.clone().to_wire()).as_bytes());
-        }
-        if block.header.data_hash != sha256(&preimage) {
-            return Err(BlockStoreError::DataHashMismatch.into());
-        }
-        Ok(())
-    }
-
-    /// The pre-pipeline signature checks: client and endorsement passes
-    /// serialize the signed payload independently.
-    fn reference_signature_check(tx: &Transaction) -> Option<TxValidationCode> {
-        if !tx.verify_client_signature() {
-            return Some(TxValidationCode::InvalidClientSignature);
-        }
-        if tx.endorsements.is_empty() || !tx.verify_endorsement_signatures() {
-            return Some(TxValidationCode::InvalidEndorserSignature);
-        }
-        None
-    }
-
-    /// One transaction through the reference validator: identical check
-    /// order to [`Peer::validate_transaction`], but every policy expression
-    /// is parsed afresh.
-    fn reference_validate(&self, tx: &Transaction) -> TxValidationCode {
-        if let Some(code) = Self::reference_signature_check(tx) {
-            return code;
-        }
-        if tx.channel != self.channel {
-            return TxValidationCode::BadPayload;
-        }
-        if self.block_store.contains_tx(&tx.tx_id) {
-            return TxValidationCode::DuplicateTxId;
-        }
-
-        let endorsers: Vec<Identity> = tx.endorsements.iter().map(|e| e.endorser.clone()).collect();
+        // De-duplicated once; every policy below is evaluated against it.
+        let endorsers: EndorserSet<'_> = tx.endorsements.iter().map(|e| &e.endorser).collect();
 
         for ns in &tx.payload.results.ns_rwsets {
             let Some(installed) = self.chaincodes.get(&ns.namespace) else {
-                return TxValidationCode::BadPayload;
+                return Some(TxValidationCode::BadPayload);
             };
-            let def = &installed.definition;
+            let compiled = &installed.compiled;
 
             let mut non_sbe_public_writes = false;
             let touched_keys = ns
@@ -630,11 +469,11 @@ impl Peer {
                     .get_validation_parameter(&ns.namespace, key)
                 {
                     Some(expr) => {
-                        let Ok(key_policy) = SignaturePolicy::parse(expr) else {
-                            return TxValidationCode::BadPayload;
+                        let Some(key_policy) = self.sbe_policies.get_or_parse(expr) else {
+                            return Some(TxValidationCode::BadPayload);
                         };
-                        if !key_policy.satisfied_by(&endorsers) {
-                            return TxValidationCode::EndorsementPolicyFailure;
+                        if !key_policy.satisfied_by_set(&endorsers) {
+                            return Some(TxValidationCode::EndorsementPolicyFailure);
                         }
                     }
                     None => non_sbe_public_writes = true,
@@ -646,51 +485,82 @@ impl Peer {
                 || !ns.collections.is_empty()
                 || (ns.public.writes.is_empty() && ns.metadata_writes.is_empty());
             if needs_chaincode_policy {
-                let Ok(cc_policy) = Policy::parse(&def.endorsement_policy) else {
-                    return TxValidationCode::BadPayload;
+                let Some(cc_policy) = compiled.endorsement() else {
+                    return Some(TxValidationCode::BadPayload);
                 };
-                if !cc_policy.evaluate(self.channel_policies.org_policies(), &endorsers) {
-                    return TxValidationCode::EndorsementPolicyFailure;
+                if !cc_policy.evaluate_set(self.channel_policies.org_policies(), &endorsers) {
+                    return Some(TxValidationCode::EndorsementPolicyFailure);
                 }
             }
 
             for col in &ns.collections {
-                let Some(cfg) = def.collection(&col.collection) else {
-                    return TxValidationCode::BadPayload;
-                };
+                if installed.definition.collection(&col.collection).is_none() {
+                    return Some(TxValidationCode::BadPayload);
+                }
                 let has_writes = !col.writes.is_empty();
                 let has_reads = !col.reads.is_empty();
-                let apply_collection_policy = cfg.endorsement_policy.is_some()
-                    && (has_writes || (self.defense.collection_policy_for_reads && has_reads));
-                if apply_collection_policy {
-                    let expr = cfg
-                        .endorsement_policy
-                        .as_deref()
-                        .expect("checked is_some above");
-                    let Ok(col_policy) = SignaturePolicy::parse(expr) else {
-                        return TxValidationCode::BadPayload;
-                    };
-                    if !col_policy.satisfied_by(&endorsers) {
-                        return TxValidationCode::EndorsementPolicyFailure;
+                // Original Fabric: the collection-level policy (when
+                // defined) governs transactions that *write* the
+                // collection; read-only transactions are always validated
+                // with the chaincode-level policy (Use Case 2, per the
+                // key-level validator in the Fabric source).
+                // New Feature 1 extends the collection-level policy to
+                // read-only transactions (§IV-C1).
+                if has_writes || (self.defense.collection_policy_for_reads && has_reads) {
+                    if let Some(col_policy) = compiled.collection_endorsement(&col.collection) {
+                        let Some(col_policy) = col_policy else {
+                            return Some(TxValidationCode::BadPayload);
+                        };
+                        if !col_policy.satisfied_by_set(&endorsers) {
+                            return Some(TxValidationCode::EndorsementPolicyFailure);
+                        }
                     }
                 }
+                // Supplemental defense: reject endorsements by peers whose
+                // org is not a member of the touched collection.
                 if self.defense.filter_non_member_endorsers {
                     let all_members = endorsers
                         .iter()
-                        .all(|e| def.org_is_member(&e.org, &col.collection));
+                        .all(|e| compiled.org_is_member(&e.org, &col.collection));
                     if !all_members {
-                        return TxValidationCode::NonMemberEndorsement;
+                        return Some(TxValidationCode::NonMemberEndorsement);
                     }
                 }
             }
         }
-        self.mvcc_checks(tx).unwrap_or(TxValidationCode::Valid)
+        None
     }
 
-    /// The pre-pipeline apply path, kept verbatim: clones the namespace
-    /// rwsets and the private-data package, and verifies plaintext by
-    /// materializing a fully hashed copy (`to_hashed`) before applying.
-    fn reference_apply_transaction(
+    /// Proof-of-policy check 2 — MVCC version conflicts against the
+    /// current state; `None` = no conflict. Only versions are compared;
+    /// chaincode is never re-executed, so fabricated values with correct
+    /// versions pass (§IV-A1).
+    pub(crate) fn mvcc_checks(&self, tx: &Transaction) -> Option<TxValidationCode> {
+        for ns in &tx.payload.results.ns_rwsets {
+            if self
+                .world_state
+                .check_mvcc_public(&ns.namespace, &ns.public.reads)
+                .is_err()
+            {
+                return Some(TxValidationCode::MvccReadConflict);
+            }
+            for col in &ns.collections {
+                if self
+                    .world_state
+                    .check_mvcc_hashed(&ns.namespace, &col.collection, &col.reads)
+                    .is_err()
+                {
+                    return Some(TxValidationCode::MvccReadConflict);
+                }
+            }
+        }
+        None
+    }
+
+    /// Applies a valid transaction's writes at `version`. Returns `false`
+    /// when this peer is a member of a written collection but could not
+    /// obtain matching plaintext (hashes were committed regardless).
+    fn apply_transaction(
         &mut self,
         tx: &Transaction,
         version: Version,
@@ -699,10 +569,7 @@ impl Peer {
         let mut plaintext_complete = true;
         let mut package: Option<Option<Arc<PvtDataPackage>>> = None;
 
-        // Collect namespaces first to end the immutable borrow of
-        // `self.chaincodes` before mutating the world state.
-        let ns_rwsets = tx.payload.results.ns_rwsets.clone();
-        for ns in &ns_rwsets {
+        for ns in &tx.payload.results.ns_rwsets {
             self.world_state
                 .apply_public_writes(&ns.namespace, &ns.public, version);
             self.world_state
@@ -721,19 +588,21 @@ impl Peer {
                 if col.writes.is_empty() {
                     continue;
                 }
-                let is_member = self.is_collection_member(&ns.namespace, &col.collection);
+                let is_member = self
+                    .chaincodes
+                    .get(&ns.namespace)
+                    .is_some_and(|cc| cc.memberships.contains(&col.collection));
                 let mut applied_plaintext = false;
                 if is_member {
-                    // Cost-faithful to the pre-pipeline path: the package
-                    // is deep-cloned per collection, as the original
-                    // owned-provider code did.
                     let pkg = package
                         .get_or_insert_with(|| pvt_provider(&tx.tx_id))
-                        .as_ref()
-                        .map(|p| (**p).clone());
+                        .as_ref();
                     if let Some(pkg) = pkg {
                         // Verify plaintext against committed hashes before
-                        // updating the ledger (Fig. 2, step 18).
+                        // updating the ledger (Fig. 2, step 18). The
+                        // verify-and-apply entry point hashes each key and
+                        // value exactly once instead of materializing a
+                        // full hashed copy of the plaintext rwset.
                         let matching = pkg
                             .namespaces
                             .iter()
@@ -741,11 +610,12 @@ impl Peer {
                             .find(|(n, c)| **n == ns.namespace && c.collection == col.collection)
                             .map(|(_, c)| c);
                         if let Some(pvt) = matching {
-                            if pvt.to_hashed() == *col {
-                                self.world_state
-                                    .apply_private_writes(&ns.namespace, pvt, version);
-                                applied_plaintext = true;
-                            }
+                            applied_plaintext = self.world_state.apply_private_writes_verified(
+                                &ns.namespace,
+                                pvt,
+                                col,
+                                version,
+                            );
                         }
                     }
                 }
@@ -765,36 +635,23 @@ impl Peer {
         plaintext_complete
     }
 
-    /// Applies a valid transaction's writes at `version`. Returns `false`
-    /// when this peer is a member of a written collection but could not
-    /// obtain matching plaintext (hashes were committed regardless).
-    fn apply_transaction(
-        &mut self,
-        tx: &Transaction,
-        version: Version,
-        pvt_provider: &mut PvtDataProvider<'_>,
-    ) -> bool {
-        apply_transaction_parts(
-            &self.chaincodes,
-            &mut self.world_state,
-            &mut self.history,
-            tx,
-            version,
-            pvt_provider,
-        )
-    }
-
-    fn purge_expired(&mut self, current_block: u64) {
-        purge_expired_parts(&self.chaincodes, &mut self.world_state, current_block);
+    /// Purges expired private data for every collection with a
+    /// block-to-live bound.
+    pub(crate) fn purge_expired(&mut self, current_block: u64) {
+        for cc in self.chaincodes.values() {
+            for c in &cc.definition.collections {
+                if c.block_to_live > 0 {
+                    self.world_state
+                        .purge_expired_private(&c.name, c.block_to_live, current_block);
+                }
+            }
+        }
     }
 }
 
 /// Whether `tx` touches (writes or re-parameterizes) a key whose SBE
 /// validation parameter changed earlier in the current block.
-pub(crate) fn touches_dirty_params(
-    tx: &Transaction,
-    dirty: &HashSet<(&ChaincodeId, &str)>,
-) -> bool {
+fn touches_dirty_params(tx: &Transaction, dirty: &HashSet<(&ChaincodeId, &str)>) -> bool {
     if dirty.is_empty() {
         return false;
     }
@@ -814,7 +671,7 @@ pub(crate) fn touches_dirty_params(
 /// payloads riding PDC transactions (Use Case 3). Runs in the
 /// stateless stage (chaincode definitions cannot change inside a
 /// block); the common no-signal case allocates nothing.
-pub(crate) fn stateless_audit<'a>(
+fn stateless_audit<'a>(
     chaincodes: &'a HashMap<ChaincodeId, InstalledChaincode>,
     tx: &'a Transaction,
     cache: &mut AuditFactsCache<'a>,
@@ -865,9 +722,8 @@ pub(crate) fn stateless_audit<'a>(
 /// Emits `tx`'s audit events: the pre-computed stateless signals
 /// first, then the outcome-dependent ones (SBE re-checks, MVCC
 /// conflicts, defense rejections). Called from the sequential merge
-/// stage only, in block order, so the emitted sequence is independent
-/// of stage-1 parallelism.
-pub(crate) fn audit_transaction(
+/// stage only, in block order.
+fn audit_transaction(
     t: &PeerTelemetry,
     tx: &Transaction,
     code: TxValidationCode,
@@ -900,7 +756,7 @@ pub(crate) fn audit_transaction(
 /// Flushes per-block counters and gauges after a successful commit.
 /// Validation codes are tallied locally first so each series costs one
 /// registry lookup per block, not one per transaction.
-pub(crate) fn record_block_metrics(
+fn record_block_metrics(
     t: &PeerTelemetry,
     block_num: u64,
     codes: &[TxValidationCode],
@@ -944,7 +800,7 @@ pub(crate) fn record_block_metrics(
 ///
 /// Uses the combined [`Transaction::verify_signatures`] pass over the
 /// transaction's memoized digests.
-pub(crate) fn signature_check(tx: &Transaction) -> Option<TxValidationCode> {
+fn signature_check(tx: &Transaction) -> Option<TxValidationCode> {
     match tx.verify_signatures() {
         None => None,
         Some(SignatureFailure::Client) => Some(TxValidationCode::InvalidClientSignature),
@@ -955,7 +811,7 @@ pub(crate) fn signature_check(tx: &Transaction) -> Option<TxValidationCode> {
 /// [`signature_check`] through a [`BatchVerifier`], amortizing endorser-
 /// identity resolution across every transaction verified with the same
 /// batch. Identical outcomes to the per-call path.
-pub(crate) fn signature_check_batched(
+fn signature_check_batched(
     tx: &Transaction,
     batch: &mut BatchVerifier,
 ) -> Option<TxValidationCode> {
@@ -963,228 +819,6 @@ pub(crate) fn signature_check_batched(
         None => None,
         Some(SignatureFailure::Client) => Some(TxValidationCode::InvalidClientSignature),
         Some(SignatureFailure::Endorsement) => Some(TxValidationCode::InvalidEndorserSignature),
-    }
-}
-
-/// Proof-of-policy check 1 — endorsement policies, evaluated from the
-/// compiled caches against the supplied world state; `None` = satisfied.
-///
-/// Split out of [`Peer::policy_checks`] so the overlap scheduler's merge
-/// stage can re-evaluate policies against the live state while the
-/// producer thread holds other parts of the peer. Semantics are
-/// identical to the per-block pipeline: key-level (state-based)
-/// endorsement first, then the chaincode-level policy for everything not
-/// fully covered by key-level parameters, then collection-level policies
-/// and the non-member-endorser defense filter.
-pub(crate) fn policy_checks_parts(
-    chaincodes: &HashMap<ChaincodeId, InstalledChaincode>,
-    channel_policies: &ChannelPolicies,
-    defense: DefenseConfig,
-    sbe_policies: &PolicyCache,
-    world_state: &WorldState,
-    tx: &Transaction,
-) -> Option<TxValidationCode> {
-    // De-duplicated once; every policy below is evaluated against it.
-    let endorsers: EndorserSet<'_> = tx.endorsements.iter().map(|e| &e.endorser).collect();
-
-    for ns in &tx.payload.results.ns_rwsets {
-        let Some(installed) = chaincodes.get(&ns.namespace) else {
-            return Some(TxValidationCode::BadPayload);
-        };
-        let compiled = &installed.compiled;
-
-        let mut non_sbe_public_writes = false;
-        let touched_keys = ns
-            .public
-            .writes
-            .iter()
-            .map(|w| w.key.as_str())
-            .chain(ns.metadata_writes.iter().map(|m| m.key.as_str()));
-        for key in touched_keys {
-            match world_state.get_validation_parameter(&ns.namespace, key) {
-                Some(expr) => {
-                    let Some(key_policy) = sbe_policies.get_or_parse(expr) else {
-                        return Some(TxValidationCode::BadPayload);
-                    };
-                    if !key_policy.satisfied_by_set(&endorsers) {
-                        return Some(TxValidationCode::EndorsementPolicyFailure);
-                    }
-                }
-                None => non_sbe_public_writes = true,
-            }
-        }
-
-        let needs_chaincode_policy = !ns.public.reads.is_empty()
-            || non_sbe_public_writes
-            || !ns.collections.is_empty()
-            || (ns.public.writes.is_empty() && ns.metadata_writes.is_empty());
-        if needs_chaincode_policy {
-            let Some(cc_policy) = compiled.endorsement() else {
-                return Some(TxValidationCode::BadPayload);
-            };
-            if !cc_policy.evaluate_set(channel_policies.org_policies(), &endorsers) {
-                return Some(TxValidationCode::EndorsementPolicyFailure);
-            }
-        }
-
-        for col in &ns.collections {
-            if installed.definition.collection(&col.collection).is_none() {
-                return Some(TxValidationCode::BadPayload);
-            }
-            let has_writes = !col.writes.is_empty();
-            let has_reads = !col.reads.is_empty();
-            // Original Fabric: the collection-level policy (when
-            // defined) governs transactions that *write* the
-            // collection; read-only transactions are always validated
-            // with the chaincode-level policy (Use Case 2, per the
-            // key-level validator in the Fabric source).
-            // New Feature 1 extends the collection-level policy to
-            // read-only transactions (§IV-C1).
-            if has_writes || (defense.collection_policy_for_reads && has_reads) {
-                if let Some(col_policy) = compiled.collection_endorsement(&col.collection) {
-                    let Some(col_policy) = col_policy else {
-                        return Some(TxValidationCode::BadPayload);
-                    };
-                    if !col_policy.satisfied_by_set(&endorsers) {
-                        return Some(TxValidationCode::EndorsementPolicyFailure);
-                    }
-                }
-            }
-            // Supplemental defense: reject endorsements by peers whose
-            // org is not a member of the touched collection.
-            if defense.filter_non_member_endorsers {
-                let all_members = endorsers
-                    .iter()
-                    .all(|e| compiled.org_is_member(&e.org, &col.collection));
-                if !all_members {
-                    return Some(TxValidationCode::NonMemberEndorsement);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Proof-of-policy check 2 — MVCC version conflicts against the
-/// supplied state; `None` = no conflict. Only versions are compared;
-/// chaincode is never re-executed, so fabricated values with correct
-/// versions pass (§IV-A1).
-pub(crate) fn mvcc_checks_parts(
-    world_state: &WorldState,
-    tx: &Transaction,
-) -> Option<TxValidationCode> {
-    for ns in &tx.payload.results.ns_rwsets {
-        if world_state
-            .check_mvcc_public(&ns.namespace, &ns.public.reads)
-            .is_err()
-        {
-            return Some(TxValidationCode::MvccReadConflict);
-        }
-        for col in &ns.collections {
-            if world_state
-                .check_mvcc_hashed(&ns.namespace, &col.collection, &col.reads)
-                .is_err()
-            {
-                return Some(TxValidationCode::MvccReadConflict);
-            }
-        }
-    }
-    None
-}
-
-/// Applies a valid transaction's writes at `version` to the supplied
-/// ledger parts. Returns `false` when this peer is a member of a written
-/// collection but could not obtain matching plaintext (hashes were
-/// committed regardless).
-pub(crate) fn apply_transaction_parts(
-    chaincodes: &HashMap<ChaincodeId, InstalledChaincode>,
-    world_state: &mut WorldState,
-    history: &mut HistoryDb,
-    tx: &Transaction,
-    version: Version,
-    pvt_provider: &mut PvtDataProvider<'_>,
-) -> bool {
-    let mut plaintext_complete = true;
-    let mut package: Option<Option<Arc<PvtDataPackage>>> = None;
-
-    for ns in &tx.payload.results.ns_rwsets {
-        world_state.apply_public_writes(&ns.namespace, &ns.public, version);
-        world_state.apply_metadata_writes(&ns.namespace, &ns.metadata_writes);
-        for w in &ns.public.writes {
-            history.record(
-                &ns.namespace,
-                &w.key,
-                &tx.tx_id,
-                version,
-                w.value.clone(),
-                w.is_delete,
-            );
-        }
-        for col in &ns.collections {
-            if col.writes.is_empty() {
-                continue;
-            }
-            let is_member = chaincodes
-                .get(&ns.namespace)
-                .is_some_and(|cc| cc.memberships.contains(&col.collection));
-            let mut applied_plaintext = false;
-            if is_member {
-                let pkg = package
-                    .get_or_insert_with(|| pvt_provider(&tx.tx_id))
-                    .as_ref();
-                if let Some(pkg) = pkg {
-                    // Verify plaintext against committed hashes before
-                    // updating the ledger (Fig. 2, step 18). The
-                    // verify-and-apply entry point hashes each key and
-                    // value exactly once instead of materializing a
-                    // full hashed copy of the plaintext rwset.
-                    let matching = pkg
-                        .namespaces
-                        .iter()
-                        .zip(&pkg.collections)
-                        .find(|(n, c)| **n == ns.namespace && c.collection == col.collection)
-                        .map(|(_, c)| c);
-                    if let Some(pvt) = matching {
-                        applied_plaintext = world_state.apply_private_writes_verified(
-                            &ns.namespace,
-                            pvt,
-                            col,
-                            version,
-                        );
-                    }
-                }
-            }
-            if !applied_plaintext {
-                world_state.apply_hashed_writes(
-                    &ns.namespace,
-                    &col.collection,
-                    &col.writes,
-                    version,
-                );
-                if is_member {
-                    plaintext_complete = false;
-                }
-            }
-        }
-    }
-    plaintext_complete
-}
-
-/// Purges expired private data for every collection with a block-to-live
-/// bound, against the supplied ledger parts.
-pub(crate) fn purge_expired_parts(
-    chaincodes: &HashMap<ChaincodeId, InstalledChaincode>,
-    world_state: &mut WorldState,
-    current_block: u64,
-) {
-    let collections: Vec<(fabric_types::CollectionName, u64)> = chaincodes
-        .values()
-        .flat_map(|cc| cc.definition.collections.iter())
-        .filter(|c| c.block_to_live > 0)
-        .map(|c| (c.name.clone(), c.block_to_live))
-        .collect();
-    for (name, btl) in collections {
-        world_state.purge_expired_private(&name, btl, current_block);
     }
 }
 
@@ -1196,7 +830,8 @@ mod tests {
     use fabric_chaincode::ChaincodeDefinition;
     use fabric_crypto::Keypair;
     use fabric_types::{
-        CollectionConfig, CollectionName, DefenseConfig, Endorsement, OrgId, Proposal, Role,
+        CollectionConfig, CollectionName, DefenseConfig, Endorsement, Identity, OrgId, Proposal,
+        Role,
     };
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -1435,31 +1070,54 @@ mod tests {
         let ref_outcome = reference
             .process_block_reference(block_of(&reference, txs.clone()), &mut provider)
             .unwrap();
-        for parallel in [false, true] {
-            let mut pipelined = p1.clone();
-            pipelined.set_parallel_validation(parallel);
-            let outcome = pipelined
-                .process_block(block_of(&pipelined, txs.clone()), &mut provider)
-                .unwrap();
-            assert_eq!(outcome, ref_outcome, "parallel={parallel}");
-            assert_eq!(pipelined.world_state(), reference.world_state());
-            assert_eq!(
-                pipelined.block_store().tip_hash(),
-                reference.block_store().tip_hash()
-            );
-        }
+        let mut pipelined = p1.clone();
+        let outcome = pipelined
+            .process_block(block_of(&pipelined, txs), &mut provider)
+            .unwrap();
+        assert_eq!(outcome, ref_outcome);
+        assert_eq!(pipelined.world_state(), reference.world_state());
+        assert_eq!(
+            pipelined.block_store().tip_hash(),
+            reference.block_store().tip_hash()
+        );
     }
 
     #[test]
     fn non_chaining_block_rejected_without_commit() {
         let mut p1 = make_peer("peer0.org1", "Org1MSP", 61);
         let p2 = make_peer("peer0.org2", "Org2MSP", 62);
-        let (tx, pkg) = write_tx(&[&p1.clone(), &p2], 7, 6);
-        let bad = Block::new(5, fabric_crypto::sha256(b"bogus"), vec![tx]);
+        // One committed block first, so "unchanged" is not "empty".
+        let (first, first_pkg) = write_tx(&[&p1.clone(), &p2], 7, 6);
+        let mut with_first = |_: &TxId| Some(first_pkg.clone());
+        p1.process_block(block_of(&p1, vec![first]), &mut with_first)
+            .unwrap();
+
+        // A transaction that would commit on a block that extends the chain.
+        let (tx, pkg) = write_tx(&[&p1.clone(), &p2], 8, 16);
+        let height = p1.block_store().height();
+        let tip = p1.block_store().tip_hash();
+        let bogus = fabric_crypto::sha256(b"bogus");
+        let mut wrong_data_hash = Block::new(height, tip, vec![tx.clone()]);
+        wrong_data_hash.header.data_hash = bogus;
+        let cases = [
+            (
+                "non_sequential_number",
+                Block::new(height + 4, tip, vec![tx.clone()]),
+            ),
+            ("broken_chain", Block::new(height, bogus, vec![tx.clone()])),
+            ("data_hash_mismatch", wrong_data_hash),
+        ];
+
+        let digest = p1.world_state().digest();
         let mut with_pkg = |_: &TxId| Some(pkg.clone());
-        assert!(p1.process_block(bad, &mut with_pkg).is_err());
-        assert_eq!(p1.block_store().height(), 0);
-        assert_eq!(p1.world_state().hashed_len(), 0);
+        for (kind, bad) in cases {
+            let err = p1.process_block(bad, &mut with_pkg).unwrap_err();
+            assert_eq!(err.kind(), kind);
+            assert_eq!(p1.block_store().height(), height, "{kind}");
+            assert_eq!(p1.block_store().tip_hash(), tip, "{kind}");
+            assert_eq!(p1.world_state().digest(), digest, "{kind}");
+            assert!(!p1.block_store().contains_tx(&tx.tx_id), "{kind}");
+        }
     }
 
     #[test]

@@ -22,24 +22,10 @@ mod channel;
 mod commit;
 mod endorse;
 mod node;
-mod sched;
+mod reference;
 mod telemetry;
 
-pub use channel::{ChannelPolicies, CommitLane, ShardedScheduler};
+pub use channel::ChannelPolicies;
 pub use commit::{BlockCommitOutcome, CommitError, PvtDataProvider};
 pub use endorse::EndorseError;
 pub use node::{InstalledChaincode, Peer};
-
-/// Hardware threads available to this process, resolved on first use and
-/// fixed for the process's life. Every "is fanning out worth it" decision
-/// on the commit path reads this instead of asking the OS again: the
-/// query is a syscall costing tens of microseconds, more than a small
-/// block's whole validation.
-pub fn host_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1)
-    })
-}

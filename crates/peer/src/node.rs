@@ -50,7 +50,6 @@ pub struct Peer {
     pub(crate) chaincodes: HashMap<ChaincodeId, InstalledChaincode>,
     pub(crate) channel_policies: ChannelPolicies,
     pub(crate) defense: DefenseConfig,
-    pub(crate) parallel_validation: bool,
     /// Interned state-based-endorsement policy expressions (the key-level
     /// validation parameters live in the world state as strings).
     pub(crate) sbe_policies: PolicyCache,
@@ -83,7 +82,6 @@ impl Peer {
             chaincodes: HashMap::new(),
             channel_policies,
             defense,
-            parallel_validation: false,
             sbe_policies: PolicyCache::new(),
             telemetry: None,
         }
@@ -138,19 +136,6 @@ impl Peer {
     /// original vs. modified framework on the same network).
     pub fn set_defense(&mut self, defense: DefenseConfig) {
         self.defense = defense;
-    }
-
-    /// Enables fan-out of the per-transaction stateless validation pass
-    /// (signatures + endorsement-policy evaluation against the pre-block
-    /// state) across threads during block validation. An optimization knob;
-    /// results are identical to sequential validation.
-    pub fn set_parallel_validation(&mut self, enabled: bool) {
-        self.parallel_validation = enabled;
-    }
-
-    /// Whether the staged parallel validation pipeline is enabled.
-    pub fn parallel_validation(&self) -> bool {
-        self.parallel_validation
     }
 
     /// Attaches a shared telemetry pipeline. Endorsement and block

@@ -1,0 +1,290 @@
+//! The reference validator: the oracle the equivalence tests and the
+//! `commit_throughput` baseline compare [`Peer::process_block`] against.
+//! Not part of the shipped commit path.
+
+use crate::commit::{BlockCommitOutcome, CommitError, PvtDataProvider};
+use crate::node::Peer;
+use fabric_crypto::sha256;
+use fabric_ledger::BlockStoreError;
+use fabric_policy::{Policy, SignaturePolicy};
+use fabric_types::{Block, Identity, PvtDataPackage, Transaction, TxId, TxValidationCode, Version};
+use fabric_wire::Encode;
+use std::collections::HashSet;
+use std::sync::Arc;
+
+impl Peer {
+    /// The pre-pipeline validator, kept as a cost-faithful snapshot of the
+    /// sequential commit path this PR replaced: strictly sequential, every
+    /// policy expression parsed at the point of use (no compiled caches),
+    /// two-pass signature verification, whole-list data hashing on both the
+    /// pre-check and the append, and the original clone-heavy apply path.
+    /// It serves as the semantic oracle for the pipeline-equivalence
+    /// proptest and as the baseline the `commit_throughput` bench compares
+    /// the staged pipeline against.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Peer::process_block`].
+    #[doc(hidden)]
+    pub fn process_block_reference(
+        &mut self,
+        block: Block,
+        pvt_provider: &mut PvtDataProvider<'_>,
+    ) -> Result<BlockCommitOutcome, CommitError> {
+        Self::reference_check_extends(&self.block_store, &block)?;
+
+        let block_num = block.header.number;
+        let mut codes = Vec::with_capacity(block.transactions.len());
+        let mut missing = Vec::new();
+        let mut events = Vec::new();
+        let mut seen_in_block: HashSet<TxId> = HashSet::new();
+
+        for (i, tx) in block.transactions.iter().enumerate() {
+            let code = if seen_in_block.contains(&tx.tx_id) {
+                TxValidationCode::DuplicateTxId
+            } else {
+                self.reference_validate(tx)
+            };
+            seen_in_block.insert(tx.tx_id.clone());
+            if code.is_valid() {
+                let version = Version::new(block_num, i as u64);
+                if !self.reference_apply_transaction(tx, version, pvt_provider) {
+                    missing.push(tx.tx_id.clone());
+                }
+                if let Some(event) = &tx.payload.event {
+                    events.push((tx.tx_id.clone(), event.clone()));
+                }
+            }
+            codes.push(code);
+        }
+
+        let mut block = block;
+        block.metadata.validation_codes = codes.clone();
+        // The original `append` re-ran every structural check, re-hashing
+        // the whole transaction list a second time.
+        Self::reference_check_extends(&self.block_store, &block)?;
+        self.block_store.append_unchecked(block);
+        self.purge_expired(block_num);
+
+        Ok(BlockCommitOutcome {
+            validation_codes: codes,
+            missing_private_data: missing,
+            events,
+        })
+    }
+
+    /// The structural block checks as the pre-pipeline path performed
+    /// them: the data hash is recomputed from a deep copy of the
+    /// transaction list, so no memoized digest is trusted or left behind.
+    fn reference_check_extends(
+        store: &fabric_ledger::BlockStore,
+        block: &Block,
+    ) -> Result<(), CommitError> {
+        let expected_number = store.height();
+        if block.header.number != expected_number {
+            return Err(BlockStoreError::NonSequentialNumber {
+                expected: expected_number,
+                found: block.header.number,
+            }
+            .into());
+        }
+        let expected_prev = store.tip_hash();
+        if block.header.previous_hash != expected_prev {
+            return Err(BlockStoreError::BrokenChain {
+                expected: expected_prev,
+                found: block.header.previous_hash,
+            }
+            .into());
+        }
+        let mut preimage = (block.transactions.len() as u64).to_wire();
+        for tx in block.transactions.iter() {
+            preimage.extend_from_slice(sha256(&tx.clone().to_wire()).as_bytes());
+        }
+        if block.header.data_hash != sha256(&preimage) {
+            return Err(BlockStoreError::DataHashMismatch.into());
+        }
+        Ok(())
+    }
+
+    /// The pre-pipeline signature checks: client and endorsement passes
+    /// serialize the signed payload independently.
+    fn reference_signature_check(tx: &Transaction) -> Option<TxValidationCode> {
+        if !tx.verify_client_signature() {
+            return Some(TxValidationCode::InvalidClientSignature);
+        }
+        if tx.endorsements.is_empty() || !tx.verify_endorsement_signatures() {
+            return Some(TxValidationCode::InvalidEndorserSignature);
+        }
+        None
+    }
+
+    /// One transaction through the reference validator: identical check
+    /// order to [`Peer::validate_transaction`], but every policy expression
+    /// is parsed afresh.
+    fn reference_validate(&self, tx: &Transaction) -> TxValidationCode {
+        if let Some(code) = Self::reference_signature_check(tx) {
+            return code;
+        }
+        if tx.channel != self.channel {
+            return TxValidationCode::BadPayload;
+        }
+        if self.block_store.contains_tx(&tx.tx_id) {
+            return TxValidationCode::DuplicateTxId;
+        }
+
+        let endorsers: Vec<Identity> = tx.endorsements.iter().map(|e| e.endorser.clone()).collect();
+
+        for ns in &tx.payload.results.ns_rwsets {
+            let Some(installed) = self.chaincodes.get(&ns.namespace) else {
+                return TxValidationCode::BadPayload;
+            };
+            let def = &installed.definition;
+
+            let mut non_sbe_public_writes = false;
+            let touched_keys = ns
+                .public
+                .writes
+                .iter()
+                .map(|w| w.key.as_str())
+                .chain(ns.metadata_writes.iter().map(|m| m.key.as_str()));
+            for key in touched_keys {
+                match self
+                    .world_state
+                    .get_validation_parameter(&ns.namespace, key)
+                {
+                    Some(expr) => {
+                        let Ok(key_policy) = SignaturePolicy::parse(expr) else {
+                            return TxValidationCode::BadPayload;
+                        };
+                        if !key_policy.satisfied_by(&endorsers) {
+                            return TxValidationCode::EndorsementPolicyFailure;
+                        }
+                    }
+                    None => non_sbe_public_writes = true,
+                }
+            }
+
+            let needs_chaincode_policy = !ns.public.reads.is_empty()
+                || non_sbe_public_writes
+                || !ns.collections.is_empty()
+                || (ns.public.writes.is_empty() && ns.metadata_writes.is_empty());
+            if needs_chaincode_policy {
+                let Ok(cc_policy) = Policy::parse(&def.endorsement_policy) else {
+                    return TxValidationCode::BadPayload;
+                };
+                if !cc_policy.evaluate(self.channel_policies.org_policies(), &endorsers) {
+                    return TxValidationCode::EndorsementPolicyFailure;
+                }
+            }
+
+            for col in &ns.collections {
+                let Some(cfg) = def.collection(&col.collection) else {
+                    return TxValidationCode::BadPayload;
+                };
+                let has_writes = !col.writes.is_empty();
+                let has_reads = !col.reads.is_empty();
+                let apply_collection_policy = cfg.endorsement_policy.is_some()
+                    && (has_writes || (self.defense.collection_policy_for_reads && has_reads));
+                if apply_collection_policy {
+                    let expr = cfg
+                        .endorsement_policy
+                        .as_deref()
+                        .expect("checked is_some above");
+                    let Ok(col_policy) = SignaturePolicy::parse(expr) else {
+                        return TxValidationCode::BadPayload;
+                    };
+                    if !col_policy.satisfied_by(&endorsers) {
+                        return TxValidationCode::EndorsementPolicyFailure;
+                    }
+                }
+                if self.defense.filter_non_member_endorsers {
+                    let all_members = endorsers
+                        .iter()
+                        .all(|e| def.org_is_member(&e.org, &col.collection));
+                    if !all_members {
+                        return TxValidationCode::NonMemberEndorsement;
+                    }
+                }
+            }
+        }
+        self.mvcc_checks(tx).unwrap_or(TxValidationCode::Valid)
+    }
+
+    /// The pre-pipeline apply path, kept verbatim: clones the namespace
+    /// rwsets and the private-data package, and verifies plaintext by
+    /// materializing a fully hashed copy (`to_hashed`) before applying.
+    fn reference_apply_transaction(
+        &mut self,
+        tx: &Transaction,
+        version: Version,
+        pvt_provider: &mut PvtDataProvider<'_>,
+    ) -> bool {
+        let mut plaintext_complete = true;
+        let mut package: Option<Option<Arc<PvtDataPackage>>> = None;
+
+        // Collect namespaces first to end the immutable borrow of
+        // `self.chaincodes` before mutating the world state.
+        let ns_rwsets = tx.payload.results.ns_rwsets.clone();
+        for ns in &ns_rwsets {
+            self.world_state
+                .apply_public_writes(&ns.namespace, &ns.public, version);
+            self.world_state
+                .apply_metadata_writes(&ns.namespace, &ns.metadata_writes);
+            for w in &ns.public.writes {
+                self.history.record(
+                    &ns.namespace,
+                    &w.key,
+                    &tx.tx_id,
+                    version,
+                    w.value.clone(),
+                    w.is_delete,
+                );
+            }
+            for col in &ns.collections {
+                if col.writes.is_empty() {
+                    continue;
+                }
+                let is_member = self.is_collection_member(&ns.namespace, &col.collection);
+                let mut applied_plaintext = false;
+                if is_member {
+                    // Cost-faithful to the pre-pipeline path: the package
+                    // is deep-cloned per collection, as the original
+                    // owned-provider code did.
+                    let pkg = package
+                        .get_or_insert_with(|| pvt_provider(&tx.tx_id))
+                        .as_ref()
+                        .map(|p| (**p).clone());
+                    if let Some(pkg) = pkg {
+                        // Verify plaintext against committed hashes before
+                        // updating the ledger (Fig. 2, step 18).
+                        let matching = pkg
+                            .namespaces
+                            .iter()
+                            .zip(&pkg.collections)
+                            .find(|(n, c)| **n == ns.namespace && c.collection == col.collection)
+                            .map(|(_, c)| c);
+                        if let Some(pvt) = matching {
+                            if pvt.to_hashed() == *col {
+                                self.world_state
+                                    .apply_private_writes(&ns.namespace, pvt, version);
+                                applied_plaintext = true;
+                            }
+                        }
+                    }
+                }
+                if !applied_plaintext {
+                    self.world_state.apply_hashed_writes(
+                        &ns.namespace,
+                        &col.collection,
+                        &col.writes,
+                        version,
+                    );
+                    if is_member {
+                        plaintext_complete = false;
+                    }
+                }
+            }
+        }
+        plaintext_complete
+    }
+}

@@ -115,8 +115,6 @@ pub struct WorkloadConfig {
     /// Fraction of arrivals replaced by a colluding non-member
     /// endorsement attack from the attack lab.
     pub adversarial_fraction: f64,
-    /// Validation parallelism knob, forwarded to the network.
-    pub parallel_validation: bool,
 }
 
 impl Default for WorkloadConfig {
@@ -135,7 +133,6 @@ impl Default for WorkloadConfig {
             block_to_live: 0,
             endorser_failure_prob: 0.0,
             adversarial_fraction: 0.0,
-            parallel_validation: false,
         }
     }
 }

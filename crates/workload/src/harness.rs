@@ -251,7 +251,6 @@ fn build_network(cfg: &WorkloadConfig, telemetry: &Telemetry, monitor: Monitor) 
             max_message_count: cfg.block_txs.max(1),
             batch_timeout_ticks: 2,
         })
-        .parallel_validation(cfg.parallel_validation)
         .with_telemetry(telemetry.clone())
         .with_monitor(monitor)
         .build();
@@ -604,7 +603,6 @@ mod tests {
             block_to_live: 0,
             endorser_failure_prob: 0.1,
             adversarial_fraction: 0.1,
-            parallel_validation: false,
         }
     }
 

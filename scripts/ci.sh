@@ -7,7 +7,7 @@
 #   3. `cargo build --release`                        — release build works
 #   4. `cargo test -q`                                — full test suite
 #   5. commit-throughput bench smoke run              — bench code can't
-#      rot, and the pipeline-overlap + sharded rows must keep printing
+#      rot
 #   5b. e2e-throughput bench smoke run                — the end-to-end
 #      fan-out bench must keep measuring both fan-out modes, and
 #      BENCH_e2e.json must keep its headline speedup field
@@ -49,14 +49,14 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> pipeline_equivalence test inventory"
-# The equivalence proptests are the proof the pipelined/sharded commit
-# schedulers and the zero-copy fan-out preserve the reference semantics.
+# The equivalence proptests are the proof the commit pipeline and the
+# zero-copy fan-out preserve the reference semantics.
 # A refactor that renames or drops one would silently skip the proof, so
 # the gate pins the names.
 equivalence_tests="$(cargo test --release --test pipeline_equivalence -- --list)"
 for t in \
     pipeline_matches_reference_on_random_blocks \
-    overlap_matches_reference_on_random_streams \
+    streams_match_reference_on_random_blocks \
     alert_log_is_deterministic_across_schedulers \
     fanout_modes_agree_on_random_live_streams; do
     if ! grep -q "${t}" <<<"$equivalence_tests"; then
@@ -64,7 +64,7 @@ for t in \
         exit 1
     fi
 done
-echo "equivalence inventory: scheduler + alert + fan-out proptests present"
+echo "equivalence inventory: pipeline + alert + fan-out proptests present"
 
 echo "==> zero_copy_fanout test inventory"
 # The counting-allocator tests are the proof block fan-out stays O(1)
@@ -84,12 +84,10 @@ echo "zero-copy inventory: allocator + convergence tests present"
 echo "==> workload_determinism test inventory"
 # The determinism tests are the proof the workload harness is a usable
 # measurement instrument (same seed+config ⇒ identical tick-denominated
-# results, including across the parallel-validation knob); pin their
-# names so a refactor can't silently drop the proof.
+# results); pin their names so a refactor can't silently drop the proof.
 determinism_tests="$(cargo test --release --test workload_determinism -- --list)"
 for t in \
     same_seed_and_config_reproduce_the_load_point_exactly \
-    parallel_validation_changes_wall_clock_only \
     different_seeds_produce_different_schedules; do
     if ! grep -q "${t}" <<<"$determinism_tests"; then
         echo "FAIL: workload_determinism no longer lists test '${t}'" >&2
@@ -99,17 +97,7 @@ done
 echo "workload inventory: determinism tests present"
 
 echo "==> commit_throughput --smoke"
-bench_out="$(cargo run --release -p fabric-bench --bin commit_throughput -- --smoke)"
-echo "$bench_out"
-# The stream and sharded sections must keep measuring (a bench refactor
-# that drops a mode would otherwise pass silently).
-for row in "mode=pipeline-overlap" "sharded channels=" "aggregate_txs/sec="; do
-    if ! grep -q "${row}" <<<"$bench_out"; then
-        echo "FAIL: commit_throughput smoke output is missing '${row}'" >&2
-        exit 1
-    fi
-done
-echo "commit_throughput smoke: overlap + sharded rows present"
+cargo run --release -p fabric-bench --bin commit_throughput -- --smoke
 
 echo "==> e2e_throughput --smoke"
 e2e_out="$(cargo run --release -p fabric-bench --bin e2e_throughput -- --smoke)"

@@ -315,27 +315,6 @@ fn mvcc_abort_storm_alerts_on_a_burst() {
     }
 }
 
-/// The full alert pipeline — detectors, health, hysteresis, transition
-/// log — is bit-identical across the parallel-validation knob.
-#[test]
-fn alert_log_is_identical_across_the_parallelism_knob() {
-    let run = |parallel: bool| {
-        let mut lab = build_lab(&LabConfig::default());
-        lab.net.set_parallel_validation(parallel);
-        let mut transitions = Vec::new();
-        for kind in AttackKind::all() {
-            transitions.extend(run_attack(&mut lab, kind).alerts);
-        }
-        lab.net.advance(100);
-        let monitor = lab.net.monitor().expect("lab attaches a monitor");
-        (transitions, monitor.transitions(), monitor.alerts_jsonl())
-    };
-    let sequential = run(false);
-    let parallel = run(true);
-    assert_eq!(sequential, parallel);
-    assert!(!sequential.1.is_empty(), "the attacks alerted");
-}
-
 /// The read forgery commits the fabricated value through the transaction's
 /// plaintext response payload — the Use Case 3 signal.
 #[test]

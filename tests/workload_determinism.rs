@@ -1,15 +1,14 @@
 //! The workload harness is a measurement instrument, so its schedule
 //! and its tick-denominated results must be reproducible: same seed and
 //! config ⇒ the same arrivals, the same commit/abort/audit/alert
-//! accounting, bit for bit — including across the validation-parallelism
-//! knob, which must change wall-clock timing only.
+//! accounting, bit for bit.
 //!
 //! Wall-clock phase quantiles are explicitly NOT compared;
 //! `LoadPoint::deterministic_signature` excludes them by construction.
 
 use fabric_pdc::workload::{run, OpMix, WorkloadConfig};
 
-fn cfg(parallel_validation: bool) -> WorkloadConfig {
+fn cfg() -> WorkloadConfig {
     WorkloadConfig {
         seed: 7,
         extra_peers: 1,
@@ -24,14 +23,13 @@ fn cfg(parallel_validation: bool) -> WorkloadConfig {
         block_to_live: 16,
         endorser_failure_prob: 0.05,
         adversarial_fraction: 0.05,
-        parallel_validation,
     }
 }
 
 #[test]
 fn same_seed_and_config_reproduce_the_load_point_exactly() {
-    let a = run(&cfg(false));
-    let b = run(&cfg(false));
+    let a = run(&cfg());
+    let b = run(&cfg());
     assert_eq!(
         a.deterministic_signature(),
         b.deterministic_signature(),
@@ -42,20 +40,9 @@ fn same_seed_and_config_reproduce_the_load_point_exactly() {
 }
 
 #[test]
-fn parallel_validation_changes_wall_clock_only() {
-    let sequential = run(&cfg(false));
-    let parallel = run(&cfg(true));
-    assert_eq!(
-        sequential.deterministic_signature(),
-        parallel.deterministic_signature(),
-        "the parallelism knob must not leak into schedule, outcomes, audits, or alerts"
-    );
-}
-
-#[test]
 fn different_seeds_produce_different_schedules() {
-    let a = run(&cfg(false));
-    let mut other = cfg(false);
+    let a = run(&cfg());
+    let mut other = cfg();
     other.seed = 8;
     let b = run(&other);
     assert_ne!(
