@@ -5,7 +5,6 @@
 
 use fabric_pdc::prelude::*;
 use fabric_pdc::types::{Block, PvtDataPackage};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,24 +16,11 @@ pub const COL: &str = "PDC1";
 /// Builds the Fig. 11 measurement network: 3 orgs, PDC = {org1, org2},
 /// unconstrained guarded chaincode, `k1 = 12` committed.
 pub fn fixture_network(defense: DefenseConfig, seed: u64) -> FabricNetwork {
-    fixture_network_with(defense, seed, None)
-}
-
-/// [`fixture_network`] with a shared telemetry pipeline attached to every
-/// node, for benchmarks that measure the traced transaction lifecycle.
-pub fn traced_fixture_network(defense: DefenseConfig, seed: u64, t: Telemetry) -> FabricNetwork {
-    fixture_network_with(defense, seed, Some(t))
-}
-
-fn fixture_network_with(defense: DefenseConfig, seed: u64, t: Option<Telemetry>) -> FabricNetwork {
-    let mut builder = NetworkBuilder::new("mychannel")
+    let mut net = NetworkBuilder::new("mychannel")
         .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
         .seed(seed)
-        .defense(defense);
-    if let Some(t) = t {
-        builder = builder.with_telemetry(t);
-    }
-    let mut net = builder.build();
+        .defense(defense)
+        .build();
     let def = ChaincodeDefinition::new(NS)
         .with_endorsement_policy("MAJORITY Endorsement")
         .with_collection(
@@ -149,58 +135,6 @@ pub fn prepared_block(
         vec![tx],
     );
     (peer, block, pvt)
-}
-
-/// A ready-to-commit block of `n` distinct-key PDC writes, the member
-/// peer that validates it, and the private-data packages keyed by tx-id
-/// (the `pvt_provider` backing for `process_block`). This is the
-/// commit-throughput workload: every transaction exercises the chaincode-
-/// level policy, the collection-level endorsement policy, and the hashed +
-/// plaintext write path.
-pub fn prepared_commit_block(
-    net: &mut FabricNetwork,
-    n: usize,
-    first_nonce: u64,
-) -> (Peer, Block, HashMap<TxId, PvtDataPackage>) {
-    let mut txs = Vec::with_capacity(n);
-    let mut pkgs = HashMap::with_capacity(n);
-    for i in 0..n {
-        let nonce = first_nonce + i as u64;
-        let mut client = Client::new(
-            "Org1MSP",
-            Keypair::generate_from_seed(9_200_000 + nonce),
-            DefenseConfig::original(),
-        );
-        let proposal = client.create_proposal(
-            net.channel().clone(),
-            ChaincodeId::new(NS),
-            "write",
-            vec![format!("bk{i}").into_bytes(), b"12".to_vec()],
-            Default::default(),
-        );
-        let (r1, pvt) = net
-            .peer("peer0.org1")
-            .endorse(&proposal)
-            .expect("endorse org1");
-        let (r2, _) = net
-            .peer("peer0.org2")
-            .endorse(&proposal)
-            .expect("endorse org2");
-        let (tx, _) = client
-            .assemble_transaction(&proposal, &[r1, r2])
-            .expect("assemble");
-        if let Some(pkg) = pvt {
-            pkgs.insert(tx.tx_id.clone(), pkg);
-        }
-        txs.push(tx);
-    }
-    let peer = net.peer("peer0.org2").clone();
-    let block = Block::new(
-        peer.block_store().height(),
-        peer.block_store().tip_hash(),
-        txs,
-    );
-    (peer, block, pkgs)
 }
 
 /// Validates + commits one prepared block on a clone of the peer; the

@@ -31,7 +31,6 @@
 //! | flow | [`flow`] | information-flow taint analysis of chaincode leakage |
 //! | telemetry | [`telemetry`] | tracing spans, metrics registry, security-audit events |
 //! | monitor | [`monitor`] | streaming health scoring, rate anomaly detection, alerting |
-//! | workload | [`workload`] | open-loop load harness, latency-vs-load curves, knee detection |
 //!
 //! ## Quick start
 //!
@@ -89,7 +88,6 @@ pub use fabric_raft as raft;
 pub use fabric_telemetry as telemetry;
 pub use fabric_types as types;
 pub use fabric_wire as wire;
-pub use fabric_workload as workload;
 
 /// The types most programs start from.
 pub mod prelude {
@@ -103,9 +101,7 @@ pub mod prelude {
     pub use fabric_monitor::{
         AlertPhase, AlertTransition, Monitor, MonitorConfig, NetworkStatus, NodeSample,
     };
-    pub use fabric_network::{
-        FabricNetwork, FanoutMode, NetworkBuilder, NetworkError, SubmitOutcome,
-    };
+    pub use fabric_network::{FabricNetwork, NetworkBuilder, NetworkError, SubmitOutcome};
     pub use fabric_peer::Peer;
     pub use fabric_policy::{Policy, SignaturePolicy};
     pub use fabric_telemetry::{

@@ -42,4 +42,4 @@ mod net;
 pub use builder::NetworkBuilder;
 pub use consortium::Consortium;
 pub use error::NetworkError;
-pub use net::{host_cores, FabricNetwork, FanoutMode, PeerCommitErrors, SubmitOutcome};
+pub use net::{host_cores, FabricNetwork, PeerCommitErrors, SubmitOutcome};

@@ -27,23 +27,6 @@ pub struct SubmitOutcome {
     pub payload: Vec<u8>,
 }
 
-/// How [`FabricNetwork`] hands each ordered block to its peers.
-///
-/// The network is in-process, so block fan-out is a memory copy rather
-/// than a network send. `Shared` is the production path: one block, its
-/// `Arc`-backed transaction storage refcount-bumped per peer.
-/// `DeepClone` reconstructs an owned copy per peer — the cost model of a
-/// fan-out without shared storage — and exists so the end-to-end bench
-/// can measure both sides with the same driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FanoutMode {
-    /// Refcount-bump the block per peer (zero-copy).
-    #[default]
-    Shared,
-    /// Deep-copy every transaction per peer (pre-sharing cost model).
-    DeepClone,
-}
-
 /// The blocks one peer refused to commit, as seen by the network's
 /// delivery; see [`FabricNetwork::commit_errors`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,7 +132,6 @@ fn commit_chunk(
     blocks: &[Block],
     gossip: &GossipHub,
     gossip_ids: &[PeerId],
-    fanout: FanoutMode,
 ) -> (Vec<PeerOutcomes>, Vec<RecordedPull>) {
     let mut outcomes: Vec<PeerOutcomes> = peers
         .iter()
@@ -170,20 +152,10 @@ fn commit_chunk(
                     Some(pkg)
                 })
             };
-            // All peers receive the same block; divergent outcomes would be
-            // a consensus bug, surfaced by the integration tests.
-            let delivered = match fanout {
-                // One refcount bump: all peers validate the same storage.
-                FanoutMode::Shared => block.clone(),
-                // Owned copy per peer, including fresh (empty) digest memos
-                // — the cost model of a fan-out without shared storage.
-                FanoutMode::DeepClone => Block {
-                    header: block.header.clone(),
-                    transactions: block.transactions.to_vec().into(),
-                    metadata: block.metadata.clone(),
-                },
-            };
-            outcomes[i].push(peer.process_block(delivered, &mut provider));
+            // One refcount bump: all peers validate the same storage, and
+            // divergent outcomes would be a consensus bug, surfaced by the
+            // integration tests.
+            outcomes[i].push(peer.process_block(block.clone(), &mut provider));
         }
     }
     (outcomes, pulls)
@@ -207,8 +179,6 @@ pub struct FabricNetwork {
     pvt_archive: IdMap<TxId, Arc<PvtDataPackage>>,
     /// Streaming alert engine driven one evaluation tick per network tick.
     monitor: Option<MonitorTick>,
-    /// Block fan-out strategy; see [`FanoutMode`].
-    fanout: FanoutMode,
     /// Peer names in map order, cached so per-block delivery does not
     /// re-collect them; rebuilt when the peer set changes.
     cached_peer_names: Vec<String>,
@@ -257,7 +227,6 @@ impl FabricNetwork {
             deployed: Vec::new(),
             pvt_archive: IdMap::default(),
             monitor: None,
-            fanout: FanoutMode::default(),
             cached_peer_names: Vec::new(),
             cached_gossip_ids: Vec::new(),
             cached_recipients: BTreeMap::new(),
@@ -289,16 +258,6 @@ impl FabricNetwork {
                 .collect();
         }
         self.peer_caches_stale = false;
-    }
-
-    /// Selects the block fan-out strategy (default: [`FanoutMode::Shared`]).
-    pub fn set_fanout_mode(&mut self, mode: FanoutMode) {
-        self.fanout = mode;
-    }
-
-    /// The current block fan-out strategy.
-    pub fn fanout_mode(&self) -> FanoutMode {
-        self.fanout
     }
 
     pub(crate) fn attach_monitor(&mut self, monitor: Monitor) {
@@ -574,7 +533,6 @@ impl FabricNetwork {
     fn commit_tick(&mut self, blocks: &[Block], workers: usize) -> Vec<PeerOutcomes> {
         let gossip = &self.gossip;
         let gossip_ids = self.cached_gossip_ids.as_slice();
-        let fanout = self.fanout;
         let mut peers: Vec<&mut Peer> = self.peers.values_mut().collect();
         let per_run = if workers <= 1 { peers.len().max(1) } else { 1 };
         let cursor = Mutex::new(peers.chunks_mut(per_run).enumerate());
@@ -586,7 +544,7 @@ impl FabricNetwork {
                     return done;
                 };
                 let first = r * per_run;
-                let result = commit_chunk(run, first, blocks, gossip, gossip_ids, fanout);
+                let result = commit_chunk(run, first, blocks, gossip, gossip_ids);
                 done.push((r, result));
             }
         };
@@ -1283,15 +1241,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn forked_tick_is_orthogonal_to_fanout_mode() {
-        let (mut net, blocks) = staged_tick(5, 1.0);
-        let expected = net.commit_tick(&blocks, 1);
-        let (mut net, blocks) = staged_tick(5, 1.0);
-        net.set_fanout_mode(FanoutMode::DeepClone);
-        assert_eq!(net.commit_tick(&blocks, 2), expected);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! The reference validator: the oracle the equivalence tests and the
-//! `commit_throughput` baseline compare [`Peer::process_block`] against.
-//! Not part of the shipped commit path.
+//! The reference validator: the oracle the equivalence tests compare
+//! [`Peer::process_block`] against. Not part of the shipped commit path.
 
 use crate::commit::{BlockCommitOutcome, CommitError, PvtDataProvider};
 use crate::node::Peer;
@@ -13,14 +12,12 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 impl Peer {
-    /// The pre-pipeline validator, kept as a cost-faithful snapshot of the
-    /// sequential commit path this PR replaced: strictly sequential, every
-    /// policy expression parsed at the point of use (no compiled caches),
-    /// two-pass signature verification, whole-list data hashing on both the
+    /// The pre-pipeline validator: strictly sequential, every policy
+    /// expression parsed at the point of use (no compiled caches), two-pass
+    /// signature verification, whole-list data hashing on both the
     /// pre-check and the append, and the original clone-heavy apply path.
-    /// It serves as the semantic oracle for the pipeline-equivalence
-    /// proptest and as the baseline the `commit_throughput` bench compares
-    /// the staged pipeline against.
+    /// It is the semantic oracle of the pipeline-equivalence proptests,
+    /// nothing else.
     ///
     /// # Errors
     ///

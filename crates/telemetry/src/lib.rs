@@ -55,8 +55,8 @@ mod trace;
 pub use audit::{AuditEvent, AuditLog};
 pub use export::{render_chrome_trace, render_spans_jsonl};
 pub use metrics::{
-    Counter, CounterWindow, Gauge, Histogram, HistogramSnapshot, HistogramWindow, MetricSample,
-    MetricValue, MetricsRegistry, DURATION_SECONDS_BUCKETS, TICK_BUCKETS,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricSample, MetricValue, MetricsRegistry,
+    DURATION_SECONDS_BUCKETS, TICK_BUCKETS,
 };
 pub use recorder::{FlightDump, FlightEntry, FlightRecorder};
 pub use span::{Collector, NoopCollector, SpanRecord, TraceSink};

@@ -71,43 +71,6 @@ impl Counter {
         }
         self.delta_since(mark) as f64 / secs
     }
-
-    /// A windowed-read cursor over this counter: each
-    /// [`CounterWindow::take_delta`] returns the increase since the
-    /// previous call.
-    pub fn window(&self) -> CounterWindow {
-        CounterWindow {
-            counter: self.clone(),
-            mark: self.get(),
-        }
-    }
-}
-
-/// A cursor for windowed delta reads of a [`Counter`].
-///
-/// Created by [`Counter::window`]; remembers the last observed value so
-/// repeated [`CounterWindow::take_delta`] calls partition the counter's
-/// growth into non-overlapping windows.
-#[derive(Debug, Clone)]
-pub struct CounterWindow {
-    counter: Counter,
-    mark: u64,
-}
-
-impl CounterWindow {
-    /// Increase since the previous `take_delta` (or since the window was
-    /// created) and advances the mark.
-    pub fn take_delta(&mut self) -> u64 {
-        let now = self.counter.get();
-        let delta = now.saturating_sub(self.mark);
-        self.mark = now;
-        delta
-    }
-
-    /// The mark the next delta will be measured from.
-    pub fn mark(&self) -> u64 {
-        self.mark
-    }
 }
 
 /// A gauge: a value that can move up and down.
@@ -232,8 +195,8 @@ impl Histogram {
     ///
     /// Snapshots are reset-free: the live histogram keeps accumulating,
     /// and [`Histogram::snapshot_delta`] subtracts two snapshots to get
-    /// the observations of just the interval between them — so a scorer
-    /// can compute per-window quantiles without racing live writers or
+    /// the observations of just the interval between them — so a reader
+    /// can compute per-interval quantiles without racing live writers or
     /// destroying the cumulative series other readers depend on.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let (buckets, total) = self.cumulative();
@@ -250,16 +213,6 @@ impl Histogram {
     /// produce a wraparound-huge window).
     pub fn snapshot_delta(&self, since: &HistogramSnapshot) -> HistogramSnapshot {
         self.snapshot().delta_since(since)
-    }
-
-    /// A windowed-read cursor over this histogram: each
-    /// [`HistogramWindow::take_delta`] returns the interval snapshot
-    /// since the previous call, mirroring [`Counter::window`].
-    pub fn window(&self) -> HistogramWindow {
-        HistogramWindow {
-            mark: self.snapshot(),
-            histogram: self.clone(),
-        }
     }
 }
 
@@ -333,28 +286,6 @@ impl HistogramSnapshot {
             total: self.total.saturating_sub(since.total),
             sum: (self.sum - since.sum).max(0.0),
         }
-    }
-}
-
-/// A cursor for windowed interval reads of a [`Histogram`].
-///
-/// Created by [`Histogram::window`]; remembers the last snapshot so
-/// repeated [`HistogramWindow::take_delta`] calls partition the
-/// histogram's growth into non-overlapping intervals.
-#[derive(Debug, Clone)]
-pub struct HistogramWindow {
-    histogram: Histogram,
-    mark: HistogramSnapshot,
-}
-
-impl HistogramWindow {
-    /// Observations since the previous `take_delta` (or since the window
-    /// was created) and advances the mark.
-    pub fn take_delta(&mut self) -> HistogramSnapshot {
-        let now = self.histogram.snapshot();
-        let delta = now.delta_since(&self.mark);
-        self.mark = now;
-        delta
     }
 }
 
@@ -832,22 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_window_partitions_growth_into_disjoint_deltas() {
-        let registry = MetricsRegistry::new();
-        let c = registry.counter("c", "", &[]);
-        c.inc_by(3);
-        let mut w = c.window();
-        assert_eq!(w.take_delta(), 0, "window starts at the current value");
-        c.inc_by(4);
-        assert_eq!(w.take_delta(), 4);
-        assert_eq!(w.take_delta(), 0, "same instant twice: nothing new");
-        c.inc();
-        c.inc();
-        assert_eq!(w.take_delta(), 2);
-        assert_eq!(w.mark(), c.get());
-    }
-
-    #[test]
     fn empty_registry_renders_empty_exports() {
         let registry = MetricsRegistry::new();
         assert_eq!(registry.render_prometheus(), "");
@@ -1064,26 +979,6 @@ mod tests {
         assert_eq!(win.count(), 4);
         assert_eq!(win.quantile(0.5), Some(5.0));
         assert_eq!(win.quantile(1.0), Some(10.0));
-    }
-
-    #[test]
-    fn histogram_window_partitions_growth_into_disjoint_intervals() {
-        let registry = MetricsRegistry::new();
-        let h = registry.histogram("h", "cursor", &[], &[1.0, 2.0]);
-        h.observe(0.5);
-        let mut w = h.window();
-        assert!(
-            w.take_delta().is_empty(),
-            "window starts at the current state"
-        );
-        h.observe(1.5);
-        h.observe(1.5);
-        let first = w.take_delta();
-        assert_eq!(first.count(), 2);
-        assert_eq!(first.quantile(0.5), Some(1.5));
-        assert!(w.take_delta().is_empty(), "same instant twice: nothing new");
-        h.observe(0.2);
-        assert_eq!(w.take_delta().count(), 1);
     }
 
     #[test]

@@ -70,10 +70,9 @@ impl Collector for NoopCollector {
 /// Retention is bounded: once `capacity` records are held, each new
 /// span evicts the oldest one (counted in [`TraceSink::evicted`] and,
 /// when wired by [`crate::Telemetry`], mirrored into the
-/// `fabric_trace_spans_evicted_total` counter). Consumers that need
-/// every span — the workload scorer resolving [`crate::TxTimeline`]s
-/// under sustained load — should [`TraceSink::drain`] incrementally
-/// instead of letting a million-tx sweep pile up in memory.
+/// `fabric_trace_spans_evicted_total` counter). A consumer that needs
+/// every span of a long run should [`TraceSink::drain`] incrementally
+/// instead of letting the run pile up in memory.
 #[derive(Debug)]
 pub struct TraceSink {
     spans: Mutex<VecDeque<SpanRecord>>,
@@ -144,10 +143,10 @@ impl TraceSink {
 
     /// Removes and returns all retained records in completion order.
     ///
-    /// This is the incremental-consumption hook: a scorer that drains
+    /// This is the incremental-consumption hook: a consumer that drains
     /// every logical tick sees each span exactly once and keeps the
     /// sink's retention (and the eviction counter) at zero no matter
-    /// how long the load run is.
+    /// how long the run is.
     pub fn drain(&self) -> Vec<SpanRecord> {
         self.spans.lock().drain(..).collect()
     }

@@ -14,15 +14,12 @@
 //!    resolve, and the transition log records the full lifecycle;
 //! 4. the same log exports as JSON lines for downstream tooling.
 //!
-//! Run with `cargo run -p fabric-pdc --example monitor_status`; pass
-//! `--smoke` to run the single-attack variant CI greps.
+//! Run with `cargo run -p fabric-pdc --example monitor_status`.
 
 use fabric_pdc::attacks::{build_lab, run_attack, AttackKind, LabConfig};
 use fabric_pdc::prelude::*;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
     let mut lab = build_lab(&LabConfig::default());
     let monitor = lab
         .net
@@ -31,12 +28,7 @@ fn main() {
         .clone();
 
     println!("=== 1. Fake PDC results injection under the default MAJORITY policy ===\n");
-    let kinds: &[AttackKind] = if smoke {
-        &[AttackKind::FakeWrite]
-    } else {
-        &AttackKind::all()
-    };
-    for &kind in kinds {
+    for kind in AttackKind::all() {
         let outcome = run_attack(&mut lab, kind);
         println!(
             "{:<14} attack {}: {}",

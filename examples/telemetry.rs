@@ -3,16 +3,13 @@
 //! as a Prometheus text exposition, a span-tree flamegraph report, and the
 //! security-audit event log.
 //!
-//! Run with `cargo run -p fabric-pdc --example telemetry`; pass `--smoke`
-//! for the abbreviated CI variant (metrics dump only).
+//! Run with `cargo run -p fabric-pdc --example telemetry`.
 
 use fabric_pdc::prelude::*;
 use std::error::Error;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
     // One telemetry pipeline; every peer and the orderer report into it.
     let telemetry = Telemetry::new();
     let mut net = NetworkBuilder::new("trade-channel")
@@ -66,10 +63,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 1. Metrics, Prometheus text exposition format.
     println!("== metrics (Prometheus text format) ==");
     print!("{}", telemetry.metrics().render_prometheus());
-
-    if smoke {
-        return Ok(());
-    }
 
     // 2. Spans, rendered as a flamegraph-style tree per root span.
     println!("\n== span tree (per-stage timings) ==");

@@ -10,16 +10,13 @@
 //! Chrome-trace/Perfetto JSON document (paste into `ui.perfetto.dev` or
 //! `chrome://tracing`) and as JSON-lines.
 //!
-//! Run with `cargo run -p fabric-pdc --example trace_tx`; pass `--smoke`
-//! for the abbreviated CI variant.
+//! Run with `cargo run -p fabric-pdc --example trace_tx`.
 
 use fabric_pdc::prelude::*;
 use std::error::Error;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
     // One telemetry pipeline with a flight recorder; every node reports
     // into it, so a single transaction's spans land in one causal tree.
     let telemetry = Telemetry::with_flight_recorder(256);
@@ -69,10 +66,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 2. Chrome-trace/Perfetto export of every span the network recorded.
     println!("\n== chrome trace (load in ui.perfetto.dev) ==");
     println!("{}", render_chrome_trace(&records));
-
-    if smoke {
-        return Ok(());
-    }
 
     // 3. JSON-lines export (one span per line; `jq`-friendly).
     println!("\n== spans, JSON-lines ==");

@@ -21,6 +21,16 @@ fn traced_network(seed: u64) -> (FabricNetwork, Telemetry) {
     (net, telemetry)
 }
 
+fn assert_metric_families(telemetry: &Telemetry, families: &[&str]) {
+    let samples = telemetry.metrics().samples();
+    for family in families {
+        assert!(
+            samples.iter().any(|s| s.name == *family),
+            "metric family {family} is not in the registry"
+        );
+    }
+}
+
 /// Submits `count` asset creations and returns their tx IDs.
 fn run_workload(net: &mut FabricNetwork, count: usize) -> Vec<TxId> {
     (0..count)
@@ -85,6 +95,21 @@ fn committed_transactions_have_complete_cross_node_timelines() {
             .count();
         assert_eq!(commit_spans, 3, "one commit span per committing peer");
     }
+
+    // The metric families dashboards scrape by name: a run to commit
+    // registers these six (the seventh, `fabric_audit_events_total`, appears
+    // with the first audit event; see `mvcc_conflict_dump_signatures`).
+    assert_metric_families(
+        &telemetry,
+        &[
+            "fabric_commit_stage_seconds",
+            "fabric_validation_results_total",
+            "fabric_blocks_committed_total",
+            "fabric_txs_processed_total",
+            "fabric_committed_block_height",
+            "fabric_endorsements_total",
+        ],
+    );
 }
 
 /// Trace identity is a function of the seed: two runs of the same seeded
@@ -162,6 +187,8 @@ fn mvcc_conflict_dump_signatures() -> Vec<Vec<(&'static str, TxId)>> {
         net.transaction_status(&tx_ids[1]),
         Some(TxValidationCode::MvccReadConflict)
     );
+
+    assert_metric_families(&telemetry, &["fabric_audit_events_total"]);
 
     let recorder = telemetry.flight_recorder().expect("recorder");
     let dumps = recorder.dumps();

@@ -3,14 +3,10 @@
 //! The network fans each cut block out to every peer. With `Arc`-shared
 //! transaction storage that fan-out is a refcount bump — `Block::clone`
 //! must perform **zero** heap allocations, which pins per-peer delivery
-//! at O(1) deep copies regardless of block size. The deep-clone
-//! reconstruction (the pre-sharing cost model kept alive by
-//! [`FanoutMode::DeepClone`]) allocates at least once per transaction,
-//! and an end-to-end run shows the gap on the live submit→commit path.
-//!
-//! A further test drives the same workload through both fan-out modes and
-//! asserts they are observationally identical: same chain tips, same
-//! world-state digests on every peer, same audit-event sequence.
+//! at O(1) deep copies regardless of block size, where rebuilding the
+//! block from owned transactions allocates at least once per transaction.
+//! On the live submit→commit path the same fact is read off the ledgers:
+//! every peer's committed block points at one transaction storage.
 //!
 //! The last group holds the per-transaction path to its allocation
 //! budgets (DESIGN.md, "Allocation discipline"): identifier clones, policy
@@ -24,7 +20,7 @@ use fabric_pdc::prelude::*;
 use fabric_pdc::types::{Block, PvtDataPackage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// System allocator wrapper that counts allocation events and bytes.
 /// Deallocations are not tracked: the interesting quantity is how much
@@ -94,18 +90,15 @@ const COL: &str = "PDC1";
 /// 2-org network (plus `extra_peers` additional peers, alternating orgs)
 /// with the guarded PDC chaincode deployed and blocks cut at exactly
 /// `block_txs` transactions.
-fn fanout_network(extra_peers: usize, block_txs: usize, t: Option<Telemetry>) -> FabricNetwork {
-    let mut builder = NetworkBuilder::new("zc")
+fn fanout_network(extra_peers: usize, block_txs: usize) -> FabricNetwork {
+    let mut net = NetworkBuilder::new("zc")
         .orgs(&["Org1MSP", "Org2MSP"])
         .seed(41)
         .batch(BatchConfig {
             max_message_count: block_txs,
             batch_timeout_ticks: 1_000_000,
-        });
-    if let Some(t) = t {
-        builder = builder.with_telemetry(t);
-    }
-    let mut net = builder.build();
+        })
+        .build();
     let def = ChaincodeDefinition::new(NS)
         .with_endorsement_policy("MAJORITY Endorsement")
         .with_collection(
@@ -113,7 +106,7 @@ fn fanout_network(extra_peers: usize, block_txs: usize, t: Option<Telemetry>) ->
                 .with_member_only_read(false)
                 .with_endorsement_policy("AND('Org1MSP.peer','Org2MSP.peer')"),
         );
-    net.deploy_chaincode(def, std::sync::Arc::new(GuardedPdc::unconstrained(COL)));
+    net.deploy_chaincode(def, Arc::new(GuardedPdc::unconstrained(COL)));
     for extra in 0..extra_peers {
         let org = if extra % 2 == 0 { "Org1MSP" } else { "Org2MSP" };
         net.add_peer(org);
@@ -175,7 +168,7 @@ fn run_to_commit(net: &mut FabricNetwork, txs: Vec<Transaction>, blocks: usize) 
 fn block_clone_is_allocation_free() {
     let _guard = SERIAL.lock().unwrap();
     const TXS: usize = 8;
-    let mut net = fanout_network(0, TXS, None);
+    let mut net = fanout_network(0, TXS);
     let txs = prepare_txs(&mut net, TXS);
     let tip = net.peer("peer0.org1").block_store().tip_hash();
     let height = net.peer("peer0.org1").block_store().height();
@@ -203,79 +196,31 @@ fn block_clone_is_allocation_free() {
     assert_eq!(deep, block, "deep clone is observationally identical");
 }
 
-/// End-to-end allocator traffic: the same submit→commit workload on
-/// identically-seeded 4-peer networks costs strictly more allocator calls
-/// under [`FanoutMode::DeepClone`] than under the shared fan-out — by at
-/// least one allocation per (transaction × peer), the floor set by the
-/// per-peer transaction copies alone.
+/// Delivery copies no transaction: after a live submit→commit run on four
+/// peers, the committed block in every peer's ledger points at the same
+/// transaction storage.
 #[test]
-fn shared_fanout_cuts_deliver_path_allocations() {
+fn delivered_blocks_share_transaction_storage() {
     let _guard = SERIAL.lock().unwrap();
     const TXS: usize = 16;
-    const PEERS: u64 = 4;
-    let mut traffic = Vec::new();
-    for mode in [FanoutMode::Shared, FanoutMode::DeepClone] {
-        let mut net = fanout_network(2, TXS, None);
-        net.set_fanout_mode(mode);
-        let txs = prepare_txs(&mut net, TXS);
-        let ((), calls, bytes) = measured(|| run_to_commit(&mut net, txs, 1));
-        traffic.push((calls, bytes));
+    let mut net = fanout_network(2, TXS);
+    let txs = prepare_txs(&mut net, TXS);
+    let number = net.peer("peer0.org1").block_store().height();
+    run_to_commit(&mut net, txs, 1);
+    let names = net.peer_names();
+    assert_eq!(names.len(), 4);
+    let stored: Vec<&Block> = names
+        .iter()
+        .map(|n| net.peer(n).block_store().block(number).expect("committed"))
+        .collect();
+    assert_eq!(stored[0].transactions.len(), TXS);
+    // Pointer equality with the first peer's copy is equality of every pair.
+    for (name, block) in names.iter().zip(&stored).skip(1) {
+        assert!(
+            Arc::ptr_eq(&stored[0].transactions, &block.transactions),
+            "{name} holds its own copy of block {number}'s transactions"
+        );
     }
-    let [(shared_calls, shared_bytes), (deep_calls, deep_bytes)] = traffic[..] else {
-        unreachable!("two modes measured");
-    };
-    assert!(
-        deep_calls >= shared_calls + PEERS * TXS as u64,
-        "deep-clone fan-out must allocate at least once per transaction per peer more than \
-         shared fan-out (shared {shared_calls} calls, deep {deep_calls} calls)"
-    );
-    assert!(
-        deep_bytes > shared_bytes,
-        "deep-clone fan-out must allocate more bytes (shared {shared_bytes}, deep {deep_bytes})"
-    );
-}
-
-/// The two fan-out modes are observationally identical: every peer ends
-/// at the same height and chain tip with the same world-state digest, and
-/// the audit-event sequence is unchanged.
-#[test]
-fn fanout_modes_converge_identically() {
-    let _guard = SERIAL.lock().unwrap();
-    const TXS: usize = 6;
-    let mut observed = Vec::new();
-    for mode in [FanoutMode::Shared, FanoutMode::DeepClone] {
-        let telemetry = Telemetry::new();
-        let mut net = fanout_network(2, TXS, Some(telemetry.clone()));
-        net.set_fanout_mode(mode);
-        let txs = prepare_txs(&mut net, TXS);
-        run_to_commit(&mut net, txs, 1);
-        let names = net.peer_names();
-        let per_peer: Vec<_> = names
-            .iter()
-            .map(|n| {
-                let peer = net.peer(n);
-                (
-                    n.clone(),
-                    peer.block_store().height(),
-                    peer.block_store().tip_hash(),
-                    peer.world_state().digest(),
-                )
-            })
-            .collect();
-        let tip = per_peer[0].2;
-        for (name, _, peer_tip, _) in &per_peer {
-            assert_eq!(*peer_tip, tip, "{name} diverged from the first peer's tip");
-        }
-        observed.push((per_peer, telemetry.audit().events()));
-    }
-    assert_eq!(
-        observed[0].0, observed[1].0,
-        "per-peer heights/tips/digests differ between fan-out modes"
-    );
-    assert_eq!(
-        observed[0].1, observed[1].1,
-        "audit-event sequence differs between fan-out modes"
-    );
 }
 
 /// Identifiers are shared strings: copying one into an event, an index or
@@ -356,7 +301,7 @@ fn gossip_push_is_allocation_free_once_stores_have_capacity() {
         hub.register(r.clone());
     }
     let package = |i: u32| {
-        std::sync::Arc::new(PvtDataPackage {
+        Arc::new(PvtDataPackage {
             tx_id: TxId::new(format!("tx{i}")),
             namespaces: vec![],
             collections: vec![],
@@ -379,7 +324,7 @@ fn gossip_push_is_allocation_free_once_stores_have_capacity() {
 fn endorse_allocations_do_not_grow_with_recipients() {
     let _guard = SERIAL.lock().unwrap();
     let endorse_calls = |extra_peers: usize| -> u64 {
-        let mut net = fanout_network(extra_peers, 1_000, None);
+        let mut net = fanout_network(extra_peers, 1_000);
         let mut client = Client::new(
             "Org1MSP",
             Keypair::generate_from_seed(8_700_000),
