@@ -27,6 +27,7 @@ use fabric_types::{
 };
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors assembling a transaction from proposal responses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +78,9 @@ pub struct Client {
     keypair: Keypair,
     nonce: u64,
     defense: DefenseConfig,
-    telemetry: Option<Telemetry>,
+    /// The attached pipeline and the node its spans name, `client.<org>`,
+    /// built once on attach.
+    telemetry: Option<(Telemetry, Arc<str>)>,
 }
 
 impl Client {
@@ -96,7 +99,8 @@ impl Client {
     /// Attaches a shared telemetry pipeline; transaction assembly then
     /// records a `client.assemble` span in the transaction's trace.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
+        let node = Arc::from(format!("client.{}", self.identity.org));
+        self.telemetry = Some((telemetry, node));
     }
 
     /// The client's identity.
@@ -143,11 +147,11 @@ impl Client {
         let _span = self
             .telemetry
             .as_ref()
-            .filter(|t| t.tracing_enabled())
-            .map(|t| {
+            .filter(|(t, _)| t.tracing_enabled())
+            .map(|(t, node)| {
                 let mut s = t.span("client.assemble");
                 s.trace(TraceContext::for_tx(proposal.tx_id.as_str()));
-                s.node(format!("client.{}", self.identity.org));
+                s.node(node);
                 s.field("endorsements", responses.len());
                 s
             });

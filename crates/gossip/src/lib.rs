@@ -62,6 +62,12 @@ impl PeerId {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// The shared string behind the identifier; cloning it is a refcount
+    /// bump.
+    pub fn as_arc(&self) -> &Arc<str> {
+        &self.0
+    }
 }
 
 impl fmt::Display for PeerId {

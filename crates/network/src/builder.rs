@@ -10,6 +10,7 @@ use fabric_peer::{ChannelPolicies, Peer};
 use fabric_telemetry::Telemetry;
 use fabric_types::{ChannelId, DefenseConfig, OrgId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Configures and builds a [`FabricNetwork`].
 ///
@@ -158,7 +159,7 @@ impl NetworkBuilder {
             if let Some(t) = &self.telemetry {
                 client.attach_telemetry(t.clone());
             }
-            clients.insert(client_name, client);
+            clients.insert(Arc::from(client_name), client);
         }
 
         let mut orderer = OrderingService::new(self.orderer_count, self.seed, self.batch_config);

@@ -166,7 +166,9 @@ pub struct FabricNetwork {
     channel: ChannelId,
     orgs: Vec<OrgId>,
     peers: BTreeMap<String, Peer>,
-    clients: BTreeMap<String, Client>,
+    /// Keyed by shared name: the `client.submit` span names its node
+    /// with the key.
+    clients: BTreeMap<Arc<str>, Client>,
     orderer: OrderingService,
     gossip: GossipHub,
     events: Vec<(TxId, fabric_types::ChaincodeEvent)>,
@@ -212,7 +214,7 @@ impl FabricNetwork {
         channel: ChannelId,
         orgs: Vec<OrgId>,
         peers: BTreeMap<String, Peer>,
-        clients: BTreeMap<String, Client>,
+        clients: BTreeMap<Arc<str>, Client>,
         orderer: OrderingService,
         gossip: GossipHub,
     ) -> Self {
@@ -303,7 +305,7 @@ impl FabricNetwork {
 
     /// Client names in deterministic order.
     pub fn client_names(&self) -> Vec<String> {
-        self.clients.keys().cloned().collect()
+        self.clients.keys().map(|name| name.to_string()).collect()
     }
 
     /// Read access to a peer.
@@ -670,20 +672,17 @@ impl FabricNetwork {
         );
         // The root of the transaction's trace: the whole client-observed
         // submission, from proposal to commit confirmation.
-        let _submit_span = self
-            .telemetry()
-            .filter(|t| t.tracing_enabled())
-            .cloned()
-            .map(|t| {
-                let mut s = t.span("client.submit");
-                s.trace(fabric_telemetry::TraceContext::for_tx(
-                    proposal.tx_id.as_str(),
-                ));
-                s.node(client);
-                s.field("chaincode", chaincode);
-                s.field("function", function);
-                s
-            });
+        let _submit_span = self.telemetry().filter(|t| t.tracing_enabled()).map(|t| {
+            let mut s = t.span("client.submit");
+            s.trace(fabric_telemetry::TraceContext::for_tx(
+                proposal.tx_id.as_str(),
+            ));
+            let (name, _) = self.clients.get_key_value(client).expect("checked above");
+            s.node(name);
+            s.field("chaincode", proposal.chaincode.as_arc());
+            s.field("function", Box::<str>::from(function));
+            s
+        });
 
         let mut responses = Vec::new();
         for peer in endorsing_peers {

@@ -26,9 +26,10 @@ use fabric_raft::{Cluster, NodeId, RaftConfig};
 use fabric_telemetry::{
     Counter, Gauge, Histogram, SpanGuard, Telemetry, TraceContext, TICK_BUCKETS,
 };
-use fabric_types::{Block, Identity, Role, Transaction, TxId};
+use fabric_types::{Block, Identity, Role, Transaction};
 use fabric_wire::{Decode, Encode};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Block-cutting parameters (Fabric's `BatchSize`/`BatchTimeout`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +55,8 @@ impl Default for BatchConfig {
 #[derive(Debug)]
 struct OrdererTelemetry {
     telemetry: Telemetry,
+    /// `"orderer"`, the node the `orderer.order` spans name.
+    node: Arc<str>,
     batch_cut_age: Histogram,
     txs_ordered: Counter,
     blocks_cut: Counter,
@@ -103,6 +106,7 @@ impl OrdererTelemetry {
                 "Raft messages lost to faults since cluster creation",
                 &[],
             ),
+            node: Arc::from("orderer"),
             telemetry,
         }
     }
@@ -125,9 +129,13 @@ pub struct OrderingService {
     /// Committed Raft entries that did not decode as a batch.
     decode_failures: u64,
     telemetry: Option<OrdererTelemetry>,
-    /// Open `orderer.order` spans (queue wait: submit → batch cut), keyed
-    /// by tx id. Populated only when span tracing is enabled.
-    order_spans: HashMap<TxId, SpanGuard>,
+    /// Transactions cut into batches so far. A submission's sequence
+    /// number is this plus the pending count when it arrives.
+    cut_txs: u64,
+    /// Open `orderer.order` spans (queue wait: submit → batch cut) by
+    /// submission sequence number, oldest first. Populated only when span
+    /// tracing is enabled.
+    order_spans: VecDeque<(u64, SpanGuard)>,
 }
 
 impl OrderingService {
@@ -149,7 +157,8 @@ impl OrderingService {
             ready: VecDeque::new(),
             decode_failures: 0,
             telemetry: None,
-            order_spans: HashMap::new(),
+            cut_txs: 0,
+            order_spans: VecDeque::new(),
         }
     }
 
@@ -171,13 +180,18 @@ impl OrderingService {
     }
 
     /// Queues a transaction for ordering. Contents are not inspected
-    /// (only the tx id is read, to key the tracing span).
+    /// (only the tx id is read, to trace the span).
     pub fn submit(&mut self, tx: Transaction) {
-        if let Some(t) = self.telemetry().filter(|t| t.tracing_enabled()) {
-            let mut span = t.span("orderer.order");
+        if let Some(t) = self
+            .telemetry
+            .as_ref()
+            .filter(|t| t.telemetry.tracing_enabled())
+        {
+            let mut span = t.telemetry.span("orderer.order");
             span.trace(TraceContext::for_tx(tx.tx_id.as_str()));
-            span.node("orderer");
-            self.order_spans.insert(tx.tx_id.clone(), span);
+            span.node(&t.node);
+            let seq = self.cut_txs + self.pending.len() as u64;
+            self.order_spans.push_back((seq, span));
         }
         self.pending.push_back(tx);
     }
@@ -278,11 +292,15 @@ impl OrderingService {
             }
             return;
         }
-        if tracing {
-            for tx in &batch {
-                // Dropping the guard records the queue-wait span.
-                self.order_spans.remove(&tx.tx_id);
-            }
+        self.cut_txs += batch.len() as u64;
+        let cut_end = self.cut_txs;
+        while self
+            .order_spans
+            .front()
+            .is_some_and(|(seq, _)| *seq < cut_end)
+        {
+            // Dropping the guard records the queue-wait span.
+            self.order_spans.pop_front();
         }
         if let Some(t) = &self.telemetry {
             t.batch_cut_age.observe(self.pending_age as f64);
@@ -523,6 +541,48 @@ mod tests {
         assert_eq!(order_around_garbage(&mut o).len(), 2);
         assert_eq!(o.decode_failures(), 1);
         assert_eq!(exported(&telemetry), Some(MetricValue::Counter(1)));
+    }
+
+    /// Each submission's queue-wait span closes when the batch carrying it
+    /// is cut, not before and not with a later batch — duplicates included.
+    #[test]
+    fn order_spans_close_at_their_own_cut() {
+        let telemetry = Telemetry::new();
+        let mut o = OrderingService::new(
+            3,
+            8,
+            BatchConfig {
+                max_message_count: 2,
+                batch_timeout_ticks: 1000,
+            },
+        );
+        o.set_telemetry(telemetry.clone());
+        assert!(o.run_until_ready(1000));
+        let order_spans = || {
+            let records = telemetry.trace().expect("sink").records();
+            records
+                .iter()
+                .filter(|r| r.name == "orderer.order")
+                .map(|r| (r.trace_id, r.node.to_string()))
+                .collect::<Vec<_>>()
+        };
+        for n in [0, 1, 1] {
+            o.submit(dummy_tx(n));
+        }
+        o.tick();
+        let trace = |n: u64| TraceContext::for_tx(&format!("tx{n}")).trace_id;
+        let orderer = || "orderer".to_string();
+        assert_eq!(
+            order_spans(),
+            vec![(trace(0), orderer()), (trace(1), orderer())]
+        );
+        o.submit(dummy_tx(2));
+        o.tick();
+        assert_eq!(order_spans().len(), 4);
+        assert_eq!(
+            order_spans()[2..],
+            [(trace(1), orderer()), (trace(2), orderer())]
+        );
     }
 
     #[test]

@@ -225,7 +225,7 @@ impl Peer {
         let block_span = if tracing {
             telemetry.as_ref().map(|t| {
                 let mut s = t.span("peer.process_block");
-                s.node(self.gossip_id.as_str());
+                s.node(self.gossip_id.as_arc());
                 s.field("block", block_num);
                 s.field("txs", block.transactions.len());
                 s
@@ -278,7 +278,7 @@ impl Peer {
                     telemetry.as_ref().map(|t| {
                         let mut s = t.span("peer.commit");
                         s.trace(TraceContext::for_tx(tx.tx_id.as_str()));
-                        s.node(self.gossip_id.as_str());
+                        s.node(self.gossip_id.as_arc());
                         s
                     })
                 } else {
@@ -320,7 +320,7 @@ impl Peer {
                     audit_transaction(t, tx, code, sbe_rechecked, stateless);
                 }
                 if let Some(mut s) = commit_span {
-                    s.field("code", code);
+                    s.field("code", code.as_str());
                     s.finish();
                 }
                 metadata.validation_codes.push(code);
@@ -384,7 +384,7 @@ impl Peer {
             .map(|t| {
                 let mut s = t.span("peer.validate");
                 s.trace(TraceContext::for_tx(tx.tx_id.as_str()));
-                s.node(self.gossip_id.as_str());
+                s.node(self.gossip_id.as_arc());
                 s
             });
         let audit = if self.telemetry.is_some() {
@@ -755,38 +755,21 @@ fn audit_transaction(
 
 /// Flushes per-block counters and gauges after a successful commit.
 /// Validation codes are tallied locally first so each series costs one
-/// registry lookup per block, not one per transaction.
+/// atomic add per block, not one per transaction.
 fn record_block_metrics(
     t: &PeerTelemetry,
     block_num: u64,
     codes: &[TxValidationCode],
     missing: usize,
 ) {
-    // All-valid blocks (the throughput workload) take the allocation-
-    // free path: one cached-handle increment.
-    let mut valid = 0u64;
-    let mut others: Vec<(TxValidationCode, u64)> = Vec::new();
+    let mut tally = [0u64; TxValidationCode::ALL.len()];
     for code in codes {
-        if code.is_valid() {
-            valid += 1;
-            continue;
-        }
-        match others.iter_mut().find(|(c, _)| c == code) {
-            Some((_, n)) => *n += 1,
-            None => others.push((*code, 1)),
-        }
+        tally[*code as usize] += 1;
     }
-    if valid > 0 {
-        t.valid_txs.inc_by(valid);
-    }
-    for (code, n) in others {
-        t.metrics()
-            .counter(
-                "fabric_validation_results_total",
-                "Transaction validation codes across committed blocks",
-                &[("code", &code.to_string())],
-            )
-            .inc_by(n);
+    for (code, n) in TxValidationCode::ALL.into_iter().zip(tally) {
+        if n > 0 {
+            t.validation_result(code).inc_by(n);
+        }
     }
     t.blocks_committed.inc();
     t.txs_processed.inc_by(codes.len() as u64);
@@ -1133,7 +1116,28 @@ mod tests {
 
         // An "add" endorsed now reads version (0,0)... build it before the
         // next write commits, then commit a conflicting write first.
-        let client_kp = Keypair::generate_from_seed(2000);
+        let (add_tx, add_pkg) = add_tx(&p1, &p2, 50);
+
+        // A conflicting write commits in between.
+        let (tx2, pkg2) = write_tx(&[&p1, &p2], 6, 8);
+        let block2 = block_of(&p1, vec![tx2]);
+        let mut with_pkg2 = |_: &TxId| Some(pkg2.clone());
+        p1.process_block(block2, &mut with_pkg2).unwrap();
+
+        // Now the add's read version is stale.
+        let block3 = block_of(&p1, vec![add_tx]);
+        let mut with_add = |_: &TxId| add_pkg.clone();
+        let outcome = p1.process_block(block3, &mut with_add).unwrap();
+        assert_eq!(
+            outcome.validation_codes,
+            vec![TxValidationCode::MvccReadConflict]
+        );
+    }
+
+    /// An `add` of 1 to `k1`, endorsed by `p1` and `p2` against their
+    /// current state.
+    fn add_tx(p1: &Peer, p2: &Peer, nonce: u64) -> (Transaction, Option<Arc<PvtDataPackage>>) {
+        let client_kp = Keypair::generate_from_seed(1950 + nonce);
         let creator = Identity::new("Org1MSP", Role::Client, client_kp.public_key());
         let add_proposal = Proposal::new(
             "ch1",
@@ -1142,7 +1146,7 @@ mod tests {
             vec![b"k1".to_vec(), b"1".to_vec()],
             BTreeMap::new(),
             creator.clone(),
-            50,
+            nonce,
         );
         let (r1, add_pkg) = p1.endorse(&add_proposal).unwrap();
         let (r2, _) = p2.endorse(&add_proposal).unwrap();
@@ -1163,21 +1167,63 @@ mod tests {
             client_signature,
             memo: Default::default(),
         };
+        (add_tx, add_pkg.map(Arc::new))
+    }
 
-        // A conflicting write commits in between.
-        let (tx2, pkg2) = write_tx(&[&p1, &p2], 6, 8);
-        let block2 = block_of(&p1, vec![tx2]);
-        let mut with_pkg2 = |_: &TxId| Some(pkg2.clone());
-        p1.process_block(block2, &mut with_pkg2).unwrap();
+    /// Each code's `fabric_validation_results_total` series is resolved
+    /// once, and exists only after the code first occurs.
+    #[test]
+    fn validation_code_series_appear_when_their_code_occurs() {
+        let telemetry = fabric_telemetry::Telemetry::new();
+        let mut p1 = make_peer("peer0.org1", "Org1MSP", 73);
+        let mut p2 = make_peer("peer0.org2", "Org2MSP", 74);
+        p1.set_telemetry(telemetry.clone());
+        let (tx1, pkg1) = write_tx(&[&p1, &p2], 5, 18);
+        let block1 = block_of(&p1, vec![tx1]);
+        let mut with_pkg1 = |_: &TxId| Some(pkg1.clone());
+        p1.process_block(block1.clone(), &mut with_pkg1).unwrap();
+        p2.process_block(block1, &mut with_pkg1).unwrap();
 
-        // Now the add's read version is stale.
-        let block3 = block_of(&p1, vec![add_tx]);
-        let add_pkg = add_pkg.map(Arc::new);
-        let mut with_add = |_: &TxId| add_pkg.clone();
-        let outcome = p1.process_block(block3, &mut with_add).unwrap();
+        // Three adds read k1 at one version: the first commits, the other
+        // two conflict with it.
+        let adds: Vec<_> = (60..63).map(|nonce| add_tx(&p1, &p2, nonce)).collect();
+        let block2 = block_of(&p1, adds.iter().map(|(tx, _)| tx.clone()).collect());
+        let mut provider = |id: &TxId| {
+            adds.iter()
+                .find(|(tx, _)| tx.tx_id == *id)
+                .and_then(|(_, pkg)| pkg.clone())
+        };
+        let outcome = p1.process_block(block2, &mut provider).unwrap();
         assert_eq!(
             outcome.validation_codes,
-            vec![TxValidationCode::MvccReadConflict]
+            vec![
+                TxValidationCode::Valid,
+                TxValidationCode::MvccReadConflict,
+                TxValidationCode::MvccReadConflict,
+            ]
         );
+
+        let exposition = telemetry.metrics().render_prometheus();
+        let series = |code: TxValidationCode| {
+            format!(
+                "fabric_validation_results_total{{code=\"{}\"}}",
+                code.as_str()
+            )
+        };
+        assert!(
+            exposition.contains(&format!("{} 2\n", series(TxValidationCode::Valid))),
+            "{exposition}"
+        );
+        assert!(
+            exposition.contains(&format!(
+                "{} 2\n",
+                series(TxValidationCode::MvccReadConflict)
+            )),
+            "{exposition}"
+        );
+        // The six codes after VALID and MVCC_READ_CONFLICT never occurred.
+        for code in &TxValidationCode::ALL[2..] {
+            assert!(!exposition.contains(&series(*code)), "{exposition}");
+        }
     }
 }

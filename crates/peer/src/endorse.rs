@@ -86,9 +86,9 @@ impl Peer {
         }
         let mut span = telemetry.span("peer.endorse");
         span.trace(TraceContext::for_tx(proposal.tx_id.as_str()));
-        span.node(self.gossip_id.as_str());
-        span.field("chaincode", &proposal.chaincode);
-        span.field("function", &proposal.function);
+        span.node(self.gossip_id.as_arc());
+        span.field("chaincode", proposal.chaincode.as_arc());
+        span.field("function", Box::<str>::from(proposal.function.as_str()));
         let result = self.endorse_inner(proposal);
         if result.is_ok() {
             span.field("result", "ok");

@@ -1,8 +1,9 @@
 //! The peer's telemetry attachment: metric handles resolved once.
 
 use fabric_telemetry::{Counter, Gauge, Histogram, Telemetry, DURATION_SECONDS_BUCKETS};
+use fabric_types::TxValidationCode;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A shared [`Telemetry`] pipeline plus the peer's hot-path metric
 /// handles, resolved once when the pipeline is attached. The commit and
@@ -32,9 +33,10 @@ pub(crate) struct PeerHandles {
     pub txs_processed: Counter,
     pub missing_private: Counter,
     pub block_height: Gauge,
-    /// `fabric_validation_results_total{code="VALID"}` — the common case;
-    /// other codes resolve through the registry when they occur.
-    pub valid_txs: Counter,
+    /// `fabric_validation_results_total{code=…}`, indexed by
+    /// `TxValidationCode as usize`. `VALID` is resolved on attach; the
+    /// others when they first occur, so their series appear only then.
+    validation_results: [OnceLock<Counter>; TxValidationCode::ALL.len()],
     pub endorse_ok: Counter,
     pub endorse_err: Counter,
     pub endorse_seconds: Histogram,
@@ -58,7 +60,7 @@ impl PeerTelemetry {
                 &[("result", r)],
             )
         };
-        PeerTelemetry {
+        let t = PeerTelemetry {
             inner: Arc::new(PeerHandles {
                 stage_stateless: stage("stateless"),
                 stage_stateful: stage("stateful"),
@@ -82,11 +84,7 @@ impl PeerTelemetry {
                     "Local chain height after the last commit",
                     &[],
                 ),
-                valid_txs: m.counter(
-                    "fabric_validation_results_total",
-                    "Transaction validation codes across committed blocks",
-                    &[("code", "VALID")],
-                ),
+                validation_results: Default::default(),
                 endorse_ok: endorse("ok"),
                 endorse_err: endorse("err"),
                 endorse_seconds: m.histogram(
@@ -97,7 +95,22 @@ impl PeerTelemetry {
                 ),
                 telemetry,
             }),
-        }
+        };
+        t.validation_result(TxValidationCode::Valid);
+        t
+    }
+}
+
+impl PeerHandles {
+    /// The `fabric_validation_results_total` series of `code`.
+    pub fn validation_result(&self, code: TxValidationCode) -> &Counter {
+        self.validation_results[code as usize].get_or_init(|| {
+            self.telemetry.metrics().counter(
+                "fabric_validation_results_total",
+                "Transaction validation codes across committed blocks",
+                &[("code", code.as_str())],
+            )
+        })
     }
 }
 

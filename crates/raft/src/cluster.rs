@@ -29,6 +29,8 @@ pub struct ClusterStats {
 #[derive(Debug)]
 pub struct Cluster {
     nodes: BTreeMap<NodeId, RaftNode>,
+    /// `raft{id}` per node, the node name its `raft.replicate` spans carry.
+    node_names: BTreeMap<NodeId, Arc<str>>,
     queue: VecDeque<Envelope>,
     committed: BTreeMap<NodeId, Vec<Arc<[u8]>>>,
     /// Links currently severed, as ordered pairs `(from, to)`.
@@ -63,6 +65,10 @@ impl Cluster {
         }
         Cluster {
             nodes,
+            node_names: ids
+                .iter()
+                .map(|&id| (id, Arc::from(format!("raft{id}"))))
+                .collect(),
             queue: VecDeque::new(),
             committed: ids.iter().map(|&id| (id, Vec::new())).collect(),
             severed: HashSet::new(),
@@ -190,7 +196,7 @@ impl Cluster {
         if let Some(t) = self.telemetry.as_ref().filter(|t| t.tracing_enabled()) {
             let open = |ctx: Option<&TraceContext>| {
                 let mut span = t.span("raft.replicate");
-                span.node(format!("raft{node}"));
+                span.node(&self.node_names[&node]);
                 span.field("index", index);
                 if let Some(ctx) = ctx {
                     span.trace(*ctx);

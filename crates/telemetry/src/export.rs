@@ -29,7 +29,7 @@ pub fn render_chrome_trace(records: &[SpanRecord]) -> String {
         let node = if record.node.is_empty() {
             "(unattributed)"
         } else {
-            record.node.as_str()
+            &record.node
         };
         let next_pid = pids.len() as u64 + 1;
         let pid = *pids.entry(node).or_insert_with(|| {
@@ -51,15 +51,15 @@ pub fn render_chrome_trace(records: &[SpanRecord]) -> String {
         if let Some(parent) = record.parent {
             let _ = write!(args, ",\"parent\":{parent}");
         }
-        for (k, v) in &record.fields {
-            let _ = write!(args, ",{}:{}", json_str(k), json_str(v));
+        for (k, v) in record.fields.iter() {
+            let _ = write!(args, ",{}:{}", json_str(k), json_str(&v.to_string()));
         }
         args.push('}');
 
         events.push(format!(
             "{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\
              \"args\":{args}}}",
-            json_str(&record.name),
+            json_str(record.name),
             record.start.as_micros(),
             record.duration.as_micros(),
         ));
@@ -86,7 +86,7 @@ pub fn render_spans_jsonl(records: &[SpanRecord]) -> String {
             out,
             "{{\"id\":{},\"name\":{},\"start_us\":{},\"dur_us\":{}",
             record.id,
-            json_str(&record.name),
+            json_str(record.name),
             record.start.as_micros(),
             record.duration.as_micros(),
         );
@@ -105,7 +105,7 @@ pub fn render_spans_jsonl(records: &[SpanRecord]) -> String {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{}:{}", json_str(k), json_str(v));
+                let _ = write!(out, "{}:{}", json_str(k), json_str(&v.to_string()));
             }
             out.push('}');
         }
@@ -117,14 +117,17 @@ pub fn render_spans_jsonl(records: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::{FieldValue, Fields};
+    use crate::{Collector, TraceSink};
+    use std::sync::Arc;
     use std::time::Duration;
 
-    fn record(id: u64, name: &str, node: &str, trace_id: u64) -> SpanRecord {
+    fn record(id: u64, name: &'static str, node: &str, trace_id: u64) -> SpanRecord {
         SpanRecord {
             id,
             parent: (id > 1).then(|| id - 1),
-            name: name.into(),
-            fields: vec![("k".into(), "v\"q".into())],
+            name,
+            fields: [("k", FieldValue::Owned("v\"q".into()))].into(),
             start: Duration::from_micros(10 * id),
             duration: Duration::from_micros(5),
             trace_id,
@@ -159,12 +162,12 @@ mod tests {
             SpanRecord {
                 id: 9,
                 parent: None,
-                name: "bare".into(),
-                fields: vec![],
+                name: "bare",
+                fields: Fields::default(),
                 start: Duration::ZERO,
                 duration: Duration::ZERO,
                 trace_id: 0,
-                node: String::new(),
+                node: "".into(),
             },
         ];
         let out = render_spans_jsonl(&records);
@@ -174,5 +177,154 @@ mod tests {
         assert!(!bare.contains("trace"));
         assert!(!bare.contains("node"));
         assert!(!bare.contains("fields"));
+    }
+
+    /// Records using every [`FieldValue`] kind, a spilled fourth field, an
+    /// unattributed node and escapes, in completion order.
+    fn golden_records() -> Vec<SpanRecord> {
+        let trace = 0xf68b_4df5_8e71_c2d9;
+        let span =
+            |id, parent, name, fields: Fields, start_us, dur_us, trace_id, node: &str| SpanRecord {
+                id,
+                parent,
+                name,
+                fields,
+                start: Duration::from_micros(start_us),
+                duration: Duration::from_micros(dur_us),
+                trace_id,
+                node: node.into(),
+            };
+        vec![
+            span(
+                2,
+                Some(1),
+                "commit.stateless",
+                Fields::default(),
+                105,
+                10,
+                0,
+                "peer0.org1",
+            ),
+            span(
+                1,
+                None,
+                "peer.process_block",
+                [("block", FieldValue::U64(7)), ("txs", FieldValue::U64(10))].into(),
+                100,
+                40,
+                0,
+                "peer0.org1",
+            ),
+            span(
+                4,
+                Some(3),
+                "peer.commit",
+                [
+                    ("code", FieldValue::Static("MVCC_READ_CONFLICT")),
+                    ("a", FieldValue::U64(1)),
+                    ("b", FieldValue::Shared(Arc::from("x"))),
+                    ("c", FieldValue::Owned("tab\there".into())),
+                ]
+                .into(),
+                25,
+                3,
+                trace,
+                "",
+            ),
+            span(
+                3,
+                None,
+                "peer.endorse",
+                [
+                    ("chaincode", FieldValue::Shared(Arc::from("trade"))),
+                    ("function", FieldValue::Owned("of\"fer".into())),
+                    ("result", FieldValue::Static("ok")),
+                ]
+                .into(),
+                20,
+                12,
+                trace,
+                "peer0.org2",
+            ),
+            span(
+                5,
+                None,
+                "orderer.order",
+                Fields::default(),
+                0,
+                0,
+                1,
+                "orderer",
+            ),
+        ]
+    }
+
+    // The three goldens below were rendered by the parent commit's
+    // exporters from the same records with `String` fields.
+
+    #[test]
+    fn jsonl_golden() {
+        assert_eq!(
+            render_spans_jsonl(&golden_records()),
+            concat!(
+                r#"{"id":2,"name":"commit.stateless","start_us":105,"dur_us":10,"parent":1,"node":"peer0.org1"}"#,
+                "\n",
+                r#"{"id":1,"name":"peer.process_block","start_us":100,"dur_us":40,"node":"peer0.org1","fields":{"block":"7","txs":"10"}}"#,
+                "\n",
+                r#"{"id":4,"name":"peer.commit","start_us":25,"dur_us":3,"parent":3,"trace":"0xf68b4df58e71c2d9","fields":{"code":"MVCC_READ_CONFLICT","a":"1","b":"x","c":"tab\there"}}"#,
+                "\n",
+                r#"{"id":3,"name":"peer.endorse","start_us":20,"dur_us":12,"trace":"0xf68b4df58e71c2d9","node":"peer0.org2","fields":{"chaincode":"trade","function":"of\"fer","result":"ok"}}"#,
+                "\n",
+                r#"{"id":5,"name":"orderer.order","start_us":0,"dur_us":0,"trace":"0x0000000000000001","node":"orderer"}"#,
+                "\n",
+            )
+        );
+    }
+
+    #[test]
+    fn chrome_trace_golden() {
+        assert_eq!(
+            render_chrome_trace(&golden_records()),
+            concat!(
+                "{\"traceEvents\":[\n",
+                r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"peer0.org1"}},"#,
+                "\n",
+                r#"{"name":"commit.stateless","ph":"X","ts":105,"dur":10,"pid":1,"tid":1,"args":{"span":2,"parent":1}},"#,
+                "\n",
+                r#"{"name":"peer.process_block","ph":"X","ts":100,"dur":40,"pid":1,"tid":1,"args":{"span":1,"block":"7","txs":"10"}},"#,
+                "\n",
+                r#"{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"(unattributed)"}},"#,
+                "\n",
+                r#"{"name":"peer.commit","ph":"X","ts":25,"dur":3,"pid":2,"tid":2,"args":{"span":4,"trace":"0xf68b4df58e71c2d9","parent":3,"code":"MVCC_READ_CONFLICT","a":"1","b":"x","c":"tab\there"}},"#,
+                "\n",
+                r#"{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"peer0.org2"}},"#,
+                "\n",
+                r#"{"name":"peer.endorse","ph":"X","ts":20,"dur":12,"pid":3,"tid":3,"args":{"span":3,"trace":"0xf68b4df58e71c2d9","chaincode":"trade","function":"of\"fer","result":"ok"}},"#,
+                "\n",
+                r#"{"name":"process_name","ph":"M","pid":4,"tid":0,"args":{"name":"orderer"}},"#,
+                "\n",
+                r#"{"name":"orderer.order","ph":"X","ts":0,"dur":0,"pid":4,"tid":4,"args":{"span":5,"trace":"0x0000000000000001"}}"#,
+                "\n",
+                "]}\n",
+            )
+        );
+    }
+
+    #[test]
+    fn tree_golden() {
+        let sink = TraceSink::new();
+        for record in golden_records() {
+            sink.span_finished(record);
+        }
+        assert_eq!(
+            sink.render_tree(),
+            concat!(
+                "orderer.order ...................................    0.000ns\n",
+                "peer.endorse [chaincode=trade function=of\"fer result=ok] .   12.000µs\n",
+                "  peer.commit [code=MVCC_READ_CONFLICT a=1 b=x c=tab\there] .    3.000µs  (25.0%)\n",
+                "peer.process_block [block=7 txs=10] .............   40.000µs\n",
+                "  commit.stateless ..............................   10.000µs  (25.0%)\n",
+            )
+        );
     }
 }

@@ -59,7 +59,7 @@ pub use metrics::{
     DURATION_SECONDS_BUCKETS, TICK_BUCKETS,
 };
 pub use recorder::{FlightDump, FlightEntry, FlightRecorder};
-pub use span::{Collector, NoopCollector, SpanRecord, TraceSink};
+pub use span::{Collector, FieldValue, Fields, NoopCollector, SpanRecord, TraceSink};
 pub use timeline::{TxTimeline, PHASES, PHASE_SECONDS_BUCKETS};
 pub use trace::TraceContext;
 
@@ -85,9 +85,9 @@ struct Inner {
     /// [`Telemetry::flight_recorder`] can read dumps back.
     recorder: Option<Arc<FlightRecorder>>,
     collector: Arc<dyn Collector>,
-    /// False for [`Telemetry::noop`]: spans skip allocation, id
-    /// assignment, and collector dispatch entirely (timing via
-    /// [`SpanGuard::elapsed`] still works).
+    /// False for [`Telemetry::noop`]: spans skip id assignment and
+    /// collector dispatch entirely (timing via [`SpanGuard::elapsed`]
+    /// still works).
     enabled: bool,
     epoch: Instant,
     next_span_id: AtomicU64,
@@ -155,7 +155,7 @@ impl Telemetry {
         }
     }
 
-    /// Mirrors the in-memory sink's retention evictions into the
+    /// Counts the in-memory sink's retention evictions in the
     /// registry-exported `fabric_trace_spans_evicted_total` counter, so
     /// dashboards can see when a sustained load run outpaces trace
     /// consumption.
@@ -212,7 +212,7 @@ impl Telemetry {
     }
 
     /// Opens a root span; it records to the collector when dropped.
-    pub fn span(&self, name: impl Into<String>) -> SpanGuard {
+    pub fn span(&self, name: &'static str) -> SpanGuard {
         self.open_span(name, None)
     }
 
@@ -232,7 +232,7 @@ impl Telemetry {
         self.inner.audit.record(event);
     }
 
-    fn open_span(&self, name: impl Into<String>, parent: Option<u64>) -> SpanGuard {
+    fn open_span(&self, name: &'static str, parent: Option<u64>) -> SpanGuard {
         let enabled = self.inner.enabled;
         SpanGuard {
             telemetry: self.clone(),
@@ -244,9 +244,9 @@ impl Telemetry {
             },
             parent,
             trace_id: 0,
-            node: String::new(),
-            name: if enabled { name.into() } else { String::new() },
-            fields: Vec::new(),
+            node: None,
+            name,
+            fields: Fields::default(),
             start: Instant::now(),
         }
     }
@@ -275,10 +275,13 @@ impl fmt::Debug for Telemetry {
 
 /// An open span; records a [`SpanRecord`] to the collector on drop.
 ///
+/// Recording allocates nothing but a [`FieldValue::Owned`] field (and
+/// whatever the collector does with the record): the name is a literal,
+/// the node a shared string, and up to three fields sit inline.
+///
 /// When the owning telemetry is [`Telemetry::noop`] the guard is inert:
 /// it keeps a start [`Instant`] so [`SpanGuard::elapsed`] still times the
-/// region, but skips name/field allocation, id assignment, and the
-/// collector call.
+/// region, but skips fields, id assignment, and the collector call.
 #[derive(Debug)]
 pub struct SpanGuard {
     telemetry: Telemetry,
@@ -286,9 +289,10 @@ pub struct SpanGuard {
     id: u64,
     parent: Option<u64>,
     trace_id: u64,
-    node: String,
-    name: String,
-    fields: Vec<(String, String)>,
+    /// `None` until [`SpanGuard::node`] names one: unattributed.
+    node: Option<Arc<str>>,
+    name: &'static str,
+    fields: Fields,
     start: Instant,
 }
 
@@ -312,10 +316,11 @@ impl SpanGuard {
         }
     }
 
-    /// Attributes the span to a named node (peer/orderer/client).
-    pub fn node(&mut self, node: impl Into<String>) {
+    /// Attributes the span to a named node (peer/orderer/client). The
+    /// name is shared, not copied: callers hold it for the node's life.
+    pub fn node(&mut self, node: &Arc<str>) {
         if self.enabled {
-            self.node = node.into();
+            self.node = Some(node.clone());
         }
     }
 
@@ -329,19 +334,17 @@ impl SpanGuard {
     }
 
     /// Attaches a key-value field to the span.
-    pub fn field(&mut self, key: impl Into<String>, value: impl ToString) {
+    pub fn field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
         if self.enabled {
-            self.fields.push((key.into(), value.to_string()));
+            self.fields.push(key, value.into());
         }
     }
 
     /// Opens a child span of this one (same trace id and node).
-    pub fn child(&self, name: impl Into<String>) -> SpanGuard {
+    pub fn child(&self, name: &'static str) -> SpanGuard {
         let mut child = self.telemetry.open_span(name, Some(self.id));
         child.trace_id = self.trace_id;
-        if child.enabled {
-            child.node = self.node.clone();
-        }
+        child.node = self.node.clone();
         child
     }
 
@@ -362,14 +365,14 @@ impl Drop for SpanGuard {
         let record = SpanRecord {
             id: self.id,
             parent: self.parent,
-            name: std::mem::take(&mut self.name),
+            name: self.name,
             fields: std::mem::take(&mut self.fields),
             start: self
                 .start
                 .saturating_duration_since(self.telemetry.inner.epoch),
             duration: self.start.elapsed(),
             trace_id: self.trace_id,
-            node: std::mem::take(&mut self.node),
+            node: self.node.take().unwrap_or_else(span::unattributed),
         };
         self.telemetry.inner.collector.span_finished(record);
     }
@@ -385,7 +388,7 @@ mod tests {
         let t = Telemetry::new();
         {
             let mut root = t.span("root");
-            root.field("n", 3);
+            root.field("n", 3u64);
             let child = root.child("child");
             child.finish();
         }
@@ -395,7 +398,7 @@ mod tests {
         let root = records.iter().find(|r| r.name == "root").expect("root");
         assert_eq!(child.parent, Some(root.id));
         assert!(root.duration >= child.duration);
-        assert_eq!(root.fields, vec![("n".to_string(), "3".to_string())]);
+        assert_eq!(root.fields, [("n", FieldValue::U64(3))].into());
     }
 
     #[test]
@@ -434,13 +437,13 @@ mod tests {
         {
             let mut remote_parent = t.span("upstream");
             remote_parent.trace(ctx);
-            remote_parent.node("client0.org1");
+            remote_parent.node(&Arc::from("client0.org1"));
             let downstream_ctx = remote_parent.context();
             // A span on "another node": no local parent, adopts the
             // remote one through the propagated context.
             let mut local_root = t.span("downstream");
             local_root.trace(downstream_ctx);
-            local_root.node("peer0.org1");
+            local_root.node(&Arc::from("peer0.org1"));
             let child = local_root.child("downstream.child");
             assert_eq!(child.context().trace_id, ctx.trace_id);
             child.finish();
@@ -456,7 +459,7 @@ mod tests {
             .unwrap();
         assert_eq!(downstream.parent, Some(upstream.id));
         assert_eq!(child.parent, Some(downstream.id));
-        assert_eq!(child.node, "peer0.org1");
+        assert_eq!(&*child.node, "peer0.org1");
     }
 
     #[test]

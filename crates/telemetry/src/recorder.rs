@@ -211,16 +211,16 @@ mod tests {
     use fabric_types::ChaincodeId;
     use std::time::Duration;
 
-    fn span(id: u64, name: &str) -> SpanRecord {
+    fn span(id: u64, name: &'static str) -> SpanRecord {
         SpanRecord {
             id,
             parent: None,
-            name: name.into(),
-            fields: vec![],
+            name,
+            fields: Default::default(),
             start: Duration::from_millis(id),
             duration: Duration::from_millis(1),
             trace_id: 0,
-            node: String::new(),
+            node: "".into(),
         }
     }
 

@@ -5,14 +5,17 @@
 //! hands the finished [`SpanRecord`] to the telemetry's [`Collector`].
 //! The in-memory [`TraceSink`] collector retains records and renders a
 //! flamegraph-style text tree ([`TraceSink::render_tree`]).
+//!
+//! A record holds no text of its own: its name is a literal, its node a
+//! shared string, and its field values integers, literals or shared
+//! strings ([`FieldValue`]), rendered only by the exporters.
 
 use crate::audit::AuditEvent;
 use crate::metrics::Counter;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, LazyLock, OnceLock};
 use std::time::Duration;
 
 /// A finished span as delivered to a [`Collector`].
@@ -23,9 +26,9 @@ pub struct SpanRecord {
     /// Id of the enclosing span, if any.
     pub parent: Option<u64>,
     /// Span name, e.g. `peer.process_block`.
-    pub name: String,
+    pub name: &'static str,
     /// Key-value annotations attached while the span was open.
-    pub fields: Vec<(String, String)>,
+    pub fields: Fields,
     /// Start offset from the telemetry instance's epoch (monotonic).
     pub start: Duration,
     /// Wall time between span open and close.
@@ -33,7 +36,138 @@ pub struct SpanRecord {
     /// Cross-node trace id ([`crate::TraceContext`]); 0 = untraced.
     pub trace_id: u64,
     /// Name of the node that emitted the span; empty = unattributed.
-    pub node: String,
+    pub node: Arc<str>,
+}
+
+/// The node of an unattributed span: one shared empty string.
+pub(crate) fn unattributed() -> Arc<str> {
+    static EMPTY: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from(""));
+    EMPTY.clone()
+}
+
+/// A span field's value, kept as it was given; the text is produced only
+/// when a record is rendered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FieldValue {
+    /// A count, index or number.
+    U64(u64),
+    /// A literal, e.g. a validation code's name.
+    Static(&'static str),
+    /// A shared identifier, e.g. a chaincode name.
+    Shared(Arc<str>),
+    /// Text copied for this span alone: the one field kind that allocates.
+    Owned(Box<str>),
+}
+
+impl fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FieldValue::U64(n) => write!(f, "{n}"),
+            FieldValue::Static(s) => f.write_str(s),
+            FieldValue::Shared(s) => f.write_str(s),
+            FieldValue::Owned(s) => f.write_str(s),
+        }
+    }
+}
+
+/// The filler of an unused inline [`Fields`] slot.
+impl Default for FieldValue {
+    fn default() -> Self {
+        FieldValue::U64(0)
+    }
+}
+
+impl From<u64> for FieldValue {
+    fn from(n: u64) -> Self {
+        FieldValue::U64(n)
+    }
+}
+
+impl From<usize> for FieldValue {
+    fn from(n: usize) -> Self {
+        FieldValue::U64(n as u64)
+    }
+}
+
+impl From<&'static str> for FieldValue {
+    fn from(s: &'static str) -> Self {
+        FieldValue::Static(s)
+    }
+}
+
+impl From<&Arc<str>> for FieldValue {
+    fn from(s: &Arc<str>) -> Self {
+        FieldValue::Shared(s.clone())
+    }
+}
+
+impl From<Box<str>> for FieldValue {
+    fn from(s: Box<str>) -> Self {
+        FieldValue::Owned(s)
+    }
+}
+
+/// Fields held inline before the rest spill to the heap; no span the
+/// pipeline records has more.
+const INLINE_FIELDS: usize = 3;
+
+/// A span's fields in insertion order: the first three inline, any
+/// further ones in a spill `Vec`.
+#[derive(Debug, Clone, Default)]
+pub struct Fields {
+    /// The first `inline_len` slots are set; the rest hold `("", U64(0))`.
+    inline: [(&'static str, FieldValue); INLINE_FIELDS],
+    inline_len: u8,
+    spill: Vec<(&'static str, FieldValue)>,
+}
+
+impl Fields {
+    /// Appends a field.
+    pub fn push(&mut self, key: &'static str, value: FieldValue) {
+        match self.inline.get_mut(usize::from(self.inline_len)) {
+            Some(slot) => {
+                *slot = (key, value);
+                self.inline_len += 1;
+            }
+            None => self.spill.push((key, value)),
+        }
+    }
+
+    /// The fields in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &FieldValue)> {
+        self.inline[..usize::from(self.inline_len)]
+            .iter()
+            .chain(&self.spill)
+            .map(|(k, v)| (*k, v))
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        usize::from(self.inline_len) + self.spill.len()
+    }
+
+    /// True when the span has no field.
+    pub fn is_empty(&self) -> bool {
+        self.inline_len == 0
+    }
+}
+
+impl PartialEq for Fields {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Fields {}
+
+impl<const N: usize> From<[(&'static str, FieldValue); N]> for Fields {
+    fn from(fields: [(&'static str, FieldValue); N]) -> Self {
+        let mut out = Fields::default();
+        for (k, v) in fields {
+            out.push(k, v);
+        }
+        out
+    }
 }
 
 /// Receives finished spans and emitted audit events.
@@ -68,17 +202,25 @@ impl Collector for NoopCollector {
 /// Thread-safe in-memory span store; the default collector.
 ///
 /// Retention is bounded: once `capacity` records are held, each new
-/// span evicts the oldest one (counted in [`TraceSink::evicted`] and,
-/// when wired by [`crate::Telemetry`], mirrored into the
-/// `fabric_trace_spans_evicted_total` counter). A consumer that needs
-/// every span of a long run should [`TraceSink::drain`] incrementally
-/// instead of letting the run pile up in memory.
+/// span evicts the oldest one (counted in [`TraceSink::evicted`], and
+/// exported as `fabric_trace_spans_evicted_total` when wired by
+/// [`crate::Telemetry`]). A consumer that needs every span of a long run
+/// should [`TraceSink::drain`] incrementally instead of letting the run
+/// pile up in memory.
 #[derive(Debug)]
 pub struct TraceSink {
-    spans: Mutex<VecDeque<SpanRecord>>,
+    state: Mutex<SinkState>,
     capacity: usize,
-    evicted: AtomicU64,
+    /// When set, evictions are counted here instead of in
+    /// `SinkState::evicted`.
     eviction_counter: OnceLock<Counter>,
+}
+
+#[derive(Debug, Default)]
+struct SinkState {
+    spans: VecDeque<SpanRecord>,
+    /// Evictions while no counter was wired.
+    evicted: u64,
 }
 
 impl Default for TraceSink {
@@ -102,9 +244,8 @@ impl TraceSink {
     /// (clamped to at least 1).
     pub fn with_capacity(capacity: usize) -> Self {
         TraceSink {
-            spans: Mutex::new(VecDeque::new()),
+            state: Mutex::default(),
             capacity: capacity.max(1),
-            evicted: AtomicU64::new(0),
             eviction_counter: OnceLock::new(),
         }
     }
@@ -116,29 +257,29 @@ impl TraceSink {
 
     /// Number of records evicted to honor the cap since creation.
     pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.state.lock().evicted + self.eviction_counter.get().map_or(0, Counter::get)
     }
 
-    /// Mirrors evictions into a registry-exported counter (first call
-    /// wins; later calls are ignored). [`crate::Telemetry`] wires this
-    /// to `fabric_trace_spans_evicted_total`.
+    /// Counts later evictions in a registry-exported counter instead
+    /// (first call wins; later calls are ignored). [`crate::Telemetry`]
+    /// wires this to `fabric_trace_spans_evicted_total`.
     pub fn set_eviction_counter(&self, counter: Counter) {
         let _ = self.eviction_counter.set(counter);
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.spans.lock().len()
+        self.state.lock().spans.len()
     }
 
     /// True when no span has finished yet.
     pub fn is_empty(&self) -> bool {
-        self.spans.lock().is_empty()
+        self.state.lock().spans.is_empty()
     }
 
     /// Clones out all retained records in completion order.
     pub fn records(&self) -> Vec<SpanRecord> {
-        self.spans.lock().iter().cloned().collect()
+        self.state.lock().spans.iter().cloned().collect()
     }
 
     /// Removes and returns all retained records in completion order.
@@ -148,12 +289,12 @@ impl TraceSink {
     /// sink's retention (and the eviction counter) at zero no matter
     /// how long the run is.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        self.spans.lock().drain(..).collect()
+        self.state.lock().spans.drain(..).collect()
     }
 
     /// Drops all retained records.
     pub fn clear(&self) {
-        self.spans.lock().clear();
+        self.state.lock().spans.clear();
     }
 
     /// Renders the retained spans as an indented tree, one root per
@@ -212,15 +353,15 @@ fn render_node(
 
 impl Collector for TraceSink {
     fn span_finished(&self, record: SpanRecord) {
-        let mut spans = self.spans.lock();
-        if spans.len() >= self.capacity {
-            spans.pop_front();
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-            if let Some(counter) = self.eviction_counter.get() {
-                counter.inc();
+        let mut state = self.state.lock();
+        if state.spans.len() >= self.capacity {
+            state.spans.pop_front();
+            match self.eviction_counter.get() {
+                Some(counter) => counter.inc(),
+                None => state.evicted += 1,
             }
         }
-        spans.push_back(record);
+        state.spans.push_back(record);
     }
 }
 
@@ -235,22 +376,22 @@ mod tests {
         sink.span_finished(SpanRecord {
             id: 1,
             parent: None,
-            name: "root".into(),
-            fields: vec![("k".into(), "v".into())],
+            name: "root",
+            fields: [("k", FieldValue::Static("v"))].into(),
             start: Duration::ZERO,
             duration: Duration::from_millis(10),
             trace_id: 0,
-            node: String::new(),
+            node: unattributed(),
         });
         sink.span_finished(SpanRecord {
             id: 2,
             parent: Some(1),
-            name: "child".into(),
-            fields: vec![],
+            name: "child",
+            fields: Fields::default(),
             start: Duration::from_millis(1),
             duration: Duration::from_millis(5),
             trace_id: 0,
-            node: String::new(),
+            node: unattributed(),
         });
         assert_eq!(sink.len(), 2);
         let tree = sink.render_tree();
@@ -263,12 +404,12 @@ mod tests {
         SpanRecord {
             id,
             parent: None,
-            name: format!("s{id}"),
-            fields: vec![],
+            name: "s",
+            fields: Fields::default(),
             start: Duration::from_millis(id),
             duration: Duration::from_millis(1),
             trace_id: 0,
-            node: String::new(),
+            node: unattributed(),
         }
     }
 
@@ -314,6 +455,30 @@ mod tests {
         sink.span_finished(span(2));
         sink.span_finished(span(3));
         assert_eq!(sink.evicted(), 2);
-        assert_eq!(counter.get(), 2, "metric mirrors the sink's counter");
+        assert_eq!(counter.get(), 2, "evictions land in the exported metric");
+    }
+
+    #[test]
+    fn fields_spill_past_the_inline_slots_in_order() {
+        let mut fields = Fields::default();
+        assert!(fields.is_empty());
+        for (i, key) in ["a", "b", "c", "d", "e"].into_iter().enumerate() {
+            fields.push(key, FieldValue::U64(i as u64));
+        }
+        assert_eq!(fields.len(), 5);
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["a", "b", "c", "d", "e"]);
+        assert_eq!(
+            fields,
+            [
+                ("a", FieldValue::U64(0)),
+                ("b", FieldValue::U64(1)),
+                ("c", FieldValue::U64(2)),
+                ("d", FieldValue::U64(3)),
+                ("e", FieldValue::U64(4)),
+            ]
+            .into()
+        );
+        assert_ne!(fields, [("a", FieldValue::U64(0))].into());
     }
 }

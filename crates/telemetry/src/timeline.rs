@@ -116,8 +116,8 @@ impl TxTimeline {
     pub fn nodes(&self) -> Vec<&str> {
         let mut nodes = Vec::new();
         for span in &self.spans {
-            if !span.node.is_empty() && !nodes.contains(&span.node.as_str()) {
-                nodes.push(span.node.as_str());
+            if !span.node.is_empty() && !nodes.contains(&&*span.node) {
+                nodes.push(&*span.node);
             }
         }
         nodes
@@ -160,7 +160,7 @@ impl TxTimeline {
             let node = if span.node.is_empty() {
                 "-"
             } else {
-                span.node.as_str()
+                &span.node
             };
             let _ = writeln!(
                 out,
@@ -176,12 +176,18 @@ impl TxTimeline {
 mod tests {
     use super::*;
 
-    fn span(name: &str, node: &str, trace_id: u64, start_ms: u64, dur_ms: u64) -> SpanRecord {
+    fn span(
+        name: &'static str,
+        node: &str,
+        trace_id: u64,
+        start_ms: u64,
+        dur_ms: u64,
+    ) -> SpanRecord {
         SpanRecord {
             id: start_ms,
             parent: None,
-            name: name.into(),
-            fields: vec![],
+            name,
+            fields: Default::default(),
             start: Duration::from_millis(start_ms),
             duration: Duration::from_millis(dur_ms),
             trace_id,

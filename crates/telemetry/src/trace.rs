@@ -2,10 +2,14 @@
 //!
 //! A [`TraceContext`] ties spans emitted on different nodes into one
 //! causal tree per transaction. Trace ids are derived deterministically
-//! from the transaction id (FNV-1a 64), so every hop that knows the tx id
-//! — endorser, orderer, raft follower, committing peer — can re-derive
-//! the same trace id without any wire-format change and without a `rand`
+//! from the transaction id (`fabric_wire::IdHasher`, the identifier
+//! hasher of DESIGN.md §10), so every hop that knows the tx id —
+//! endorser, orderer, raft follower, committing peer — can re-derive the
+//! same trace id without any wire-format change and without a `rand`
 //! dependency.
+
+use fabric_wire::IdHasher;
+use std::hash::Hasher;
 
 /// Identifies the trace a span belongs to and the span it is causally
 /// parented under.
@@ -14,7 +18,7 @@
 /// produces that inactive context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceContext {
-    /// Deterministic trace id (FNV-1a 64 of the tx id); 0 = inactive.
+    /// Deterministic trace id (hash of the tx id); 0 = inactive.
     pub trace_id: u64,
     /// Span id of the causal parent on the emitting side; 0 = no remote
     /// parent (the span is a root of its node-local subtree).
@@ -24,16 +28,14 @@ pub struct TraceContext {
 impl TraceContext {
     /// Derives the trace context for a transaction id.
     ///
-    /// Deterministic across nodes and runs: FNV-1a 64 over the id bytes,
-    /// nudged away from zero so the context is always active.
+    /// Deterministic across nodes and runs: [`IdHasher`] over the id
+    /// bytes, eight at a time, nudged away from zero so the context is
+    /// always active.
     pub fn for_tx(tx_id: &str) -> Self {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in tx_id.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x1_0000_0000_01b3);
-        }
+        let mut hasher = IdHasher::default();
+        hasher.write(tx_id.as_bytes());
         TraceContext {
-            trace_id: if hash == 0 { 1 } else { hash },
+            trace_id: hasher.finish().max(1),
             parent_span: 0,
         }
     }
@@ -71,5 +73,40 @@ mod tests {
         let child = TraceContext::for_tx("t").with_parent(7);
         assert_eq!(child.parent_span, 7);
         assert_eq!(child.trace_id, TraceContext::for_tx("t").trace_id);
+    }
+
+    #[test]
+    fn the_empty_id_hashes_to_zero_and_is_nudged_to_one() {
+        assert_eq!(TraceContext::for_tx("").trace_id, 1);
+    }
+
+    /// Trace ids of distinct transactions must not merge two timelines:
+    /// no collision over sequential names or over hex ids shaped like
+    /// `Proposal::derive_tx_id`'s.
+    #[test]
+    fn no_collisions_over_sequential_and_hex_ids() {
+        let mut seen = std::collections::HashSet::new();
+        for n in 0..100_000u64 {
+            let id = format!("tx-{n}");
+            let ctx = TraceContext::for_tx(&id);
+            assert!(ctx.is_active());
+            assert!(seen.insert(ctx.trace_id), "{id} collides");
+        }
+        for n in 0..10_000u64 {
+            let mut state = n.wrapping_mul(0xd6e8_feb8_6659_fd93) | 1;
+            let id: String = (0..4)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    format!("{state:016x}")
+                })
+                .collect();
+            assert_eq!(id.len(), 64);
+            assert!(
+                seen.insert(TraceContext::for_tx(&id).trace_id),
+                "{id} collides"
+            );
+        }
     }
 }

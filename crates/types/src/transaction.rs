@@ -45,15 +45,26 @@ impl_wire_enum!(TxValidationCode {
 });
 
 impl TxValidationCode {
+    /// Every code, in declaration order: `ALL[code as usize] == code`.
+    pub const ALL: [TxValidationCode; 8] = [
+        TxValidationCode::Valid,
+        TxValidationCode::MvccReadConflict,
+        TxValidationCode::EndorsementPolicyFailure,
+        TxValidationCode::InvalidEndorserSignature,
+        TxValidationCode::InvalidClientSignature,
+        TxValidationCode::NonMemberEndorsement,
+        TxValidationCode::DuplicateTxId,
+        TxValidationCode::BadPayload,
+    ];
+
     /// True only for [`TxValidationCode::Valid`].
     pub fn is_valid(&self) -> bool {
         matches!(self, TxValidationCode::Valid)
     }
-}
 
-impl fmt::Display for TxValidationCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// Fabric's name for the code, e.g. `MVCC_READ_CONFLICT`.
+    pub fn as_str(&self) -> &'static str {
+        match self {
             TxValidationCode::Valid => "VALID",
             TxValidationCode::MvccReadConflict => "MVCC_READ_CONFLICT",
             TxValidationCode::EndorsementPolicyFailure => "ENDORSEMENT_POLICY_FAILURE",
@@ -62,8 +73,13 @@ impl fmt::Display for TxValidationCode {
             TxValidationCode::NonMemberEndorsement => "NON_MEMBER_ENDORSEMENT",
             TxValidationCode::DuplicateTxId => "DUPLICATE_TXID",
             TxValidationCode::BadPayload => "BAD_PAYLOAD",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TxValidationCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -698,6 +714,17 @@ mod tests {
             TxValidationCode::EndorsementPolicyFailure.to_string(),
             "ENDORSEMENT_POLICY_FAILURE"
         );
+    }
+
+    /// `ALL` is indexed by `code as usize` (per-code metric handles), so it
+    /// must list every code the wire format knows, at its tag.
+    #[test]
+    fn all_lists_every_code_at_its_wire_tag() {
+        for (tag, code) in TxValidationCode::ALL.iter().enumerate() {
+            assert_eq!(*code as usize, tag);
+            assert_eq!(TxValidationCode::from_wire(&[tag as u8]).as_ref(), Ok(code));
+        }
+        assert!(TxValidationCode::from_wire(&[TxValidationCode::ALL.len() as u8]).is_err());
     }
 }
 

@@ -6,8 +6,10 @@
 #   3. `cargo build --release`                      release build works
 #   4. `cargo test -q`                              every proof is a typed test
 #   5. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
-#      that commits on several threads, runs twice and must report equal
-#      tick-denominated metrics
+#      that commits on several threads, and `mixed_small_blocks`, the one
+#      that runs with telemetry and the monitor attached, each run twice
+#      and must pass the correctness checks with equal tick-denominated
+#      metrics
 #
 # No step writes inside the work tree outside `target/`: after a passing run
 # `git status --porcelain` prints what it printed before.
@@ -29,5 +31,8 @@ cargo test -q
 
 echo "==> fabric-benchmark check --smoke --workload wide_fanout"
 cargo run --release -q -p fabric-benchmark -- check --smoke --workload wide_fanout
+
+echo "==> fabric-benchmark check --smoke --workload mixed_small_blocks"
+cargo run --release -q -p fabric-benchmark -- check --smoke --workload mixed_small_blocks
 
 echo "CI gate passed."

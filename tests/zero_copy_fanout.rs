@@ -8,18 +8,21 @@
 //! On the live submit→commit path the same fact is read off the ledgers:
 //! every peer's committed block points at one transaction storage.
 //!
-//! The last group holds the per-transaction path to its allocation
+//! The last groups hold the per-transaction path to its allocation
 //! budgets (DESIGN.md, "Allocation discipline"): identifier clones, policy
-//! evaluation and gossip push allocate nothing, and endorsing on a wider
-//! network costs no allocation per extra recipient.
+//! evaluation and gossip push allocate nothing, endorsing on a wider
+//! network costs no allocation per extra recipient, and recording a span
+//! allocates nothing but an owned field value.
 
 use fabric_pdc::gossip::{GossipHub, PeerId};
 use fabric_pdc::orderer::BatchConfig;
 use fabric_pdc::peer::ChannelPolicies;
 use fabric_pdc::prelude::*;
+use fabric_pdc::telemetry::TraceSink;
 use fabric_pdc::types::{Block, PvtDataPackage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// System allocator wrapper that counts allocation events and bytes.
@@ -114,31 +117,31 @@ fn fanout_network(extra_peers: usize, block_txs: usize) -> FabricNetwork {
     net
 }
 
-/// `count` pre-endorsed, pre-assembled distinct-key PDC writes whose
-/// private data has been disseminated through the network's gossip layer.
-fn prepare_txs(net: &mut FabricNetwork, count: usize) -> Vec<Transaction> {
-    (0..count)
-        .map(|i| {
-            let mut client = Client::new(
-                "Org1MSP",
-                Keypair::generate_from_seed(8_800_000 + i as u64),
-                DefenseConfig::original(),
-            );
-            let proposal = client.create_proposal(
-                net.channel().clone(),
-                ChaincodeId::new(NS),
-                "write",
-                vec![format!("zk{i}").into_bytes(), b"12".to_vec()],
-                Default::default(),
-            );
-            let r1 = net.endorse("peer0.org1", &proposal).expect("endorse org1");
-            let r2 = net.endorse("peer0.org2", &proposal).expect("endorse org2");
-            client
-                .assemble_transaction(&proposal, &[r1, r2])
-                .expect("assemble")
-                .0
-        })
-        .collect()
+/// Pre-endorsed, pre-assembled distinct-key PDC writes, one per index in
+/// `keys`, whose private data has been disseminated through the network's
+/// gossip layer.
+fn prepare_txs(net: &mut FabricNetwork, keys: Range<usize>) -> Vec<Transaction> {
+    keys.map(|i| {
+        let mut client = Client::new(
+            "Org1MSP",
+            Keypair::generate_from_seed(8_800_000 + i as u64),
+            DefenseConfig::original(),
+        );
+        let proposal = client.create_proposal(
+            net.channel().clone(),
+            ChaincodeId::new(NS),
+            "write",
+            vec![format!("zk{i}").into_bytes(), b"12".to_vec()],
+            Default::default(),
+        );
+        let r1 = net.endorse("peer0.org1", &proposal).expect("endorse org1");
+        let r2 = net.endorse("peer0.org2", &proposal).expect("endorse org2");
+        client
+            .assemble_transaction(&proposal, &[r1, r2])
+            .expect("assemble")
+            .0
+    })
+    .collect()
 }
 
 /// Submits `txs` and ticks until all peers committed `blocks` more blocks.
@@ -169,7 +172,7 @@ fn block_clone_is_allocation_free() {
     let _guard = SERIAL.lock().unwrap();
     const TXS: usize = 8;
     let mut net = fanout_network(0, TXS);
-    let txs = prepare_txs(&mut net, TXS);
+    let txs = prepare_txs(&mut net, 0..TXS);
     let tip = net.peer("peer0.org1").block_store().tip_hash();
     let height = net.peer("peer0.org1").block_store().height();
     let block = Block::new(height, tip, txs);
@@ -204,7 +207,7 @@ fn delivered_blocks_share_transaction_storage() {
     let _guard = SERIAL.lock().unwrap();
     const TXS: usize = 16;
     let mut net = fanout_network(2, TXS);
-    let txs = prepare_txs(&mut net, TXS);
+    let txs = prepare_txs(&mut net, 0..TXS);
     let number = net.peer("peer0.org1").block_store().height();
     run_to_commit(&mut net, txs, 1);
     let names = net.peer_names();
@@ -352,5 +355,100 @@ fn endorse_allocations_do_not_grow_with_recipients() {
     assert!(
         wide <= narrow + 4,
         "endorse on 8 peers allocated {wide} times, on 2 peers {narrow}"
+    );
+}
+
+/// Recording a span allocates nothing but an owned field value: the name
+/// is a literal, the node and identifiers are shared, integers and codes
+/// stay typed, and a full sink evicts without freeing into a new record.
+#[test]
+fn recording_a_span_is_allocation_free() {
+    let _guard = SERIAL.lock().unwrap();
+    let sink = Arc::new(TraceSink::with_capacity(8));
+    let telemetry = Telemetry::with_collector(sink.clone());
+    let node: Arc<str> = Arc::from("peer0.org1");
+    let tx_id = TxId::new("6f1c".repeat(16));
+    let chaincode = ChaincodeId::new(NS);
+    let commit_span = || {
+        let mut s = telemetry.span("peer.commit");
+        s.trace(TraceContext::for_tx(tx_id.as_str()));
+        s.node(&node);
+        s.field("code", TxValidationCode::MvccReadConflict.as_str());
+    };
+    for _ in 0..sink.capacity() {
+        commit_span();
+    }
+    let (_, calls, _) = measured(|| (0..100).for_each(|_| commit_span()));
+    assert_eq!(calls, 0, "100 peer.commit spans into a full sink");
+    assert_eq!(sink.len(), sink.capacity());
+    assert_eq!(sink.evicted(), 100);
+
+    let (_, calls, _) = measured(|| {
+        let mut s = telemetry.span("peer.endorse");
+        s.trace(TraceContext::for_tx(tx_id.as_str()));
+        s.node(&node);
+        s.field("chaincode", chaincode.as_arc());
+        s.field("function", Box::<str>::from("write"));
+        s.field("result", "ok");
+    });
+    assert!(
+        calls <= 1,
+        "a peer.endorse span may allocate its owned function name only, measured {calls}"
+    );
+}
+
+/// A traced commit records a block span, two stage spans and two spans per
+/// transaction, and allocates (almost) nothing more than an untraced one:
+/// the sink growing toward its cap may take one step.
+#[test]
+fn traced_commit_allocates_no_more_than_untraced() {
+    let _guard = SERIAL.lock().unwrap();
+    const TXS: usize = 10;
+    let commit_calls = |telemetry: Option<Telemetry>| -> u64 {
+        let mut net = fanout_network(0, 1_000);
+        if let Some(t) = telemetry {
+            net.peer_mut("peer0.org1").set_telemetry(t);
+        }
+        let mut commit = |keys: Range<usize>| {
+            let txs = prepare_txs(&mut net, keys);
+            let peer_id = net.peer("peer0.org1").gossip_id().clone();
+            let pkgs: Vec<(TxId, Option<Arc<PvtDataPackage>>)> = txs
+                .iter()
+                .map(|tx| {
+                    (
+                        tx.tx_id.clone(),
+                        net.gossip_mut().get_shared(&peer_id, &tx.tx_id),
+                    )
+                })
+                .collect();
+            let mut provider = |id: &TxId| {
+                pkgs.iter()
+                    .find(|(tx_id, _)| tx_id == id)
+                    .and_then(|(_, pkg)| pkg.clone())
+            };
+            let peer = net.peer_mut("peer0.org1");
+            let block = Block::new(
+                peer.block_store().height(),
+                peer.block_store().tip_hash(),
+                txs,
+            );
+            let (outcome, calls, _) =
+                measured(|| peer.process_block(block, &mut provider).expect("commits"));
+            assert!(outcome.validation_codes.iter().all(|c| c.is_valid()));
+            assert!(outcome.missing_private_data.is_empty());
+            calls
+        };
+        commit(0..TXS);
+        commit(TXS..2 * TXS)
+    };
+    let telemetry = Telemetry::new();
+    let traced = commit_calls(Some(telemetry.clone()));
+    let untraced = commit_calls(None);
+    let records = telemetry.trace().expect("sink").records();
+    let commits = records.iter().filter(|r| r.name == "peer.commit").count();
+    assert_eq!(commits, 2 * TXS, "every transaction was traced");
+    assert!(
+        traced <= untraced + 2,
+        "a traced {TXS}-tx commit allocated {traced} times, untraced {untraced}"
     );
 }
