@@ -19,12 +19,13 @@
 //! and choose endorsers adversarially; nothing in the protocol forces them
 //! to behave.
 
-use fabric_crypto::Keypair;
+use fabric_crypto::{sha256, Keypair};
 use fabric_telemetry::{Telemetry, TraceContext};
 use fabric_types::{
     ChaincodeId, ChannelId, DefenseConfig, Endorsement, Identity, OrgId, PayloadCommitment,
     Proposal, ProposalResponse, Role, Transaction,
 };
+use fabric_wire::Encode;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -156,6 +157,17 @@ impl Client {
                 s
             });
         let first = responses.first().ok_or(ClientError::NoResponses)?;
+        // Under Feature 2 the transaction carries the hashed payload form
+        // the endorsers actually signed; otherwise the plaintext form.
+        let tx_payload = match first.commitment {
+            PayloadCommitment::Plain => first.payload.clone(),
+            PayloadCommitment::HashedPayload => first.payload.to_hashed_payload_form(),
+        };
+        // Encoded once: every response that passes the equality checks
+        // below signed exactly these bytes, and they are the client
+        // tuple's middle segment.
+        let payload_wire = tx_payload.to_wire();
+        let payload_digest = sha256(&payload_wire);
 
         for r in responses {
             if r.commitment != first.commitment {
@@ -164,9 +176,14 @@ impl Client {
             if r.payload != first.payload {
                 return Err(ClientError::InconsistentResponses);
             }
-            if !r.verify() {
+            let endorser = &r.endorsement.endorser;
+            if !r
+                .endorsement
+                .signature
+                .verify_digest(&endorser.public_key, &payload_digest)
+            {
                 return Err(ClientError::InvalidEndorsement {
-                    endorser: r.endorsement.endorser.to_string(),
+                    endorser: endorser.to_string(),
                 });
             }
         }
@@ -177,19 +194,15 @@ impl Client {
         }
 
         let plaintext = first.payload.response.payload.clone();
-        // Under Feature 2 the transaction carries the hashed payload form
-        // the endorsers actually signed; otherwise the plaintext form.
-        let tx_payload = match first.commitment {
-            PayloadCommitment::Plain => first.payload.clone(),
-            PayloadCommitment::HashedPayload => first.payload.to_hashed_payload_form(),
-        };
         let endorsements: Vec<Endorsement> =
             responses.iter().map(|r| r.endorsement.clone()).collect();
-        let client_signature = self.keypair.sign(&Transaction::client_signed_bytes(
+        let client_signature = self.keypair.sign_digest(&Transaction::client_signed_digest(
             &proposal.tx_id,
-            &tx_payload,
+            &payload_wire,
             &endorsements,
         ));
+        // The memo stays cold: the fields are public and may be changed
+        // before submission, and a memo filled here would then be stale.
         let tx = Transaction {
             tx_id: proposal.tx_id.clone(),
             channel: proposal.channel.clone(),
@@ -267,6 +280,26 @@ mod tests {
         assert_eq!(tx.payload.response.payload, b"value");
         assert!(tx.verify_client_signature());
         assert!(tx.verify_endorsement_signatures());
+    }
+
+    /// The client hands out a cold memo: a transaction changed after
+    /// assembly encodes and verifies as what it now is.
+    #[test]
+    fn a_transaction_tampered_after_assembly_encodes_and_fails_as_tampered() {
+        use fabric_wire::Decode;
+        let mut c = client(DefenseConfig::original());
+        let p = c.create_proposal("ch1", "cc", "f", vec![], BTreeMap::new());
+        let responses = vec![
+            response_for(&p, b"value", PayloadCommitment::Plain, 212),
+            response_for(&p, b"value", PayloadCommitment::Plain, 213),
+        ];
+        let (mut tx, _) = c.assemble_transaction(&p, &responses).unwrap();
+        tx.payload.response.payload = b"forged".to_vec();
+        let wire = tx.to_wire();
+        let decoded = Transaction::from_wire(&wire).unwrap();
+        assert_eq!(decoded.payload.response.payload, b"forged");
+        assert!(tx.verify_signatures().is_some());
+        assert!(decoded.verify_signatures().is_some());
     }
 
     #[test]

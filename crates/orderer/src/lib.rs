@@ -318,7 +318,10 @@ impl OrderingService {
         let newly_count = newly.len();
         self.delivered_cursor += newly_count;
         for raw in newly {
-            let Ok(batch) = Vec::<Transaction>::from_wire(raw) else {
+            // Decoding through a sharing reader leaves each transaction's
+            // memo warm, its payload bytes a range of the entry the Raft
+            // log keeps anyway.
+            let Ok(batch) = Vec::<Transaction>::from_shared_wire(raw) else {
                 // No block can be cut from it; the next good entry takes
                 // the block number this one would have had.
                 self.decode_failures += 1;

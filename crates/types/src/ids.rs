@@ -7,8 +7,15 @@ use std::sync::Arc;
 /// Identifiers are copied into every audit event, gossip log entry and
 /// ledger index a transaction touches, so they hold `Arc<str>`: a clone is
 /// a refcount bump. They compare, order, hash and encode as the string.
+///
+/// They decode through [`Reader::read_name`], so one decoded batch holds
+/// one allocation per distinct name; an identifier unique per item names
+/// `Arc::<str>::decode` as its reader instead.
 macro_rules! string_id {
     ($(#[$doc:meta])* $name:ident) => {
+        string_id!($(#[$doc])* $name, Reader::read_name);
+    };
+    ($(#[$doc:meta])* $name:ident, $read:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(Arc<str>);
@@ -63,7 +70,7 @@ macro_rules! string_id {
 
         impl Decode for $name {
             fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok($name(Arc::<str>::decode(r)?))
+                Ok($name($read(r)?))
             }
         }
     };
@@ -91,8 +98,9 @@ string_id! {
 
 string_id! {
     /// A transaction identifier (hex digest of creator identity and nonce,
-    /// as in Fabric).
-    TxId
+    /// as in Fabric). Unique per transaction, so decoding it shares
+    /// nothing.
+    TxId, Arc::<str>::decode
 }
 
 #[cfg(test)]

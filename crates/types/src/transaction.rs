@@ -5,7 +5,7 @@ use crate::ids::{ChaincodeId, ChannelId, TxId};
 use crate::proposal::{Endorsement, PayloadCommitment, ProposalResponsePayload};
 use crate::rwset::{TxKind, TxRwSet};
 use fabric_crypto::{sha256, BatchVerifier, Hash256, PublicKey, Sha256, Signature};
-use fabric_wire::Encode;
+use fabric_wire::{Decode, Encode, Reader, WireBytes, WireError};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -83,20 +83,23 @@ impl fmt::Display for TxValidationCode {
     }
 }
 
-/// Lazily-populated per-transaction digests.
+/// Per-transaction digests, seeded by decode or filled on first use.
 ///
 /// Every peer checks the same three things about a committed transaction:
 /// the endorsement signatures over the payload, the client signature over
 /// the `(tx_id, payload, endorsements)` tuple, and the block's data hash
 /// over the transaction. Signatures cover SHA-256 digests, and with
 /// `Arc`-shared blocks one transaction instance reaches every peer, so the
-/// three digests are computed by whoever touches the instance first and
-/// read by everyone after. Each peer still runs its own keyed check
+/// three digests are computed once and read by everyone after: a decoded
+/// transaction (every one the orderer cuts into a block) arrives with them
+/// hashed from the bytes it was decoded from, and one built in memory
+/// fills them when first touched. Each peer still runs its own keyed check
 /// against them and compares against its own header: what is shared is a
 /// function of immutable bytes, not a verdict.
 ///
 /// `payload_wire` stays as bytes: it is the middle segment of both the
-/// client tuple and the transaction encoding.
+/// client tuple and the transaction encoding. Encoding reads it but never
+/// fills it.
 ///
 /// The memo is invisible everywhere that matters: it is excluded from
 /// the wire format, compares equal to any other memo, and `Clone`
@@ -104,7 +107,7 @@ impl fmt::Display for TxValidationCode {
 /// independently mutable, so carried digests could go stale.
 #[derive(Default)]
 pub struct TxMemo {
-    payload_wire: OnceLock<Vec<u8>>,
+    payload_wire: OnceLock<WireBytes>,
     payload_digest: OnceLock<Hash256>,
     client_digest: OnceLock<Hash256>,
     tx_digest: OnceLock<Hash256>,
@@ -181,41 +184,111 @@ pub struct Transaction {
     pub endorsements: Vec<Endorsement>,
     /// Client signature over the transaction content.
     pub client_signature: Signature,
-    /// Lazily-computed digests ([`TxMemo`]); excluded from the wire form
-    /// and from equality.
+    /// Memoized digests ([`TxMemo`]); excluded from the wire form and from
+    /// equality.
     pub memo: TxMemo,
 }
 
 // `memo` is a cache, not data: the wire form is exactly the eight
 // payload-bearing fields, byte-identical to what `impl_wire_struct!`
 // would produce (the macro can't skip fields, hence the manual impls).
-impl fabric_wire::Encode for Transaction {
+impl Encode for Transaction {
+    /// Copies a warm `payload_wire`; with a cold memo the payload is
+    /// encoded straight into `buf` and the memo stays cold, since the
+    /// orderer encodes a batch only to drop it.
     fn encode(&self, buf: &mut Vec<u8>) {
         self.tx_id.encode(buf);
         self.channel.encode(buf);
         self.chaincode.encode(buf);
         self.creator.encode(buf);
-        buf.extend_from_slice(self.payload_wire());
+        match self.memo.payload_wire.get() {
+            Some(wire) => buf.extend_from_slice(wire),
+            None => self.payload.encode(buf),
+        }
         self.commitment.encode(buf);
         self.endorsements.encode(buf);
         self.client_signature.encode(buf);
     }
 }
 
-impl fabric_wire::Decode for Transaction {
-    fn decode(r: &mut fabric_wire::Reader<'_>) -> Result<Self, fabric_wire::WireError> {
-        Ok(Transaction {
-            tx_id: fabric_wire::Decode::decode(r)?,
-            channel: fabric_wire::Decode::decode(r)?,
-            chaincode: fabric_wire::Decode::decode(r)?,
-            creator: fabric_wire::Decode::decode(r)?,
-            payload: fabric_wire::Decode::decode(r)?,
-            commitment: fabric_wire::Decode::decode(r)?,
-            endorsements: fabric_wire::Decode::decode(r)?,
-            client_signature: fabric_wire::Decode::decode(r)?,
+impl Decode for Transaction {
+    /// Decodes the eight fields and seeds every memo cell from the byte
+    /// ranges they were read from, without encoding anything: the payload
+    /// range is `payload_wire` (a range of the input when `r` reads shared
+    /// bytes), and the digests are hashes of the ranges. Decoding is
+    /// canonical (`crates/wire/tests/decode_canonical.rs`), so the ranges
+    /// are the bytes a fresh encode would produce; debug builds check
+    /// that byte for byte.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let start = r.position();
+        let tx_id = TxId::decode(r)?;
+        let tx_id_wire = r.consumed_since(start);
+        let channel = ChannelId::decode(r)?;
+        let chaincode = ChaincodeId::decode(r)?;
+        let creator = Identity::decode(r)?;
+        let at = r.position();
+        let payload = ProposalResponsePayload::decode(r)?;
+        let payload_wire = r.wire_since(at);
+        let commitment = PayloadCommitment::decode(r)?;
+        let at = r.position();
+        let endorsements = Vec::<Endorsement>::decode(r)?;
+        let endorsements_wire = r.consumed_since(at);
+        let client_signature = Signature::decode(r)?;
+        let wire = r.consumed_since(start);
+        let cold = Transaction {
+            tx_id,
+            channel,
+            chaincode,
+            creator,
+            payload,
+            commitment,
+            endorsements,
+            client_signature,
             memo: TxMemo::default(),
-        })
+        };
+        #[cfg(debug_assertions)]
+        {
+            assert_reencodes(&cold.tx_id, tx_id_wire);
+            assert_reencodes(&cold.payload, &payload_wire);
+            assert_reencodes(&cold.endorsements, endorsements_wire);
+            assert_reencodes(&cold, wire);
+        }
+        let memo = TxMemo {
+            payload_digest: sha256(&payload_wire).into(),
+            client_digest: tuple_digest(tx_id_wire, &payload_wire, endorsements_wire).into(),
+            tx_digest: sha256(wire).into(),
+            payload_wire: payload_wire.into(),
+        };
+        Ok(Transaction { memo, ..cold })
     }
+}
+
+/// Panics unless `value` encodes to exactly `consumed`, the bytes it was
+/// decoded from.
+#[cfg(debug_assertions)]
+fn assert_reencodes(value: &impl Encode, consumed: &[u8]) {
+    thread_local! {
+        // Reused, so the check allocates nothing per transaction and the
+        // allocation budgets read the same in debug and release builds.
+        static FRESH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+    FRESH.with_borrow_mut(|fresh| {
+        fresh.clear();
+        value.encode(fresh);
+        assert!(
+            fresh.as_slice() == consumed,
+            "decoded bytes are not the one encoding of their value"
+        );
+    });
+}
+
+/// `SHA-256` of the client-signed tuple, from its three encoded segments.
+fn tuple_digest(tx_id_wire: &[u8], payload_wire: &[u8], endorsements_wire: &[u8]) -> Hash256 {
+    let mut hasher = Sha256::new();
+    hasher.update(tx_id_wire);
+    hasher.update(payload_wire);
+    hasher.update(endorsements_wire);
+    hasher.finalize()
 }
 
 /// Which signature failed in [`Transaction::verify_signatures`].
@@ -237,10 +310,27 @@ impl Transaction {
         (tx_id, payload, endorsements).to_wire()
     }
 
+    /// `SHA-256` of [`Transaction::client_signed_bytes`] given the
+    /// payload's canonical bytes: the digest the client signs. The tuple
+    /// is streamed segment by segment, so the payload is not encoded
+    /// again.
+    pub fn client_signed_digest(
+        tx_id: &TxId,
+        payload_wire: &[u8],
+        endorsements: &[Endorsement],
+    ) -> Hash256 {
+        let mut segments = Vec::with_capacity(96 * endorsements.len() + 72);
+        tx_id.encode(&mut segments);
+        let split = segments.len();
+        endorsements.encode(&mut segments);
+        tuple_digest(&segments[..split], payload_wire, &segments[split..])
+    }
+
     /// Canonical wire bytes of the payload — the message every
     /// endorsement signature covers — computed once per instance.
     fn payload_wire(&self) -> &[u8] {
-        memoized(&self.memo.payload_wire, || self.payload.to_wire()).as_slice()
+        let wire: &WireBytes = memoized(&self.memo.payload_wire, || self.payload.to_wire().into());
+        wire
     }
 
     /// `SHA-256` of the payload bytes: what the endorsers signed.
@@ -248,21 +338,12 @@ impl Transaction {
         memoized(&self.memo.payload_digest, || sha256(self.payload_wire()))
     }
 
-    /// `SHA-256` of the client-signed tuple (see
-    /// [`Transaction::client_signed_bytes`]), streamed segment by segment:
-    /// `signed_bytes(Plain)` is the payload's canonical wire form, so the
-    /// memoized payload bytes are the tuple's middle segment.
+    /// `SHA-256` of the client-signed tuple: `signed_bytes(Plain)` is the
+    /// payload's canonical wire form, so the memoized payload bytes are the
+    /// tuple's middle segment.
     fn client_digest(&self) -> &Hash256 {
         memoized(&self.memo.client_digest, || {
-            let mut hasher = Sha256::new();
-            let mut segment = Vec::with_capacity(96 * self.endorsements.len() + 8);
-            self.tx_id.encode(&mut segment);
-            hasher.update(&segment);
-            hasher.update(self.payload_wire());
-            segment.clear();
-            self.endorsements.encode(&mut segment);
-            hasher.update(&segment);
-            hasher.finalize()
+            Self::client_signed_digest(&self.tx_id, self.payload_wire(), &self.endorsements)
         })
     }
 
@@ -602,12 +683,15 @@ mod tests {
     #[test]
     fn memoized_signed_bytes_match_fresh_encodings() {
         let tx = sample_tx();
+        let wire = tx.to_wire();
+        assert!(
+            tx.memo.payload_wire.get().is_none(),
+            "encoding fills no memo"
+        );
         assert_eq!(tx.verify_signatures(), None); // fills the signature memos
         assert_eq!(tx.memo.tx_digest.get(), None);
-        assert_eq!(
-            tx.memo.payload_wire.get().unwrap().as_slice(),
-            tx.payload.to_wire()
-        );
+        assert_eq!(**tx.memo.payload_wire.get().unwrap(), tx.payload.to_wire());
+        assert_eq!(tx.to_wire(), wire, "a warm memo encodes the same bytes");
         assert_eq!(
             tx.memo.payload_digest.get(),
             Some(&sha256(&tx.payload.to_wire()))
@@ -879,6 +963,64 @@ mod memo_proptests {
             && memo.tx_digest.get().is_none()
     }
 
+    type Cells = (
+        Option<Vec<u8>>,
+        Option<Hash256>,
+        Option<Hash256>,
+        Option<Hash256>,
+    );
+
+    /// What the four memo cells hold right now.
+    fn cells(tx: &Transaction) -> Cells {
+        let memo = &tx.memo;
+        (
+            memo.payload_wire.get().map(|wire| wire.to_vec()),
+            memo.payload_digest.get().copied(),
+            memo.client_digest.get().copied(),
+            memo.tx_digest.get().copied(),
+        )
+    }
+
+    /// What a cold copy of `tx` fills its four cells with.
+    fn cold_cells(tx: &Transaction) -> Cells {
+        let cold = tx.clone();
+        assert!(memo_is_cold(&cold));
+        (
+            Some(cold.payload_wire().to_vec()),
+            Some(*cold.payload_digest()),
+            Some(*cold.client_digest()),
+            Some(*cold.tx_digest()),
+        )
+    }
+
+    /// A batch decoded through a borrowing and through a sharing reader.
+    fn decode_both_ways(wire: &[u8]) -> [Result<Vec<Transaction>, fabric_wire::WireError>; 2] {
+        let shared: std::sync::Arc<[u8]> = wire.into();
+        [
+            Vec::<Transaction>::from_wire(wire),
+            Vec::<Transaction>::from_shared_wire(&shared),
+        ]
+    }
+
+    /// Everything some signature covers, the signers' keys included.
+    fn signed_fields(
+        tx: &Transaction,
+    ) -> (
+        &TxId,
+        &ProposalResponsePayload,
+        &[Endorsement],
+        &Signature,
+        &PublicKey,
+    ) {
+        (
+            &tx.tx_id,
+            &tx.payload,
+            &tx.endorsements,
+            &tx.client_signature,
+            &tx.creator.public_key,
+        )
+    }
+
     /// Every way to change something a signature covers; `which` picks.
     fn tamper(tx: &mut Transaction, which: usize) {
         let last = tx.endorsements.len() - 1;
@@ -979,6 +1121,55 @@ mod memo_proptests {
             };
             prop_assert!(honest.data_hash_is_consistent());
             prop_assert!(!swapped.data_hash_is_consistent());
+        }
+
+        #[test]
+        fn decoding_seeds_what_a_cold_instance_computes(
+            specs in proptest::collection::vec(arb_tx(), 1..8),
+        ) {
+            let batch: Vec<Transaction> = specs.iter().map(build).collect();
+            for decoded in decode_both_ways(&batch.to_wire()) {
+                let decoded = decoded.expect("an encoding decodes");
+                prop_assert_eq!(&decoded, &batch);
+                for tx in &decoded {
+                    prop_assert_eq!(cells(tx), cold_cells(tx));
+                }
+            }
+        }
+
+        #[test]
+        fn a_flipped_byte_decodes_to_sound_memos_or_not_at_all(
+            specs in proptest::collection::vec(arb_tx(), 1..8),
+            at in any::<usize>(),
+            bit in 0u32..8,
+        ) {
+            let batch: Vec<Transaction> = specs.iter().map(build).collect();
+            let honest = Block::new(1, Hash256::default(), batch.clone());
+            let mut wire = batch.to_wire();
+            let at = at % wire.len();
+            wire[at] ^= 1 << bit;
+            for decoded in decode_both_ways(&wire) {
+                let Ok(decoded) = decoded else { continue };
+                for tx in &decoded {
+                    prop_assert_eq!(cells(tx), cold_cells(tx));
+                }
+                if decoded.len() == batch.len() {
+                    for (tx, original) in decoded.iter().zip(&batch) {
+                        let verdict = tx.verify_signatures();
+                        prop_assert_eq!(verdict, from_scratch(tx));
+                        if signed_fields(tx) == signed_fields(original) {
+                            prop_assert_eq!(verdict, original.verify_signatures());
+                        } else if original.verify_signatures().is_none() {
+                            prop_assert!(verdict.is_some(), "byte {at} flipped, still verifies");
+                        }
+                    }
+                }
+                let swapped = Block {
+                    transactions: decoded.into(),
+                    ..honest.clone()
+                };
+                prop_assert!(!swapped.data_hash_is_consistent());
+            }
         }
     }
 }

@@ -38,7 +38,7 @@ mod reader;
 pub use error::WireError;
 pub use idmap::{IdHasher, IdMap, IdSet};
 pub use primitives::{read_varint, write_varint};
-pub use reader::Reader;
+pub use reader::{Reader, WireBytes};
 
 /// Types that can be encoded into the canonical wire format.
 pub trait Encode {
@@ -70,15 +70,28 @@ pub trait Decode: Sized {
     /// Returns [`WireError::TrailingBytes`] if input remains after the value,
     /// in addition to the errors of [`Decode::decode`].
     fn from_wire(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
-        let v = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::TrailingBytes {
-                remaining: r.remaining(),
-            });
-        }
-        Ok(v)
+        decode_entire(Reader::new(bytes))
     }
+
+    /// [`Decode::from_wire`] through a [`Reader::shared`] reader, so the
+    /// encoded ranges a decoder keeps point into `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Decode::from_wire`].
+    fn from_shared_wire(bytes: &std::sync::Arc<[u8]>) -> Result<Self, WireError> {
+        decode_entire(Reader::shared(bytes))
+    }
+}
+
+fn decode_entire<T: Decode>(mut r: Reader<'_>) -> Result<T, WireError> {
+    let v = T::decode(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(WireError::TrailingBytes {
+            remaining: r.remaining(),
+        });
+    }
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -151,6 +164,20 @@ mod tests {
         assert!(matches!(
             String::from_wire(&bytes[..3]),
             Err(WireError::LengthOverflow { .. } | WireError::UnexpectedEof { .. })
+        ));
+    }
+
+    #[test]
+    fn a_declared_count_reserves_no_more_than_the_input_can_fill() {
+        // 20 M items of 4 KiB declared over 20 MB of input: reserving the
+        // count up front asked for 81.92 GB and aborted the process.
+        const DECLARED: usize = 20_000_000;
+        let mut bytes = Vec::with_capacity(DECLARED + 4);
+        write_varint(&mut bytes, DECLARED as u64);
+        bytes.resize(bytes.len() + DECLARED, 0);
+        assert!(matches!(
+            Vec::<[u8; 4096]>::from_wire(&bytes),
+            Err(WireError::UnexpectedEof { .. })
         ));
     }
 

@@ -156,11 +156,7 @@ impl Decode for String {
 /// no intermediate `String`.
 impl Decode for std::sync::Arc<str> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = read_varint(r)?;
-        let len = r.check_len(len, 1)?;
-        std::str::from_utf8(r.read_exact(len)?)
-            .map(Into::into)
-            .map_err(|_| WireError::InvalidUtf8)
+        r.read_str().map(Into::into)
     }
 }
 
@@ -186,11 +182,17 @@ impl<T: Encode> Encode for Vec<T> {
     }
 }
 
+/// The most a `Vec<T>` decode reserves before its items have decoded.
+/// `check_len` bounds the declared count by input bytes, which says
+/// nothing of `size_of::<T>()`, so past this the vector grows as items
+/// arrive.
+const MAX_PREALLOC_BYTES: usize = 1 << 20;
+
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = read_varint(r)?;
         let len = r.check_len(len, 1)?;
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::with_capacity(len.min(MAX_PREALLOC_BYTES / size_of::<T>().max(1)));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }

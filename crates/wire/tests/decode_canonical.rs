@@ -2,7 +2,9 @@
 //! decodes is the one encoding of the value it decodes to.
 //!
 //! The second property is what lets a digest of received bytes stand in
-//! for the digest of the decoded value (DESIGN.md, "Hashing discipline").
+//! for the digest of the decoded value (DESIGN.md, "Hashing discipline"):
+//! `Transaction::decode` seeds its memo from the ranges it read, the
+//! payload's on its own, and the orderer decodes a `Vec<Transaction>`.
 //! Arbitrary bytes almost never reach the inner decoders, so most cases
 //! start from the encoding of a generated value and damage it.
 
@@ -33,6 +35,8 @@ fn decodes_canonically_or_not_at_all<T: Encode + Decode>(bytes: &[u8]) -> bool {
 
 fn check_all(bytes: &[u8]) {
     decodes_canonically_or_not_at_all::<Transaction>(bytes);
+    decodes_canonically_or_not_at_all::<Vec<Transaction>>(bytes);
+    decodes_canonically_or_not_at_all::<ProposalResponsePayload>(bytes);
     decodes_canonically_or_not_at_all::<Block>(bytes);
     decodes_canonically_or_not_at_all::<PvtDataPackage>(bytes);
 }
@@ -147,8 +151,12 @@ fn transaction(c: &mut Choices) -> Transaction {
     }
 }
 
+fn batch(c: &mut Choices) -> Vec<Transaction> {
+    (0..c.next(4)).map(|_| transaction(c)).collect()
+}
+
 fn block(c: &mut Choices) -> Block {
-    let txs: Vec<Transaction> = (0..c.next(4)).map(|_| transaction(c)).collect();
+    let txs = batch(c);
     let mut block = Block::new(c.next(50) as u64, sha256(&c.bytes(8)), txs);
     if c.next(2) == 1 {
         block.metadata.validation_codes = block
@@ -217,6 +225,12 @@ proptest! {
         let mut c = Choices(seed);
         let tx = transaction(&mut c);
         prop_assert_eq!(&Transaction::from_wire(&tx.to_wire()).expect("transaction"), &tx);
+        prop_assert_eq!(
+            &ProposalResponsePayload::from_wire(&tx.payload.to_wire()).expect("payload"),
+            &tx.payload
+        );
+        let batch = batch(&mut c);
+        prop_assert_eq!(&Vec::<Transaction>::from_wire(&batch.to_wire()).expect("batch"), &batch);
         let block = block(&mut c);
         prop_assert_eq!(&Block::from_wire(&block.to_wire()).expect("block"), &block);
         let package = package(&mut c);
@@ -234,6 +248,8 @@ proptest! {
         let mut c = Choices(seed);
         let encodings = [
             transaction(&mut c).to_wire(),
+            transaction(&mut c).payload.to_wire(),
+            batch(&mut c).to_wire(),
             block(&mut c).to_wire(),
             package(&mut c).to_wire(),
         ];

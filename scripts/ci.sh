@@ -6,10 +6,11 @@
 #   3. `cargo build --release`                      release build works
 #   4. `cargo test -q`                              every proof is a typed test
 #   5. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
-#      that commits on several threads, and `mixed_small_blocks`, the one
-#      that runs with telemetry and the monitor attached, each run twice
-#      and must pass the correctness checks with equal tick-denominated
-#      metrics
+#      that commits on several threads, `mixed_small_blocks`, the one
+#      that runs with telemetry and the monitor attached, and
+#      `narrow_pipeline`, the one the client and orderer carry, each run
+#      twice and must pass the correctness checks with equal
+#      tick-denominated metrics
 #
 # No step writes inside the work tree outside `target/`: after a passing run
 # `git status --porcelain` prints what it printed before.
@@ -34,5 +35,8 @@ cargo run --release -q -p fabric-benchmark -- check --smoke --workload wide_fano
 
 echo "==> fabric-benchmark check --smoke --workload mixed_small_blocks"
 cargo run --release -q -p fabric-benchmark -- check --smoke --workload mixed_small_blocks
+
+echo "==> fabric-benchmark check --smoke --workload narrow_pipeline"
+cargo run --release -q -p fabric-benchmark -- check --smoke --workload narrow_pipeline
 
 echo "CI gate passed."

@@ -11,11 +11,12 @@
 //! The last groups hold the per-transaction path to its allocation
 //! budgets (DESIGN.md, "Allocation discipline"): identifier clones, policy
 //! evaluation and gossip push allocate nothing, endorsing on a wider
-//! network costs no allocation per extra recipient, and recording a span
-//! allocates nothing but an owned field value.
+//! network costs no allocation per extra recipient, recording a span
+//! allocates nothing but an owned field value, and a block leaves the
+//! orderer with every memo seeded from the bytes it was decoded from.
 
 use fabric_pdc::gossip::{GossipHub, PeerId};
-use fabric_pdc::orderer::BatchConfig;
+use fabric_pdc::orderer::{BatchConfig, OrderingService};
 use fabric_pdc::peer::ChannelPolicies;
 use fabric_pdc::prelude::*;
 use fabric_pdc::telemetry::TraceSink;
@@ -355,6 +356,67 @@ fn endorse_allocations_do_not_grow_with_recipients() {
     assert!(
         wide <= narrow + 4,
         "endorse on 8 peers allocated {wide} times, on 2 peers {narrow}"
+    );
+}
+
+/// The orderer encodes each payload once and decodes it once: names come
+/// out shared, payload bytes as ranges of the Raft entry, and every memo
+/// seeded. So cutting a block allocates for the decoded structure alone,
+/// and the block's first data-hash check and signature checks allocate
+/// nothing per transaction (the one allocation is the data hash's count
+/// prefix).
+#[test]
+fn a_cut_block_leaves_the_orderer_with_every_memo_seeded() {
+    let _guard = SERIAL.lock().unwrap();
+    const TXS: usize = 100;
+    let mut net = fanout_network(0, TXS);
+    let txs = prepare_txs(&mut net, 0..TXS);
+    let mut orderer = OrderingService::new(
+        3,
+        43,
+        BatchConfig {
+            max_message_count: TXS,
+            batch_timeout_ticks: 1_000_000,
+        },
+    );
+    assert!(orderer.run_until_ready(1_000));
+    let (blocks, cut_calls, _) = measured(|| {
+        for tx in txs {
+            orderer.submit(tx);
+        }
+        for _ in 0..1_000 {
+            orderer.tick();
+            let blocks = orderer.take_blocks();
+            if !blocks.is_empty() {
+                return blocks;
+            }
+        }
+        panic!("no block was cut within 1 000 ticks");
+    });
+    assert_eq!(blocks.len(), 1);
+    let block = &blocks[0];
+    assert_eq!(block.transactions.len(), TXS);
+    let per_tx = cut_calls as f64 / TXS as f64;
+    println!("cutting a {TXS}-tx block: {per_tx:.2} allocations per transaction");
+    assert!(
+        per_tx <= 6.0,
+        "cutting a {TXS}-tx block allocated {per_tx:.2} times per transaction"
+    );
+
+    let (verdicts, check_calls, _) = measured(|| {
+        (
+            block.data_hash_is_consistent(),
+            block
+                .transactions
+                .iter()
+                .all(|tx| tx.verify_signatures().is_none()),
+        )
+    });
+    assert_eq!(verdicts, (true, true));
+    println!("checking it: {check_calls} allocations");
+    assert!(
+        check_calls <= 1,
+        "checking a just-cut {TXS}-tx block allocated {check_calls} times"
     );
 }
 
