@@ -50,14 +50,6 @@ impl Value {
         }
     }
 
-    /// The members if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Object(map) => Some(map),
-            _ => None,
-        }
-    }
-
     /// The numeric content if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

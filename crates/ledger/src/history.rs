@@ -18,7 +18,7 @@ pub struct HistoryEntry {
 }
 
 /// Append-only per-key write history for public data.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistoryDb {
     entries: BTreeMap<(ChaincodeId, String), Vec<HistoryEntry>>,
 }

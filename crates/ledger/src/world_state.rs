@@ -193,18 +193,6 @@ impl WorldState {
         nested(nested(&mut self.hashed, ns), collection).insert(key_hash, (value_hash, version));
     }
 
-    /// Deletes a hashed private entry by key hash.
-    pub fn delete_private_hash(
-        &mut self,
-        ns: &ChaincodeId,
-        collection: &CollectionName,
-        key_hash: Hash256,
-    ) {
-        if let Some(entries) = self.hashed.get_mut(ns).and_then(|c| c.get_mut(collection)) {
-            entries.remove(&key_hash);
-        }
-    }
-
     /// Looks up the version of a hashed entry by key hash.
     pub fn hashed_version(
         &self,

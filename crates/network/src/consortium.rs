@@ -10,7 +10,7 @@
 use crate::builder::NetworkBuilder;
 use crate::net::FabricNetwork;
 use fabric_orderer::BatchConfig;
-use fabric_types::{ChannelId, DefenseConfig};
+use fabric_types::ChannelId;
 use std::collections::BTreeMap;
 
 /// A consortium of organizations operating any number of channels.
@@ -21,7 +21,6 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct Consortium {
     seed: u64,
-    defense: DefenseConfig,
     batch: BatchConfig,
     channels: BTreeMap<ChannelId, FabricNetwork>,
 }
@@ -31,19 +30,12 @@ impl Consortium {
     pub fn new(seed: u64) -> Self {
         Consortium {
             seed,
-            defense: DefenseConfig::original(),
             batch: BatchConfig {
                 max_message_count: 10,
                 batch_timeout_ticks: 2,
             },
             channels: BTreeMap::new(),
         }
-    }
-
-    /// Sets the defense configuration for channels created afterwards.
-    pub fn with_defense(mut self, defense: DefenseConfig) -> Self {
-        self.defense = defense;
-        self
     }
 
     /// Creates a channel joining the given organizations.
@@ -60,7 +52,6 @@ impl Consortium {
         let net = NetworkBuilder::new(name)
             .orgs(orgs)
             .seed(self.seed)
-            .defense(self.defense)
             .batch(self.batch)
             .build();
         self.channels.insert(id.clone(), net);

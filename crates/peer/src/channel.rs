@@ -27,11 +27,6 @@ impl ChannelPolicies {
         ChannelPolicies { orgs: map }
     }
 
-    /// Overrides one organization's sub-policy.
-    pub fn set_org_policy(&mut self, org: OrgId, policy: SignaturePolicy) {
-        self.orgs.insert(org, policy);
-    }
-
     /// The per-org sub-policy map used by implicitMeta evaluation.
     pub fn org_policies(&self) -> &BTreeMap<OrgId, SignaturePolicy> {
         &self.orgs

@@ -415,25 +415,6 @@ impl Peer {
         }
     }
 
-    /// Validates a single transaction against the current state: signature
-    /// checks, endorsement policy (proof-of-policy check 1), and MVCC
-    /// version conflicts (check 2). Does not mutate state.
-    pub fn validate_transaction(&self, tx: &Transaction) -> TxValidationCode {
-        if let Some(code) = signature_check(tx) {
-            return code;
-        }
-        if tx.channel != self.channel {
-            return TxValidationCode::BadPayload;
-        }
-        if self.block_store.contains_tx(&tx.tx_id) {
-            return TxValidationCode::DuplicateTxId;
-        }
-        if let Some(code) = self.policy_checks(tx) {
-            return code;
-        }
-        self.mvcc_checks(tx).unwrap_or(TxValidationCode::Valid)
-    }
-
     /// Proof-of-policy check 1 — endorsement policies, evaluated from the
     /// compiled caches; `None` = satisfied.
     ///
@@ -535,7 +516,7 @@ impl Peer {
     /// current state; `None` = no conflict. Only versions are compared;
     /// chaincode is never re-executed, so fabricated values with correct
     /// versions pass (§IV-A1).
-    pub(crate) fn mvcc_checks(&self, tx: &Transaction) -> Option<TxValidationCode> {
+    fn mvcc_checks(&self, tx: &Transaction) -> Option<TxValidationCode> {
         for ns in &tx.payload.results.ns_rwsets {
             if self
                 .world_state
@@ -588,10 +569,7 @@ impl Peer {
                 if col.writes.is_empty() {
                     continue;
                 }
-                let is_member = self
-                    .chaincodes
-                    .get(&ns.namespace)
-                    .is_some_and(|cc| cc.memberships.contains(&col.collection));
+                let is_member = self.is_collection_member(&ns.namespace, &col.collection);
                 let mut applied_plaintext = false;
                 if is_member {
                     let pkg = package
@@ -637,7 +615,7 @@ impl Peer {
 
     /// Purges expired private data for every collection with a
     /// block-to-live bound.
-    pub(crate) fn purge_expired(&mut self, current_block: u64) {
+    fn purge_expired(&mut self, current_block: u64) {
         for cc in self.chaincodes.values() {
             for c in &cc.definition.collections {
                 if c.block_to_live > 0 {
@@ -781,19 +759,9 @@ fn record_block_metrics(
 
 /// The stateless signature checks of one transaction; `None` = passed.
 ///
-/// Uses the combined [`Transaction::verify_signatures`] pass over the
-/// transaction's memoized digests.
-fn signature_check(tx: &Transaction) -> Option<TxValidationCode> {
-    match tx.verify_signatures() {
-        None => None,
-        Some(SignatureFailure::Client) => Some(TxValidationCode::InvalidClientSignature),
-        Some(SignatureFailure::Endorsement) => Some(TxValidationCode::InvalidEndorserSignature),
-    }
-}
-
-/// [`signature_check`] through a [`BatchVerifier`], amortizing endorser-
-/// identity resolution across every transaction verified with the same
-/// batch. Identical outcomes to the per-call path.
+/// Uses the combined [`Transaction::verify_signatures_batched`] pass over
+/// the transaction's memoized digests, amortizing endorser-identity
+/// resolution across every transaction verified with the same batch.
 fn signature_check_batched(
     tx: &Transaction,
     batch: &mut BatchVerifier,
@@ -1035,33 +1003,6 @@ mod tests {
                 TxValidationCode::DuplicateTxId,
                 TxValidationCode::DuplicateTxId,
             ]
-        );
-    }
-
-    #[test]
-    fn reference_and_pipeline_agree_on_a_mixed_block() {
-        let p1 = make_peer("peer0.org1", "Org1MSP", 69);
-        let p2 = make_peer("peer0.org2", "Org2MSP", 70);
-        let (good, pkg) = write_tx(&[&p1, &p2], 7, 11);
-        let (underendorsed, _) = write_tx(&[&p1], 8, 12);
-        let (mut forged, _) = write_tx(&[&p1, &p2], 9, 13);
-        forged.payload.response.payload = b"forged".to_vec();
-        let txs = vec![good.clone(), underendorsed, forged, good];
-
-        let mut provider = |_: &TxId| Some(pkg.clone());
-        let mut reference = p1.clone();
-        let ref_outcome = reference
-            .process_block_reference(block_of(&reference, txs.clone()), &mut provider)
-            .unwrap();
-        let mut pipelined = p1.clone();
-        let outcome = pipelined
-            .process_block(block_of(&pipelined, txs), &mut provider)
-            .unwrap();
-        assert_eq!(outcome, ref_outcome);
-        assert_eq!(pipelined.world_state(), reference.world_state());
-        assert_eq!(
-            pipelined.block_store().tip_hash(),
-            reference.block_store().tip_hash()
         );
     }
 

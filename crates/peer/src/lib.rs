@@ -22,7 +22,6 @@ mod channel;
 mod commit;
 mod endorse;
 mod node;
-mod reference;
 mod telemetry;
 
 pub use channel::ChannelPolicies;

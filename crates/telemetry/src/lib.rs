@@ -55,7 +55,7 @@ mod trace;
 pub use audit::{AuditEvent, AuditLog};
 pub use export::{render_chrome_trace, render_spans_jsonl};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricSample, MetricValue, MetricsRegistry,
+    Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry,
     DURATION_SECONDS_BUCKETS, TICK_BUCKETS,
 };
 pub use recorder::{FlightDump, FlightEntry, FlightRecorder};

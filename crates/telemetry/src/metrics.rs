@@ -49,28 +49,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
-
-    /// Increase since a previously observed value (a "mark").
-    ///
-    /// Counters are monotonic, so the delta saturates at zero: a mark
-    /// taken from a different counter (or a stale/corrupt mark larger
-    /// than the current value) can never produce a bogus huge delta via
-    /// unsigned wraparound.
-    pub fn delta_since(&self, mark: u64) -> u64 {
-        self.get().saturating_sub(mark)
-    }
-
-    /// Events per second since a previously observed value.
-    ///
-    /// Returns `0.0` when `elapsed` is zero (or negative through float
-    /// rounding) rather than dividing by zero.
-    pub fn rate_since(&self, mark: u64, elapsed: Duration) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.delta_since(mark) as f64 / secs
-    }
 }
 
 /// A gauge: a value that can move up and down.
@@ -189,103 +167,6 @@ impl Histogram {
     pub fn quantile(&self, q: f64) -> Option<f64> {
         let (cumulative, total) = self.cumulative();
         quantile_from_cumulative(&cumulative, total, q)
-    }
-
-    /// Point-in-time copy of the bucket state, for interval math.
-    ///
-    /// Snapshots are reset-free: the live histogram keeps accumulating,
-    /// and [`Histogram::snapshot_delta`] subtracts two snapshots to get
-    /// the observations of just the interval between them — so a reader
-    /// can compute per-interval quantiles without racing live writers or
-    /// destroying the cumulative series other readers depend on.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let (buckets, total) = self.cumulative();
-        HistogramSnapshot {
-            buckets,
-            total,
-            sum: self.sum(),
-        }
-    }
-
-    /// The histogram's growth since `since` was snapshotted, as a
-    /// snapshot of its own (per-bucket saturating subtraction — bucket
-    /// counts are monotonic, so a stale or foreign mark can never
-    /// produce a wraparound-huge window).
-    pub fn snapshot_delta(&self, since: &HistogramSnapshot) -> HistogramSnapshot {
-        self.snapshot().delta_since(since)
-    }
-}
-
-/// An immutable interval or point-in-time view of a [`Histogram`]'s
-/// buckets, carrying enough state to answer quantile/count/sum queries
-/// without touching the live series.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Cumulative `(le, count)` pairs per finite bound.
-    buckets: Vec<(f64, u64)>,
-    /// Total observations including the `+Inf` slot.
-    total: u64,
-    /// Sum of observations.
-    sum: f64,
-}
-
-impl HistogramSnapshot {
-    /// Observations covered by this snapshot.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of the covered observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// True when the snapshot covers no observations (e.g. the delta of
-    /// an idle window).
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Mean of the covered observations (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.total == 0 {
-            None
-        } else {
-            Some(self.sum / self.total as f64)
-        }
-    }
-
-    /// Same estimator as [`Histogram::quantile`], over just the
-    /// observations this snapshot covers. `None` when the snapshot is
-    /// empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        quantile_from_cumulative(&self.buckets, self.total, q)
-    }
-
-    /// Subtracts an earlier snapshot of the *same series*, yielding the
-    /// interval between the two. Counts subtract saturating per bucket;
-    /// the sum clamps at zero.
-    ///
-    /// # Panics
-    /// If the snapshots have different bucket layouts (they came from
-    /// different histogram families).
-    pub fn delta_since(&self, since: &HistogramSnapshot) -> HistogramSnapshot {
-        assert_eq!(
-            self.buckets.len(),
-            since.buckets.len(),
-            "snapshot delta across different bucket layouts"
-        );
-        let buckets = self
-            .buckets
-            .iter()
-            .zip(&since.buckets)
-            .map(|(&(le, now), &(_, then))| (le, now.saturating_sub(then)))
-            .collect();
-        HistogramSnapshot {
-            buckets,
-            total: self.total.saturating_sub(since.total),
-            sum: (self.sum - since.sum).max(0.0),
-        }
     }
 }
 
@@ -739,30 +620,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_delta_since_is_wraparound_free() {
-        let registry = MetricsRegistry::new();
-        let c = registry.counter("c", "", &[]);
-        c.inc_by(10);
-        let mark = c.get();
-        c.inc_by(5);
-        assert_eq!(c.delta_since(mark), 5);
-        // A mark ahead of the counter (wrong counter, stale snapshot)
-        // saturates to zero instead of wrapping to ~u64::MAX.
-        assert_eq!(c.delta_since(mark + 100), 0);
-        assert_eq!(c.delta_since(u64::MAX), 0);
-    }
-
-    #[test]
-    fn counter_rate_since_divides_by_elapsed_and_guards_zero() {
-        let registry = MetricsRegistry::new();
-        let c = registry.counter("c", "", &[]);
-        c.inc_by(8);
-        assert_eq!(c.rate_since(0, Duration::from_secs(2)), 4.0);
-        assert_eq!(c.rate_since(0, Duration::ZERO), 0.0);
-        assert_eq!(c.rate_since(u64::MAX, Duration::from_secs(1)), 0.0);
-    }
-
-    #[test]
     fn empty_registry_renders_empty_exports() {
         let registry = MetricsRegistry::new();
         assert_eq!(registry.render_prometheus(), "");
@@ -920,79 +777,6 @@ mod tests {
         // All mass in one bucket: interpolation spans (0, 10].
         assert_eq!(h.quantile(0.5), Some(5.0));
         assert_eq!(h.quantile(1.0), Some(10.0));
-    }
-
-    #[test]
-    fn snapshot_delta_isolates_the_interval() {
-        let registry = MetricsRegistry::new();
-        let h = registry.histogram("h", "windowed", &[], &[1.0, 2.0, 4.0]);
-        // Warm-up observations land below the first bound …
-        for _ in 0..10 {
-            h.observe(0.5);
-        }
-        let mark = h.snapshot();
-        // … while the window under test is entirely in (1, 2].
-        for _ in 0..4 {
-            h.observe(1.5);
-        }
-        let win = h.snapshot_delta(&mark);
-        assert_eq!(win.count(), 4);
-        assert_eq!(win.sum(), 6.0);
-        assert_eq!(win.mean(), Some(1.5));
-        // The interval quantile sees only the window's bucket: the
-        // median interpolates inside (1, 2], unpolluted by the ten
-        // warm-up observations the live quantile would count.
-        assert_eq!(win.quantile(0.5), Some(1.5));
-        // Live median rank 7 of 14 interpolates inside the warm-up
-        // bucket (0, 1]: 7/10 of the way up.
-        assert_eq!(h.quantile(0.5), Some(0.7), "live series still cumulative");
-    }
-
-    #[test]
-    fn empty_window_snapshot_has_no_quantile() {
-        let registry = MetricsRegistry::new();
-        let h = registry.histogram("h", "idle", &[], &[1.0, 2.0]);
-        h.observe(0.5);
-        let mark = h.snapshot();
-        // No observations between the marks: the idle-window delta must
-        // report empty rather than resurrecting pre-window data.
-        let win = h.snapshot_delta(&mark);
-        assert!(win.is_empty());
-        assert_eq!(win.count(), 0);
-        assert_eq!(win.sum(), 0.0);
-        assert_eq!(win.quantile(0.5), None);
-        assert_eq!(win.mean(), None);
-    }
-
-    #[test]
-    fn single_bucket_window_interpolates_from_zero() {
-        let registry = MetricsRegistry::new();
-        let h = registry.histogram("h", "single", &[], &[10.0]);
-        h.observe(3.0);
-        let mark = h.snapshot();
-        for _ in 0..4 {
-            h.observe(7.0);
-        }
-        // One finite bucket: the window's interpolation spans (0, 10]
-        // exactly like the live estimator's single-bucket case.
-        let win = h.snapshot_delta(&mark);
-        assert_eq!(win.count(), 4);
-        assert_eq!(win.quantile(0.5), Some(5.0));
-        assert_eq!(win.quantile(1.0), Some(10.0));
-    }
-
-    #[test]
-    fn stale_snapshot_mark_saturates_instead_of_wrapping() {
-        let registry = MetricsRegistry::new();
-        let h = registry.histogram("h", "stale", &[], &[1.0]);
-        h.observe(0.5);
-        let big_mark = h.snapshot();
-        let other = registry.histogram("h2", "fresh", &[], &[1.0]);
-        // A mark from a busier series than the one being windowed must
-        // clamp to an empty window, not wrap to ~u64::MAX observations.
-        let win = other.snapshot_delta(&big_mark);
-        assert!(win.is_empty());
-        assert_eq!(win.sum(), 0.0);
     }
 
     #[test]

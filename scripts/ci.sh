@@ -7,8 +7,9 @@
 #   4. `cargo test -q`                              every proof is a typed test
 #   5. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
 #      that commits on several threads, `mixed_small_blocks`, the one
-#      that runs with telemetry and the monitor attached, and
-#      `narrow_pipeline`, the one the client and orderer carry, each run
+#      that runs with telemetry and the monitor attached,
+#      `narrow_pipeline`, the one the client and orderer carry, and
+#      `read_defended`, the one that runs Features 1 and 2, each run
 #      twice and must pass the correctness checks with equal
 #      tick-denominated metrics
 #
@@ -38,5 +39,8 @@ cargo run --release -q -p fabric-benchmark -- check --smoke --workload mixed_sma
 
 echo "==> fabric-benchmark check --smoke --workload narrow_pipeline"
 cargo run --release -q -p fabric-benchmark -- check --smoke --workload narrow_pipeline
+
+echo "==> fabric-benchmark check --smoke --workload read_defended"
+cargo run --release -q -p fabric-benchmark -- check --smoke --workload read_defended
 
 echo "CI gate passed."

@@ -1,9 +1,10 @@
-//! Equivalence of the staged validation pipeline and the pre-pipeline
-//! reference validator: for any block — valid, under-endorsed, tampered,
-//! duplicated, and SBE-parameter-changing transactions interleaved —
-//! `process_block` must produce the same validation codes, the same
-//! world-state digest, and the same chain tip as
-//! `process_block_reference`.
+//! Equivalence of the staged validation pipeline and the reference
+//! validator (`support::reference_peer`): for any block — valid,
+//! under-endorsed, tampered, duplicated, and SBE-parameter-changing
+//! transactions interleaved, under any defense configuration —
+//! `Peer::process_block` must produce the same validation codes, the same
+//! world-state digest, the same history index, and the same chain tip as
+//! `ReferencePeer::process_block`.
 //!
 //! The interesting adversarial case is a transaction that writes a key's
 //! state-based-endorsement parameter *earlier in the same block* than a
@@ -18,7 +19,9 @@
 //! boundary, and two runs of one stream must emit the same audit-event
 //! sequence and the same alert log.
 
-use fabric_pdc::chaincode::samples::SbeDemo;
+mod support;
+
+use fabric_pdc::chaincode::samples::{SbeDemo, SecuredTrade};
 use fabric_pdc::orderer::BatchConfig;
 use fabric_pdc::peer::BlockCommitOutcome;
 use fabric_pdc::prelude::*;
@@ -26,15 +29,27 @@ use fabric_pdc::types::{Block, PvtDataPackage, Transaction};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
+use support::reference_peer::ReferencePeer;
 
 /// PDC chaincode namespace (collection members: org1, org2).
 const PDC_NS: &str = "guarded";
+/// Hash-probe chaincode namespace: the same collection, but its `exists`
+/// reads only the private-data hash, so every peer can endorse it.
+const PROBE_NS: &str = "probe";
 /// Private data collection name.
 const COL: &str = "PDC1";
 /// SBE chaincode namespace (public state, key-level policies).
 const SBE_NS: &str = "sbe";
 
 const PEERS: [&str; 3] = ["peer0.org1", "peer0.org2", "peer0.org3"];
+
+/// The defense configurations the random-block proptests draw from.
+const DEFENSES: [fn() -> DefenseConfig; 4] = [
+    DefenseConfig::original,
+    DefenseConfig::feature1,
+    DefenseConfig::feature2,
+    DefenseConfig::hardened,
+];
 
 /// Key-level policies a generated `set_policy` can install. Deliberately
 /// includes policies that later writes in the block will fail.
@@ -65,6 +80,11 @@ enum TxSpec {
         policy: usize,
         endorsers: Vec<usize>,
     },
+    /// A PDC read-only transaction (a hashed read of the never-written
+    /// `bk0` in the probe namespace) endorsed by any peers: with org3 among them it passes the chaincode MAJORITY policy
+    /// but fails the collection policy under Feature 1 and the non-member
+    /// filter under the supplemental defense.
+    PdcProbe { endorsers: Vec<usize> },
     /// A well-endorsed PDC write whose response payload is corrupted after
     /// assembly (invalid signatures).
     Tampered { key: u8 },
@@ -87,6 +107,7 @@ fn arb_spec() -> impl Strategy<Value = TxSpec> {
         3 => (0u8..4, arb_member_endorsers())
             .prop_map(|(key, endorsers)| TxSpec::PdcWrite { key, endorsers }),
         2 => arb_member_endorsers().prop_map(|endorsers| TxSpec::PdcAdd { endorsers }),
+        2 => arb_endorsers().prop_map(|endorsers| TxSpec::PdcProbe { endorsers }),
         3 => (0u8..3, arb_endorsers())
             .prop_map(|(key, endorsers)| TxSpec::SbePut { key, endorsers }),
         2 => (0u8..3, 0usize..SBE_POLICIES.len(), arb_endorsers())
@@ -96,23 +117,38 @@ fn arb_spec() -> impl Strategy<Value = TxSpec> {
     ]
 }
 
-/// 3-org network with both chaincodes deployed and one committed SBE
-/// parameter (`sk0` pinned to AND(org1, org2)), so generated blocks
-/// exercise committed parameters as well as in-block ones.
-fn equivalence_network(seed: u64) -> FabricNetwork {
+/// Deploys the PDC, hash-probe and SBE chaincodes. Both PDC namespaces
+/// use the chaincode policy MAJORITY and the collection policy
+/// AND(org1, org2).
+fn deploy_chaincodes(net: &mut FabricNetwork) {
+    let pdc_def = |ns: &str| {
+        ChaincodeDefinition::new(ns)
+            .with_endorsement_policy("MAJORITY Endorsement")
+            .with_collection(
+                CollectionConfig::membership_of(
+                    COL,
+                    &[OrgId::new("Org1MSP"), OrgId::new("Org2MSP")],
+                )
+                .with_member_only_read(false)
+                .with_endorsement_policy("AND('Org1MSP.peer','Org2MSP.peer')"),
+            )
+    };
+    net.deploy_chaincode(pdc_def(PDC_NS), Arc::new(GuardedPdc::unconstrained(COL)));
+    net.deploy_chaincode(pdc_def(PROBE_NS), Arc::new(SecuredTrade::new(COL)));
+    net.deploy_chaincode(ChaincodeDefinition::new(SBE_NS), Arc::new(SbeDemo));
+}
+
+/// 3-org network under `defense` with every chaincode deployed and one
+/// committed SBE parameter (`sk0` pinned to AND(org1, org2)), so
+/// generated blocks exercise committed parameters as well as in-block
+/// ones.
+fn equivalence_network(seed: u64, defense: DefenseConfig) -> FabricNetwork {
     let mut net = NetworkBuilder::new("ch1")
         .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
         .seed(seed)
+        .defense(defense)
         .build();
-    let def = ChaincodeDefinition::new(PDC_NS)
-        .with_endorsement_policy("MAJORITY Endorsement")
-        .with_collection(
-            CollectionConfig::membership_of(COL, &[OrgId::new("Org1MSP"), OrgId::new("Org2MSP")])
-                .with_member_only_read(false)
-                .with_endorsement_policy("AND('Org1MSP.peer','Org2MSP.peer')"),
-        );
-    net.deploy_chaincode(def, Arc::new(GuardedPdc::unconstrained(COL)));
-    net.deploy_chaincode(ChaincodeDefinition::new(SBE_NS), Arc::new(SbeDemo));
+    deploy_chaincodes(&mut net);
     // Seed bk0 so `PdcAdd` read-modify-writes have a key to read.
     let outcome = net
         .submit_transaction(
@@ -148,7 +184,8 @@ fn equivalence_network(seed: u64) -> FabricNetwork {
 }
 
 /// Endorses one invocation at the given peers and assembles the signed
-/// transaction, collecting any private-data package under its tx-id.
+/// transaction with a client under the network's defense configuration,
+/// collecting any private-data package under its tx-id.
 fn build_tx(
     net: &mut FabricNetwork,
     ns: &str,
@@ -161,7 +198,7 @@ fn build_tx(
     let mut client = Client::new(
         "Org1MSP",
         Keypair::generate_from_seed(7_700_000 + client_seed),
-        DefenseConfig::original(),
+        net.peer(PEERS[0]).defense(),
     );
     let proposal = client.create_proposal(
         net.channel().clone(),
@@ -229,6 +266,15 @@ fn build_stream(
                     PDC_NS,
                     "add",
                     vec![b"bk0".to_vec(), b"1".to_vec()],
+                    endorsers,
+                    i as u64,
+                    &mut pkgs,
+                ),
+                TxSpec::PdcProbe { endorsers } => build_tx(
+                    net,
+                    PROBE_NS,
+                    "exists",
+                    vec![b"bk0".to_vec()],
                     endorsers,
                     i as u64,
                     &mut pkgs,
@@ -314,16 +360,16 @@ fn build_block(
 }
 
 /// Runs the block through the reference validator and through
-/// `process_block`, asserting identical outcomes, world-state digests and
-/// chain tips.
+/// `process_block`, asserting identical outcomes, world-state digests,
+/// history indexes and chain tips.
 fn assert_equivalent(net: &FabricNetwork, block: &Block, pkgs: &HashMap<TxId, PvtDataPackage>) {
     assert_stream_equivalent(net, std::slice::from_ref(block), pkgs);
 }
 
 /// Commits the whole stream through the reference loop and, twice, through
 /// the `process_block` loop, asserting identical concatenated outcomes,
-/// final world-state digests and chain tips, and that the two runs of the
-/// shipped path emit the same audit-event sequence.
+/// final world-state digests, history indexes and chain tips, and that the
+/// two runs of the shipped path emit the same audit-event sequence.
 ///
 /// The reference commits a cold, owned copy of each block
 /// (`Transaction::clone` starts with empty memos); the two shipped runs
@@ -337,7 +383,7 @@ fn assert_stream_equivalent(
 ) -> Vec<BlockCommitOutcome> {
     let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(Arc::new);
 
-    let mut reference = net.peer("peer0.org2").clone();
+    let mut reference = ReferencePeer::from(net.peer("peer0.org2"));
     let mut ref_outcomes = Vec::with_capacity(blocks.len());
     for b in blocks {
         let cold = Block {
@@ -347,7 +393,7 @@ fn assert_stream_equivalent(
         };
         ref_outcomes.push(
             reference
-                .process_block_reference(cold, &mut provider)
+                .process_block(cold, &mut provider)
                 .expect("reference: stream chains"),
         );
     }
@@ -367,12 +413,13 @@ fn assert_stream_equivalent(
         assert_eq!(outcomes, ref_outcomes, "stream outcomes diverged");
         assert_eq!(
             peer.world_state().digest(),
-            reference.world_state().digest(),
+            reference.world_state.digest(),
             "world state diverged"
         );
+        assert_eq!(peer.history(), &reference.history, "history diverged");
         assert_eq!(
             peer.block_store().tip_hash(),
-            reference.block_store().tip_hash(),
+            reference.block_store.tip_hash(),
             "chain tip diverged"
         );
         audit_sequences.push(telemetry.audit().events());
@@ -387,14 +434,16 @@ fn assert_stream_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random mixed blocks: the pipeline is an observationally pure
-    /// optimization of the reference validator.
+    /// Random mixed blocks under every defense configuration: the
+    /// pipeline is an observationally pure optimization of the reference
+    /// validator.
     #[test]
     fn pipeline_matches_reference_on_random_blocks(
         specs in proptest::collection::vec(arb_spec(), 1..14),
         seed in 0u64..1_000,
+        defense in 0..DEFENSES.len(),
     ) {
-        let mut net = equivalence_network(10_000 + seed);
+        let mut net = equivalence_network(10_000 + seed, DEFENSES[defense]());
         let (block, pkgs) = build_block(&mut net, &specs);
         assert_equivalent(&net, &block, &pkgs);
     }
@@ -405,7 +454,7 @@ proptest! {
 /// need, and both validators agree on the resulting codes.
 #[test]
 fn mid_block_policy_change_governs_later_writes() {
-    let mut net = equivalence_network(42);
+    let mut net = equivalence_network(42, DefenseConfig::original());
     let specs = [
         // sk1 created under the chaincode MAJORITY policy.
         TxSpec::SbePut {
@@ -448,6 +497,67 @@ fn mid_block_policy_change_governs_later_writes() {
     );
 }
 
+/// A valid write, an under-endorsed write, a tampered write and an
+/// in-block duplicate of the first: both validators agree on every code.
+#[test]
+fn reference_and_pipeline_agree_on_a_mixed_block() {
+    let mut net = equivalence_network(69, DefenseConfig::original());
+    let specs = [
+        TxSpec::PdcWrite {
+            key: 1,
+            endorsers: vec![0, 1],
+        },
+        TxSpec::PdcWrite {
+            key: 2,
+            endorsers: vec![0],
+        },
+        TxSpec::Tampered { key: 3 },
+        TxSpec::DuplicateOf(0),
+    ];
+    let (block, pkgs) = build_block(&mut net, &specs);
+    let outcome = assert_stream_equivalent(&net, std::slice::from_ref(&block), &pkgs);
+    assert_eq!(
+        outcome[0].validation_codes,
+        vec![
+            TxValidationCode::Valid,
+            TxValidationCode::EndorsementPolicyFailure,
+            TxValidationCode::InvalidClientSignature,
+            TxValidationCode::DuplicateTxId,
+        ]
+    );
+}
+
+/// The defense branches are reached: a PDC read-only probe endorsed with
+/// a non-member passes the original framework, fails the collection
+/// policy under Feature 1, and fails the non-member filter once the
+/// collection policy is satisfied; both validators agree under each.
+#[test]
+fn defense_branches_match_reference() {
+    let cases = [
+        (
+            DefenseConfig::original(),
+            vec![0, 2],
+            TxValidationCode::Valid,
+        ),
+        (
+            DefenseConfig::feature1(),
+            vec![0, 2],
+            TxValidationCode::EndorsementPolicyFailure,
+        ),
+        (
+            DefenseConfig::hardened(),
+            vec![0, 1, 2],
+            TxValidationCode::NonMemberEndorsement,
+        ),
+    ];
+    for (defense, endorsers, expected) in cases {
+        let mut net = equivalence_network(70, defense);
+        let (block, pkgs) = build_block(&mut net, &[TxSpec::PdcProbe { endorsers }]);
+        let outcome = assert_stream_equivalent(&net, std::slice::from_ref(&block), &pkgs);
+        assert_eq!(outcome[0].validation_codes, vec![expected], "{defense:?}");
+    }
+}
+
 /// An adversarial block — a mid-block SBE parameter flip followed by a
 /// now-under-endorsed write, a tampered plaintext PDC write, and a
 /// duplicated transaction — must audit identically on every run (checked
@@ -456,7 +566,7 @@ fn mid_block_policy_change_governs_later_writes() {
 /// exactly once each.
 #[test]
 fn adversarial_block_audits_deterministically() {
-    let mut net = equivalence_network(77);
+    let mut net = equivalence_network(77, DefenseConfig::original());
     let specs = [
         TxSpec::SbePut {
             key: 2,
@@ -542,10 +652,11 @@ fn adversarial_block_audits_deterministically() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random multi-block streams: the `process_block` loop is an
-    /// observationally pure optimization of the reference loop, even
-    /// with duplicates, SBE mutations, and read-modify-writes whose
-    /// hazards span the boundary between consecutive blocks.
+    /// Random multi-block streams under every defense configuration: the
+    /// `process_block` loop is an observationally pure optimization of
+    /// the reference loop, even with duplicates, SBE mutations, and
+    /// read-modify-writes whose hazards span the boundary between
+    /// consecutive blocks.
     #[test]
     fn streams_match_reference_on_random_blocks(
         blocks_specs in proptest::collection::vec(
@@ -553,8 +664,9 @@ proptest! {
             2..4,
         ),
         seed in 0u64..1_000,
+        defense in 0..DEFENSES.len(),
     ) {
-        let mut net = equivalence_network(20_000 + seed);
+        let mut net = equivalence_network(20_000 + seed, DEFENSES[defense]());
         let (blocks, pkgs) = build_stream(&mut net, &blocks_specs);
         assert_stream_equivalent(&net, &blocks, &pkgs);
     }
@@ -566,7 +678,7 @@ proptest! {
 /// post-block-N state to catch the conflict.
 #[test]
 fn cross_block_mvcc_conflict_straddles_pipeline_boundary() {
-    let mut net = equivalence_network(55);
+    let mut net = equivalence_network(55, DefenseConfig::original());
     let blocks_specs = vec![
         vec![TxSpec::PdcWrite {
             key: 0,
@@ -597,7 +709,7 @@ fn cross_block_mvcc_conflict_straddles_pipeline_boundary() {
 /// the merge stage's own in-block version bump.
 #[test]
 fn in_block_mvcc_conflict_matches_reference() {
-    let mut net = equivalence_network(56);
+    let mut net = equivalence_network(56, DefenseConfig::original());
     let blocks_specs = vec![vec![
         TxSpec::PdcWrite {
             key: 0,
@@ -621,7 +733,7 @@ fn in_block_mvcc_conflict_matches_reference() {
 /// committed parameter, while an org3 endorsement passes it.
 #[test]
 fn cross_block_sbe_mutation_governs_next_block() {
-    let mut net = equivalence_network(66);
+    let mut net = equivalence_network(66, DefenseConfig::original());
     let blocks_specs = vec![
         vec![
             TxSpec::SbePut {
@@ -666,7 +778,7 @@ fn cross_block_sbe_mutation_governs_next_block() {
 /// block store as block N left it.
 #[test]
 fn cross_block_duplicate_is_rejected_as_committed() {
-    let mut net = equivalence_network(67);
+    let mut net = equivalence_network(67, DefenseConfig::original());
     let blocks_specs = vec![
         vec![TxSpec::PdcWrite {
             key: 2,
@@ -695,7 +807,7 @@ fn cross_block_duplicate_is_rejected_as_committed() {
 /// observation to the per-block stage histograms.
 #[test]
 fn stage_histograms_count_once_per_block_regardless_of_overlap() {
-    let mut net = equivalence_network(92);
+    let mut net = equivalence_network(92, DefenseConfig::original());
     let specs = vec![
         vec![TxSpec::PdcWrite {
             key: 1,
@@ -773,7 +885,7 @@ fn monitored_commit_transitions(
 fn tampered_stream_alert_fires_and_resolves_identically() {
     use fabric_pdc::monitor::UC3_RULE;
 
-    let mut net = equivalence_network(93);
+    let mut net = equivalence_network(93, DefenseConfig::original());
     let blocks_specs = vec![
         vec![
             TxSpec::Tampered { key: 1 },
@@ -822,7 +934,7 @@ proptest! {
         ),
         seed in 0u64..1_000,
     ) {
-        let mut net = equivalence_network(30_000 + seed);
+        let mut net = equivalence_network(30_000 + seed, DefenseConfig::original());
         let (blocks, pkgs) = build_stream(&mut net, &blocks_specs);
         prop_assert_eq!(
             monitored_commit_transitions(&net, &blocks, &pkgs, 80),
@@ -854,6 +966,9 @@ fn submit_live(net: &mut FabricNetwork, spec: &TxSpec, i: u64, all: &mut Vec<Tra
             vec![b"bk0".to_vec(), b"1".to_vec()],
             endorsers.clone(),
         ),
+        TxSpec::PdcProbe { endorsers } => {
+            (PROBE_NS, "exists", vec![b"bk0".to_vec()], endorsers.clone())
+        }
         TxSpec::SbePut { key, endorsers } => (
             SBE_NS,
             "put",
@@ -944,15 +1059,7 @@ fn live_run(seed: u64, blocks_specs: &[Vec<TxSpec>]) {
             batch_timeout_ticks: 2,
         })
         .build();
-    let def = ChaincodeDefinition::new(PDC_NS)
-        .with_endorsement_policy("MAJORITY Endorsement")
-        .with_collection(
-            CollectionConfig::membership_of(COL, &[OrgId::new("Org1MSP"), OrgId::new("Org2MSP")])
-                .with_member_only_read(false)
-                .with_endorsement_policy("AND('Org1MSP.peer','Org2MSP.peer')"),
-        );
-    net.deploy_chaincode(def, Arc::new(GuardedPdc::unconstrained(COL)));
-    net.deploy_chaincode(ChaincodeDefinition::new(SBE_NS), Arc::new(SbeDemo));
+    deploy_chaincodes(&mut net);
     net.add_peer("Org1MSP");
     net.add_peer("Org2MSP");
     // Seed bk0 and sk0 exactly as `equivalence_network` does, so the
