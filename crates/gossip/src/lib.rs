@@ -1,11 +1,13 @@
 //! Private data dissemination for the Fabric PDC simulator.
 //!
-//! In Fabric, endorsers send the **plaintext** private rwsets to collection
+//! In Fabric, endorsers send the **plaintext** private writes to collection
 //! member peers over the gossip layer (paper Fig. 2, steps 7–9), because
 //! the transaction itself only carries hashes. Member peers that were not
 //! endorsers need the plaintext before they can commit; peers that missed
 //! the push reconcile it later by pulling from other members
-//! (anti-entropy).
+//! (anti-entropy). Which collections of a simulation are pushed, and what
+//! a network keeps once the transaction commits, is the caller's rule
+//! (`fabric_network` pushes written collections only).
 //!
 //! This crate models that layer deterministically:
 //!
@@ -100,10 +102,11 @@ pub struct GossipEvent {
 /// The channel-wide gossip router plus each peer's transient store.
 ///
 /// Packages are held behind [`Arc`]: one endorsement's private data is
-/// referenced by the endorser's own store, every pushed-to member, the
-/// durable archive, and commit-time providers — sharing one allocation
-/// instead of deep-copying the rwsets at each hop. `PvtDataPackage` is
-/// immutable once disseminated, so sharing is safe.
+/// referenced by the endorser's own store, every pushed-to member, a
+/// caller's durable archive while it keeps the package, and commit-time
+/// providers — sharing one allocation instead of deep-copying the rwsets
+/// at each hop. `PvtDataPackage` is immutable once disseminated, so
+/// sharing is safe.
 #[derive(Debug)]
 pub struct GossipHub {
     transient: BTreeMap<PeerId, IdMap<TxId, Arc<PvtDataPackage>>>,

@@ -9,8 +9,8 @@ use fabric_orderer::OrderingService;
 use fabric_peer::{BlockCommitOutcome, CommitError, Peer};
 use fabric_telemetry::Histogram;
 use fabric_types::{
-    Block, ChaincodeId, ChannelId, CollectionName, OrgId, Proposal, ProposalResponse,
-    PvtDataPackage, Transaction, TxId, TxValidationCode,
+    Block, ChaincodeId, ChannelId, CollectionName, CollectionPvtRwSet, OrgId, Proposal,
+    ProposalResponse, PvtDataPackage, Transaction, TxId, TxValidationCode,
 };
 use fabric_wire::IdMap;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -61,6 +61,24 @@ fn push_recipients(endorser: &Peer, peers: &BTreeMap<String, Peer>) -> PushRecip
             (installed.definition.id.clone(), per_collection.collect())
         })
         .collect()
+}
+
+/// The part of an endorser's private simulation result that a commit can
+/// apply: the collections it wrote. A member peer applies plaintext only
+/// for written collections, and private reads are committed as hashes in
+/// the public rwset, as in Fabric, whose private simulation result holds
+/// writes only. `None` when nothing was written.
+fn written_part(mut pkg: PvtDataPackage) -> Option<PvtDataPackage> {
+    let wrote = |c: &CollectionPvtRwSet| !c.rwset.writes.is_empty();
+    if !pkg.collections.iter().all(wrote) {
+        (pkg.namespaces, pkg.collections) = pkg
+            .namespaces
+            .into_iter()
+            .zip(pkg.collections)
+            .filter(|(_, c)| wrote(c))
+            .unzip();
+    }
+    (!pkg.collections.is_empty()).then_some(pkg)
 }
 
 /// The attached [`Monitor`] with what its per-tick evaluation reads,
@@ -174,10 +192,11 @@ pub struct FabricNetwork {
     events: Vec<(TxId, fabric_types::ChaincodeEvent)>,
     /// Chaincodes deployed uniformly (replayed onto late-joining peers).
     deployed: Vec<(ChaincodeDefinition, ChaincodeHandle)>,
-    /// Private data of disseminated transactions, as held persistently by
-    /// member peers; the source of truth Fabric's reconciliation protocol
-    /// queries when a peer joins late or lost data. Packages are shared
-    /// with the gossip layer — one allocation per dissemination.
+    /// Private writes of disseminated transactions, as held persistently
+    /// by member peers, kept unless a block commits the transaction
+    /// without it being valid; the source of truth Fabric's reconciliation
+    /// protocol queries when a peer joins late or lost data. Packages are
+    /// shared with the gossip layer — one allocation per dissemination.
     pvt_archive: IdMap<TxId, Arc<PvtDataPackage>>,
     /// Streaming alert engine driven one evaluation tick per network tick.
     monitor: Option<MonitorTick>,
@@ -400,14 +419,17 @@ impl FabricNetwork {
         self.peer_mut(peer).install_chaincode(definition, handle);
     }
 
-    /// Endorses a proposal at the named peer, disseminating any private
-    /// data to collection member peers (Fig. 2, steps 7–9).
+    /// Endorses a proposal at the named peer and disseminates the private
+    /// collections the simulation wrote to their member peers (Fig. 2,
+    /// steps 7–9). A simulation that only read private data, a query
+    /// included, disseminates nothing: its reads travel as hashes in the
+    /// public rwset, and no commit applies a collection it did not write.
     ///
     /// # Errors
     ///
     /// [`NetworkError::Endorse`] when the peer refuses,
-    /// [`NetworkError::DisseminationFailed`] when `RequiredPeerCount` could
-    /// not be met.
+    /// [`NetworkError::DisseminationFailed`] when a written collection's
+    /// `RequiredPeerCount` could not be met.
     pub fn endorse(
         &mut self,
         peer_name: &str,
@@ -423,7 +445,7 @@ impl FabricNetwork {
                 peer: peer_name.to_string(),
                 error,
             })?;
-        if let Some(pkg) = pvt {
+        if let Some(pkg) = pvt.and_then(written_part) {
             self.disseminate(peer_name, proposal, pkg)?;
         }
         Ok(response)
@@ -444,13 +466,8 @@ impl FabricNetwork {
         // durable archive, and every push recipient below.
         let pkg = Arc::new(pkg);
         self.gossip.store_local(endorser_id, Arc::clone(&pkg));
-        // Member peers persist private data beyond the transient window;
-        // the archive models that durable store for late reconciliation.
-        self.pvt_archive.insert(pkg.tx_id.clone(), Arc::clone(&pkg));
-        // Push to every peer whose org is a member of a touched collection.
-        let Some(installed) = peer.chaincode(&proposal.chaincode) else {
-            return Ok(());
-        };
+        // Push to every peer whose org is a member of a written collection.
+        let installed = peer.chaincode(&proposal.chaincode);
         let recipients = self
             .cached_recipients
             .get(endorser)
@@ -460,16 +477,21 @@ impl FabricNetwork {
                 .and_then(|r| r.get(&pvt.collection))
                 .map_or(&[][..], Vec::as_slice);
             let delivered = self.gossip.push(endorser_id, members, Arc::clone(&pkg));
-            if let Some(cfg) = installed.definition.collection(&pvt.collection) {
-                if (delivered as u32) < cfg.required_peer_count {
-                    return Err(NetworkError::DisseminationFailed {
-                        collection: pvt.collection.to_string(),
-                        delivered,
-                        required: cfg.required_peer_count,
-                    });
-                }
+            let required = installed
+                .and_then(|i| i.definition.collection(&pvt.collection))
+                .map_or(0, |cfg| cfg.required_peer_count);
+            if (delivered as u32) < required {
+                return Err(NetworkError::DisseminationFailed {
+                    collection: pvt.collection.to_string(),
+                    delivered,
+                    required,
+                });
             }
         }
+        // Member peers persist the private data of an endorsement that
+        // disseminated; the archive models that durable store for late
+        // reconciliation.
+        self.pvt_archive.insert(pkg.tx_id.clone(), pkg);
         Ok(())
     }
 
@@ -584,8 +606,9 @@ impl FabricNetwork {
     }
 
     /// Folds a tick's per-peer results into what the network keeps: the
-    /// event stream and the refused-block record.
+    /// event stream, the refused-block record and the private-data archive.
     fn record_outcomes(&mut self, blocks: &[Block], outcomes: Vec<PeerOutcomes>) {
+        self.prune_archive(blocks, &outcomes);
         for (p, per_block) in outcomes.into_iter().enumerate() {
             for (block, outcome) in blocks.iter().zip(per_block) {
                 match outcome {
@@ -594,6 +617,31 @@ impl FabricNetwork {
                     Ok(outcome) if p == 0 => self.events.extend(outcome.events),
                     Ok(_) => {}
                     Err(error) => self.record_commit_error(p, block.header.number, error),
+                }
+            }
+        }
+    }
+
+    /// Drops the archived private data of every transaction these blocks
+    /// committed with no peer marking it `Valid`. Fabric's ledger keeps
+    /// private data for valid transactions only, and a replaying peer
+    /// applies nothing else. A `DuplicateTxId` keeps the entry, which
+    /// belongs to the transaction that first used the id; a block no peer
+    /// committed drops nothing.
+    fn prune_archive(&mut self, blocks: &[Block], outcomes: &[PeerOutcomes]) {
+        if self.pvt_archive.is_empty() {
+            return;
+        }
+        let keeps =
+            |code: TxValidationCode| code.is_valid() || code == TxValidationCode::DuplicateTxId;
+        for (b, block) in blocks.iter().enumerate() {
+            for (i, tx) in block.transactions.iter().enumerate() {
+                let mut codes = outcomes
+                    .iter()
+                    .filter_map(|per_block| per_block[b].as_ref().ok())
+                    .map(|outcome| outcome.validation_codes[i]);
+                if codes.next().is_some_and(|code| !keeps(code)) && !codes.any(keeps) {
+                    self.pvt_archive.remove(&tx.tx_id);
                 }
             }
         }
@@ -988,19 +1036,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn required_peer_count_enforced() {
+    /// Org1 and Org2 are PDC1's members, Org3 is not; every peer runs the
+    /// unconstrained sample.
+    fn unconstrained_pdc_net(seed: u64, required_peer_count: u32) -> FabricNetwork {
         let mut net = NetworkBuilder::new("ch1")
             .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
-            .seed(13)
+            .seed(seed)
             .build();
-        let mut cfg = CollectionConfig::membership_of(
-            "PDC1",
-            &[OrgId::new("Org1MSP"), OrgId::new("Org2MSP")],
-        );
-        cfg.required_peer_count = 1;
+        let members = [OrgId::new("Org1MSP"), OrgId::new("Org2MSP")];
+        let cfg = CollectionConfig::membership_of("PDC1", &members)
+            .with_required_peer_count(required_peer_count);
         let def = ChaincodeDefinition::new("guarded").with_collection(cfg);
         net.deploy_chaincode(def, Arc::new(GuardedPdc::unconstrained("PDC1")));
+        net
+    }
+
+    const MEMBERS: [&str; 2] = ["peer0.org1", "peer0.org2"];
+
+    #[test]
+    fn required_peer_count_enforced() {
+        let mut net = unconstrained_pdc_net(13, 1);
         net.gossip_mut().set_drop_rate(1.0);
         let err = net
             .submit_transaction(
@@ -1009,10 +1064,84 @@ mod tests {
                 "write",
                 &["k1", "1"],
                 &[],
-                &["peer0.org1", "peer0.org2"],
+                &MEMBERS,
             )
             .unwrap_err();
         assert!(matches!(err, NetworkError::DisseminationFailed { .. }));
+        // The refused endorsement is not archived; the endorser keeps its
+        // own transient copy, as a Fabric endorser does.
+        assert!(net.pvt_archive.is_empty());
+        let endorser = net.peer("peer0.org1").gossip_id();
+        assert_eq!(net.gossip.transient_len(endorser), 1);
+    }
+
+    #[test]
+    fn required_peer_count_binds_writes_not_reads() {
+        let mut net = unconstrained_pdc_net(18, 1);
+        let submit = |net: &mut FabricNetwork, function: &str, args: &[&str]| {
+            net.submit_transaction("client0.org1", "guarded", function, args, &[], &MEMBERS)
+        };
+        submit(&mut net, "write", &["k1", "12"]).unwrap();
+        net.gossip_mut().set_drop_rate(1.0);
+        let read = submit(&mut net, "read", &["k1"]).unwrap();
+        assert_eq!(read.validation_code, TxValidationCode::Valid);
+        let err = submit(&mut net, "write", &["k2", "1"]).unwrap_err();
+        assert!(matches!(err, NetworkError::DisseminationFailed { .. }));
+    }
+
+    #[test]
+    fn reads_and_queries_leave_no_private_data_behind() {
+        let mut net = unconstrained_pdc_net(16, 0);
+        net.submit_transaction(
+            "client0.org1",
+            "guarded",
+            "write",
+            &["k1", "12"],
+            &[],
+            &MEMBERS,
+        )
+        .unwrap();
+        let (delivered, archived) = (net.gossip.delivered_total(), net.pvt_archive.len());
+
+        let read = net
+            .submit_transaction("client0.org1", "guarded", "read", &["k1"], &[], &MEMBERS)
+            .unwrap();
+        let query = net
+            .evaluate_transaction("client0.org1", "peer0.org2", "guarded", "read", &["k1"])
+            .unwrap();
+        assert_eq!(read.payload, b"12");
+        assert_eq!(query, b"12");
+
+        for peer in net.peers.values() {
+            assert_eq!(net.gossip.transient_len(peer.gossip_id()), 0);
+            let (_, code) = peer.block_store().transaction(&read.tx_id).unwrap();
+            assert_eq!(code, Some(TxValidationCode::Valid), "{}", peer.gossip_id());
+        }
+        assert_eq!(net.gossip.delivered_total(), delivered);
+        assert_eq!(net.pvt_archive.len(), archived);
+        assert!(!net.pvt_archive.contains_key(&read.tx_id));
+    }
+
+    #[test]
+    fn archive_keeps_only_what_committed_valid() {
+        let (mut net, blocks) = staged_tick(3, 0.0);
+        let archived =
+            |net: &FabricNetwork, tx: &Transaction| net.pvt_archive.contains_key(&tx.tx_id);
+        assert!(blocks
+            .iter()
+            .flat_map(|b| b.transactions.iter())
+            .all(|tx| archived(&net, tx)));
+        let outcomes = net.commit_tick(&blocks, 1);
+        net.record_outcomes(&blocks, outcomes);
+
+        // Valid, valid, MVCC conflict, policy failure, valid, and two
+        // duplicates of valid writes: one in this block, one in block 0.
+        let kept = [true, true, false, false, true, true, true];
+        for (tx, kept) in blocks[1].transactions.iter().zip(kept) {
+            assert_eq!(archived(&net, tx), kept, "{}", tx.tx_id);
+        }
+        assert!(archived(&net, &blocks[0].transactions[0]));
+        assert!(blocks[2].transactions.iter().all(|tx| archived(&net, tx)));
     }
 
     #[test]

@@ -53,9 +53,11 @@ impl Peer {
     /// Simulates a proposal and produces a signed proposal response
     /// (Fig. 2, steps 2–5 / 7–10).
     ///
-    /// Returns the response plus, for PDC transactions, the plaintext
-    /// private rwsets that must be disseminated to collection members over
-    /// gossip (the transaction itself only carries their hashes).
+    /// Returns the response plus, for PDC transactions, the whole
+    /// plaintext private simulation result: every collection read or
+    /// written (the transaction itself only carries their hashes). The
+    /// network disseminates the collections it writes to their members
+    /// over gossip; private reads need no plaintext at commit.
     ///
     /// Under New Feature 2 ([`DefenseConfig::hashed_payload_commitment`])
     /// the endorsement signature covers the payload with the chaincode
@@ -248,7 +250,8 @@ mod tests {
         assert_eq!(resp.payload.response.payload, b"12");
         assert_eq!(resp.commitment, PayloadCommitment::Plain);
         assert_eq!(resp.payload.results.kind(), TxKind::ReadOnly);
-        // Reads produce a pvt package too (read set must reach members).
+        // The package is the whole private simulation result, reads
+        // included; the network disseminates only written collections.
         assert!(pvt.is_some());
     }
 

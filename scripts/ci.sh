@@ -8,10 +8,12 @@
 #   5. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
 #      that commits on several threads, `mixed_small_blocks`, the one
 #      that runs with telemetry and the monitor attached,
-#      `narrow_pipeline`, the one the client and orderer carry, and
-#      `read_defended`, the one that runs Features 1 and 2, each run
-#      twice and must pass the correctness checks with equal
-#      tick-denominated metrics
+#      `narrow_pipeline`, the one the client and orderer carry,
+#      `read_defended`, the one that runs Features 1 and 2, and
+#      `mixed_overload`, the one past the knee, where about a third of the
+#      transactions commit as MVCC conflicts and so the most private-data
+#      archive entries are dropped; each run twice and must pass the
+#      correctness checks with equal tick-denominated metrics
 #
 # No step writes inside the work tree outside `target/`: after a passing run
 # `git status --porcelain` prints what it printed before.
@@ -42,5 +44,8 @@ cargo run --release -q -p fabric-benchmark -- check --smoke --workload narrow_pi
 
 echo "==> fabric-benchmark check --smoke --workload read_defended"
 cargo run --release -q -p fabric-benchmark -- check --smoke --workload read_defended
+
+echo "==> fabric-benchmark check --smoke --workload mixed_overload"
+cargo run --release -q -p fabric-benchmark -- check --smoke --workload mixed_overload
 
 echo "CI gate passed."

@@ -141,6 +141,85 @@ fn joined_peer_participates_in_new_transactions() {
 }
 
 #[test]
+fn peer_joining_after_invalid_and_duplicate_transactions_matches_a_member() {
+    let mut net = seeded_network(1104);
+    let endorse = |net: &mut FabricNetwork, function: &str, args: &[&str]| -> Transaction {
+        let args = args.iter().map(|a| a.as_bytes().to_vec()).collect();
+        let proposal = net.client_mut("client0.org1").create_proposal(
+            "ch1",
+            "guarded",
+            function,
+            args,
+            Default::default(),
+        );
+        let responses: Vec<_> = ["peer0.org1", "peer0.org2"]
+            .iter()
+            .map(|peer| net.endorse(peer, &proposal).unwrap())
+            .collect();
+        let client = net.client_mut("client0.org1");
+        client
+            .assemble_transaction(&proposal, &responses)
+            .unwrap()
+            .0
+    };
+    let commit = |net: &mut FabricNetwork, txs: &[Transaction]| {
+        let height = net.peer("peer0.org2").block_store().height();
+        for tx in txs {
+            net.submit(tx.clone());
+        }
+        while net.peer("peer0.org2").block_store().height() == height {
+            net.advance(1);
+        }
+        let store = net.peer("peer0.org2").block_store();
+        store
+            .block(height)
+            .unwrap()
+            .metadata
+            .validation_codes
+            .clone()
+    };
+
+    let write = endorse(&mut net, "write", &["w", "7"]);
+    assert_eq!(
+        commit(&mut net, std::slice::from_ref(&write)),
+        [TxValidationCode::Valid]
+    );
+    // Both adds read `secret` at the same version; the write comes back.
+    let block = [
+        endorse(&mut net, "add", &["secret", "1"]),
+        endorse(&mut net, "add", &["secret", "2"]),
+        write,
+    ];
+    assert_eq!(
+        commit(&mut net, &block),
+        [
+            TxValidationCode::Valid,
+            TxValidationCode::MvccReadConflict,
+            TxValidationCode::DuplicateTxId,
+        ]
+    );
+
+    let name = net.add_peer("Org2MSP");
+    let rookie = net.peer(&name).world_state();
+    let private = |key| {
+        let held = rookie.get_private(
+            &ChaincodeId::new("guarded"),
+            &CollectionName::new("PDC1"),
+            key,
+        );
+        held.unwrap().value.clone()
+    };
+    assert_eq!(
+        (private("w"), private("secret")),
+        (b"7".to_vec(), b"43".to_vec())
+    );
+    assert_eq!(
+        rookie.digest(),
+        net.peer("peer0.org2").world_state().digest()
+    );
+}
+
+#[test]
 #[should_panic(expected = "not an organization")]
 fn unknown_org_cannot_join() {
     let mut net = seeded_network(1103);
