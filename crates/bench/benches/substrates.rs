@@ -9,7 +9,7 @@ use fabric_bench::{fixture_network, NS};
 use fabric_pdc::crypto::{hmac_sha256, sha256, Keypair};
 use fabric_pdc::gossip::{GossipHub, PeerId};
 use fabric_pdc::ledger::WorldState;
-use fabric_pdc::policy::{ImplicitMetaPolicy, SignaturePolicy};
+use fabric_pdc::policy::{EndorserSet, ImplicitMetaPolicy, SignaturePolicy};
 use fabric_pdc::prelude::*;
 use fabric_pdc::raft::Cluster;
 use fabric_pdc::types::{PvtDataPackage, Version};
@@ -144,12 +144,16 @@ fn policy_benches(c: &mut Criterion) {
     });
 
     // The commit path's shape: the default chaincode-level policy on a
-    // two-org channel, over the two endorsements a transaction carries.
+    // two-org channel, over the de-duplicated set of the two endorsements
+    // a transaction carries.
     let two_orgs: BTreeMap<OrgId, SignaturePolicy> = org_policies.into_iter().take(2).collect();
     let endorsers: Vec<&Identity> = ids.iter().take(2).collect();
     let majority = Policy::ImplicitMeta(meta);
     group.bench_function("evaluate_majority_2_endorsers", |b| {
-        b.iter(|| black_box(majority.evaluate_refs(&two_orgs, &endorsers)))
+        b.iter(|| {
+            let set: EndorserSet<'_> = endorsers.iter().copied().collect();
+            black_box(majority.evaluate_set(&two_orgs, &set))
+        })
     });
     group.finish();
 }

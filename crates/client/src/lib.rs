@@ -145,17 +145,13 @@ impl Client {
         proposal: &Proposal,
         responses: &[ProposalResponse],
     ) -> Result<(Transaction, Vec<u8>), ClientError> {
-        let _span = self
-            .telemetry
-            .as_ref()
-            .filter(|(t, _)| t.tracing_enabled())
-            .map(|(t, node)| {
-                let mut s = t.span("client.assemble");
-                s.trace(TraceContext::for_tx(proposal.tx_id.as_str()));
-                s.node(node);
-                s.field("endorsements", responses.len());
-                s
-            });
+        let _span = self.telemetry.as_ref().map(|(t, node)| {
+            let mut s = t.span("client.assemble");
+            s.trace(TraceContext::for_tx(proposal.tx_id.as_str()));
+            s.node(node);
+            s.field("endorsements", responses.len());
+            s
+        });
         let first = responses.first().ok_or(ClientError::NoResponses)?;
         // Under Feature 2 the transaction carries the hashed payload form
         // the endorsers actually signed; otherwise the plaintext form.

@@ -2,7 +2,7 @@
 //!
 //! Every monitor tick each node reports a [`NodeSample`] — raw gauges
 //! the network layer can read cheaply (chain heights, queue depths,
-//! gossip backlog, stage p99). The health model scores them against
+//! gossip backlog, block-commit p99). The health model scores them against
 //! [`HealthThresholds`] into a [`HealthVerdict`], keeping an EWMA
 //! baseline of the phase latency so inflation is judged relative to the
 //! node's own normal rather than an absolute number.
@@ -58,7 +58,8 @@ pub struct NodeSample {
     pub backlog: u64,
     /// Private-data packages awaiting gossip anti-entropy reconciliation.
     pub gossip_pending: u64,
-    /// Stage-latency p99 in seconds, when a histogram is available.
+    /// Block-commit latency p99 in seconds (`fabric_commit_block_seconds`),
+    /// when the histogram is available.
     pub stage_p99_seconds: Option<f64>,
 }
 
@@ -226,7 +227,7 @@ impl HealthModel {
                         &mut verdict,
                         HealthVerdict::Degraded,
                         format!(
-                            "stage p99 {:.3}ms inflated over baseline {:.3}ms",
+                            "commit p99 {:.3}ms inflated over baseline {:.3}ms",
                             p99 * 1e3,
                             baseline * 1e3
                         ),

@@ -3,7 +3,7 @@
 //!
 //! The paper's defenses only matter if someone notices an attack while
 //! it is happening. [`fabric_telemetry`] emits the raw signals — typed
-//! [`AuditEvent`]s for the Table II use cases, per-stage histograms,
+//! [`AuditEvent`]s for the Table II use cases, latency histograms,
 //! flight-recorder dumps — and this crate is the thing that *watches*
 //! them:
 //!
@@ -12,7 +12,7 @@
 //!   attack class (`uc1_nonmember_endorsement_rate`,
 //!   `uc3_plaintext_payload_rate`, `mvcc_abort_storm`, ...).
 //! * **Health model** ([`NodeSample`] → [`NodeHealth`]) — scores commit
-//!   lag, commit backlog, gossip anti-entropy staleness, and stage-p99
+//!   lag, commit backlog, gossip anti-entropy staleness, and commit-p99
 //!   inflation into `Healthy/Degraded/Critical` per node.
 //! * **Alert engine** ([`Alert`], [`AlertTransition`]) — pending →
 //!   firing → resolved with dedup keys and hysteresis; firing captures

@@ -3,6 +3,7 @@
 
 use crate::alert::{AlertPhase, AlertTransition};
 use crate::NetworkStatus;
+use fabric_telemetry::json_str;
 use std::fmt::Write as _;
 
 /// How many transition-log tail entries the status table shows.
@@ -111,29 +112,16 @@ pub fn render_alerts_jsonl(transitions: &[AlertTransition]) -> String {
     for t in transitions {
         let _ = writeln!(
             out,
-            "{{\"tick\":{},\"rule\":\"{}\",\"key\":\"{}\",\"phase\":\"{}\"}}",
+            "{{\"tick\":{},\"rule\":{},\"key\":{},\"phase\":\"{}\"}}",
             t.tick,
-            escape(&t.rule),
-            escape(&t.key),
+            json_str(&t.rule),
+            json_str(&t.key),
             match t.to {
                 AlertPhase::Pending => "pending",
                 AlertPhase::Firing => "firing",
                 AlertPhase::Resolved => "resolved",
             }
         );
-    }
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
     }
     out
 }
@@ -204,5 +192,17 @@ mod tests {
              \"key\":\"uc1_nonmember_endorsement_rate\",\"phase\":\"firing\"}"
         );
         assert!(lines[1].contains("\"phase\":\"resolved\""));
+    }
+
+    #[test]
+    fn jsonl_export_escapes_control_characters_in_keys() {
+        let mut t = transition(3, AlertPhase::Pending);
+        t.key = "node_critical:peer\t0\r.org1\u{1}".to_string();
+        let jsonl = render_alerts_jsonl(&[t]);
+        assert!(
+            jsonl.contains(r#""key":"node_critical:peer\t0\r.org1\u0001""#),
+            "{jsonl}"
+        );
+        assert!(!jsonl.trim_end().chars().any(char::is_control), "{jsonl}");
     }
 }

@@ -85,10 +85,10 @@ fn written_part(mut pkg: PvtDataPackage) -> Option<PvtDataPackage> {
 /// resolved once instead of by name every tick.
 struct MonitorTick {
     monitor: Monitor,
-    /// `fabric_commit_stage_seconds{stage="stateful"}`: the commit pipeline
-    /// is shared across peers in-process, so its p99 is a network-wide
-    /// signal sampled once per tick. `None` when no peer registered it.
-    stage_stateful: Option<Histogram>,
+    /// `fabric_commit_block_seconds`: the commit pipeline is shared
+    /// across peers in-process, so its p99 is a network-wide signal
+    /// sampled once per tick. `None` when no peer registered it.
+    commit_block: Option<Histogram>,
     /// One row per peer in name order, then the orderer's; only the
     /// numbers change from tick to tick.
     samples: Vec<NodeSample>,
@@ -282,13 +282,13 @@ impl FabricNetwork {
     }
 
     pub(crate) fn attach_monitor(&mut self, monitor: Monitor) {
-        let stage_stateful = monitor
+        let commit_block = monitor
             .telemetry()
             .metrics()
-            .find_histogram("fabric_commit_stage_seconds", &[("stage", "stateful")]);
+            .find_histogram("fabric_commit_block_seconds", &[]);
         self.monitor = Some(MonitorTick {
             monitor,
-            stage_stateful,
+            commit_block,
             samples: Vec::new(),
         });
         self.refresh_peer_caches();
@@ -529,13 +529,13 @@ impl FabricNetwork {
             return;
         };
         let ordered_height = self.orderer.ordered_height();
-        let stage_p99 = tick.stage_stateful.as_ref().and_then(|h| h.quantile(0.99));
+        let commit_p99 = tick.commit_block.as_ref().and_then(|h| h.quantile(0.99));
         let (orderer, peers) = tick.samples.split_last_mut().expect("the orderer's row");
         for (sample, peer) in peers.iter_mut().zip(self.peers.values()) {
             sample.committed_height = peer.block_store().height();
             sample.ordered_height = ordered_height;
             sample.gossip_pending = self.gossip.transient_len(peer.gossip_id()) as u64;
-            sample.stage_p99_seconds = stage_p99;
+            sample.stage_p99_seconds = commit_p99;
         }
         orderer.committed_height = ordered_height;
         orderer.ordered_height = ordered_height;
@@ -720,7 +720,7 @@ impl FabricNetwork {
         );
         // The root of the transaction's trace: the whole client-observed
         // submission, from proposal to commit confirmation.
-        let _submit_span = self.telemetry().filter(|t| t.tracing_enabled()).map(|t| {
+        let _submit_span = self.telemetry().map(|t| {
             let mut s = t.span("client.submit");
             s.trace(fabric_telemetry::TraceContext::for_tx(
                 proposal.tx_id.as_str(),

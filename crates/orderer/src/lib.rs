@@ -182,11 +182,7 @@ impl OrderingService {
     /// Queues a transaction for ordering. Contents are not inspected
     /// (only the tx id is read, to trace the span).
     pub fn submit(&mut self, tx: Transaction) {
-        if let Some(t) = self
-            .telemetry
-            .as_ref()
-            .filter(|t| t.telemetry.tracing_enabled())
-        {
+        if let Some(t) = &self.telemetry {
             let mut span = t.telemetry.span("orderer.order");
             span.trace(TraceContext::for_tx(tx.tx_id.as_str()));
             span.node(&t.node);

@@ -1,29 +1,23 @@
 //! The validation phase: proof-of-policy checks, MVCC, and commit.
 //!
-//! The commit path is a staged pipeline, mirroring how Fabric's validator
-//! splits work:
+//! [`Peer::process_block`] is one ordered walk over the block, the order
+//! of Fabric's validator (§II-B3, Fig. 2). Each transaction is checked in
+//! turn for an in-block duplicate tx-id, its signatures, its channel, a
+//! committed duplicate, its endorsement policies (chaincode-level,
+//! collection-level, key-level/SBE, and the defense filters) against the
+//! state the block's earlier transactions left, and MVCC version
+//! conflicts. A valid transaction is applied before the next one is
+//! checked. Policies are evaluated from the compiled caches
+//! (`InstalledChaincode::compiled` plus the peer's interned SBE expression
+//! cache) instead of re-parsing expressions per transaction.
 //!
-//! 1. **Stateless stage** — per-transaction checks whose outcome cannot
-//!    depend on earlier transactions in the same block: signatures, channel
-//!    membership, committed-duplicate lookup, and every endorsement-policy
-//!    evaluation (chaincode-level, collection-level, key-level/SBE, and the
-//!    defense filters) against the *pre-block* state. Policies are
-//!    evaluated from the compiled caches (`InstalledChaincode::compiled`
-//!    plus the peer's interned SBE expression cache) instead of re-parsing
-//!    expressions per transaction.
-//! 2. **Sequential stage** — the order-dependent merge: in-block duplicate
-//!    tx-ids, re-evaluation of policy checks for transactions that touch an
-//!    SBE validation parameter written earlier in the block (dirty-key
-//!    detection), MVCC version conflicts, and the state mutations of valid
-//!    transactions.
-//!
-//! Both stages run on the calling thread; the only threads on the commit
+//! The walk runs on the calling thread; the only threads on the commit
 //! path are the cross-peer workers of `FabricNetwork::commit_tick`.
 
 use crate::node::{InstalledChaincode, Peer};
 use crate::telemetry::PeerTelemetry;
 use fabric_crypto::BatchVerifier;
-use fabric_ledger::BlockStoreError;
+use fabric_ledger::{BlockStoreError, HistoryDb, WorldState};
 use fabric_policy::EndorserSet;
 use fabric_telemetry::{AuditEvent, TraceContext};
 use fabric_types::{
@@ -34,7 +28,6 @@ use fabric_wire::IdSet;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Supplies plaintext private data for a transaction being committed
 /// (backed by the gossip transient store plus anti-entropy pull). The
@@ -93,26 +86,9 @@ pub struct BlockCommitOutcome {
     pub events: Vec<(TxId, ChaincodeEvent)>,
 }
 
-/// Per-transaction result of the stateless stage.
-#[derive(Debug)]
-struct StatelessVerdict {
-    /// Failure from checks that cannot be affected by in-block state:
-    /// signatures, channel membership, committed-duplicate lookup.
-    structural: Option<TxValidationCode>,
-    /// Endorsement-policy outcome against the pre-block state; `None` =
-    /// passed. Only meaningful when `structural` is `None`, and superseded
-    /// by a sequential re-check when the transaction touches an SBE
-    /// parameter written earlier in the block.
-    policy: Option<TxValidationCode>,
-    /// Audit events derived from the transaction and pre-block state
-    /// alone (non-member endorsements, collection-policy fallbacks,
-    /// plaintext payloads). Computed here, *emitted* only by the
-    /// sequential stage, in block order.
-    audit: Vec<AuditEvent>,
-}
-
-/// Per-(namespace, collection) facts the audit pass needs, resolved from
-/// the pre-block state.
+/// Per-(namespace, collection) facts the audit pass needs. Chaincode
+/// definitions cannot change inside a block, so they hold for the whole
+/// block.
 #[derive(Clone, Copy)]
 struct CollectionAuditFacts<'a> {
     /// The collection is defined but compiles no endorsement policy of
@@ -136,8 +112,7 @@ type AuditFactsEntry<'a> = (
 /// for every transaction.
 /// The first few entries live inline: a block touching up to
 /// [`AUDIT_CACHE_INLINE`] pairs — the overwhelmingly common case — never
-/// heap-allocates, which matters for the no-op-telemetry overhead of
-/// single-transaction blocks.
+/// heap-allocates, which matters for single-transaction blocks.
 #[derive(Default)]
 struct AuditFactsCache<'a> {
     inline: [Option<AuditFactsEntry<'a>>; AUDIT_CACHE_INLINE],
@@ -189,8 +164,8 @@ impl Peer {
     /// Validates every transaction in `block` through the proof-of-policy
     /// checks (endorsement policy + MVCC version conflict, §II-B3), commits
     /// the effects of valid ones, and appends the block with its validity
-    /// vector to the local chain. See the module docs for the two pipeline
-    /// stages.
+    /// vector to the local chain. See the module docs for the order of the
+    /// checks.
     ///
     /// `pvt_provider` supplies plaintext private rwsets (transient store /
     /// gossip pull) for collections this peer is a member of.
@@ -216,49 +191,19 @@ impl Peer {
         // stay alive across the mutable borrows of `self` below. Without
         // telemetry attached this is the only cost the commit path pays.
         let telemetry = self.telemetry.clone();
-        // Timing instrumentation — spans (block-level and per-transaction)
-        // and the stage-latency histograms — is extra work on the hot
-        // path, so all of it is gated off when spans go nowhere (no-op
-        // collector). Counters, gauges, and the audit log stay on either
-        // way: a disabled pipeline keeps counting, it just stops timing.
-        let tracing = telemetry.as_ref().is_some_and(|t| t.tracing_enabled());
-        let block_span = if tracing {
-            telemetry.as_ref().map(|t| {
-                let mut s = t.span("peer.process_block");
-                s.node(self.gossip_id.as_arc());
-                s.field("block", block_num);
-                s.field("txs", block.transactions.len());
-                s
-            })
-        } else {
-            None
-        };
-        // Stage boundaries come from three raw `Instant` reads rather
-        // than span guards, so the histograms measure the pipeline, not
-        // the span bookkeeping around it.
-        let mut stage_mark = tracing.then(Instant::now);
-
-        // Stage 1 — stateless: signatures and policy evaluation against
-        // the pre-block state.
-        let stateless_span = block_span.as_ref().map(|s| s.child("commit.stateless"));
-        let mut verdicts = self.stateless_validate(&block.transactions);
-        drop(stateless_span);
-        if let (Some(t), Some(mark)) = (&telemetry, stage_mark) {
-            let now = Instant::now();
-            t.stage_stateless.observe_duration(now - mark);
-            stage_mark = Some(now);
-        }
-
-        // Stage 2 — sequential merge: in-block duplicates, SBE dirty-key
-        // re-checks, MVCC, and state mutation, in block order. The validity
-        // vector is written straight into the block's metadata. Audit
-        // events are emitted from this stage only.
-        if let Some(t) = &telemetry {
-            // New block entering the merge: re-arm per-block collector
-            // state (the flight recorder's trigger dedup).
+        let block_span = telemetry.as_ref().map(|t| {
+            // New block: re-arm per-block collector state (the flight
+            // recorder's trigger dedup).
             t.block_boundary();
-        }
-        let stateful_span = block_span.as_ref().map(|s| s.child("commit.stateful"));
+            let mut s = t.span("peer.process_block");
+            s.node(self.gossip_id.as_arc());
+            s.field("block", block_num);
+            s.field("txs", block.transactions.len());
+            s
+        });
+
+        // The validity vector is written straight into the block's
+        // metadata.
         let mut block = block;
         let Block {
             transactions,
@@ -266,58 +211,70 @@ impl Peer {
             ..
         } = &mut block;
         {
+            let mut batch = BatchVerifier::new();
+            let mut audit_cache = AuditFactsCache::default();
             let mut seen_in_block: IdSet<&TxId> =
                 IdSet::with_capacity_and_hasher(transactions.len(), Default::default());
             // `(namespace, key)` pairs whose SBE validation parameter was
-            // rewritten by an earlier valid transaction of this block. A
-            // later transaction touching one of them must not reuse its
-            // pre-block policy verdict.
-            let mut dirty_params: HashSet<(&ChaincodeId, &str)> = HashSet::new();
+            // rewritten by an earlier valid transaction of this block; only
+            // the `SbeReCheck` audit event reads them.
+            let mut dirty_params: Option<HashSet<(&ChaincodeId, &str)>> =
+                telemetry.is_some().then(HashSet::new);
             for (i, tx) in transactions.iter().enumerate() {
-                let commit_span = if tracing {
-                    telemetry.as_ref().map(|t| {
-                        let mut s = t.span("peer.commit");
-                        s.trace(TraceContext::for_tx(tx.tx_id.as_str()));
-                        s.node(self.gossip_id.as_arc());
-                        s
-                    })
-                } else {
-                    None
-                };
+                let validate_span = telemetry
+                    .as_ref()
+                    .map(|t| self.tx_span(t, "peer.validate", tx));
                 let mut sbe_rechecked = false;
                 let code = if !seen_in_block.insert(&tx.tx_id) {
                     TxValidationCode::DuplicateTxId
-                } else if let Some(failure) = verdicts[i].structural {
+                } else if let Some(failure) = self.structural_checks(tx, &mut batch) {
                     failure
                 } else {
-                    let policy = if touches_dirty_params(tx, &dirty_params) {
-                        sbe_rechecked = true;
-                        self.policy_checks(tx)
-                    } else {
-                        verdicts[i].policy
-                    };
-                    match policy {
-                        Some(failure) => failure,
-                        None => self.mvcc_checks(tx).unwrap_or(TxValidationCode::Valid),
-                    }
+                    sbe_rechecked = dirty_params
+                        .as_ref()
+                        .is_some_and(|dirty| touches_dirty_params(tx, dirty));
+                    self.policy_checks(tx)
+                        .or_else(|| self.mvcc_checks(tx))
+                        .unwrap_or(TxValidationCode::Valid)
                 };
+                drop(validate_span);
+
+                let commit_span = telemetry
+                    .as_ref()
+                    .map(|t| self.tx_span(t, "peer.commit", tx));
                 if code.is_valid() {
                     let version = Version::new(block_num, i as u64);
-                    if !self.apply_transaction(tx, version, pvt_provider) {
+                    let complete = apply_transaction(
+                        &mut self.world_state,
+                        &mut self.history,
+                        &self.chaincodes,
+                        tx,
+                        version,
+                        pvt_provider,
+                    );
+                    if !complete {
                         missing.push(tx.tx_id.clone());
                     }
                     if let Some(event) = &tx.payload.event {
                         events.push((tx.tx_id.clone(), event.clone()));
                     }
-                    for ns in &tx.payload.results.ns_rwsets {
-                        for m in &ns.metadata_writes {
-                            dirty_params.insert((&ns.namespace, m.key.as_str()));
+                    if let Some(dirty) = &mut dirty_params {
+                        for ns in &tx.payload.results.ns_rwsets {
+                            for m in &ns.metadata_writes {
+                                dirty.insert((&ns.namespace, m.key.as_str()));
+                            }
                         }
                     }
                 }
                 if let Some(t) = &telemetry {
-                    let stateless = std::mem::take(&mut verdicts[i].audit);
-                    audit_transaction(t, tx, code, sbe_rechecked, stateless);
+                    audit_transaction(
+                        t,
+                        &self.chaincodes,
+                        &mut audit_cache,
+                        tx,
+                        code,
+                        sbe_rechecked,
+                    );
                 }
                 if let Some(mut s) = commit_span {
                     s.field("code", code.as_str());
@@ -325,10 +282,6 @@ impl Peer {
                 }
                 metadata.validation_codes.push(code);
             }
-        }
-        drop(stateful_span);
-        if let (Some(t), Some(mark)) = (&telemetry, stage_mark) {
-            t.stage_stateful.observe_duration(mark.elapsed());
         }
 
         // `check_extends` already ran before any mutation, so the append
@@ -343,7 +296,8 @@ impl Peer {
             .metadata
             .validation_codes
             .clone();
-        if let Some(t) = &telemetry {
+        if let (Some(t), Some(span)) = (&telemetry, &block_span) {
+            t.commit_block.observe_duration(span.elapsed());
             record_block_metrics(t, block_num, &validation_codes, missing.len());
         }
         Ok(BlockCommitOutcome {
@@ -353,65 +307,36 @@ impl Peer {
         })
     }
 
-    /// Runs [`Peer::stateless_checks`] over a block's transactions.
-    /// Signatures are verified through one [`BatchVerifier`] per block, so
-    /// the CA registry's lock is taken once per signing identity instead
-    /// of once per signature.
-    fn stateless_validate(&self, transactions: &[Transaction]) -> Vec<StatelessVerdict> {
-        let mut batch = BatchVerifier::new();
-        let mut audit_cache = AuditFactsCache::default();
-        transactions
-            .iter()
-            .map(|tx| self.stateless_checks(tx, &mut batch, &mut audit_cache))
-            .collect()
+    /// Opens `tx`'s per-transaction span `name` on this peer.
+    fn tx_span(
+        &self,
+        t: &PeerTelemetry,
+        name: &'static str,
+        tx: &Transaction,
+    ) -> fabric_telemetry::SpanGuard {
+        let mut s = t.span(name);
+        s.trace(TraceContext::for_tx(tx.tx_id.as_str()));
+        s.node(self.gossip_id.as_arc());
+        s
     }
 
-    /// Every check of one transaction that is independent of the other
-    /// transactions in the block: signatures, channel, committed-duplicate
-    /// lookup, and policy evaluation against the pre-block state.
-    fn stateless_checks<'a>(
-        &'a self,
-        tx: &'a Transaction,
+    /// The checks that read neither policies nor versions: signatures
+    /// (through the block's [`BatchVerifier`], so the CA registry's lock is
+    /// taken once per signing identity instead of once per signature),
+    /// channel, and committed-duplicate lookup; `None` = passed.
+    fn structural_checks(
+        &self,
+        tx: &Transaction,
         batch: &mut BatchVerifier,
-        audit_cache: &mut AuditFactsCache<'a>,
-    ) -> StatelessVerdict {
-        // Traced per-tx validation span (skipped entirely for no-op
-        // collectors — `tracing_enabled` gates the allocation).
-        let _validate_span = self
-            .telemetry
-            .as_ref()
-            .filter(|t| t.tracing_enabled())
-            .map(|t| {
-                let mut s = t.span("peer.validate");
-                s.trace(TraceContext::for_tx(tx.tx_id.as_str()));
-                s.node(self.gossip_id.as_arc());
-                s
-            });
-        let audit = if self.telemetry.is_some() {
-            stateless_audit(&self.chaincodes, tx, audit_cache)
-        } else {
-            Vec::new()
-        };
-        let structural = if let Some(code) = signature_check_batched(tx, batch) {
-            Some(code)
-        } else if tx.channel != self.channel {
-            Some(TxValidationCode::BadPayload)
-        } else if self.block_store.contains_tx(&tx.tx_id) {
-            Some(TxValidationCode::DuplicateTxId)
-        } else {
-            None
-        };
-        if structural.is_some() {
-            return StatelessVerdict {
-                structural,
-                policy: None,
-                audit,
-            };
-        }
-        StatelessVerdict {
-            structural: None,
-            policy: self.policy_checks(tx),
-            audit,
+    ) -> Option<TxValidationCode> {
+        match tx.verify_signatures_batched(batch) {
+            Some(SignatureFailure::Client) => Some(TxValidationCode::InvalidClientSignature),
+            Some(SignatureFailure::Endorsement) => Some(TxValidationCode::InvalidEndorserSignature),
+            None if tx.channel != self.channel => Some(TxValidationCode::BadPayload),
+            None if self.block_store.contains_tx(&tx.tx_id) => {
+                Some(TxValidationCode::DuplicateTxId)
+            }
+            None => None,
         }
     }
 
@@ -538,81 +463,6 @@ impl Peer {
         None
     }
 
-    /// Applies a valid transaction's writes at `version`. Returns `false`
-    /// when this peer is a member of a written collection but could not
-    /// obtain matching plaintext (hashes were committed regardless).
-    fn apply_transaction(
-        &mut self,
-        tx: &Transaction,
-        version: Version,
-        pvt_provider: &mut PvtDataProvider<'_>,
-    ) -> bool {
-        let mut plaintext_complete = true;
-        let mut package: Option<Option<Arc<PvtDataPackage>>> = None;
-
-        for ns in &tx.payload.results.ns_rwsets {
-            self.world_state
-                .apply_public_writes(&ns.namespace, &ns.public, version);
-            self.world_state
-                .apply_metadata_writes(&ns.namespace, &ns.metadata_writes);
-            for w in &ns.public.writes {
-                self.history.record(
-                    &ns.namespace,
-                    &w.key,
-                    &tx.tx_id,
-                    version,
-                    w.value.clone(),
-                    w.is_delete,
-                );
-            }
-            for col in &ns.collections {
-                if col.writes.is_empty() {
-                    continue;
-                }
-                let is_member = self.is_collection_member(&ns.namespace, &col.collection);
-                let mut applied_plaintext = false;
-                if is_member {
-                    let pkg = package
-                        .get_or_insert_with(|| pvt_provider(&tx.tx_id))
-                        .as_ref();
-                    if let Some(pkg) = pkg {
-                        // Verify plaintext against committed hashes before
-                        // updating the ledger (Fig. 2, step 18). The
-                        // verify-and-apply entry point hashes each key and
-                        // value exactly once instead of materializing a
-                        // full hashed copy of the plaintext rwset.
-                        let matching = pkg
-                            .namespaces
-                            .iter()
-                            .zip(&pkg.collections)
-                            .find(|(n, c)| **n == ns.namespace && c.collection == col.collection)
-                            .map(|(_, c)| c);
-                        if let Some(pvt) = matching {
-                            applied_plaintext = self.world_state.apply_private_writes_verified(
-                                &ns.namespace,
-                                pvt,
-                                col,
-                                version,
-                            );
-                        }
-                    }
-                }
-                if !applied_plaintext {
-                    self.world_state.apply_hashed_writes(
-                        &ns.namespace,
-                        &col.collection,
-                        &col.writes,
-                        version,
-                    );
-                    if is_member {
-                        plaintext_complete = false;
-                    }
-                }
-            }
-        }
-        plaintext_complete
-    }
-
     /// Purges expired private data for every collection with a
     /// block-to-live bound.
     fn purge_expired(&mut self, current_block: u64) {
@@ -625,6 +475,85 @@ impl Peer {
             }
         }
     }
+}
+
+/// Applies a valid transaction's writes at `version`, through the peer
+/// fields it writes so the block's audit memo can keep borrowing
+/// `chaincodes`. Returns `false` when this peer is a member of a written
+/// collection but could not obtain matching plaintext (hashes were
+/// committed regardless).
+fn apply_transaction(
+    world_state: &mut WorldState,
+    history: &mut HistoryDb,
+    chaincodes: &HashMap<ChaincodeId, InstalledChaincode>,
+    tx: &Transaction,
+    version: Version,
+    pvt_provider: &mut PvtDataProvider<'_>,
+) -> bool {
+    let mut plaintext_complete = true;
+    let mut package: Option<Option<Arc<PvtDataPackage>>> = None;
+
+    for ns in &tx.payload.results.ns_rwsets {
+        world_state.apply_public_writes(&ns.namespace, &ns.public, version);
+        world_state.apply_metadata_writes(&ns.namespace, &ns.metadata_writes);
+        for w in &ns.public.writes {
+            history.record(
+                &ns.namespace,
+                &w.key,
+                &tx.tx_id,
+                version,
+                w.value.clone(),
+                w.is_delete,
+            );
+        }
+        for col in &ns.collections {
+            if col.writes.is_empty() {
+                continue;
+            }
+            let is_member = chaincodes
+                .get(&ns.namespace)
+                .is_some_and(|cc| cc.memberships.contains(&col.collection));
+            let mut applied_plaintext = false;
+            if is_member {
+                let pkg = package
+                    .get_or_insert_with(|| pvt_provider(&tx.tx_id))
+                    .as_ref();
+                if let Some(pkg) = pkg {
+                    // Verify plaintext against committed hashes before
+                    // updating the ledger (Fig. 2, step 18). The
+                    // verify-and-apply entry point hashes each key and
+                    // value exactly once instead of materializing a
+                    // full hashed copy of the plaintext rwset.
+                    let matching = pkg
+                        .namespaces
+                        .iter()
+                        .zip(&pkg.collections)
+                        .find(|(n, c)| **n == ns.namespace && c.collection == col.collection)
+                        .map(|(_, c)| c);
+                    if let Some(pvt) = matching {
+                        applied_plaintext = world_state.apply_private_writes_verified(
+                            &ns.namespace,
+                            pvt,
+                            col,
+                            version,
+                        );
+                    }
+                }
+            }
+            if !applied_plaintext {
+                world_state.apply_hashed_writes(
+                    &ns.namespace,
+                    &col.collection,
+                    &col.writes,
+                    version,
+                );
+                if is_member {
+                    plaintext_complete = false;
+                }
+            }
+        }
+    }
+    plaintext_complete
 }
 
 /// Whether `tx` touches (writes or re-parameterizes) a key whose SBE
@@ -643,18 +572,20 @@ fn touches_dirty_params(tx: &Transaction, dirty: &HashSet<(&ChaincodeId, &str)>)
     })
 }
 
-/// Collects the security-audit signals observable on `tx` against the
-/// pre-block state: non-member endorsements and chaincode-policy
-/// fallbacks on touched collections (Use Cases 1–2) and plaintext
-/// payloads riding PDC transactions (Use Case 3). Runs in the
-/// stateless stage (chaincode definitions cannot change inside a
-/// block); the common no-signal case allocates nothing.
-fn stateless_audit<'a>(
+/// Emits `tx`'s audit events. First come the signals observable on the
+/// transaction and the chaincode definitions: non-member endorsements and
+/// chaincode-policy fallbacks on touched collections (Use Cases 1–2), and
+/// plaintext payloads riding PDC transactions (Use Case 3). Then come the
+/// outcome-dependent ones: SBE re-checks, MVCC conflicts and defense
+/// rejections. The common no-signal case allocates nothing.
+fn audit_transaction<'a>(
+    t: &PeerTelemetry,
     chaincodes: &'a HashMap<ChaincodeId, InstalledChaincode>,
-    tx: &'a Transaction,
     cache: &mut AuditFactsCache<'a>,
-) -> Vec<AuditEvent> {
-    let mut events = Vec::new();
+    tx: &'a Transaction,
+    code: TxValidationCode,
+    sbe_rechecked: bool,
+) {
     let mut touches_collection = false;
     for ns in &tx.payload.results.ns_rwsets {
         for col in &ns.collections {
@@ -663,7 +594,7 @@ fn stateless_audit<'a>(
             };
             touches_collection = true;
             if facts.policy_fallback {
-                events.push(AuditEvent::PolicyFallbackToChaincodeLevel {
+                t.emit(AuditEvent::PolicyFallbackToChaincodeLevel {
                     tx_id: tx.tx_id.clone(),
                     chaincode: ns.namespace.clone(),
                     collection: col.collection.clone(),
@@ -675,7 +606,7 @@ fn stateless_audit<'a>(
                 let member = facts.members.is_some_and(|m| m.contains(org));
                 if !member && !flagged.contains(&org) {
                     flagged.push(org);
-                    events.push(AuditEvent::EndorsementByNonMember {
+                    t.emit(AuditEvent::EndorsementByNonMember {
                         tx_id: tx.tx_id.clone(),
                         collection: col.collection.clone(),
                         endorser_org: org.clone(),
@@ -688,28 +619,11 @@ fn stateless_audit<'a>(
         && tx.commitment == PayloadCommitment::Plain
         && !tx.payload.response.payload.is_empty()
     {
-        events.push(AuditEvent::PlaintextPayloadInTx {
+        t.emit(AuditEvent::PlaintextPayloadInTx {
             tx_id: tx.tx_id.clone(),
             chaincode: tx.chaincode.clone(),
             payload_bytes: tx.payload.response.payload.len(),
         });
-    }
-    events
-}
-
-/// Emits `tx`'s audit events: the pre-computed stateless signals
-/// first, then the outcome-dependent ones (SBE re-checks, MVCC
-/// conflicts, defense rejections). Called from the sequential merge
-/// stage only, in block order.
-fn audit_transaction(
-    t: &PeerTelemetry,
-    tx: &Transaction,
-    code: TxValidationCode,
-    sbe_rechecked: bool,
-    stateless: Vec<AuditEvent>,
-) {
-    for event in stateless {
-        t.emit(event);
     }
     if sbe_rechecked {
         t.emit(AuditEvent::SbeReCheck {
@@ -755,22 +669,6 @@ fn record_block_metrics(
         t.missing_private.inc_by(missing as u64);
     }
     t.block_height.set((block_num + 1) as f64);
-}
-
-/// The stateless signature checks of one transaction; `None` = passed.
-///
-/// Uses the combined [`Transaction::verify_signatures_batched`] pass over
-/// the transaction's memoized digests, amortizing endorser-identity
-/// resolution across every transaction verified with the same batch.
-fn signature_check_batched(
-    tx: &Transaction,
-    batch: &mut BatchVerifier,
-) -> Option<TxValidationCode> {
-    match tx.verify_signatures_batched(batch) {
-        None => None,
-        Some(SignatureFailure::Client) => Some(TxValidationCode::InvalidClientSignature),
-        Some(SignatureFailure::Endorsement) => Some(TxValidationCode::InvalidEndorserSignature),
-    }
 }
 
 #[cfg(test)]

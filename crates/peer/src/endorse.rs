@@ -76,16 +76,6 @@ impl Peer {
         let Some(telemetry) = self.telemetry.as_ref() else {
             return self.endorse_inner(proposal);
         };
-        if !telemetry.tracing_enabled() {
-            // No-op collector: skip the span and the latency histogram,
-            // keep the outcome counters.
-            let result = self.endorse_inner(proposal);
-            match &result {
-                Ok(_) => telemetry.endorse_ok.inc(),
-                Err(_) => telemetry.endorse_err.inc(),
-            }
-            return result;
-        }
         let mut span = telemetry.span("peer.endorse");
         span.trace(TraceContext::for_tx(proposal.tx_id.as_str()));
         span.node(self.gossip_id.as_arc());

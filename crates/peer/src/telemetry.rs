@@ -25,10 +25,8 @@ pub(crate) struct PeerTelemetry {
 #[derive(Debug)]
 pub(crate) struct PeerHandles {
     pub telemetry: Telemetry,
-    /// `fabric_commit_stage_seconds{stage="stateless"}`.
-    pub stage_stateless: Histogram,
-    /// `fabric_commit_stage_seconds{stage="stateful"}`.
-    pub stage_stateful: Histogram,
+    /// `fabric_commit_block_seconds`.
+    pub commit_block: Histogram,
     pub blocks_committed: Counter,
     pub txs_processed: Counter,
     pub missing_private: Counter,
@@ -45,14 +43,6 @@ pub(crate) struct PeerHandles {
 impl PeerTelemetry {
     pub fn new(telemetry: Telemetry) -> Self {
         let m = telemetry.metrics();
-        let stage = |s: &str| {
-            m.histogram(
-                "fabric_commit_stage_seconds",
-                "Validation pipeline stage latency per block",
-                &[("stage", s)],
-                DURATION_SECONDS_BUCKETS,
-            )
-        };
         let endorse = |r: &str| {
             m.counter(
                 "fabric_endorsements_total",
@@ -62,8 +52,12 @@ impl PeerTelemetry {
         };
         let t = PeerTelemetry {
             inner: Arc::new(PeerHandles {
-                stage_stateless: stage("stateless"),
-                stage_stateful: stage("stateful"),
+                commit_block: m.histogram(
+                    "fabric_commit_block_seconds",
+                    "Block validation and commit latency",
+                    &[],
+                    DURATION_SECONDS_BUCKETS,
+                ),
                 blocks_committed: m.counter(
                     "fabric_blocks_committed_total",
                     "Blocks appended to the local chain",

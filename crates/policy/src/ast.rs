@@ -97,13 +97,6 @@ impl SignaturePolicy {
         self.satisfied_by_set(&endorsers.iter().collect())
     }
 
-    /// [`satisfied_by`](Self::satisfied_by) over borrowed identities, so
-    /// per-transaction hot paths can evaluate policies without cloning
-    /// each endorser identity out of its endorsement first.
-    pub fn satisfied_by_refs(&self, endorsers: &[&Identity]) -> bool {
-        self.satisfied_by_set(&endorsers.iter().copied().collect())
-    }
-
     /// [`satisfied_by`](Self::satisfied_by) over an already de-duplicated
     /// set: a transaction's endorsers are collected once and every policy
     /// that governs it is evaluated against the same set.
@@ -257,16 +250,6 @@ impl ImplicitMetaPolicy {
         self.evaluate_set(org_policies, &endorsers.iter().collect())
     }
 
-    /// [`evaluate`](Self::evaluate) over borrowed identities (see
-    /// [`SignaturePolicy::satisfied_by_refs`]).
-    pub fn evaluate_refs(
-        &self,
-        org_policies: &BTreeMap<OrgId, SignaturePolicy>,
-        endorsers: &[&Identity],
-    ) -> bool {
-        self.evaluate_set(org_policies, &endorsers.iter().copied().collect())
-    }
-
     /// [`evaluate`](Self::evaluate) over an already de-duplicated set (see
     /// [`SignaturePolicy::satisfied_by_set`]).
     pub fn evaluate_set(
@@ -328,16 +311,6 @@ impl Policy {
         endorsers: &[Identity],
     ) -> bool {
         self.evaluate_set(org_policies, &endorsers.iter().collect())
-    }
-
-    /// [`evaluate`](Self::evaluate) over borrowed identities (see
-    /// [`SignaturePolicy::satisfied_by_refs`]).
-    pub fn evaluate_refs(
-        &self,
-        org_policies: &BTreeMap<OrgId, SignaturePolicy>,
-        endorsers: &[&Identity],
-    ) -> bool {
-        self.evaluate_set(org_policies, &endorsers.iter().copied().collect())
     }
 
     /// [`evaluate`](Self::evaluate) over an already de-duplicated set (see

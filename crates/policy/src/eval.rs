@@ -322,9 +322,12 @@ mod tests {
         ) {
             let refs: Vec<&Identity> = endorsers.iter().collect();
             let expected = oracle::satisfied_by_refs(&policy, &refs);
-            prop_assert_eq!(policy.satisfied_by_refs(&refs), expected, "{policy} over {refs:?}");
+            prop_assert_eq!(
+                policy.satisfied_by_set(&refs.iter().copied().collect()),
+                expected,
+                "{policy} over {refs:?}"
+            );
             prop_assert_eq!(policy.satisfied_by(&endorsers), expected);
-            prop_assert_eq!(policy.satisfied_by_set(&refs.iter().copied().collect()), expected);
         }
     }
 

@@ -193,7 +193,7 @@ impl Cluster {
     ) -> Result<u64, NotLeader> {
         let n = self.nodes.get_mut(&node).expect("node exists");
         let index = n.propose(command)?;
-        if let Some(t) = self.telemetry.as_ref().filter(|t| t.tracing_enabled()) {
+        if let Some(t) = &self.telemetry {
             let open = |ctx: Option<&TraceContext>| {
                 let mut span = t.span("raft.replicate");
                 span.node(&self.node_names[&node]);

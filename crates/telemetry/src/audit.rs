@@ -13,14 +13,14 @@
 //!   transaction that touches a collection carries a plaintext response
 //!   payload, leaking private data onto the public ledger.
 //! * [`AuditEvent::MvccConflict`] / [`AuditEvent::SbeReCheck`] —
-//!   validation-pipeline visibility: version conflicts and the stateful
-//!   re-checks triggered by mid-block state-based-endorsement changes.
+//!   validation visibility: version conflicts, and policy checks against
+//!   a state-based-endorsement parameter rewritten earlier in the block.
 //! * [`AuditEvent::DefenseRejected`] — the paper's New Features in
 //!   action: a transaction rejected by a supplemental defense.
 //!
-//! Events are recorded in **block order** by the sequential merge stage
-//! of the validation pipeline, so parallel and sequential validation
-//! emit identical sequences (asserted by `tests/pipeline_equivalence.rs`).
+//! A committing peer records each transaction's events as it validates
+//! the block, so every run of one block emits the same sequence in
+//! **block order** (asserted by `tests/pipeline_equivalence.rs`).
 
 use fabric_types::{ChaincodeId, CollectionName, OrgId, TxId, TxValidationCode};
 use parking_lot::Mutex;
@@ -67,14 +67,15 @@ pub enum AuditEvent {
         /// Chaincode whose read set conflicted.
         chaincode: ChaincodeId,
     },
-    /// A mid-block state-based-endorsement change forced a stateful
-    /// policy re-check of this transaction.
+    /// A transaction reached the policy check and touches a key whose
+    /// state-based-endorsement parameter an earlier valid transaction of
+    /// the same block rewrote, so the in-block parameter governed it.
     SbeReCheck {
-        /// Re-checked transaction.
+        /// Checked transaction.
         tx_id: TxId,
-        /// Chaincode owning the dirty key-level policy parameter.
+        /// Chaincode owning the rewritten key-level policy parameter.
         chaincode: ChaincodeId,
-        /// Validation code after the re-check.
+        /// The transaction's validation code.
         outcome: TxValidationCode,
     },
     /// A supplemental defense (the paper's New Features) rejected the

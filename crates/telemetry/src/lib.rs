@@ -55,11 +55,11 @@ mod trace;
 pub use audit::{AuditEvent, AuditLog};
 pub use export::{render_chrome_trace, render_spans_jsonl};
 pub use metrics::{
-    Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry,
+    json_str, Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry,
     DURATION_SECONDS_BUCKETS, TICK_BUCKETS,
 };
 pub use recorder::{FlightDump, FlightEntry, FlightRecorder};
-pub use span::{Collector, FieldValue, Fields, NoopCollector, SpanRecord, TraceSink};
+pub use span::{Collector, FieldValue, Fields, SpanRecord, TraceSink};
 pub use timeline::{TxTimeline, PHASES, PHASE_SECONDS_BUCKETS};
 pub use trace::TraceContext;
 
@@ -85,10 +85,6 @@ struct Inner {
     /// [`Telemetry::flight_recorder`] can read dumps back.
     recorder: Option<Arc<FlightRecorder>>,
     collector: Arc<dyn Collector>,
-    /// False for [`Telemetry::noop`]: spans skip id assignment and
-    /// collector dispatch entirely (timing via [`SpanGuard::elapsed`]
-    /// still works).
-    enabled: bool,
     epoch: Instant,
     next_span_id: AtomicU64,
     /// Per-kind `fabric_audit_events_total` handles, resolved once —
@@ -110,14 +106,6 @@ impl Telemetry {
         let mut t = Self::with_collector(sink.clone());
         Arc::get_mut(&mut t.inner).expect("freshly created").sink = Some(sink);
         t.export_sink_evictions();
-        t
-    }
-
-    /// Creates a telemetry pipeline that discards spans (metrics and the
-    /// audit log still work). Used to measure instrumentation overhead.
-    pub fn noop() -> Self {
-        let mut t = Self::with_collector(Arc::new(NoopCollector));
-        Arc::get_mut(&mut t.inner).expect("freshly created").enabled = false;
         t
     }
 
@@ -147,7 +135,6 @@ impl Telemetry {
                 sink: None,
                 recorder: None,
                 collector,
-                enabled: true,
                 epoch: Instant::now(),
                 next_span_id: AtomicU64::new(1),
                 audit_counters: Default::default(),
@@ -190,12 +177,6 @@ impl Telemetry {
         self.inner.recorder.as_deref()
     }
 
-    /// False for [`Telemetry::noop`]: span guards become zero-cost
-    /// timers. Callers can gate optional per-tx spans on this.
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
     /// True when `other` is a clone of this handle (same registry, audit
     /// log, and collector). Lets wiring code detect two *different*
     /// pipelines being attached to one network by mistake.
@@ -205,8 +186,8 @@ impl Telemetry {
 
     /// Marks a block boundary on the commit path: forwarded to the
     /// collector so per-block scoping (e.g. the flight recorder's
-    /// trigger dedup) resets. Called by peers at the start of each
-    /// block's sequential merge stage.
+    /// trigger dedup) resets. Called by peers before validating each
+    /// block.
     pub fn block_boundary(&self) {
         self.inner.collector.block_boundary();
     }
@@ -233,15 +214,9 @@ impl Telemetry {
     }
 
     fn open_span(&self, name: &'static str, parent: Option<u64>) -> SpanGuard {
-        let enabled = self.inner.enabled;
         SpanGuard {
             telemetry: self.clone(),
-            enabled,
-            id: if enabled {
-                self.inner.next_span_id.fetch_add(1, Ordering::Relaxed)
-            } else {
-                0
-            },
+            id: self.inner.next_span_id.fetch_add(1, Ordering::Relaxed),
             parent,
             trace_id: 0,
             node: None,
@@ -278,14 +253,9 @@ impl fmt::Debug for Telemetry {
 /// Recording allocates nothing but a [`FieldValue::Owned`] field (and
 /// whatever the collector does with the record): the name is a literal,
 /// the node a shared string, and up to three fields sit inline.
-///
-/// When the owning telemetry is [`Telemetry::noop`] the guard is inert:
-/// it keeps a start [`Instant`] so [`SpanGuard::elapsed`] still times the
-/// region, but skips fields, id assignment, and the collector call.
 #[derive(Debug)]
 pub struct SpanGuard {
     telemetry: Telemetry,
-    enabled: bool,
     id: u64,
     parent: Option<u64>,
     trace_id: u64,
@@ -297,8 +267,7 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// This span's id within its telemetry instance (0 when tracing is
-    /// disabled).
+    /// This span's id within its telemetry instance.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -319,9 +288,7 @@ impl SpanGuard {
     /// Attributes the span to a named node (peer/orderer/client). The
     /// name is shared, not copied: callers hold it for the node's life.
     pub fn node(&mut self, node: &Arc<str>) {
-        if self.enabled {
-            self.node = Some(node.clone());
-        }
+        self.node = Some(node.clone());
     }
 
     /// The context to hand to a downstream hop: same trace, parented at
@@ -335,9 +302,7 @@ impl SpanGuard {
 
     /// Attaches a key-value field to the span.
     pub fn field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
-        if self.enabled {
-            self.fields.push(key, value.into());
-        }
+        self.fields.push(key, value.into());
     }
 
     /// Opens a child span of this one (same trace id and node).
@@ -359,9 +324,6 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.enabled {
-            return;
-        }
         let record = SpanRecord {
             id: self.id,
             parent: self.parent,
@@ -399,35 +361,6 @@ mod tests {
         assert_eq!(child.parent, Some(root.id));
         assert!(root.duration >= child.duration);
         assert_eq!(root.fields, [("n", FieldValue::U64(3))].into());
-    }
-
-    #[test]
-    fn noop_telemetry_still_counts_and_audits() {
-        let t = Telemetry::noop();
-        assert!(t.trace().is_none());
-        assert!(!t.tracing_enabled());
-        t.span("ignored").finish();
-        t.emit(AuditEvent::MvccConflict {
-            tx_id: TxId::new("tx1"),
-            chaincode: fabric_types::ChaincodeId::new("cc"),
-        });
-        assert_eq!(t.audit().len(), 1);
-        assert_eq!(t.audit().counts_by_kind()["mvcc_conflict"], 1);
-        assert!(t
-            .metrics()
-            .render_prometheus()
-            .contains("fabric_audit_events_total{kind=\"mvcc_conflict\"} 1"));
-    }
-
-    #[test]
-    fn noop_spans_still_time_but_record_nothing() {
-        let t = Telemetry::noop();
-        let span = t.span("timer");
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(span.elapsed() >= Duration::from_millis(1));
-        assert_eq!(span.id(), 0);
-        span.finish();
-        assert!(t.trace().is_none());
     }
 
     #[test]

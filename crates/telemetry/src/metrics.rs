@@ -595,7 +595,9 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-pub(crate) fn json_str(s: &str) -> String {
+/// `s` as a quoted JSON string: quotes, backslashes and every control
+/// character escaped, so the exporters' lines always parse.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -44,9 +44,8 @@ impl FlightDump {
     /// The dump's audit events as `(kind, tx_id)` pairs, oldest first.
     ///
     /// Span timings differ run to run, but audit events are emitted in
-    /// block order by the sequential merge stage — this signature is
-    /// deterministic and lets tests compare dumps across the
-    /// parallel-validation knob.
+    /// block order as each peer validates — this signature is
+    /// deterministic and lets tests compare dumps across runs.
     pub fn audit_signature(&self) -> Vec<(&'static str, TxId)> {
         self.entries
             .iter()
@@ -207,9 +206,16 @@ impl std::fmt::Debug for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::NoopCollector;
     use fabric_types::ChaincodeId;
     use std::time::Duration;
+
+    /// A downstream collector that discards everything, so each test sees
+    /// only the ring.
+    struct NoopCollector;
+
+    impl Collector for NoopCollector {
+        fn span_finished(&self, _record: SpanRecord) {}
+    }
 
     fn span(id: u64, name: &'static str) -> SpanRecord {
         SpanRecord {

@@ -183,20 +183,11 @@ pub trait Collector: Send + Sync {
         let _ = event;
     }
 
-    /// Called when the commit pipeline starts merging a new block
-    /// (default: ignore). Lets collectors scope per-block state — the
+    /// Called when a peer starts validating a new block (default:
+    /// ignore). Lets collectors scope per-block state — the
     /// flight recorder uses it to dedup repeated dump triggers within
     /// one block.
     fn block_boundary(&self) {}
-}
-
-/// A collector that discards everything (for overhead measurement and
-/// telemetry-disabled-but-wired configurations).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopCollector;
-
-impl Collector for NoopCollector {
-    fn span_finished(&self, _record: SpanRecord) {}
 }
 
 /// Thread-safe in-memory span store; the default collector.

@@ -4,13 +4,13 @@
 //! trace (via the deterministic [`crate::TraceContext`] id) and derives
 //! the five lifecycle phase latencies:
 //!
-//! | phase       | span name       | emitted by                         |
-//! |-------------|-----------------|------------------------------------|
-//! | `endorse`   | `peer.endorse`  | each endorsing peer                |
-//! | `order`     | `orderer.order` | ordering service (queue → batch)   |
-//! | `replicate` | `raft.replicate`| raft (propose → quorum commit)     |
-//! | `validate`  | `peer.validate` | each committing peer (stateless)   |
-//! | `commit`    | `peer.commit`   | each committing peer (stateful)    |
+//! | phase       | span name       | emitted by                           |
+//! |-------------|-----------------|--------------------------------------|
+//! | `endorse`   | `peer.endorse`  | each endorsing peer                  |
+//! | `order`     | `orderer.order` | ordering service (queue → batch)     |
+//! | `replicate` | `raft.replicate`| raft (propose → quorum commit)       |
+//! | `validate`  | `peer.validate` | each committing peer (checks → code) |
+//! | `commit`    | `peer.commit`   | each committing peer (apply, audit)  |
 //!
 //! A phase that several nodes perform concurrently (endorse, validate,
 //! commit) reports the slowest node — the latency the transaction

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     print!("{}", telemetry.metrics().render_prometheus());
 
     // 2. Spans, rendered as a flamegraph-style tree per root span.
-    println!("\n== span tree (per-stage timings) ==");
+    println!("\n== span tree ==");
     print!(
         "{}",
         telemetry.trace().expect("in-memory sink").render_tree()

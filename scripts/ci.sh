@@ -5,7 +5,11 @@
 #   2. `cargo clippy --all-targets -- -D warnings`  lint-clean, tests included
 #   3. `cargo build --release`                      release build works
 #   4. `cargo test -q`                              every proof is a typed test
-#   5. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
+#   5. `cargo doc` with `-D warnings`               a deleted item leaves no
+#      dead intra-doc link behind; the four vendored stand-ins
+#      (criterion, parking_lot, proptest, rand) are excluded because
+#      `vendor/proptest`'s docs carry broken links of their own
+#   6. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
 #      that commits on several threads, `mixed_small_blocks`, the one
 #      that runs with telemetry and the monitor attached,
 #      `narrow_pipeline`, the one the client and orderer carry,
@@ -32,6 +36,10 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+    --exclude criterion --exclude parking_lot --exclude proptest --exclude rand
 
 echo "==> fabric-benchmark check --smoke --workload wide_fanout"
 cargo run --release -q -p fabric-benchmark -- check --smoke --workload wide_fanout

@@ -1,17 +1,15 @@
-//! Equivalence of the staged validation pipeline and the reference
-//! validator (`support::reference_peer`): for any block — valid,
-//! under-endorsed, tampered, duplicated, and SBE-parameter-changing
-//! transactions interleaved, under any defense configuration —
-//! `Peer::process_block` must produce the same validation codes, the same
-//! world-state digest, the same history index, and the same chain tip as
+//! Equivalence of the shipped validator and the reference validator
+//! (`support::reference_peer`): for any block — valid, under-endorsed,
+//! tampered, duplicated, and SBE-parameter-changing transactions
+//! interleaved, under any defense configuration — `Peer::process_block`
+//! must produce the same validation codes, the same world-state digest,
+//! the same history index, and the same chain tip as
 //! `ReferencePeer::process_block`.
 //!
 //! The interesting adversarial case is a transaction that writes a key's
 //! state-based-endorsement parameter *earlier in the same block* than a
-//! write to that key: the pipeline's stateless pass evaluated the later
-//! write against the pre-block parameter and must re-check it
-//! sequentially (dirty-key detection), exactly as the reference does by
-//! construction.
+//! write to that key: the later write must be checked against the
+//! in-block parameter, and it raises an `SbeReCheck` audit event.
 //!
 //! The same contract extends to multi-block streams: the concatenated
 //! outcomes, final digest and chain tip must match the reference loop
@@ -467,14 +465,13 @@ fn mid_block_policy_change_governs_later_writes() {
             policy: 2,
             endorsers: vec![0, 1],
         },
-        // org1+org2 satisfied MAJORITY in the stateless pass but fail the
-        // in-block parameter — the dirty-key re-check must reject this.
+        // org1+org2 satisfy MAJORITY but fail the in-block parameter.
         TxSpec::SbePut {
             key: 1,
             endorsers: vec![0, 1],
         },
-        // org3 alone fails MAJORITY statelessly but satisfies OR(org3);
-        // key-level parameters replace the chaincode policy for writes.
+        // org3 alone fails MAJORITY but satisfies OR(org3); key-level
+        // parameters replace the chaincode policy for writes.
         TxSpec::SbePut {
             key: 1,
             endorsers: vec![2],
@@ -649,6 +646,95 @@ fn adversarial_block_audits_deterministically() {
     assert!(recheck_pos < plaintext_pos, "events out of block order");
 }
 
+/// Pins the whole audit sequence of a block that exercises every check,
+/// with the non-member filter as the only defense: a probe endorsed by a
+/// non-member, a valid write, a read-modify-write that conflicts with it,
+/// an SBE parameter flip that the next write fails, a tampered write and
+/// an in-block duplicate. Each transaction's events come in one run, in
+/// block order.
+#[test]
+fn every_check_audits_in_block_order() {
+    let defense = DefenseConfig {
+        filter_non_member_endorsers: true,
+        ..DefenseConfig::original()
+    };
+    let mut net = equivalence_network(78, defense);
+    let specs = [
+        TxSpec::PdcProbe {
+            endorsers: vec![0, 2],
+        },
+        TxSpec::PdcWrite {
+            key: 0,
+            endorsers: vec![0, 1],
+        },
+        TxSpec::PdcAdd {
+            endorsers: vec![0, 1],
+        },
+        TxSpec::SbePut {
+            key: 2,
+            endorsers: vec![0, 1],
+        },
+        TxSpec::SbeSetPolicy {
+            key: 2,
+            policy: 2,
+            endorsers: vec![0, 1],
+        },
+        TxSpec::SbePut {
+            key: 2,
+            endorsers: vec![0, 1],
+        },
+        TxSpec::Tampered { key: 1 },
+        TxSpec::DuplicateOf(1),
+    ];
+    let (block, pkgs) = build_block(&mut net, &specs);
+    let outcome = assert_stream_equivalent(&net, std::slice::from_ref(&block), &pkgs);
+    assert_eq!(
+        outcome[0].validation_codes,
+        vec![
+            TxValidationCode::NonMemberEndorsement,
+            TxValidationCode::Valid,
+            TxValidationCode::MvccReadConflict,
+            TxValidationCode::Valid,
+            TxValidationCode::Valid,
+            TxValidationCode::EndorsementPolicyFailure,
+            TxValidationCode::InvalidClientSignature,
+            TxValidationCode::DuplicateTxId,
+        ]
+    );
+
+    let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(Arc::new);
+    let mut peer = net.peer("peer0.org2").clone();
+    let telemetry = Telemetry::new();
+    peer.set_telemetry(telemetry.clone());
+    peer.process_block(block.clone(), &mut provider)
+        .expect("chains");
+    let position = |tx_id: &TxId| {
+        block
+            .transactions
+            .iter()
+            .position(|tx| tx.tx_id == *tx_id)
+            .expect("an event names a transaction of the block")
+    };
+    let sequence: Vec<(&str, usize)> = telemetry
+        .audit()
+        .events()
+        .iter()
+        .map(|e| (e.kind(), position(e.tx_id())))
+        .collect();
+    assert_eq!(
+        sequence,
+        vec![
+            ("endorsement_by_non_member", 0),
+            ("plaintext_payload_in_tx", 0),
+            ("defense_rejected", 0),
+            ("plaintext_payload_in_tx", 2),
+            ("mvcc_conflict", 2),
+            ("sbe_re_check", 5),
+            ("plaintext_payload_in_tx", 6),
+        ]
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -706,7 +792,7 @@ fn cross_block_mvcc_conflict_straddles_pipeline_boundary() {
 
 /// Directed in-block MVCC hazard for completeness: the write and the
 /// stale read-modify-write share one block, so the conflict arises from
-/// the merge stage's own in-block version bump.
+/// the block's own in-block version bump.
 #[test]
 fn in_block_mvcc_conflict_matches_reference() {
     let mut net = equivalence_network(56, DefenseConfig::original());
@@ -803,10 +889,10 @@ fn cross_block_duplicate_is_rejected_as_committed() {
     );
 }
 
-/// Every block contributes exactly one stateless and one stateful
-/// observation to the per-block stage histograms.
+/// Every block contributes exactly one observation to the per-block
+/// commit histogram.
 #[test]
-fn stage_histograms_count_once_per_block_regardless_of_overlap() {
+fn block_histogram_counts_once_per_block() {
     let mut net = equivalence_network(92, DefenseConfig::original());
     let specs = vec![
         vec![TxSpec::PdcWrite {
@@ -831,18 +917,12 @@ fn stage_histograms_count_once_per_block_regardless_of_overlap() {
         peer.process_block(b.clone(), &mut provider)
             .expect("block chains");
     }
-    for stage in ["stateless", "stateful"] {
-        let count = telemetry
-            .metrics()
-            .find_histogram("fabric_commit_stage_seconds", &[("stage", stage)])
-            .map(|h| h.count())
-            .unwrap_or(0);
-        assert_eq!(
-            count,
-            blocks.len() as u64,
-            "{stage} must record once per block"
-        );
-    }
+    let count = telemetry
+        .metrics()
+        .find_histogram("fabric_commit_block_seconds", &[])
+        .map(|h| h.count())
+        .unwrap_or(0);
+    assert_eq!(count, blocks.len() as u64, "one observation per block");
 }
 
 /// Commits `blocks` on a fresh clone of `peer0.org2` with a monitor

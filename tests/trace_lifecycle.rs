@@ -89,11 +89,13 @@ fn committed_transactions_have_complete_cross_node_timelines() {
             .filter(|r| r.trace_id == timeline.trace_id && r.name == "peer.endorse")
             .count();
         assert_eq!(endorse_spans, 2, "one endorse span per endorsing peer");
-        let commit_spans = records
-            .iter()
-            .filter(|r| r.trace_id == timeline.trace_id && r.name == "peer.commit")
-            .count();
-        assert_eq!(commit_spans, 3, "one commit span per committing peer");
+        for name in ["peer.validate", "peer.commit"] {
+            let spans = records
+                .iter()
+                .filter(|r| r.trace_id == timeline.trace_id && r.name == name)
+                .count();
+            assert_eq!(spans, 3, "one {name} span per committing peer");
+        }
     }
 
     // The metric families dashboards scrape by name: a run to commit
@@ -102,7 +104,7 @@ fn committed_transactions_have_complete_cross_node_timelines() {
     assert_metric_families(
         &telemetry,
         &[
-            "fabric_commit_stage_seconds",
+            "fabric_commit_block_seconds",
             "fabric_validation_results_total",
             "fabric_blocks_committed_total",
             "fabric_txs_processed_total",

@@ -18,6 +18,7 @@
 use fabric_pdc::gossip::{GossipHub, PeerId};
 use fabric_pdc::orderer::{BatchConfig, OrderingService};
 use fabric_pdc::peer::ChannelPolicies;
+use fabric_pdc::policy::EndorserSet;
 use fabric_pdc::prelude::*;
 use fabric_pdc::telemetry::TraceSink;
 use fabric_pdc::types::{Block, PvtDataPackage};
@@ -240,8 +241,8 @@ fn identifier_clones_are_allocation_free() {
     assert_eq!((tx_copy, peer_copy), (tx_id, peer_id));
 }
 
-/// Policy evaluation uses no heap for up to 16 endorsers, on every policy
-/// shape and both outcomes.
+/// Policy evaluation, endorser de-duplication included, uses no heap for
+/// up to 16 endorsers, on every policy shape and both outcomes.
 #[test]
 fn policy_evaluation_is_allocation_free() {
     let _guard = SERIAL.lock().unwrap();
@@ -270,24 +271,33 @@ fn policy_evaluation_is_allocation_free() {
         .flat_map(|expr| [(expr, &all[..]), (expr, &all[..2]), (expr, &all[..0])])
     {
         let policy = SignaturePolicy::parse(expr).unwrap();
-        let (_, calls, _) = measured(|| std::hint::black_box(policy.satisfied_by_refs(endorsers)));
+        let (_, calls, _) =
+            measured(|| std::hint::black_box(policy.satisfied_by_set(&set_of(endorsers))));
         assert_eq!(calls, 0, "{expr} over {} endorsers", endorsers.len());
         let policy = Policy::Signature(policy);
-        let (_, calls, _) =
-            measured(|| std::hint::black_box(policy.evaluate_refs(org_policies, endorsers)));
+        let (_, calls, _) = measured(|| {
+            std::hint::black_box(policy.evaluate_set(org_policies, &set_of(endorsers)))
+        });
         assert_eq!(calls, 0, "Policy {expr} over {} endorsers", endorsers.len());
     }
     for expr in ["MAJORITY Endorsement", "ANY Endorsement", "ALL Endorsement"] {
         let policy = Policy::parse(expr).unwrap();
         for endorsers in [&all[..], &all[..2], &all[..0]] {
-            let (_, calls, _) =
-                measured(|| std::hint::black_box(policy.evaluate_refs(org_policies, endorsers)));
+            let (_, calls, _) = measured(|| {
+                std::hint::black_box(policy.evaluate_set(org_policies, &set_of(endorsers)))
+            });
             assert_eq!(calls, 0, "{expr} over {} endorsers", endorsers.len());
         }
     }
     assert!(Policy::parse("MAJORITY Endorsement")
         .unwrap()
-        .evaluate_refs(org_policies, &all));
+        .evaluate_set(org_policies, &set_of(&all)));
+}
+
+/// The commit path's endorser set: built once per transaction from its
+/// endorsements.
+fn set_of<'a>(endorsers: &[&'a Identity]) -> EndorserSet<'a> {
+    endorsers.iter().copied().collect()
 }
 
 /// A push shares the package and the ids: once the recipients' stores and
@@ -459,8 +469,8 @@ fn recording_a_span_is_allocation_free() {
     );
 }
 
-/// A traced commit records a block span, two stage spans and two spans per
-/// transaction, and allocates (almost) nothing more than an untraced one:
+/// A traced commit records a block span and two spans per transaction,
+/// and allocates (almost) nothing more than an untraced one:
 /// the sink growing toward its cap may take one step.
 #[test]
 fn traced_commit_allocates_no_more_than_untraced() {
