@@ -87,13 +87,9 @@ pub fn subject_from_report(report: &ProjectReport) -> LintSubject {
         chaincode_policy: report.default_policy.clone(),
         collections,
         leaks,
-        // Static scans cannot see a running network or executable
-        // chaincode, so PDC010/PDC011/PDC018/PDC020 never fire on
+        // Static scans cannot run chaincode, so PDC018 never fires on
         // corpus subjects.
-        telemetry_attached: None,
-        flight_recorder: None,
         flow_analyzed: None,
-        monitor_attached: None,
     }
 }
 

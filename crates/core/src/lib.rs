@@ -98,14 +98,12 @@ pub mod prelude {
     pub use fabric_chaincode::{Chaincode, ChaincodeDefinition, ChaincodeError, ChaincodeStub};
     pub use fabric_client::Client;
     pub use fabric_crypto::{sha256, Hash256, Keypair};
-    pub use fabric_monitor::{
-        AlertPhase, AlertTransition, Monitor, MonitorConfig, NetworkStatus, NodeSample,
-    };
+    pub use fabric_monitor::{AlertPhase, AlertTransition, Monitor, NetworkStatus, NodeSample};
     pub use fabric_network::{FabricNetwork, NetworkBuilder, NetworkError, SubmitOutcome};
     pub use fabric_peer::Peer;
     pub use fabric_policy::{Policy, SignaturePolicy};
     pub use fabric_telemetry::{
-        render_chrome_trace, render_spans_jsonl, AuditEvent, Telemetry, TraceContext, TxTimeline,
+        render_chrome_trace, AuditEvent, Telemetry, TraceContext, TxTimeline,
     };
     pub use fabric_types::{
         ChaincodeId, ChannelId, CollectionConfig, CollectionName, DefenseConfig, Identity, OrgId,

@@ -3,7 +3,7 @@
 //!
 //! The paper's attacks all reduce to one root cause: private-collection
 //! data flowing to a less-private sink. `fabric-lint` checks the
-//! *configuration* preconditions (PDC001–PDC011); this crate analyzes
+//! *configuration* preconditions (PDC001–PDC009); this crate analyzes
 //! the *chaincode*. It derives a security [`Label`] lattice from the
 //! collection definitions (label = member-org set, public state = ⊥),
 //! runs each registered entry point through a shadow-tracking

@@ -88,24 +88,6 @@ const RULES: &[Rule] = &[
                       payload, which is stored in the public block",
     },
     Rule {
-        id: "PDC010",
-        name: "no-telemetry-collector",
-        severity: Severity::Warning,
-        use_case: None,
-        description: "the network runs without a telemetry collector, so PDC misuse \
-                      (non-member endorsements, policy fallback, plaintext payloads) \
-                      leaves no security-audit trail",
-    },
-    Rule {
-        id: "PDC011",
-        name: "no-flight-recorder",
-        severity: Severity::Note,
-        use_case: None,
-        description: "the network's telemetry pipeline has no flight recorder, so attack \
-                      signals (defense rejections, non-member endorsements, MVCC \
-                      conflicts) trigger no forensic context dump",
-    },
-    Rule {
         id: "PDC012",
         name: "private-to-public-state-flow",
         severity: Severity::Error,
@@ -164,15 +146,6 @@ const RULES: &[Rule] = &[
         description: "the deployed chaincode has not been through information-flow \
                       analysis; private-data leakage through its code paths is unchecked",
     },
-    Rule {
-        id: "PDC020",
-        name: "telemetry-without-monitor",
-        severity: Severity::Note,
-        use_case: None,
-        description: "the network records security-audit telemetry but drives no \
-                      streaming monitor over it, so attack-rate spikes and node \
-                      degradation raise no online alert",
-    },
 ];
 
 /// All registered rules, in stable ID order.
@@ -211,7 +184,7 @@ pub fn lint_subject(subject: &LintSubject) -> Vec<Finding> {
     }
     check_chaincode_policy_ast(subject, &mut findings);
     check_leaks(subject, &mut findings);
-    check_observability(subject, &mut findings);
+    check_flow_analysis(subject, &mut findings);
     sort_and_dedup(&mut findings);
     findings
 }
@@ -487,47 +460,9 @@ fn collect_out_of(policy: &SignaturePolicy, out: &mut Vec<(u32, usize)>) {
     }
 }
 
-/// PDC010/PDC011: a live network known to run without a telemetry
-/// collector or without a flight recorder. `None` (scanned configs, plain
-/// definitions) stays silent — only a subject built from a running
-/// network knows these facts.
-fn check_observability(subject: &LintSubject, out: &mut Vec<Finding>) {
-    if subject.telemetry_attached == Some(false) {
-        out.push(finding(
-            "PDC010",
-            subject,
-            Location::artifact(&subject.uri),
-            "no telemetry collector is attached to this network: non-member \
-             endorsements, chaincode-level policy fallbacks, and plaintext \
-             payload commits will go unaudited"
-                .to_string(),
-        ));
-    }
-    if subject.flight_recorder == Some(false) {
-        out.push(finding(
-            "PDC011",
-            subject,
-            Location::artifact(&subject.uri),
-            "the network's telemetry pipeline keeps no flight recorder: when an \
-             attack signal fires there will be no dump of the surrounding spans \
-             and audit events to investigate"
-                .to_string(),
-        ));
-    }
-    // PDC020 is conditioned on telemetry being present: without a
-    // collector there is nothing to monitor, and PDC010 already covers
-    // that more fundamental gap.
-    if subject.telemetry_attached == Some(true) && subject.monitor_attached == Some(false) {
-        out.push(finding(
-            "PDC020",
-            subject,
-            Location::artifact(&subject.uri),
-            "the network collects audit telemetry but no monitor evaluates it \
-             online: a burst of non-member endorsements or plaintext payload \
-             commits would be recorded yet raise no alert"
-                .to_string(),
-        ));
-    }
+/// PDC018: chaincode known to have skipped flow analysis. `None`
+/// (scanned configs, plain definitions) stays silent.
+fn check_flow_analysis(subject: &LintSubject, out: &mut Vec<Finding>) {
     if subject.flow_analyzed == Some(false) {
         out.push(finding(
             "PDC018",
@@ -596,10 +531,7 @@ mod tests {
                 member_only_write: Some(true),
             }],
             leaks: Vec::new(),
-            telemetry_attached: None,
-            flight_recorder: None,
             flow_analyzed: None,
-            monitor_attached: None,
         }
     }
 
@@ -609,40 +541,6 @@ mod tests {
 
     fn fires(subject: &LintSubject, id: &str) -> bool {
         lint_subject(subject).iter().any(|f| f.rule_id == id)
-    }
-
-    #[test]
-    fn pdc010_fires_only_on_known_missing_collector() {
-        // Unknown (scans, plain definitions): silent.
-        assert!(!fires(&clean_subject(), "PDC010"));
-        // Known attached: silent.
-        let attached = clean_subject().with_telemetry_attached(true);
-        assert!(!fires(&attached, "PDC010"));
-        // Known missing: warns.
-        let missing = clean_subject().with_telemetry_attached(false);
-        let findings = lint_subject(&missing);
-        let f = findings
-            .iter()
-            .find(|f| f.rule_id == "PDC010")
-            .expect("PDC010 fires on a collector-less network");
-        assert_eq!(f.severity, Severity::Warning);
-    }
-
-    #[test]
-    fn pdc011_fires_only_on_known_missing_flight_recorder() {
-        // Unknown (scans, plain definitions): silent.
-        assert!(!fires(&clean_subject(), "PDC011"));
-        // Known attached: silent.
-        let attached = clean_subject().with_flight_recorder(true);
-        assert!(!fires(&attached, "PDC011"));
-        // Known missing: notes.
-        let missing = clean_subject().with_flight_recorder(false);
-        let findings = lint_subject(&missing);
-        let f = findings
-            .iter()
-            .find(|f| f.rule_id == "PDC011")
-            .expect("PDC011 fires on a recorder-less network");
-        assert_eq!(f.severity, Severity::Note);
     }
 
     #[test]
@@ -659,38 +557,6 @@ mod tests {
             .iter()
             .find(|f| f.rule_id == "PDC018")
             .expect("PDC018 fires on unanalyzed chaincode");
-        assert_eq!(f.severity, Severity::Note);
-    }
-
-    #[test]
-    fn pdc020_fires_only_on_audited_but_unmonitored_networks() {
-        // Unknown (scans, plain definitions): silent.
-        assert!(!fires(&clean_subject(), "PDC020"));
-        // Telemetry and monitor both known-attached: silent.
-        let monitored = clean_subject()
-            .with_telemetry_attached(true)
-            .with_monitor_attached(true);
-        assert!(!fires(&monitored, "PDC020"));
-        // No telemetry at all: PDC010's territory, PDC020 stays silent.
-        let unaudited = clean_subject()
-            .with_telemetry_attached(false)
-            .with_monitor_attached(false);
-        assert!(!fires(&unaudited, "PDC020"));
-        // Monitor known missing with telemetry unknown: silent (a scan
-        // cannot know whether a live network evaluates its audit stream).
-        assert!(!fires(
-            &clean_subject().with_monitor_attached(false),
-            "PDC020"
-        ));
-        // Telemetry attached, monitor known missing: notes.
-        let unmonitored = clean_subject()
-            .with_telemetry_attached(true)
-            .with_monitor_attached(false);
-        let findings = lint_subject(&unmonitored);
-        let f = findings
-            .iter()
-            .find(|f| f.rule_id == "PDC020")
-            .expect("PDC020 fires on a monitored-less audited network");
         assert_eq!(f.severity, Severity::Note);
     }
 

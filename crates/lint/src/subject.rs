@@ -107,26 +107,11 @@ pub struct LintSubject {
     /// Known private-data payload leaks (from static scanning or the
     /// dynamic [`probe`](crate::probe)).
     pub leaks: Vec<LeakFact>,
-    /// Whether the network this subject was lifted from has a telemetry
-    /// collector attached. `None` (the default, and what scans produce)
-    /// means unknown and keeps PDC010 silent; `Some(false)` marks a live
-    /// network whose PDC misuse signals go unaudited.
-    pub telemetry_attached: Option<bool>,
-    /// Whether the network's telemetry pipeline includes a flight
-    /// recorder. `None` (the default) means unknown and keeps PDC011
-    /// silent; `Some(false)` marks a live network where attack signals
-    /// trigger no forensic dump.
-    pub flight_recorder: Option<bool>,
     /// Whether this chaincode has been through `fabric-flow` information-
     /// flow analysis. `None` (the default) means unknown and keeps PDC018
     /// silent; `Some(false)` marks a deployment knowingly running
     /// un-analyzed chaincode.
     pub flow_analyzed: Option<bool>,
-    /// Whether the network's telemetry pipeline feeds a streaming
-    /// monitor (`fabric-monitor`). `None` (the default) means unknown and
-    /// keeps PDC020 silent; `Some(false)` marks a live network that
-    /// records audit events nobody evaluates online.
-    pub monitor_attached: Option<bool>,
 }
 
 impl LintSubject {
@@ -146,36 +131,8 @@ impl LintSubject {
                 .map(|c| CollectionFacts::from_config(c, uri.clone()))
                 .collect(),
             leaks: Vec::new(),
-            telemetry_attached: None,
-            flight_recorder: None,
             flow_analyzed: None,
-            monitor_attached: None,
         }
-    }
-
-    /// Records whether the subject's network has a telemetry collector
-    /// (feeds rule PDC010). Typically
-    /// `subject.with_telemetry_attached(net.telemetry().is_some())`.
-    pub fn with_telemetry_attached(mut self, attached: bool) -> Self {
-        self.telemetry_attached = Some(attached);
-        self
-    }
-
-    /// Records whether the subject's network keeps a flight recorder in
-    /// its telemetry pipeline (feeds rule PDC011). Typically
-    /// `subject.with_flight_recorder(net.telemetry().is_some_and(|t|
-    /// t.flight_recorder().is_some()))`.
-    pub fn with_flight_recorder(mut self, attached: bool) -> Self {
-        self.flight_recorder = Some(attached);
-        self
-    }
-
-    /// Records whether the subject's network drives a streaming monitor
-    /// over its telemetry (feeds rule PDC020). Typically
-    /// `subject.with_monitor_attached(net.monitor().is_some())`.
-    pub fn with_monitor_attached(mut self, attached: bool) -> Self {
-        self.monitor_attached = Some(attached);
-        self
     }
 
     /// Records whether this chaincode has been information-flow analyzed

@@ -1,12 +1,12 @@
-//! The alert state machine: pending → firing → resolved.
+//! The alert state machine: firing → resolved.
 //!
 //! Conditions (detector activations, critical node verdicts) are fed in
-//! once per tick keyed by a dedup key (`rule`, or `rule:node`). A
-//! condition must hold for `for_ticks` consecutive ticks before the
-//! alert fires (hysteresis against one-tick blips), and must then stay
-//! clear for `resolve_ticks` consecutive ticks before it resolves
+//! once per tick keyed by a dedup key (`rule`, or `rule:node`). An alert
+//! fires on the first tick its condition holds, and must then stay clear
+//! for [`RESOLVE_TICKS`] consecutive ticks before it resolves
 //! (hysteresis against flapping). Firing and resolving append to a
-//! transition log; resolved alerts land in a bounded history ring.
+//! bounded transition log; resolved alerts land in a bounded history
+//! ring.
 //!
 //! Everything is keyed and iterated through `BTreeMap`s and advances in
 //! whole ticks, so the transition log is a pure function of the
@@ -17,11 +17,16 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
 
+/// Ticks a condition must stay clear before its alert resolves.
+pub(crate) const RESOLVE_TICKS: u64 = 64;
+/// Resolved alerts kept in the history ring.
+const HISTORY_CAP: usize = 256;
+/// Transitions kept in the transition log.
+const TRANSITIONS_CAP: usize = 4096;
+
 /// Phase of an alert's lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertPhase {
-    /// Condition active, hysteresis not yet satisfied.
-    Pending,
     /// Alert is live.
     Firing,
     /// Condition cleared long enough; alert closed.
@@ -32,7 +37,6 @@ impl AlertPhase {
     /// Upper-case label used by renderers (`FIRING ...` lines).
     pub fn label(&self) -> &'static str {
         match self {
-            AlertPhase::Pending => "PENDING",
             AlertPhase::Firing => "FIRING",
             AlertPhase::Resolved => "RESOLVED",
         }
@@ -48,13 +52,11 @@ pub struct Alert {
     /// rules (`node_critical:peer0.org1`).
     pub key: String,
     pub phase: AlertPhase,
-    /// Tick the condition first became active.
-    pub pending_since: u64,
-    /// Tick the alert fired, once it has.
-    pub fired_at: Option<u64>,
+    /// Tick the alert fired.
+    pub fired_at: u64,
     /// Tick the alert resolved, once it has.
     pub resolved_at: Option<u64>,
-    /// Condition description at the worst observed point.
+    /// Condition description at the latest active tick.
     pub message: String,
     /// Flight-recorder snapshot captured when the alert fired, when a
     /// recorder was attached and the rule had audit evidence.
@@ -97,44 +99,19 @@ pub(crate) struct Condition {
 #[derive(Debug)]
 struct ActiveAlert {
     alert: Alert,
-    /// Consecutive active ticks while pending.
-    active_streak: u64,
-    /// Consecutive inactive ticks while firing.
+    /// Consecutive inactive ticks.
     inactive_streak: u64,
 }
 
-/// Bounded alert book: active alerts, transition log, resolved history.
-#[derive(Debug)]
+/// Bounded alert book: firing alerts, transition log, resolved history.
+#[derive(Debug, Default)]
 pub(crate) struct AlertBook {
-    /// Ticks a condition must hold before firing.
-    pub for_ticks: u64,
-    /// Ticks a condition must stay clear before resolving.
-    pub resolve_ticks: u64,
-    history_cap: usize,
-    transitions_cap: usize,
     active: BTreeMap<String, ActiveAlert>,
     transitions: VecDeque<AlertTransition>,
     history: VecDeque<Alert>,
 }
 
 impl AlertBook {
-    pub fn new(
-        for_ticks: u64,
-        resolve_ticks: u64,
-        history_cap: usize,
-        transitions_cap: usize,
-    ) -> Self {
-        AlertBook {
-            for_ticks: for_ticks.max(1),
-            resolve_ticks: resolve_ticks.max(1),
-            history_cap: history_cap.max(1),
-            transitions_cap: transitions_cap.max(1),
-            active: BTreeMap::new(),
-            transitions: VecDeque::new(),
-            history: VecDeque::new(),
-        }
-    }
-
     /// Advances every tracked key by one tick. `conditions` maps dedup
     /// key → this tick's evaluation; keys seen before but absent from
     /// the map count as inactive. `capture` turns firing evidence into a
@@ -147,113 +124,71 @@ impl AlertBook {
     ) -> Vec<AlertTransition> {
         let mut out = Vec::new();
 
-        // Phase 1: advance existing alerts (including keys with no
-        // condition entry this tick — those are inactive).
-        let mut drop_keys = Vec::new();
+        // Firing alerts (including keys with no condition entry this
+        // tick — those are inactive) stay up or count toward resolving.
+        let mut resolved = Vec::new();
         for (key, state) in self.active.iter_mut() {
-            let cond = conditions.get(key);
-            let active = cond.is_some_and(|c| c.active);
-            match state.alert.phase {
-                AlertPhase::Pending => {
-                    if active {
-                        state.active_streak += 1;
-                        if let Some(c) = cond {
-                            state.alert.message = c.message.clone();
-                        }
-                        if state.active_streak >= self.for_ticks {
-                            state.alert.phase = AlertPhase::Firing;
-                            state.alert.fired_at = Some(tick);
-                            state.inactive_streak = 0;
-                            if state.alert.forensics.is_none() {
-                                state.alert.forensics = cond
-                                    .and_then(|c| c.evidence.as_ref())
-                                    .and_then(&mut *capture);
-                            }
-                            out.push(AlertTransition {
-                                tick,
-                                rule: state.alert.rule.clone(),
-                                key: key.clone(),
-                                to: AlertPhase::Firing,
-                            });
-                        }
-                    } else {
-                        // A blip that never met the for-duration: forget it.
-                        drop_keys.push(key.clone());
+            match conditions.get(key).filter(|c| c.active) {
+                Some(c) => {
+                    state.inactive_streak = 0;
+                    state.alert.message = c.message.clone();
+                }
+                None => {
+                    state.inactive_streak += 1;
+                    if state.inactive_streak >= RESOLVE_TICKS {
+                        state.alert.phase = AlertPhase::Resolved;
+                        state.alert.resolved_at = Some(tick);
+                        out.push(AlertTransition {
+                            tick,
+                            rule: state.alert.rule.clone(),
+                            key: key.clone(),
+                            to: AlertPhase::Resolved,
+                        });
+                        resolved.push(key.clone());
                     }
                 }
-                AlertPhase::Firing => {
-                    if active {
-                        state.inactive_streak = 0;
-                        if let Some(c) = cond {
-                            state.alert.message = c.message.clone();
-                        }
-                    } else {
-                        state.inactive_streak += 1;
-                        if state.inactive_streak >= self.resolve_ticks {
-                            state.alert.phase = AlertPhase::Resolved;
-                            state.alert.resolved_at = Some(tick);
-                            out.push(AlertTransition {
-                                tick,
-                                rule: state.alert.rule.clone(),
-                                key: key.clone(),
-                                to: AlertPhase::Resolved,
-                            });
-                            drop_keys.push(key.clone());
-                        }
-                    }
-                }
-                AlertPhase::Resolved => unreachable!("resolved alerts leave the active map"),
             }
         }
-        for key in drop_keys {
+        for key in resolved {
             if let Some(state) = self.active.remove(&key) {
-                if state.alert.phase == AlertPhase::Resolved {
-                    if self.history.len() == self.history_cap {
-                        self.history.pop_front();
-                    }
-                    self.history.push_back(state.alert);
+                if self.history.len() == HISTORY_CAP {
+                    self.history.pop_front();
                 }
+                self.history.push_back(state.alert);
             }
         }
 
-        // Phase 2: open pending entries for newly active keys. With
-        // for_ticks == 1 they fire on this same tick.
-        let mut newly_fired = Vec::new();
+        // Newly active keys fire on this same tick.
         for (key, cond) in conditions {
             if !cond.active || self.active.contains_key(key) {
                 continue;
             }
-            let mut state = ActiveAlert {
-                active_streak: 1,
-                inactive_streak: 0,
-                alert: Alert {
-                    rule: cond.rule.to_string(),
-                    key: key.clone(),
-                    phase: AlertPhase::Pending,
-                    pending_since: tick,
-                    fired_at: None,
-                    resolved_at: None,
-                    message: cond.message.clone(),
-                    forensics: None,
-                },
+            let alert = Alert {
+                rule: cond.rule.to_string(),
+                key: key.clone(),
+                phase: AlertPhase::Firing,
+                fired_at: tick,
+                resolved_at: None,
+                message: cond.message.clone(),
+                forensics: cond.evidence.as_ref().and_then(&mut *capture),
             };
-            if state.active_streak >= self.for_ticks {
-                state.alert.phase = AlertPhase::Firing;
-                state.alert.fired_at = Some(tick);
-                state.alert.forensics = cond.evidence.as_ref().and_then(&mut *capture);
-                newly_fired.push(AlertTransition {
-                    tick,
-                    rule: cond.rule.to_string(),
-                    key: key.clone(),
-                    to: AlertPhase::Firing,
-                });
-            }
-            self.active.insert(key.clone(), state);
+            out.push(AlertTransition {
+                tick,
+                rule: alert.rule.clone(),
+                key: key.clone(),
+                to: AlertPhase::Firing,
+            });
+            self.active.insert(
+                key.clone(),
+                ActiveAlert {
+                    alert,
+                    inactive_streak: 0,
+                },
+            );
         }
-        out.extend(newly_fired);
 
         for t in &out {
-            if self.transitions.len() == self.transitions_cap {
+            if self.transitions.len() == TRANSITIONS_CAP {
                 self.transitions.pop_front();
             }
             self.transitions.push_back(t.clone());
@@ -261,19 +196,14 @@ impl AlertBook {
         out
     }
 
-    /// Currently tracked alerts (pending and firing), key order.
+    /// Firing alerts, key order.
     pub fn active(&self) -> Vec<Alert> {
         self.active.values().map(|s| s.alert.clone()).collect()
     }
 
     /// Rules with at least one firing alert, deduped, sorted.
     pub fn firing_rules(&self) -> Vec<String> {
-        let mut rules: Vec<String> = self
-            .active
-            .values()
-            .filter(|s| s.alert.phase == AlertPhase::Firing)
-            .map(|s| s.alert.rule.clone())
-            .collect();
+        let mut rules: Vec<String> = self.active.values().map(|s| s.alert.rule.clone()).collect();
         rules.sort();
         rules.dedup();
         rules
@@ -317,56 +247,45 @@ mod tests {
         None
     }
 
+    /// Steps `book` through `ticks` quiet ticks starting at `from`,
+    /// returning every transition they produced.
+    fn quiet(book: &mut AlertBook, from: u64, ticks: u64) -> Vec<AlertTransition> {
+        (from..from + ticks)
+            .flat_map(|tick| book.step(tick, &BTreeMap::new(), &mut no_capture))
+            .collect()
+    }
+
     #[test]
     fn fires_immediately_with_for_ticks_one_and_resolves_after_quiet() {
-        let mut book = AlertBook::new(1, 2, 8, 64);
+        let mut book = AlertBook::default();
         let active: BTreeMap<_, _> = [cond("r", true)].into();
-        let quiet: BTreeMap<_, _> = BTreeMap::new();
         let t1 = book.step(1, &active, &mut no_capture);
         assert_eq!(t1.len(), 1);
         assert_eq!(t1[0].to, AlertPhase::Firing);
         assert!(
-            book.step(2, &quiet, &mut no_capture).is_empty(),
-            "one quiet tick"
+            quiet(&mut book, 2, RESOLVE_TICKS - 1).is_empty(),
+            "one quiet tick short of the resolve hysteresis"
         );
-        let t3 = book.step(3, &quiet, &mut no_capture);
-        assert_eq!(t3.len(), 1);
-        assert_eq!(t3[0].to, AlertPhase::Resolved);
+        let last = quiet(&mut book, RESOLVE_TICKS + 1, 1);
+        assert_eq!(last.len(), 1);
+        assert_eq!(last[0].to, AlertPhase::Resolved);
         assert!(book.active().is_empty());
         assert_eq!(book.history().len(), 1);
-        assert_eq!(book.history()[0].fired_at, Some(1));
-        assert_eq!(book.history()[0].resolved_at, Some(3));
-    }
-
-    #[test]
-    fn for_duration_hysteresis_swallows_blips() {
-        let mut book = AlertBook::new(3, 1, 8, 64);
-        let active: BTreeMap<_, _> = [cond("r", true)].into();
-        let quiet: BTreeMap<_, _> = BTreeMap::new();
-        // Two active ticks then a gap: never fires.
-        assert!(book.step(1, &active, &mut no_capture).is_empty());
-        assert!(book.step(2, &active, &mut no_capture).is_empty());
-        assert!(book.step(3, &quiet, &mut no_capture).is_empty());
-        assert!(book.active().is_empty(), "blip was forgotten");
-        // Three consecutive active ticks: fires on the third.
-        assert!(book.step(4, &active, &mut no_capture).is_empty());
-        assert!(book.step(5, &active, &mut no_capture).is_empty());
-        let t = book.step(6, &active, &mut no_capture);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0].to, AlertPhase::Firing);
+        assert_eq!(book.history()[0].fired_at, 1);
+        assert_eq!(book.history()[0].resolved_at, Some(RESOLVE_TICKS + 1));
     }
 
     #[test]
     fn resolve_hysteresis_rides_through_flapping() {
-        let mut book = AlertBook::new(1, 3, 8, 64);
+        let mut book = AlertBook::default();
         let active: BTreeMap<_, _> = [cond("r", true)].into();
-        let quiet: BTreeMap<_, _> = BTreeMap::new();
         book.step(1, &active, &mut no_capture);
-        // Two quiet ticks, then active again: still one firing alert,
-        // no resolve, no re-fire.
-        assert!(book.step(2, &quiet, &mut no_capture).is_empty());
-        assert!(book.step(3, &quiet, &mut no_capture).is_empty());
-        assert!(book.step(4, &active, &mut no_capture).is_empty());
+        // Quiet for one tick short of resolving, then active again:
+        // still one firing alert, no resolve, no re-fire.
+        assert!(quiet(&mut book, 2, RESOLVE_TICKS - 1).is_empty());
+        assert!(book
+            .step(RESOLVE_TICKS + 1, &active, &mut no_capture)
+            .is_empty());
         assert_eq!(book.firing_rules(), vec!["r".to_string()]);
         assert_eq!(
             book.transitions().len(),
@@ -377,7 +296,7 @@ mod tests {
 
     #[test]
     fn keys_dedup_and_independent_keys_track_separately() {
-        let mut book = AlertBook::new(1, 1, 8, 64);
+        let mut book = AlertBook::default();
         let conditions: BTreeMap<String, Condition> = [
             (
                 "node_critical:peer0.org1".to_string(),
@@ -406,30 +325,33 @@ mod tests {
         assert_eq!(book.firing_rules(), vec!["node_critical".to_string()]);
     }
 
+    /// Fires and resolves one alert `cycles` times; returns the last tick.
+    fn cycle(book: &mut AlertBook, cycles: u64) -> u64 {
+        let active: BTreeMap<_, _> = [cond("r", true)].into();
+        let mut tick = 0;
+        for _ in 0..cycles {
+            tick += 1;
+            book.step(tick, &active, &mut no_capture);
+            quiet(book, tick + 1, RESOLVE_TICKS);
+            tick += RESOLVE_TICKS;
+        }
+        tick
+    }
+
     #[test]
     fn history_ring_is_bounded() {
-        let mut book = AlertBook::new(1, 1, 2, 64);
-        let quiet: BTreeMap<_, _> = BTreeMap::new();
-        for i in 0..5u64 {
-            let active: BTreeMap<_, _> = [cond("r", true)].into();
-            book.step(i * 2 + 1, &active, &mut no_capture);
-            book.step(i * 2 + 2, &quiet, &mut no_capture);
-        }
-        assert_eq!(book.history().len(), 2, "ring keeps the newest two");
-        assert_eq!(book.history()[1].resolved_at, Some(10));
+        let mut book = AlertBook::default();
+        let last = cycle(&mut book, HISTORY_CAP as u64 + 3);
+        assert_eq!(book.history().len(), HISTORY_CAP, "ring keeps the newest");
+        assert_eq!(book.history().last().unwrap().resolved_at, Some(last));
     }
 
     #[test]
     fn transition_log_is_bounded() {
-        let mut book = AlertBook::new(1, 1, 1, 4);
-        let quiet: BTreeMap<_, _> = BTreeMap::new();
-        for i in 0..6u64 {
-            let active: BTreeMap<_, _> = [cond("r", true)].into();
-            book.step(i * 2 + 1, &active, &mut no_capture);
-            book.step(i * 2 + 2, &quiet, &mut no_capture);
-        }
+        let mut book = AlertBook::default();
+        let last = cycle(&mut book, TRANSITIONS_CAP as u64 / 2 + 2);
         let log = book.transitions();
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.last().unwrap().tick, 12);
+        assert_eq!(log.len(), TRANSITIONS_CAP);
+        assert_eq!(log.last().unwrap().tick, last);
     }
 }

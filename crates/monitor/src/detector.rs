@@ -25,7 +25,7 @@ const BASELINE_ALPHA: f64 = 0.1;
 /// How a [`DetectorSpec`] turns a windowed count into an active/inactive
 /// decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DetectorMode {
+pub(crate) enum DetectorMode {
     /// Active when the window holds at least `count` events.
     Threshold {
         /// Static floor on the in-window event count.
@@ -45,7 +45,7 @@ pub enum DetectorMode {
 
 /// Static description of one rate detector.
 #[derive(Debug, Clone)]
-pub struct DetectorSpec {
+pub(crate) struct DetectorSpec {
     /// Detector (and alert-rule) name, e.g. `uc1_nonmember_endorsement_rate`.
     pub name: &'static str,
     /// The [`AuditEvent::kind`] this detector counts.
@@ -58,7 +58,7 @@ pub struct DetectorSpec {
 
 impl DetectorSpec {
     /// Threshold-mode detector.
-    pub fn threshold(
+    pub(crate) fn threshold(
         name: &'static str,
         kind: &'static str,
         count: u64,
@@ -68,12 +68,12 @@ impl DetectorSpec {
             name,
             kind,
             mode: DetectorMode::Threshold { count },
-            window_ticks: window_ticks.max(1),
+            window_ticks,
         }
     }
 
     /// Relative-spike-mode detector.
-    pub fn relative_spike(
+    pub(crate) fn relative_spike(
         name: &'static str,
         kind: &'static str,
         factor: f64,
@@ -84,14 +84,14 @@ impl DetectorSpec {
             name,
             kind,
             mode: DetectorMode::RelativeSpike { factor, min_count },
-            window_ticks: window_ticks.max(1),
+            window_ticks,
         }
     }
 }
 
 /// One detector's decision for the current tick.
 #[derive(Debug, Clone)]
-pub struct DetectorEval {
+pub(crate) struct DetectorEval {
     /// Condition holds this tick.
     pub active: bool,
     /// Events in the sliding window.

@@ -3,7 +3,7 @@
 //! Every monitor tick each node reports a [`NodeSample`] — raw gauges
 //! the network layer can read cheaply (chain heights, queue depths,
 //! gossip backlog, block-commit p99). The health model scores them against
-//! [`HealthThresholds`] into a [`HealthVerdict`], keeping an EWMA
+//! fixed limits into a [`HealthVerdict`], keeping an EWMA
 //! baseline of the phase latency so inflation is judged relative to the
 //! node's own normal rather than an absolute number.
 //!
@@ -63,39 +63,19 @@ pub struct NodeSample {
     pub stage_p99_seconds: Option<f64>,
 }
 
-/// Soft (degraded) and hard (critical) limits for each health dimension.
-#[derive(Debug, Clone)]
-pub struct HealthThresholds {
-    /// Blocks of commit lag tolerated before degraded / critical.
-    pub degraded_lag: u64,
-    pub critical_lag: u64,
-    /// Backlog depth tolerated before degraded / critical.
-    pub degraded_backlog: u64,
-    pub critical_backlog: u64,
-    /// Pending gossip reconciliations tolerated before degraded / critical.
-    pub degraded_gossip: u64,
-    pub critical_gossip: u64,
-    /// p99 must exceed `inflation_factor` × the node's EWMA baseline —
-    /// and the absolute floor — to count as inflated.
-    pub p99_inflation_factor: f64,
-    /// Absolute p99 floor (seconds) below which inflation is ignored.
-    pub p99_floor_seconds: f64,
-}
-
-impl Default for HealthThresholds {
-    fn default() -> Self {
-        HealthThresholds {
-            degraded_lag: 2,
-            critical_lag: 8,
-            degraded_backlog: 64,
-            critical_backlog: 256,
-            degraded_gossip: 8,
-            critical_gossip: 64,
-            p99_inflation_factor: 3.0,
-            p99_floor_seconds: 0.001,
-        }
-    }
-}
+/// Blocks of commit lag at which a node is degraded / critical.
+const DEGRADED_LAG: u64 = 2;
+const CRITICAL_LAG: u64 = 8;
+/// Backlog depth at which a node is degraded / critical.
+const DEGRADED_BACKLOG: u64 = 64;
+const CRITICAL_BACKLOG: u64 = 256;
+/// Unreconciled gossip packages at which a node is degraded / critical.
+const DEGRADED_GOSSIP: u64 = 8;
+const CRITICAL_GOSSIP: u64 = 64;
+/// A p99 above this multiple of the node's EWMA baseline, and above the
+/// absolute floor (seconds), counts as inflated.
+const P99_INFLATION_FACTOR: f64 = 3.0;
+const P99_FLOOR_SECONDS: f64 = 0.001;
 
 /// Scored health of one node at one tick.
 #[derive(Debug, Clone)]
@@ -122,23 +102,14 @@ struct NodeTrack {
 
 /// Scores [`NodeSample`]s into [`NodeHealth`] verdicts, tracking one
 /// latency baseline per node.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct HealthModel {
-    thresholds: HealthThresholds,
     tracks: BTreeMap<String, NodeTrack>,
     /// Verdicts from the most recent tick, by node name.
     pub last: BTreeMap<String, NodeHealth>,
 }
 
 impl HealthModel {
-    pub fn new(thresholds: HealthThresholds) -> Self {
-        HealthModel {
-            thresholds,
-            tracks: BTreeMap::new(),
-            last: BTreeMap::new(),
-        }
-    }
-
     /// Scores one tick's samples, replacing the previous snapshot.
     pub fn observe(&mut self, samples: &[NodeSample]) {
         let mut next = BTreeMap::new();
@@ -150,7 +121,6 @@ impl HealthModel {
     }
 
     fn score(&mut self, sample: &NodeSample) -> NodeHealth {
-        let t = &self.thresholds;
         let mut verdict = HealthVerdict::Healthy;
         let mut reasons = Vec::new();
         let mut raise = |v: &mut HealthVerdict, to: HealthVerdict, reason: String| {
@@ -163,56 +133,56 @@ impl HealthModel {
         let lag = sample
             .ordered_height
             .saturating_sub(sample.committed_height);
-        if lag >= t.critical_lag {
+        if lag >= CRITICAL_LAG {
             raise(
                 &mut verdict,
                 HealthVerdict::Critical,
-                format!("commit lag {lag} blocks (critical >= {})", t.critical_lag),
+                format!("commit lag {lag} blocks (critical >= {CRITICAL_LAG})"),
             );
-        } else if lag >= t.degraded_lag {
+        } else if lag >= DEGRADED_LAG {
             raise(
                 &mut verdict,
                 HealthVerdict::Degraded,
-                format!("commit lag {lag} blocks (degraded >= {})", t.degraded_lag),
+                format!("commit lag {lag} blocks (degraded >= {DEGRADED_LAG})"),
             );
         }
 
-        if sample.backlog >= t.critical_backlog {
+        if sample.backlog >= CRITICAL_BACKLOG {
             raise(
                 &mut verdict,
                 HealthVerdict::Critical,
                 format!(
-                    "commit backlog {} (critical >= {})",
-                    sample.backlog, t.critical_backlog
+                    "commit backlog {} (critical >= {CRITICAL_BACKLOG})",
+                    sample.backlog
                 ),
             );
-        } else if sample.backlog >= t.degraded_backlog {
+        } else if sample.backlog >= DEGRADED_BACKLOG {
             raise(
                 &mut verdict,
                 HealthVerdict::Degraded,
                 format!(
-                    "commit backlog {} (degraded >= {})",
-                    sample.backlog, t.degraded_backlog
+                    "commit backlog {} (degraded >= {DEGRADED_BACKLOG})",
+                    sample.backlog
                 ),
             );
         }
 
-        if sample.gossip_pending >= t.critical_gossip {
+        if sample.gossip_pending >= CRITICAL_GOSSIP {
             raise(
                 &mut verdict,
                 HealthVerdict::Critical,
                 format!(
-                    "gossip anti-entropy backlog {} (critical >= {})",
-                    sample.gossip_pending, t.critical_gossip
+                    "gossip anti-entropy backlog {} (critical >= {CRITICAL_GOSSIP})",
+                    sample.gossip_pending
                 ),
             );
-        } else if sample.gossip_pending >= t.degraded_gossip {
+        } else if sample.gossip_pending >= DEGRADED_GOSSIP {
             raise(
                 &mut verdict,
                 HealthVerdict::Degraded,
                 format!(
-                    "gossip anti-entropy backlog {} (degraded >= {})",
-                    sample.gossip_pending, t.degraded_gossip
+                    "gossip anti-entropy backlog {} (degraded >= {DEGRADED_GOSSIP})",
+                    sample.gossip_pending
                 ),
             );
         }
@@ -220,7 +190,7 @@ impl HealthModel {
         if let Some(p99) = sample.stage_p99_seconds {
             let track = self.tracks.entry(sample.node.clone()).or_default();
             if let Some(baseline) = track.p99_baseline {
-                if p99 > t.p99_floor_seconds && p99 > t.p99_inflation_factor * baseline {
+                if p99 > P99_FLOOR_SECONDS && p99 > P99_INFLATION_FACTOR * baseline {
                     // Wall-clock-derived: degrades only, never critical,
                     // so timing jitter cannot reach the alert stream.
                     raise(
@@ -272,7 +242,7 @@ mod tests {
 
     #[test]
     fn in_sync_node_is_healthy() {
-        let mut model = HealthModel::new(HealthThresholds::default());
+        let mut model = HealthModel::default();
         model.observe(&[sample("peer0.org1")]);
         let h = &model.last["peer0.org1"];
         assert_eq!(h.verdict, HealthVerdict::Healthy);
@@ -281,7 +251,7 @@ mod tests {
 
     #[test]
     fn commit_lag_escalates_degraded_then_critical() {
-        let mut model = HealthModel::new(HealthThresholds::default());
+        let mut model = HealthModel::default();
         let mut s = sample("peer0.org1");
         s.ordered_height = 13; // lag 3 >= degraded 2
         model.observe(&[s.clone()]);
@@ -296,7 +266,7 @@ mod tests {
 
     #[test]
     fn worst_dimension_wins() {
-        let mut model = HealthModel::new(HealthThresholds::default());
+        let mut model = HealthModel::default();
         let mut s = sample("peer0.org1");
         s.gossip_pending = 9; // degraded
         s.backlog = 500; // critical
@@ -308,7 +278,7 @@ mod tests {
 
     #[test]
     fn p99_inflation_only_degrades_and_tracks_a_baseline() {
-        let mut model = HealthModel::new(HealthThresholds::default());
+        let mut model = HealthModel::default();
         let mut s = sample("peer0.org1");
         s.stage_p99_seconds = Some(0.002);
         model.observe(&[s.clone()]); // establishes baseline, no verdict yet
@@ -326,7 +296,7 @@ mod tests {
 
     #[test]
     fn sub_floor_p99_never_counts_as_inflated() {
-        let mut model = HealthModel::new(HealthThresholds::default());
+        let mut model = HealthModel::default();
         let mut s = sample("peer0.org1");
         s.stage_p99_seconds = Some(0.000_001);
         model.observe(&[s.clone()]);

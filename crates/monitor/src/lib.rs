@@ -7,26 +7,26 @@
 //! flight-recorder dumps — and this crate is the thing that *watches*
 //! them:
 //!
-//! * **Rate detectors** ([`DetectorSpec`]) — sliding-window counts and
-//!   EWMA baselines over the audit stream, one named detector per
-//!   attack class (`uc1_nonmember_endorsement_rate`,
-//!   `uc3_plaintext_payload_rate`, `mvcc_abort_storm`, ...).
+//! * **Rate detectors** — sliding-window counts and EWMA baselines over
+//!   the audit stream, one named detector per attack class
+//!   (`uc1_nonmember_endorsement_rate`, `uc3_plaintext_payload_rate`,
+//!   `mvcc_abort_storm`, ...).
 //! * **Health model** ([`NodeSample`] → [`NodeHealth`]) — scores commit
-//!   lag, commit backlog, gossip anti-entropy staleness, and commit-p99
-//!   inflation into `Healthy/Degraded/Critical` per node.
-//! * **Alert engine** ([`Alert`], [`AlertTransition`]) — pending →
-//!   firing → resolved with dedup keys and hysteresis; firing captures
-//!   a [`FlightDump`] so every alert carries forensic context.
-//! * **Renderers** — an aggregated text status table, JSON-lines alert
-//!   export, and `fabric_alert_firing{rule=...}` gauges through the
-//!   existing Prometheus exporter.
+//!   lag, commit backlog, gossip anti-entropy staleness, and block-commit
+//!   p99 inflation into `Healthy/Degraded/Critical` per node.
+//! * **Alert engine** ([`Alert`], [`AlertTransition`]) — firing →
+//!   resolved with dedup keys and resolve hysteresis; firing captures a
+//!   [`FlightDump`] so every alert carries forensic context.
+//! * **Renderers** — a text status table for people, a JSON-lines
+//!   transition log for tools, and `fabric_alert_firing{rule=...}`
+//!   gauges through the Prometheus exporter.
 //!
-//! The engine advances only on [`Monitor::observe_tick`] — normally
-//! called once per network tick by `FabricNetwork::advance` — and takes
-//! no wall-clock input on any alerting decision, so the transition log
-//! is a pure function of the (block-ordered, scheduler-invariant) audit
-//! sequence: parallel and sequential validation produce bit-identical
-//! alert logs.
+//! The monitor has no settings: the detector set, health limits and
+//! hysteresis are fixed (see [`Monitor::new`]). The engine advances only
+//! on [`Monitor::observe_tick`] — normally called once per network tick
+//! by `FabricNetwork::advance` — and takes no wall-clock input on any
+//! alerting decision, so the transition log is a pure function of the
+//! block-ordered audit sequence.
 //!
 //! # Example
 //!
@@ -59,15 +59,14 @@ mod health;
 mod render;
 
 pub use alert::{Alert, AlertPhase, AlertTransition};
-pub use detector::{DetectorEval, DetectorMode, DetectorSpec};
-pub use health::{HealthThresholds, HealthVerdict, NodeHealth, NodeSample};
-pub use render::{render_alerts_jsonl, render_status};
+pub use health::{HealthVerdict, NodeHealth, NodeSample};
 
 use alert::{AlertBook, Condition};
-use detector::DetectorState;
+use detector::{DetectorSpec, DetectorState};
 use fabric_telemetry::{AuditEvent, FlightDump, Gauge, Telemetry};
 use health::HealthModel;
 use parking_lot::Mutex;
+use render::{render_alerts_jsonl, render_status};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -84,44 +83,14 @@ pub const MVCC_STORM_RULE: &str = "mvcc_abort_storm";
 /// Per-node health rule (dedup key `node_critical:<node>`).
 pub const NODE_CRITICAL_RULE: &str = "node_critical";
 
-/// Tuning knobs for a [`Monitor`].
-#[derive(Debug, Clone)]
-pub struct MonitorConfig {
-    /// Rate detectors over the audit stream.
-    pub detectors: Vec<DetectorSpec>,
-    /// Health-dimension limits.
-    pub thresholds: HealthThresholds,
-    /// Ticks a condition must hold before an alert fires.
-    pub for_ticks: u64,
-    /// Ticks a condition must stay clear before an alert resolves.
-    pub resolve_ticks: u64,
-    /// Resolved-alert history ring capacity.
-    pub history_cap: usize,
-    /// Transition-log ring capacity.
-    pub transitions_cap: usize,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            detectors: default_detectors(),
-            thresholds: HealthThresholds::default(),
-            for_ticks: 1,
-            resolve_ticks: 64,
-            history_cap: 256,
-            transitions_cap: 4096,
-        }
-    }
-}
-
-/// The default detector set: one rule per attack class.
+/// The detector set: one rule per attack class.
 ///
 /// UC1/UC2/UC3 and defense rejections are static-threshold at one event
 /// — none of them has a legitimate rate in a healthy network. MVCC
 /// conflicts do (ordinary contention), so the storm detector is
 /// relative-spike: at least 3 aborts in the window *and* 4× the EWMA
 /// baseline.
-pub fn default_detectors() -> Vec<DetectorSpec> {
+fn detectors() -> Vec<DetectorSpec> {
     vec![
         DetectorSpec::threshold(UC1_RULE, "endorsement_by_non_member", 1, 64),
         DetectorSpec::threshold(UC2_RULE, "policy_fallback_to_chaincode_level", 1, 64),
@@ -135,7 +104,6 @@ pub fn default_detectors() -> Vec<DetectorSpec> {
 #[derive(Debug, Clone)]
 pub struct DetectorStatus {
     pub name: &'static str,
-    pub kind: &'static str,
     pub windowed: u64,
     pub baseline_window: f64,
     pub active: bool,
@@ -149,9 +117,9 @@ pub struct NetworkStatus {
     pub tick: u64,
     /// Per-node health, node-name order.
     pub nodes: Vec<NodeHealth>,
-    /// Detector states, config order.
+    /// Detector states, in the order [`UC1_RULE`] … [`MVCC_STORM_RULE`].
     pub detectors: Vec<DetectorStatus>,
-    /// Pending and firing alerts, key order.
+    /// Firing alerts, key order.
     pub active_alerts: Vec<Alert>,
     /// Firing/resolved transition log, oldest first.
     pub transitions: Vec<AlertTransition>,
@@ -181,14 +149,12 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// Monitor with the default detector set and thresholds.
+    /// A monitor over `telemetry`'s audit stream and metrics, with the
+    /// fixed detectors, health limits and hysteresis INSTRUMENTS.md lists
+    /// under "Alert rules".
     pub fn new(telemetry: &Telemetry) -> Self {
-        Self::with_config(telemetry, MonitorConfig::default())
-    }
-
-    /// Monitor with custom detectors / thresholds / hysteresis.
-    pub fn with_config(telemetry: &Telemetry, config: MonitorConfig) -> Self {
-        let mut rules: Vec<&'static str> = config.detectors.iter().map(|d| d.name).collect();
+        let detectors = detectors();
+        let mut rules: Vec<&'static str> = detectors.iter().map(|d| d.name).collect();
         rules.push(NODE_CRITICAL_RULE);
         let gauges = rules
             .into_iter()
@@ -210,18 +176,9 @@ impl Monitor {
                 state: Mutex::new(EngineState {
                     tick: 0,
                     cursor: 0,
-                    detectors: config
-                        .detectors
-                        .into_iter()
-                        .map(DetectorState::new)
-                        .collect(),
-                    health: HealthModel::new(config.thresholds),
-                    alerts: AlertBook::new(
-                        config.for_ticks,
-                        config.resolve_ticks,
-                        config.history_cap,
-                        config.transitions_cap,
-                    ),
+                    detectors: detectors.into_iter().map(DetectorState::new).collect(),
+                    health: HealthModel::default(),
+                    alerts: AlertBook::default(),
                 }),
             }),
         }
@@ -230,11 +187,6 @@ impl Monitor {
     /// The telemetry pipeline this monitor watches.
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
-    }
-
-    /// Ticks observed so far.
-    pub fn tick(&self) -> u64 {
-        self.inner.state.lock().tick
     }
 
     /// Advances the engine by one logical tick: drains new audit events,
@@ -320,7 +272,6 @@ impl Monitor {
                 .iter()
                 .map(|d| DetectorStatus {
                     name: d.spec.name,
-                    kind: d.spec.kind,
                     windowed: d.last_eval.windowed,
                     baseline_window: d.last_eval.baseline_window,
                     active: d.last_eval.active,
@@ -332,12 +283,18 @@ impl Monitor {
         }
     }
 
-    /// The aggregated text status table (see [`render_status`]).
+    /// The aggregated text status table: one row per node, one per
+    /// detector, the firing alerts and the transition-log tail.
     pub fn render_status(&self) -> String {
         render_status(&self.status())
     }
 
-    /// The transition log as JSON lines (see [`render_alerts_jsonl`]).
+    /// The transition log as JSON lines, one object per transition,
+    /// oldest first:
+    ///
+    /// ```text
+    /// {"tick":12,"rule":"uc1_nonmember_endorsement_rate","key":"...","phase":"firing"}
+    /// ```
     pub fn alerts_jsonl(&self) -> String {
         render_alerts_jsonl(&self.transitions())
     }
@@ -352,7 +309,7 @@ impl Monitor {
         self.inner.state.lock().alerts.firing_rules()
     }
 
-    /// Pending and firing alerts, key order.
+    /// Firing alerts, key order.
     pub fn active_alerts(&self) -> Vec<Alert> {
         self.inner.state.lock().alerts.active()
     }
@@ -450,22 +407,12 @@ mod tests {
     #[test]
     fn alert_resolves_after_the_window_drains_and_quiet_hysteresis_passes() {
         let telemetry = Telemetry::new();
-        let config = MonitorConfig {
-            detectors: vec![DetectorSpec::threshold(
-                UC1_RULE,
-                "endorsement_by_non_member",
-                1,
-                4,
-            )],
-            resolve_ticks: 2,
-            ..MonitorConfig::default()
-        };
-        let monitor = Monitor::with_config(&telemetry, config);
+        let monitor = Monitor::new(&telemetry);
         telemetry.emit(uc1(1));
         monitor.observe_tick(&[]);
         assert_eq!(monitor.firing_rules(), vec![UC1_RULE.to_string()]);
         let mut resolved_at = None;
-        for _ in 0..12 {
+        for _ in 0..200 {
             for t in monitor.observe_tick(&[]) {
                 if t.to == AlertPhase::Resolved {
                     resolved_at = Some(t.tick);
@@ -473,8 +420,9 @@ mod tests {
             }
         }
         let resolved_at = resolved_at.expect("alert resolved");
-        // Event at tick 1; window drains after tick 4; 2 quiet ticks.
-        assert_eq!(resolved_at, 6);
+        // Event at tick 1; the 64-tick window drains at tick 65; 64
+        // quiet ticks later the alert resolves.
+        assert_eq!(resolved_at, 128);
         assert!(monitor.firing_rules().is_empty());
         assert_eq!(monitor.alert_history().len(), 1);
         assert!(telemetry
@@ -576,16 +524,12 @@ mod tests {
     fn transition_log_is_a_pure_function_of_the_event_sequence() {
         let run = || {
             let telemetry = Telemetry::new();
-            let config = MonitorConfig {
-                resolve_ticks: 3,
-                ..MonitorConfig::default()
-            };
-            let monitor = Monitor::with_config(&telemetry, config);
-            for i in 0..40u64 {
-                if i % 7 == 0 {
+            let monitor = Monitor::new(&telemetry);
+            for i in 0..200u64 {
+                if i < 40 && i % 7 == 0 {
                     telemetry.emit(uc1(i));
                 }
-                if i > 20 {
+                if (21..60).contains(&i) {
                     telemetry.emit(conflict(i));
                     telemetry.emit(conflict(i + 100));
                 }
@@ -593,6 +537,8 @@ mod tests {
             }
             monitor.transitions()
         };
-        assert_eq!(run(), run());
+        let log = run();
+        assert!(log.iter().any(|t| t.to == AlertPhase::Resolved), "{log:?}");
+        assert_eq!(log, run());
     }
 }

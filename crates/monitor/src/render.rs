@@ -1,5 +1,5 @@
-//! Renderers for monitor state: the aggregated text status table and
-//! the JSON-lines alert export.
+//! Renderers for monitor state: the aggregated text status table for
+//! people and the JSON-lines alert export for tools.
 
 use crate::alert::{AlertPhase, AlertTransition};
 use crate::NetworkStatus;
@@ -11,7 +11,7 @@ const RECENT_TRANSITIONS: usize = 10;
 
 /// Renders the aggregated `network status` snapshot: one row per node,
 /// one row per detector, active alerts, and the transition-log tail.
-pub fn render_status(status: &NetworkStatus) -> String {
+pub(crate) fn render_status(status: &NetworkStatus) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "network status @ tick {}", status.tick);
 
@@ -65,10 +65,6 @@ pub fn render_status(status: &NetworkStatus) -> String {
         let _ = writeln!(out, "  (none)");
     }
     for alert in &status.active_alerts {
-        let since = match alert.phase {
-            AlertPhase::Firing => alert.fired_at.unwrap_or(alert.pending_since),
-            _ => alert.pending_since,
-        };
         let forensics = if alert.forensics.is_some() {
             " [flight dump attached]"
         } else {
@@ -79,7 +75,7 @@ pub fn render_status(status: &NetworkStatus) -> String {
             "  {} {} since_tick={} {}{}",
             alert.phase.label(),
             alert.key,
-            since,
+            alert.fired_at,
             alert.message,
             forensics
         );
@@ -101,13 +97,8 @@ pub fn render_status(status: &NetworkStatus) -> String {
     out
 }
 
-/// Renders the transition log as JSON lines, one object per transition,
-/// oldest first:
-///
-/// ```text
-/// {"tick":12,"rule":"uc1_nonmember_endorsement_rate","key":"...","phase":"firing"}
-/// ```
-pub fn render_alerts_jsonl(transitions: &[AlertTransition]) -> String {
+/// Renders the transition log as JSON lines (`Monitor::alerts_jsonl`).
+pub(crate) fn render_alerts_jsonl(transitions: &[AlertTransition]) -> String {
     let mut out = String::new();
     for t in transitions {
         let _ = writeln!(
@@ -117,7 +108,6 @@ pub fn render_alerts_jsonl(transitions: &[AlertTransition]) -> String {
             json_str(&t.rule),
             json_str(&t.key),
             match t.to {
-                AlertPhase::Pending => "pending",
                 AlertPhase::Firing => "firing",
                 AlertPhase::Resolved => "resolved",
             }
@@ -156,7 +146,6 @@ mod tests {
             }],
             detectors: vec![DetectorStatus {
                 name: UC1_RULE,
-                kind: "endorsement_by_non_member",
                 windowed: 3,
                 baseline_window: 0.0,
                 active: true,
@@ -196,7 +185,7 @@ mod tests {
 
     #[test]
     fn jsonl_export_escapes_control_characters_in_keys() {
-        let mut t = transition(3, AlertPhase::Pending);
+        let mut t = transition(3, AlertPhase::Firing);
         t.key = "node_critical:peer\t0\r.org1\u{1}".to_string();
         let jsonl = render_alerts_jsonl(&[t]);
         assert!(

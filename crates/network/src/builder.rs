@@ -79,7 +79,7 @@ impl NetworkBuilder {
 
     /// Attaches one shared telemetry pipeline to every peer, client, and
     /// the ordering service, so the whole network reports into a single
-    /// metrics registry, span collector, and audit-event log — and a
+    /// metrics registry, span sink, and audit-event log — and a
     /// transaction's trace spans from every node land in one tree. Peers
     /// added later via `FabricNetwork::add_peer` inherit it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {

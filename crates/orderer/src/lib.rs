@@ -23,9 +23,7 @@
 
 use fabric_crypto::{Hash256, Keypair};
 use fabric_raft::{Cluster, NodeId, RaftConfig};
-use fabric_telemetry::{
-    Counter, Gauge, Histogram, SpanGuard, Telemetry, TraceContext, TICK_BUCKETS,
-};
+use fabric_telemetry::{SpanGuard, Telemetry, TraceContext};
 use fabric_types::{Block, Identity, Role, Transaction};
 use fabric_wire::{Decode, Encode};
 use std::collections::VecDeque;
@@ -49,67 +47,13 @@ impl Default for BatchConfig {
     }
 }
 
-/// A shared [`Telemetry`] pipeline plus the metric handles the orderer
-/// updates on every cut and tick, resolved once when the pipeline is
-/// attached.
+/// A shared [`Telemetry`] pipeline plus the node name the orderer's
+/// spans carry.
 #[derive(Debug)]
 struct OrdererTelemetry {
     telemetry: Telemetry,
     /// `"orderer"`, the node the `orderer.order` spans name.
     node: Arc<str>,
-    batch_cut_age: Histogram,
-    txs_ordered: Counter,
-    blocks_cut: Counter,
-    block_height: Gauge,
-    raft_term: Gauge,
-    raft_delivered: Gauge,
-    raft_dropped: Gauge,
-}
-
-impl OrdererTelemetry {
-    fn new(telemetry: Telemetry) -> Self {
-        let m = telemetry.metrics();
-        OrdererTelemetry {
-            batch_cut_age: m.histogram(
-                "fabric_orderer_batch_cut_age_ticks",
-                "Ticks a batch's oldest transaction waited before the cut",
-                &[],
-                TICK_BUCKETS,
-            ),
-            txs_ordered: m.counter(
-                "fabric_orderer_txs_ordered_total",
-                "Transactions proposed into Raft batches",
-                &[],
-            ),
-            blocks_cut: m.counter(
-                "fabric_orderer_blocks_cut_total",
-                "Blocks emitted by the ordering service",
-                &[],
-            ),
-            block_height: m.gauge(
-                "fabric_orderer_block_height",
-                "Blocks ordered so far (next block number)",
-                &[],
-            ),
-            raft_term: m.gauge(
-                "fabric_raft_term",
-                "Highest Raft term observed in the ordering cluster",
-                &[],
-            ),
-            raft_delivered: m.gauge(
-                "fabric_raft_messages_delivered",
-                "Raft messages delivered since cluster creation",
-                &[],
-            ),
-            raft_dropped: m.gauge(
-                "fabric_raft_messages_dropped",
-                "Raft messages lost to faults since cluster creation",
-                &[],
-            ),
-            node: Arc::from("orderer"),
-            telemetry,
-        }
-    }
 }
 
 /// A Raft-replicated ordering service for one channel.
@@ -167,11 +111,14 @@ impl OrderingService {
         &self.identity
     }
 
-    /// Attaches a shared telemetry pipeline: batch-cut latency, ordered
-    /// block height, and Raft transport statistics are then reported.
+    /// Attaches a shared telemetry pipeline: queue-wait and replication
+    /// spans, and the decode-failure counter, are then reported.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.raft.set_telemetry(telemetry.clone());
-        self.telemetry = Some(OrdererTelemetry::new(telemetry));
+        self.telemetry = Some(OrdererTelemetry {
+            telemetry,
+            node: Arc::from("orderer"),
+        });
     }
 
     /// The attached telemetry pipeline, if any.
@@ -298,10 +245,6 @@ impl OrderingService {
             // Dropping the guard records the queue-wait span.
             self.order_spans.pop_front();
         }
-        if let Some(t) = &self.telemetry {
-            t.batch_cut_age.observe(self.pending_age as f64);
-            t.txs_ordered.inc_by(batch.len() as u64);
-        }
         self.pending_age = 0;
     }
 
@@ -340,19 +283,7 @@ impl OrderingService {
             block.metadata.orderer_signature = Some(self.keypair.sign(&block.header.to_wire()));
             self.next_number += 1;
             self.prev_hash = block.hash();
-            if let Some(t) = &self.telemetry {
-                t.blocks_cut.inc();
-            }
             self.ready.push_back(block);
-        }
-        if newly_count > 0 {
-            if let Some(t) = &self.telemetry {
-                t.block_height.set(self.next_number as f64);
-                let stats = self.raft.stats();
-                t.raft_term.set(stats.term as f64);
-                t.raft_delivered.set(stats.messages_delivered as f64);
-                t.raft_dropped.set(stats.messages_dropped as f64);
-            }
         }
     }
 }
@@ -558,7 +489,7 @@ mod tests {
         o.set_telemetry(telemetry.clone());
         assert!(o.run_until_ready(1000));
         let order_spans = || {
-            let records = telemetry.trace().expect("sink").records();
+            let records = telemetry.trace().records();
             records
                 .iter()
                 .filter(|r| r.name == "orderer.order")

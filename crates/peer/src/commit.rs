@@ -192,8 +192,8 @@ impl Peer {
         // telemetry attached this is the only cost the commit path pays.
         let telemetry = self.telemetry.clone();
         let block_span = telemetry.as_ref().map(|t| {
-            // New block: re-arm per-block collector state (the flight
-            // recorder's trigger dedup).
+            // New block: re-arm the flight recorder's per-block trigger
+            // dedup.
             t.block_boundary();
             let mut s = t.span("peer.process_block");
             s.node(self.gossip_id.as_arc());

@@ -89,7 +89,6 @@ impl Peer {
             span.field("result", "err");
             telemetry.endorse_err.inc();
         }
-        telemetry.endorse_seconds.observe_duration(span.elapsed());
         result
     }
 

@@ -37,7 +37,6 @@ pub(crate) struct PeerHandles {
     validation_results: [OnceLock<Counter>; TxValidationCode::ALL.len()],
     pub endorse_ok: Counter,
     pub endorse_err: Counter,
-    pub endorse_seconds: Histogram,
 }
 
 impl PeerTelemetry {
@@ -81,12 +80,6 @@ impl PeerTelemetry {
                 validation_results: Default::default(),
                 endorse_ok: endorse("ok"),
                 endorse_err: endorse("err"),
-                endorse_seconds: m.histogram(
-                    "fabric_endorse_seconds",
-                    "Proposal simulation and endorsement latency",
-                    &[],
-                    DURATION_SECONDS_BUCKETS,
-                ),
                 telemetry,
             }),
         };

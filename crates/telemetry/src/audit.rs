@@ -24,7 +24,6 @@
 
 use fabric_types::{ChaincodeId, CollectionName, OrgId, TxId, TxValidationCode};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A security-relevant event observed during endorsement or validation.
@@ -202,19 +201,5 @@ impl AuditLog {
     pub fn events_since(&self, from: usize) -> Vec<AuditEvent> {
         let events = self.events.lock();
         events.get(from..).unwrap_or(&[]).to_vec()
-    }
-
-    /// Event counts grouped by [`AuditEvent::kind`].
-    pub fn counts_by_kind(&self) -> BTreeMap<&'static str, usize> {
-        let mut counts = BTreeMap::new();
-        for event in self.events.lock().iter() {
-            *counts.entry(event.kind()).or_insert(0) += 1;
-        }
-        counts
-    }
-
-    /// Drops all recorded events.
-    pub fn clear(&self) {
-        self.events.lock().clear();
     }
 }

@@ -1,4 +1,5 @@
-//! Span exporters: Chrome-trace/Perfetto JSON and JSON-lines.
+//! Span exporter for tools: Chrome-trace/Perfetto JSON. (People read
+//! the span tree, [`crate::TraceSink::render_tree`].)
 //!
 //! [`render_chrome_trace`] emits the Trace Event Format understood by
 //! `chrome://tracing`, Perfetto's legacy importer, and Speedscope: a
@@ -77,48 +78,11 @@ pub fn render_chrome_trace(records: &[SpanRecord]) -> String {
     out
 }
 
-/// Renders spans as JSON lines, one object per record, in input order —
-/// the grep/jq-friendly dump format.
-pub fn render_spans_jsonl(records: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    for record in records {
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"name\":{},\"start_us\":{},\"dur_us\":{}",
-            record.id,
-            json_str(record.name),
-            record.start.as_micros(),
-            record.duration.as_micros(),
-        );
-        if let Some(parent) = record.parent {
-            let _ = write!(out, ",\"parent\":{parent}");
-        }
-        if record.trace_id != 0 {
-            let _ = write!(out, ",\"trace\":\"{:#018x}\"", record.trace_id);
-        }
-        if !record.node.is_empty() {
-            let _ = write!(out, ",\"node\":{}", json_str(&record.node));
-        }
-        if !record.fields.is_empty() {
-            out.push_str(",\"fields\":{");
-            for (i, (k, v)) in record.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:{}", json_str(k), json_str(&v.to_string()));
-            }
-            out.push('}');
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::span::{FieldValue, Fields};
-    use crate::{Collector, TraceSink};
+    use crate::{MetricsRegistry, TraceSink};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -153,30 +117,6 @@ mod tests {
         // Two nodes -> two pids, same trace -> one tid lane per node.
         assert!(json.contains("\"pid\":1"));
         assert!(json.contains("\"pid\":2"));
-    }
-
-    #[test]
-    fn jsonl_emits_one_line_per_span() {
-        let records = vec![
-            record(1, "a", "n1", 3),
-            SpanRecord {
-                id: 9,
-                parent: None,
-                name: "bare",
-                fields: Fields::default(),
-                start: Duration::ZERO,
-                duration: Duration::ZERO,
-                trace_id: 0,
-                node: "".into(),
-            },
-        ];
-        let out = render_spans_jsonl(&records);
-        assert_eq!(out.lines().count(), 2);
-        assert!(out.lines().next().unwrap().contains("\"trace\":"));
-        let bare = out.lines().nth(1).unwrap();
-        assert!(!bare.contains("trace"));
-        assert!(!bare.contains("node"));
-        assert!(!bare.contains("fields"));
     }
 
     /// Records using every [`FieldValue`] kind, a spilled fourth field, an
@@ -259,27 +199,8 @@ mod tests {
         ]
     }
 
-    // The three goldens below were rendered by the parent commit's
-    // exporters from the same records with `String` fields.
-
-    #[test]
-    fn jsonl_golden() {
-        assert_eq!(
-            render_spans_jsonl(&golden_records()),
-            concat!(
-                r#"{"id":2,"name":"commit.stateless","start_us":105,"dur_us":10,"parent":1,"node":"peer0.org1"}"#,
-                "\n",
-                r#"{"id":1,"name":"peer.process_block","start_us":100,"dur_us":40,"node":"peer0.org1","fields":{"block":"7","txs":"10"}}"#,
-                "\n",
-                r#"{"id":4,"name":"peer.commit","start_us":25,"dur_us":3,"parent":3,"trace":"0xf68b4df58e71c2d9","fields":{"code":"MVCC_READ_CONFLICT","a":"1","b":"x","c":"tab\there"}}"#,
-                "\n",
-                r#"{"id":3,"name":"peer.endorse","start_us":20,"dur_us":12,"trace":"0xf68b4df58e71c2d9","node":"peer0.org2","fields":{"chaincode":"trade","function":"of\"fer","result":"ok"}}"#,
-                "\n",
-                r#"{"id":5,"name":"orderer.order","start_us":0,"dur_us":0,"trace":"0x0000000000000001","node":"orderer"}"#,
-                "\n",
-            )
-        );
-    }
+    // The goldens below were rendered from the same records when span
+    // fields were still `String`s.
 
     #[test]
     fn chrome_trace_golden() {
@@ -312,9 +233,12 @@ mod tests {
 
     #[test]
     fn tree_golden() {
-        let sink = TraceSink::new();
+        let sink = TraceSink::new(
+            TraceSink::CAPACITY,
+            MetricsRegistry::new().counter("evicted", "", &[]),
+        );
         for record in golden_records() {
-            sink.span_finished(record);
+            sink.push(record);
         }
         assert_eq!(
             sink.render_tree(),

@@ -7,10 +7,10 @@
 //! into the same registry:
 //!
 //! * **Spans** ([`Telemetry::span`]) time pipeline stages with monotonic
-//!   clocks and land in a pluggable [`Collector`] (default: the
-//!   in-memory [`TraceSink`], which renders a flamegraph-style tree).
+//!   clocks and land in the pipeline's bounded in-memory [`TraceSink`],
+//!   which renders a flamegraph-style tree.
 //! * **Metrics** ([`Telemetry::metrics`]) are counters, gauges, and
-//!   fixed-bucket histograms with Prometheus-text and JSON exporters.
+//!   fixed-bucket histograms with a Prometheus-text exporter.
 //! * **Audit events** ([`Telemetry::emit`]) are typed records of the
 //!   paper's attack signals — see [`AuditEvent`] for the mapping onto
 //!   Use Cases 1–3 and the New Features.
@@ -40,7 +40,7 @@
 //!     requests.inc();
 //! } // span records on drop
 //! assert_eq!(requests.get(), 1);
-//! assert_eq!(telemetry.trace().expect("in-memory sink").len(), 1);
+//! assert_eq!(telemetry.trace().len(), 1);
 //! assert!(telemetry.metrics().render_prometheus().contains("requests_total"));
 //! ```
 
@@ -53,13 +53,13 @@ mod timeline;
 mod trace;
 
 pub use audit::{AuditEvent, AuditLog};
-pub use export::{render_chrome_trace, render_spans_jsonl};
+pub use export::render_chrome_trace;
 pub use metrics::{
     json_str, Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry,
-    DURATION_SECONDS_BUCKETS, TICK_BUCKETS,
+    DURATION_SECONDS_BUCKETS,
 };
 pub use recorder::{FlightDump, FlightEntry, FlightRecorder};
-pub use span::{Collector, FieldValue, Fields, SpanRecord, TraceSink};
+pub use span::{FieldValue, Fields, SpanRecord, TraceSink};
 pub use timeline::{TxTimeline, PHASES, PHASE_SECONDS_BUCKETS};
 pub use trace::TraceContext;
 
@@ -69,7 +69,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A shared handle to one telemetry pipeline: metrics registry, span
-/// collector, and audit log. Clones share state.
+/// sink, audit log, and optionally a flight recorder. Clones share state.
 #[derive(Clone)]
 pub struct Telemetry {
     inner: Arc<Inner>,
@@ -78,13 +78,10 @@ pub struct Telemetry {
 struct Inner {
     metrics: MetricsRegistry,
     audit: AuditLog,
-    /// Retained only when the collector is the default in-memory sink,
-    /// so [`Telemetry::trace`] can render reports.
-    sink: Option<Arc<TraceSink>>,
-    /// Retained when spans route through a flight recorder, so
-    /// [`Telemetry::flight_recorder`] can read dumps back.
-    recorder: Option<Arc<FlightRecorder>>,
-    collector: Arc<dyn Collector>,
+    sink: TraceSink,
+    /// Mirrors every span and audit event when the pipeline was built
+    /// with [`Telemetry::with_flight_recorder`].
+    recorder: Option<FlightRecorder>,
     epoch: Instant,
     next_span_id: AtomicU64,
     /// Per-kind `fabric_audit_events_total` handles, resolved once —
@@ -102,57 +99,35 @@ impl Telemetry {
     /// Creates a telemetry pipeline collecting spans into an in-memory
     /// [`TraceSink`].
     pub fn new() -> Self {
-        let sink = Arc::new(TraceSink::new());
-        let mut t = Self::with_collector(sink.clone());
-        Arc::get_mut(&mut t.inner).expect("freshly created").sink = Some(sink);
-        t.export_sink_evictions();
-        t
+        Self::build(None)
     }
 
-    /// Creates a telemetry pipeline whose spans and audit events route
-    /// through a [`FlightRecorder`] ring of `capacity` recent entries
-    /// (backed by an in-memory [`TraceSink`], so [`Telemetry::trace`]
-    /// still works). The recorder snapshots the ring automatically when
-    /// one of the paper's attack signals fires — see
-    /// [`FlightRecorder::dumps`].
+    /// Creates a telemetry pipeline that also mirrors its spans and audit
+    /// events into a [`FlightRecorder`] ring of `capacity` recent
+    /// entries. The recorder snapshots the ring automatically when one of
+    /// the paper's attack signals fires — see [`FlightRecorder::dumps`].
     pub fn with_flight_recorder(capacity: usize) -> Self {
-        let sink = Arc::new(TraceSink::new());
-        let recorder = Arc::new(FlightRecorder::new(capacity, sink.clone()));
-        let mut t = Self::with_collector(recorder.clone());
-        let inner = Arc::get_mut(&mut t.inner).expect("freshly created");
-        inner.sink = Some(sink);
-        inner.recorder = Some(recorder);
-        t.export_sink_evictions();
-        t
+        Self::build(Some(FlightRecorder::new(capacity)))
     }
 
-    /// Creates a telemetry pipeline with a custom span/audit collector.
-    pub fn with_collector(collector: Arc<dyn Collector>) -> Self {
+    fn build(recorder: Option<FlightRecorder>) -> Self {
+        let metrics = MetricsRegistry::new();
+        // Dashboards see when a sustained run outpaces trace consumption.
+        let evicted = metrics.counter(
+            "fabric_trace_spans_evicted_total",
+            "Trace spans evicted to honor the sink's retention cap",
+            &[],
+        );
         Telemetry {
             inner: Arc::new(Inner {
-                metrics: MetricsRegistry::new(),
+                metrics,
                 audit: AuditLog::new(),
-                sink: None,
-                recorder: None,
-                collector,
+                sink: TraceSink::new(TraceSink::CAPACITY, evicted),
+                recorder,
                 epoch: Instant::now(),
                 next_span_id: AtomicU64::new(1),
                 audit_counters: Default::default(),
             }),
-        }
-    }
-
-    /// Counts the in-memory sink's retention evictions in the
-    /// registry-exported `fabric_trace_spans_evicted_total` counter, so
-    /// dashboards can see when a sustained load run outpaces trace
-    /// consumption.
-    fn export_sink_evictions(&self) {
-        if let Some(sink) = self.inner.sink.as_deref() {
-            sink.set_eviction_counter(self.inner.metrics.counter(
-                "fabric_trace_spans_evicted_total",
-                "Trace spans evicted to honor the sink's retention cap",
-                &[],
-            ));
         }
     }
 
@@ -166,39 +141,40 @@ impl Telemetry {
         &self.inner.audit
     }
 
-    /// The in-memory trace sink, when the default collector is in use.
-    pub fn trace(&self) -> Option<&TraceSink> {
-        self.inner.sink.as_deref()
+    /// The in-memory trace sink every span lands in.
+    pub fn trace(&self) -> &TraceSink {
+        &self.inner.sink
     }
 
     /// The flight recorder, when one was configured via
     /// [`Telemetry::with_flight_recorder`].
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.inner.recorder.as_deref()
+        self.inner.recorder.as_ref()
     }
 
     /// True when `other` is a clone of this handle (same registry, audit
-    /// log, and collector). Lets wiring code detect two *different*
+    /// log, and sink). Lets wiring code detect two *different*
     /// pipelines being attached to one network by mistake.
     pub fn same_pipeline(&self, other: &Telemetry) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Marks a block boundary on the commit path: forwarded to the
-    /// collector so per-block scoping (e.g. the flight recorder's
-    /// trigger dedup) resets. Called by peers before validating each
-    /// block.
+    /// Marks a block boundary on the commit path: the flight recorder's
+    /// per-block trigger dedup resets. Called by peers before validating
+    /// each block.
     pub fn block_boundary(&self) {
-        self.inner.collector.block_boundary();
+        if let Some(recorder) = &self.inner.recorder {
+            recorder.block_boundary();
+        }
     }
 
-    /// Opens a root span; it records to the collector when dropped.
+    /// Opens a root span; it records to the sink when dropped.
     pub fn span(&self, name: &'static str) -> SpanGuard {
         self.open_span(name, None)
     }
 
-    /// Emits an audit event: appended to the [`AuditLog`], forwarded to
-    /// the collector, and counted in `fabric_audit_events_total`.
+    /// Emits an audit event: appended to the [`AuditLog`], mirrored into
+    /// the flight recorder, and counted in `fabric_audit_events_total`.
     pub fn emit(&self, event: AuditEvent) {
         self.inner.audit_counters[audit_kind_index(&event)]
             .get_or_init(|| {
@@ -209,7 +185,9 @@ impl Telemetry {
                 )
             })
             .inc();
-        self.inner.collector.audit_event(&event);
+        if let Some(recorder) = &self.inner.recorder {
+            recorder.record_audit(&event);
+        }
         self.inner.audit.record(event);
     }
 
@@ -242,16 +220,16 @@ fn audit_kind_index(event: &AuditEvent) -> usize {
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Telemetry")
-            .field("spans", &self.trace().map(TraceSink::len))
+            .field("spans", &self.trace().len())
             .field("audit_events", &self.inner.audit.len())
             .finish_non_exhaustive()
     }
 }
 
-/// An open span; records a [`SpanRecord`] to the collector on drop.
+/// An open span; records a [`SpanRecord`] to the sink on drop.
 ///
-/// Recording allocates nothing but a [`FieldValue::Owned`] field (and
-/// whatever the collector does with the record): the name is a literal,
+/// Recording allocates nothing but a [`FieldValue::Owned`] field (and a
+/// flight recorder's copy of the record): the name is a literal,
 /// the node a shared string, and up to three fields sit inline.
 #[derive(Debug)]
 pub struct SpanGuard {
@@ -336,7 +314,11 @@ impl Drop for SpanGuard {
             trace_id: self.trace_id,
             node: self.node.take().unwrap_or_else(span::unattributed),
         };
-        self.telemetry.inner.collector.span_finished(record);
+        let inner = &self.telemetry.inner;
+        if let Some(recorder) = &inner.recorder {
+            recorder.record_span(&record);
+        }
+        inner.sink.push(record);
     }
 }
 
@@ -354,7 +336,7 @@ mod tests {
             let child = root.child("child");
             child.finish();
         }
-        let records = t.trace().expect("sink").records();
+        let records = t.trace().records();
         assert_eq!(records.len(), 2);
         let child = records.iter().find(|r| r.name == "child").expect("child");
         let root = records.iter().find(|r| r.name == "root").expect("root");
@@ -381,7 +363,7 @@ mod tests {
             assert_eq!(child.context().trace_id, ctx.trace_id);
             child.finish();
         }
-        let records = t.trace().expect("sink").records();
+        let records = t.trace().records();
         assert_eq!(records.len(), 3);
         assert!(records.iter().all(|r| r.trace_id == ctx.trace_id));
         let upstream = records.iter().find(|r| r.name == "upstream").unwrap();

@@ -7,9 +7,10 @@
 //! ([`MetricsRegistry::counter`] etc.) is get-or-create and is the only
 //! operation that locks.
 //!
-//! Two exporters render a consistent point-in-time view:
-//! [`MetricsRegistry::render_prometheus`] (text exposition format) and
-//! [`MetricsRegistry::render_json`] (a JSON snapshot for tooling).
+//! [`MetricsRegistry::render_prometheus`] renders a consistent
+//! point-in-time view in the text exposition format, the one format
+//! scrapers and tests read; [`MetricsRegistry::samples`] is the typed
+//! view.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -23,10 +24,6 @@ use std::time::Duration;
 pub const DURATION_SECONDS_BUCKETS: &[f64] = &[
     0.000_025, 0.000_1, 0.000_25, 0.001, 0.002_5, 0.01, 0.025, 0.1, 0.25, 1.0, 2.5,
 ];
-
-/// Histogram buckets (upper bounds) for tick-denominated latencies such
-/// as the orderer's batch-cut age.
-pub const TICK_BUCKETS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone)]
@@ -461,58 +458,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders the registry as a JSON snapshot.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"metrics\": [\n");
-        let samples = self.samples();
-        for (i, sample) in samples.iter().enumerate() {
-            let sep = if i + 1 == samples.len() { "" } else { "," };
-            let mut labels = String::from("{");
-            for (j, (k, v)) in sample.labels.iter().enumerate() {
-                if j > 0 {
-                    labels.push_str(", ");
-                }
-                let _ = write!(labels, "{}: {}", json_str(k), json_str(v));
-            }
-            labels.push('}');
-            let body = match &sample.value {
-                MetricValue::Counter(v) => format!("\"type\": \"counter\", \"value\": {v}"),
-                MetricValue::Gauge(v) => {
-                    format!("\"type\": \"gauge\", \"value\": {}", fmt_f64(*v))
-                }
-                MetricValue::Histogram {
-                    buckets,
-                    sum,
-                    count,
-                } => {
-                    let mut b = String::from("[");
-                    for (j, (le, c)) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            b.push_str(", ");
-                        }
-                        let _ = write!(b, "{{\"le\": {}, \"count\": {c}}}", fmt_f64(*le));
-                    }
-                    if !buckets.is_empty() {
-                        b.push_str(", ");
-                    }
-                    let _ = write!(b, "{{\"le\": \"+Inf\", \"count\": {count}}}");
-                    b.push(']');
-                    format!(
-                        "\"type\": \"histogram\", \"sum\": {}, \"count\": {count}, \"buckets\": {b}",
-                        fmt_f64(*sum)
-                    )
-                }
-            };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": {}, \"labels\": {labels}, {body}}}{sep}",
-                json_str(&sample.name)
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 impl RegistryInner {
@@ -596,7 +541,7 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// `s` as a quoted JSON string: quotes, backslashes and every control
-/// character escaped, so the exporters' lines always parse.
+/// character escaped, so the JSON renderers' lines always parse.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -625,7 +570,6 @@ mod tests {
     fn empty_registry_renders_empty_exports() {
         let registry = MetricsRegistry::new();
         assert_eq!(registry.render_prometheus(), "");
-        assert_eq!(registry.render_json(), "{\n  \"metrics\": [\n  ]\n}\n");
         assert!(registry.samples().is_empty());
     }
 
@@ -670,14 +614,6 @@ mod tests {
         assert!(text
             .lines()
             .any(|l| l.starts_with("c{") && l.ends_with(" 1")));
-    }
-
-    #[test]
-    fn json_export_escapes_label_values() {
-        let registry = MetricsRegistry::new();
-        registry.counter("c", "escape", &[("k", "v\"\\\n")]).inc();
-        let json = registry.render_json();
-        assert!(json.contains(r#""k": "v\"\\\n""#), "got: {json:?}");
     }
 
     #[test]

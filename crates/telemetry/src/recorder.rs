@@ -1,9 +1,10 @@
 //! Flight recorder: a bounded ring of recent spans and audit events,
 //! snapshotted automatically when an attack signal fires.
 //!
-//! The [`FlightRecorder`] wraps another [`Collector`] (normally the
-//! in-memory [`crate::TraceSink`]) and mirrors everything that flows
-//! through it into a fixed-capacity ring buffer. When one of the paper's
+//! A [`crate::Telemetry`] built with
+//! [`crate::Telemetry::with_flight_recorder`] mirrors every span and
+//! audit event into the [`FlightRecorder`]'s fixed-capacity ring buffer,
+//! next to its in-memory [`crate::TraceSink`]. When one of the paper's
 //! attack signals is emitted — [`AuditEvent::DefenseRejected`],
 //! [`AuditEvent::EndorsementByNonMember`], or
 //! [`AuditEvent::MvccConflict`] — the ring is snapshotted into a
@@ -15,11 +16,10 @@
 //! on validation hot paths.
 
 use crate::audit::AuditEvent;
-use crate::span::{Collector, SpanRecord};
+use crate::span::SpanRecord;
 use fabric_types::TxId;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// One entry in the flight-recorder ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,27 +58,24 @@ impl FlightDump {
 }
 
 /// Bounded ring buffer of recent [`FlightEntry`]s with automatic dumps
-/// on attack signals. Create via [`crate::Telemetry::with_flight_recorder`]
-/// or wrap any collector with [`FlightRecorder::new`].
+/// on attack signals. Create via [`crate::Telemetry::with_flight_recorder`].
 pub struct FlightRecorder {
-    inner: Arc<dyn Collector>,
     ring: Box<[Mutex<Option<FlightEntry>>]>,
     /// Next write position (monotonic; slot = head % capacity).
     head: AtomicUsize,
     dumps: Mutex<Vec<FlightDump>>,
     /// Bitmask of trigger kinds that already dumped since the last
-    /// [`Collector::block_boundary`]: a block with a hundred MVCC aborts
+    /// [`crate::Telemetry::block_boundary`]: a block with a hundred MVCC aborts
     /// produces one MVCC dump, not a hundred near-identical snapshots.
     dumped_kinds: AtomicUsize,
 }
 
 impl FlightRecorder {
-    /// Wraps `inner`, keeping the most recent `capacity` entries
-    /// (clamped to at least 1).
-    pub fn new(capacity: usize, inner: Arc<dyn Collector>) -> Self {
+    /// A ring keeping the most recent `capacity` entries (clamped to at
+    /// least 1).
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
-            inner,
             ring: (0..capacity).map(|_| Mutex::new(None)).collect(),
             head: AtomicUsize::new(0),
             dumps: Mutex::new(Vec::new()),
@@ -115,11 +112,6 @@ impl FlightRecorder {
     /// All dumps captured so far, in trigger order.
     pub fn dumps(&self) -> Vec<FlightDump> {
         self.dumps.lock().clone()
-    }
-
-    /// Discards captured dumps (the ring itself keeps rolling).
-    pub fn clear_dumps(&self) {
-        self.dumps.lock().clear();
     }
 
     /// Snapshots the ring into a dump with `trigger` as the stated cause
@@ -159,15 +151,15 @@ impl FlightRecorder {
             _ => 0,
         }
     }
-}
 
-impl Collector for FlightRecorder {
-    fn span_finished(&self, record: SpanRecord) {
+    /// Mirrors a finished span into the ring.
+    pub(crate) fn record_span(&self, record: &SpanRecord) {
         self.push(FlightEntry::Span(record.clone()));
-        self.inner.span_finished(record);
     }
 
-    fn audit_event(&self, event: &AuditEvent) {
+    /// Mirrors an audit event into the ring, dumping it when the event is
+    /// an attack signal.
+    pub(crate) fn record_audit(&self, event: &AuditEvent) {
         self.push(FlightEntry::Audit(event.clone()));
         if Self::is_trigger(event) {
             // One dump per trigger kind per block: the first conflict in
@@ -184,12 +176,11 @@ impl Collector for FlightRecorder {
                 self.dumps.lock().push(dump);
             }
         }
-        self.inner.audit_event(event);
     }
 
-    fn block_boundary(&self) {
+    /// Re-arms every trigger kind: a peer starts validating a new block.
+    pub(crate) fn block_boundary(&self) {
         self.dumped_kinds.store(0, Ordering::Relaxed);
-        self.inner.block_boundary();
     }
 }
 
@@ -208,14 +199,6 @@ mod tests {
     use super::*;
     use fabric_types::ChaincodeId;
     use std::time::Duration;
-
-    /// A downstream collector that discards everything, so each test sees
-    /// only the ring.
-    struct NoopCollector;
-
-    impl Collector for NoopCollector {
-        fn span_finished(&self, _record: SpanRecord) {}
-    }
 
     fn span(id: u64, name: &'static str) -> SpanRecord {
         SpanRecord {
@@ -239,9 +222,9 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_entries_in_order() {
-        let rec = FlightRecorder::new(3, Arc::new(NoopCollector));
+        let rec = FlightRecorder::new(3);
         for i in 1..=5 {
-            rec.span_finished(span(i, "s"));
+            rec.record_span(&span(i, "s"));
         }
         let names: Vec<u64> = rec
             .recent()
@@ -256,9 +239,9 @@ mod tests {
 
     #[test]
     fn trigger_event_captures_dump_including_itself() {
-        let rec = FlightRecorder::new(8, Arc::new(NoopCollector));
-        rec.span_finished(span(1, "before"));
-        rec.audit_event(&conflict(7));
+        let rec = FlightRecorder::new(8);
+        rec.record_span(&span(1, "before"));
+        rec.record_audit(&conflict(7));
         let dumps = rec.dumps();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].trigger, conflict(7));
@@ -267,8 +250,6 @@ mod tests {
             vec![("mvcc_conflict", TxId::new("tx7"))]
         );
         assert!(matches!(dumps[0].entries[0], FlightEntry::Span(_)));
-        rec.clear_dumps();
-        assert!(rec.dumps().is_empty());
     }
 
     #[test]
@@ -276,11 +257,11 @@ mod tests {
         // A ring that has already wrapped must still include the trigger
         // itself in the snapshot (it is the newest entry, and the push
         // evicting the oldest slot happens before the snapshot).
-        let rec = FlightRecorder::new(2, Arc::new(NoopCollector));
+        let rec = FlightRecorder::new(2);
         for i in 1..=5 {
-            rec.span_finished(span(i, "s"));
+            rec.record_span(&span(i, "s"));
         }
-        rec.audit_event(&conflict(9));
+        rec.record_audit(&conflict(9));
         let dumps = rec.dumps();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].trigger, conflict(9));
@@ -298,9 +279,9 @@ mod tests {
 
     #[test]
     fn capacity_one_ring_dump_is_exactly_the_trigger() {
-        let rec = FlightRecorder::new(1, Arc::new(NoopCollector));
-        rec.span_finished(span(1, "evicted"));
-        rec.audit_event(&conflict(3));
+        let rec = FlightRecorder::new(1);
+        rec.record_span(&span(1, "evicted"));
+        rec.record_audit(&conflict(3));
         let dumps = rec.dumps();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].entries, vec![FlightEntry::Audit(conflict(3))]);
@@ -308,10 +289,10 @@ mod tests {
 
     #[test]
     fn repeated_triggers_within_one_block_dedup_to_one_dump() {
-        let rec = FlightRecorder::new(8, Arc::new(NoopCollector));
-        rec.audit_event(&conflict(1));
-        rec.audit_event(&conflict(2));
-        rec.audit_event(&conflict(3));
+        let rec = FlightRecorder::new(8);
+        rec.record_audit(&conflict(1));
+        rec.record_audit(&conflict(2));
+        rec.record_audit(&conflict(3));
         assert_eq!(
             rec.dumps().len(),
             1,
@@ -320,22 +301,22 @@ mod tests {
         // A different trigger kind in the same block still dumps: its
         // snapshot carries evidence the earlier one could not (events
         // emitted after the first trigger).
-        rec.audit_event(&AuditEvent::DefenseRejected {
+        rec.record_audit(&AuditEvent::DefenseRejected {
             tx_id: TxId::new("txd"),
             code: fabric_types::TxValidationCode::BadPayload,
         });
         assert_eq!(rec.dumps().len(), 2);
         // The next block boundary re-arms every kind.
         rec.block_boundary();
-        rec.audit_event(&conflict(4));
+        rec.record_audit(&conflict(4));
         assert_eq!(rec.dumps().len(), 3);
         assert_eq!(rec.dumps()[2].trigger, conflict(4));
     }
 
     #[test]
     fn explicit_capture_records_a_dump_and_bypasses_dedup() {
-        let rec = FlightRecorder::new(8, Arc::new(NoopCollector));
-        rec.audit_event(&conflict(1));
+        let rec = FlightRecorder::new(8);
+        rec.record_audit(&conflict(1));
         assert_eq!(rec.dumps().len(), 1);
         let dump = rec.capture(conflict(1));
         assert_eq!(dump.trigger, conflict(1));
@@ -352,8 +333,8 @@ mod tests {
 
     #[test]
     fn non_trigger_events_do_not_dump() {
-        let rec = FlightRecorder::new(4, Arc::new(NoopCollector));
-        rec.audit_event(&AuditEvent::PlaintextPayloadInTx {
+        let rec = FlightRecorder::new(4);
+        rec.record_audit(&AuditEvent::PlaintextPayloadInTx {
             tx_id: TxId::new("txp"),
             chaincode: ChaincodeId::new("cc"),
             payload_bytes: 9,

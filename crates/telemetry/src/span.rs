@@ -1,24 +1,23 @@
 //! Structured tracing: spans with monotonic timing and key-value fields.
 //!
-//! A [`SpanGuard`] measures the region between its creation (via
-//! [`crate::Telemetry::span`] or [`SpanGuard::child`]) and its drop, then
-//! hands the finished [`SpanRecord`] to the telemetry's [`Collector`].
-//! The in-memory [`TraceSink`] collector retains records and renders a
-//! flamegraph-style text tree ([`TraceSink::render_tree`]).
+//! A [`crate::SpanGuard`] measures the region between its creation (via
+//! [`crate::Telemetry::span`] or [`crate::SpanGuard::child`]) and its
+//! drop, then stores the finished [`SpanRecord`] in the pipeline's
+//! in-memory [`TraceSink`], which renders a flamegraph-style text tree
+//! ([`TraceSink::render_tree`]).
 //!
 //! A record holds no text of its own: its name is a literal, its node a
 //! shared string, and its field values integers, literals or shared
 //! strings ([`FieldValue`]), rendered only by the exporters.
 
-use crate::audit::AuditEvent;
 use crate::metrics::Counter;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
-use std::sync::{Arc, LazyLock, OnceLock};
+use std::sync::{Arc, LazyLock};
 use std::time::Duration;
 
-/// A finished span as delivered to a [`Collector`].
+/// A finished span as stored in a [`TraceSink`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Unique id within one [`crate::Telemetry`] instance.
@@ -170,74 +169,35 @@ impl<const N: usize> From<[(&'static str, FieldValue); N]> for Fields {
     }
 }
 
-/// Receives finished spans and emitted audit events.
+/// Thread-safe in-memory span store: where every span of a
+/// [`crate::Telemetry`] pipeline lands.
 ///
-/// Implementations must be cheap and non-blocking: collectors run inline
-/// on validation hot paths.
-pub trait Collector: Send + Sync {
-    /// Called when a span closes.
-    fn span_finished(&self, record: SpanRecord);
-
-    /// Called for every emitted audit event (default: ignore).
-    fn audit_event(&self, event: &AuditEvent) {
-        let _ = event;
-    }
-
-    /// Called when a peer starts validating a new block (default:
-    /// ignore). Lets collectors scope per-block state — the
-    /// flight recorder uses it to dedup repeated dump triggers within
-    /// one block.
-    fn block_boundary(&self) {}
-}
-
-/// Thread-safe in-memory span store; the default collector.
-///
-/// Retention is bounded: once `capacity` records are held, each new
-/// span evicts the oldest one (counted in [`TraceSink::evicted`], and
-/// exported as `fabric_trace_spans_evicted_total` when wired by
-/// [`crate::Telemetry`]). A consumer that needs every span of a long run
-/// should [`TraceSink::drain`] incrementally instead of letting the run
-/// pile up in memory.
+/// Retention is bounded: once [`TraceSink::CAPACITY`] records are held,
+/// each new span evicts the oldest one, counted in
+/// `fabric_trace_spans_evicted_total` ([`TraceSink::evicted`]). A
+/// consumer that needs every span of a long run should
+/// [`TraceSink::drain`] incrementally instead of letting the run pile up
+/// in memory.
 #[derive(Debug)]
 pub struct TraceSink {
-    state: Mutex<SinkState>,
+    spans: Mutex<VecDeque<SpanRecord>>,
     capacity: usize,
-    /// When set, evictions are counted here instead of in
-    /// `SinkState::evicted`.
-    eviction_counter: OnceLock<Counter>,
-}
-
-#[derive(Debug, Default)]
-struct SinkState {
-    spans: VecDeque<SpanRecord>,
-    /// Evictions while no counter was wired.
-    evicted: u64,
-}
-
-impl Default for TraceSink {
-    fn default() -> Self {
-        Self::new()
-    }
+    evicted: Counter,
 }
 
 impl TraceSink {
-    /// Default retention cap used by [`crate::Telemetry::new`]: deep
-    /// enough for any single-block forensic window, shallow enough that
-    /// an unconsumed sweep stays tens of megabytes, not unbounded.
-    pub const DEFAULT_CAPACITY: usize = 65_536;
+    /// Retention cap: deep enough for any single-block forensic window,
+    /// shallow enough that an unconsumed sweep stays tens of megabytes,
+    /// not unbounded.
+    pub const CAPACITY: usize = 65_536;
 
-    /// Creates an empty sink with the default retention cap.
-    pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates an empty sink retaining at most `capacity` records
-    /// (clamped to at least 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// An empty sink retaining at most `capacity` records, counting
+    /// evictions in `evicted`.
+    pub(crate) fn new(capacity: usize, evicted: Counter) -> Self {
         TraceSink {
-            state: Mutex::default(),
-            capacity: capacity.max(1),
-            eviction_counter: OnceLock::new(),
+            spans: Mutex::default(),
+            capacity,
+            evicted,
         }
     }
 
@@ -248,29 +208,22 @@ impl TraceSink {
 
     /// Number of records evicted to honor the cap since creation.
     pub fn evicted(&self) -> u64 {
-        self.state.lock().evicted + self.eviction_counter.get().map_or(0, Counter::get)
-    }
-
-    /// Counts later evictions in a registry-exported counter instead
-    /// (first call wins; later calls are ignored). [`crate::Telemetry`]
-    /// wires this to `fabric_trace_spans_evicted_total`.
-    pub fn set_eviction_counter(&self, counter: Counter) {
-        let _ = self.eviction_counter.set(counter);
+        self.evicted.get()
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.state.lock().spans.len()
+        self.spans.lock().len()
     }
 
     /// True when no span has finished yet.
     pub fn is_empty(&self) -> bool {
-        self.state.lock().spans.is_empty()
+        self.spans.lock().is_empty()
     }
 
     /// Clones out all retained records in completion order.
     pub fn records(&self) -> Vec<SpanRecord> {
-        self.state.lock().spans.iter().cloned().collect()
+        self.spans.lock().iter().cloned().collect()
     }
 
     /// Removes and returns all retained records in completion order.
@@ -280,12 +233,17 @@ impl TraceSink {
     /// sink's retention (and the eviction counter) at zero no matter
     /// how long the run is.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        self.state.lock().spans.drain(..).collect()
+        self.spans.lock().drain(..).collect()
     }
 
-    /// Drops all retained records.
-    pub fn clear(&self) {
-        self.state.lock().spans.clear();
+    /// Stores a finished span, evicting the oldest one at the cap.
+    pub(crate) fn push(&self, record: SpanRecord) {
+        let mut spans = self.spans.lock();
+        if spans.len() >= self.capacity {
+            spans.pop_front();
+            self.evicted.inc();
+        }
+        spans.push_back(record);
     }
 
     /// Renders the retained spans as an indented tree, one root per
@@ -342,29 +300,20 @@ fn render_node(
     }
 }
 
-impl Collector for TraceSink {
-    fn span_finished(&self, record: SpanRecord) {
-        let mut state = self.state.lock();
-        if state.spans.len() >= self.capacity {
-            state.spans.pop_front();
-            match self.eviction_counter.get() {
-                Some(counter) => counter.inc(),
-                None => state.evicted += 1,
-            }
-        }
-        state.spans.push_back(record);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn sink(capacity: usize) -> TraceSink {
+        let registry = crate::MetricsRegistry::new();
+        TraceSink::new(capacity, registry.counter("evicted", "", &[]))
+    }
+
     #[test]
     fn sink_retains_records() {
-        let sink = TraceSink::new();
+        let sink = sink(TraceSink::CAPACITY);
         assert!(sink.is_empty());
-        sink.span_finished(SpanRecord {
+        sink.push(SpanRecord {
             id: 1,
             parent: None,
             name: "root",
@@ -374,7 +323,7 @@ mod tests {
             trace_id: 0,
             node: unattributed(),
         });
-        sink.span_finished(SpanRecord {
+        sink.push(SpanRecord {
             id: 2,
             parent: Some(1),
             name: "child",
@@ -406,10 +355,10 @@ mod tests {
 
     #[test]
     fn bounded_sink_evicts_oldest_and_counts_evictions() {
-        let sink = TraceSink::with_capacity(3);
+        let sink = sink(3);
         assert_eq!(sink.capacity(), 3);
         for i in 1..=5 {
-            sink.span_finished(span(i));
+            sink.push(span(i));
         }
         assert_eq!(sink.len(), 3, "retention cap holds under overflow");
         assert_eq!(sink.evicted(), 2);
@@ -419,13 +368,13 @@ mod tests {
 
     #[test]
     fn drain_consumes_each_record_exactly_once() {
-        let sink = TraceSink::with_capacity(8);
-        sink.span_finished(span(1));
-        sink.span_finished(span(2));
+        let sink = sink(8);
+        sink.push(span(1));
+        sink.push(span(2));
         let first: Vec<u64> = sink.drain().iter().map(|r| r.id).collect();
         assert_eq!(first, vec![1, 2]);
         assert!(sink.is_empty());
-        sink.span_finished(span(3));
+        sink.push(span(3));
         let second: Vec<u64> = sink.drain().iter().map(|r| r.id).collect();
         assert_eq!(second, vec![3], "a second drain sees only new records");
         assert_eq!(
@@ -439,12 +388,11 @@ mod tests {
     fn eviction_counter_mirrors_into_exported_metric() {
         let registry = crate::MetricsRegistry::new();
         let counter = registry.counter("fabric_trace_spans_evicted_total", "evictions", &[]);
-        let sink = TraceSink::with_capacity(1);
-        sink.set_eviction_counter(counter.clone());
-        sink.span_finished(span(1));
+        let sink = TraceSink::new(1, counter.clone());
+        sink.push(span(1));
         assert_eq!(counter.get(), 0, "filling to the cap is not an eviction");
-        sink.span_finished(span(2));
-        sink.span_finished(span(3));
+        sink.push(span(2));
+        sink.push(span(3));
         assert_eq!(sink.evicted(), 2);
         assert_eq!(counter.get(), 2, "evictions land in the exported metric");
     }

@@ -66,18 +66,9 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 2. Spans, rendered as a flamegraph-style tree per root span.
     println!("\n== span tree ==");
-    print!(
-        "{}",
-        telemetry.trace().expect("in-memory sink").render_tree()
-    );
-
-    // 2b. The same spans as Chrome-trace/Perfetto JSON and JSON-lines
-    //     (see the `trace_tx` example for the per-transaction view).
-    let records = telemetry.trace().expect("in-memory sink").records();
-    println!("\n== chrome trace (load in ui.perfetto.dev) ==");
-    println!("{}", render_chrome_trace(&records));
-    println!("== spans, JSON-lines ==");
-    print!("{}", render_spans_jsonl(&records));
+    // The same spans export as Chrome-trace/Perfetto JSON: see the
+    // `trace_tx` example.
+    print!("{}", telemetry.trace().render_tree());
 
     // 3. Security-audit events. The workflow ran with the original (no
     //    defenses) configuration, so the offers' public response payloads
@@ -87,10 +78,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("{event}");
     }
     println!(
-        "\n{} spans, {} audit events, metrics JSON snapshot: {} bytes",
-        telemetry.trace().expect("sink").len(),
-        telemetry.audit().len(),
-        telemetry.metrics().render_json().len()
+        "\n{} spans, {} audit events",
+        telemetry.trace().len(),
+        telemetry.audit().len()
     );
     Ok(())
 }

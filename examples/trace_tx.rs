@@ -8,7 +8,7 @@
 //! Prints the per-transaction lifecycle timeline (endorse → order →
 //! replicate → validate → commit), then exports all spans as a
 //! Chrome-trace/Perfetto JSON document (paste into `ui.perfetto.dev` or
-//! `chrome://tracing`) and as JSON-lines.
+//! `chrome://tracing`).
 //!
 //! Run with `cargo run -p fabric-pdc --example trace_tx`.
 
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     )?;
     assert!(outcome.validation_code.is_valid());
 
-    let records = telemetry.trace().expect("in-memory sink").records();
+    let records = telemetry.trace().records();
 
     // 1. The per-transaction lifecycle timeline, resolved from the tx ID.
     let timeline = TxTimeline::collect(&records, outcome.tx_id.as_str());
@@ -67,11 +67,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("\n== chrome trace (load in ui.perfetto.dev) ==");
     println!("{}", render_chrome_trace(&records));
 
-    // 3. JSON-lines export (one span per line; `jq`-friendly).
-    println!("\n== spans, JSON-lines ==");
-    print!("{}", render_spans_jsonl(&records));
-
-    // 4. Flight-recorder status: no attack signals fired in this honest
+    // 3. Flight-recorder status: no attack signals fired in this honest
     //    run, so the ring holds recent traffic but no dump was triggered.
     let recorder = telemetry.flight_recorder().expect("recorder attached");
     println!(

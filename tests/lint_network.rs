@@ -41,13 +41,10 @@ fn secured_trade_network_passes_the_linter() {
         secured_trade_definition(),
         std::sync::Arc::new(SecuredTrade::new("sellerCollection")),
     );
-    let telemetry_attached = net.telemetry().is_some();
     let subjects: Vec<LintSubject> = net
         .deployed_definitions()
         .into_iter()
-        .map(|d| {
-            LintSubject::from_definition(d, net.orgs()).with_telemetry_attached(telemetry_attached)
-        })
+        .map(|d| LintSubject::from_definition(d, net.orgs()))
         .collect();
     assert_eq!(subjects.len(), 1);
     assert_eq!(subjects[0].channel_orgs, channel_orgs());
@@ -63,128 +60,12 @@ fn secured_trade_network_passes_the_linter() {
             "{rule} fired on the defended example"
         );
     }
-    // This network was built without a collector, which the linter
-    // surfaces as the (warning-severity) observability gap.
-    assert!(
-        findings.iter().any(|f| f.rule_id == "PDC010"),
-        "PDC010 must flag the collector-less network: {findings:#?}"
-    );
-}
-
-#[test]
-fn attaching_a_collector_silences_pdc010() {
-    let mut net = NetworkBuilder::new("trade-channel")
-        .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
-        .seed(4)
-        .with_telemetry(Telemetry::new())
-        .build();
-    net.deploy_chaincode(
-        secured_trade_definition(),
-        std::sync::Arc::new(SecuredTrade::new("sellerCollection")),
-    );
-    let telemetry_attached = net.telemetry().is_some();
-    assert!(telemetry_attached);
-    let subjects: Vec<LintSubject> = net
-        .deployed_definitions()
-        .into_iter()
-        .map(|d| {
-            LintSubject::from_definition(d, net.orgs()).with_telemetry_attached(telemetry_attached)
-        })
-        .collect();
-    let findings = lint::lint_subjects(&subjects);
-    assert!(
-        findings.iter().all(|f| f.rule_id != "PDC010"),
-        "PDC010 fired despite an attached collector: {findings:#?}"
-    );
-}
-
-#[test]
-fn flight_recorder_presence_drives_pdc011() {
-    for (recorder, expect_finding) in [(false, true), (true, false)] {
-        let telemetry = if recorder {
-            Telemetry::with_flight_recorder(256)
-        } else {
-            Telemetry::new()
-        };
-        let mut net = NetworkBuilder::new("trade-channel")
-            .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
-            .seed(4)
-            .with_telemetry(telemetry)
-            .build();
-        net.deploy_chaincode(
-            secured_trade_definition(),
-            std::sync::Arc::new(SecuredTrade::new("sellerCollection")),
-        );
-        let has_recorder = net
-            .telemetry()
-            .is_some_and(|t| t.flight_recorder().is_some());
-        assert_eq!(has_recorder, recorder);
-        let subjects: Vec<LintSubject> = net
-            .deployed_definitions()
-            .into_iter()
-            .map(|d| {
-                LintSubject::from_definition(d, net.orgs())
-                    .with_telemetry_attached(true)
-                    .with_flight_recorder(has_recorder)
-            })
-            .collect();
-        let findings = lint::lint_subjects(&subjects);
-        assert_eq!(
-            findings.iter().any(|f| f.rule_id == "PDC011"),
-            expect_finding,
-            "recorder={recorder}: {findings:#?}"
-        );
-        if expect_finding {
-            let f = findings.iter().find(|f| f.rule_id == "PDC011").unwrap();
-            assert_eq!(f.severity, Severity::Note);
-        }
-    }
-}
-
-#[test]
-fn monitor_presence_drives_pdc020() {
-    use fabric_pdc::monitor::Monitor;
-    for (monitored, expect_finding) in [(false, true), (true, false)] {
-        let telemetry = Telemetry::new();
-        let mut builder = NetworkBuilder::new("trade-channel")
-            .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
-            .seed(4)
-            .with_telemetry(telemetry.clone());
-        if monitored {
-            builder = builder.with_monitor(Monitor::new(&telemetry));
-        }
-        let mut net = builder.build();
-        net.deploy_chaincode(
-            secured_trade_definition(),
-            std::sync::Arc::new(SecuredTrade::new("sellerCollection")),
-        );
-        assert_eq!(net.monitor().is_some(), monitored);
-        let subjects: Vec<LintSubject> = net
-            .deployed_definitions()
-            .into_iter()
-            .map(|d| {
-                LintSubject::from_definition(d, net.orgs())
-                    .with_telemetry_attached(net.telemetry().is_some())
-                    .with_monitor_attached(net.monitor().is_some())
-            })
-            .collect();
-        let findings = lint::lint_subjects(&subjects);
-        assert_eq!(
-            findings.iter().any(|f| f.rule_id == "PDC020"),
-            expect_finding,
-            "monitored={monitored}: {findings:#?}"
-        );
-        if expect_finding {
-            let f = findings.iter().find(|f| f.rule_id == "PDC020").unwrap();
-            assert_eq!(f.severity, Severity::Note);
-        }
-    }
 }
 
 #[test]
 fn flow_analysis_state_drives_pdc018() {
-    // Tri-state, mirroring PDC010/PDC011: unknown stays silent, a known
-    // gap fires the note, a completed analysis silences it.
+    // Tri-state: unknown stays silent, a known gap fires the note, a
+    // completed analysis silences it.
     for (flow_analyzed, expect_finding) in [(None, false), (Some(false), true), (Some(true), false)]
     {
         let definition = secured_trade_definition();

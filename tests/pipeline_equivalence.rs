@@ -940,13 +940,7 @@ fn monitored_commit_transitions(
     let mut peer = net.peer("peer0.org2").clone();
     let telemetry = Telemetry::new();
     peer.set_telemetry(telemetry.clone());
-    let monitor = Monitor::with_config(
-        &telemetry,
-        MonitorConfig {
-            resolve_ticks: 4,
-            ..MonitorConfig::default()
-        },
-    );
+    let monitor = Monitor::new(&telemetry);
     for b in blocks {
         peer.process_block(b.clone(), &mut provider)
             .expect("pipeline: stream chains");
@@ -981,10 +975,10 @@ fn tampered_stream_alert_fires_and_resolves_identically() {
     ];
     let (blocks, pkgs) = build_stream(&mut net, &blocks_specs);
 
-    let log = monitored_commit_transitions(&net, &blocks, &pkgs, 80);
+    let log = monitored_commit_transitions(&net, &blocks, &pkgs, 140);
     assert_eq!(
         log,
-        monitored_commit_transitions(&net, &blocks, &pkgs, 80),
+        monitored_commit_transitions(&net, &blocks, &pkgs, 140),
         "two runs of one stream logged different alert transitions"
     );
     let phases: Vec<AlertPhase> = log
@@ -1002,8 +996,8 @@ fn tampered_stream_alert_fires_and_resolves_identically() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Alert determinism: the monitor's full transition log — pending,
-    /// firing, resolved — is a pure function of the committed stream.
+    /// Alert determinism: the monitor's full transition log — firing,
+    /// resolved — is a pure function of the committed stream.
     /// Two independent runs of one random multi-block stream must yield
     /// byte-identical logs.
     #[test]
@@ -1017,8 +1011,8 @@ proptest! {
         let mut net = equivalence_network(30_000 + seed, DefenseConfig::original());
         let (blocks, pkgs) = build_stream(&mut net, &blocks_specs);
         prop_assert_eq!(
-            monitored_commit_transitions(&net, &blocks, &pkgs, 80),
-            monitored_commit_transitions(&net, &blocks, &pkgs, 80),
+            monitored_commit_transitions(&net, &blocks, &pkgs, 140),
+            monitored_commit_transitions(&net, &blocks, &pkgs, 140),
             "two runs of one stream logged different alert transitions"
         );
     }

@@ -59,7 +59,7 @@ fn run_workload(net: &mut FabricNetwork, count: usize) -> Vec<TxId> {
 fn committed_transactions_have_complete_cross_node_timelines() {
     let (mut net, telemetry) = traced_network(21);
     let tx_ids = run_workload(&mut net, 3);
-    let records = telemetry.trace().expect("sink").records();
+    let records = telemetry.trace().records();
 
     for tx_id in &tx_ids {
         let timeline = TxTimeline::collect(&records, tx_id.as_str());
@@ -123,7 +123,7 @@ fn trace_identity_is_parallelism_invariant() {
     for _run in 0..2 {
         let (mut net, telemetry) = traced_network(22);
         let tx_ids = run_workload(&mut net, 2);
-        let records = telemetry.trace().expect("sink").records();
+        let records = telemetry.trace().records();
         let shape: Vec<(TxId, u64, Vec<String>)> = tx_ids
             .into_iter()
             .map(|tx_id| {

@@ -20,7 +20,6 @@ use fabric_pdc::orderer::{BatchConfig, OrderingService};
 use fabric_pdc::peer::ChannelPolicies;
 use fabric_pdc::policy::EndorserSet;
 use fabric_pdc::prelude::*;
-use fabric_pdc::telemetry::TraceSink;
 use fabric_pdc::types::{Block, PvtDataPackage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -436,8 +435,8 @@ fn a_cut_block_leaves_the_orderer_with_every_memo_seeded() {
 #[test]
 fn recording_a_span_is_allocation_free() {
     let _guard = SERIAL.lock().unwrap();
-    let sink = Arc::new(TraceSink::with_capacity(8));
-    let telemetry = Telemetry::with_collector(sink.clone());
+    let telemetry = Telemetry::new();
+    let sink = telemetry.trace();
     let node: Arc<str> = Arc::from("peer0.org1");
     let tx_id = TxId::new("6f1c".repeat(16));
     let chaincode = ChaincodeId::new(NS);
@@ -516,7 +515,7 @@ fn traced_commit_allocates_no_more_than_untraced() {
     let telemetry = Telemetry::new();
     let traced = commit_calls(Some(telemetry.clone()));
     let untraced = commit_calls(None);
-    let records = telemetry.trace().expect("sink").records();
+    let records = telemetry.trace().records();
     let commits = records.iter().filter(|r| r.name == "peer.commit").count();
     assert_eq!(commits, 2 * TXS, "every transaction was traced");
     assert!(
