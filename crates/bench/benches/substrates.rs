@@ -397,22 +397,6 @@ fn analyzer_benches(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-fn chaincode_benches(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chaincode");
-    let net = fixture_network(DefenseConfig::original(), 14);
-    let peer = net.peer("peer0.org1").clone();
-    let mut nonce = 50_000u64;
-    group.bench_function("simulate_guarded_read", |b| {
-        b.iter(|| {
-            nonce += 1;
-            let p = fabric_bench::make_proposal(&net, fabric_bench::TxOp::Read, nonce);
-            black_box(peer.endorse(&p).unwrap())
-        })
-    });
-    let _ = Arc::new(AssetTransfer); // keep sample chaincodes exercised in docs
-    group.finish();
-}
-
 criterion_group!(
     benches,
     crypto_benches,
@@ -425,6 +409,5 @@ criterion_group!(
     end_to_end_benches,
     sweep_benches,
     analyzer_benches,
-    chaincode_benches,
 );
 criterion_main!(benches);

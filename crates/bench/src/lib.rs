@@ -1,10 +1,12 @@
-//! Shared fixtures for the benchmark harness: prototype networks,
-//! pre-endorsed transactions, and ready-to-validate blocks, so benches
-//! measure exactly the execution-phase and validation-phase code paths
-//! the paper's Fig. 11 measures.
+//! Shared fixtures for the report generators and benches: prototype
+//! networks, pre-endorsed transactions, ready-to-validate blocks, and the
+//! one timing loop the `fig11` binary measures the paper's Fig. 11 with,
+//! so it times exactly the execution-phase and validation-phase code
+//! paths the paper times.
 
 use fabric_pdc::prelude::*;
 use fabric_pdc::types::{Block, PvtDataPackage};
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -97,7 +99,8 @@ pub fn make_proposal(net: &FabricNetwork, op: TxOp, nonce: u64) -> Proposal {
 }
 
 /// A ready-to-validate block plus its private data, for validation-latency
-/// measurement: clone the returned peer, then `process_block`.
+/// measurement: clone the returned peer and block, then
+/// [`process_prepared`].
 pub fn prepared_block(
     net: &mut FabricNetwork,
     op: TxOp,
@@ -137,45 +140,51 @@ pub fn prepared_block(
     (peer, block, pvt)
 }
 
-/// Validates + commits one prepared block on a clone of the peer; the
-/// measured region of the validation-latency benchmark.
-pub fn process_prepared(peer: &Peer, block: &Block, pvt: &Option<PvtDataPackage>) -> bool {
-    let mut peer = peer.clone();
+/// Validates + commits one prepared block on `peer`; the measured region
+/// of the validation-latency measurement (the caller clones the peer and
+/// block outside it).
+pub fn process_prepared(mut peer: Peer, block: Block, pvt: &Option<PvtDataPackage>) -> bool {
     let mut provider = |_: &TxId| pvt.clone().map(Arc::new);
     let outcome = peer
-        .process_block(block.clone(), &mut provider)
+        .process_block(block, &mut provider)
         .expect("block chains");
     outcome.validation_codes[0].is_valid()
 }
 
-/// Simple statistics over repeated timings (used by the `fig11` binary;
-/// the Criterion bench does its own statistics).
+/// Statistics over repeated timings.
 #[derive(Debug, Clone, Copy)]
 pub struct Stats {
     /// Arithmetic mean.
     pub mean: Duration,
-    /// Minimum observed.
-    pub min: Duration,
-    /// Maximum observed.
-    pub max: Duration,
+    /// Median: robust to the scheduler's outliers, which a mean of a
+    /// hundred microsecond-scale runs is not.
+    pub median: Duration,
 }
 
-/// Times `f` `runs` times (after `warmup` unmeasured runs).
-pub fn measure(runs: usize, warmup: usize, mut f: impl FnMut()) -> Stats {
+/// Times `routine` `runs` times (after `warmup` unmeasured runs), each
+/// time on a fresh input from `setup`, which runs outside the timed
+/// region.
+pub fn measure<I, O>(
+    runs: usize,
+    warmup: usize,
+    mut setup: impl FnMut() -> I,
+    mut routine: impl FnMut(I) -> O,
+) -> Stats {
     for _ in 0..warmup {
-        f();
+        black_box(routine(setup()));
     }
     let mut samples = Vec::with_capacity(runs);
     for _ in 0..runs {
+        let input = setup();
         let start = Instant::now();
-        f();
+        black_box(routine(input));
         samples.push(start.elapsed());
     }
+    samples.sort_unstable();
     let total: Duration = samples.iter().sum();
     Stats {
         mean: total / runs as u32,
-        min: *samples.iter().min().expect("runs > 0"),
-        max: *samples.iter().max().expect("runs > 0"),
+        median: samples[runs / 2],
     }
 }
 
@@ -194,7 +203,7 @@ mod tests {
         for (i, op) in TxOp::all().into_iter().enumerate() {
             let (peer, block, pvt) =
                 prepared_block(&mut net, op, DefenseConfig::original(), 80 + i as u64);
-            assert!(process_prepared(&peer, &block, &pvt), "{op:?}");
+            assert!(process_prepared(peer, block, &pvt), "{op:?}");
         }
     }
 
@@ -203,14 +212,26 @@ mod tests {
         let mut net = fixture_network(DefenseConfig::hardened(), 2);
         let (peer, block, pvt) =
             prepared_block(&mut net, TxOp::Write, DefenseConfig::hardened(), 99);
-        assert!(process_prepared(&peer, &block, &pvt));
+        assert!(process_prepared(peer, block, &pvt));
     }
 
     #[test]
     fn measure_reports_ordered_stats() {
-        let stats = measure(10, 2, || {
-            std::hint::black_box(fabric_pdc::crypto::sha256(b"x"));
-        });
-        assert!(stats.min <= stats.mean && stats.mean <= stats.max.max(stats.mean));
+        let mut setups = 0;
+        let stats = measure(
+            10,
+            2,
+            || {
+                setups += 1;
+                std::thread::sleep(Duration::from_millis(2));
+                b"x"
+            },
+            fabric_pdc::crypto::sha256,
+        );
+        assert_eq!(setups, 12, "one fresh input per warm-up and measured run");
+        assert!(
+            stats.median < Duration::from_millis(1),
+            "the setup's sleep stays outside the timed region: {stats:?}"
+        );
     }
 }

@@ -20,7 +20,7 @@
 //! to behave.
 
 use fabric_crypto::{sha256, Keypair};
-use fabric_telemetry::{Telemetry, TraceContext};
+use fabric_telemetry::{trace_id, Telemetry};
 use fabric_types::{
     ChaincodeId, ChannelId, DefenseConfig, Endorsement, Identity, OrgId, PayloadCommitment,
     Proposal, ProposalResponse, Role, Transaction,
@@ -147,7 +147,7 @@ impl Client {
     ) -> Result<(Transaction, Vec<u8>), ClientError> {
         let _span = self.telemetry.as_ref().map(|(t, node)| {
             let mut s = t.span("client.assemble");
-            s.trace(TraceContext::for_tx(proposal.tx_id.as_str()));
+            s.trace(trace_id(proposal.tx_id.as_str()));
             s.node(node);
             s.field("endorsements", responses.len());
             s

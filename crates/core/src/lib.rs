@@ -65,7 +65,7 @@
 //! * **Table II** — `cargo run -p fabric-bench --bin table2` (also
 //!   [`attacks::run_table2`])
 //! * **Figs. 7–10** — `cargo run -p fabric-bench --bin fig7_to_10`
-//! * **Fig. 11** — `cargo bench -p fabric-bench --bench fig11_latency`
+//! * **Fig. 11** — `cargo run --release -p fabric-bench --bin fig11`
 //!
 //! See `EXPERIMENTS.md` at the repository root for paper-vs-measured
 //! results.
@@ -102,9 +102,7 @@ pub mod prelude {
     pub use fabric_network::{FabricNetwork, NetworkBuilder, NetworkError, SubmitOutcome};
     pub use fabric_peer::Peer;
     pub use fabric_policy::{Policy, SignaturePolicy};
-    pub use fabric_telemetry::{
-        render_chrome_trace, AuditEvent, Telemetry, TraceContext, TxTimeline,
-    };
+    pub use fabric_telemetry::{render_chrome_trace, trace_id, AuditEvent, Telemetry, TxTimeline};
     pub use fabric_types::{
         ChaincodeId, ChannelId, CollectionConfig, CollectionName, DefenseConfig, Identity, OrgId,
         Proposal, Role, Transaction, TxId, TxKind, TxValidationCode,

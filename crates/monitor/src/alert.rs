@@ -5,8 +5,8 @@
 //! fires on the first tick its condition holds, and must then stay clear
 //! for [`RESOLVE_TICKS`] consecutive ticks before it resolves
 //! (hysteresis against flapping). Firing and resolving append to a
-//! bounded transition log; resolved alerts land in a bounded history
-//! ring.
+//! bounded transition log; a resolved alert leaves the book, and the log
+//! is its only record.
 //!
 //! Everything is keyed and iterated through `BTreeMap`s and advances in
 //! whole ticks, so the transition log is a pure function of the
@@ -19,8 +19,6 @@ use std::fmt;
 
 /// Ticks a condition must stay clear before its alert resolves.
 pub(crate) const RESOLVE_TICKS: u64 = 64;
-/// Resolved alerts kept in the history ring.
-const HISTORY_CAP: usize = 256;
 /// Transitions kept in the transition log.
 const TRANSITIONS_CAP: usize = 4096;
 
@@ -43,7 +41,7 @@ impl AlertPhase {
     }
 }
 
-/// One alert instance (active or historical).
+/// One firing alert.
 #[derive(Debug, Clone)]
 pub struct Alert {
     /// Rule name, e.g. `uc1_nonmember_endorsement_rate`.
@@ -51,11 +49,8 @@ pub struct Alert {
     /// Dedup key: the rule name, suffixed with the node for per-node
     /// rules (`node_critical:peer0.org1`).
     pub key: String,
-    pub phase: AlertPhase,
     /// Tick the alert fired.
     pub fired_at: u64,
-    /// Tick the alert resolved, once it has.
-    pub resolved_at: Option<u64>,
     /// Condition description at the latest active tick.
     pub message: String,
     /// Flight-recorder snapshot captured when the alert fired, when a
@@ -103,12 +98,11 @@ struct ActiveAlert {
     inactive_streak: u64,
 }
 
-/// Bounded alert book: firing alerts, transition log, resolved history.
+/// Bounded alert book: firing alerts and the transition log.
 #[derive(Debug, Default)]
 pub(crate) struct AlertBook {
     active: BTreeMap<String, ActiveAlert>,
     transitions: VecDeque<AlertTransition>,
-    history: VecDeque<Alert>,
 }
 
 impl AlertBook {
@@ -126,37 +120,28 @@ impl AlertBook {
 
         // Firing alerts (including keys with no condition entry this
         // tick — those are inactive) stay up or count toward resolving.
-        let mut resolved = Vec::new();
-        for (key, state) in self.active.iter_mut() {
-            match conditions.get(key).filter(|c| c.active) {
+        self.active.retain(
+            |key, state| match conditions.get(key).filter(|c| c.active) {
                 Some(c) => {
                     state.inactive_streak = 0;
                     state.alert.message = c.message.clone();
+                    true
                 }
                 None => {
                     state.inactive_streak += 1;
-                    if state.inactive_streak >= RESOLVE_TICKS {
-                        state.alert.phase = AlertPhase::Resolved;
-                        state.alert.resolved_at = Some(tick);
+                    let resolves = state.inactive_streak >= RESOLVE_TICKS;
+                    if resolves {
                         out.push(AlertTransition {
                             tick,
                             rule: state.alert.rule.clone(),
                             key: key.clone(),
                             to: AlertPhase::Resolved,
                         });
-                        resolved.push(key.clone());
                     }
+                    !resolves
                 }
-            }
-        }
-        for key in resolved {
-            if let Some(state) = self.active.remove(&key) {
-                if self.history.len() == HISTORY_CAP {
-                    self.history.pop_front();
-                }
-                self.history.push_back(state.alert);
-            }
-        }
+            },
+        );
 
         // Newly active keys fire on this same tick.
         for (key, cond) in conditions {
@@ -166,9 +151,7 @@ impl AlertBook {
             let alert = Alert {
                 rule: cond.rule.to_string(),
                 key: key.clone(),
-                phase: AlertPhase::Firing,
                 fired_at: tick,
-                resolved_at: None,
                 message: cond.message.clone(),
                 forensics: cond.evidence.as_ref().and_then(&mut *capture),
             };
@@ -214,16 +197,10 @@ impl AlertBook {
         self.transitions.iter().cloned().collect()
     }
 
-    /// Resolved alerts, oldest first (bounded ring).
-    pub fn history(&self) -> Vec<Alert> {
-        self.history.iter().cloned().collect()
-    }
-
-    /// Drops all alert state and logs.
+    /// Drops all alert state and the log.
     pub fn reset(&mut self) {
         self.active.clear();
         self.transitions.clear();
-        self.history.clear();
     }
 }
 
@@ -269,10 +246,13 @@ mod tests {
         let last = quiet(&mut book, RESOLVE_TICKS + 1, 1);
         assert_eq!(last.len(), 1);
         assert_eq!(last[0].to, AlertPhase::Resolved);
+        assert_eq!(last[0].tick, RESOLVE_TICKS + 1);
         assert!(book.active().is_empty());
-        assert_eq!(book.history().len(), 1);
-        assert_eq!(book.history()[0].fired_at, 1);
-        assert_eq!(book.history()[0].resolved_at, Some(RESOLVE_TICKS + 1));
+        assert_eq!(
+            book.transitions(),
+            [t1[0].clone(), last[0].clone()],
+            "the log is the resolved alert's only record"
+        );
     }
 
     #[test]
@@ -336,14 +316,6 @@ mod tests {
             tick += RESOLVE_TICKS;
         }
         tick
-    }
-
-    #[test]
-    fn history_ring_is_bounded() {
-        let mut book = AlertBook::default();
-        let last = cycle(&mut book, HISTORY_CAP as u64 + 3);
-        assert_eq!(book.history().len(), HISTORY_CAP, "ring keeps the newest");
-        assert_eq!(book.history().last().unwrap().resolved_at, Some(last));
     }
 
     #[test]

@@ -314,11 +314,6 @@ impl Monitor {
         self.inner.state.lock().alerts.active()
     }
 
-    /// Resolved alerts, oldest first (bounded ring).
-    pub fn alert_history(&self) -> Vec<Alert> {
-        self.inner.state.lock().alerts.history()
-    }
-
     /// Re-baselines the monitor: drops detector windows, health
     /// baselines, and all alert state, and fast-forwards the audit
     /// cursor past everything already emitted. The tick counter keeps
@@ -424,7 +419,7 @@ mod tests {
         // quiet ticks later the alert resolves.
         assert_eq!(resolved_at, 128);
         assert!(monitor.firing_rules().is_empty());
-        assert_eq!(monitor.alert_history().len(), 1);
+        assert!(monitor.active_alerts().is_empty());
         assert!(telemetry
             .metrics()
             .render_prometheus()

@@ -73,7 +73,7 @@ pub(crate) fn render_status(status: &NetworkStatus) -> String {
         let _ = writeln!(
             out,
             "  {} {} since_tick={} {}{}",
-            alert.phase.label(),
+            AlertPhase::Firing.label(),
             alert.key,
             alert.fired_at,
             alert.message,

@@ -130,7 +130,7 @@ pub fn host_cores() -> usize {
 /// How many workers commit a tick's blocks: a function of the tick and
 /// the host, not a setting. One when the tick is too small to repay a
 /// fork, and one when the peers share a telemetry pipeline — its audit
-/// log, span ids and flight-recorder re-arm are one totally ordered
+/// log, span sink and flight-recorder re-arm are one totally ordered
 /// stream that concurrent peers would interleave.
 fn delivery_workers(tick_txs: usize, peers: usize, cores: usize, shared_telemetry: bool) -> usize {
     if shared_telemetry || tick_txs * peers < FORK_MIN_TX_PEERS {
@@ -718,13 +718,11 @@ impl FabricNetwork {
                 .map(|(k, v)| (k.to_string(), v.to_vec()))
                 .collect(),
         );
-        // The root of the transaction's trace: the whole client-observed
-        // submission, from proposal to commit confirmation.
+        // The whole client-observed submission, from proposal to commit
+        // confirmation, keyed to the transaction's trace.
         let _submit_span = self.telemetry().map(|t| {
             let mut s = t.span("client.submit");
-            s.trace(fabric_telemetry::TraceContext::for_tx(
-                proposal.tx_id.as_str(),
-            ));
+            s.trace(fabric_telemetry::trace_id(proposal.tx_id.as_str()));
             let (name, _) = self.clients.get_key_value(client).expect("checked above");
             s.node(name);
             s.field("chaincode", proposal.chaincode.as_arc());

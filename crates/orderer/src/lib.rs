@@ -23,7 +23,7 @@
 
 use fabric_crypto::{Hash256, Keypair};
 use fabric_raft::{Cluster, NodeId, RaftConfig};
-use fabric_telemetry::{SpanGuard, Telemetry, TraceContext};
+use fabric_telemetry::{trace_id, SpanGuard, Telemetry};
 use fabric_types::{Block, Identity, Role, Transaction};
 use fabric_wire::{Decode, Encode};
 use std::collections::VecDeque;
@@ -131,7 +131,7 @@ impl OrderingService {
     pub fn submit(&mut self, tx: Transaction) {
         if let Some(t) = &self.telemetry {
             let mut span = t.telemetry.span("orderer.order");
-            span.trace(TraceContext::for_tx(tx.tx_id.as_str()));
+            span.trace(trace_id(tx.tx_id.as_str()));
             span.node(&t.node);
             let seq = self.cut_txs + self.pending.len() as u64;
             self.order_spans.push_back((seq, span));
@@ -215,11 +215,8 @@ impl OrderingService {
         let batch: Vec<Transaction> = self.pending.drain(..batch_size).collect();
         let encoded = batch.to_wire();
         let tracing = !self.order_spans.is_empty();
-        let traces: Vec<TraceContext> = if tracing {
-            batch
-                .iter()
-                .map(|tx| TraceContext::for_tx(tx.tx_id.as_str()))
-                .collect()
+        let traces: Vec<u64> = if tracing {
+            batch.iter().map(|tx| trace_id(tx.tx_id.as_str())).collect()
         } else {
             Vec::new()
         };
@@ -500,7 +497,7 @@ mod tests {
             o.submit(dummy_tx(n));
         }
         o.tick();
-        let trace = |n: u64| TraceContext::for_tx(&format!("tx{n}")).trace_id;
+        let trace = |n: u64| trace_id(&format!("tx{n}"));
         let orderer = || "orderer".to_string();
         assert_eq!(
             order_spans(),

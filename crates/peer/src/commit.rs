@@ -19,7 +19,7 @@ use crate::telemetry::PeerTelemetry;
 use fabric_crypto::BatchVerifier;
 use fabric_ledger::{BlockStoreError, HistoryDb, WorldState};
 use fabric_policy::EndorserSet;
-use fabric_telemetry::{AuditEvent, TraceContext};
+use fabric_telemetry::{trace_id, AuditEvent};
 use fabric_types::{
     Block, ChaincodeEvent, ChaincodeId, CollectionName, OrgId, PayloadCommitment, PvtDataPackage,
     SignatureFailure, Transaction, TxId, TxValidationCode, Version,
@@ -315,7 +315,7 @@ impl Peer {
         tx: &Transaction,
     ) -> fabric_telemetry::SpanGuard {
         let mut s = t.span(name);
-        s.trace(TraceContext::for_tx(tx.tx_id.as_str()));
+        s.trace(trace_id(tx.tx_id.as_str()));
         s.node(self.gossip_id.as_arc());
         s
     }

@@ -2,7 +2,7 @@
 
 use crate::node::Peer;
 use fabric_chaincode::{ChaincodeError, ChaincodeStub};
-use fabric_telemetry::TraceContext;
+use fabric_telemetry::trace_id;
 use fabric_types::{
     CollectionHashedRwSet, DefenseConfig, Endorsement, NsRwSet, PayloadCommitment, Proposal,
     ProposalResponse, ProposalResponsePayload, PvtDataPackage, Response, TxRwSet,
@@ -77,7 +77,7 @@ impl Peer {
             return self.endorse_inner(proposal);
         };
         let mut span = telemetry.span("peer.endorse");
-        span.trace(TraceContext::for_tx(proposal.tx_id.as_str()));
+        span.trace(trace_id(proposal.tx_id.as_str()));
         span.node(self.gossip_id.as_arc());
         span.field("chaincode", proposal.chaincode.as_arc());
         span.field("function", Box::<str>::from(proposal.function.as_str()));

@@ -2,14 +2,13 @@
 
 use crate::message::{Envelope, NodeId};
 use crate::node::{NotLeader, RaftConfig, RaftNode, Role};
-use fabric_telemetry::{SpanGuard, Telemetry, TraceContext};
+use fabric_telemetry::{SpanGuard, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-/// Point-in-time transport and consensus statistics for a [`Cluster`],
-/// exported as gauges by the ordering service's telemetry hook.
+/// Point-in-time transport and consensus statistics for a [`Cluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClusterStats {
     /// Messages delivered to a live node since cluster creation.
@@ -176,10 +175,10 @@ impl Cluster {
     }
 
     /// Proposes a command at `node`, opening one `raft.replicate` span per
-    /// trace context (or a single untraced span when `traces` is empty)
-    /// that closes when the entry first surfaces as committed. The caller
-    /// (the ordering service) passes one context per transaction carried
-    /// by the command, so replication latency lands in every
+    /// trace id (or a single untraced span when `traces` is empty) that
+    /// closes when the entry first surfaces as committed. The caller (the
+    /// ordering service) passes the trace id of each transaction the
+    /// command carries, so replication latency lands in every
     /// transaction's cross-node timeline.
     ///
     /// # Errors
@@ -189,25 +188,23 @@ impl Cluster {
         &mut self,
         node: NodeId,
         command: impl Into<Arc<[u8]>>,
-        traces: &[TraceContext],
+        traces: &[u64],
     ) -> Result<u64, NotLeader> {
         let n = self.nodes.get_mut(&node).expect("node exists");
         let index = n.propose(command)?;
         if let Some(t) = &self.telemetry {
-            let open = |ctx: Option<&TraceContext>| {
+            let open = |trace_id: u64| {
                 let mut span = t.span("raft.replicate");
                 span.node(&self.node_names[&node]);
                 span.field("index", index);
-                if let Some(ctx) = ctx {
-                    span.trace(*ctx);
-                }
+                span.trace(trace_id);
                 span
             };
             if traces.is_empty() {
-                self.inflight.push((index, open(None)));
+                self.inflight.push((index, open(0)));
             } else {
-                for ctx in traces {
-                    self.inflight.push((index, open(Some(ctx))));
+                for &trace_id in traces {
+                    self.inflight.push((index, open(trace_id)));
                 }
             }
         }

@@ -1,5 +1,5 @@
-//! Span exporter for tools: Chrome-trace/Perfetto JSON. (People read
-//! the span tree, [`crate::TraceSink::render_tree`].)
+//! Span exporter for tools: Chrome-trace/Perfetto JSON. (People read a
+//! [`SpanRecord`]'s one-line `Display`.)
 //!
 //! [`render_chrome_trace`] emits the Trace Event Format understood by
 //! `chrome://tracing`, Perfetto's legacy importer, and Speedscope: a
@@ -44,16 +44,15 @@ pub fn render_chrome_trace(records: &[SpanRecord]) -> String {
         let next_tid = tids.len() as u64 + 1;
         let tid = *tids.entry((pid, record.trace_id)).or_insert(next_tid);
 
-        let mut args = String::new();
-        let _ = write!(args, "{{\"span\":{}", record.id);
+        let mut args = String::from("{");
         if record.trace_id != 0 {
-            let _ = write!(args, ",\"trace\":\"{:#018x}\"", record.trace_id);
-        }
-        if let Some(parent) = record.parent {
-            let _ = write!(args, ",\"parent\":{parent}");
+            let _ = write!(args, "\"trace\":\"{:#018x}\"", record.trace_id);
         }
         for (k, v) in record.fields.iter() {
-            let _ = write!(args, ",{}:{}", json_str(k), json_str(&v.to_string()));
+            if args.len() > 1 {
+                args.push(',');
+            }
+            let _ = write!(args, "{}:{}", json_str(k), json_str(&v.to_string()));
         }
         args.push('}');
 
@@ -82,14 +81,11 @@ pub fn render_chrome_trace(records: &[SpanRecord]) -> String {
 mod tests {
     use super::*;
     use crate::span::{FieldValue, Fields};
-    use crate::{MetricsRegistry, TraceSink};
     use std::sync::Arc;
     use std::time::Duration;
 
     fn record(id: u64, name: &'static str, node: &str, trace_id: u64) -> SpanRecord {
         SpanRecord {
-            id,
-            parent: (id > 1).then(|| id - 1),
             name,
             fields: [("k", FieldValue::Owned("v\"q".into()))].into(),
             start: Duration::from_micros(10 * id),
@@ -112,7 +108,7 @@ mod tests {
         assert!(json.contains("\"name\":\"peer0.org1\""));
         assert!(json.contains("\"ts\":10"));
         assert!(json.contains("\"dur\":5"));
-        assert!(json.contains("\"parent\":1"));
+        assert!(!json.contains("\"parent\""), "spans are flat: {json}");
         assert!(json.contains("\"k\":\"v\\\"q\""), "fields escaped: {json}");
         // Two nodes -> two pids, same trace -> one tid lane per node.
         assert!(json.contains("\"pid\":1"));
@@ -123,21 +119,16 @@ mod tests {
     /// unattributed node and escapes, in completion order.
     fn golden_records() -> Vec<SpanRecord> {
         let trace = 0xf68b_4df5_8e71_c2d9;
-        let span =
-            |id, parent, name, fields: Fields, start_us, dur_us, trace_id, node: &str| SpanRecord {
-                id,
-                parent,
-                name,
-                fields,
-                start: Duration::from_micros(start_us),
-                duration: Duration::from_micros(dur_us),
-                trace_id,
-                node: node.into(),
-            };
+        let span = |name, fields: Fields, start_us, dur_us, trace_id, node: &str| SpanRecord {
+            name,
+            fields,
+            start: Duration::from_micros(start_us),
+            duration: Duration::from_micros(dur_us),
+            trace_id,
+            node: node.into(),
+        };
         vec![
             span(
-                2,
-                Some(1),
                 "commit.stateless",
                 Fields::default(),
                 105,
@@ -146,8 +137,6 @@ mod tests {
                 "peer0.org1",
             ),
             span(
-                1,
-                None,
                 "peer.process_block",
                 [("block", FieldValue::U64(7)), ("txs", FieldValue::U64(10))].into(),
                 100,
@@ -156,8 +145,6 @@ mod tests {
                 "peer0.org1",
             ),
             span(
-                4,
-                Some(3),
                 "peer.commit",
                 [
                     ("code", FieldValue::Static("MVCC_READ_CONFLICT")),
@@ -172,8 +159,6 @@ mod tests {
                 "",
             ),
             span(
-                3,
-                None,
                 "peer.endorse",
                 [
                     ("chaincode", FieldValue::Shared(Arc::from("trade"))),
@@ -186,21 +171,13 @@ mod tests {
                 trace,
                 "peer0.org2",
             ),
-            span(
-                5,
-                None,
-                "orderer.order",
-                Fields::default(),
-                0,
-                0,
-                1,
-                "orderer",
-            ),
+            span("orderer.order", Fields::default(), 0, 0, 1, "orderer"),
         ]
     }
 
-    // The goldens below were rendered from the same records when span
-    // fields were still `String`s.
+    // The Chrome-trace golden was rendered from the same records when
+    // span fields were still `String`s, less the span and parent ids
+    // spans no longer carry.
 
     #[test]
     fn chrome_trace_golden() {
@@ -210,21 +187,21 @@ mod tests {
                 "{\"traceEvents\":[\n",
                 r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"peer0.org1"}},"#,
                 "\n",
-                r#"{"name":"commit.stateless","ph":"X","ts":105,"dur":10,"pid":1,"tid":1,"args":{"span":2,"parent":1}},"#,
+                r#"{"name":"commit.stateless","ph":"X","ts":105,"dur":10,"pid":1,"tid":1,"args":{}},"#,
                 "\n",
-                r#"{"name":"peer.process_block","ph":"X","ts":100,"dur":40,"pid":1,"tid":1,"args":{"span":1,"block":"7","txs":"10"}},"#,
+                r#"{"name":"peer.process_block","ph":"X","ts":100,"dur":40,"pid":1,"tid":1,"args":{"block":"7","txs":"10"}},"#,
                 "\n",
                 r#"{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"(unattributed)"}},"#,
                 "\n",
-                r#"{"name":"peer.commit","ph":"X","ts":25,"dur":3,"pid":2,"tid":2,"args":{"span":4,"trace":"0xf68b4df58e71c2d9","parent":3,"code":"MVCC_READ_CONFLICT","a":"1","b":"x","c":"tab\there"}},"#,
+                r#"{"name":"peer.commit","ph":"X","ts":25,"dur":3,"pid":2,"tid":2,"args":{"trace":"0xf68b4df58e71c2d9","code":"MVCC_READ_CONFLICT","a":"1","b":"x","c":"tab\there"}},"#,
                 "\n",
                 r#"{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"peer0.org2"}},"#,
                 "\n",
-                r#"{"name":"peer.endorse","ph":"X","ts":20,"dur":12,"pid":3,"tid":3,"args":{"span":3,"trace":"0xf68b4df58e71c2d9","chaincode":"trade","function":"of\"fer","result":"ok"}},"#,
+                r#"{"name":"peer.endorse","ph":"X","ts":20,"dur":12,"pid":3,"tid":3,"args":{"trace":"0xf68b4df58e71c2d9","chaincode":"trade","function":"of\"fer","result":"ok"}},"#,
                 "\n",
                 r#"{"name":"process_name","ph":"M","pid":4,"tid":0,"args":{"name":"orderer"}},"#,
                 "\n",
-                r#"{"name":"orderer.order","ph":"X","ts":0,"dur":0,"pid":4,"tid":4,"args":{"span":5,"trace":"0x0000000000000001"}}"#,
+                r#"{"name":"orderer.order","ph":"X","ts":0,"dur":0,"pid":4,"tid":4,"args":{"trace":"0x0000000000000001"}}"#,
                 "\n",
                 "]}\n",
             )
@@ -232,22 +209,16 @@ mod tests {
     }
 
     #[test]
-    fn tree_golden() {
-        let sink = TraceSink::new(
-            TraceSink::CAPACITY,
-            MetricsRegistry::new().counter("evicted", "", &[]),
-        );
-        for record in golden_records() {
-            sink.push(record);
-        }
+    fn text_golden() {
+        let text: String = golden_records().iter().map(|r| format!("{r}\n")).collect();
         assert_eq!(
-            sink.render_tree(),
+            text,
             concat!(
-                "orderer.order ...................................    0.000ns\n",
-                "peer.endorse [chaincode=trade function=of\"fer result=ok] .   12.000µs\n",
-                "  peer.commit [code=MVCC_READ_CONFLICT a=1 b=x c=tab\there] .    3.000µs  (25.0%)\n",
-                "peer.process_block [block=7 txs=10] .............   40.000µs\n",
-                "  commit.stateless ..............................   10.000µs  (25.0%)\n",
+                "commit.stateless   node=peer0.org1     trace=-                  start= 105.000µs dur=  10.000µs\n",
+                "peer.process_block node=peer0.org1     trace=-                  start= 100.000µs dur=  40.000µs [block=7 txs=10]\n",
+                "peer.commit        node=-              trace=0xf68b4df58e71c2d9 start=  25.000µs dur=   3.000µs [code=MVCC_READ_CONFLICT a=1 b=x c=tab\there]\n",
+                "peer.endorse       node=peer0.org2     trace=0xf68b4df58e71c2d9 start=  20.000µs dur=  12.000µs [chaincode=trade function=of\"fer result=ok]\n",
+                "orderer.order      node=orderer        trace=0x0000000000000001 start=   0.000ns dur=   0.000ns\n",
             )
         );
     }

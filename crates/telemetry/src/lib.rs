@@ -7,21 +7,20 @@
 //! into the same registry:
 //!
 //! * **Spans** ([`Telemetry::span`]) time pipeline stages with monotonic
-//!   clocks and land in the pipeline's bounded in-memory [`TraceSink`],
-//!   which renders a flamegraph-style tree.
+//!   clocks and land in the pipeline's bounded in-memory [`TraceSink`].
+//!   Spans are flat: none has a parent.
 //! * **Metrics** ([`Telemetry::metrics`]) are counters, gauges, and
 //!   fixed-bucket histograms with a Prometheus-text exporter.
 //! * **Audit events** ([`Telemetry::emit`]) are typed records of the
 //!   paper's attack signals — see [`AuditEvent`] for the mapping onto
 //!   Use Cases 1–3 and the New Features.
 //!
-//! On top of the span stream sit the per-request tools: a
-//! [`TraceContext`] propagated across nodes keys every span of one
-//! transaction into a single causal tree (deterministic trace ids derived
-//! from tx ids), a [`TxTimeline`] assembles those spans into the five
-//! derived phase latencies (endorse / order / replicate / validate /
-//! commit), a [`FlightRecorder`] keeps a bounded ring of recent
-//! spans+events and dumps it when an attack signal fires, and
+//! On top of the span stream sit the per-request tools: every node
+//! re-derives a transaction's [`trace_id`] from its tx id, so the spans
+//! of one transaction share one key; a [`TxTimeline`] collects them by
+//! that key into the five phase latencies (endorse / order / replicate /
+//! validate / commit), a [`FlightRecorder`] keeps a bounded ring of
+//! recent spans+events and dumps it when an attack signal fires, and
 //! [`render_chrome_trace`] exports any span set for Perfetto /
 //! `chrome://tracing`.
 //!
@@ -60,11 +59,10 @@ pub use metrics::{
 };
 pub use recorder::{FlightDump, FlightEntry, FlightRecorder};
 pub use span::{FieldValue, Fields, SpanRecord, TraceSink};
-pub use timeline::{TxTimeline, PHASES, PHASE_SECONDS_BUCKETS};
-pub use trace::TraceContext;
+pub use timeline::{TxTimeline, PHASES};
+pub use trace::trace_id;
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -83,7 +81,6 @@ struct Inner {
     /// with [`Telemetry::with_flight_recorder`].
     recorder: Option<FlightRecorder>,
     epoch: Instant,
-    next_span_id: AtomicU64,
     /// Per-kind `fabric_audit_events_total` handles, resolved once —
     /// [`Telemetry::emit`] sits on the sequential commit path.
     audit_counters: [OnceLock<Counter>; 6],
@@ -125,7 +122,6 @@ impl Telemetry {
                 sink: TraceSink::new(TraceSink::CAPACITY, evicted),
                 recorder,
                 epoch: Instant::now(),
-                next_span_id: AtomicU64::new(1),
                 audit_counters: Default::default(),
             }),
         }
@@ -168,9 +164,16 @@ impl Telemetry {
         }
     }
 
-    /// Opens a root span; it records to the sink when dropped.
+    /// Opens a span; it records to the sink when dropped.
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        self.open_span(name, None)
+        SpanGuard {
+            telemetry: self.clone(),
+            trace_id: 0,
+            node: None,
+            name,
+            fields: Fields::default(),
+            start: Instant::now(),
+        }
     }
 
     /// Emits an audit event: appended to the [`AuditLog`], mirrored into
@@ -189,19 +192,6 @@ impl Telemetry {
             recorder.record_audit(&event);
         }
         self.inner.audit.record(event);
-    }
-
-    fn open_span(&self, name: &'static str, parent: Option<u64>) -> SpanGuard {
-        SpanGuard {
-            telemetry: self.clone(),
-            id: self.inner.next_span_id.fetch_add(1, Ordering::Relaxed),
-            parent,
-            trace_id: 0,
-            node: None,
-            name,
-            fields: Fields::default(),
-            start: Instant::now(),
-        }
     }
 }
 
@@ -234,8 +224,6 @@ impl fmt::Debug for Telemetry {
 #[derive(Debug)]
 pub struct SpanGuard {
     telemetry: Telemetry,
-    id: u64,
-    parent: Option<u64>,
     trace_id: u64,
     /// `None` until [`SpanGuard::node`] names one: unattributed.
     node: Option<Arc<str>>,
@@ -245,22 +233,10 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// This span's id within its telemetry instance.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Ties the span into a cross-node trace. When the span has no local
-    /// parent, the context's remote parent span is adopted, nesting this
-    /// node's subtree under the upstream hop.
-    pub fn trace(&mut self, ctx: TraceContext) {
-        if !ctx.is_active() {
-            return;
-        }
-        self.trace_id = ctx.trace_id;
-        if self.parent.is_none() && ctx.parent_span != 0 {
-            self.parent = Some(ctx.parent_span);
-        }
+    /// Keys the span to a transaction's trace: `trace_id` is the
+    /// transaction's [`trace_id`], the same on every node.
+    pub fn trace(&mut self, trace_id: u64) {
+        self.trace_id = trace_id;
     }
 
     /// Attributes the span to a named node (peer/orderer/client). The
@@ -269,26 +245,9 @@ impl SpanGuard {
         self.node = Some(node.clone());
     }
 
-    /// The context to hand to a downstream hop: same trace, parented at
-    /// this span.
-    pub fn context(&self) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id,
-            parent_span: self.id,
-        }
-    }
-
     /// Attaches a key-value field to the span.
     pub fn field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
         self.fields.push(key, value.into());
-    }
-
-    /// Opens a child span of this one (same trace id and node).
-    pub fn child(&self, name: &'static str) -> SpanGuard {
-        let mut child = self.telemetry.open_span(name, Some(self.id));
-        child.trace_id = self.trace_id;
-        child.node = self.node.clone();
-        child
     }
 
     /// Time since the span was opened.
@@ -303,8 +262,6 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let record = SpanRecord {
-            id: self.id,
-            parent: self.parent,
             name: self.name,
             fields: std::mem::take(&mut self.fields),
             start: self
@@ -327,54 +284,31 @@ mod tests {
     use super::*;
     use fabric_types::TxId;
 
-    #[test]
-    fn spans_nest_and_record() {
-        let t = Telemetry::new();
-        {
-            let mut root = t.span("root");
-            root.field("n", 3u64);
-            let child = root.child("child");
-            child.finish();
-        }
-        let records = t.trace().records();
-        assert_eq!(records.len(), 2);
-        let child = records.iter().find(|r| r.name == "child").expect("child");
-        let root = records.iter().find(|r| r.name == "root").expect("root");
-        assert_eq!(child.parent, Some(root.id));
-        assert!(root.duration >= child.duration);
-        assert_eq!(root.fields, [("n", FieldValue::U64(3))].into());
-    }
-
+    /// Spans on different nodes share no parent, only the trace id every
+    /// node derives from the transaction id.
     #[test]
     fn trace_context_threads_through_spans() {
         let t = Telemetry::new();
-        let ctx = TraceContext::for_tx("tx-42");
-        {
-            let mut remote_parent = t.span("upstream");
-            remote_parent.trace(ctx);
-            remote_parent.node(&Arc::from("client0.org1"));
-            let downstream_ctx = remote_parent.context();
-            // A span on "another node": no local parent, adopts the
-            // remote one through the propagated context.
-            let mut local_root = t.span("downstream");
-            local_root.trace(downstream_ctx);
-            local_root.node(&Arc::from("peer0.org1"));
-            let child = local_root.child("downstream.child");
-            assert_eq!(child.context().trace_id, ctx.trace_id);
-            child.finish();
+        let trace = trace_id("tx-42");
+        for (name, node) in [("upstream", "client0.org1"), ("downstream", "peer0.org1")] {
+            let mut span = t.span(name);
+            span.trace(trace_id("tx-42"));
+            span.node(&Arc::from(node));
+            span.field("n", 3u64);
         }
+        t.span("untraced").finish();
         let records = t.trace().records();
-        assert_eq!(records.len(), 3);
-        assert!(records.iter().all(|r| r.trace_id == ctx.trace_id));
-        let upstream = records.iter().find(|r| r.name == "upstream").unwrap();
-        let downstream = records.iter().find(|r| r.name == "downstream").unwrap();
-        let child = records
-            .iter()
-            .find(|r| r.name == "downstream.child")
-            .unwrap();
-        assert_eq!(downstream.parent, Some(upstream.id));
-        assert_eq!(child.parent, Some(downstream.id));
-        assert_eq!(&*child.node, "peer0.org1");
+        let names: Vec<&str> = records.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["upstream", "downstream", "untraced"]);
+        assert!(records[..2].iter().all(|r| r.trace_id == trace));
+        assert_eq!(records[2].trace_id, 0, "a span without a trace is untraced");
+        assert_eq!(&*records[1].node, "peer0.org1");
+        assert!(
+            records[2].node.is_empty(),
+            "a span without a node is unattributed"
+        );
+        assert_eq!(records[0].fields, [("n", FieldValue::U64(3))].into());
+        assert!(records[0].start <= records[1].start);
     }
 
     #[test]

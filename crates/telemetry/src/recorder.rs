@@ -200,13 +200,12 @@ mod tests {
     use fabric_types::ChaincodeId;
     use std::time::Duration;
 
-    fn span(id: u64, name: &'static str) -> SpanRecord {
+    /// A span started `ms` milliseconds after the epoch.
+    fn span(ms: u64, name: &'static str) -> SpanRecord {
         SpanRecord {
-            id,
-            parent: None,
             name,
             fields: Default::default(),
-            start: Duration::from_millis(id),
+            start: Duration::from_millis(ms),
             duration: Duration::from_millis(1),
             trace_id: 0,
             node: "".into(),
@@ -226,15 +225,15 @@ mod tests {
         for i in 1..=5 {
             rec.record_span(&span(i, "s"));
         }
-        let names: Vec<u64> = rec
+        let starts: Vec<u128> = rec
             .recent()
             .iter()
             .map(|e| match e {
-                FlightEntry::Span(s) => s.id,
+                FlightEntry::Span(s) => s.start.as_millis(),
                 FlightEntry::Audit(_) => unreachable!(),
             })
             .collect();
-        assert_eq!(names, vec![3, 4, 5]);
+        assert_eq!(starts, vec![3, 4, 5]);
     }
 
     #[test]

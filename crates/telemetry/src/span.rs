@@ -1,10 +1,12 @@
-//! Structured tracing: spans with monotonic timing and key-value fields.
+//! Structured tracing: flat spans with monotonic timing and key-value
+//! fields.
 //!
 //! A [`crate::SpanGuard`] measures the region between its creation (via
-//! [`crate::Telemetry::span`] or [`crate::SpanGuard::child`]) and its
-//! drop, then stores the finished [`SpanRecord`] in the pipeline's
-//! in-memory [`TraceSink`], which renders a flamegraph-style text tree
-//! ([`TraceSink::render_tree`]).
+//! [`crate::Telemetry::span`]) and its drop, then stores the finished
+//! [`SpanRecord`] in the pipeline's in-memory [`TraceSink`]. No span has
+//! a parent: the spans of one transaction are found by their shared
+//! trace id ([`crate::trace_id`]), and a [`SpanRecord`] displays as one
+//! text line.
 //!
 //! A record holds no text of its own: its name is a literal, its node a
 //! shared string, and its field values integers, literals or shared
@@ -13,17 +15,13 @@
 use crate::metrics::Counter;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::{Arc, LazyLock};
 use std::time::Duration;
 
 /// A finished span as stored in a [`TraceSink`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Unique id within one [`crate::Telemetry`] instance.
-    pub id: u64,
-    /// Id of the enclosing span, if any.
-    pub parent: Option<u64>,
     /// Span name, e.g. `peer.process_block`.
     pub name: &'static str,
     /// Key-value annotations attached while the span was open.
@@ -32,10 +30,40 @@ pub struct SpanRecord {
     pub start: Duration,
     /// Wall time between span open and close.
     pub duration: Duration,
-    /// Cross-node trace id ([`crate::TraceContext`]); 0 = untraced.
+    /// Cross-node trace id ([`crate::trace_id`]); 0 = untraced.
     pub trace_id: u64,
     /// Name of the node that emitted the span; empty = unattributed.
     pub node: Arc<str>,
+}
+
+/// One line: name, node, trace id, start offset, duration and fields,
+/// with `-` for an unattributed node or an untraced span.
+impl fmt::Display for SpanRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let node = if self.node.is_empty() {
+            "-"
+        } else {
+            &self.node
+        };
+        write!(f, "{:<18} node={node:<14} trace=", self.name)?;
+        if self.trace_id == 0 {
+            write!(f, "{:<18}", "-")?;
+        } else {
+            write!(f, "{:#018x}", self.trace_id)?;
+        }
+        write!(
+            f,
+            " start={:>10.3?} dur={:>10.3?}",
+            self.start, self.duration
+        )?;
+        for (i, (k, v)) in self.fields.iter().enumerate() {
+            write!(f, "{}{k}={v}", if i == 0 { " [" } else { " " })?;
+        }
+        if !self.fields.is_empty() {
+            f.write_str("]")?;
+        }
+        Ok(())
+    }
 }
 
 /// The node of an unattributed span: one shared empty string.
@@ -245,59 +273,6 @@ impl TraceSink {
         }
         spans.push_back(record);
     }
-
-    /// Renders the retained spans as an indented tree, one root per
-    /// top-level span, with durations and percent-of-root shares —
-    /// a text-mode flamegraph.
-    pub fn render_tree(&self) -> String {
-        let mut records = self.records();
-        records.sort_by_key(|r| r.start);
-        let mut out = String::new();
-        let roots: Vec<&SpanRecord> = records.iter().filter(|r| r.parent.is_none()).collect();
-        for root in roots {
-            render_node(&mut out, &records, root, root.duration, 0);
-        }
-        out
-    }
-}
-
-fn render_node(
-    out: &mut String,
-    records: &[SpanRecord],
-    node: &SpanRecord,
-    root_duration: Duration,
-    depth: usize,
-) {
-    let indent = "  ".repeat(depth);
-    let mut line = format!("{indent}{}", node.name);
-    if !node.fields.is_empty() {
-        line.push_str(" [");
-        for (i, (k, v)) in node.fields.iter().enumerate() {
-            if i > 0 {
-                line.push(' ');
-            }
-            let _ = write!(line, "{k}={v}");
-        }
-        line.push(']');
-    }
-    let pad = 48usize.saturating_sub(line.len()).max(1);
-    let share = if root_duration.as_nanos() == 0 || depth == 0 {
-        String::new()
-    } else {
-        format!(
-            "  ({:.1}%)",
-            100.0 * node.duration.as_secs_f64() / root_duration.as_secs_f64()
-        )
-    };
-    let _ = writeln!(
-        out,
-        "{line} {} {:>10.3?}{share}",
-        ".".repeat(pad),
-        node.duration
-    );
-    for child in records.iter().filter(|r| r.parent == Some(node.id)) {
-        render_node(out, records, child, root_duration, depth + 1);
-    }
 }
 
 #[cfg(test)]
@@ -309,48 +284,44 @@ mod tests {
         TraceSink::new(capacity, registry.counter("evicted", "", &[]))
     }
 
+    /// A span started `ms` milliseconds after the epoch: the start offset
+    /// tells records apart.
+    fn span(ms: u64) -> SpanRecord {
+        SpanRecord {
+            name: "s",
+            fields: Fields::default(),
+            start: Duration::from_millis(ms),
+            duration: Duration::from_millis(1),
+            trace_id: 0,
+            node: unattributed(),
+        }
+    }
+
+    fn starts(records: &[SpanRecord]) -> Vec<u128> {
+        records.iter().map(|r| r.start.as_millis()).collect()
+    }
+
     #[test]
     fn sink_retains_records() {
         let sink = sink(TraceSink::CAPACITY);
         assert!(sink.is_empty());
         sink.push(SpanRecord {
-            id: 1,
-            parent: None,
-            name: "root",
+            name: "peer.commit",
             fields: [("k", FieldValue::Static("v"))].into(),
             start: Duration::ZERO,
             duration: Duration::from_millis(10),
-            trace_id: 0,
-            node: unattributed(),
+            trace_id: 0xab,
+            node: Arc::from("peer0.org1"),
         });
-        sink.push(SpanRecord {
-            id: 2,
-            parent: Some(1),
-            name: "child",
-            fields: Fields::default(),
-            start: Duration::from_millis(1),
-            duration: Duration::from_millis(5),
-            trace_id: 0,
-            node: unattributed(),
-        });
+        sink.push(span(1));
         assert_eq!(sink.len(), 2);
-        let tree = sink.render_tree();
-        assert!(tree.contains("root [k=v]"), "{tree}");
-        assert!(tree.contains("  child"), "{tree}");
-        assert!(tree.contains("(50.0%)"), "{tree}");
-    }
-
-    fn span(id: u64) -> SpanRecord {
-        SpanRecord {
-            id,
-            parent: None,
-            name: "s",
-            fields: Fields::default(),
-            start: Duration::from_millis(id),
-            duration: Duration::from_millis(1),
-            trace_id: 0,
-            node: unattributed(),
-        }
+        let lines: Vec<String> = sink.records().iter().map(|r| r.to_string()).collect();
+        assert!(lines[0].starts_with("peer.commit"), "{lines:?}");
+        assert!(lines[0].contains("node=peer0.org1"), "{lines:?}");
+        assert!(lines[0].contains("trace=0x00000000000000ab"), "{lines:?}");
+        assert!(lines[0].ends_with(" [k=v]"), "{lines:?}");
+        assert!(lines[1].contains("node=- "), "{lines:?}");
+        assert!(lines[1].contains("trace=- "), "{lines:?}");
     }
 
     #[test]
@@ -362,8 +333,11 @@ mod tests {
         }
         assert_eq!(sink.len(), 3, "retention cap holds under overflow");
         assert_eq!(sink.evicted(), 2);
-        let ids: Vec<u64> = sink.records().iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![3, 4, 5], "oldest records are the ones evicted");
+        assert_eq!(
+            starts(&sink.records()),
+            vec![3, 4, 5],
+            "oldest records are the ones evicted"
+        );
     }
 
     #[test]
@@ -371,12 +345,14 @@ mod tests {
         let sink = sink(8);
         sink.push(span(1));
         sink.push(span(2));
-        let first: Vec<u64> = sink.drain().iter().map(|r| r.id).collect();
-        assert_eq!(first, vec![1, 2]);
+        assert_eq!(starts(&sink.drain()), vec![1, 2]);
         assert!(sink.is_empty());
         sink.push(span(3));
-        let second: Vec<u64> = sink.drain().iter().map(|r| r.id).collect();
-        assert_eq!(second, vec![3], "a second drain sees only new records");
+        assert_eq!(
+            starts(&sink.drain()),
+            vec![3],
+            "a second drain sees only new records"
+        );
         assert_eq!(
             sink.evicted(),
             0,

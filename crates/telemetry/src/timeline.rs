@@ -1,8 +1,8 @@
 //! Per-transaction lifecycle timelines assembled from cross-node spans.
 //!
 //! [`TxTimeline::collect`] filters a span set down to one transaction's
-//! trace (via the deterministic [`crate::TraceContext`] id) and derives
-//! the five lifecycle phase latencies:
+//! spans (those carrying its [`crate::trace_id`]) and derives the five
+//! lifecycle phase latencies:
 //!
 //! | phase       | span name       | emitted by                           |
 //! |-------------|-----------------|--------------------------------------|
@@ -16,35 +16,13 @@
 //! commit) reports the slowest node — the latency the transaction
 //! actually paid.
 
-use crate::metrics::MetricsRegistry;
 use crate::span::SpanRecord;
-use crate::trace::TraceContext;
+use crate::trace::trace_id;
 use std::fmt::Write as _;
 use std::time::Duration;
 
 /// The five lifecycle phases, in causal order.
 pub const PHASES: [&str; 5] = ["endorse", "order", "replicate", "validate", "commit"];
-
-/// Histogram buckets (upper bounds, seconds) for phase latencies. Finer
-/// than [`crate::DURATION_SECONDS_BUCKETS`]: in-process phases run in
-/// single-digit microseconds, which the commit-latency buckets (25µs
-/// floor) would collapse into one bin and flatten every percentile.
-pub const PHASE_SECONDS_BUCKETS: &[f64] = &[
-    0.000_001,
-    0.000_002_5,
-    0.000_005,
-    0.000_01,
-    0.000_025,
-    0.000_05,
-    0.000_1,
-    0.000_25,
-    0.000_5,
-    0.001,
-    0.002_5,
-    0.01,
-    0.1,
-    1.0,
-];
 
 /// Span name from which each phase latency derives, indexed like
 /// [`PHASES`].
@@ -70,9 +48,9 @@ pub struct TxTimeline {
 
 impl TxTimeline {
     /// Collects the timeline of `tx_id` out of `records` (normally
-    /// `telemetry.trace().unwrap().records()`).
+    /// `telemetry.trace().records()`).
     pub fn collect(records: &[SpanRecord], tx_id: &str) -> TxTimeline {
-        let trace_id = TraceContext::for_tx(tx_id).trace_id;
+        let trace_id = trace_id(tx_id);
         let mut spans: Vec<SpanRecord> = records
             .iter()
             .filter(|r| r.trace_id == trace_id)
@@ -123,24 +101,6 @@ impl TxTimeline {
         nodes
     }
 
-    /// Observes each present phase latency into
-    /// `fabric_tx_phase_seconds{phase=...}` so percentile summaries fall
-    /// out of [`crate::Histogram::quantile`].
-    pub fn record_phase_metrics(&self, registry: &MetricsRegistry) {
-        for (phase, latency) in self.phases() {
-            if let Some(latency) = latency {
-                registry
-                    .histogram(
-                        "fabric_tx_phase_seconds",
-                        "Per-transaction lifecycle phase latency",
-                        &[("phase", phase)],
-                        PHASE_SECONDS_BUCKETS,
-                    )
-                    .observe(latency.as_secs_f64());
-            }
-        }
-    }
-
     /// Renders the timeline: phase table first, then every span with its
     /// node, in start order.
     pub fn render(&self) -> String {
@@ -157,16 +117,7 @@ impl TxTimeline {
             }
         }
         for span in &self.spans {
-            let node = if span.node.is_empty() {
-                "-"
-            } else {
-                &span.node
-            };
-            let _ = writeln!(
-                out,
-                "  span {:<18} node={:<14} start={:>10.3?} dur={:>10.3?}",
-                span.name, node, span.start, span.duration
-            );
+            let _ = writeln!(out, "  span {span}");
         }
         out
     }
@@ -184,8 +135,6 @@ mod tests {
         dur_ms: u64,
     ) -> SpanRecord {
         SpanRecord {
-            id: start_ms,
-            parent: None,
             name,
             fields: Default::default(),
             start: Duration::from_millis(start_ms),
@@ -208,7 +157,7 @@ mod tests {
 
     #[test]
     fn collects_only_matching_trace_and_derives_phases() {
-        let tid = TraceContext::for_tx("tx-a").trace_id;
+        let tid = trace_id("tx-a");
         let mut records = full_trace(tid);
         records.push(span("peer.endorse", "peer0.org1", 999, 0, 50));
         let tl = TxTimeline::collect(&records, "tx-a");
@@ -229,24 +178,11 @@ mod tests {
 
     #[test]
     fn incomplete_timeline_reports_missing_phase() {
-        let tid = TraceContext::for_tx("tx-b").trace_id;
+        let tid = trace_id("tx-b");
         let records = vec![span("peer.endorse", "p", tid, 0, 1)];
         let tl = TxTimeline::collect(&records, "tx-b");
         assert!(!tl.complete());
         assert_eq!(tl.phase("commit"), None);
         assert!(tl.render().contains("phase=commit (missing)"));
-    }
-
-    #[test]
-    fn phase_metrics_land_in_registry() {
-        let tid = TraceContext::for_tx("tx-c").trace_id;
-        let tl = TxTimeline::collect(&full_trace(tid), "tx-c");
-        let registry = MetricsRegistry::new();
-        tl.record_phase_metrics(&registry);
-        let h = registry
-            .find_histogram("fabric_tx_phase_seconds", &[("phase", "order")])
-            .expect("order histogram");
-        assert_eq!(h.count(), 1);
-        assert!((h.sum() - 0.010).abs() < 1e-9);
     }
 }

@@ -1,6 +1,6 @@
 //! Observability end-to-end: one shared [`Telemetry`] pipeline attached to
 //! a whole network, driven through the secured-trade workflow, then dumped
-//! as a Prometheus text exposition, a span-tree flamegraph report, and the
+//! as a Prometheus text exposition, one line per span, and the
 //! security-audit event log.
 //!
 //! Run with `cargo run -p fabric-pdc --example telemetry`.
@@ -64,11 +64,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("== metrics (Prometheus text format) ==");
     print!("{}", telemetry.metrics().render_prometheus());
 
-    // 2. Spans, rendered as a flamegraph-style tree per root span.
-    println!("\n== span tree ==");
-    // The same spans export as Chrome-trace/Perfetto JSON: see the
-    // `trace_tx` example.
-    print!("{}", telemetry.trace().render_tree());
+    // 2. Spans, one line each in completion order. They are flat: the
+    //    spans of one transaction share its trace id, which is how the
+    //    `trace_tx` example collects a timeline (and exports the same
+    //    spans as Chrome-trace/Perfetto JSON).
+    println!("\n== spans ==");
+    for span in telemetry.trace().records() {
+        println!("{span}");
+    }
 
     // 3. Security-audit events. The workflow ran with the original (no
     //    defenses) configuration, so the offers' public response payloads

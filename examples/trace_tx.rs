@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn Error>> {
     // One telemetry pipeline with a flight recorder; every node reports
-    // into it, so a single transaction's spans land in one causal tree.
+    // into it, keying each span to its transaction's trace id.
     let telemetry = Telemetry::with_flight_recorder(256);
     let mut net = NetworkBuilder::new("trade-channel")
         .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])

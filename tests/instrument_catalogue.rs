@@ -2,8 +2,9 @@
 //! test holds it to the live program: every attack of the lab runs on a
 //! traced, monitored network, and the metric families, span names, audit
 //! kinds and alert rules that run produces must be exactly the ones the
-//! catalogue lists — less the rows it marks as registered only on a fault
-//! or by an explicit call.
+//! catalogue lists — less the rows it marks as registered only on a
+//! fault — and each span must carry a trace id exactly when the
+//! catalogue keys it by transaction.
 
 use fabric_pdc::attacks::{build_lab, run_attack, AttackKind, LabConfig};
 use fabric_pdc::prelude::*;
@@ -110,13 +111,22 @@ fn catalogue_matches_what_a_traced_attack_lab_registers() {
         .collect();
     assert_eq!(rules, names(&rows("Alert rules")));
 
-    // Span names: every span the lab records is catalogued.
-    let spans: BTreeSet<String> = pipelines
-        .iter()
-        .flat_map(|t| t.trace().records())
-        .map(|r| r.name.to_string())
-        .collect();
-    assert_eq!(spans, names(&rows("Spans")));
+    // Span names: every span the lab records is catalogued, and carries
+    // a trace id exactly when its row keys it by transaction.
+    let span_rows = rows("Spans");
+    let records: Vec<_> = pipelines.iter().flat_map(|t| t.trace().records()).collect();
+    let spans: BTreeSet<String> = records.iter().map(|r| r.name.to_string()).collect();
+    assert_eq!(spans, names(&span_rows));
+    for record in &records {
+        let row = span_rows.iter().find(|r| r[0] == record.name).unwrap();
+        assert_eq!(
+            record.trace_id != 0,
+            row[2] == "transaction",
+            "{} is keyed by {}: {record}",
+            record.name,
+            row[2]
+        );
+    }
 
     // Audit kinds: the catalogue lists every kind the lab counted.
     let counted: BTreeSet<String> = samples

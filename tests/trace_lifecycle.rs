@@ -70,7 +70,7 @@ fn committed_transactions_have_complete_cross_node_timelines() {
         );
         assert_eq!(
             timeline.trace_id,
-            TraceContext::for_tx(tx_id.as_str()).trace_id,
+            trace_id(tx_id.as_str()),
             "trace id must derive from the tx id"
         );
         let nodes = timeline.nodes();

@@ -442,7 +442,7 @@ fn recording_a_span_is_allocation_free() {
     let chaincode = ChaincodeId::new(NS);
     let commit_span = || {
         let mut s = telemetry.span("peer.commit");
-        s.trace(TraceContext::for_tx(tx_id.as_str()));
+        s.trace(trace_id(tx_id.as_str()));
         s.node(&node);
         s.field("code", TxValidationCode::MvccReadConflict.as_str());
     };
@@ -456,7 +456,7 @@ fn recording_a_span_is_allocation_free() {
 
     let (_, calls, _) = measured(|| {
         let mut s = telemetry.span("peer.endorse");
-        s.trace(TraceContext::for_tx(tx_id.as_str()));
+        s.trace(trace_id(tx_id.as_str()));
         s.node(&node);
         s.field("chaincode", chaincode.as_arc());
         s.field("function", Box::<str>::from("write"));
