@@ -1,8 +1,9 @@
 //! The alert state machine: firing → resolved.
 //!
-//! Conditions (detector activations, critical node verdicts) are fed in
-//! once per tick keyed by a dedup key (`rule`, or `rule:node`). An alert
-//! fires on the first tick its condition holds, and must then stay clear
+//! Active conditions (detector activations, critical node verdicts) are
+//! fed in once per tick keyed by a dedup key (`rule`, or `rule:node`); a
+//! key without one is inactive that tick. An alert fires on the first
+//! tick its condition holds, and must then stay clear
 //! for [`RESOLVE_TICKS`] consecutive ticks before it resolves
 //! (hysteresis against flapping). Firing and resolving append to a
 //! bounded transition log; a resolved alert leaves the book, and the log
@@ -80,11 +81,10 @@ impl fmt::Display for AlertTransition {
     }
 }
 
-/// A condition evaluation for one dedup key at one tick.
+/// A condition that holds for one dedup key at one tick.
 #[derive(Debug, Clone)]
 pub(crate) struct Condition {
     pub rule: &'static str,
-    pub active: bool,
     pub message: String,
     /// The audit event to flight-dump against if this firing needs
     /// forensics.
@@ -107,8 +107,8 @@ pub(crate) struct AlertBook {
 
 impl AlertBook {
     /// Advances every tracked key by one tick. `conditions` maps dedup
-    /// key → this tick's evaluation; keys seen before but absent from
-    /// the map count as inactive. `capture` turns firing evidence into a
+    /// key → this tick's active condition; keys absent from the map are
+    /// inactive. `capture` turns firing evidence into a
     /// flight dump. Returns the transitions appended this tick.
     pub fn step(
         &mut self,
@@ -120,32 +120,30 @@ impl AlertBook {
 
         // Firing alerts (including keys with no condition entry this
         // tick — those are inactive) stay up or count toward resolving.
-        self.active.retain(
-            |key, state| match conditions.get(key).filter(|c| c.active) {
-                Some(c) => {
-                    state.inactive_streak = 0;
-                    state.alert.message = c.message.clone();
-                    true
+        self.active.retain(|key, state| match conditions.get(key) {
+            Some(c) => {
+                state.inactive_streak = 0;
+                state.alert.message = c.message.clone();
+                true
+            }
+            None => {
+                state.inactive_streak += 1;
+                let resolves = state.inactive_streak >= RESOLVE_TICKS;
+                if resolves {
+                    out.push(AlertTransition {
+                        tick,
+                        rule: state.alert.rule.clone(),
+                        key: key.clone(),
+                        to: AlertPhase::Resolved,
+                    });
                 }
-                None => {
-                    state.inactive_streak += 1;
-                    let resolves = state.inactive_streak >= RESOLVE_TICKS;
-                    if resolves {
-                        out.push(AlertTransition {
-                            tick,
-                            rule: state.alert.rule.clone(),
-                            key: key.clone(),
-                            to: AlertPhase::Resolved,
-                        });
-                    }
-                    !resolves
-                }
-            },
-        );
+                !resolves
+            }
+        });
 
         // Newly active keys fire on this same tick.
         for (key, cond) in conditions {
-            if !cond.active || self.active.contains_key(key) {
+            if self.active.contains_key(key) {
                 continue;
             }
             let alert = Alert {
@@ -208,12 +206,11 @@ impl AlertBook {
 mod tests {
     use super::*;
 
-    fn cond(rule: &'static str, active: bool) -> (String, Condition) {
+    fn cond(rule: &'static str) -> (String, Condition) {
         (
             rule.to_string(),
             Condition {
                 rule,
-                active,
                 message: format!("{rule} condition"),
                 evidence: None,
             },
@@ -235,7 +232,7 @@ mod tests {
     #[test]
     fn fires_immediately_with_for_ticks_one_and_resolves_after_quiet() {
         let mut book = AlertBook::default();
-        let active: BTreeMap<_, _> = [cond("r", true)].into();
+        let active: BTreeMap<_, _> = [cond("r")].into();
         let t1 = book.step(1, &active, &mut no_capture);
         assert_eq!(t1.len(), 1);
         assert_eq!(t1[0].to, AlertPhase::Firing);
@@ -258,7 +255,7 @@ mod tests {
     #[test]
     fn resolve_hysteresis_rides_through_flapping() {
         let mut book = AlertBook::default();
-        let active: BTreeMap<_, _> = [cond("r", true)].into();
+        let active: BTreeMap<_, _> = [cond("r")].into();
         book.step(1, &active, &mut no_capture);
         // Quiet for one tick short of resolving, then active again:
         // still one firing alert, no resolve, no re-fire.
@@ -282,7 +279,6 @@ mod tests {
                 "node_critical:peer0.org1".to_string(),
                 Condition {
                     rule: "node_critical",
-                    active: true,
                     message: "m".into(),
                     evidence: None,
                 },
@@ -291,7 +287,6 @@ mod tests {
                 "node_critical:peer0.org2".to_string(),
                 Condition {
                     rule: "node_critical",
-                    active: true,
                     message: "m".into(),
                     evidence: None,
                 },
@@ -307,7 +302,7 @@ mod tests {
 
     /// Fires and resolves one alert `cycles` times; returns the last tick.
     fn cycle(book: &mut AlertBook, cycles: u64) -> u64 {
-        let active: BTreeMap<_, _> = [cond("r", true)].into();
+        let active: BTreeMap<_, _> = [cond("r")].into();
         let mut tick = 0;
         for _ in 0..cycles {
             tick += 1;

@@ -203,6 +203,8 @@ impl Monitor {
         let events = self.inner.telemetry.audit().events_since(st.cursor);
         st.cursor += events.len();
 
+        // Only active conditions are built: the book counts a key with no
+        // entry as inactive, so a quiet tick formats nothing.
         let mut conditions: BTreeMap<String, Condition> = BTreeMap::new();
         for det in &mut st.detectors {
             let count = events.iter().filter(|e| e.kind() == det.spec.kind).count() as u64;
@@ -214,35 +216,36 @@ impl Monitor {
                     .cloned();
             }
             let eval = det.step(count);
-            conditions.insert(
-                det.spec.name.to_string(),
-                Condition {
-                    rule: det.spec.name,
-                    active: eval.active,
-                    message: format!(
-                        "{} {} events in {}-tick window (baseline {:.2})",
-                        eval.windowed, det.spec.kind, det.spec.window_ticks, eval.baseline_window
-                    ),
-                    evidence: det.last_event.clone(),
-                },
-            );
+            if eval.active {
+                conditions.insert(
+                    det.spec.name.to_string(),
+                    Condition {
+                        rule: det.spec.name,
+                        message: format!(
+                            "{} {} events in {}-tick window (baseline {:.2})",
+                            eval.windowed,
+                            det.spec.kind,
+                            det.spec.window_ticks,
+                            eval.baseline_window
+                        ),
+                        evidence: det.last_event.clone(),
+                    },
+                );
+            }
         }
 
         st.health.observe(samples);
         for (node, health) in &st.health.last {
-            conditions.insert(
-                format!("{NODE_CRITICAL_RULE}:{node}"),
-                Condition {
-                    rule: NODE_CRITICAL_RULE,
-                    active: health.verdict == HealthVerdict::Critical,
-                    message: if health.reasons.is_empty() {
-                        format!("{node} healthy")
-                    } else {
-                        format!("{node}: {}", health.reasons.join("; "))
+            if health.verdict == HealthVerdict::Critical {
+                conditions.insert(
+                    format!("{NODE_CRITICAL_RULE}:{node}"),
+                    Condition {
+                        rule: NODE_CRITICAL_RULE,
+                        message: format!("{node}: {}", health.reasons.join("; ")),
+                        evidence: None,
                     },
-                    evidence: None,
-                },
-            );
+                );
+            }
         }
 
         let recorder = self.inner.telemetry.flight_recorder();

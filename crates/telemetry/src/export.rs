@@ -80,7 +80,7 @@ pub fn render_chrome_trace(records: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{FieldValue, Fields};
+    use crate::span::{FieldValue, Fields, TraceSink};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -221,5 +221,29 @@ mod tests {
                 "orderer.order      node=orderer        trace=0x0000000000000001 start=   0.000ns dur=   0.000ns\n",
             )
         );
+    }
+
+    /// Packing into a sink and resolving back is exact: the drained
+    /// records equal `golden_records()`, so they render byte for byte as
+    /// `chrome_trace_golden` and `text_golden` pin.
+    #[test]
+    fn golden_records_round_trip_through_a_sink() {
+        let registry = crate::MetricsRegistry::new();
+        let sink = TraceSink::new(8, registry.counter("evicted", "", &[]));
+        for record in golden_records() {
+            sink.push(record);
+        }
+        assert_eq!(sink.records(), golden_records());
+        let drained = sink.drain();
+        assert!(sink.is_empty());
+        assert_eq!(drained, golden_records());
+        assert_eq!(
+            render_chrome_trace(&drained),
+            render_chrome_trace(&golden_records())
+        );
+        let text = |records: &[SpanRecord]| -> String {
+            records.iter().map(|r| format!("{r}\n")).collect()
+        };
+        assert_eq!(text(&drained), text(&golden_records()));
     }
 }

@@ -218,9 +218,10 @@ impl fmt::Debug for Telemetry {
 
 /// An open span; records a [`SpanRecord`] to the sink on drop.
 ///
-/// Recording allocates nothing but a [`FieldValue::Owned`] field (and a
-/// flight recorder's copy of the record): the name is a literal,
-/// the node a shared string, and up to three fields sit inline.
+/// Recording takes the sink's lock once and writes one 64-byte record
+/// (see [`TraceSink`]). Once the sink has seen the span's name, node and
+/// literals, it allocates nothing but a [`FieldValue::Owned`] field (and
+/// a flight recorder's copy of the record).
 #[derive(Debug)]
 pub struct SpanGuard {
     telemetry: Telemetry,
