@@ -1,6 +1,6 @@
 //! Deterministic in-memory Raft cluster simulation.
 
-use crate::message::{Envelope, NodeId};
+use crate::message::{Envelope, Message, NodeId};
 use crate::node::{NotLeader, RaftConfig, RaftNode, Role};
 use fabric_telemetry::{SpanGuard, Telemetry};
 use rand::rngs::StdRng;
@@ -15,6 +15,10 @@ pub struct ClusterStats {
     pub messages_delivered: u64,
     /// Messages lost to partitions, random drops, or crashed recipients.
     pub messages_dropped: u64,
+    /// Appends a follower rejected and the leader answered by backing off
+    /// its `next_index` and resending: how lost pipelined appends are
+    /// repaired.
+    pub append_repairs: u64,
     /// The highest term any live node has observed.
     pub term: u64,
     /// Live node count.
@@ -38,6 +42,7 @@ pub struct Cluster {
     rng: StdRng,
     messages_delivered: u64,
     messages_dropped: u64,
+    append_repairs: u64,
     /// Optional tracing pipeline; `raft.replicate` spans measure propose →
     /// first-commit latency per log entry.
     telemetry: Option<Telemetry>,
@@ -75,6 +80,7 @@ impl Cluster {
             rng: StdRng::seed_from_u64(seed),
             messages_delivered: 0,
             messages_dropped: 0,
+            append_repairs: 0,
             telemetry: None,
             inflight: Vec::new(),
             max_committed_index: 0,
@@ -92,6 +98,7 @@ impl Cluster {
         ClusterStats {
             messages_delivered: self.messages_delivered,
             messages_dropped: self.messages_dropped,
+            append_repairs: self.append_repairs,
             term: self.nodes.values().map(RaftNode::term).max().unwrap_or(0),
             live_nodes: self.nodes.len(),
         }
@@ -122,7 +129,11 @@ impl Cluster {
         self.severed.clear();
     }
 
-    /// Runs one tick on every node, then delivers all queued messages.
+    /// Runs one tick on every node, then delivers every queued message:
+    /// those sent since the last tick (by proposals, or as replies during
+    /// its delivery) and those this tick's timers sent. Replies sent
+    /// during this delivery wait for the next tick, so a message chain
+    /// advances one hop per tick.
     pub fn tick(&mut self) {
         let mut outbound = Vec::new();
         for node in self.nodes.values_mut() {
@@ -161,7 +172,8 @@ impl Cluster {
             .map(|n| n.id())
     }
 
-    /// Proposes a command at `node`.
+    /// Proposes a command at `node` and queues its appends to every
+    /// follower; the next tick delivers them.
     ///
     /// # Errors
     ///
@@ -174,12 +186,12 @@ impl Cluster {
         self.propose_with_trace(node, command, &[])
     }
 
-    /// Proposes a command at `node`, opening one `raft.replicate` span per
-    /// trace id (or a single untraced span when `traces` is empty) that
-    /// closes when the entry first surfaces as committed. The caller (the
-    /// ordering service) passes the trace id of each transaction the
-    /// command carries, so replication latency lands in every
-    /// transaction's cross-node timeline.
+    /// Proposes a command at `node` as [`Cluster::propose`] does, opening
+    /// one `raft.replicate` span per trace id (or a single untraced span
+    /// when `traces` is empty) that closes when the entry first surfaces
+    /// as committed. The caller (the ordering service) passes the trace id
+    /// of each transaction the command carries, so replication latency
+    /// lands in every transaction's cross-node timeline.
     ///
     /// # Errors
     ///
@@ -191,7 +203,8 @@ impl Cluster {
         traces: &[u64],
     ) -> Result<u64, NotLeader> {
         let n = self.nodes.get_mut(&node).expect("node exists");
-        let index = n.propose(command)?;
+        let (index, appends) = n.propose(command)?;
+        self.enqueue(appends);
         if let Some(t) = &self.telemetry {
             let open = |trace_id: u64| {
                 let mut span = t.span("raft.replicate");
@@ -281,7 +294,15 @@ impl Cluster {
             }
             if let Some(node) = self.nodes.get_mut(&env.to) {
                 self.messages_delivered += 1;
-                next.extend(node.receive(env.from, env.message));
+                let rejected = matches!(
+                    env.message,
+                    Message::AppendEntriesResponse { success: false, .. }
+                );
+                let replies = node.receive(env.from, env.message);
+                if rejected && !replies.is_empty() {
+                    self.append_repairs += 1;
+                }
+                next.extend(replies);
             } else {
                 self.messages_dropped += 1;
             }
@@ -331,6 +352,68 @@ mod tests {
                 "node {id}"
             );
         }
+    }
+
+    #[test]
+    fn an_entry_commits_at_the_leader_after_two_ticks_and_everywhere_after_three() {
+        // Proposed anywhere in the heartbeat cycle, an entry moves one hop
+        // per tick: append, ack, commit index. A heartbeat-paced leader
+        // would hold it until its next heartbeat, and its followers would
+        // learn the commit one heartbeat later still.
+        for phase in 0..RaftConfig::default().heartbeat_interval as usize {
+            let mut c = Cluster::new(3, 11);
+            let leader = c.run_until_leader(500).expect("leader elected");
+            c.run_ticks(10 + phase);
+            let followers: Vec<NodeId> =
+                c.node_ids().into_iter().filter(|&n| n != leader).collect();
+            let delivered = c.stats().messages_delivered;
+            let index = c.propose(leader, b"e".to_vec()).unwrap();
+            // Sent, not delivered: nothing arrives in the tick it was sent.
+            assert_eq!(c.stats().messages_delivered, delivered);
+            for &f in &followers {
+                assert!(c.node(f).log_len() < index, "phase {phase}");
+            }
+
+            c.tick(); // t+1: the appends arrive; the acks wait a tick.
+            for &f in &followers {
+                assert_eq!(c.node(f).log_len(), index, "phase {phase}");
+            }
+            assert!(c.node(leader).commit_index() < index, "phase {phase}");
+
+            c.tick(); // t+2: the acks arrive and the leader commits.
+            assert_eq!(c.committed_len(leader), index as usize, "phase {phase}");
+            for &f in &followers {
+                assert!(c.node(f).commit_index() < index, "phase {phase}");
+            }
+
+            c.tick(); // t+3: the new commit index arrives.
+            for &f in &followers {
+                assert_eq!(c.committed_len(f), index as usize, "phase {phase}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_quiet_cluster_learns_a_commit_without_waiting_for_a_heartbeat() {
+        // No timer fires in the ticks below, so only the append and the
+        // commit index sent on the ack can move the entry.
+        let config = RaftConfig {
+            election_timeout_min: 2_000,
+            election_timeout_max: 3_000,
+            heartbeat_interval: 1_000,
+            pre_vote: false,
+        };
+        let mut c = Cluster::with_config(3, 12, config);
+        let leader = c.run_until_leader(10_000).expect("leader elected");
+        c.run_ticks(5);
+        let sent = c.stats().messages_delivered;
+        c.propose(leader, b"quiet".to_vec()).unwrap();
+        c.run_ticks(3);
+        for id in c.node_ids() {
+            assert_eq!(bytes(&c, id), vec![b"quiet".to_vec()], "node {id}");
+        }
+        // Two appends, two acks, two commit indexes: no heartbeat.
+        assert_eq!(c.stats().messages_delivered - sent, 6);
     }
 
     #[test]

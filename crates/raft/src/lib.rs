@@ -8,7 +8,10 @@
 //!
 //! * [`RaftNode::tick`] advances timers (election timeout, heartbeats);
 //! * [`RaftNode::receive`] processes one message;
-//! * both return the messages to send, so any transport can carry them.
+//! * [`RaftNode::propose`] appends a command at the leader;
+//! * all three return the messages to send, so any transport can carry
+//!   them. A proposal's appends go to every follower at once, as in
+//!   etcd/raft, rather than waiting for the next heartbeat.
 //!
 //! [`Cluster`] is an in-memory transport with message-drop and partition
 //! injection, used by the tests and by the ordering service when run in

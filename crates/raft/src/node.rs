@@ -36,7 +36,11 @@ pub struct RaftConfig {
     pub election_timeout_min: u64,
     /// Maximum election timeout (randomized per restart).
     pub election_timeout_max: u64,
-    /// Leader heartbeat interval.
+    /// Ticks between leader heartbeats. Entries do not wait for one: a
+    /// proposal is sent to every follower at once and a commit-index
+    /// advance is sent as soon as an ack makes it, so heartbeats only
+    /// assert leadership (holding off elections) and repair appends that
+    /// were lost.
     pub heartbeat_interval: u64,
     /// Run the PreVote protocol before real elections, so nodes returning
     /// from a partition cannot disrupt a stable leader with inflated terms.
@@ -85,7 +89,9 @@ pub struct RaftNode {
     snapshot: Option<Snapshot>,
     /// A snapshot installed from the leader, awaiting application pickup.
     pending_installed: Option<Snapshot>,
-    /// Leader state: next index to send each follower.
+    /// Leader state: next index to send each follower. Advanced past
+    /// every entry as soon as it is sent (pipelined appends); a rejection
+    /// backs it off to the follower's hint.
     next_index: BTreeMap<NodeId, u64>,
     /// Leader state: highest index known replicated at each follower.
     match_index: BTreeMap<NodeId, u64>,
@@ -253,7 +259,12 @@ impl RaftNode {
             .collect()
     }
 
-    fn append_entries_to(&self, to: NodeId) -> Envelope {
+    /// The message that brings `to` up to the end of the log: an
+    /// `AppendEntries` carrying every entry from its `next_index` on, after
+    /// which `next_index` points past the last one sent (the follower is
+    /// assumed to take them; a rejection backs it off), or the snapshot
+    /// when those entries were compacted.
+    fn append_entries_to(&mut self, to: NodeId) -> Envelope {
         let next = *self.next_index.get(&to).unwrap_or(&1);
         if next <= self.snapshot_index {
             // The entries the follower needs were compacted: ship the
@@ -277,6 +288,7 @@ impl RaftNode {
             .skip((prev_log_index - self.snapshot_index) as usize)
             .cloned()
             .collect();
+        self.next_index.insert(to, self.last_log_index() + 1);
         Envelope {
             from: self.id,
             to,
@@ -290,10 +302,9 @@ impl RaftNode {
         }
     }
 
-    fn append_entries_to_all(&self) -> Vec<Envelope> {
-        self.peers
-            .iter()
-            .map(|&p| self.append_entries_to(p))
+    fn append_entries_to_all(&mut self) -> Vec<Envelope> {
+        (0..self.peers.len())
+            .map(|i| self.append_entries_to(self.peers[i]))
             .collect()
     }
 
@@ -323,15 +334,20 @@ impl RaftNode {
         }
     }
 
-    /// Appends a command to the leader's log. The command bytes are
-    /// `Arc`-shared from here on: replication to followers and the
-    /// committed stream reuse this allocation.
+    /// Appends a command to the leader's log and returns its index with
+    /// the `AppendEntries` that replicate it to every follower now, not
+    /// at the next heartbeat. The command bytes are `Arc`-shared from here
+    /// on: replication to followers and the committed stream reuse this
+    /// allocation.
     ///
     /// # Errors
     ///
     /// [`NotLeader`] when this node is not the current leader; the caller
     /// should retry against the leader.
-    pub fn propose(&mut self, command: impl Into<std::sync::Arc<[u8]>>) -> Result<u64, NotLeader> {
+    pub fn propose(
+        &mut self,
+        command: impl Into<std::sync::Arc<[u8]>>,
+    ) -> Result<(u64, Vec<Envelope>), NotLeader> {
         if self.role != Role::Leader {
             return Err(NotLeader);
         }
@@ -343,7 +359,7 @@ impl RaftNode {
         });
         // Single-node cluster commits immediately.
         self.advance_commit_index();
-        Ok(index)
+        Ok((index, self.append_entries_to_all()))
     }
 
     /// Handles one inbound message; returns messages to send.
@@ -630,6 +646,7 @@ impl RaftNode {
             );
         }
         // Append, truncating conflicts (positions are snapshot-relative).
+        let entries_len = entries.len() as u64;
         for entry in entries {
             if entry.index <= self.snapshot_index {
                 continue; // Already covered by the snapshot.
@@ -644,11 +661,13 @@ impl RaftNode {
                 self.log.push(entry);
             }
         }
+        // Only what this message proved matches the leader may commit or
+        // be acknowledged: a tail past it may be a deposed leader's.
+        let last_new = prev_log_index + entries_len;
         if leader_commit > self.commit_index {
-            self.commit_index = leader_commit.min(self.last_log_index());
+            self.commit_index = leader_commit.min(last_new);
         }
-        let match_index = self.last_log_index();
-        reply(self, true, match_index)
+        reply(self, true, last_new)
     }
 
     fn on_append_response(
@@ -666,10 +685,20 @@ impl RaftNode {
             return Vec::new();
         }
         if success {
-            self.match_index.insert(from, match_index);
-            self.next_index.insert(from, match_index + 1);
+            // Acks of pipelined appends arrive in order but after later
+            // entries were sent, so neither index moves backwards.
+            let matched = self.match_index.entry(from).or_insert(0);
+            *matched = (*matched).max(match_index);
+            let next = self.next_index.entry(from).or_insert(1);
+            *next = (*next).max(match_index + 1);
+            let committed = self.commit_index;
             self.advance_commit_index();
-            Vec::new()
+            if self.commit_index > committed {
+                // Tell the followers now rather than at the next heartbeat.
+                self.append_entries_to_all()
+            } else {
+                Vec::new()
+            }
         } else {
             // Back off and retry immediately.
             let next = self.next_index.entry(from).or_insert(1);
@@ -719,7 +748,8 @@ mod tests {
             n.tick();
         }
         assert_eq!(n.role(), Role::Leader);
-        n.propose(b"cmd".to_vec()).unwrap();
+        let (index, out) = n.propose(b"cmd".to_vec()).unwrap();
+        assert_eq!((index, out.len()), (1, 0));
         assert_eq!(n.commit_index(), 1);
         let committed = n.take_committed();
         assert_eq!(committed.len(), 1);
@@ -849,6 +879,51 @@ mod tests {
         );
         assert_eq!(n.log_len(), 2);
         assert_eq!(n.log()[1].command.as_ref(), b"c");
+        assert_eq!(n.commit_index(), 2);
+    }
+
+    #[test]
+    fn an_append_acks_only_what_it_matched() {
+        // Entries 1–3 from a leader of term 1 that was deposed before
+        // entry 3 reached a majority.
+        let mut n = RaftNode::new(1, vec![2, 3], RaftConfig::default(), 7);
+        let entry = |term, index| LogEntry {
+            term,
+            index,
+            command: vec![index as u8].into(),
+        };
+        n.receive(
+            2,
+            Message::AppendEntries {
+                term: 1,
+                prev_log_index: 0,
+                prev_log_term: 0,
+                entries: vec![entry(1, 1), entry(1, 2), entry(1, 3)],
+                leader_commit: 0,
+            },
+        );
+        // The term-2 leader holds entries 1 and 2 only. Its heartbeat
+        // matches them, so entry 3 stays a stale tail the heartbeat did
+        // not vouch for: acking it would let the leader count this node
+        // for its own, different entry 3.
+        let out = n.receive(
+            3,
+            Message::AppendEntries {
+                term: 2,
+                prev_log_index: 2,
+                prev_log_term: 1,
+                entries: vec![],
+                leader_commit: 2,
+            },
+        );
+        assert_eq!(
+            out[0].message,
+            Message::AppendEntriesResponse {
+                term: 2,
+                success: true,
+                match_index: 2,
+            }
+        );
         assert_eq!(n.commit_index(), 2);
     }
 
