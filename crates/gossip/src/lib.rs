@@ -15,8 +15,14 @@
 //!   **transient store** (pre-commit private data keyed by transaction);
 //! * [`GossipHub::push`] — endorsement-time dissemination with optional
 //!   message loss injection;
-//! * [`GossipHub::pull`] — anti-entropy reconciliation for peers that
-//!   missed the push (e.g. due to injected loss).
+//! * [`GossipHub::first_holder`] — the commit-time fetch for a peer that
+//!   missed the push (e.g. due to injected loss): it reads the first
+//!   holder's package through `&GossipHub`, so peers committing
+//!   concurrently can share the hub;
+//! * [`GossipHub::pull`] — the same fetch, also copied into the
+//!   requester's transient store;
+//! * [`GossipHub::purge_committed`] — the post-commit purge of a block's
+//!   transactions from every store.
 //!
 //! # Examples
 //!
@@ -44,13 +50,13 @@ use fabric_types::{PvtDataPackage, TxId};
 use fabric_wire::IdMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Identifier of a peer on the gossip network, e.g. `"peer0.org1"`.
-/// Shared storage, like the `fabric_types` identifiers: every logged
-/// event names two peers, and a clone is a refcount bump.
+/// Shared storage, like the `fabric_types` identifiers: a clone is a
+/// refcount bump.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeerId(Arc<str>);
 
@@ -84,21 +90,6 @@ impl From<&str> for PeerId {
     }
 }
 
-/// A record of one dissemination event, for tests and audits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GossipEvent {
-    /// Sending peer.
-    pub from: PeerId,
-    /// Receiving peer.
-    pub to: PeerId,
-    /// Transaction whose private data was transferred.
-    pub tx_id: TxId,
-    /// Whether the message was delivered or dropped by fault injection.
-    pub delivered: bool,
-    /// Whether this was an anti-entropy pull rather than a push.
-    pub pull: bool,
-}
-
 /// The channel-wide gossip router plus each peer's transient store.
 ///
 /// Packages are held behind [`Arc`]: one endorsement's private data is
@@ -110,32 +101,20 @@ pub struct GossipEvent {
 #[derive(Debug)]
 pub struct GossipHub {
     transient: BTreeMap<PeerId, IdMap<TxId, Arc<PvtDataPackage>>>,
-    /// The most recent [`EVENT_LOG_CAPACITY`] events, oldest first.
-    events: VecDeque<GossipEvent>,
-    /// Totals since creation; unlike `events` they never forget.
+    /// Push totals since creation.
     delivered: u64,
     dropped: u64,
-    pulled: u64,
     drop_rate: f64,
     rng: StdRng,
 }
-
-/// Events the hub retains before dropping the oldest. A long run logs one
-/// event per push recipient (hundreds of thousands), nothing in the
-/// program reads them back, and the totals live in counters — so the log
-/// is a bounded tail for tests and audits, sized well above any test's
-/// whole history.
-pub const EVENT_LOG_CAPACITY: usize = 1 << 16;
 
 impl GossipHub {
     /// Creates a hub with a seeded RNG for reproducible loss injection.
     pub fn new(seed: u64) -> Self {
         GossipHub {
             transient: BTreeMap::new(),
-            events: VecDeque::new(),
             delivered: 0,
             dropped: 0,
-            pulled: 0,
             drop_rate: 0.0,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -163,8 +142,8 @@ impl GossipHub {
 
     /// Pushes a private data package from an endorser to collection member
     /// peers. Returns the number of successful deliveries. Unregistered
-    /// recipients and injected losses are recorded in the event log.
-    /// Every delivery shares the same package allocation.
+    /// recipients and injected losses count as dropped. Every delivery
+    /// shares the same package allocation.
     pub fn push(
         &mut self,
         from: &PeerId,
@@ -172,42 +151,21 @@ impl GossipHub {
         pkg: impl Into<Arc<PvtDataPackage>>,
     ) -> usize {
         let pkg = pkg.into();
-        let mut delivered = 0;
+        let delivered_before = self.delivered;
         for to in recipients {
             if to == from {
                 continue;
             }
             let dropped = self.drop_rate > 0.0 && self.rng.gen_bool(self.drop_rate);
-            let ok = match self.transient.get_mut(to) {
+            match self.transient.get_mut(to) {
                 Some(store) if !dropped => {
                     store.insert(pkg.tx_id.clone(), Arc::clone(&pkg));
-                    true
+                    self.delivered += 1;
                 }
-                _ => false,
-            };
-            delivered += usize::from(ok);
-            self.record(GossipEvent {
-                from: from.clone(),
-                to: to.clone(),
-                tx_id: pkg.tx_id.clone(),
-                delivered: ok,
-                pull: false,
-            });
+                _ => self.dropped += 1,
+            }
         }
-        delivered
-    }
-
-    /// Appends to the bounded log and bumps the matching total.
-    fn record(&mut self, event: GossipEvent) {
-        match (event.pull, event.delivered) {
-            (true, _) => self.pulled += 1,
-            (false, true) => self.delivered += 1,
-            (false, false) => self.dropped += 1,
-        }
-        if self.events.len() == EVENT_LOG_CAPACITY {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
+        (self.delivered - delivered_before) as usize
     }
 
     /// Reads a package from a peer's transient store.
@@ -234,49 +192,33 @@ impl GossipHub {
         if let Some(existing) = self.get_shared(requester, tx_id) {
             return Some(existing);
         }
-        let (from, pkg) = self.first_holder(requester, tx_id, candidates)?;
-        self.record(GossipEvent {
-            from: from.clone(),
-            to: requester.clone(),
-            tx_id: tx_id.clone(),
-            delivered: true,
-            pull: true,
-        });
+        let pkg = self.first_holder(requester, tx_id, candidates)?;
         if let Some(store) = self.transient.get_mut(requester) {
             store.insert(tx_id.clone(), Arc::clone(&pkg));
         }
         Some(pkg)
     }
 
-    /// The read-only half of [`GossipHub::pull`]: the first of
-    /// `candidates` other than `requester` that holds `tx_id`'s package,
-    /// with the package. Nothing is stored or logged, so peers committing
-    /// concurrently can look up through a shared `&GossipHub`; the caller
-    /// replays the pull afterwards to record it.
-    pub fn first_holder<'a>(
+    /// The read-only half of [`GossipHub::pull`]: the package of `tx_id`
+    /// held by the first of `candidates` other than `requester`. Nothing
+    /// is stored, so peers committing concurrently can fetch through a
+    /// shared `&GossipHub`.
+    pub fn first_holder(
         &self,
         requester: &PeerId,
         tx_id: &TxId,
-        candidates: &'a [PeerId],
-    ) -> Option<(&'a PeerId, Arc<PvtDataPackage>)> {
+        candidates: &[PeerId],
+    ) -> Option<Arc<PvtDataPackage>> {
         candidates
             .iter()
             .filter(|c| *c != requester)
-            .find_map(|c| Some((c, self.get_shared(c, tx_id)?)))
+            .find_map(|c| self.get_shared(c, tx_id))
     }
 
-    /// Drops a committed transaction's package from a peer's transient
-    /// store (Fabric purges the transient store after commit).
-    pub fn purge(&mut self, peer: &PeerId, tx_id: &TxId) {
-        if let Some(store) = self.transient.get_mut(peer) {
-            store.remove(tx_id);
-        }
-    }
-
-    /// Batched post-commit purge: removes every listed transaction from
+    /// Post-commit purge (Fabric purges the transient store once a
+    /// transaction commits): removes every listed transaction from
     /// **every** registered peer's transient store in one pass over the
-    /// stores, instead of one peer-map lookup per (peer, transaction)
-    /// pair as repeated [`GossipHub::purge`] calls would cost.
+    /// stores.
     pub fn purge_committed<'a>(&mut self, tx_ids: impl IntoIterator<Item = &'a TxId> + Clone) {
         for store in self.transient.values_mut() {
             if store.is_empty() {
@@ -288,13 +230,6 @@ impl GossipHub {
         }
     }
 
-    /// The dissemination event log, oldest first: the most recent
-    /// [`EVENT_LOG_CAPACITY`] events (everything, until that many
-    /// happened).
-    pub fn events(&self) -> impl ExactSizeIterator<Item = &GossipEvent> + '_ {
-        self.events.iter()
-    }
-
     /// Pushes delivered since creation.
     pub fn delivered_total(&self) -> u64 {
         self.delivered
@@ -303,11 +238,6 @@ impl GossipHub {
     /// Pushes lost to fault injection or sent to unregistered peers.
     pub fn dropped_total(&self) -> u64 {
         self.dropped
-    }
-
-    /// Anti-entropy pulls served by another peer.
-    pub fn pulled_total(&self) -> u64 {
-        self.pulled
     }
 
     /// Number of packages currently in a peer's transient store.
@@ -373,9 +303,17 @@ mod tests {
             pkg("tx1"),
         );
         assert_eq!(delivered, 1);
-        let failures: Vec<_> = hub.events().filter(|e| !e.delivered).collect();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].to, PeerId::new("ghost"));
+        // The ghost is the one drop; the sender is not a recipient.
+        assert_eq!((hub.delivered_total(), hub.dropped_total()), (1, 1));
+        // The totals keep counting across pushes.
+        for i in 0..3 {
+            hub.push(
+                &PeerId::new("e"),
+                &[PeerId::new("m1")],
+                pkg(&format!("tx{i}")),
+            );
+        }
+        assert_eq!((hub.delivered_total(), hub.dropped_total()), (4, 1));
     }
 
     #[test]
@@ -398,57 +336,40 @@ mod tests {
             .expect("reconciled");
         assert_eq!(*got, pkg("tx1"));
         assert!(hub.get(&PeerId::new("m1"), &TxId::new("tx1")).is_some());
-        assert!(hub.events().any(|e| e.pull && e.delivered));
-        assert_eq!(
-            (
-                hub.delivered_total(),
-                hub.dropped_total(),
-                hub.pulled_total()
-            ),
-            (0, 1, 1)
-        );
+        // A pull is not a push: the totals still read the one lost push.
+        assert_eq!((hub.delivered_total(), hub.dropped_total()), (0, 1));
     }
 
     #[test]
     fn pull_returns_local_copy_without_network() {
-        let mut hub = hub_with_peers(0, &["m1"]);
-        hub.store_local(&PeerId::new("m1"), pkg("tx1"));
-        let events_before = hub.events().len();
-        let got = hub.pull(&PeerId::new("m1"), &TxId::new("tx1"), &[]);
-        assert!(got.is_some());
-        assert_eq!(hub.events().len(), events_before);
+        let mut hub = hub_with_peers(0, &["m1", "m2"]);
+        let own = Arc::new(pkg("tx1"));
+        hub.store_local(&PeerId::new("m1"), Arc::clone(&own));
+        hub.store_local(&PeerId::new("m2"), pkg("tx1"));
+        let got = hub
+            .pull(&PeerId::new("m1"), &TxId::new("tx1"), &[PeerId::new("m2")])
+            .expect("held locally");
+        assert!(Arc::ptr_eq(&got, &own));
     }
 
     #[test]
     fn first_holder_names_pulls_source_without_side_effects() {
         let mut hub = hub_with_peers(0, &["a", "b", "c"]);
-        hub.store_local(&PeerId::new("b"), pkg("tx1"));
-        hub.store_local(&PeerId::new("c"), pkg("tx1"));
+        let (at_b, at_c) = (Arc::new(pkg("tx1")), Arc::new(pkg("tx1")));
+        hub.store_local(&PeerId::new("b"), Arc::clone(&at_b));
+        hub.store_local(&PeerId::new("c"), Arc::clone(&at_c));
         let candidates = [PeerId::new("a"), PeerId::new("b"), PeerId::new("c")];
         let tx = TxId::new("tx1");
         // `b` asking skips itself; `a` asking finds `b` first.
-        let (from, _) = hub.first_holder(&candidates[1], &tx, &candidates).unwrap();
-        assert_eq!(from, &candidates[2]);
-        let (from, found) = hub.first_holder(&candidates[0], &tx, &candidates).unwrap();
-        assert_eq!(from, &candidates[1]);
-        assert_eq!(hub.events().len(), 0);
+        let found = hub.first_holder(&candidates[1], &tx, &candidates).unwrap();
+        assert!(Arc::ptr_eq(&found, &at_c));
+        let found = hub.first_holder(&candidates[0], &tx, &candidates).unwrap();
+        assert!(Arc::ptr_eq(&found, &at_b));
         assert_eq!(hub.transient_len(&candidates[0]), 0);
-        // The pull that follows takes the same package from the same peer.
+        // The pull that follows takes the same package and keeps a copy.
         let pulled = hub.pull(&candidates[0], &tx, &candidates).unwrap();
         assert!(Arc::ptr_eq(&pulled, &found));
-        assert_eq!(hub.events().last().unwrap().from, candidates[1]);
-    }
-
-    #[test]
-    fn event_log_drops_oldest_and_totals_keep_counting() {
-        let mut hub = hub_with_peers(0, &["e", "m1"]);
-        let recipients = [PeerId::new("m1")];
-        for i in 0..EVENT_LOG_CAPACITY + 3 {
-            hub.push(&PeerId::new("e"), &recipients, pkg(&format!("tx{i}")));
-        }
-        assert_eq!(hub.events().len(), EVENT_LOG_CAPACITY);
-        assert_eq!(hub.events().next().unwrap().tx_id, TxId::new("tx3"));
-        assert_eq!(hub.delivered_total(), (EVENT_LOG_CAPACITY + 3) as u64);
+        assert_eq!(hub.transient_len(&candidates[0]), 1);
     }
 
     #[test]
@@ -464,7 +385,7 @@ mod tests {
         let mut hub = hub_with_peers(0, &["m1"]);
         hub.store_local(&PeerId::new("m1"), pkg("tx1"));
         assert_eq!(hub.transient_len(&PeerId::new("m1")), 1);
-        hub.purge(&PeerId::new("m1"), &TxId::new("tx1"));
+        hub.purge_committed([&TxId::new("tx1")]);
         assert_eq!(hub.transient_len(&PeerId::new("m1")), 0);
     }
 

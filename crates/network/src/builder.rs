@@ -178,7 +178,7 @@ impl NetworkBuilder {
 }
 
 /// FNV-1a over the org name: a stable per-org identity-seed component.
-fn org_name_tag(name: &str) -> u64 {
+pub(crate) fn org_name_tag(name: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {
         hash ^= u64::from(b);

@@ -1,5 +1,6 @@
 //! The running network: the three-phase transaction workflow end to end.
 
+use crate::builder::org_name_tag;
 use crate::error::NetworkError;
 use fabric_chaincode::{ChaincodeDefinition, ChaincodeHandle};
 use fabric_client::Client;
@@ -94,28 +95,17 @@ struct MonitorTick {
     samples: Vec<NodeSample>,
 }
 
-/// One peer's results for the blocks of a tick, in block order.
-type PeerOutcomes = Vec<Result<BlockCommitOutcome, CommitError>>;
+/// One peer's result for a delivered block.
+type PeerOutcome = Result<BlockCommitOutcome, CommitError>;
 
-/// A commit-time private-data fetch that missed the peer's own transient
-/// store and was served from another peer's. Delivery only reads the hub;
-/// it records these (block and peer as indices into the tick's blocks and
-/// the name-ordered peers) and replays them through [`GossipHub::pull`]
-/// once every peer is done.
-struct RecordedPull {
-    block: usize,
-    peer: usize,
-    tx_id: TxId,
-}
-
-/// Tick size, in transactions × peers, from which delivery forks: about
+/// Block size, in transactions × peers, from which delivery forks: about
 /// 16 ms of serial commit on the reference host, twice the measured
 /// break-even (DESIGN.md §8), so that 10- to 128-transaction blocks and
 /// 2-peer networks stay on the calling thread, where a fork only costs.
 const FORK_MIN_TX_PEERS: usize = 4_000;
 
 /// Hardware threads available to this process, resolved on first use and
-/// fixed for the process's life. Block delivery reads this every tick
+/// fixed for the process's life. Block delivery reads this every block
 /// instead of asking the OS again: the query is a syscall costing tens of
 /// microseconds, more than a small block's whole validation.
 pub fn host_cores() -> usize {
@@ -127,56 +117,17 @@ pub fn host_cores() -> usize {
     })
 }
 
-/// How many workers commit a tick's blocks: a function of the tick and
-/// the host, not a setting. One when the tick is too small to repay a
-/// fork, and one when the peers share a telemetry pipeline — its audit
-/// log, span sink and flight-recorder re-arm are one totally ordered
-/// stream that concurrent peers would interleave.
-fn delivery_workers(tick_txs: usize, peers: usize, cores: usize, shared_telemetry: bool) -> usize {
-    if shared_telemetry || tick_txs * peers < FORK_MIN_TX_PEERS {
+/// How many workers commit a block: a function of the block and the
+/// host, not a setting. One when the block is too small to repay a fork,
+/// and one when the peers share a telemetry pipeline — its audit log,
+/// span sink and flight-recorder re-arm are one totally ordered stream
+/// that concurrent peers would interleave.
+fn delivery_workers(block_txs: usize, peers: usize, cores: usize, shared_telemetry: bool) -> usize {
+    if shared_telemetry || block_txs * peers < FORK_MIN_TX_PEERS {
         1
     } else {
         cores.min(peers).max(1)
     }
-}
-
-/// The delivery loop: commits every block of a tick, in order, on a
-/// name-ordered run of peers starting at index `first`. Peers share
-/// nothing but the (read-only) hub, so any split of the peers into runs
-/// gives each peer the same results.
-fn commit_chunk(
-    peers: &mut [&mut Peer],
-    first: usize,
-    blocks: &[Block],
-    gossip: &GossipHub,
-    gossip_ids: &[PeerId],
-) -> (Vec<PeerOutcomes>, Vec<RecordedPull>) {
-    let mut outcomes: Vec<PeerOutcomes> = peers
-        .iter()
-        .map(|_| Vec::with_capacity(blocks.len()))
-        .collect();
-    let mut pulls = Vec::new();
-    for (b, block) in blocks.iter().enumerate() {
-        for (i, peer) in peers.iter_mut().enumerate() {
-            let own_id = &gossip_ids[first + i];
-            let mut provider = |tx_id: &TxId| -> Option<Arc<PvtDataPackage>> {
-                gossip.get_shared(own_id, tx_id).or_else(|| {
-                    let (_, pkg) = gossip.first_holder(own_id, tx_id, gossip_ids)?;
-                    pulls.push(RecordedPull {
-                        block: b,
-                        peer: first + i,
-                        tx_id: tx_id.clone(),
-                    });
-                    Some(pkg)
-                })
-            };
-            // One refcount bump: all peers validate the same storage, and
-            // divergent outcomes would be a consensus bug, surfaced by the
-            // integration tests.
-            outcomes[i].push(peer.process_block(block.clone(), &mut provider));
-        }
-    }
-    (outcomes, pulls)
 }
 
 /// A complete in-process Fabric network for one channel.
@@ -505,17 +456,15 @@ impl FabricNetwork {
     pub fn advance(&mut self, ticks: usize) {
         for _ in 0..ticks {
             self.orderer.tick();
-            let blocks = self.orderer.take_blocks();
-            if !blocks.is_empty() {
-                let tick_txs = blocks.iter().map(|b| b.transactions.len()).sum();
+            for block in self.orderer.take_blocks() {
                 let workers = delivery_workers(
-                    tick_txs,
+                    block.transactions.len(),
                     self.peers.len(),
                     host_cores(),
                     self.telemetry().is_some(),
                 );
-                let outcomes = self.commit_tick(&blocks, workers);
-                self.record_outcomes(&blocks, outcomes);
+                let outcomes = self.deliver(&block, workers);
+                self.record_outcomes(&block, outcomes);
             }
             self.observe_monitor_tick();
         }
@@ -543,33 +492,33 @@ impl FabricNetwork {
         tick.monitor.observe_tick(&tick.samples);
     }
 
-    /// Delivers the blocks the orderer released this tick to every peer in
-    /// one fork–join. The name-ordered peers are cut into runs that the
-    /// workers claim in order from a shared cursor — the calling thread
-    /// is a worker, so one worker spawns nothing — and each run goes
-    /// through [`commit_chunk`]; results are put back in name order. One
-    /// worker takes all peers as a single run (block by block, as serial
-    /// delivery always did); several take a peer at a time, so a worker
-    /// that starts late or sits on a slow core simply claims fewer peers.
-    /// Afterwards the hub is brought to the state serial delivery leaves:
-    /// block by block, the recorded pulls in peer-name order, then the
-    /// purge of that block's transactions.
-    fn commit_tick(&mut self, blocks: &[Block], workers: usize) -> Vec<PeerOutcomes> {
+    /// Delivers one block to every peer in one fork–join, then purges the
+    /// block's transactions from the transient stores. Workers claim the
+    /// name-ordered peers one at a time from a shared cursor — the calling
+    /// thread is a worker, so one worker spawns nothing and walks the
+    /// peers in order — and results are put back in name order. While
+    /// peers commit the hub is only read: a fetch takes the peer's own
+    /// transient copy, else the first holder's package.
+    fn deliver(&mut self, block: &Block, workers: usize) -> Vec<PeerOutcome> {
         let gossip = &self.gossip;
-        let gossip_ids = self.cached_gossip_ids.as_slice();
-        let mut peers: Vec<&mut Peer> = self.peers.values_mut().collect();
-        let per_run = if workers <= 1 { peers.len().max(1) } else { 1 };
-        let cursor = Mutex::new(peers.chunks_mut(per_run).enumerate());
+        let ids = self.cached_gossip_ids.as_slice();
+        let cursor = Mutex::new(ids.iter().zip(self.peers.values_mut()).enumerate());
         let work = || {
             let mut done = Vec::new();
             loop {
                 let next = cursor.lock().expect("a commit worker panicked").next();
-                let Some((r, run)) = next else {
+                let Some((p, (own, peer))) = next else {
                     return done;
                 };
-                let first = r * per_run;
-                let result = commit_chunk(run, first, blocks, gossip, gossip_ids);
-                done.push((r, result));
+                let mut provider = |tx_id: &TxId| {
+                    gossip
+                        .get_shared(own, tx_id)
+                        .or_else(|| gossip.first_holder(own, tx_id, ids))
+                };
+                // One refcount bump: all peers validate the same storage,
+                // and divergent outcomes would be a consensus bug, surfaced
+                // by the integration tests.
+                done.push((p, peer.process_block(block.clone(), &mut provider)));
             }
         };
         let mut done = std::thread::scope(|scope| {
@@ -580,69 +529,48 @@ impl FabricNetwork {
             }
             done
         });
-        done.sort_unstable_by_key(|(r, _)| *r);
-        let mut outcomes = Vec::with_capacity(peers.len());
-        let mut pulls = Vec::new();
-        for (_, (o, p)) in done {
-            outcomes.extend(o);
-            pulls.extend(p);
-        }
-        drop(peers);
-
-        // Each run recorded in (block, peer) order; the stable sort merges
-        // the runs and keeps a peer's pulls in transaction order.
-        pulls.sort_by_key(|p| (p.block, p.peer));
-        let mut pulls = pulls.into_iter().peekable();
-        for (b, block) in blocks.iter().enumerate() {
-            while let Some(p) = pulls.next_if(|p| p.block == b) {
-                self.gossip.pull(&gossip_ids[p.peer], &p.tx_id, gossip_ids);
-            }
-            // Transient data for committed transactions is no longer needed;
-            // one sweep over the registered stores purges the whole block.
-            self.gossip
-                .purge_committed(block.transactions.iter().map(|tx| &tx.tx_id));
-        }
-        outcomes
+        done.sort_unstable_by_key(|(p, _)| *p);
+        // Transient data for committed transactions is no longer needed;
+        // one sweep over the registered stores purges the whole block.
+        self.gossip
+            .purge_committed(block.transactions.iter().map(|tx| &tx.tx_id));
+        done.into_iter().map(|(_, outcome)| outcome).collect()
     }
 
-    /// Folds a tick's per-peer results into what the network keeps: the
+    /// Folds a block's per-peer results into what the network keeps: the
     /// event stream, the refused-block record and the private-data archive.
-    fn record_outcomes(&mut self, blocks: &[Block], outcomes: Vec<PeerOutcomes>) {
-        self.prune_archive(blocks, &outcomes);
-        for (p, per_block) in outcomes.into_iter().enumerate() {
-            for (block, outcome) in blocks.iter().zip(per_block) {
-                match outcome {
-                    // Event listeners are fed once per block (from the first
-                    // peer; all honest peers deliver identical event streams).
-                    Ok(outcome) if p == 0 => self.events.extend(outcome.events),
-                    Ok(_) => {}
-                    Err(error) => self.record_commit_error(p, block.header.number, error),
-                }
+    fn record_outcomes(&mut self, block: &Block, outcomes: Vec<PeerOutcome>) {
+        self.prune_archive(block, &outcomes);
+        for (p, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                // Event listeners are fed once per block (from the first
+                // peer; all honest peers deliver identical event streams).
+                Ok(outcome) if p == 0 => self.events.extend(outcome.events),
+                Ok(_) => {}
+                Err(error) => self.record_commit_error(p, block.header.number, error),
             }
         }
     }
 
-    /// Drops the archived private data of every transaction these blocks
+    /// Drops the archived private data of every transaction this block
     /// committed with no peer marking it `Valid`. Fabric's ledger keeps
     /// private data for valid transactions only, and a replaying peer
     /// applies nothing else. A `DuplicateTxId` keeps the entry, which
     /// belongs to the transaction that first used the id; a block no peer
     /// committed drops nothing.
-    fn prune_archive(&mut self, blocks: &[Block], outcomes: &[PeerOutcomes]) {
+    fn prune_archive(&mut self, block: &Block, outcomes: &[PeerOutcome]) {
         if self.pvt_archive.is_empty() {
             return;
         }
         let keeps =
             |code: TxValidationCode| code.is_valid() || code == TxValidationCode::DuplicateTxId;
-        for (b, block) in blocks.iter().enumerate() {
-            for (i, tx) in block.transactions.iter().enumerate() {
-                let mut codes = outcomes
-                    .iter()
-                    .filter_map(|per_block| per_block[b].as_ref().ok())
-                    .map(|outcome| outcome.validation_codes[i]);
-                if codes.next().is_some_and(|code| !keeps(code)) && !codes.any(keeps) {
-                    self.pvt_archive.remove(&tx.tx_id);
-                }
+        for (i, tx) in block.transactions.iter().enumerate() {
+            let mut codes = outcomes
+                .iter()
+                .filter_map(|outcome| outcome.as_ref().ok())
+                .map(|outcome| outcome.validation_codes[i]);
+            if codes.next().is_some_and(|code| !keeps(code)) && !codes.any(keeps) {
+                self.pvt_archive.remove(&tx.tx_id);
             }
         }
     }
@@ -784,7 +712,7 @@ impl FabricNetwork {
             channel,
             policies,
             fabric_crypto::Keypair::generate_from_seed(
-                0x9ee7 ^ (index as u64) << 32 ^ blocks.len() as u64,
+                0x9ee7 ^ (index as u64) << 32 ^ blocks.len() as u64 ^ org_name_tag(org),
             ),
             defense,
         );
@@ -1122,15 +1050,17 @@ mod tests {
 
     #[test]
     fn archive_keeps_only_what_committed_valid() {
-        let (mut net, blocks) = staged_tick(3, 0.0);
+        let (mut net, blocks, _) = staged_blocks(3, 0.0);
         let archived =
             |net: &FabricNetwork, tx: &Transaction| net.pvt_archive.contains_key(&tx.tx_id);
         assert!(blocks
             .iter()
             .flat_map(|b| b.transactions.iter())
             .all(|tx| archived(&net, tx)));
-        let outcomes = net.commit_tick(&blocks, 1);
-        net.record_outcomes(&blocks, outcomes);
+        for block in &blocks {
+            let outcomes = net.deliver(block, 1);
+            net.record_outcomes(block, outcomes);
+        }
 
         // Valid, valid, MVCC conflict, policy failure, valid, and two
         // duplicates of valid writes: one in this block, one in block 0.
@@ -1173,11 +1103,12 @@ mod tests {
     }
 
     /// A network of `peers` peers (Org1 and Org2 are PDC1's members, Org3
-    /// is not) with `hot` seeded, plus one tick's worth of hand-cut blocks
-    /// of 1, 7 and 600 transactions whose private data went through the
-    /// hub at `drop_rate`. Everything is seeded, so two calls stage
-    /// identical networks, hubs and blocks.
-    fn staged_tick(peers: usize, drop_rate: f64) -> (FabricNetwork, Vec<Block>) {
+    /// is not) with `hot` seeded, plus hand-cut blocks of 1, 7 and 600
+    /// transactions whose private data went through the hub at
+    /// `drop_rate`, and the id of one more endorsed write that no block
+    /// orders. Everything is seeded, so two calls stage identical
+    /// networks, hubs and blocks.
+    fn staged_blocks(peers: usize, drop_rate: f64) -> (FabricNetwork, Vec<Block>, TxId) {
         let orgs = ["Org1MSP", "Org2MSP", "Org3MSP"];
         let mut net = NetworkBuilder::new("ch1").orgs(&orgs).seed(17).build();
         let members = [OrgId::new("Org1MSP"), OrgId::new("Org2MSP")];
@@ -1234,12 +1165,13 @@ mod tests {
             tx(&mut net, "write", "k2", &both[..1]),
             repeated.clone(),
             repeated,
-            // Already in this tick's first block.
+            // Already in the first block.
             first.clone(),
         ];
         let bulk: Vec<Transaction> = (0..600)
             .map(|i| tx(&mut net, "write", &format!("bulk{i}"), &both))
             .collect();
+        let unordered = tx(&mut net, "write", "unordered", &both).tx_id;
 
         let store = net.peer("peer0.org1").block_store();
         let (mut number, mut previous) = (store.height(), store.tip_hash());
@@ -1251,15 +1183,15 @@ mod tests {
                 block
             })
             .collect();
-        (net, blocks)
+        (net, blocks, unordered)
     }
 
     /// Everything delivery leaves behind that a caller can see.
     #[derive(Debug, PartialEq)]
     struct Delivered {
-        /// Per peer per block: validity vector, `missing_private_data`
+        /// Per block per peer: validity vector, `missing_private_data`
         /// and events, or the refusal.
-        outcomes: Vec<PeerOutcomes>,
+        outcomes: Vec<Vec<PeerOutcome>>,
         /// Per peer: tip hash, state digest, the stored validity vectors.
         ledgers: Vec<(
             fabric_crypto::Hash256,
@@ -1267,16 +1199,23 @@ mod tests {
             Vec<Vec<TxValidationCode>>,
         )>,
         events: Vec<(TxId, fabric_types::ChaincodeEvent)>,
-        gossip_log: Vec<fabric_gossip::GossipEvent>,
-        transient: Vec<usize>,
+        /// Per peer: the staged transactions its transient store holds.
+        transient: Vec<Vec<TxId>>,
+        /// The hub's push totals: delivered, dropped.
+        pushes: (u64, u64),
+        /// The archived transactions with their packages, by id.
+        archive: Vec<(TxId, PvtDataPackage)>,
     }
 
     fn observe(
         net: &mut FabricNetwork,
         blocks: &[Block],
-        outcomes: Vec<PeerOutcomes>,
+        unordered: &TxId,
+        outcomes: Vec<Vec<PeerOutcome>>,
     ) -> Delivered {
-        net.record_outcomes(blocks, outcomes.clone());
+        for (block, per_peer) in blocks.iter().zip(&outcomes) {
+            net.record_outcomes(block, per_peer.clone());
+        }
         let ledgers = net
             .peers
             .values()
@@ -1292,25 +1231,42 @@ mod tests {
                 (store.tip_hash(), peer.world_state().digest(), codes)
             })
             .collect();
+        let staged: Vec<&TxId> = blocks
+            .iter()
+            .flat_map(|b| b.transactions.iter().map(|tx| &tx.tx_id))
+            .chain([unordered])
+            .collect();
+        let transient = net
+            .cached_gossip_ids
+            .iter()
+            .map(|id| {
+                let held = staged.iter().filter(|tx| net.gossip.get(id, tx).is_some());
+                held.map(|tx| (*tx).clone()).collect()
+            })
+            .collect();
+        let mut archive: Vec<_> = net
+            .pvt_archive
+            .iter()
+            .map(|(tx, pkg)| (tx.clone(), (**pkg).clone()))
+            .collect();
+        archive.sort_by(|a, b| a.0.cmp(&b.0));
         Delivered {
             outcomes,
             ledgers,
             events: net.drain_events(),
-            gossip_log: net.gossip.events().cloned().collect(),
-            transient: net
-                .cached_gossip_ids
-                .iter()
-                .map(|id| net.gossip.transient_len(id))
-                .collect(),
+            transient,
+            pushes: (net.gossip.delivered_total(), net.gossip.dropped_total()),
+            archive,
         }
     }
 
-    /// The delivery this crate had before ticks were forked: block by
-    /// block, peer by peer, each fetch pulling through the hub at once and
+    /// Serial delivery: block by block, peer by peer, each fetch pulling
+    /// through the hub at once (a copy into the requester's store) and
     /// each block purged before the next. Kept as the oracle.
-    fn serial_reference(net: &mut FabricNetwork, blocks: &[Block]) -> Vec<PeerOutcomes> {
-        let mut outcomes: Vec<PeerOutcomes> = net.peers.values().map(|_| Vec::new()).collect();
+    fn serial_reference(net: &mut FabricNetwork, blocks: &[Block]) -> Vec<Vec<PeerOutcome>> {
+        let mut outcomes = Vec::new();
         for block in blocks {
+            let mut per_peer = Vec::new();
             for (i, peer) in net.peers.values_mut().enumerate() {
                 let (gossip, ids) = (&mut net.gossip, &net.cached_gossip_ids);
                 let mut provider = |tx_id: &TxId| {
@@ -1318,21 +1274,44 @@ mod tests {
                         .get_shared(&ids[i], tx_id)
                         .or_else(|| gossip.pull(&ids[i], tx_id, ids))
                 };
-                outcomes[i].push(peer.process_block(block.clone(), &mut provider));
+                per_peer.push(peer.process_block(block.clone(), &mut provider));
             }
+            outcomes.push(per_peer);
             net.gossip
                 .purge_committed(block.transactions.iter().map(|tx| &tx.tx_id));
         }
         outcomes
     }
 
+    /// Whether some member peer lacks the package of a transaction that
+    /// commits valid, so that delivering it takes a fetch from another
+    /// peer's store.
+    fn a_member_must_fetch(
+        net: &FabricNetwork,
+        blocks: &[Block],
+        codes: &[Vec<TxValidationCode>],
+    ) -> bool {
+        let members: Vec<&PeerId> = net
+            .peers
+            .values()
+            .filter(|p| p.org().as_str() != "Org3MSP")
+            .map(Peer::gossip_id)
+            .collect();
+        let mut valid = blocks.iter().zip(codes).flat_map(|(block, codes)| {
+            let txs = block.transactions.iter().zip(codes);
+            txs.filter(|(_, code)| code.is_valid())
+                .map(|(tx, _)| &tx.tx_id)
+        });
+        valid.any(|tx| members.iter().any(|m| net.gossip.get(m, tx).is_none()))
+    }
+
     #[test]
     fn any_worker_count_delivers_what_serial_delivery_did() {
         for peers in [3, 5, 8] {
             for drop_rate in [0.0, 0.5, 1.0] {
-                let (mut net, blocks) = staged_tick(peers, drop_rate);
+                let (mut net, blocks, unordered) = staged_blocks(peers, drop_rate);
                 let outcomes = serial_reference(&mut net, &blocks);
-                let expected = observe(&mut net, &blocks, outcomes);
+                let expected = observe(&mut net, &blocks, &unordered, outcomes);
 
                 // The stage really holds the mix it claims.
                 let codes = &expected.ledgers[0].2;
@@ -1350,16 +1329,24 @@ mod tests {
                     ]
                 );
                 assert_eq!(codes[2].len(), 600);
-                let pulls = expected.gossip_log.iter().filter(|e| e.pull).count();
                 // Both of three peers' members endorsed; beyond that a lost
-                // push must be pulled, by every member peer that missed it.
-                assert_eq!(pulls > 0, peers > 3 && drop_rate > 0.0);
-                assert_eq!(expected.transient, vec![0; peers]);
+                // push leaves a member that must fetch.
+                let (fresh, _, _) = staged_blocks(peers, drop_rate);
+                assert_eq!(
+                    a_member_must_fetch(&fresh, &blocks, codes),
+                    peers > 3 && drop_rate > 0.0
+                );
+                // Only the write no block ordered is left in transient
+                // stores, at least at the endorsers that stored it.
+                for held in &expected.transient {
+                    assert!(held.iter().all(|tx| *tx == unordered));
+                }
+                assert!(expected.transient.iter().any(|held| !held.is_empty()));
 
                 for workers in [1, 2, 3] {
-                    let (mut net, blocks) = staged_tick(peers, drop_rate);
-                    let outcomes = net.commit_tick(&blocks, workers);
-                    let got = observe(&mut net, &blocks, outcomes);
+                    let (mut net, blocks, unordered) = staged_blocks(peers, drop_rate);
+                    let outcomes = blocks.iter().map(|b| net.deliver(b, workers)).collect();
+                    let got = observe(&mut net, &blocks, &unordered, outcomes);
                     assert_eq!(
                         got, expected,
                         "{peers} peers, drop rate {drop_rate}, {workers} worker(s)"
@@ -1457,16 +1444,24 @@ mod tests {
             net.endorse("peer0.org1", &proposal).unwrap();
 
             let col = CollectionName::new("PDC1");
-            let selected: Vec<PeerId> = net
+            let selected: Vec<&PeerId> = net
                 .peers
                 .values()
                 .filter(|p| p.gossip_id().as_str() != "peer0.org1")
                 .filter(|p| def.org_is_member(p.org(), &col))
-                .map(|p| p.gossip_id().clone())
+                .map(Peer::gossip_id)
                 .collect();
             assert_eq!(selected.len(), expected_recipients);
-            let pushed_to: Vec<PeerId> = net.gossip.events().map(|e| e.to.clone()).collect();
-            assert_eq!(pushed_to, selected);
+            let holders: Vec<&PeerId> = net
+                .peers
+                .values()
+                .map(Peer::gossip_id)
+                .filter(|id| net.gossip.get(id, &proposal.tx_id).is_some())
+                .filter(|id| id.as_str() != "peer0.org1")
+                .collect();
+            assert_eq!(holders, selected);
+            let pushes = (net.gossip.delivered_total(), net.gossip.dropped_total());
+            assert_eq!(pushes, (expected_recipients as u64, 0));
         }
     }
 
@@ -1500,5 +1495,25 @@ mod tests {
         assert_eq!((delivered, required), (0, 1));
         // The one member peer besides the endorser was tried, and lost.
         assert_eq!(net.gossip.dropped_total(), 1);
+    }
+
+    #[test]
+    fn added_peers_never_share_a_signing_key() {
+        let mut net = NetworkBuilder::new("ch1")
+            .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
+            .seed(5)
+            .build();
+        // Same org index and chain height in every org, twice over.
+        for _ in 0..2 {
+            for org in ["Org1MSP", "Org2MSP", "Org3MSP"] {
+                net.add_peer(org);
+            }
+        }
+        let keys: BTreeSet<_> = net
+            .peers
+            .values()
+            .map(|p| p.identity().public_key)
+            .collect();
+        assert_eq!(keys.len(), 9);
     }
 }

@@ -12,7 +12,7 @@
 //! cache) instead of re-parsing expressions per transaction.
 //!
 //! The walk runs on the calling thread; the only threads on the commit
-//! path are the cross-peer workers of `FabricNetwork::commit_tick`.
+//! path are the cross-peer workers of `FabricNetwork::deliver`.
 
 use crate::node::{InstalledChaincode, Peer};
 use crate::telemetry::PeerTelemetry;

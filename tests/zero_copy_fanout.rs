@@ -11,7 +11,9 @@
 //! The last groups hold the per-transaction path to its allocation
 //! budgets (DESIGN.md, "Allocation discipline"): identifier clones, policy
 //! evaluation and gossip push allocate nothing, endorsing on a wider
-//! network costs no allocation per extra recipient, recording a span
+//! network costs no allocation per extra recipient, delivering private
+//! data by commit-time fetch writes nothing into the gossip layer that a
+//! push-served delivery would not, recording a span
 //! allocates nothing but an owned field value, a full trace sink costs
 //! 64 bytes a span, and a block leaves the orderer with every memo seeded
 //! from the bytes it was decoded from.
@@ -300,8 +302,8 @@ fn set_of<'a>(endorsers: &[&'a Identity]) -> EndorserSet<'a> {
     endorsers.iter().copied().collect()
 }
 
-/// A push shares the package and the ids: once the recipients' stores and
-/// the event log have room, seven deliveries allocate nothing.
+/// A push shares the package and the ids: once the recipients' stores
+/// have room, seven deliveries allocate nothing.
 #[test]
 fn gossip_push_is_allocation_free_once_stores_have_capacity() {
     let _guard = SERIAL.lock().unwrap();
@@ -322,7 +324,7 @@ fn gossip_push_is_allocation_free_once_stores_have_capacity() {
         })
     };
     // Five pushes leave room for a sixth entry in every store (hash maps
-    // grow at 4, 8, 15, ... entries) and in the log (35 of 64 slots).
+    // grow at 4, 8, 15, ... entries).
     for i in 0..5 {
         hub.push(&endorser, &recipients, package(i));
     }
@@ -330,6 +332,33 @@ fn gossip_push_is_allocation_free_once_stores_have_capacity() {
     let (delivered, calls, _) = measured(|| hub.push(&endorser, &recipients, pkg));
     assert_eq!(delivered, 7);
     assert_eq!(calls, 0, "push to 7 recipients must not allocate");
+}
+
+/// Delivery only reads the gossip layer: when every push was lost and each
+/// member peer fetches the private data from an endorser as it commits,
+/// committing the block allocates no more than when the pushes arrived.
+#[test]
+fn pull_served_delivery_allocates_no_more_than_push_served() {
+    let _guard = SERIAL.lock().unwrap();
+    const TXS: usize = 200;
+    let commit_calls = |drop_rate: f64| -> u64 {
+        let mut net = fanout_network(4, TXS);
+        net.gossip_mut().set_drop_rate(drop_rate);
+        let txs = prepare_txs(&mut net, 0..TXS);
+        let ((), calls, _) = measured(|| run_to_commit(&mut net, txs, 1));
+        for name in net.peer_names() {
+            let state = net.peer(&name).world_state();
+            let key = state.get_private(&NS.into(), &COL.into(), "zk0");
+            assert_eq!(key.map(|v| &v.value[..]), Some(&b"12"[..]), "{name}");
+        }
+        calls
+    };
+    let push_served = commit_calls(0.0);
+    let pull_served = commit_calls(1.0);
+    assert!(
+        pull_served <= push_served,
+        "a {TXS}-tx block served by pulls allocated {pull_served} times, by pushes {push_served}"
+    );
 }
 
 /// Dissemination hands `push` a cached recipient slice and shared ids, so
