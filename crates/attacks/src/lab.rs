@@ -187,7 +187,7 @@ pub struct AttackOutcome {
 pub fn build_lab(cfg: &LabConfig) -> AttackLab {
     let org_names: Vec<String> = (1..=cfg.org_count).map(|i| format!("Org{i}MSP")).collect();
     let org_refs: Vec<&str> = org_names.iter().map(String::as_str).collect();
-    let telemetry = Telemetry::with_flight_recorder(1024);
+    let telemetry = Telemetry::new();
     let mut net = NetworkBuilder::new("mychannel")
         .orgs(&org_refs)
         .seed(cfg.seed)

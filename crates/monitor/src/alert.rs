@@ -13,7 +13,7 @@
 //! whole ticks, so the transition log is a pure function of the
 //! condition sequence — the determinism the equivalence tests assert.
 
-use fabric_telemetry::{AuditEvent, FlightDump};
+use fabric_telemetry::AuditEvent;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
@@ -43,7 +43,10 @@ impl AlertPhase {
 }
 
 /// One firing alert.
-#[derive(Debug, Clone)]
+///
+/// Carries no wall-clock payload, so two runs that see the same
+/// condition sequence fire `==`-identical alerts.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alert {
     /// Rule name, e.g. `uc1_nonmember_endorsement_rate`.
     pub rule: String,
@@ -54,15 +57,17 @@ pub struct Alert {
     pub fired_at: u64,
     /// Condition description at the latest active tick.
     pub message: String,
-    /// Flight-recorder snapshot captured when the alert fired, when a
-    /// recorder was attached and the rule had audit evidence.
-    pub forensics: Option<FlightDump>,
+    /// The audit event that tripped the rule when it fired (the newest
+    /// matching event of that tick); `None` for rules without audit
+    /// evidence (`node_critical`). Its transaction's spans are
+    /// `TxTimeline::collect` over the pipeline's trace sink.
+    pub evidence: Option<AuditEvent>,
 }
 
 /// One entry of the firing/resolved transition log.
 ///
-/// Deliberately carries no wall-clock or forensic payload: two runs that
-/// see the same condition sequence produce `==`-identical logs.
+/// Carries no wall-clock or evidence payload: two runs that see the same
+/// condition sequence produce `==`-identical logs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlertTransition {
     /// Monitor tick the transition happened on.
@@ -86,8 +91,7 @@ impl fmt::Display for AlertTransition {
 pub(crate) struct Condition {
     pub rule: &'static str,
     pub message: String,
-    /// The audit event to flight-dump against if this firing needs
-    /// forensics.
+    /// The audit event that tripped the rule, if it has audit evidence.
     pub evidence: Option<AuditEvent>,
 }
 
@@ -108,13 +112,11 @@ pub(crate) struct AlertBook {
 impl AlertBook {
     /// Advances every tracked key by one tick. `conditions` maps dedup
     /// key → this tick's active condition; keys absent from the map are
-    /// inactive. `capture` turns firing evidence into a
-    /// flight dump. Returns the transitions appended this tick.
+    /// inactive. Returns the transitions appended this tick.
     pub fn step(
         &mut self,
         tick: u64,
         conditions: &BTreeMap<String, Condition>,
-        capture: &mut dyn FnMut(&AuditEvent) -> Option<FlightDump>,
     ) -> Vec<AlertTransition> {
         let mut out = Vec::new();
 
@@ -151,7 +153,7 @@ impl AlertBook {
                 key: key.clone(),
                 fired_at: tick,
                 message: cond.message.clone(),
-                forensics: cond.evidence.as_ref().and_then(&mut *capture),
+                evidence: cond.evidence.clone(),
             };
             out.push(AlertTransition {
                 tick,
@@ -217,15 +219,11 @@ mod tests {
         )
     }
 
-    fn no_capture(_: &AuditEvent) -> Option<FlightDump> {
-        None
-    }
-
     /// Steps `book` through `ticks` quiet ticks starting at `from`,
     /// returning every transition they produced.
     fn quiet(book: &mut AlertBook, from: u64, ticks: u64) -> Vec<AlertTransition> {
         (from..from + ticks)
-            .flat_map(|tick| book.step(tick, &BTreeMap::new(), &mut no_capture))
+            .flat_map(|tick| book.step(tick, &BTreeMap::new()))
             .collect()
     }
 
@@ -233,7 +231,7 @@ mod tests {
     fn fires_immediately_with_for_ticks_one_and_resolves_after_quiet() {
         let mut book = AlertBook::default();
         let active: BTreeMap<_, _> = [cond("r")].into();
-        let t1 = book.step(1, &active, &mut no_capture);
+        let t1 = book.step(1, &active);
         assert_eq!(t1.len(), 1);
         assert_eq!(t1[0].to, AlertPhase::Firing);
         assert!(
@@ -256,13 +254,11 @@ mod tests {
     fn resolve_hysteresis_rides_through_flapping() {
         let mut book = AlertBook::default();
         let active: BTreeMap<_, _> = [cond("r")].into();
-        book.step(1, &active, &mut no_capture);
+        book.step(1, &active);
         // Quiet for one tick short of resolving, then active again:
         // still one firing alert, no resolve, no re-fire.
         assert!(quiet(&mut book, 2, RESOLVE_TICKS - 1).is_empty());
-        assert!(book
-            .step(RESOLVE_TICKS + 1, &active, &mut no_capture)
-            .is_empty());
+        assert!(book.step(RESOLVE_TICKS + 1, &active).is_empty());
         assert_eq!(book.firing_rules(), vec!["r".to_string()]);
         assert_eq!(
             book.transitions().len(),
@@ -293,10 +289,10 @@ mod tests {
             ),
         ]
         .into();
-        let t = book.step(1, &conditions, &mut no_capture);
+        let t = book.step(1, &conditions);
         assert_eq!(t.len(), 2, "one alert per key");
         // Same conditions again: already firing, nothing new.
-        assert!(book.step(2, &conditions, &mut no_capture).is_empty());
+        assert!(book.step(2, &conditions).is_empty());
         assert_eq!(book.firing_rules(), vec!["node_critical".to_string()]);
     }
 
@@ -306,7 +302,7 @@ mod tests {
         let mut tick = 0;
         for _ in 0..cycles {
             tick += 1;
-            book.step(tick, &active, &mut no_capture);
+            book.step(tick, &active);
             quiet(book, tick + 1, RESOLVE_TICKS);
             tick += RESOLVE_TICKS;
         }

@@ -114,8 +114,8 @@ pub(crate) struct DetectorState {
     ewma_windowed: Option<f64>,
     /// Events seen since the detector was created.
     pub total: u64,
-    /// The newest matching event, kept so a firing alert can name (and
-    /// flight-dump against) the concrete evidence that tripped it.
+    /// The newest matching event, kept so a firing alert can name the
+    /// concrete evidence that tripped it.
     pub last_event: Option<AuditEvent>,
     /// The decision made on the most recent tick.
     pub last_eval: DetectorEval,

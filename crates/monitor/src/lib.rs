@@ -4,8 +4,7 @@
 //! The paper's defenses only matter if someone notices an attack while
 //! it is happening. [`fabric_telemetry`] emits the raw signals — typed
 //! [`AuditEvent`]s for the Table II use cases, latency histograms,
-//! flight-recorder dumps — and this crate is the thing that *watches*
-//! them:
+//! spans — and this crate is the thing that *watches* them:
 //!
 //! * **Rate detectors** — sliding-window counts and EWMA baselines over
 //!   the audit stream, one named detector per attack class
@@ -15,8 +14,9 @@
 //!   lag, commit backlog, gossip anti-entropy staleness, and block-commit
 //!   p99 inflation into `Healthy/Degraded/Critical` per node.
 //! * **Alert engine** ([`Alert`], [`AlertTransition`]) — firing →
-//!   resolved with dedup keys and resolve hysteresis; firing captures a
-//!   [`FlightDump`] so every alert carries forensic context.
+//!   resolved with dedup keys and resolve hysteresis; a rate alert names
+//!   the [`AuditEvent`] that tripped it as its evidence, whose
+//!   transaction's spans `TxTimeline::collect` finds in the trace sink.
 //! * **Renderers** — a text status table for people, a JSON-lines
 //!   transition log for tools, and `fabric_alert_firing{rule=...}`
 //!   gauges through the Prometheus exporter.
@@ -35,7 +35,7 @@
 //! use fabric_telemetry::{AuditEvent, Telemetry};
 //! use fabric_types::{CollectionName, OrgId, TxId};
 //!
-//! let telemetry = Telemetry::with_flight_recorder(64);
+//! let telemetry = Telemetry::new();
 //! let monitor = Monitor::new(&telemetry);
 //! telemetry.emit(AuditEvent::EndorsementByNonMember {
 //!     tx_id: TxId::new("tx1"),
@@ -51,7 +51,11 @@
 //!     vec!["uc1_nonmember_endorsement_rate".to_string()]
 //! );
 //! assert!(monitor.render_status().contains("FIRING uc1_nonmember_endorsement_rate"));
+//! let evidence = monitor.active_alerts()[0].evidence.clone();
+//! assert_eq!(evidence.unwrap().tx_id().as_str(), "tx1");
 //! ```
+//!
+//! [`AuditEvent`]: fabric_telemetry::AuditEvent
 
 mod alert;
 mod detector;
@@ -63,7 +67,7 @@ pub use health::{HealthVerdict, NodeHealth, NodeSample};
 
 use alert::{AlertBook, Condition};
 use detector::{DetectorSpec, DetectorState};
-use fabric_telemetry::{AuditEvent, FlightDump, Gauge, Telemetry};
+use fabric_telemetry::{Gauge, Telemetry};
 use health::HealthModel;
 use parking_lot::Mutex;
 use render::{render_alerts_jsonl, render_status};
@@ -248,10 +252,7 @@ impl Monitor {
             }
         }
 
-        let recorder = self.inner.telemetry.flight_recorder();
-        let mut capture =
-            |ev: &AuditEvent| -> Option<FlightDump> { recorder.map(|r| r.capture(ev.clone())) };
-        let transitions = st.alerts.step(tick, &conditions, &mut capture);
+        let transitions = st.alerts.step(tick, &conditions);
 
         let firing = st.alerts.firing_rules();
         for (rule, gauge) in &self.inner.gauges {
@@ -350,6 +351,7 @@ impl std::fmt::Debug for Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabric_telemetry::AuditEvent;
     use fabric_types::{ChaincodeId, CollectionName, OrgId, TxId};
 
     fn uc1(n: u64) -> AuditEvent {
@@ -387,19 +389,18 @@ mod tests {
     }
 
     #[test]
-    fn firing_alert_captures_flight_forensics_when_a_recorder_is_attached() {
-        let telemetry = Telemetry::with_flight_recorder(64);
+    fn firing_alert_names_the_newest_event_of_its_tick_as_evidence() {
+        let telemetry = Telemetry::new();
         let monitor = Monitor::new(&telemetry);
         telemetry.emit(uc1(1));
+        telemetry.emit(uc1(2));
         monitor.observe_tick(&[]);
         let alerts = monitor.active_alerts();
         assert_eq!(alerts.len(), 1);
-        let dump = alerts[0].forensics.as_ref().expect("forensics attached");
-        assert_eq!(dump.trigger, uc1(1));
-        assert!(dump
-            .audit_signature()
-            .iter()
-            .any(|(kind, _)| *kind == "endorsement_by_non_member"));
+        assert_eq!(alerts[0].evidence, Some(uc1(2)));
+        assert!(monitor
+            .render_status()
+            .contains("evidence: endorsement_by_non_member: tx tx2"));
     }
 
     #[test]

@@ -65,20 +65,17 @@ pub(crate) fn render_status(status: &NetworkStatus) -> String {
         let _ = writeln!(out, "  (none)");
     }
     for alert in &status.active_alerts {
-        let forensics = if alert.forensics.is_some() {
-            " [flight dump attached]"
-        } else {
-            ""
-        };
         let _ = writeln!(
             out,
-            "  {} {} since_tick={} {}{}",
+            "  {} {} since_tick={} {}",
             AlertPhase::Firing.label(),
             alert.key,
             alert.fired_at,
             alert.message,
-            forensics
         );
+        if let Some(evidence) = &alert.evidence {
+            let _ = writeln!(out, "    evidence: {evidence}");
+        }
     }
 
     let _ = writeln!(out, "RECENT TRANSITIONS");

@@ -168,8 +168,15 @@ impl NetworkBuilder {
         }
         orderer.run_until_ready(10_000);
 
-        let mut net =
-            FabricNetwork::from_parts(self.channel, self.orgs, peers, clients, orderer, gossip);
+        let mut net = FabricNetwork::from_parts(
+            self.channel,
+            self.orgs,
+            peers,
+            clients,
+            orderer,
+            gossip,
+            self.seed,
+        );
         if let Some(monitor) = self.monitor {
             net.attach_monitor(monitor);
         }

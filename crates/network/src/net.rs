@@ -119,9 +119,9 @@ pub fn host_cores() -> usize {
 
 /// How many workers commit a block: a function of the block and the
 /// host, not a setting. One when the block is too small to repay a fork,
-/// and one when the peers share a telemetry pipeline — its audit log,
-/// span sink and flight-recorder re-arm are one totally ordered stream
-/// that concurrent peers would interleave.
+/// and one when the peers share a telemetry pipeline — its audit log
+/// and span sink are totally ordered streams that concurrent peers would
+/// interleave.
 fn delivery_workers(block_txs: usize, peers: usize, cores: usize, shared_telemetry: bool) -> usize {
     if shared_telemetry || block_txs * peers < FORK_MIN_TX_PEERS {
         1
@@ -166,6 +166,8 @@ pub struct FabricNetwork {
     /// Delivered blocks a peer refused, by peer name; peers that never
     /// refused one have no entry.
     commit_errors: BTreeMap<String, PeerCommitErrors>,
+    /// The builder's seed, mixed into the keys of peers added later.
+    seed: u64,
 }
 
 impl std::fmt::Debug for FabricNetwork {
@@ -187,6 +189,7 @@ impl FabricNetwork {
         clients: BTreeMap<Arc<str>, Client>,
         orderer: OrderingService,
         gossip: GossipHub,
+        seed: u64,
     ) -> Self {
         let mut net = FabricNetwork {
             channel,
@@ -204,6 +207,7 @@ impl FabricNetwork {
             cached_recipients: BTreeMap::new(),
             peer_caches_stale: false,
             commit_errors: BTreeMap::new(),
+            seed,
         };
         net.refresh_peer_caches();
         net
@@ -712,7 +716,7 @@ impl FabricNetwork {
             channel,
             policies,
             fabric_crypto::Keypair::generate_from_seed(
-                0x9ee7 ^ (index as u64) << 32 ^ blocks.len() as u64 ^ org_name_tag(org),
+                self.seed ^ 0x9ee7 ^ (index as u64) << 32 ^ blocks.len() as u64 ^ org_name_tag(org),
             ),
             defense,
         );
@@ -1515,5 +1519,18 @@ mod tests {
             .map(|p| p.identity().public_key)
             .collect();
         assert_eq!(keys.len(), 9);
+    }
+
+    #[test]
+    fn added_peers_take_the_network_seed() {
+        let added_key = |seed: u64| {
+            let mut net = NetworkBuilder::new("ch1")
+                .orgs(&["Org1MSP", "Org2MSP"])
+                .seed(seed)
+                .build();
+            let name = net.add_peer("Org1MSP");
+            net.peer(&name).identity().public_key
+        };
+        assert_ne!(added_key(5), added_key(99));
     }
 }

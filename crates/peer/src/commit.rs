@@ -192,9 +192,6 @@ impl Peer {
         // telemetry attached this is the only cost the commit path pays.
         let telemetry = self.telemetry.clone();
         let block_span = telemetry.as_ref().map(|t| {
-            // New block: re-arm the flight recorder's per-block trigger
-            // dedup.
-            t.block_boundary();
             let mut s = t.span("peer.process_block");
             s.node(self.gossip_id.as_arc());
             s.field("block", block_num);

@@ -19,10 +19,10 @@
 //! re-derives a transaction's [`trace_id`] from its tx id, so the spans
 //! of one transaction share one key; a [`TxTimeline`] collects them by
 //! that key into the five phase latencies (endorse / order / replicate /
-//! validate / commit), a [`FlightRecorder`] keeps a bounded ring of
-//! recent spans+events and dumps it when an attack signal fires, and
-//! [`render_chrome_trace`] exports any span set for Perfetto /
-//! `chrome://tracing`.
+//! validate / commit), and [`render_chrome_trace`] exports any span set
+//! for Perfetto / `chrome://tracing`. An alert's evidence event names a
+//! transaction, so its timeline is one [`TxTimeline::collect`] over the
+//! sink away.
 //!
 //! # Examples
 //!
@@ -46,7 +46,6 @@
 mod audit;
 mod export;
 mod metrics;
-mod recorder;
 mod span;
 mod timeline;
 mod trace;
@@ -57,7 +56,6 @@ pub use metrics::{
     json_str, Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry,
     DURATION_SECONDS_BUCKETS,
 };
-pub use recorder::{FlightDump, FlightEntry, FlightRecorder};
 pub use span::{FieldValue, Fields, SpanRecord, TraceSink};
 pub use timeline::{TxTimeline, PHASES};
 pub use trace::trace_id;
@@ -67,7 +65,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A shared handle to one telemetry pipeline: metrics registry, span
-/// sink, audit log, and optionally a flight recorder. Clones share state.
+/// sink, and audit log. Clones share state.
 #[derive(Clone)]
 pub struct Telemetry {
     inner: Arc<Inner>,
@@ -77,9 +75,6 @@ struct Inner {
     metrics: MetricsRegistry,
     audit: AuditLog,
     sink: TraceSink,
-    /// Mirrors every span and audit event when the pipeline was built
-    /// with [`Telemetry::with_flight_recorder`].
-    recorder: Option<FlightRecorder>,
     epoch: Instant,
     /// Per-kind `fabric_audit_events_total` handles, resolved once —
     /// [`Telemetry::emit`] sits on the sequential commit path.
@@ -96,18 +91,6 @@ impl Telemetry {
     /// Creates a telemetry pipeline collecting spans into an in-memory
     /// [`TraceSink`].
     pub fn new() -> Self {
-        Self::build(None)
-    }
-
-    /// Creates a telemetry pipeline that also mirrors its spans and audit
-    /// events into a [`FlightRecorder`] ring of `capacity` recent
-    /// entries. The recorder snapshots the ring automatically when one of
-    /// the paper's attack signals fires — see [`FlightRecorder::dumps`].
-    pub fn with_flight_recorder(capacity: usize) -> Self {
-        Self::build(Some(FlightRecorder::new(capacity)))
-    }
-
-    fn build(recorder: Option<FlightRecorder>) -> Self {
         let metrics = MetricsRegistry::new();
         // Dashboards see when a sustained run outpaces trace consumption.
         let evicted = metrics.counter(
@@ -120,7 +103,6 @@ impl Telemetry {
                 metrics,
                 audit: AuditLog::new(),
                 sink: TraceSink::new(TraceSink::CAPACITY, evicted),
-                recorder,
                 epoch: Instant::now(),
                 audit_counters: Default::default(),
             }),
@@ -142,26 +124,11 @@ impl Telemetry {
         &self.inner.sink
     }
 
-    /// The flight recorder, when one was configured via
-    /// [`Telemetry::with_flight_recorder`].
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.inner.recorder.as_ref()
-    }
-
     /// True when `other` is a clone of this handle (same registry, audit
     /// log, and sink). Lets wiring code detect two *different*
     /// pipelines being attached to one network by mistake.
     pub fn same_pipeline(&self, other: &Telemetry) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Marks a block boundary on the commit path: the flight recorder's
-    /// per-block trigger dedup resets. Called by peers before validating
-    /// each block.
-    pub fn block_boundary(&self) {
-        if let Some(recorder) = &self.inner.recorder {
-            recorder.block_boundary();
-        }
     }
 
     /// Opens a span; it records to the sink when dropped.
@@ -176,8 +143,8 @@ impl Telemetry {
         }
     }
 
-    /// Emits an audit event: appended to the [`AuditLog`], mirrored into
-    /// the flight recorder, and counted in `fabric_audit_events_total`.
+    /// Emits an audit event: appended to the [`AuditLog`] and counted in
+    /// `fabric_audit_events_total`.
     pub fn emit(&self, event: AuditEvent) {
         self.inner.audit_counters[audit_kind_index(&event)]
             .get_or_init(|| {
@@ -188,9 +155,6 @@ impl Telemetry {
                 )
             })
             .inc();
-        if let Some(recorder) = &self.inner.recorder {
-            recorder.record_audit(&event);
-        }
         self.inner.audit.record(event);
     }
 }
@@ -220,8 +184,7 @@ impl fmt::Debug for Telemetry {
 ///
 /// Recording takes the sink's lock once and writes one 64-byte record
 /// (see [`TraceSink`]). Once the sink has seen the span's name, node and
-/// literals, it allocates nothing but a [`FieldValue::Owned`] field (and
-/// a flight recorder's copy of the record).
+/// literals, it allocates nothing but a [`FieldValue::Owned`] field.
 #[derive(Debug)]
 pub struct SpanGuard {
     telemetry: Telemetry,
@@ -272,11 +235,7 @@ impl Drop for SpanGuard {
             trace_id: self.trace_id,
             node: self.node.take().unwrap_or_else(span::unattributed),
         };
-        let inner = &self.telemetry.inner;
-        if let Some(recorder) = &inner.recorder {
-            recorder.record_span(&record);
-        }
-        inner.sink.push(record);
+        self.telemetry.inner.sink.push(record);
     }
 }
 

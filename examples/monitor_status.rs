@@ -1,13 +1,14 @@
 //! Online monitoring and alerting over the attack lab.
 //!
 //! The attack lab wires the full observability stack: a telemetry
-//! pipeline with a flight recorder, and a streaming [`Monitor`] the
+//! pipeline, and a streaming [`Monitor`] the
 //! network ticks once per delivered block. This example runs the
 //! paper's fake PDC write attack and watches the monitor react:
 //!
 //! 1. the attack's non-member endorsement trips the
 //!    `uc1_nonmember_endorsement_rate` detector and the alert fires,
-//!    with a flight-recorder dump of the surrounding events attached;
+//!    naming that endorsement as its evidence, whose transaction's spans
+//!    the trace sink still holds;
 //! 2. the live status table shows per-node health, every detector's
 //!    window, and the firing alerts;
 //! 3. after a quiet interval the detector windows drain, the alerts
@@ -48,20 +49,24 @@ fn main() {
     println!("\n=== 2. Network status while the alerts fire ===\n");
     println!("{}", monitor.render_status());
 
-    // Each firing rate alert with audit evidence carries a flight dump:
-    // the recorder ring at the moment the alert fired, for forensics.
+    // Each firing rate alert names the audit event that tripped it; the
+    // trace sink holds that transaction's spans on every node.
+    let telemetry = lab
+        .net
+        .telemetry()
+        .expect("the attack lab attaches telemetry");
+    let records = telemetry.trace().records();
     for alert in monitor.active_alerts() {
-        let Some(dump) = &alert.forensics else {
+        let Some(evidence) = &alert.evidence else {
             continue;
         };
-        println!(
-            "forensics for {} (trigger {}):",
-            alert.key,
-            dump.trigger.kind()
+        let timeline = TxTimeline::collect(&records, evidence.tx_id().as_str());
+        println!("evidence for {}: {evidence}", alert.key);
+        print!("{}", timeline.render());
+        assert!(
+            timeline.phase("validate").is_some(),
+            "the evidence transaction's validation must be traced"
         );
-        for (kind, tx_id) in dump.audit_signature() {
-            println!("    {kind} tx={tx_id}");
-        }
     }
 
     // Quiet interval: the attack traffic stops, the sliding windows

@@ -17,9 +17,9 @@ use std::error::Error;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    // One telemetry pipeline with a flight recorder; every node reports
-    // into it, keying each span to its transaction's trace id.
-    let telemetry = Telemetry::with_flight_recorder(256);
+    // One telemetry pipeline; every node reports into it, keying each
+    // span to its transaction's trace id.
+    let telemetry = Telemetry::new();
     let mut net = NetworkBuilder::new("trade-channel")
         .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
         .seed(7)
@@ -66,14 +66,5 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 2. Chrome-trace/Perfetto export of every span the network recorded.
     println!("\n== chrome trace (load in ui.perfetto.dev) ==");
     println!("{}", render_chrome_trace(&records));
-
-    // 3. Flight-recorder status: no attack signals fired in this honest
-    //    run, so the ring holds recent traffic but no dump was triggered.
-    let recorder = telemetry.flight_recorder().expect("recorder attached");
-    println!(
-        "\nflight recorder: {} entries buffered, {} dump(s) triggered",
-        recorder.recent().len(),
-        recorder.dumps().len()
-    );
     Ok(())
 }

@@ -9,7 +9,10 @@
 #      dead intra-doc link behind; the four vendored stand-ins
 #      (criterion, parking_lot, proptest, rand) are excluded because
 #      `vendor/proptest`'s docs carry broken links of their own
-#   6. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
+#   6. the examples that assert                     `monitor_status`,
+#      `trace_tx`, `telemetry` and `quickstart` run to exit 0 (stdout
+#      dropped; a failed assertion panics on stderr)
+#   7. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
 #      that commits on several threads, `mixed_small_blocks`, the one
 #      that runs with telemetry and the monitor attached,
 #      `narrow_pipeline`, the one the client and orderer carry,
@@ -40,6 +43,11 @@ cargo test -q
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
     --exclude criterion --exclude parking_lot --exclude proptest --exclude rand
+
+for example in monitor_status trace_tx telemetry quickstart; do
+    echo "==> example $example"
+    cargo run --release -q -p fabric-pdc --example "$example" > /dev/null
+done
 
 echo "==> fabric-benchmark check --smoke --workload wide_fanout"
 cargo run --release -q -p fabric-benchmark -- check --smoke --workload wide_fanout

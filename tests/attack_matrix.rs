@@ -96,29 +96,12 @@ fn every_attack_leaves_an_audit_trail() {
                 .any(|e| matches!(e, AuditEvent::PolicyFallbackToChaincodeLevel { .. })),
             "{kind}: chaincode-level policy fallback not audited (Use Case 2)"
         );
-        // The non-member endorsement is an attack signal: the lab's flight
-        // recorder must have auto-dumped forensic context around it.
-        let recorder = lab
-            .net
-            .telemetry()
-            .and_then(|t| t.flight_recorder())
-            .expect("lab attaches a flight recorder");
-        assert!(
-            !recorder.dumps().is_empty(),
-            "{kind}: attack signal did not trigger a flight-recorder dump"
-        );
-        assert!(
-            recorder.dumps().iter().any(|d| d
-                .audit_signature()
-                .iter()
-                .any(|(k, _)| *k == "endorsement_by_non_member")),
-            "{kind}: no dump carries the non-member endorsement"
-        );
     }
 }
 
-/// Every attack-lab scenario fires exactly its mapped alert rules, with
-/// forensic flight dumps attached to the firing alerts. The monitor is
+/// Every attack-lab scenario fires exactly its mapped alert rules, and
+/// the UC1 alert names the non-member endorsement as its evidence, whose
+/// transaction's timeline the trace sink holds. The monitor is
 /// re-baselined after lab seeding, so every transition in
 /// `outcome.alerts` was provoked by the attack itself.
 #[test]
@@ -149,21 +132,27 @@ fn every_attack_fires_exactly_its_mapped_alerts() {
                 "{kind}: {rule} fired spuriously"
             );
         }
-        // Every firing alert of the UC1 rule carries forensic context.
+        // The UC1 alert names the event that tripped it, and the sink
+        // holds that transaction's spans up to validation.
         let monitor = lab.net.monitor().expect("lab attaches a monitor");
         let uc1_alert = monitor
             .active_alerts()
             .into_iter()
             .find(|a| a.rule == UC1_RULE)
             .unwrap_or_else(|| panic!("{kind}: uc1 alert not firing"));
-        let dump = uc1_alert
-            .forensics
-            .unwrap_or_else(|| panic!("{kind}: uc1 alert has no flight dump"));
+        let evidence = uc1_alert
+            .evidence
+            .unwrap_or_else(|| panic!("{kind}: uc1 alert names no evidence"));
         assert!(
-            dump.audit_signature()
-                .iter()
-                .any(|(k, _)| *k == "endorsement_by_non_member"),
-            "{kind}: dump does not carry the non-member endorsement"
+            matches!(evidence, AuditEvent::EndorsementByNonMember { .. }),
+            "{kind}: uc1 evidence is {evidence}"
+        );
+        let telemetry = lab.net.telemetry().expect("lab attaches telemetry");
+        let timeline = TxTimeline::collect(&telemetry.trace().records(), evidence.tx_id().as_str());
+        assert!(
+            timeline.phase("validate").is_some(),
+            "{kind}: no validate span for the evidence transaction {}",
+            evidence.tx_id()
         );
     }
 }
@@ -194,7 +183,7 @@ fn defended_attack_raises_the_defense_rejection_alert() {
 /// defenses everywhere, a collection-level endorsement policy, honest
 /// chaincode on every peer.
 fn defended_monitored_net() -> (FabricNetwork, Monitor) {
-    let telemetry = Telemetry::with_flight_recorder(256);
+    let telemetry = Telemetry::new();
     let monitor = Monitor::new(&telemetry);
     let mut net = NetworkBuilder::new("mychannel")
         .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
@@ -362,16 +351,15 @@ fn filter_defense_rejection_is_audited() {
             .any(|e| matches!(e, AuditEvent::DefenseRejected { .. })),
         "defense rejection not audited"
     );
-    let recorder = lab
-        .net
-        .telemetry()
-        .and_then(|t| t.flight_recorder())
-        .expect("lab attaches a flight recorder");
+    let monitor = lab.net.monitor().expect("lab attaches a monitor");
+    let alert = monitor
+        .active_alerts()
+        .into_iter()
+        .find(|a| a.rule == DEFENSE_RULE)
+        .expect("defense rejection alert firing");
     assert!(
-        recorder.dumps().iter().any(|d| d
-            .audit_signature()
-            .iter()
-            .any(|(k, _)| *k == "defense_rejected")),
-        "the defense rejection did not trigger a flight-recorder dump"
+        matches!(alert.evidence, Some(AuditEvent::DefenseRejected { .. })),
+        "defense alert evidence is {:?}",
+        alert.evidence
     );
 }

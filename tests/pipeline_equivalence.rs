@@ -20,6 +20,7 @@
 mod support;
 
 use fabric_pdc::chaincode::samples::{SbeDemo, SecuredTrade};
+use fabric_pdc::monitor::Alert;
 use fabric_pdc::orderer::BatchConfig;
 use fabric_pdc::peer::BlockCommitOutcome;
 use fabric_pdc::prelude::*;
@@ -929,13 +930,14 @@ fn block_histogram_counts_once_per_block() {
 /// watching the peer's telemetry, then drives
 /// `ticks` post-commit monitor ticks (the first drains every audit event;
 /// the quiet remainder ages the detector windows out so firing alerts
-/// resolve). Returns the full alert-transition log.
-fn monitored_commit_transitions(
+/// resolve). Returns the alerts firing after the first tick and the full
+/// alert-transition log.
+fn monitored_commit_alerts(
     net: &FabricNetwork,
     blocks: &[Block],
     pkgs: &HashMap<TxId, PvtDataPackage>,
     ticks: u32,
-) -> Vec<AlertTransition> {
+) -> (Vec<Alert>, Vec<AlertTransition>) {
     let mut provider = |tx_id: &TxId| pkgs.get(tx_id).cloned().map(Arc::new);
     let mut peer = net.peer("peer0.org2").clone();
     let telemetry = Telemetry::new();
@@ -945,16 +947,18 @@ fn monitored_commit_transitions(
         peer.process_block(b.clone(), &mut provider)
             .expect("pipeline: stream chains");
     }
-    for _ in 0..ticks {
+    monitor.observe_tick(&[]);
+    let fired = monitor.active_alerts();
+    for _ in 1..ticks {
         monitor.observe_tick(&[]);
     }
-    monitor.transitions()
+    (fired, monitor.transitions())
 }
 
 /// Directed alert lifecycle: a tampered plaintext PDC write fires the
 /// Use Case 3 alert, and once the burst ages out of the detector window
-/// the alert resolves — with a transition log that is byte-identical
-/// on a second run.
+/// the alert resolves — with fired alerts and a transition log that are
+/// identical on a second run. The alert names the tampered transaction.
 #[test]
 fn tampered_stream_alert_fires_and_resolves_identically() {
     use fabric_pdc::monitor::UC3_RULE;
@@ -975,12 +979,30 @@ fn tampered_stream_alert_fires_and_resolves_identically() {
     ];
     let (blocks, pkgs) = build_stream(&mut net, &blocks_specs);
 
-    let log = monitored_commit_transitions(&net, &blocks, &pkgs, 140);
+    let (fired, log) = monitored_commit_alerts(&net, &blocks, &pkgs, 140);
+    let (fired_again, log_again) = monitored_commit_alerts(&net, &blocks, &pkgs, 140);
     assert_eq!(
-        log,
-        monitored_commit_transitions(&net, &blocks, &pkgs, 140),
+        fired, fired_again,
+        "two runs of one stream fired different alerts"
+    );
+    assert_eq!(
+        log, log_again,
         "two runs of one stream logged different alert transitions"
     );
+    let uc3 = fired
+        .iter()
+        .find(|a| a.rule == UC3_RULE)
+        .expect("the plaintext-payload alert fires on the first tick");
+    match &uc3.evidence {
+        Some(AuditEvent::PlaintextPayloadInTx { tx_id, .. }) => assert!(
+            blocks
+                .iter()
+                .flat_map(|b| b.transactions.iter())
+                .any(|tx| tx.tx_id == *tx_id),
+            "uc3 evidence names {tx_id}, not a transaction of the stream"
+        ),
+        other => panic!("uc3 evidence is {other:?}"),
+    }
     let phases: Vec<AlertPhase> = log
         .iter()
         .filter(|t| t.rule == UC3_RULE)
@@ -996,10 +1018,10 @@ fn tampered_stream_alert_fires_and_resolves_identically() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Alert determinism: the monitor's full transition log — firing,
-    /// resolved — is a pure function of the committed stream.
-    /// Two independent runs of one random multi-block stream must yield
-    /// byte-identical logs.
+    /// Alert determinism: the monitor's fired alerts and full transition
+    /// log — firing, resolved — are a pure function of the committed
+    /// stream. Two independent runs of one random multi-block stream must
+    /// yield identical alerts and logs.
     #[test]
     fn alert_log_is_deterministic_across_schedulers(
         blocks_specs in proptest::collection::vec(
@@ -1011,9 +1033,9 @@ proptest! {
         let mut net = equivalence_network(30_000 + seed, DefenseConfig::original());
         let (blocks, pkgs) = build_stream(&mut net, &blocks_specs);
         prop_assert_eq!(
-            monitored_commit_transitions(&net, &blocks, &pkgs, 140),
-            monitored_commit_transitions(&net, &blocks, &pkgs, 140),
-            "two runs of one stream logged different alert transitions"
+            monitored_commit_alerts(&net, &blocks, &pkgs, 140),
+            monitored_commit_alerts(&net, &blocks, &pkgs, 140),
+            "two runs of one stream fired or logged different alerts"
         );
     }
 }

@@ -2,16 +2,15 @@
 //! its tx ID to a complete cross-node lifecycle timeline — client,
 //! endorsing peers, orderer, Raft, and every committing peer — and two
 //! runs of one seeded workload must agree on the trace's shape and on the
-//! audit evidence in the flight-recorder dumps that attack signals trigger.
+//! audit trail the validating peers emit.
 
 use fabric_pdc::prelude::*;
-use fabric_pdc::telemetry::FlightEntry;
 use std::sync::Arc;
 
 const ORGS: [&str; 3] = ["Org1MSP", "Org2MSP", "Org3MSP"];
 
 fn traced_network(seed: u64) -> (FabricNetwork, Telemetry) {
-    let telemetry = Telemetry::with_flight_recorder(512);
+    let telemetry = Telemetry::new();
     let mut net = NetworkBuilder::new("ch1")
         .orgs(&ORGS)
         .seed(seed)
@@ -100,7 +99,7 @@ fn committed_transactions_have_complete_cross_node_timelines() {
 
     // The metric families dashboards scrape by name: a run to commit
     // registers these six (the seventh, `fabric_audit_events_total`, appears
-    // with the first audit event; see `mvcc_conflict_dump_signatures`).
+    // with the first audit event; see `mvcc_conflict_audit_trail`).
     assert_metric_families(
         &telemetry,
         &[
@@ -146,16 +145,16 @@ fn trace_identity_is_parallelism_invariant() {
 }
 
 /// Builds a block with an MVCC conflict (two transfers of the same asset
-/// in one block), commits it, and returns the flight-recorder dumps'
-/// audit signatures.
-fn mvcc_conflict_dump_signatures() -> Vec<Vec<(&'static str, TxId)>> {
+/// in one block), commits it, and returns the pipeline's audit trail as
+/// `(kind, tx_id)` pairs.
+fn mvcc_conflict_audit_trail() -> Vec<(&'static str, TxId)> {
     let (mut net, telemetry) = traced_network(23);
     run_workload(&mut net, 1); // commits asset a0
 
     // Endorse two conflicting transfers against the same committed state,
     // then submit both before advancing: they land in one block and the
-    // second must fail MVCC validation — an attack-signal audit event
-    // that triggers a flight-recorder dump on every committing peer.
+    // second must fail MVCC validation, which every committing peer
+    // audits.
     let channel = net.channel().clone();
     let mut txs = Vec::new();
     for owner in ["bob", "carol"] {
@@ -192,27 +191,26 @@ fn mvcc_conflict_dump_signatures() -> Vec<Vec<(&'static str, TxId)>> {
 
     assert_metric_families(&telemetry, &["fabric_audit_events_total"]);
 
-    let recorder = telemetry.flight_recorder().expect("recorder");
-    let dumps = recorder.dumps();
-    assert!(!dumps.is_empty(), "MVCC conflict must trigger flight dumps");
-    for dump in &dumps {
-        assert!(
-            dump.entries
-                .iter()
-                .any(|e| matches!(e, FlightEntry::Audit(_))),
-            "a dump carries the triggering audit evidence"
-        );
-    }
-    dumps.iter().map(|d| d.audit_signature()).collect()
+    let trail: Vec<(&'static str, TxId)> = telemetry
+        .audit()
+        .events()
+        .iter()
+        .map(|e| (e.kind(), e.tx_id().clone()))
+        .collect();
+    assert!(
+        trail.contains(&("mvcc_conflict", tx_ids[1].clone())),
+        "the losing transfer's MVCC conflict is not audited: {trail:?}"
+    );
+    trail
 }
 
-/// Flight-recorder dumps are evidence; the audit trail they carry must
-/// be the same on every run of the same traffic.
+/// The audit trail is evidence; it must be the same on every run of the
+/// same traffic.
 #[test]
-fn flight_dumps_carry_identical_audit_evidence_across_parallelism() {
+fn audit_trail_is_identical_across_runs() {
     assert_eq!(
-        mvcc_conflict_dump_signatures(),
-        mvcc_conflict_dump_signatures(),
-        "flight-dump audit evidence differs between two runs"
+        mvcc_conflict_audit_trail(),
+        mvcc_conflict_audit_trail(),
+        "audit evidence differs between two runs"
     );
 }
