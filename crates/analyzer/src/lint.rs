@@ -14,7 +14,7 @@
 //! project itself names — never on invented ones.
 
 use crate::scan::{LeakKind, ProjectReport};
-use fabric_lint::{CollectionFacts, LeakChannel, LeakFact, LintSubject};
+use fabric_lint::{flow, CollectionFacts, LeakChannel, LeakFact, LintSubject};
 use fabric_policy::{Policy, SignaturePolicy};
 use fabric_types::OrgId;
 use std::collections::BTreeSet;
@@ -87,9 +87,6 @@ pub fn subject_from_report(report: &ProjectReport) -> LintSubject {
         chaincode_policy: report.default_policy.clone(),
         collections,
         leaks,
-        // Static scans cannot run chaincode, so PDC018 never fires on
-        // corpus subjects.
-        flow_analyzed: None,
     }
 }
 
@@ -110,8 +107,8 @@ pub fn lint_corpus_with_flow(
     workers: usize,
 ) -> Vec<fabric_lint::Finding> {
     let mut findings = lint_corpus(reports);
-    findings.extend(fabric_flow::analyze_targets_with(
-        &fabric_flow::sample_registry(),
+    findings.extend(flow::analyze_targets_with(
+        &flow::sample_registry(),
         workers,
     ));
     fabric_lint::sort_and_dedup(&mut findings);

@@ -6,7 +6,7 @@ use fabric_analyzer::{
     corpus, lint_corpus, lint_corpus_with_flow, scan_corpus_sequential, scan_corpus_with,
     CorpusReport, CorpusSpec,
 };
-use fabric_lint::render;
+use fabric_lint::{flow, render};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -90,14 +90,14 @@ proptest! {
 /// sample (`leaky_escrow::stamp`) is deliberately nondeterministic.
 #[test]
 fn flow_findings_are_deterministic_across_runs_and_workers() {
-    let registry = fabric_flow::sample_registry();
-    let reference = fabric_flow::analyze_targets(&registry);
+    let registry = flow::sample_registry();
+    let reference = flow::analyze_targets(&registry);
     assert!(
         !reference.is_empty(),
         "registry must surface the leaky sample"
     );
     for workers in [1, 2, 3, 5, 8] {
-        let run = fabric_flow::analyze_targets_with(&registry, workers);
+        let run = flow::analyze_targets_with(&registry, workers);
         assert_eq!(
             render::render_text(&reference),
             render::render_text(&run),

@@ -1,5 +1,5 @@
-//! A deliberately leaky escrow chaincode: the `fabric-flow` analyzer's
-//! positive fixture.
+//! A deliberately leaky escrow chaincode: the positive fixture of the
+//! `fabric_lint::flow` analyzer.
 //!
 //! Every function routes private-collection data into a different
 //! forbidden sink, one per flow rule:
@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | `publish` | public world state | PDC012 |
 //! | `announce`| chaincode event | PDC013 |
-//! | `peek`    | response payload (readable by non-members) | PDC014 |
+//! | `peek`    | response payload (recorded in the block; readable by non-members) | PDC009, PDC014 |
 //! | `mirror`  | a laxer collection (cross-collection downgrade) | PDC015 |
 //! | `settle`  | low-entropy commitment (brute-forceable PR_Hash) | PDC016 |
 //! | `stamp`   | nondeterministic write (endorsement divergence) | PDC017 |
@@ -106,7 +106,8 @@ impl Chaincode for LeakyEscrow {
                 stub.set_event("escrow_settled", value);
                 Ok(Vec::new())
             }
-            // PDC014: the value is the response payload — any client the
+            // PDC009 + PDC014: the value is the response payload — a
+            // submitted `peek` records it in the block, and any client the
             // collection's memberOnlyRead=false lets through reads it,
             // member or not.
             "peek" => self.read_escrow(stub, &key),

@@ -12,7 +12,8 @@
 //!   (customizable chaincode), e.g. org1 requires `k1.value < 15`, org2
 //!   requires `k1.value > 10`.
 //! * [`LeakyEscrow`] — a deliberately leaky chaincode exercising every
-//!   `fabric-flow` sink (PDC012–PDC017); the analyzer's positive fixture.
+//!   `fabric_lint::flow` sink (PDC009, PDC012–PDC017); the analyzer's
+//!   positive fixture.
 
 mod asset_transfer;
 mod guarded;

@@ -17,7 +17,7 @@ const COMPOSITE_DELIMITER: char = '\u{0}';
 ///
 /// Recording is off by default; [`ChaincodeStub::enable_op_log`] turns it
 /// on and [`ChaincodeStub::into_results_and_ops`] yields the log. The
-/// `fabric-flow` analyzer replays this log to attach provenance to every
+/// `fabric_lint::flow` analyzer replays this log to attach provenance to every
 /// data sink (public writes, events, response payloads) and to render
 /// source→sink flow paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,7 +225,7 @@ impl<'a> ChaincodeStub<'a> {
     /// Turns on shim-call tracing: every subsequent data operation is
     /// recorded as a [`StubOp`], retrievable via
     /// [`into_results_and_ops`](Self::into_results_and_ops). Used by the
-    /// `fabric-flow` taint analyzer; normal endorsement leaves this off.
+    /// `fabric_lint::flow` taint analyzer; normal endorsement leaves this off.
     pub fn enable_op_log(&mut self) {
         self.op_log = Some(Vec::new());
     }

@@ -27,8 +27,7 @@
 //! | network | [`network`] | in-process composition of everything above |
 //! | attacks | [`attacks`] | §IV attacks and the §V-A/§V-B experiment labs |
 //! | analyzer | [`analyzer`] | §V-C static analyzer + synthetic corpus |
-//! | lint | [`lint`] | rule-based PDC misconfiguration linter (text/JSON/SARIF) |
-//! | flow | [`flow`] | information-flow taint analysis of chaincode leakage |
+//! | lint | [`lint`] | PDC misconfiguration rules and chaincode flow analysis ([`lint::flow`]) |
 //! | telemetry | [`telemetry`] | tracing spans, metrics registry, security-audit events |
 //! | monitor | [`monitor`] | streaming health scoring, rate anomaly detection, alerting |
 //!
@@ -75,7 +74,6 @@ pub use fabric_attacks as attacks;
 pub use fabric_chaincode as chaincode;
 pub use fabric_client as client;
 pub use fabric_crypto as crypto;
-pub use fabric_flow as flow;
 pub use fabric_gossip as gossip;
 pub use fabric_ledger as ledger;
 pub use fabric_lint as lint;

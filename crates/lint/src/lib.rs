@@ -1,5 +1,6 @@
 //! `fabric-lint` — a rule-based linter for private data collection (PDC)
-//! misconfigurations.
+//! misconfigurations, and the information-flow analysis of the chaincode
+//! behind them.
 //!
 //! The paper shows that PDC privacy rests on configuration the platform
 //! does not check: collections that omit the optional
@@ -20,16 +21,22 @@
 //!   `fabric-analyzer`).
 //! * [`lint_subject`] runs every registered rule and returns sorted
 //!   [`Finding`]s; [`rules()`] is the stable registry (`PDC001`…).
-//! * [`probe`] drives a *live* chaincode through the stub API with a
-//!   sentinel value to detect payload leaks dynamically.
+//! * [`flow`] drives a *live* chaincode through the stub API with planted
+//!   sentinels and reports every flow of private data into a sink with a
+//!   wider audience, the Use Case 3 response payload included.
 //! * [`render`] emits the findings as plain text, JSON, or SARIF 2.1.0.
 //!
 //! [`ChaincodeDefinition`]: fabric_chaincode::ChaincodeDefinition
 
-pub mod probe;
+pub mod flow;
 pub mod render;
 pub mod rules;
 pub mod subject;
+
+// The flow analysis internals, re-exported through [`flow`].
+mod lattice;
+mod registry;
+mod taint;
 
 pub use rules::{lint_subject, lint_subjects, rule, rules, sort_and_dedup};
 pub use subject::{CollectionFacts, LeakChannel, LeakFact, LintSubject};

@@ -14,7 +14,8 @@ use fabric_types::OrgId;
 const SHORT_BTL_THRESHOLD: u64 = 10;
 
 /// The rule registry, in ID order. IDs are stable: rules are never
-/// renumbered, and retired rules would leave gaps.
+/// renumbered, and the retired `PDC010`, `PDC011`, `PDC018` and `PDC020`
+/// are never reused.
 const RULES: &[Rule] = &[
     Rule {
         id: "PDC001",
@@ -138,14 +139,6 @@ const RULES: &[Rule] = &[
                       endorsing peers or repeated runs, so honest endorsements mismatch \
                       and the transaction path is hijackable",
     },
-    Rule {
-        id: "PDC018",
-        name: "chaincode-not-flow-analyzed",
-        severity: Severity::Note,
-        use_case: None,
-        description: "the deployed chaincode has not been through information-flow \
-                      analysis; private-data leakage through its code paths is unchecked",
-    },
 ];
 
 /// All registered rules, in stable ID order.
@@ -158,17 +151,13 @@ pub fn rule(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
-fn finding(
-    id: &'static str,
-    subject: &LintSubject,
-    location: Location,
-    message: String,
-) -> Finding {
+/// A finding of registered rule `id` at its default severity.
+pub(crate) fn finding(id: &str, subject: &str, location: Location, message: String) -> Finding {
     let meta = rule(id).expect("registered rule");
     Finding {
         rule_id: meta.id,
         severity: meta.severity,
-        subject: subject.name.clone(),
+        subject: subject.to_string(),
         location,
         message,
     }
@@ -184,7 +173,6 @@ pub fn lint_subject(subject: &LintSubject) -> Vec<Finding> {
     }
     check_chaincode_policy_ast(subject, &mut findings);
     check_leaks(subject, &mut findings);
-    check_flow_analysis(subject, &mut findings);
     sort_and_dedup(&mut findings);
     findings
 }
@@ -212,7 +200,7 @@ fn check_collection_config(subject: &LintSubject, c: &CollectionFacts, out: &mut
     if c.endorsement_policy.is_none() {
         out.push(finding(
             "PDC001",
-            subject,
+            &subject.name,
             loc(),
             format!(
                 "collection '{}' defines no EndorsementPolicy; PDC writes fall back to the \
@@ -229,7 +217,7 @@ fn check_collection_config(subject: &LintSubject, c: &CollectionFacts, out: &mut
     if c.member_only_read == Some(false) {
         out.push(finding(
             "PDC002",
-            subject,
+            &subject.name,
             loc(),
             format!(
                 "collection '{}' sets MemberOnlyRead=false; any client on the channel can \
@@ -241,7 +229,7 @@ fn check_collection_config(subject: &LintSubject, c: &CollectionFacts, out: &mut
     if c.member_only_write == Some(false) {
         out.push(finding(
             "PDC003",
-            subject,
+            &subject.name,
             loc(),
             format!(
                 "collection '{}' sets MemberOnlyWrite=false; any client on the channel can \
@@ -253,7 +241,7 @@ fn check_collection_config(subject: &LintSubject, c: &CollectionFacts, out: &mut
     if c.required_peer_count == Some(0) {
         out.push(finding(
             "PDC004",
-            subject,
+            &subject.name,
             loc(),
             format!(
                 "collection '{}' sets RequiredPeerCount=0; the endorsing peer may sign \
@@ -266,7 +254,7 @@ fn check_collection_config(subject: &LintSubject, c: &CollectionFacts, out: &mut
         if required > max {
             out.push(finding(
                 "PDC004",
-                subject,
+                &subject.name,
                 loc(),
                 format!(
                     "collection '{}' requires dissemination to {required} peers but caps \
@@ -280,7 +268,7 @@ fn check_collection_config(subject: &LintSubject, c: &CollectionFacts, out: &mut
         if (1..=SHORT_BTL_THRESHOLD).contains(&btl) {
             out.push(finding(
                 "PDC005",
-                subject,
+                &subject.name,
                 loc(),
                 format!(
                     "collection '{}' purges private data after only {btl} block(s) \
@@ -325,7 +313,7 @@ fn check_effective_policy(subject: &LintSubject, c: &CollectionFacts, out: &mut 
     if policy_reachable_by(&policy, &non_members, subject.channel_orgs.len()) {
         out.push(finding(
             "PDC006",
-            subject,
+            &subject.name,
             loc(),
             format!(
                 "the {source} endorsement policy ({expr}) for collection '{}' can be \
@@ -377,7 +365,7 @@ fn check_policy_ast(
     let Ok(policy) = Policy::parse(expr) else {
         out.push(finding(
             "PDC008",
-            subject,
+            &subject.name,
             location,
             format!("{context} endorsement policy ({expr}) does not parse"),
         ));
@@ -391,7 +379,7 @@ fn check_policy_ast(
         if n == 0 {
             let mut f = finding(
                 "PDC007",
-                subject,
+                &subject.name,
                 location.clone(),
                 format!(
                     "{context} endorsement policy ({expr}) contains OutOf(0, …): satisfied \
@@ -404,7 +392,7 @@ fn check_policy_ast(
         } else if n == 1 && m >= 3 {
             out.push(finding(
                 "PDC007",
-                subject,
+                &subject.name,
                 location.clone(),
                 format!(
                     "{context} endorsement policy ({expr}) contains OutOf(1, {m}): any \
@@ -418,14 +406,14 @@ fn check_policy_ast(
     if sig.is_unsatisfiable() {
         out.push(finding(
             "PDC008",
-            subject,
+            &subject.name,
             location.clone(),
             format!("{context} endorsement policy ({expr}) can never be satisfied"),
         ));
     } else if !subject.channel_orgs.is_empty() && !sig.satisfiable_within(&subject.channel_orgs) {
         out.push(finding(
             "PDC008",
-            subject,
+            &subject.name,
             location,
             format!(
                 "{context} endorsement policy ({expr}) cannot be satisfied by the channel \
@@ -460,22 +448,6 @@ fn collect_out_of(policy: &SignaturePolicy, out: &mut Vec<(u32, usize)>) {
     }
 }
 
-/// PDC018: chaincode known to have skipped flow analysis. `None`
-/// (scanned configs, plain definitions) stays silent.
-fn check_flow_analysis(subject: &LintSubject, out: &mut Vec<Finding>) {
-    if subject.flow_analyzed == Some(false) {
-        out.push(finding(
-            "PDC018",
-            subject,
-            Location::artifact(&subject.uri),
-            "this chaincode has not been information-flow analyzed: whether its \
-             code paths route private data into public state, events, or \
-             non-member responses is unknown (run `analyze lint --flow`)"
-                .to_string(),
-        ));
-    }
-}
-
 /// PDC009: known payload leaks.
 fn check_leaks(subject: &LintSubject, out: &mut Vec<Finding>) {
     for leak in &subject.leaks {
@@ -487,7 +459,7 @@ fn check_leaks(subject: &LintSubject, out: &mut Vec<Finding>) {
         };
         out.push(finding(
             "PDC009",
-            subject,
+            &subject.name,
             Location::artifact(&leak.uri),
             format!(
                 "function '{}' {direction}; the payload is recorded in the public block, \
@@ -531,7 +503,6 @@ mod tests {
                 member_only_write: Some(true),
             }],
             leaks: Vec::new(),
-            flow_analyzed: None,
         }
     }
 
@@ -541,23 +512,6 @@ mod tests {
 
     fn fires(subject: &LintSubject, id: &str) -> bool {
         lint_subject(subject).iter().any(|f| f.rule_id == id)
-    }
-
-    #[test]
-    fn pdc018_fires_only_on_known_unanalyzed_chaincode() {
-        // Unknown (scans, plain definitions): silent.
-        assert!(!fires(&clean_subject(), "PDC018"));
-        // Known analyzed: silent.
-        let analyzed = clean_subject().with_flow_analyzed(true);
-        assert!(!fires(&analyzed, "PDC018"));
-        // Known unanalyzed: notes.
-        let unanalyzed = clean_subject().with_flow_analyzed(false);
-        let findings = lint_subject(&unanalyzed);
-        let f = findings
-            .iter()
-            .find(|f| f.rule_id == "PDC018")
-            .expect("PDC018 fires on unanalyzed chaincode");
-        assert_eq!(f.severity, Severity::Note);
     }
 
     #[test]

@@ -104,14 +104,10 @@ pub struct LintSubject {
     pub chaincode_policy: Option<String>,
     /// Collections defined for this chaincode.
     pub collections: Vec<CollectionFacts>,
-    /// Known private-data payload leaks (from static scanning or the
-    /// dynamic [`probe`](crate::probe)).
+    /// Known private-data payload leaks, from static scanning. Live
+    /// chaincode gets its payload leaks from [`flow`](crate::flow)
+    /// analysis instead.
     pub leaks: Vec<LeakFact>,
-    /// Whether this chaincode has been through `fabric-flow` information-
-    /// flow analysis. `None` (the default) means unknown and keeps PDC018
-    /// silent; `Some(false)` marks a deployment knowingly running
-    /// un-analyzed chaincode.
-    pub flow_analyzed: Option<bool>,
 }
 
 impl LintSubject {
@@ -131,19 +127,7 @@ impl LintSubject {
                 .map(|c| CollectionFacts::from_config(c, uri.clone()))
                 .collect(),
             leaks: Vec::new(),
-            flow_analyzed: None,
         }
-    }
-
-    /// Records whether this chaincode has been information-flow analyzed
-    /// (feeds rule PDC018). Typically set to `true` after running the
-    /// `fabric-flow` analyzer over the deployed [`Chaincode`] instance,
-    /// `false` for deployments knowingly skipping it.
-    ///
-    /// [`Chaincode`]: fabric_chaincode::Chaincode
-    pub fn with_flow_analyzed(mut self, analyzed: bool) -> Self {
-        self.flow_analyzed = Some(analyzed);
-        self
     }
 
     /// The channel organizations that are *not* members of `collection`.

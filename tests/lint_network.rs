@@ -8,8 +8,10 @@
 //! them.
 
 use fabric_pdc::lint;
+use fabric_pdc::lint::flow::{self, ArgSpec, EntryPoint, FlowTarget};
 use fabric_pdc::lint::{LintSubject, Severity};
 use fabric_pdc::prelude::*;
+use std::sync::Arc;
 
 fn channel_orgs() -> Vec<OrgId> {
     vec![
@@ -39,7 +41,7 @@ fn secured_trade_network_passes_the_linter() {
         .build();
     net.deploy_chaincode(
         secured_trade_definition(),
-        std::sync::Arc::new(SecuredTrade::new("sellerCollection")),
+        Arc::new(SecuredTrade::new("sellerCollection")),
     );
     let subjects: Vec<LintSubject> = net
         .deployed_definitions()
@@ -60,52 +62,6 @@ fn secured_trade_network_passes_the_linter() {
             "{rule} fired on the defended example"
         );
     }
-}
-
-#[test]
-fn flow_analysis_state_drives_pdc018() {
-    // Tri-state: unknown stays silent, a known gap fires the note, a
-    // completed analysis silences it.
-    for (flow_analyzed, expect_finding) in [(None, false), (Some(false), true), (Some(true), false)]
-    {
-        let definition = secured_trade_definition();
-        let mut subject = LintSubject::from_definition(&definition, &channel_orgs());
-        if let Some(analyzed) = flow_analyzed {
-            subject = subject.with_flow_analyzed(analyzed);
-        }
-        let findings = lint::lint_subject(&subject);
-        assert_eq!(
-            findings.iter().any(|f| f.rule_id == "PDC018"),
-            expect_finding,
-            "flow_analyzed={flow_analyzed:?}: {findings:#?}"
-        );
-        if expect_finding {
-            let f = findings.iter().find(|f| f.rule_id == "PDC018").unwrap();
-            assert_eq!(f.severity, Severity::Note);
-            assert!(f.message.contains("--flow"), "{}", f.message);
-        }
-    }
-}
-
-#[test]
-fn flow_analyzing_the_deployed_sample_justifies_the_tri_state_true() {
-    // The honest way to set `flow_analyzed: true` on a subject: actually
-    // run the flow analyzer over the deployed chaincode. secured_trade is
-    // in the built-in registry and must come back clean.
-    let target = fabric_pdc::flow::sample_registry()
-        .into_iter()
-        .find(|t| t.name == "secured_trade")
-        .expect("secured_trade registered");
-    let flow_findings = fabric_pdc::flow::analyze_target(&target);
-    assert!(flow_findings.is_empty(), "{flow_findings:#?}");
-
-    let subject = LintSubject::from_definition(&secured_trade_definition(), &channel_orgs())
-        .with_flow_analyzed(flow_findings.is_empty());
-    let findings = lint::lint_subject(&subject);
-    assert!(
-        findings.iter().all(|f| f.rule_id != "PDC018"),
-        "{findings:#?}"
-    );
 }
 
 #[test]
@@ -136,38 +92,50 @@ fn stripping_the_collection_policy_reintroduces_use_case_errors() {
 fn probing_secured_trade_finds_no_payload_leak() {
     // Dynamic check of the same property the example demonstrates: the
     // appraisal never enters a response payload. `verify` answers
-    // MATCH/MISMATCH and `offer` returns only the asset key.
-    let definition = secured_trade_definition();
-    let leaks = lint::probe::probe_leaks(
-        &SecuredTrade::new("sellerCollection"),
-        &definition,
-        "network:trade",
-        &[
-            lint::probe::ProbeSpec::write("offer"),
-            lint::probe::ProbeSpec::read("verify"),
+    // true/false and `offer` returns only the asset key.
+    let target = FlowTarget {
+        name: "trade".into(),
+        uri: "network:trade".into(),
+        chaincode: Arc::new(SecuredTrade::new("sellerCollection")),
+        definition: secured_trade_definition(),
+        entry_points: vec![
+            EntryPoint::new("offer", [ArgSpec::SeedKey])
+                .with_transient("appraisal", ArgSpec::Input),
+            EntryPoint::new("verify", [ArgSpec::SeedKey]).with_transient("claimed", ArgSpec::Input),
         ],
+        channel_orgs: channel_orgs(),
+    };
+    let findings = flow::analyze_target(&target);
+    assert!(
+        findings.is_empty(),
+        "unexpected flow findings: {findings:#?}"
     );
-    assert!(leaks.is_empty(), "unexpected payload leaks: {leaks:?}");
 }
 
 #[test]
 fn probing_the_vulnerable_sample_feeds_pdc009() {
-    // End-to-end: probe the paper's Listing 1/2 chaincode, feed the
-    // observed leaks into a subject, and the linter reports Use Case 3.
-    let definition = ChaincodeDefinition::new("sacc").with_collection(
-        CollectionConfig::membership_of("demo", &[OrgId::new("Org1MSP")]),
-    );
-    let mut subject = LintSubject::from_definition(&definition, &channel_orgs());
-    subject.leaks = lint::probe::probe_leaks(
-        &SaccPrivate::default(),
-        &definition,
-        &subject.uri,
-        &lint::probe::sacc_probes(),
-    );
-    let findings = lint::lint_subject(&subject);
-    assert_eq!(
-        findings.iter().filter(|f| f.rule_id == "PDC009").count(),
-        2,
-        "{findings:#?}"
-    );
+    // End-to-end: flow-analyze the paper's Listing 2 chaincode as
+    // deployed; `set` echoes the value it wrote and `get` returns the
+    // value it read, so both report Use Case 3.
+    let target = FlowTarget {
+        name: "sacc".into(),
+        uri: "network:sacc".into(),
+        chaincode: Arc::new(SaccPrivate::default()),
+        definition: ChaincodeDefinition::new("sacc").with_collection(
+            CollectionConfig::membership_of("demo", &[OrgId::new("Org1MSP")]),
+        ),
+        entry_points: vec![
+            EntryPoint::new("set", [ArgSpec::SeedKey, ArgSpec::Input]),
+            EntryPoint::new("get", [ArgSpec::SeedKey]),
+        ],
+        channel_orgs: channel_orgs(),
+    };
+    let findings = flow::analyze_target(&target);
+    let leaky: Vec<&str> = findings
+        .iter()
+        .filter(|f| f.rule_id == "PDC009")
+        .filter_map(|f| f.message.split('\'').nth(1))
+        .collect();
+    assert_eq!(leaky, ["get", "set"], "{findings:#?}");
+    assert!(findings.iter().all(|f| f.location.uri == "network:sacc"));
 }
