@@ -277,8 +277,7 @@ fn cmd_lint(dir: &Path, json: bool, flow: bool, sarif: Option<&Path>) -> ExitCod
         }
     }
     let findings = if flow {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
-        fabric_analyzer::lint_corpus_with_flow(&reports, workers)
+        fabric_analyzer::lint_corpus_with_flow(&reports)
     } else {
         lint_corpus(&reports)
     };

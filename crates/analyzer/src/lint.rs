@@ -98,19 +98,12 @@ pub fn lint_corpus(reports: &[ProjectReport]) -> Vec<fabric_lint::Finding> {
 }
 
 /// [`lint_corpus`] plus information-flow taint analysis of the built-in
-/// sample registry (`analyze lint --flow`), fanned out over `workers`
-/// threads. Both finding sets land in one deterministically ordered
-/// list, so every renderer shows configuration and flow findings
-/// side by side.
-pub fn lint_corpus_with_flow(
-    reports: &[ProjectReport],
-    workers: usize,
-) -> Vec<fabric_lint::Finding> {
+/// sample registry (`analyze lint --flow`). Both finding sets land in
+/// one deterministically ordered list, so every renderer shows
+/// configuration and flow findings side by side.
+pub fn lint_corpus_with_flow(reports: &[ProjectReport]) -> Vec<fabric_lint::Finding> {
     let mut findings = lint_corpus(reports);
-    findings.extend(flow::analyze_targets_with(
-        &flow::sample_registry(),
-        workers,
-    ));
+    findings.extend(flow::analyze_targets(&flow::sample_registry()));
     fabric_lint::sort_and_dedup(&mut findings);
     findings
 }

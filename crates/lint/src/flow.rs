@@ -32,9 +32,7 @@
 //!
 //! Findings carry a rendered source→sink flow path and share the rule
 //! registry, renderers and ordering of the configuration rules, so they
-//! land in the same text/JSON/SARIF reports — and
-//! [`analyze_targets_with`] fans out over targets with the same
-//! deterministic stride the corpus scanner uses.
+//! land in the same text/JSON/SARIF reports.
 
 pub use crate::lattice::Label;
 pub use crate::registry::{channel_orgs, sample_registry};
@@ -465,45 +463,11 @@ fn check_sinks(
     }
 }
 
-/// Analyzes many targets sequentially. Same output as
-/// [`analyze_targets_with`] at any worker count.
+/// Analyzes many targets into one list, ordered and deduplicated by
+/// [`sort_and_dedup`](crate::sort_and_dedup), so the order of `targets`
+/// never shows in the report.
 pub fn analyze_targets(targets: &[FlowTarget]) -> Vec<Finding> {
-    analyze_targets_with(targets, 1)
-}
-
-/// Analyzes many targets with an explicit worker count (`0` is treated
-/// as `1`), using the same strided, slot-indexed fan-out as the corpus
-/// scanner so the merged report is byte-identical at any parallelism.
-pub fn analyze_targets_with(targets: &[FlowTarget], workers: usize) -> Vec<Finding> {
-    let mut order: Vec<usize> = (0..targets.len()).collect();
-    order.sort_by(|&a, &b| targets[a].name.cmp(&targets[b].name));
-    let workers = workers.clamp(1, order.len().max(1));
-
-    let mut slots: Vec<Option<Vec<Finding>>> = (0..order.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let order = &order;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    // Strided assignment: worker `w` takes slots w, w+workers, …
-                    (w..order.len())
-                        .step_by(workers)
-                        .map(|i| (i, analyze_target(&targets[order[i]])))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, result) in handle.join().expect("flow worker panicked") {
-                slots[i] = Some(result);
-            }
-        }
-    });
-
-    let mut findings: Vec<Finding> = slots
-        .into_iter()
-        .flat_map(|slot| slot.expect("every slot analyzed"))
-        .collect();
+    let mut findings: Vec<Finding> = targets.iter().flat_map(analyze_target).collect();
     crate::sort_and_dedup(&mut findings);
     findings
 }

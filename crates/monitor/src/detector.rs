@@ -13,8 +13,7 @@
 //!
 //! All state advances in whole ticks with no wall-clock input, so a
 //! detector fed the same audit sequence produces the same decisions —
-//! the property the alert-determinism tests pin across the parallelism
-//! knob.
+//! the property the alert-determinism tests pin across repeated runs.
 
 use fabric_telemetry::AuditEvent;
 use std::collections::VecDeque;

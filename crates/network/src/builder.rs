@@ -12,16 +12,19 @@ use fabric_types::{ChannelId, DefenseConfig, OrgId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Raft orderer nodes in every network.
+const ORDERERS: usize = 3;
+
 /// Configures and builds a [`FabricNetwork`].
 ///
-/// Defaults: three orderers, one peer + one client per org (named
-/// `peer0.orgN` / `client0.orgN`), Fabric's default batch parameters, all
-/// defenses off (the original framework).
+/// Every network has three Raft orderers and one peer + one client per org
+/// (named `peer0.orgN` / `client0.orgN`). By default blocks are cut by
+/// [`BatchConfig::default`] and all defenses are off (the original
+/// framework).
 #[derive(Debug, Clone)]
 pub struct NetworkBuilder {
     channel: ChannelId,
     orgs: Vec<OrgId>,
-    orderer_count: usize,
     batch_config: BatchConfig,
     defense: DefenseConfig,
     seed: u64,
@@ -35,11 +38,7 @@ impl NetworkBuilder {
         NetworkBuilder {
             channel: channel.into(),
             orgs: Vec::new(),
-            orderer_count: 3,
-            batch_config: BatchConfig {
-                max_message_count: 10,
-                batch_timeout_ticks: 2,
-            },
+            batch_config: BatchConfig::default(),
             defense: DefenseConfig::original(),
             seed: 0,
             telemetry: None,
@@ -50,12 +49,6 @@ impl NetworkBuilder {
     /// Sets the participating organizations (order defines `orgN` naming).
     pub fn orgs(mut self, orgs: &[&str]) -> Self {
         self.orgs = orgs.iter().map(|o| OrgId::new(*o)).collect();
-        self
-    }
-
-    /// Sets the number of Raft orderer nodes.
-    pub fn orderers(mut self, count: usize) -> Self {
-        self.orderer_count = count;
         self
     }
 
@@ -162,7 +155,7 @@ impl NetworkBuilder {
             clients.insert(Arc::from(client_name), client);
         }
 
-        let mut orderer = OrderingService::new(self.orderer_count, self.seed, self.batch_config);
+        let mut orderer = OrderingService::new(ORDERERS, self.seed, self.batch_config);
         if let Some(t) = &self.telemetry {
             orderer.set_telemetry(t.clone());
         }

@@ -9,7 +9,6 @@
 
 use crate::builder::NetworkBuilder;
 use crate::net::FabricNetwork;
-use fabric_orderer::BatchConfig;
 use fabric_types::ChannelId;
 use std::collections::BTreeMap;
 
@@ -21,7 +20,6 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct Consortium {
     seed: u64,
-    batch: BatchConfig,
     channels: BTreeMap<ChannelId, FabricNetwork>,
 }
 
@@ -30,10 +28,6 @@ impl Consortium {
     pub fn new(seed: u64) -> Self {
         Consortium {
             seed,
-            batch: BatchConfig {
-                max_message_count: 10,
-                batch_timeout_ticks: 2,
-            },
             channels: BTreeMap::new(),
         }
     }
@@ -49,11 +43,7 @@ impl Consortium {
             !self.channels.contains_key(&id),
             "channel {name:?} already exists"
         );
-        let net = NetworkBuilder::new(name)
-            .orgs(orgs)
-            .seed(self.seed)
-            .batch(self.batch)
-            .build();
+        let net = NetworkBuilder::new(name).orgs(orgs).seed(self.seed).build();
         self.channels.insert(id.clone(), net);
         self.channels.get_mut(&id).expect("just inserted")
     }

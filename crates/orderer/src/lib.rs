@@ -22,14 +22,16 @@
 //! ```
 
 use fabric_crypto::{Hash256, Keypair};
-use fabric_raft::{Cluster, NodeId, RaftConfig};
+use fabric_raft::{Cluster, NodeId};
 use fabric_telemetry::{trace_id, SpanGuard, Telemetry};
 use fabric_types::{Block, Identity, Role, Transaction};
 use fabric_wire::{Decode, Encode};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Block-cutting parameters (Fabric's `BatchSize`/`BatchTimeout`).
+/// Block-cutting parameters (Fabric's `BatchSize`/`BatchTimeout`). The
+/// default cuts at 10 transactions or 2 ticks, the `MaxMessageCount: 10`
+/// and `BatchTimeout: 2s` of Fabric's sample channel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Cut a block when this many transactions are pending.
@@ -42,7 +44,7 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_message_count: 10,
-            batch_timeout_ticks: 5,
+            batch_timeout_ticks: 2,
         }
     }
 }
@@ -84,12 +86,22 @@ pub struct OrderingService {
 
 impl OrderingService {
     /// Creates an ordering cluster of `orderer_count` Raft nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.max_message_count` is 0: no batch could ever
+    /// carry a transaction. Fabric's channel configuration rejects a zero
+    /// `MaxMessageCount` too.
     pub fn new(orderer_count: usize, seed: u64, config: BatchConfig) -> Self {
+        assert!(
+            config.max_message_count > 0,
+            "a batch must hold at least one transaction"
+        );
         let keypair = Keypair::generate_from_seed(seed ^ ORDERER_SEED_MIX);
         let identity = Identity::new("OrdererMSP", Role::Orderer, keypair.public_key());
         OrderingService {
             config,
-            raft: Cluster::with_config(orderer_count, seed, RaftConfig::default()),
+            raft: Cluster::new(orderer_count, seed),
             observer: 1,
             delivered_cursor: 0,
             pending: VecDeque::new(),
@@ -509,6 +521,19 @@ mod tests {
         assert_eq!(
             order_spans()[2..],
             [(trace(1), orderer()), (trace(2), orderer())]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one transaction")]
+    fn a_zero_batch_size_is_rejected() {
+        OrderingService::new(
+            3,
+            1,
+            BatchConfig {
+                max_message_count: 0,
+                batch_timeout_ticks: 2,
+            },
         );
     }
 

@@ -21,11 +21,11 @@ use fabric_ledger::{BlockStoreError, HistoryDb, WorldState};
 use fabric_policy::EndorserSet;
 use fabric_telemetry::{trace_id, AuditEvent};
 use fabric_types::{
-    Block, ChaincodeEvent, ChaincodeId, CollectionName, OrgId, PayloadCommitment, PvtDataPackage,
-    SignatureFailure, Transaction, TxId, TxValidationCode, Version,
+    Block, ChaincodeEvent, ChaincodeId, OrgId, PayloadCommitment, PvtDataPackage, SignatureFailure,
+    Transaction, TxId, TxValidationCode, Version,
 };
 use fabric_wire::IdSet;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -86,80 +86,6 @@ pub struct BlockCommitOutcome {
     pub events: Vec<(TxId, ChaincodeEvent)>,
 }
 
-/// Per-(namespace, collection) facts the audit pass needs. Chaincode
-/// definitions cannot change inside a block, so they hold for the whole
-/// block.
-#[derive(Clone, Copy)]
-struct CollectionAuditFacts<'a> {
-    /// The collection is defined but compiles no endorsement policy of
-    /// its own, so validation falls back to the chaincode-level policy.
-    policy_fallback: bool,
-    /// The collection's member organizations, when its membership policy
-    /// names any.
-    members: Option<&'a BTreeSet<OrgId>>,
-}
-
-/// One memoized [`CollectionAuditFacts`] resolution.
-type AuditFactsEntry<'a> = (
-    &'a ChaincodeId,
-    &'a CollectionName,
-    Option<CollectionAuditFacts<'a>>,
-);
-
-/// Memo of [`CollectionAuditFacts`] for one block. Blocks touch few
-/// distinct (namespace, collection) pairs, so a linear scan with two
-/// string compares beats re-hashing into the chaincode and policy maps
-/// for every transaction.
-/// The first few entries live inline: a block touching up to
-/// [`AUDIT_CACHE_INLINE`] pairs — the overwhelmingly common case — never
-/// heap-allocates, which matters for single-transaction blocks.
-#[derive(Default)]
-struct AuditFactsCache<'a> {
-    inline: [Option<AuditFactsEntry<'a>>; AUDIT_CACHE_INLINE],
-    spill: Vec<AuditFactsEntry<'a>>,
-}
-
-/// Inline capacity of [`AuditFactsCache`].
-const AUDIT_CACHE_INLINE: usize = 4;
-
-impl<'a> AuditFactsCache<'a> {
-    /// The facts for `(namespace, collection)`; `None` when the peer has
-    /// no such chaincode installed.
-    fn lookup(
-        &mut self,
-        chaincodes: &'a HashMap<ChaincodeId, InstalledChaincode>,
-        namespace: &'a ChaincodeId,
-        collection: &'a CollectionName,
-    ) -> Option<CollectionAuditFacts<'a>> {
-        let hit = |entry: &AuditFactsEntry<'a>| entry.0 == namespace && entry.1 == collection;
-        if let Some((_, _, facts)) = self
-            .inline
-            .iter()
-            .flatten()
-            .chain(self.spill.iter())
-            .find(|e| hit(e))
-        {
-            return *facts;
-        }
-        let facts = chaincodes
-            .get(namespace)
-            .map(|installed| CollectionAuditFacts {
-                policy_fallback: installed.definition.collection(collection).is_some()
-                    && installed
-                        .compiled
-                        .collection_endorsement(collection)
-                        .is_none(),
-                members: installed.compiled.members(collection),
-            });
-        let entry = (namespace, collection, facts);
-        match self.inline.iter_mut().find(|slot| slot.is_none()) {
-            Some(slot) => *slot = Some(entry),
-            None => self.spill.push(entry),
-        }
-        facts
-    }
-}
-
 impl Peer {
     /// Validates every transaction in `block` through the proof-of-policy
     /// checks (endorsement policy + MVCC version conflict, §II-B3), commits
@@ -209,7 +135,6 @@ impl Peer {
         } = &mut block;
         {
             let mut batch = BatchVerifier::new();
-            let mut audit_cache = AuditFactsCache::default();
             let mut seen_in_block: IdSet<&TxId> =
                 IdSet::with_capacity_and_hasher(transactions.len(), Default::default());
             // `(namespace, key)` pairs whose SBE validation parameter was
@@ -264,14 +189,7 @@ impl Peer {
                     }
                 }
                 if let Some(t) = &telemetry {
-                    audit_transaction(
-                        t,
-                        &self.chaincodes,
-                        &mut audit_cache,
-                        tx,
-                        code,
-                        sbe_rechecked,
-                    );
+                    audit_transaction(t, &self.chaincodes, tx, code, sbe_rechecked);
                 }
                 if let Some(mut s) = commit_span {
                     s.field("code", code.as_str());
@@ -575,22 +493,26 @@ fn touches_dirty_params(tx: &Transaction, dirty: &HashSet<(&ChaincodeId, &str)>)
 /// plaintext payloads riding PDC transactions (Use Case 3). Then come the
 /// outcome-dependent ones: SBE re-checks, MVCC conflicts and defense
 /// rejections. The common no-signal case allocates nothing.
-fn audit_transaction<'a>(
+fn audit_transaction(
     t: &PeerTelemetry,
-    chaincodes: &'a HashMap<ChaincodeId, InstalledChaincode>,
-    cache: &mut AuditFactsCache<'a>,
-    tx: &'a Transaction,
+    chaincodes: &HashMap<ChaincodeId, InstalledChaincode>,
+    tx: &Transaction,
     code: TxValidationCode,
     sbe_rechecked: bool,
 ) {
     let mut touches_collection = false;
     for ns in &tx.payload.results.ns_rwsets {
+        let Some(installed) = chaincodes.get(&ns.namespace) else {
+            continue; // Unknown namespace: BadPayload, nothing to attribute.
+        };
         for col in &ns.collections {
-            let Some(facts) = cache.lookup(chaincodes, &ns.namespace, &col.collection) else {
-                continue; // Unknown namespace: BadPayload, nothing to attribute.
-            };
             touches_collection = true;
-            if facts.policy_fallback {
+            if installed.definition.collection(&col.collection).is_some()
+                && installed
+                    .compiled
+                    .collection_endorsement(&col.collection)
+                    .is_none()
+            {
                 t.emit(AuditEvent::PolicyFallbackToChaincodeLevel {
                     tx_id: tx.tx_id.clone(),
                     chaincode: ns.namespace.clone(),
@@ -600,8 +522,9 @@ fn audit_transaction<'a>(
             let mut flagged: Vec<&OrgId> = Vec::new();
             for e in &tx.endorsements {
                 let org = &e.endorser.org;
-                let member = facts.members.is_some_and(|m| m.contains(org));
-                if !member && !flagged.contains(&org) {
+                if !installed.compiled.org_is_member(org, &col.collection)
+                    && !flagged.contains(&org)
+                {
                     flagged.push(org);
                     t.emit(AuditEvent::EndorsementByNonMember {
                         tx_id: tx.tx_id.clone(),
@@ -676,8 +599,8 @@ mod tests {
     use fabric_chaincode::ChaincodeDefinition;
     use fabric_crypto::Keypair;
     use fabric_types::{
-        CollectionConfig, CollectionName, DefenseConfig, Endorsement, Identity, OrgId, Proposal,
-        Role,
+        CollectionConfig, CollectionName, CollectionPvtRwSet, DefenseConfig, Endorsement, Identity,
+        KvWrite, OrgId, Proposal, Role,
     };
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -805,6 +728,81 @@ mod tests {
         let col = CollectionName::new(COL);
         assert!(p2.world_state().get_private(&ns, &col, "k1").is_none());
         assert!(p2.world_state().get_private_hash(&ns, &col, "k1").is_some());
+    }
+
+    /// A member handed plaintext that does not hash to the transaction's
+    /// committed private writes keeps none of it (Fig. 2, step 18): the
+    /// transaction is still valid, only its hashes are committed, and it
+    /// awaits reconciliation.
+    #[test]
+    fn forged_plaintext_is_refused_at_commit() {
+        let p1 = make_peer("peer0.org1", "Org1MSP", 75);
+        let p2 = make_peer("peer0.org2", "Org2MSP", 76);
+        let (tx, honest) = write_tx(&[&p1, &p2], 7, 19);
+        let ns = fabric_types::ChaincodeId::new("guarded");
+        let col = CollectionName::new(COL);
+
+        let mut reference = p2.clone();
+        let mut with_honest = |_: &TxId| Some(honest.clone());
+        reference
+            .process_block(block_of(&p2, vec![tx.clone()]), &mut with_honest)
+            .unwrap();
+        let state = reference.world_state();
+        assert_eq!(state.get_private(&ns, &col, "k1").unwrap().value, b"7");
+
+        type Forgery = fn(&mut CollectionPvtRwSet);
+        let forgeries: [(&str, Forgery); 5] = [
+            ("changed value", |c| {
+                c.rwset.writes[0].value = Some(b"8".to_vec())
+            }),
+            ("changed key", |c| c.rwset.writes[0].key = "k2".into()),
+            ("flipped delete flag", |c| {
+                c.rwset.writes[0].is_delete ^= true
+            }),
+            ("wrong collection", |c| {
+                c.collection = CollectionName::new("PDC2")
+            }),
+            ("extra write", |c| {
+                c.rwset.writes.push(KvWrite {
+                    key: "k2".into(),
+                    value: Some(b"8".to_vec()),
+                    is_delete: false,
+                })
+            }),
+        ];
+        for (forgery, forge) in forgeries {
+            let mut forged = (*honest).clone();
+            forge(&mut forged.collections[0]);
+            let forged = Arc::new(forged);
+            let mut member = p2.clone();
+            let mut with_forged = |_: &TxId| Some(forged.clone());
+            let outcome = member
+                .process_block(block_of(&p2, vec![tx.clone()]), &mut with_forged)
+                .unwrap();
+            assert_eq!(
+                outcome.validation_codes,
+                vec![TxValidationCode::Valid],
+                "{forgery}"
+            );
+            assert_eq!(
+                outcome.missing_private_data,
+                vec![tx.tx_id.clone()],
+                "{forgery}"
+            );
+            let held = member.world_state();
+            for key in ["k1", "k2"] {
+                assert!(held.get_private(&ns, &col, key).is_none(), "{forgery}");
+            }
+            assert_eq!(
+                held.get_private_hash(&ns, &col, "k1"),
+                state.get_private_hash(&ns, &col, "k1"),
+                "{forgery}"
+            );
+            assert!(
+                held.get_private_hash(&ns, &col, "k2").is_none(),
+                "{forgery}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic in-memory Raft cluster simulation.
 
 use crate::message::{Envelope, Message, NodeId};
-use crate::node::{NotLeader, RaftConfig, RaftNode, Role};
+use crate::node::{NotLeader, RaftNode, Role};
 use fabric_telemetry::{SpanGuard, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,16 +56,11 @@ pub struct Cluster {
 impl Cluster {
     /// Builds a cluster of `n` nodes with IDs `1..=n`.
     pub fn new(n: usize, seed: u64) -> Self {
-        Self::with_config(n, seed, RaftConfig::default())
-    }
-
-    /// Builds a cluster with custom Raft timing.
-    pub fn with_config(n: usize, seed: u64, config: RaftConfig) -> Self {
         let ids: Vec<NodeId> = (1..=n as NodeId).collect();
         let mut nodes = BTreeMap::new();
         for &id in &ids {
             let peers: Vec<NodeId> = ids.iter().copied().filter(|&p| p != id).collect();
-            nodes.insert(id, RaftNode::new(id, peers, config, seed));
+            nodes.insert(id, RaftNode::new(id, peers, seed));
         }
         Cluster {
             nodes,
@@ -360,7 +355,7 @@ mod tests {
         // per tick: append, ack, commit index. A heartbeat-paced leader
         // would hold it until its next heartbeat, and its followers would
         // learn the commit one heartbeat later still.
-        for phase in 0..RaftConfig::default().heartbeat_interval as usize {
+        for phase in 0..crate::node::HEARTBEAT_INTERVAL as usize {
             let mut c = Cluster::new(3, 11);
             let leader = c.run_until_leader(500).expect("leader elected");
             c.run_ticks(10 + phase);
@@ -391,29 +386,6 @@ mod tests {
                 assert_eq!(c.committed_len(f), index as usize, "phase {phase}");
             }
         }
-    }
-
-    #[test]
-    fn a_quiet_cluster_learns_a_commit_without_waiting_for_a_heartbeat() {
-        // No timer fires in the ticks below, so only the append and the
-        // commit index sent on the ack can move the entry.
-        let config = RaftConfig {
-            election_timeout_min: 2_000,
-            election_timeout_max: 3_000,
-            heartbeat_interval: 1_000,
-            pre_vote: false,
-        };
-        let mut c = Cluster::with_config(3, 12, config);
-        let leader = c.run_until_leader(10_000).expect("leader elected");
-        c.run_ticks(5);
-        let sent = c.stats().messages_delivered;
-        c.propose(leader, b"quiet".to_vec()).unwrap();
-        c.run_ticks(3);
-        for id in c.node_ids() {
-            assert_eq!(bytes(&c, id), vec![b"quiet".to_vec()], "node {id}");
-        }
-        // Two appends, two acks, two commit indexes: no heartbeat.
-        assert_eq!(c.stats().messages_delivered - sent, 6);
     }
 
     #[test]
@@ -509,11 +481,7 @@ mod tests {
         // the leader survives the heal and the catch-up path is
         // deterministically InstallSnapshot (not re-election plus ordinary
         // replication from an uncompacted log).
-        let config = RaftConfig {
-            pre_vote: true,
-            ..RaftConfig::default()
-        };
-        let mut c = Cluster::with_config(3, 6, config);
+        let mut c = Cluster::new(3, 6);
         let leader = c.run_until_leader(500).unwrap();
         // Cut one follower off.
         let lagging = c.node_ids().into_iter().find(|&n| n != leader).unwrap();
@@ -552,11 +520,7 @@ mod tests {
 
     #[test]
     fn pre_vote_prevents_term_inflation_by_partitioned_node() {
-        let config = RaftConfig {
-            pre_vote: true,
-            ..RaftConfig::default()
-        };
-        let mut c = Cluster::with_config(5, 7, config);
+        let mut c = Cluster::new(5, 7);
         let leader = c.run_until_leader(1000).unwrap();
         let stable_term = c.node(leader).term();
 
@@ -578,23 +542,6 @@ mod tests {
         c.run_ticks(100);
         assert_eq!(c.leader(), Some(leader));
         assert_eq!(c.node(leader).term(), stable_term);
-    }
-
-    #[test]
-    fn without_pre_vote_partitioned_node_inflates_terms() {
-        // The contrast case documenting why PreVote matters.
-        let mut c = Cluster::new(5, 8);
-        let leader = c.run_until_leader(1000).unwrap();
-        let stable_term = c.node(leader).term();
-        let isolated = c.node_ids().into_iter().find(|&n| n != leader).unwrap();
-        let rest: Vec<NodeId> = c
-            .node_ids()
-            .into_iter()
-            .filter(|&n| n != isolated)
-            .collect();
-        c.partition(&[isolated], &rest);
-        c.run_ticks(500);
-        assert!(c.node(isolated).term() > stable_term + 5);
     }
 
     #[test]

@@ -41,4 +41,4 @@ mod node;
 
 pub use cluster::{Cluster, ClusterStats};
 pub use message::{Envelope, LogEntry, Message, NodeId, Snapshot};
-pub use node::{NotLeader, RaftConfig, RaftNode, Role};
+pub use node::{NotLeader, RaftNode, Role};

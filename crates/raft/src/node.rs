@@ -29,45 +29,31 @@ impl fmt::Display for NotLeader {
 
 impl std::error::Error for NotLeader {}
 
-/// Timing configuration in ticks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RaftConfig {
-    /// Minimum election timeout.
-    pub election_timeout_min: u64,
-    /// Maximum election timeout (randomized per restart).
-    pub election_timeout_max: u64,
-    /// Ticks between leader heartbeats. Entries do not wait for one: a
-    /// proposal is sent to every follower at once and a commit-index
-    /// advance is sent as soon as an ack makes it, so heartbeats only
-    /// assert leadership (holding off elections) and repair appends that
-    /// were lost.
-    pub heartbeat_interval: u64,
-    /// Run the PreVote protocol before real elections, so nodes returning
-    /// from a partition cannot disrupt a stable leader with inflated terms.
-    pub pre_vote: bool,
-}
+/// Election timeout bounds in ticks; each restart draws one uniformly.
+const ELECTION_TIMEOUT_MIN: u64 = 10;
+const ELECTION_TIMEOUT_MAX: u64 = 20;
 
-impl Default for RaftConfig {
-    fn default() -> Self {
-        RaftConfig {
-            election_timeout_min: 10,
-            election_timeout_max: 20,
-            heartbeat_interval: 3,
-            pre_vote: false,
-        }
-    }
-}
+/// Ticks between leader heartbeats. Entries do not wait for one: a
+/// proposal is sent to every follower at once and a commit-index advance
+/// is sent as soon as an ack makes it, so heartbeats only assert
+/// leadership (holding off elections) and repair appends that were lost.
+pub(crate) const HEARTBEAT_INTERVAL: u64 = 3;
 
 /// The per-node Raft state machine.
 ///
 /// Drive it with [`RaftNode::tick`] and [`RaftNode::receive`]; both return
 /// outbound messages. Committed commands are drained with
 /// [`RaftNode::take_committed`].
+///
+/// PreVote is always on, as in Fabric's etcdraft orderer: a follower whose
+/// election timer fires first asks for pre-votes for the next term, and
+/// only a majority of grants makes it a candidate. A node cut off from the
+/// cluster therefore cannot inflate its term and depose a stable leader
+/// when it returns.
 #[derive(Debug)]
 pub struct RaftNode {
     id: NodeId,
     peers: Vec<NodeId>,
-    config: RaftConfig,
     rng: StdRng,
 
     role: Role,
@@ -102,11 +88,10 @@ pub struct RaftNode {
 
 impl RaftNode {
     /// Creates a follower with a seeded RNG for reproducible timeouts.
-    pub fn new(id: NodeId, peers: Vec<NodeId>, config: RaftConfig, seed: u64) -> Self {
+    pub fn new(id: NodeId, peers: Vec<NodeId>, seed: u64) -> Self {
         let mut node = RaftNode {
             id,
             peers,
-            config,
             rng: StdRng::seed_from_u64(seed ^ id.wrapping_mul(0x9e3779b97f4a7c15)),
             role: Role::Follower,
             current_term: 0,
@@ -163,7 +148,7 @@ impl RaftNode {
         self.ticks_since_reset = 0;
         self.election_deadline = self
             .rng
-            .gen_range(self.config.election_timeout_min..=self.config.election_timeout_max);
+            .gen_range(ELECTION_TIMEOUT_MIN..=ELECTION_TIMEOUT_MAX);
     }
 
     fn last_log_index(&self) -> u64 {
@@ -313,7 +298,7 @@ impl RaftNode {
         self.ticks_since_reset += 1;
         match self.role {
             Role::Leader => {
-                if self.ticks_since_reset >= self.config.heartbeat_interval {
+                if self.ticks_since_reset >= HEARTBEAT_INTERVAL {
                     self.ticks_since_reset = 0;
                     self.append_entries_to_all()
                 } else {
@@ -322,7 +307,7 @@ impl RaftNode {
             }
             Role::Follower | Role::Candidate => {
                 if self.ticks_since_reset >= self.election_deadline {
-                    if self.config.pre_vote && self.role == Role::Follower {
+                    if self.role == Role::Follower {
                         self.start_pre_vote()
                     } else {
                         self.become_candidate()
@@ -742,7 +727,7 @@ mod tests {
 
     #[test]
     fn single_node_elects_itself_and_commits() {
-        let mut n = RaftNode::new(1, vec![], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![], 7);
         // Tick until the election fires.
         for _ in 0..25 {
             n.tick();
@@ -760,13 +745,13 @@ mod tests {
 
     #[test]
     fn follower_rejects_propose() {
-        let mut n = RaftNode::new(1, vec![2, 3], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![2, 3], 7);
         assert_eq!(n.propose(b"x".to_vec()), Err(NotLeader));
     }
 
     #[test]
     fn vote_granted_once_per_term() {
-        let mut n = RaftNode::new(1, vec![2, 3], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![2, 3], 7);
         let out = n.receive(
             2,
             Message::RequestVote {
@@ -796,7 +781,7 @@ mod tests {
 
     #[test]
     fn stale_term_vote_rejected() {
-        let mut n = RaftNode::new(1, vec![2, 3], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![2, 3], 7);
         n.become_follower(5);
         let out = n.receive(
             2,
@@ -814,7 +799,7 @@ mod tests {
 
     #[test]
     fn outdated_log_denied_vote() {
-        let mut n = RaftNode::new(1, vec![2, 3], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![2, 3], 7);
         n.log.push(LogEntry {
             term: 2,
             index: 1,
@@ -837,7 +822,7 @@ mod tests {
 
     #[test]
     fn append_entries_truncates_conflicts() {
-        let mut n = RaftNode::new(1, vec![2], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![2], 7);
         n.become_follower(1);
         // Initial entries from leader term 1.
         n.receive(
@@ -886,7 +871,7 @@ mod tests {
     fn an_append_acks_only_what_it_matched() {
         // Entries 1–3 from a leader of term 1 that was deposed before
         // entry 3 reached a majority.
-        let mut n = RaftNode::new(1, vec![2, 3], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![2, 3], 7);
         let entry = |term, index| LogEntry {
             term,
             index,
@@ -927,9 +912,79 @@ mod tests {
         assert_eq!(n.commit_index(), 2);
     }
 
+    /// Delivers every envelope in `out` and returns the replies: one hop.
+    fn hop(nodes: &mut BTreeMap<NodeId, RaftNode>, out: Vec<Envelope>) -> Vec<Envelope> {
+        out.into_iter()
+            .flat_map(|e| nodes.get_mut(&e.to).unwrap().receive(e.from, e.message))
+            .collect()
+    }
+
+    #[test]
+    fn a_quiet_cluster_learns_a_commit_without_waiting_for_a_heartbeat() {
+        // Three nodes driven by hand. No `tick()` runs after the election,
+        // so no timer fires: only the append and the commit index sent on
+        // the ack can move the entry.
+        let mut nodes: BTreeMap<NodeId, RaftNode> = (1..=3)
+            .map(|id| {
+                (
+                    id,
+                    RaftNode::new(id, (1..=3).filter(|&p| p != id).collect(), 12),
+                )
+            })
+            .collect();
+        let mut out = Vec::new();
+        while out.is_empty() {
+            out = nodes.get_mut(&1).unwrap().tick();
+        }
+        while !out.is_empty() {
+            out = hop(&mut nodes, out);
+        }
+        assert_eq!(nodes[&1].role(), Role::Leader);
+
+        let (index, appends) = nodes
+            .get_mut(&1)
+            .unwrap()
+            .propose(b"quiet".to_vec())
+            .unwrap();
+        assert!(
+            appends.len() == 2
+                && appends.iter().all(|e| matches!(
+                    &e.message,
+                    Message::AppendEntries { entries, .. } if entries.len() == 1
+                ))
+        );
+        let acks = hop(&mut nodes, appends);
+        assert!(
+            acks.len() == 2
+                && acks.iter().all(|e| matches!(
+                    e.message,
+                    Message::AppendEntriesResponse { success: true, .. }
+                ))
+        );
+        let commits = hop(&mut nodes, acks);
+        assert!(
+            commits.len() == 2
+                && commits.iter().all(|e| matches!(
+                    &e.message,
+                    Message::AppendEntries { entries, leader_commit, .. }
+                        if entries.is_empty() && *leader_commit == index
+                ))
+        );
+        hop(&mut nodes, commits);
+        // Two appends, two acks, two commit indexes: no heartbeat.
+        for (id, node) in &mut nodes {
+            let committed: Vec<Vec<u8>> = node
+                .take_committed()
+                .iter()
+                .map(|e| e.command.to_vec())
+                .collect();
+            assert_eq!(committed, vec![b"quiet".to_vec()], "node {id}");
+        }
+    }
+
     #[test]
     fn append_with_gap_fails_consistency_check() {
-        let mut n = RaftNode::new(1, vec![2], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![2], 7);
         let out = n.receive(
             2,
             Message::AppendEntries {

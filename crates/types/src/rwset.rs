@@ -370,30 +370,6 @@ impl_wire_struct!(PvtDataPackage {
     collections
 });
 
-impl PvtDataPackage {
-    /// Verifies that each plaintext collection rwset matches the hashed
-    /// rwset committed in the transaction. Returns the first mismatching
-    /// collection name on failure.
-    pub fn matches_hashes(&self, tx_rwset: &TxRwSet) -> Result<(), CollectionName> {
-        for (ns, pvt) in self.namespaces.iter().zip(&self.collections) {
-            let hashed_in_tx = tx_rwset
-                .ns_rwsets
-                .iter()
-                .find(|n| &n.namespace == ns)
-                .and_then(|n| {
-                    n.collections
-                        .iter()
-                        .find(|c| c.collection == pvt.collection)
-                });
-            match hashed_in_tx {
-                Some(expected) if *expected == pvt.to_hashed() => {}
-                _ => return Err(pvt.collection.clone()),
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,40 +463,6 @@ mod tests {
         };
         let (hr, _) = rw.to_hashed();
         assert_eq!(hr[0].version, Some(Version::new(9, 2)));
-    }
-
-    #[test]
-    fn pvt_package_hash_match() {
-        let pvt = CollectionPvtRwSet {
-            collection: CollectionName::new("PDC1"),
-            rwset: KvRwSet {
-                reads: vec![],
-                writes: vec![write("k1", b"secret")],
-            },
-        };
-        let ns = NsRwSet {
-            namespace: ChaincodeId::new("cc"),
-            public: KvRwSet::new(),
-            metadata_writes: vec![],
-            collections: vec![pvt.to_hashed()],
-        };
-        let tx_rwset = TxRwSet {
-            ns_rwsets: vec![ns],
-        };
-        let pkg = PvtDataPackage {
-            tx_id: TxId::new("tx1"),
-            namespaces: vec![ChaincodeId::new("cc")],
-            collections: vec![pvt.clone()],
-        };
-        assert!(pkg.matches_hashes(&tx_rwset).is_ok());
-
-        // Tampered plaintext no longer matches the committed hash.
-        let mut tampered = pkg;
-        tampered.collections[0].rwset.writes[0].value = Some(b"forged".to_vec());
-        assert_eq!(
-            tampered.matches_hashes(&tx_rwset),
-            Err(CollectionName::new("PDC1"))
-        );
     }
 
     #[test]

@@ -406,8 +406,7 @@ impl Transaction {
     /// [`Transaction::verify_signatures`] through a [`BatchVerifier`]:
     /// identical outcome, but each signer's verification material is
     /// resolved from the CA registry once per verifier instead of once per
-    /// signature. This is the commit path's form: one verifier per block,
-    /// or per stream under the overlap scheduler.
+    /// signature. This is the commit path's form: one verifier per block.
     pub fn verify_signatures_batched(&self, batch: &mut BatchVerifier) -> Option<SignatureFailure> {
         self.verify_signatures_impl(|pk, digest, sig| batch.verify_digest(pk, digest, sig))
     }

@@ -1,5 +1,7 @@
 //! The ordering-service substrate on its own: a 5-node Raft cluster
-//! electing leaders, replicating entries, and surviving a partition.
+//! electing leaders, replicating entries, and surviving a partition. It
+//! asserts what it shows, so a broken election or replication path exits
+//! non-zero.
 //!
 //! Run with `cargo run -p fabric-pdc --example raft_demo`.
 
@@ -8,6 +10,7 @@ use fabric_pdc::raft::Cluster;
 fn main() {
     let mut cluster = Cluster::new(5, 99);
     let leader = cluster.run_until_leader(1000).expect("leader elected");
+    let first_term = cluster.node(leader).term();
     println!(
         "leader elected: node {leader} (term {})",
         cluster.node(leader).term()
@@ -35,10 +38,10 @@ fn main() {
     cluster.run_ticks(100);
 
     let new_leader = cluster.leader().expect("majority side elects");
-    println!(
-        "majority side elected node {new_leader} (term {})",
-        cluster.node(new_leader).term()
-    );
+    let new_term = cluster.node(new_leader).term();
+    println!("majority side elected node {new_leader} (term {new_term})");
+    assert!(majority.contains(&new_leader), "leader from the majority");
+    assert!(new_term > first_term, "the new leader's term is higher");
     cluster
         .propose(new_leader, b"committed-entry".to_vec())
         .unwrap();
@@ -48,13 +51,17 @@ fn main() {
     cluster.heal();
     cluster.run_ticks(100);
 
+    let expected: Vec<&[u8]> = vec![&[0], &[1], &[2], b"committed-entry"];
     for id in cluster.node_ids() {
-        let log: Vec<String> = cluster
-            .committed(id)
+        let committed = cluster.committed(id);
+        let log: Vec<String> = committed
             .iter()
             .map(|c| String::from_utf8_lossy(c).into_owned())
             .collect();
         println!("node {id} committed: {log:?}");
+        let committed: Vec<&[u8]> = committed.iter().map(|c| &c[..]).collect();
+        assert_eq!(committed, expected, "node {id}");
+        assert!(!committed.contains(&&b"lost-entry"[..]), "node {id}");
     }
     println!("note: the minority's uncommitted 'lost-entry' was discarded, as Raft requires");
 }

@@ -10,7 +10,8 @@
 #      (criterion, parking_lot, proptest, rand) are excluded because
 #      `vendor/proptest`'s docs carry broken links of their own
 #   6. the examples that assert                     `monitor_status`,
-#      `trace_tx`, `telemetry`, `quickstart` and `lint_demo` run to exit 0
+#      `trace_tx`, `telemetry`, `quickstart`, `lint_demo` and `raft_demo`
+#      run to exit 0
 #      (stdout dropped; a failed assertion panics on stderr)
 #   7. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
 #      that commits on several threads, `mixed_small_blocks`, the one
@@ -44,7 +45,7 @@ echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
     --exclude criterion --exclude parking_lot --exclude proptest --exclude rand
 
-for example in monitor_status trace_tx telemetry quickstart lint_demo; do
+for example in monitor_status trace_tx telemetry quickstart lint_demo raft_demo; do
     echo "==> example $example"
     cargo run --release -q -p fabric-pdc --example "$example" > /dev/null
 done
