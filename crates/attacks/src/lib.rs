@@ -33,6 +33,4 @@ pub use leakage::{
     LeakedRecord,
 };
 pub use mal_client::MaliciousClient;
-pub use table2::{
-    render_table2, run_supplemental_filter_matrix, run_table2, Table2Cell, Table2Row,
-};
+pub use table2::{render_table2, run_table2, Table2Cell, Table2Row};

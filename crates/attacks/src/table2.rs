@@ -136,28 +136,6 @@ pub fn run_table2(seed: u64) -> Vec<Table2Row> {
     rows
 }
 
-/// The supplemental-defense matrix (beyond the paper's Table II): every
-/// injection attack against the non-member endorsement filter alone —
-/// no collection-level policy needed. Returns `(attack label, works)`.
-pub fn run_supplemental_filter_matrix(seed: u64) -> Vec<(String, bool)> {
-    let cfg = LabConfig {
-        defense: DefenseConfig {
-            filter_non_member_endorsers: true,
-            ..DefenseConfig::original()
-        },
-        seed,
-        ..LabConfig::default()
-    };
-    AttackKind::all()
-        .into_iter()
-        .map(|kind| {
-            let mut lab = build_lab(&cfg);
-            let outcome = run_attack(&mut lab, kind);
-            (kind.label().to_string(), outcome.succeeded)
-        })
-        .collect()
-}
-
 /// Renders the table in the paper's ✓/×/N-A notation.
 pub fn render_table2(rows: &[Table2Row]) -> String {
     let mut out = String::new();

@@ -60,11 +60,13 @@
 //!
 //! ## Reproducing the paper
 //!
-//! * **Table I** — `cargo run -p fabric-bench --bin table1`
-//! * **Table II** — `cargo run -p fabric-bench --bin table2` (also
-//!   [`attacks::run_table2`])
-//! * **Figs. 7–10** — `cargo run -p fabric-bench --bin fig7_to_10`
-//! * **Fig. 11** — `cargo run --release -p fabric-bench --bin fig11`
+//! * **Table I** — `cargo test -p fabric-pdc --test table1_rwset`
+//! * **Table II** — `cargo run -p fabric-pdc --example attack_demo`
+//!   ([`attacks::run_table2`]; cells asserted by `tests/attack_matrix.rs`)
+//! * **Figs. 7–10** — `cargo run --release -p fabric-pdc --example
+//!   corpus_scan -- --full` (asserted by `tests/corpus_study.rs`)
+//! * **Fig. 11** — `cargo run --release -p fabric-pdc --example fig11`
+//!   (its hashing counted by `tests/fig11_work.rs`)
 //!
 //! See `EXPERIMENTS.md` at the repository root for paper-vs-measured
 //! results.

@@ -1,19 +1,17 @@
-//! Shared fixtures for the report generators and benches: prototype
-//! networks, pre-endorsed transactions, ready-to-validate blocks, and the
-//! one timing loop the `fig11` binary measures the paper's Fig. 11 with,
-//! so it times exactly the execution-phase and validation-phase code
-//! paths the paper times.
+//! The Fig. 11 fixture: the measurement network, the three measured
+//! operations, and the inputs of the two measured regions — a proposal
+//! for one endorsement, a ready-to-validate block for one commit. The
+//! `fig11` example times these; `tests/fig11_work.rs` counts the SHA-256
+//! compressions they spend.
 
 use fabric_pdc::prelude::*;
 use fabric_pdc::types::{Block, PvtDataPackage};
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The chaincode namespace used by the fixtures.
-pub const NS: &str = "guarded";
+const NS: &str = "guarded";
 /// The private data collection used by the fixtures.
-pub const COL: &str = "PDC1";
+const COL: &str = "PDC1";
 
 /// Builds the Fig. 11 measurement network: 3 orgs, PDC = {org1, org2},
 /// unconstrained guarded chaincode, `k1 = 12` committed.
@@ -45,6 +43,17 @@ pub fn fixture_network(defense: DefenseConfig, seed: u64) -> FabricNetwork {
     net
 }
 
+/// The validation columns' defended configuration: New Feature 1 plus the
+/// non-member endorsement filter (the execution columns' is
+/// [`DefenseConfig::feature2`]).
+pub fn validation_defense() -> DefenseConfig {
+    DefenseConfig {
+        collection_policy_for_reads: true,
+        filter_non_member_endorsers: true,
+        ..DefenseConfig::original()
+    }
+}
+
 /// The three per-transaction operations Fig. 11 measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxOp {
@@ -72,7 +81,7 @@ impl TxOp {
     }
 
     /// The chaincode invocation for this operation.
-    pub fn invocation(&self) -> (&'static str, Vec<Vec<u8>>) {
+    fn invocation(&self) -> (&'static str, Vec<Vec<u8>>) {
         match self {
             TxOp::Read => ("read", vec![b"k1".to_vec()]),
             TxOp::Write => ("write", vec![b"k1".to_vec(), b"12".to_vec()]),
@@ -149,89 +158,4 @@ pub fn process_prepared(mut peer: Peer, block: Block, pvt: &Option<PvtDataPackag
         .process_block(block, &mut provider)
         .expect("block chains");
     outcome.validation_codes[0].is_valid()
-}
-
-/// Statistics over repeated timings.
-#[derive(Debug, Clone, Copy)]
-pub struct Stats {
-    /// Arithmetic mean.
-    pub mean: Duration,
-    /// Median: robust to the scheduler's outliers, which a mean of a
-    /// hundred microsecond-scale runs is not.
-    pub median: Duration,
-}
-
-/// Times `routine` `runs` times (after `warmup` unmeasured runs), each
-/// time on a fresh input from `setup`, which runs outside the timed
-/// region.
-pub fn measure<I, O>(
-    runs: usize,
-    warmup: usize,
-    mut setup: impl FnMut() -> I,
-    mut routine: impl FnMut(I) -> O,
-) -> Stats {
-    for _ in 0..warmup {
-        black_box(routine(setup()));
-    }
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let input = setup();
-        let start = Instant::now();
-        black_box(routine(input));
-        samples.push(start.elapsed());
-    }
-    samples.sort_unstable();
-    let total: Duration = samples.iter().sum();
-    Stats {
-        mean: total / runs as u32,
-        median: samples[runs / 2],
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_build_and_validate() {
-        let mut net = fixture_network(DefenseConfig::original(), 1);
-        for (i, op) in TxOp::all().into_iter().enumerate() {
-            let proposal = make_proposal(&net, op, 50 + i as u64);
-            let (resp, _) = net.peer("peer0.org1").endorse(&proposal).unwrap();
-            assert!(resp.verify(), "{op:?}");
-        }
-        for (i, op) in TxOp::all().into_iter().enumerate() {
-            let (peer, block, pvt) =
-                prepared_block(&mut net, op, DefenseConfig::original(), 80 + i as u64);
-            assert!(process_prepared(peer, block, &pvt), "{op:?}");
-        }
-    }
-
-    #[test]
-    fn fixtures_build_under_defenses() {
-        let mut net = fixture_network(DefenseConfig::hardened(), 2);
-        let (peer, block, pvt) =
-            prepared_block(&mut net, TxOp::Write, DefenseConfig::hardened(), 99);
-        assert!(process_prepared(peer, block, &pvt));
-    }
-
-    #[test]
-    fn measure_reports_ordered_stats() {
-        let mut setups = 0;
-        let stats = measure(
-            10,
-            2,
-            || {
-                setups += 1;
-                std::thread::sleep(Duration::from_millis(2));
-                b"x"
-            },
-            fabric_pdc::crypto::sha256,
-        );
-        assert_eq!(setups, 12, "one fresh input per warm-up and measured run");
-        assert!(
-            stats.median < Duration::from_millis(1),
-            "the setup's sleep stays outside the timed region: {stats:?}"
-        );
-    }
 }

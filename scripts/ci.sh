@@ -6,12 +6,12 @@
 #   3. `cargo build --release`                      release build works
 #   4. `cargo test -q`                              every proof is a typed test
 #   5. `cargo doc` with `-D warnings`               a deleted item leaves no
-#      dead intra-doc link behind; the four vendored stand-ins
-#      (criterion, parking_lot, proptest, rand) are excluded because
+#      dead intra-doc link behind; the three vendored stand-ins
+#      (parking_lot, proptest, rand) are excluded because
 #      `vendor/proptest`'s docs carry broken links of their own
 #   6. the examples that assert                     `monitor_status`,
-#      `trace_tx`, `telemetry`, `quickstart`, `lint_demo` and `raft_demo`
-#      run to exit 0
+#      `trace_tx`, `telemetry`, `quickstart`, `lint_demo`, `raft_demo` and
+#      `attack_demo` run to exit 0
 #      (stdout dropped; a failed assertion panics on stderr)
 #   7. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
 #      that commits on several threads, `mixed_small_blocks`, the one
@@ -43,9 +43,9 @@ cargo test -q
 
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
-    --exclude criterion --exclude parking_lot --exclude proptest --exclude rand
+    --exclude parking_lot --exclude proptest --exclude rand
 
-for example in monitor_status trace_tx telemetry quickstart lint_demo raft_demo; do
+for example in monitor_status trace_tx telemetry quickstart lint_demo raft_demo attack_demo; do
     echo "==> example $example"
     cargo run --release -q -p fabric-pdc --example "$example" > /dev/null
 done

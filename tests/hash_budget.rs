@@ -22,9 +22,9 @@ const BLOCK_TXS: usize = 100;
 #[test]
 fn a_pdc_write_block_on_eight_peers_stays_within_the_hash_budget() {
     // Delivery and validation run on the calling thread at this size
-    // (800 transaction-commits is below the fork threshold, and parallel
-    // validation is off by default), so the thread-local counter sees all
-    // of it; the lower bound below fails if that stops being true.
+    // (800 transaction-commits is below the delivery fork threshold), so
+    // the thread-local counter sees all of it; the lower bound below
+    // fails if that stops being true.
     let mut net = NetworkBuilder::new("budget")
         .orgs(&["Org1MSP", "Org2MSP"])
         .seed(7)

@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 const COL: &str = "PDC1";
 
-/// Builds a network whose PDC holds `k1 = val1` at version (block 1, tx 0)
-/// and returns it (the paper's Table I premises: key `k1`, version 1).
+/// Builds a network whose PDC holds `k1 = 41`, written by the first
+/// committed transaction, so at version `(0, 0)` (block 0, tx 0), and
+/// returns it (the paper's Table I premise: key `k1` at some version).
 fn seeded_network() -> FabricNetwork {
     let mut net = NetworkBuilder::new("ch1")
         .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
