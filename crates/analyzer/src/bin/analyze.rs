@@ -200,13 +200,13 @@ fn cmd_project(dir: &Path, json: bool) -> ExitCode {
 /// JSON detail report for one project (hand-rolled, like the rest of the
 /// workspace's encoders).
 fn project_json(report: &fabric_analyzer::ProjectReport) -> String {
-    use fabric_analyzer::json::escape;
+    use render::escape;
     let collections: Vec<String> = report
         .collections
         .iter()
         .map(|c| {
             format!(
-                "{{\"name\": \"{}\", \"endorsement_policy_customized\": {}}}",
+                "{{\"name\": {}, \"endorsement_policy_customized\": {}}}",
                 escape(&c.name),
                 c.has_endorsement_policy
             )
@@ -217,7 +217,7 @@ fn project_json(report: &fabric_analyzer::ProjectReport) -> String {
         .iter()
         .map(|l| {
             format!(
-                "{{\"file\": \"{}\", \"function\": \"{}\", \"kind\": \"{}\"}}",
+                "{{\"file\": {}, \"function\": {}, \"kind\": \"{}\"}}",
                 escape(&l.file.to_string_lossy()),
                 escape(&l.function),
                 l.kind
@@ -227,10 +227,10 @@ fn project_json(report: &fabric_analyzer::ProjectReport) -> String {
     let skipped: Vec<String> = report
         .skipped_dirs
         .iter()
-        .map(|d| format!("\"{}\"", escape(&d.to_string_lossy())))
+        .map(|d| escape(&d.to_string_lossy()))
         .collect();
     format!(
-        "{{\n  \"path\": \"{}\",\n  \"explicit_pdc\": {},\n  \"implicit_pdc\": {},\n  \
+        "{{\n  \"path\": {},\n  \"explicit_pdc\": {},\n  \"implicit_pdc\": {},\n  \
          \"collections\": [{}],\n  \"default_policy\": {},\n  \"leaks\": [{}],\n  \
          \"skipped_dirs\": [{}]\n}}",
         escape(&report.path.to_string_lossy()),
@@ -240,7 +240,7 @@ fn project_json(report: &fabric_analyzer::ProjectReport) -> String {
         report
             .default_policy
             .as_deref()
-            .map_or("null".to_string(), |p| format!("\"{}\"", escape(p))),
+            .map_or("null".to_string(), escape),
         leaks.join(", "),
         skipped.join(", "),
     )

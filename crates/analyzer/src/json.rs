@@ -67,25 +67,6 @@ impl Value {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A JSON parse error with byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -373,7 +354,7 @@ mod tests {
     #[test]
     fn escape_roundtrips_through_parser() {
         let nasty = "a\"b\\c\nd\te\u{1}";
-        let doc = format!("\"{}\"", escape(nasty));
+        let doc = fabric_lint::render::escape(nasty);
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
     }
 
@@ -407,7 +388,7 @@ mod proptests {
         /// Escaped strings always roundtrip.
         #[test]
         fn escape_roundtrip(s in ".*") {
-            let doc = format!("\"{}\"", escape(&s));
+            let doc = fabric_lint::render::escape(&s);
             let parsed = parse(&doc).unwrap();
             prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
         }

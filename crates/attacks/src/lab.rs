@@ -473,7 +473,10 @@ fn judge_state_injection(
                 "victim org2 now holds k1 = {expected}, violating its business rule (requires value > 10)"
             )
         } else {
-            format!("transaction marked {code}; victim state: {at_victim:?}")
+            let shown = at_victim
+                .as_deref()
+                .map_or("(none)".into(), String::from_utf8_lossy);
+            format!("transaction marked {code}; victim state: k1 = {shown}")
         },
         audit_events: Vec::new(),
         alerts: Vec::new(),
@@ -516,6 +519,21 @@ mod tests {
             .world_state()
             .get_private(&ns, &col, "k1")
             .is_none());
+    }
+
+    #[test]
+    fn failed_write_injection_shows_the_victim_value_as_text() {
+        let mut lab = build_lab(&LabConfig {
+            collection_policy: Some("AND('Org1MSP.peer','Org2MSP.peer')".to_string()),
+            ..LabConfig::default()
+        });
+        let outcome = run_attack(&mut lab, AttackKind::FakeWrite);
+        assert!(!outcome.succeeded);
+        assert!(
+            outcome.note.ends_with("victim state: k1 = 12"),
+            "{}",
+            outcome.note
+        );
     }
 
     #[test]

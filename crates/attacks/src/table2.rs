@@ -26,16 +26,20 @@ pub struct Table2Row {
     pub cells: Vec<Table2Cell>,
 }
 
-const INJECTION_COLUMNS: [&str; 4] = [
-    "Default Policy: MAJORITY",
-    "Default Policy: 2OutOf5",
-    "Collection-level Policy: AND(org1,org2)",
-    "New Feature 1: Collection-level Policy Check for PDC Read",
+/// Each column as (rendered header, cell label).
+const INJECTION_COLUMNS: [(&str, &str); 4] = [
+    ("MAJORITY", "Default Policy: MAJORITY"),
+    ("2OutOf5", "Default Policy: 2OutOf5"),
+    ("AND(o1,o2)", "Collection-level Policy: AND(org1,org2)"),
+    (
+        "Feature 1",
+        "New Feature 1: Collection-level Policy Check for PDC Read",
+    ),
 ];
 
-const LEAKAGE_COLUMNS: [&str; 2] = [
-    "Original Fabric Framework",
-    "New Feature 2: Cryptographic Solution",
+const LEAKAGE_COLUMNS: [(&str, &str); 2] = [
+    ("Original", "Original Fabric Framework"),
+    ("Feature 2", "New Feature 2: Cryptographic Solution"),
 ];
 
 fn injection_configs(seed: u64) -> [LabConfig; 4] {
@@ -79,15 +83,15 @@ pub fn run_table2(seed: u64) -> Vec<Table2Row> {
 
     for kind in AttackKind::all() {
         let mut cells = Vec::new();
-        for (col, cfg) in INJECTION_COLUMNS.iter().zip(configs.iter()) {
+        for ((_, col), cfg) in INJECTION_COLUMNS.iter().zip(configs.iter()) {
             let mut lab = build_lab(cfg);
             let outcome = run_attack(&mut lab, kind);
             cells.push(Table2Cell {
-                config: (*col).to_string(),
+                config: col.to_string(),
                 works: Some(outcome.succeeded),
             });
         }
-        for col in LEAKAGE_COLUMNS {
+        for (_, col) in LEAKAGE_COLUMNS {
             cells.push(Table2Cell {
                 config: col.to_string(),
                 works: None,
@@ -114,17 +118,17 @@ pub fn run_table2(seed: u64) -> Vec<Table2Row> {
     for (label, run) in leak_runs {
         let mut cells: Vec<Table2Cell> = INJECTION_COLUMNS
             .iter()
-            .map(|c| Table2Cell {
-                config: (*c).to_string(),
+            .map(|(_, c)| Table2Cell {
+                config: c.to_string(),
                 works: None,
             })
             .collect();
         cells.push(Table2Cell {
-            config: LEAKAGE_COLUMNS[0].to_string(),
+            config: LEAKAGE_COLUMNS[0].1.to_string(),
             works: Some(run(DefenseConfig::original(), seed ^ 0x10)),
         });
         cells.push(Table2Cell {
-            config: LEAKAGE_COLUMNS[1].to_string(),
+            config: LEAKAGE_COLUMNS[1].1.to_string(),
             works: Some(run(DefenseConfig::feature2(), seed ^ 0x11)),
         });
         rows.push(Table2Row {
@@ -142,17 +146,13 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     out.push_str(
         "TABLE II — ATTACK & DEFENSE EVALUATION SUMMARY (✓ attack works, × attack fails)\n\n",
     );
-    let header: Vec<String> = INJECTION_COLUMNS
-        .iter()
-        .chain(LEAKAGE_COLUMNS.iter())
-        .map(|s| s.to_string())
-        .collect();
+    let columns = INJECTION_COLUMNS.len() + LEAKAGE_COLUMNS.len();
     out.push_str(&format!("{:<28} | {:<14} |", "Attack", "Tx Type"));
-    for h in &header {
-        out.push_str(&format!(" {:^12} |", truncate(h, 12)));
+    for (header, _) in INJECTION_COLUMNS.iter().chain(&LEAKAGE_COLUMNS) {
+        out.push_str(&format!(" {header:^12} |"));
     }
     out.push('\n');
-    out.push_str(&"-".repeat(28 + 17 + header.len() * 15));
+    out.push_str(&"-".repeat(28 + 17 + columns * 15));
     out.push('\n');
     for row in rows {
         out.push_str(&format!("{:<28} | {:<14} |", row.family, row.label));
@@ -167,14 +167,6 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
         out.push('\n');
     }
     out
-}
-
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        format!("{}…", &s[..n.saturating_sub(1)])
-    }
 }
 
 #[cfg(test)]
@@ -222,5 +214,16 @@ mod tests {
         let rendered = render_table2(&rows);
         assert!(rendered.contains("TABLE II"));
         assert!(rendered.contains("Read-Only"));
+    }
+
+    #[test]
+    fn rendered_column_headers_are_distinct() {
+        let rendered = render_table2(&[]);
+        let header_line = rendered.lines().find(|l| l.starts_with("Attack")).unwrap();
+        let headers: Vec<&str> = header_line.split('|').skip(2).map(str::trim).collect();
+        let headers = &headers[..headers.len() - 1]; // after the closing `|`
+        assert_eq!(headers.len(), 6, "{header_line}");
+        let distinct: std::collections::BTreeSet<&str> = headers.iter().copied().collect();
+        assert_eq!(distinct.len(), 6, "{header_line}");
     }
 }

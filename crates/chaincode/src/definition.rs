@@ -2,20 +2,35 @@
 
 use fabric_policy::{Policy, SignaturePolicy};
 use fabric_types::{ChaincodeId, CollectionConfig, CollectionName, OrgId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// What the channel agreed on when the chaincode was committed: its name,
 /// chaincode-level endorsement policy, and collection configurations.
+///
+/// Each policy expression is parsed once, when it enters the definition;
+/// every reader (endorsement, validation, dissemination, discovery, lint)
+/// asks the definition for the parsed form. An expression that does not
+/// parse is kept as text and reads as no policy: validation then fails
+/// the transaction as `BAD_PAYLOAD`, and a member policy names no org.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaincodeDefinition {
     /// Chaincode name (also the rwset namespace).
     pub id: ChaincodeId,
-    /// Chaincode-level endorsement policy expression. Defaults to the
-    /// channel's implicitMeta `MAJORITY Endorsement` when projects don't
-    /// override it — 116 of 120 GitHub configs do exactly that (§V-C2).
-    pub endorsement_policy: String,
-    /// Private data collections defined for this chaincode.
-    pub collections: Vec<CollectionConfig>,
+    endorsement_policy: String,
+    endorsement: Option<Policy>,
+    collections: Vec<Collection>,
+}
+
+/// One collection's config with its parsed policies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Collection {
+    config: CollectionConfig,
+    /// Organizations the membership policy names; empty when it does not
+    /// parse.
+    members: BTreeSet<OrgId>,
+    /// The collection-level endorsement policy: `None` when undefined,
+    /// `Some(None)` when defined but unparsable.
+    endorsement: Option<Option<SignaturePolicy>>,
 }
 
 impl ChaincodeDefinition {
@@ -24,138 +39,100 @@ impl ChaincodeDefinition {
     pub fn new(id: impl Into<ChaincodeId>) -> Self {
         ChaincodeDefinition {
             id: id.into(),
-            endorsement_policy: "MAJORITY Endorsement".to_string(),
+            endorsement_policy: String::new(),
+            endorsement: None,
             collections: Vec::new(),
         }
+        .with_endorsement_policy("MAJORITY Endorsement")
     }
 
     /// Overrides the chaincode-level endorsement policy.
     pub fn with_endorsement_policy(mut self, policy: impl Into<String>) -> Self {
         self.endorsement_policy = policy.into();
+        self.endorsement = Policy::parse(&self.endorsement_policy).ok();
         self
     }
 
     /// Adds a private data collection.
-    pub fn with_collection(mut self, collection: CollectionConfig) -> Self {
-        self.collections.push(collection);
+    pub fn with_collection(mut self, config: CollectionConfig) -> Self {
+        let members = SignaturePolicy::parse(&config.member_policy)
+            .map(|p| p.organizations().into_iter().collect())
+            .unwrap_or_default();
+        let endorsement = config
+            .endorsement_policy
+            .as_deref()
+            .map(|expr| SignaturePolicy::parse(expr).ok());
+        self.collections.push(Collection {
+            config,
+            members,
+            endorsement,
+        });
         self
     }
 
-    /// Looks up a collection config by name.
-    pub fn collection(&self, name: &CollectionName) -> Option<&CollectionConfig> {
-        self.collections.iter().find(|c| &c.name == name)
+    /// The chaincode-level endorsement policy expression. Defaults to the
+    /// channel's implicitMeta `MAJORITY Endorsement` when projects don't
+    /// override it — 116 of 120 GitHub configs do exactly that (§V-C2).
+    pub fn endorsement_policy(&self) -> &str {
+        &self.endorsement_policy
     }
 
-    /// Whether `org` is a member of `collection`, per the collection's
-    /// membership policy (an org is a member iff it appears in the policy —
-    /// membership policies are OR-of-members in practice).
-    ///
-    /// Returns `false` for unknown collections or unparsable policies.
-    pub fn org_is_member(&self, org: &OrgId, collection: &CollectionName) -> bool {
-        let Some(cfg) = self.collection(collection) else {
-            return false;
-        };
-        match SignaturePolicy::parse(&cfg.member_policy) {
-            Ok(policy) => policy.organizations().contains(org),
-            Err(_) => false,
-        }
-    }
-
-    /// The collections `org` is a member of.
-    pub fn memberships_of(&self, org: &OrgId) -> Vec<CollectionName> {
-        self.collections
-            .iter()
-            .filter(|c| self.org_is_member(org, &c.name))
-            .map(|c| c.name.clone())
-            .collect()
-    }
-
-    /// Parses every policy in the definition once, producing the
-    /// evaluation-ready [`CompiledPolicies`] the committing peer's hot path
-    /// uses instead of re-parsing expressions per transaction.
-    pub fn compile(&self) -> CompiledPolicies {
-        let endorsement = Policy::parse(&self.endorsement_policy).ok();
-        let mut collection_endorsement = HashMap::new();
-        let mut members = HashMap::new();
-        for cfg in &self.collections {
-            if let Some(expr) = &cfg.endorsement_policy {
-                collection_endorsement.insert(cfg.name.clone(), SignaturePolicy::parse(expr).ok());
-            }
-            let orgs: BTreeSet<OrgId> = match SignaturePolicy::parse(&cfg.member_policy) {
-                Ok(policy) => policy.organizations().into_iter().collect(),
-                Err(_) => BTreeSet::new(),
-            };
-            members.insert(cfg.name.clone(), orgs);
-        }
-        CompiledPolicies {
-            endorsement,
-            collection_endorsement,
-            members,
-        }
-    }
-}
-
-/// Pre-parsed forms of every policy a [`ChaincodeDefinition`] carries,
-/// built once at chaincode-definition (install) time.
-///
-/// Unparsable expressions compile to `None`; callers surface the failure
-/// (as `BAD_PAYLOAD`, matching a fresh parse) only when the policy is
-/// actually needed, preserving the lazily-erroring semantics of parsing on
-/// use.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledPolicies {
-    endorsement: Option<Policy>,
-    /// Only collections that define an endorsement policy appear here.
-    collection_endorsement: HashMap<CollectionName, Option<SignaturePolicy>>,
-    /// Member organizations per collection, from the membership policy.
-    members: HashMap<CollectionName, BTreeSet<OrgId>>,
-}
-
-impl CompiledPolicies {
-    /// The compiled chaincode-level endorsement policy; `None` when the
+    /// The parsed chaincode-level endorsement policy; `None` when the
     /// expression does not parse.
     pub fn endorsement(&self) -> Option<&Policy> {
         self.endorsement.as_ref()
     }
 
-    /// The compiled collection-level endorsement policy: outer `None` when
-    /// the collection defines no policy, inner `None` when the defined
-    /// expression does not parse.
+    /// The private data collections defined for this chaincode, in the
+    /// order they were added.
+    pub fn collections(&self) -> impl Iterator<Item = &CollectionConfig> {
+        self.collections.iter().map(|c| &c.config)
+    }
+
+    fn entry(&self, name: &CollectionName) -> Option<&Collection> {
+        self.collections.iter().find(|c| &c.config.name == name)
+    }
+
+    /// Looks up a collection config by name.
+    pub fn collection(&self, name: &CollectionName) -> Option<&CollectionConfig> {
+        self.entry(name).map(|c| &c.config)
+    }
+
+    /// The parsed collection-level endorsement policy: outer `None` when
+    /// the collection is unknown or defines no policy, inner `None` when
+    /// the defined expression does not parse.
     pub fn collection_endorsement(
         &self,
         collection: &CollectionName,
     ) -> Option<Option<&SignaturePolicy>> {
-        self.collection_endorsement
-            .get(collection)
-            .map(|p| p.as_ref())
+        self.entry(collection)?
+            .endorsement
+            .as_ref()
+            .map(Option::as_ref)
     }
 
-    /// Whether `org` is a member of `collection` (compiled form of
-    /// [`ChaincodeDefinition::org_is_member`]).
+    /// The member organizations of `collection`: those its membership
+    /// policy names (membership policies are OR-of-members in practice).
+    /// Empty when the policy does not parse; `None` for unknown
+    /// collections.
+    pub fn members(&self, collection: &CollectionName) -> Option<&BTreeSet<OrgId>> {
+        self.entry(collection).map(|c| &c.members)
+    }
+
+    /// Whether `org` is a member of `collection`; `false` for unknown
+    /// collections and unparsable membership policies.
     pub fn org_is_member(&self, org: &OrgId, collection: &CollectionName) -> bool {
-        self.members
-            .get(collection)
+        self.members(collection)
             .is_some_and(|orgs| orgs.contains(org))
     }
 
-    /// The member organizations of `collection`, when its membership
-    /// policy names any. Lets hot paths resolve the set once and test
-    /// many orgs against it.
-    pub fn members(&self, collection: &CollectionName) -> Option<&BTreeSet<OrgId>> {
-        self.members.get(collection)
-    }
-
-    /// The collections `org` is a member of, in definition-independent
-    /// (sorted-name) order.
+    /// The collections `org` is a member of, in definition order.
     pub fn memberships_of(&self, org: &OrgId) -> Vec<CollectionName> {
-        let mut names: Vec<CollectionName> = self
-            .members
+        self.collections
             .iter()
-            .filter(|(_, orgs)| orgs.contains(org))
-            .map(|(name, _)| name.clone())
-            .collect();
-        names.sort();
-        names
+            .filter(|c| c.members.contains(org))
+            .map(|c| c.config.name.clone())
+            .collect()
     }
 }
 
@@ -172,9 +149,11 @@ mod tests {
 
     #[test]
     fn default_policy_is_majority_endorsement() {
+        let def = ChaincodeDefinition::new("cc");
+        assert_eq!(def.endorsement_policy(), "MAJORITY Endorsement");
         assert_eq!(
-            ChaincodeDefinition::new("cc").endorsement_policy,
-            "MAJORITY Endorsement"
+            def.endorsement(),
+            Policy::parse("MAJORITY Endorsement").ok().as_ref()
         );
     }
 
@@ -189,26 +168,49 @@ mod tests {
     }
 
     #[test]
-    fn compiled_policies_match_parse_on_use() {
-        let def = definition().with_endorsement_policy("MAJORITY Endorsement");
-        let compiled = def.compile();
-        assert!(compiled.endorsement().is_some());
-        let pdc1 = CollectionName::new("PDC1");
-        // No collection-level endorsement policy defined.
-        assert!(compiled.collection_endorsement(&pdc1).is_none());
-        assert!(compiled.org_is_member(&OrgId::new("Org1MSP"), &pdc1));
-        assert!(!compiled.org_is_member(&OrgId::new("Org3MSP"), &pdc1));
+    fn parsed_policies_match_the_text() {
+        let expr = "AND('Org1MSP.peer','Org2MSP.peer')";
+        let def = definition()
+            .with_endorsement_policy("ANY Endorsement")
+            .with_collection(CollectionConfig::new("PDC2", expr).with_endorsement_policy(expr));
+        assert_eq!(def.endorsement_policy(), "ANY Endorsement");
         assert_eq!(
-            compiled.memberships_of(&OrgId::new("Org2MSP")),
-            def.memberships_of(&OrgId::new("Org2MSP"))
+            def.endorsement(),
+            Policy::parse("ANY Endorsement").ok().as_ref()
         );
+        let (pdc1, pdc2) = (CollectionName::new("PDC1"), CollectionName::new("PDC2"));
+        // PDC1 defines no collection-level endorsement policy.
+        assert_eq!(def.collection_endorsement(&pdc1), None);
+        assert_eq!(
+            def.collection_endorsement(&pdc2),
+            Some(SignaturePolicy::parse(expr).ok().as_ref())
+        );
+        let orgs: BTreeSet<OrgId> = [OrgId::new("Org1MSP"), OrgId::new("Org2MSP")].into();
+        assert_eq!(def.members(&pdc2), Some(&orgs));
+        assert_eq!(def.members(&CollectionName::new("nope")), None);
+        let names: Vec<&str> = def.collections().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["PDC1", "PDC2"]);
     }
 
     #[test]
-    fn compiled_policies_keep_unparsable_expressions_lazy() {
-        let def = ChaincodeDefinition::new("cc").with_endorsement_policy("not a policy");
-        let compiled = def.compile();
-        assert!(compiled.endorsement().is_none());
+    fn unparsable_expressions_read_as_no_policy() {
+        let def = ChaincodeDefinition::new("cc")
+            .with_endorsement_policy("not a policy")
+            .with_collection(
+                CollectionConfig::new("PDC1", "OR('Org1MSP.member'")
+                    .with_endorsement_policy("AND('Org1MSP.peer'"),
+            );
+        assert_eq!(def.endorsement_policy(), "not a policy");
+        assert!(def.endorsement().is_none());
+        let pdc1 = CollectionName::new("PDC1");
+        // Defined but unparsable, unlike undefined.
+        assert_eq!(def.collection_endorsement(&pdc1), Some(None));
+        assert_eq!(def.members(&pdc1), Some(&BTreeSet::new()));
+        assert!(!def.org_is_member(&OrgId::new("Org1MSP"), &pdc1));
+        assert_eq!(
+            def.collection(&pdc1).map(|c| c.member_policy.as_str()),
+            Some("OR('Org1MSP.member'")
+        );
     }
 
     #[test]

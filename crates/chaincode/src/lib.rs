@@ -27,7 +27,7 @@ mod stub;
 
 pub mod samples;
 
-pub use definition::{ChaincodeDefinition, CompiledPolicies};
+pub use definition::ChaincodeDefinition;
 pub use error::ChaincodeError;
 pub use stub::{ChaincodeStub, SimulationResult, StubOp};
 

@@ -308,7 +308,7 @@ fn check_sinks(
     findings: &mut Vec<Finding>,
 ) {
     let definition = &target.definition;
-    for c in &definition.collections {
+    for c in definition.collections() {
         let sentinel = sentinel_for(&c.name);
         let src_label = Label::of_collection(definition, &c.name);
         for (i, op) in run.ops.iter().enumerate() {

@@ -15,7 +15,6 @@
 //! was already entitled to the source.
 
 use fabric_chaincode::ChaincodeDefinition;
-use fabric_policy::SignaturePolicy;
 use fabric_types::{CollectionName, OrgId};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -44,12 +43,7 @@ impl Label {
     /// policies yield `Members(∅)` — maximally confidential, so analysis
     /// errs toward reporting rather than missing a flow.
     pub fn of_collection(definition: &ChaincodeDefinition, collection: &CollectionName) -> Self {
-        let orgs = definition
-            .collection(collection)
-            .and_then(|cfg| SignaturePolicy::parse(&cfg.member_policy).ok())
-            .map(|p| p.organizations().into_iter().collect())
-            .unwrap_or_default();
-        Label::Members(orgs)
+        Label::Members(definition.members(collection).cloned().unwrap_or_default())
     }
 
     /// Least upper bound: the label of data combining both inputs. Only

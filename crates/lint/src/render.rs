@@ -134,8 +134,9 @@ fn tally(findings: &[Finding]) -> (usize, usize, usize) {
     )
 }
 
-/// JSON string literal with the mandatory escapes.
-fn escape(s: &str) -> String {
+/// `s` as a JSON string literal, quotes included, with the mandatory
+/// escapes.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

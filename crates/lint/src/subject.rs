@@ -11,8 +11,7 @@
 //! [`ChaincodeDefinition`]: fabric_chaincode::ChaincodeDefinition
 
 use fabric_chaincode::ChaincodeDefinition;
-use fabric_policy::SignaturePolicy;
-use fabric_types::{CollectionConfig, OrgId};
+use fabric_types::OrgId;
 use std::fmt;
 
 /// Which chaincode path leaked private data into the response payload.
@@ -70,26 +69,6 @@ pub struct CollectionFacts {
     pub member_only_write: Option<bool>,
 }
 
-impl CollectionFacts {
-    /// Facts from a live, fully-specified [`CollectionConfig`].
-    pub fn from_config(config: &CollectionConfig, uri: impl Into<String>) -> Self {
-        let member_orgs = SignaturePolicy::parse(&config.member_policy)
-            .map(|p| p.organizations())
-            .unwrap_or_default();
-        CollectionFacts {
-            name: config.name.as_str().to_string(),
-            uri: uri.into(),
-            member_orgs,
-            endorsement_policy: config.endorsement_policy.clone(),
-            required_peer_count: Some(config.required_peer_count),
-            max_peer_count: Some(config.max_peer_count),
-            block_to_live: Some(config.block_to_live),
-            member_only_read: Some(config.member_only_read),
-            member_only_write: Some(config.member_only_write),
-        }
-    }
-}
-
 /// One unit of linting: a chaincode deployment or a scanned project.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LintSubject {
@@ -120,11 +99,23 @@ impl LintSubject {
             name: definition.id.as_str().to_string(),
             uri: uri.clone(),
             channel_orgs: channel_orgs.to_vec(),
-            chaincode_policy: Some(definition.endorsement_policy.clone()),
+            chaincode_policy: Some(definition.endorsement_policy().to_string()),
             collections: definition
-                .collections
-                .iter()
-                .map(|c| CollectionFacts::from_config(c, uri.clone()))
+                .collections()
+                .map(|c| CollectionFacts {
+                    name: c.name.as_str().to_string(),
+                    uri: uri.clone(),
+                    member_orgs: definition
+                        .members(&c.name)
+                        .map(|orgs| orgs.iter().cloned().collect())
+                        .unwrap_or_default(),
+                    endorsement_policy: c.endorsement_policy.clone(),
+                    required_peer_count: Some(c.required_peer_count),
+                    max_peer_count: Some(c.max_peer_count),
+                    block_to_live: Some(c.block_to_live),
+                    member_only_read: Some(c.member_only_read),
+                    member_only_write: Some(c.member_only_write),
+                })
                 .collect(),
             leaks: Vec::new(),
         }
@@ -143,6 +134,7 @@ impl LintSubject {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabric_types::CollectionConfig;
 
     fn orgs(names: &[&str]) -> Vec<OrgId> {
         names.iter().map(|n| OrgId::new(*n)).collect()
@@ -172,10 +164,9 @@ mod tests {
 
     #[test]
     fn unparsable_membership_policy_yields_no_member_orgs() {
-        let facts = CollectionFacts::from_config(
-            &CollectionConfig::new("c", "NOT A POLICY (("),
-            "network:cc",
-        );
-        assert!(facts.member_orgs.is_empty());
+        let def = ChaincodeDefinition::new("cc")
+            .with_collection(CollectionConfig::new("c", "NOT A POLICY (("));
+        let subject = LintSubject::from_definition(&def, &orgs(&["Org1MSP"]));
+        assert!(subject.collections[0].member_orgs.is_empty());
     }
 }

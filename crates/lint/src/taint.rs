@@ -92,11 +92,7 @@ impl<'a> TaintStub<'a> {
     /// all code paths behind membership guards execute. Used for the
     /// sink-flow rules (PDC012–PDC016).
     pub fn omniscient(definition: &'a ChaincodeDefinition) -> Self {
-        let memberships = definition
-            .collections
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
+        let memberships = definition.collections().map(|c| c.name.clone()).collect();
         TaintStub {
             definition,
             state: seeded_state(definition),
@@ -158,7 +154,7 @@ pub fn client_identity(org: &OrgId) -> Identity {
 /// `GetPrivateDataHash` resolves at every peer, as on Fabric).
 fn seeded_state(definition: &ChaincodeDefinition) -> WorldState {
     let mut state = WorldState::new();
-    for c in &definition.collections {
+    for c in definition.collections() {
         state.put_private(
             &definition.id,
             &c.name,

@@ -43,7 +43,7 @@ pub struct PeerCommitErrors {
 type PushRecipients = HashMap<ChaincodeId, HashMap<CollectionName, Vec<PeerId>>>;
 
 /// Resolves `endorser`'s [`PushRecipients`] among `peers` from the member
-/// sets it compiled at install time.
+/// sets of its installed definitions.
 fn push_recipients(endorser: &Peer, peers: &BTreeMap<String, Peer>) -> PushRecipients {
     let members_of = |member_orgs: &BTreeSet<OrgId>| -> Vec<PeerId> {
         peers
@@ -55,11 +55,12 @@ fn push_recipients(endorser: &Peer, peers: &BTreeMap<String, Peer>) -> PushRecip
     endorser
         .chaincodes()
         .map(|installed| {
-            let per_collection = installed.definition.collections.iter().filter_map(|cfg| {
-                let member_orgs = installed.compiled.members(&cfg.name)?;
+            let definition = &installed.definition;
+            let per_collection = definition.collections().filter_map(|cfg| {
+                let member_orgs = definition.members(&cfg.name)?;
                 Some((cfg.name.clone(), members_of(member_orgs)))
             });
-            (installed.definition.id.clone(), per_collection.collect())
+            (definition.id.clone(), per_collection.collect())
         })
         .collect()
 }
@@ -157,8 +158,8 @@ pub struct FabricNetwork {
     /// Gossip IDs in the same order, cached for the same reason.
     cached_gossip_ids: Vec<PeerId>,
     /// Push recipients by endorsing peer, resolved from the member sets
-    /// each peer compiled at install time, so that dissemination builds no
-    /// list per package; rebuilt with the lists above.
+    /// of each peer's installed definitions, so that dissemination builds
+    /// no list per package; rebuilt with the lists above.
     cached_recipients: BTreeMap<String, PushRecipients>,
     /// Set by [`FabricNetwork::peer_mut`], through which a caller may have
     /// installed a chaincode: the caches are rebuilt before the next use.
@@ -336,11 +337,11 @@ impl FabricNetwork {
         let cc = ChaincodeId::new(chaincode);
         let any_peer = self.peers.values().next()?;
         let definition = &any_peer.chaincode(&cc)?.definition;
-        let policy = fabric_policy::Policy::parse(&definition.endorsement_policy).ok()?;
+        let policy = definition.endorsement()?;
         let identities: Vec<fabric_types::Identity> =
             self.peers.values().map(|p| p.identity().clone()).collect();
         let org_policies = any_peer.channel_policies().org_policies();
-        let plan = fabric_policy::minimal_endorsement_set_for(&policy, org_policies, &identities)?;
+        let plan = fabric_policy::minimal_endorsement_set_for(policy, org_policies, &identities)?;
         let names = plan
             .iter()
             .filter_map(|id| {

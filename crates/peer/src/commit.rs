@@ -7,9 +7,9 @@
 //! collection-level, key-level/SBE, and the defense filters) against the
 //! state the block's earlier transactions left, and MVCC version
 //! conflicts. A valid transaction is applied before the next one is
-//! checked. Policies are evaluated from the compiled caches
-//! (`InstalledChaincode::compiled` plus the peer's interned SBE expression
-//! cache) instead of re-parsing expressions per transaction.
+//! checked. Policies are evaluated in the forms the chaincode definition
+//! parsed once, and key-level expressions through the peer's interned SBE
+//! cache, instead of re-parsing expressions per transaction.
 //!
 //! The walk runs on the calling thread; the only threads on the commit
 //! path are the cross-peer workers of `FabricNetwork::deliver`.
@@ -255,8 +255,8 @@ impl Peer {
         }
     }
 
-    /// Proof-of-policy check 1 — endorsement policies, evaluated from the
-    /// compiled caches; `None` = satisfied.
+    /// Proof-of-policy check 1 — endorsement policies, evaluated in their
+    /// parsed forms; `None` = satisfied.
     ///
     /// Key-level (state-based) endorsement first: a public write to a key
     /// with a committed validation parameter is governed by that key's
@@ -275,7 +275,7 @@ impl Peer {
             let Some(installed) = self.chaincodes.get(&ns.namespace) else {
                 return Some(TxValidationCode::BadPayload);
             };
-            let compiled = &installed.compiled;
+            let definition = &installed.definition;
 
             let mut non_sbe_public_writes = false;
             let touched_keys = ns
@@ -306,7 +306,7 @@ impl Peer {
                 || !ns.collections.is_empty()
                 || (ns.public.writes.is_empty() && ns.metadata_writes.is_empty());
             if needs_chaincode_policy {
-                let Some(cc_policy) = compiled.endorsement() else {
+                let Some(cc_policy) = definition.endorsement() else {
                     return Some(TxValidationCode::BadPayload);
                 };
                 if !cc_policy.evaluate_set(self.channel_policies.org_policies(), &endorsers) {
@@ -315,7 +315,7 @@ impl Peer {
             }
 
             for col in &ns.collections {
-                if installed.definition.collection(&col.collection).is_none() {
+                if definition.collection(&col.collection).is_none() {
                     return Some(TxValidationCode::BadPayload);
                 }
                 let has_writes = !col.writes.is_empty();
@@ -328,7 +328,7 @@ impl Peer {
                 // New Feature 1 extends the collection-level policy to
                 // read-only transactions (§IV-C1).
                 if has_writes || (self.defense.collection_policy_for_reads && has_reads) {
-                    if let Some(col_policy) = compiled.collection_endorsement(&col.collection) {
+                    if let Some(col_policy) = definition.collection_endorsement(&col.collection) {
                         let Some(col_policy) = col_policy else {
                             return Some(TxValidationCode::BadPayload);
                         };
@@ -342,7 +342,7 @@ impl Peer {
                 if self.defense.filter_non_member_endorsers {
                     let all_members = endorsers
                         .iter()
-                        .all(|e| compiled.org_is_member(&e.org, &col.collection));
+                        .all(|e| definition.org_is_member(&e.org, &col.collection));
                     if !all_members {
                         return Some(TxValidationCode::NonMemberEndorsement);
                     }
@@ -382,7 +382,7 @@ impl Peer {
     /// block-to-live bound.
     fn purge_expired(&mut self, current_block: u64) {
         for cc in self.chaincodes.values() {
-            for c in &cc.definition.collections {
+            for c in cc.definition.collections() {
                 if c.block_to_live > 0 {
                     self.world_state
                         .purge_expired_private(&c.name, c.block_to_live, current_block);
@@ -507,9 +507,10 @@ fn audit_transaction(
         };
         for col in &ns.collections {
             touches_collection = true;
-            if installed.definition.collection(&col.collection).is_some()
+            let members = installed.definition.members(&col.collection);
+            if members.is_some()
                 && installed
-                    .compiled
+                    .definition
                     .collection_endorsement(&col.collection)
                     .is_none()
             {
@@ -522,9 +523,7 @@ fn audit_transaction(
             let mut flagged: Vec<&OrgId> = Vec::new();
             for e in &tx.endorsements {
                 let org = &e.endorser.org;
-                if !installed.compiled.org_is_member(org, &col.collection)
-                    && !flagged.contains(&org)
-                {
+                if !members.is_some_and(|m| m.contains(org)) && !flagged.contains(&org) {
                     flagged.push(org);
                     t.emit(AuditEvent::EndorsementByNonMember {
                         tx_id: tx.tx_id.clone(),

@@ -1,7 +1,7 @@
 //! The peer node: identity, ledger, installed chaincodes.
 
 use crate::channel::ChannelPolicies;
-use fabric_chaincode::{ChaincodeDefinition, ChaincodeHandle, CompiledPolicies};
+use fabric_chaincode::{ChaincodeDefinition, ChaincodeHandle};
 use fabric_crypto::Keypair;
 use fabric_gossip::PeerId;
 use fabric_ledger::{BlockStore, HistoryDb, WorldState};
@@ -14,12 +14,8 @@ use std::collections::{HashMap, HashSet};
 /// peer's (possibly customized!) implementation.
 #[derive(Clone)]
 pub struct InstalledChaincode {
-    /// The channel-agreed definition (policy, collections).
+    /// The channel-agreed definition (policies, parsed, and collections).
     pub definition: ChaincodeDefinition,
-    /// The definition's policies, parsed once at install time; the commit
-    /// path evaluates these instead of re-parsing expressions per
-    /// transaction.
-    pub compiled: CompiledPolicies,
     /// This peer's implementation. Fabric only requires equal *results*
     /// across endorsers, so organizations may extend or replace the logic —
     /// the customizable-chaincode feature malicious orgs abuse (§IV-A1).
@@ -91,8 +87,7 @@ impl Peer {
     /// implementation (pass a malicious variant here to model colluding
     /// organizations).
     pub fn install_chaincode(&mut self, definition: ChaincodeDefinition, handle: ChaincodeHandle) {
-        let compiled = definition.compile();
-        let memberships: HashSet<CollectionName> = compiled
+        let memberships: HashSet<CollectionName> = definition
             .memberships_of(&self.identity.org)
             .into_iter()
             .collect();
@@ -100,7 +95,6 @@ impl Peer {
             definition.id.clone(),
             InstalledChaincode {
                 definition,
-                compiled,
                 handle,
                 memberships,
             },

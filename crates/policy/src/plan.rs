@@ -7,7 +7,7 @@
 //! routinely consists of PDC non-members, which is exactly why the default
 //! policy is dangerous (Use Case 2).
 
-use crate::ast::{ImplicitMetaPolicy, Policy, SignaturePolicy};
+use crate::ast::{Policy, SignaturePolicy};
 use fabric_types::{Identity, OrgId};
 use std::collections::BTreeMap;
 
@@ -21,27 +21,7 @@ pub fn minimal_endorsement_set(
     policy: &SignaturePolicy,
     available: &[Identity],
 ) -> Option<Vec<Identity>> {
-    if !policy.satisfied_by(available) {
-        return None;
-    }
-    for size in 1..=available.len() {
-        let mut found = None;
-        for_each_combination(available.len(), size, &mut |combo| {
-            if found.is_some() {
-                return;
-            }
-            let subset: Vec<Identity> = combo.iter().map(|&i| available[i].clone()).collect();
-            if policy.satisfied_by(&subset) {
-                found = Some(subset);
-            }
-        });
-        if found.is_some() {
-            return found;
-        }
-    }
-    // `available` itself satisfied the policy, so some subset (at worst the
-    // whole set) must have been found above.
-    Some(available.to_vec())
+    minimal_set(available, |subset| policy.satisfied_by(subset))
 }
 
 /// [`minimal_endorsement_set`] for either policy family, resolving
@@ -53,16 +33,20 @@ pub fn minimal_endorsement_set_for(
 ) -> Option<Vec<Identity>> {
     match policy {
         Policy::Signature(p) => minimal_endorsement_set(p, available),
-        Policy::ImplicitMeta(meta) => minimal_meta_set(meta, org_policies, available),
+        Policy::ImplicitMeta(meta) => {
+            minimal_set(available, |subset| meta.evaluate(org_policies, subset))
+        }
     }
 }
 
-fn minimal_meta_set(
-    meta: &ImplicitMetaPolicy,
-    org_policies: &BTreeMap<OrgId, SignaturePolicy>,
+/// The size-ordered search behind both planners: the first subset of
+/// `available`, smallest first and in lexicographic index order, that
+/// `satisfies`.
+fn minimal_set(
     available: &[Identity],
+    satisfies: impl Fn(&[Identity]) -> bool,
 ) -> Option<Vec<Identity>> {
-    if !meta.evaluate(org_policies, available) {
+    if !satisfies(available) {
         return None;
     }
     for size in 1..=available.len() {
@@ -72,7 +56,7 @@ fn minimal_meta_set(
                 return;
             }
             let subset: Vec<Identity> = combo.iter().map(|&i| available[i].clone()).collect();
-            if meta.evaluate(org_policies, &subset) {
+            if satisfies(&subset) {
                 found = Some(subset);
             }
         });
@@ -80,6 +64,8 @@ fn minimal_meta_set(
             return found;
         }
     }
+    // `available` itself satisfied the predicate, so some subset (at worst
+    // the whole set) must have been found above.
     Some(available.to_vec())
 }
 

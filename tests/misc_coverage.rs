@@ -174,3 +174,82 @@ fn empty_args_and_unicode_keys_survive_the_full_pipeline() {
         .unwrap();
     assert_eq!(Asset::from_bytes(&payload).unwrap().owner, "aliče");
 }
+
+/// Policy text that does not parse, deployed as is. A chaincode policy
+/// with a misspelt rule fails every transaction as `BadPayload`. So does a
+/// write under a collection endorsement policy that does not parse, and
+/// that policy, being defined, is no Use Case 2 fallback. A member policy
+/// that does not parse names no member org, so a private write reaches no
+/// peer in plaintext and commits hashes everywhere.
+#[test]
+fn malformed_policies_fail_closed_end_to_end() {
+    let (ns, col) = (ChaincodeId::new("guarded"), CollectionName::new("PDC1"));
+    let orgs = ["Org1MSP", "Org2MSP", "Org3MSP"];
+    let deploy = |definition: ChaincodeDefinition| {
+        let mut net = NetworkBuilder::new("ch1")
+            .orgs(&orgs)
+            .seed(49)
+            .with_telemetry(Telemetry::new())
+            .build();
+        net.deploy_chaincode(definition, Arc::new(GuardedPdc::unconstrained("PDC1")));
+        net
+    };
+    let write = |net: &mut FabricNetwork, key: &str| {
+        net.submit_transaction(
+            "client0.org1",
+            "guarded",
+            "write",
+            &[key, "1"],
+            &[],
+            &["peer0.org1", "peer0.org2"],
+        )
+        .unwrap()
+        .validation_code
+    };
+    let fallbacks = |net: &FabricNetwork| {
+        let events = net.telemetry().unwrap().audit().events();
+        events
+            .iter()
+            .filter(|e| matches!(e, AuditEvent::PolicyFallbackToChaincodeLevel { .. }))
+            .count()
+    };
+    let pdc1 =
+        CollectionConfig::membership_of("PDC1", &[OrgId::new("Org1MSP"), OrgId::new("Org2MSP")]);
+
+    let mut net = deploy(
+        ChaincodeDefinition::new("guarded")
+            .with_endorsement_policy("MAJORTY Endorsement")
+            .with_collection(pdc1.clone()),
+    );
+    for key in ["k1", "k2", "k3"] {
+        assert_eq!(write(&mut net, key), TxValidationCode::BadPayload);
+    }
+
+    let mut net = deploy(
+        ChaincodeDefinition::new("guarded")
+            .with_collection(pdc1.with_endorsement_policy("AND('Org1MSP.peer','Org2MSP.peer'")),
+    );
+    assert_eq!(write(&mut net, "k1"), TxValidationCode::BadPayload);
+    assert_eq!(fallbacks(&net), 0);
+
+    let mut net = deploy(ChaincodeDefinition::new("guarded").with_collection(
+        CollectionConfig::new("PDC1", "OR('Org1MSP.member','Org2MSP.member'"),
+    ));
+    for name in net.peer_names() {
+        let installed = net.peer(&name).chaincode(&ns).unwrap();
+        assert!(installed.memberships.is_empty(), "{name}");
+        for org in orgs {
+            assert!(!installed.definition.org_is_member(&OrgId::new(org), &col));
+        }
+    }
+    assert_eq!(write(&mut net, "k1"), TxValidationCode::Valid);
+    // Undefined, not unparsable: this write does fall back, once per peer.
+    assert_eq!(fallbacks(&net), net.peer_names().len());
+    let gossip = net.gossip_mut();
+    assert_eq!((gossip.delivered_total(), gossip.dropped_total()), (0, 0));
+    for name in net.peer_names() {
+        let state = net.peer(&name).world_state();
+        assert!(state.get_private(&ns, &col, "k1").is_none(), "{name}");
+        assert!(state.get_private_hash(&ns, &col, "k1").is_some(), "{name}");
+    }
+}

@@ -4,7 +4,7 @@
 //! A [`ReferencePeer`] is a replica of one peer's ledger, built from the
 //! peer's public accessors. It validates with none of the shipped commit
 //! path's logic: it is strictly sequential, parses every policy expression
-//! at the point of use (no compiled caches), verifies signatures in two
+//! from its text at the point of use (never the definition's parsed forms), verifies signatures in two
 //! passes, hashes the whole transaction list on both the pre-check and the
 //! append, and applies writes through the original clone-heavy path. Its
 //! independence from `process_block` is what makes agreement meaningful.
@@ -15,8 +15,8 @@ use fabric_pdc::ledger::{BlockStore, BlockStoreError, HistoryDb, WorldState};
 use fabric_pdc::peer::{BlockCommitOutcome, CommitError, Peer, PvtDataProvider};
 use fabric_pdc::policy::{Policy, SignaturePolicy};
 use fabric_pdc::types::{
-    Block, ChaincodeId, ChannelId, CollectionName, DefenseConfig, Identity, OrgId, PvtDataPackage,
-    Transaction, TxId, TxValidationCode, Version,
+    Block, ChaincodeId, ChannelId, CollectionConfig, CollectionName, DefenseConfig, Identity,
+    OrgId, PvtDataPackage, Transaction, TxId, TxValidationCode, Version,
 };
 use fabric_pdc::wire::Encode;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -43,6 +43,14 @@ pub struct ReferencePeer {
     defense: DefenseConfig,
 }
 
+/// The orgs `cfg`'s membership policy names, parsed from its text; none
+/// when it does not parse.
+fn member_orgs(cfg: &CollectionConfig) -> Vec<OrgId> {
+    SignaturePolicy::parse(&cfg.member_policy)
+        .map(|p| p.organizations())
+        .unwrap_or_default()
+}
+
 impl From<&Peer> for ReferencePeer {
     fn from(peer: &Peer) -> Self {
         ReferencePeer {
@@ -57,7 +65,12 @@ impl From<&Peer> for ReferencePeer {
                         cc.definition.id.clone(),
                         ReferenceChaincode {
                             definition: cc.definition.clone(),
-                            memberships: cc.memberships.clone(),
+                            memberships: cc
+                                .definition
+                                .collections()
+                                .filter(|c| member_orgs(c).contains(peer.org()))
+                                .map(|c| c.name.clone())
+                                .collect(),
                         },
                     )
                 })
@@ -171,7 +184,7 @@ impl ReferencePeer {
                 || !ns.collections.is_empty()
                 || (ns.public.writes.is_empty() && ns.metadata_writes.is_empty());
             if needs_chaincode_policy {
-                let Ok(cc_policy) = Policy::parse(&def.endorsement_policy) else {
+                let Ok(cc_policy) = Policy::parse(def.endorsement_policy()) else {
                     return TxValidationCode::BadPayload;
                 };
                 if !cc_policy.evaluate(&self.org_policies, &endorsers) {
@@ -200,9 +213,8 @@ impl ReferencePeer {
                     }
                 }
                 if self.defense.filter_non_member_endorsers {
-                    let all_members = endorsers
-                        .iter()
-                        .all(|e| def.org_is_member(&e.org, &col.collection));
+                    let members = member_orgs(cfg);
+                    let all_members = endorsers.iter().all(|e| members.contains(&e.org));
                     if !all_members {
                         return TxValidationCode::NonMemberEndorsement;
                     }
@@ -312,7 +324,7 @@ impl ReferencePeer {
     /// block-to-live bound.
     fn purge_expired(&mut self, current_block: u64) {
         for cc in self.chaincodes.values() {
-            for c in &cc.definition.collections {
+            for c in cc.definition.collections() {
                 if c.block_to_live > 0 {
                     self.world_state
                         .purge_expired_private(&c.name, c.block_to_live, current_block);
