@@ -121,4 +121,23 @@ fn lint_over_synthetic_corpus_finds_the_paper_misuses() {
     assert!(fired.contains("PDC001"), "fired: {fired:?}");
     assert!(fired.contains("PDC009"), "fired: {fired:?}");
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The corpus `analyze generate` writes: its totals are pinned, so that
+    // no rule change moves them unnoticed.
+    let dir = temp_corpus_dir();
+    corpus::materialize(&CorpusSpec::small(42), &dir).expect("materialize corpus");
+    let findings = lint_corpus(&fabric_analyzer::scan_corpus(&dir).expect("scan"));
+    let mut by_rule = std::collections::BTreeMap::new();
+    for f in &findings {
+        *by_rule.entry(f.rule_id).or_insert(0) += 1;
+    }
+    assert_eq!(
+        by_rule,
+        [("PDC001", 10), ("PDC004", 12), ("PDC009", 12)].into(),
+        "{}",
+        render::render_text(&findings)
+    );
+    assert!(render::render_text(&findings)
+        .ends_with("34 finding(s): 12 error(s), 22 warning(s), 0 note(s)\n"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -54,7 +54,16 @@ impl ChaincodeDefinition {
     }
 
     /// Adds a private data collection.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the definition already has a collection of that name.
     pub fn with_collection(mut self, config: CollectionConfig) -> Self {
+        assert!(
+            self.collection(&config.name).is_none(),
+            "collection {} is already defined",
+            config.name
+        );
         let members = SignaturePolicy::parse(&config.member_policy)
             .map(|p| p.organizations().into_iter().collect())
             .unwrap_or_default();
@@ -221,5 +230,11 @@ mod tests {
             vec![CollectionName::new("PDC1")]
         );
         assert!(def.memberships_of(&OrgId::new("Org3MSP")).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "collection PDC1 is already defined")]
+    fn a_second_collection_of_the_same_name_is_refused() {
+        let _ = definition().with_collection(CollectionConfig::new("PDC1", "OR('Org3MSP.member')"));
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::subject::{CollectionFacts, LeakChannel, LintSubject};
 use crate::{Finding, Location, Rule, Severity};
-use fabric_policy::{ImplicitMetaRule, Policy, SignaturePolicy};
+use fabric_policy::{ChannelPolicies, Policy, SignaturePolicy};
 use fabric_types::OrgId;
 
 /// `BlockToLive` values at or below this are flagged as purge hazards.
@@ -310,7 +310,10 @@ fn check_effective_policy(subject: &LintSubject, c: &CollectionFacts, out: &mut 
     let Ok(policy) = Policy::parse(expr) else {
         return; // PDC008 reports unparsable expressions separately.
     };
-    if policy_reachable_by(&policy, &non_members, subject.channel_orgs.len()) {
+    // A subject states no org sub-policies: each channel org has Fabric's
+    // default `Endorsement` (also in PDC008's check below).
+    let channel = ChannelPolicies::default_for(&subject.channel_orgs);
+    if policy.satisfiable_within(&non_members, &channel) {
         out.push(finding(
             "PDC006",
             &subject.name,
@@ -323,19 +326,6 @@ fn check_effective_policy(subject: &LintSubject, c: &CollectionFacts, out: &mut 
                 org_list(&non_members),
             ),
         ));
-    }
-}
-
-/// Whether `policy` can be satisfied using only `orgs` (out of a channel
-/// of `channel_size` organizations).
-fn policy_reachable_by(policy: &Policy, orgs: &[OrgId], channel_size: usize) -> bool {
-    match policy {
-        Policy::Signature(p) => p.satisfiable_within(orgs),
-        Policy::ImplicitMeta(meta) => match meta.rule {
-            ImplicitMetaRule::Any => !orgs.is_empty(),
-            ImplicitMetaRule::All => orgs.len() == channel_size,
-            ImplicitMetaRule::Majority => orgs.len() > channel_size / 2,
-        },
     }
 }
 
@@ -361,7 +351,6 @@ fn check_policy_ast(
     location: Location,
     out: &mut Vec<Finding>,
 ) {
-    // ImplicitMeta expressions have no signature AST to inspect.
     let Ok(policy) = Policy::parse(expr) else {
         out.push(finding(
             "PDC008",
@@ -371,11 +360,7 @@ fn check_policy_ast(
         ));
         return;
     };
-    let Policy::Signature(sig) = policy else {
-        return;
-    };
-
-    for (n, m) in out_of_thresholds(&sig) {
+    for (n, m) in out_of_thresholds(&policy) {
         if n == 0 {
             let mut f = finding(
                 "PDC007",
@@ -403,14 +388,17 @@ fn check_policy_ast(
         }
     }
 
-    if sig.is_unsatisfiable() {
+    let channel = ChannelPolicies::default_for(&subject.channel_orgs);
+    if matches!(&policy, Policy::Signature(sig) if sig.is_unsatisfiable()) {
         out.push(finding(
             "PDC008",
             &subject.name,
             location.clone(),
             format!("{context} endorsement policy ({expr}) can never be satisfied"),
         ));
-    } else if !subject.channel_orgs.is_empty() && !sig.satisfiable_within(&subject.channel_orgs) {
+    } else if !subject.channel_orgs.is_empty()
+        && !policy.satisfiable_within(&subject.channel_orgs, &channel)
+    {
         out.push(finding(
             "PDC008",
             &subject.name,
@@ -424,10 +412,13 @@ fn check_policy_ast(
     }
 }
 
-/// All `(n, m)` threshold pairs of `OutOf` nodes in the policy tree.
-fn out_of_thresholds(policy: &SignaturePolicy) -> Vec<(u32, usize)> {
+/// All `(n, m)` threshold pairs of `OutOf` nodes in a signature policy's
+/// tree; an implicitMeta policy has none.
+fn out_of_thresholds(policy: &Policy) -> Vec<(u32, usize)> {
     let mut out = Vec::new();
-    collect_out_of(policy, &mut out);
+    if let Policy::Signature(sig) = policy {
+        collect_out_of(sig, &mut out);
+    }
     out
 }
 
@@ -668,6 +659,11 @@ mod tests {
         let mut unparsable = clean_subject();
         unparsable.collections[0].endorsement_policy = Some("NOT A POLICY ((".into());
         assert!(fires(&unparsable, "PDC008"));
+
+        // No channel org defines the sub-policy `Endorsment`.
+        let mut misspelled = clean_subject();
+        misspelled.chaincode_policy = Some("MAJORITY Endorsment".into());
+        assert!(fires(&misspelled, "PDC008"));
 
         assert!(!fires(&clean_subject(), "PDC008"));
     }

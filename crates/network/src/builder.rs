@@ -6,7 +6,8 @@ use fabric_crypto::Keypair;
 use fabric_gossip::GossipHub;
 use fabric_monitor::Monitor;
 use fabric_orderer::{BatchConfig, OrderingService};
-use fabric_peer::{ChannelPolicies, Peer};
+use fabric_peer::Peer;
+use fabric_policy::ChannelPolicies;
 use fabric_telemetry::Telemetry;
 use fabric_types::{ChannelId, DefenseConfig, OrgId};
 use std::collections::BTreeMap;

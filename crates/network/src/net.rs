@@ -340,8 +340,8 @@ impl FabricNetwork {
         let policy = definition.endorsement()?;
         let identities: Vec<fabric_types::Identity> =
             self.peers.values().map(|p| p.identity().clone()).collect();
-        let org_policies = any_peer.channel_policies().org_policies();
-        let plan = fabric_policy::minimal_endorsement_set_for(policy, org_policies, &identities)?;
+        let channel = any_peer.channel_policies();
+        let plan = fabric_policy::minimal_endorsement_set_for(policy, channel, &identities)?;
         let names = plan
             .iter()
             .filter_map(|id| {

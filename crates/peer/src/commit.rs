@@ -309,7 +309,7 @@ impl Peer {
                 let Some(cc_policy) = definition.endorsement() else {
                     return Some(TxValidationCode::BadPayload);
                 };
-                if !cc_policy.evaluate_set(self.channel_policies.org_policies(), &endorsers) {
+                if !cc_policy.evaluate_set(&self.channel_policies, &endorsers) {
                     return Some(TxValidationCode::EndorsementPolicyFailure);
                 }
             }
@@ -593,10 +593,10 @@ fn record_block_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::ChannelPolicies;
     use fabric_chaincode::samples::GuardedPdc;
     use fabric_chaincode::ChaincodeDefinition;
     use fabric_crypto::Keypair;
+    use fabric_policy::ChannelPolicies;
     use fabric_types::{
         CollectionConfig, CollectionName, CollectionPvtRwSet, DefenseConfig, Endorsement, Identity,
         KvWrite, OrgId, Proposal, Role,

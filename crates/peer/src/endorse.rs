@@ -174,10 +174,10 @@ fn commitment_for(defense: DefenseConfig) -> PayloadCommitment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::ChannelPolicies;
     use fabric_chaincode::samples::{Guard, GuardedPdc};
     use fabric_chaincode::ChaincodeDefinition;
     use fabric_crypto::Keypair;
+    use fabric_policy::ChannelPolicies;
     use fabric_types::{CollectionConfig, CollectionName, Identity, OrgId, Role, TxKind, Version};
     use std::collections::BTreeMap;
     use std::sync::Arc;

@@ -18,13 +18,11 @@
 //! (Use Case 1). Enabling the defenses changes exactly the code paths the
 //! paper's modified Fabric changes.
 
-mod channel;
 mod commit;
 mod endorse;
 mod node;
 mod telemetry;
 
-pub use channel::ChannelPolicies;
 pub use commit::{BlockCommitOutcome, CommitError, PvtDataProvider};
 pub use endorse::EndorseError;
 pub use node::{InstalledChaincode, Peer};

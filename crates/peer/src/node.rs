@@ -1,11 +1,10 @@
 //! The peer node: identity, ledger, installed chaincodes.
 
-use crate::channel::ChannelPolicies;
 use fabric_chaincode::{ChaincodeDefinition, ChaincodeHandle};
 use fabric_crypto::Keypair;
 use fabric_gossip::PeerId;
 use fabric_ledger::{BlockStore, HistoryDb, WorldState};
-use fabric_policy::PolicyCache;
+use fabric_policy::{ChannelPolicies, PolicyCache};
 use fabric_telemetry::Telemetry;
 use fabric_types::{ChaincodeId, ChannelId, CollectionName, DefenseConfig, Identity, OrgId, Role};
 use std::collections::{HashMap, HashSet};

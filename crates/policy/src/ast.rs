@@ -1,9 +1,9 @@
 //! Policy AST and evaluation.
 
+use crate::channel::ChannelPolicies;
 use crate::eval::{self, EndorserSet};
 use crate::parser::{self, ParsePolicyError};
 use fabric_types::{Identity, OrgId, Role};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The role requirement of a principal.
@@ -113,10 +113,8 @@ impl SignaturePolicy {
     /// concrete endorsement set, it asks if *some* endorsement set drawn
     /// from `allowed` exists. With unlimited identities per organization,
     /// `AND`/`OutOf` distinctness never binds, so the evaluation is a
-    /// simple monotone recursion. The linter uses it to decide whether an
-    /// endorsement policy is reachable by collection non-members (the
-    /// paper's Use Cases 1 and 2) and, with `allowed` set to all channel
-    /// organizations, whether the policy is satisfiable at all.
+    /// simple monotone recursion. It is the signature arm of
+    /// [`Policy::satisfiable_within`].
     pub fn satisfiable_within(&self, allowed: &[OrgId]) -> bool {
         match self {
             SignaturePolicy::Principal(p) => allowed.contains(&p.org),
@@ -207,6 +205,17 @@ pub enum ImplicitMetaRule {
     Majority,
 }
 
+impl ImplicitMetaRule {
+    /// How many sub-policies of `of` orgs must hold.
+    fn threshold(self, of: usize) -> usize {
+        match self {
+            ImplicitMetaRule::Any => 1,
+            ImplicitMetaRule::All => of,
+            ImplicitMetaRule::Majority => of / 2 + 1,
+        }
+    }
+}
+
 impl fmt::Display for ImplicitMetaRule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -238,38 +247,20 @@ impl ImplicitMetaPolicy {
         parser::parse_implicit_meta(expr)
     }
 
-    /// Evaluates the policy: each organization's sub-policy is evaluated
-    /// against `endorsers`, then the boolean results are combined by the
-    /// rule. `org_policies` maps each participating organization to its
-    /// sub-policy (each org's `Endorsement` policy in practice).
-    pub fn evaluate(
+    /// Whether the rule is met when `sub_policy_holds` is asked of each
+    /// org's sub-policy of this name in `channel`. Asking stops once
+    /// enough hold; a channel without orgs meets no rule.
+    fn holds(
         &self,
-        org_policies: &BTreeMap<OrgId, SignaturePolicy>,
-        endorsers: &[Identity],
+        channel: &ChannelPolicies,
+        sub_policy_holds: impl Fn(&SignaturePolicy) -> bool,
     ) -> bool {
-        self.evaluate_set(org_policies, &endorsers.iter().collect())
-    }
-
-    /// [`evaluate`](Self::evaluate) over an already de-duplicated set (see
-    /// [`SignaturePolicy::satisfied_by_set`]).
-    pub fn evaluate_set(
-        &self,
-        org_policies: &BTreeMap<OrgId, SignaturePolicy>,
-        endorsers: &EndorserSet<'_>,
-    ) -> bool {
-        let n = org_policies.len();
-        if n == 0 {
-            return false;
-        }
-        let satisfied = org_policies
-            .values()
-            .filter(|p| p.satisfied_by_set(endorsers))
-            .count();
-        match self.rule {
-            ImplicitMetaRule::Any => satisfied >= 1,
-            ImplicitMetaRule::All => satisfied == n,
-            ImplicitMetaRule::Majority => satisfied > n / 2,
-        }
+        let orgs = channel.orgs.len();
+        let need = self.rule.threshold(orgs);
+        let holding = channel
+            .sub_policies(&self.sub_policy)
+            .filter(|p| sub_policy_holds(p));
+        orgs > 0 && holding.take(need).count() == need
     }
 }
 
@@ -304,25 +295,31 @@ impl Policy {
     }
 
     /// Evaluates the policy against an endorser set, resolving implicitMeta
-    /// sub-policies through `org_policies`.
-    pub fn evaluate(
-        &self,
-        org_policies: &BTreeMap<OrgId, SignaturePolicy>,
-        endorsers: &[Identity],
-    ) -> bool {
-        self.evaluate_set(org_policies, &endorsers.iter().collect())
+    /// sub-policies by name in `channel`.
+    pub fn evaluate(&self, channel: &ChannelPolicies, endorsers: &[Identity]) -> bool {
+        self.evaluate_set(channel, &endorsers.iter().collect())
     }
 
     /// [`evaluate`](Self::evaluate) over an already de-duplicated set (see
     /// [`SignaturePolicy::satisfied_by_set`]).
-    pub fn evaluate_set(
-        &self,
-        org_policies: &BTreeMap<OrgId, SignaturePolicy>,
-        endorsers: &EndorserSet<'_>,
-    ) -> bool {
+    pub fn evaluate_set(&self, channel: &ChannelPolicies, endorsers: &EndorserSet<'_>) -> bool {
         match self {
             Policy::Signature(p) => p.satisfied_by_set(endorsers),
-            Policy::ImplicitMeta(p) => p.evaluate_set(org_policies, endorsers),
+            Policy::ImplicitMeta(p) => p.holds(channel, |sub| sub.satisfied_by_set(endorsers)),
+        }
+    }
+
+    /// Whether some endorsement set drawn from `orgs` alone could satisfy
+    /// the policy: the static counterpart of [`evaluate`](Self::evaluate),
+    /// assuming each org can produce arbitrarily many distinct identities
+    /// of every role (see [`SignaturePolicy::satisfiable_within`]). The
+    /// linter asks it whether collection non-members reach a policy (the
+    /// paper's Use Cases 1 and 2), and whether the channel's orgs reach it
+    /// at all.
+    pub fn satisfiable_within(&self, orgs: &[OrgId], channel: &ChannelPolicies) -> bool {
+        match self {
+            Policy::Signature(p) => p.satisfiable_within(orgs),
+            Policy::ImplicitMeta(p) => p.holds(channel, |sub| sub.satisfiable_within(orgs)),
         }
     }
 }
@@ -406,52 +403,72 @@ mod tests {
         assert!(policy.satisfied_by(&[c, p]));
     }
 
+    fn channel_of(count: usize) -> ChannelPolicies {
+        let orgs: Vec<OrgId> = (1..=count)
+            .map(|i| OrgId::new(format!("Org{i}MSP")))
+            .collect();
+        ChannelPolicies::default_for(&orgs)
+    }
+
     #[test]
     fn majority_rule_matches_equation_one() {
         // Majority(e1..en) per Eq. 1: strictly more than half.
-        let orgs: Vec<OrgId> = (1..=3).map(|i| OrgId::new(format!("Org{i}MSP"))).collect();
-        let mut org_policies = BTreeMap::new();
-        for o in &orgs {
-            org_policies.insert(
-                o.clone(),
-                SignaturePolicy::parse(&format!("OR('{}.peer')", o.as_str())).unwrap(),
-            );
-        }
-        let meta = ImplicitMetaPolicy::parse("MAJORITY Endorsement").unwrap();
+        let channel = channel_of(3);
+        let meta = Policy::parse("MAJORITY Endorsement").unwrap();
         // 2 of 3 is a majority.
-        assert!(meta.evaluate(&org_policies, &[peer("Org1MSP", 1), peer("Org3MSP", 3)]));
+        assert!(meta.evaluate(&channel, &[peer("Org1MSP", 1), peer("Org3MSP", 3)]));
         // 1 of 3 is not.
-        assert!(!meta.evaluate(&org_policies, &[peer("Org1MSP", 1)]));
+        assert!(!meta.evaluate(&channel, &[peer("Org1MSP", 1)]));
 
-        let all = ImplicitMetaPolicy::parse("ALL Endorsement").unwrap();
-        assert!(!all.evaluate(&org_policies, &[peer("Org1MSP", 1), peer("Org3MSP", 3)]));
+        let all = Policy::parse("ALL Endorsement").unwrap();
+        assert!(!all.evaluate(&channel, &[peer("Org1MSP", 1), peer("Org3MSP", 3)]));
         assert!(all.evaluate(
-            &org_policies,
+            &channel,
             &[peer("Org1MSP", 1), peer("Org2MSP", 2), peer("Org3MSP", 3)]
         ));
 
-        let any = ImplicitMetaPolicy::parse("ANY Endorsement").unwrap();
-        assert!(any.evaluate(&org_policies, &[peer("Org2MSP", 2)]));
-        assert!(!any.evaluate(&org_policies, &[peer("Org9MSP", 9)]));
+        let any = Policy::parse("ANY Endorsement").unwrap();
+        assert!(any.evaluate(&channel, &[peer("Org2MSP", 2)]));
+        assert!(!any.evaluate(&channel, &[peer("Org9MSP", 9)]));
     }
 
     #[test]
     fn majority_with_even_org_count() {
-        let orgs: Vec<OrgId> = (1..=4).map(|i| OrgId::new(format!("Org{i}MSP"))).collect();
-        let mut org_policies = BTreeMap::new();
-        for o in &orgs {
-            org_policies.insert(
-                o.clone(),
-                SignaturePolicy::parse(&format!("OR('{}.peer')", o.as_str())).unwrap(),
-            );
-        }
-        let meta = ImplicitMetaPolicy::parse("MAJORITY Endorsement").unwrap();
+        let channel = channel_of(4);
+        let meta = Policy::parse("MAJORITY Endorsement").unwrap();
         // 2 of 4 is NOT a strict majority; 3 of 4 is.
-        assert!(!meta.evaluate(&org_policies, &[peer("Org1MSP", 1), peer("Org2MSP", 2)]));
+        assert!(!meta.evaluate(&channel, &[peer("Org1MSP", 1), peer("Org2MSP", 2)]));
         assert!(meta.evaluate(
-            &org_policies,
+            &channel,
             &[peer("Org1MSP", 1), peer("Org2MSP", 2), peer("Org3MSP", 3)]
         ));
+    }
+
+    #[test]
+    fn implicit_meta_resolves_its_sub_policy_name() {
+        // Org2 and Org3 define `Admins`; Org1 does not, yet still counts
+        // in MAJORITY's denominator.
+        let mut channel = channel_of(3);
+        let admins = ["Org2MSP", "Org3MSP"].map(|org| {
+            let admin = SignaturePolicy::parse(&format!("OR('{org}.admin')")).unwrap();
+            (OrgId::new(org), admin)
+        });
+        channel.named.insert("Admins".into(), admins.into());
+        let admins = [id("Org2MSP", Role::Admin, 2), id("Org3MSP", Role::Admin, 3)];
+        let peers = [peer("Org1MSP", 1), peer("Org2MSP", 2), peer("Org3MSP", 3)];
+        let majority = Policy::parse("MAJORITY Admins").unwrap();
+        assert!(majority.evaluate(&channel, &admins));
+        assert!(!majority.evaluate(&channel, &admins[..1]));
+        assert!(!majority.evaluate(&channel, &peers));
+        assert!(!Policy::parse("ALL Admins")
+            .unwrap()
+            .evaluate(&channel, &admins));
+        // No org defines `Endorsment`: never satisfied, statically either.
+        let misspelled = Policy::parse("MAJORITY Endorsment").unwrap();
+        assert!(!misspelled.evaluate(&channel, &peers));
+        let all_orgs: Vec<OrgId> = channel.orgs.iter().cloned().collect();
+        assert!(!misspelled.satisfiable_within(&all_orgs, &channel));
+        assert!(majority.satisfiable_within(&all_orgs, &channel));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The policy evaluator: the one backtracking search every evaluation
 //! entry point ([`SignaturePolicy::satisfied_by`],
-//! [`crate::ImplicitMetaPolicy::evaluate`], [`crate::Policy::evaluate`] and
-//! their `_refs`/`_set` forms) runs.
+//! [`SignaturePolicy::satisfied_by_set`], [`crate::Policy::evaluate`] and
+//! [`crate::Policy::evaluate_set`]) runs.
 //!
 //! It runs once per policy per peer per transaction, so it uses no heap:
 //! the endorsers are de-duplicated once into an [`EndorserSet`], and both
@@ -144,11 +144,14 @@ fn choose(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Principal, PrincipalRole};
+    use crate::ast::{ImplicitMetaPolicy, ImplicitMetaRule, Policy, Principal, PrincipalRole};
+    use crate::channel::ChannelPolicies;
     use fabric_crypto::Keypair;
-    use fabric_types::Role;
+    use fabric_types::{OrgId, Role};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::OnceLock;
 
     /// The evaluator this module replaced, verbatim: a fresh goal `Vec` per
     /// `And`/`Or`/`OutOf` node and every `n`-combination materialized.
@@ -275,17 +278,17 @@ mod tests {
                     3 => PrincipalRole::Member,
                     r => PrincipalRole::Exact(ROLES[r as usize]),
                 };
-                let org = ORGS[rng.usize_in(0, ORGS.len() - 1)];
+                let org = ORGS[rng.usize_in(0, ORGS.len())];
                 return SignaturePolicy::Principal(Principal::new(org, role));
             }
-            let children: Vec<SignaturePolicy> = (0..rng.usize_in(1, 3))
+            let children: Vec<SignaturePolicy> = (0..rng.usize_in(1, 4))
                 .map_while(|_| (*leaves > 0).then(|| self.node(rng, depth - 1, leaves)))
                 .collect();
             match rng.below(3) {
                 0 => SignaturePolicy::And(children),
                 1 => SignaturePolicy::Or(children),
                 _ => {
-                    let n = rng.usize_in(0, children.len() + 1);
+                    let n = rng.usize_in(0, children.len() + 2);
                     SignaturePolicy::OutOf(n as u32, children)
                 }
             }
@@ -312,8 +315,107 @@ mod tests {
         })
     }
 
+    /// Sub-policy names an implicitMeta policy asks for. Channel tables
+    /// define only the first two, so no org ever defines `Endorsment`.
+    const NAMES: [&str; 3] = ["Endorsement", "Admins", "Endorsment"];
+
+    /// A policy of either family with a channel table: each org is on the
+    /// channel or not and defines each of the first two [`NAMES`] or not,
+    /// every sub-policy a random tree.
+    struct Deployment {
+        tree: PolicyTree,
+    }
+
+    impl Strategy for Deployment {
+        type Value = (Policy, ChannelPolicies);
+
+        fn generate(&self, rng: &mut TestRng) -> (Policy, ChannelPolicies) {
+            let orgs: BTreeSet<OrgId> = ORGS
+                .iter()
+                .filter(|_| rng.ratio(3, 4))
+                .map(|org| OrgId::new(*org))
+                .collect();
+            let mut named = BTreeMap::new();
+            for name in &NAMES[..2] {
+                let mut defined = BTreeMap::new();
+                for org in &orgs {
+                    if rng.ratio(2, 3) {
+                        defined.insert(org.clone(), self.tree.generate(rng));
+                    }
+                }
+                if !defined.is_empty() {
+                    named.insert(name.to_string(), defined);
+                }
+            }
+            let rules = [
+                ImplicitMetaRule::Any,
+                ImplicitMetaRule::All,
+                ImplicitMetaRule::Majority,
+            ];
+            let policy = if rng.ratio(1, 3) {
+                Policy::Signature(self.tree.generate(rng))
+            } else {
+                Policy::ImplicitMeta(ImplicitMetaPolicy {
+                    rule: rules[rng.usize_in(0, rules.len())],
+                    sub_policy: NAMES[rng.usize_in(0, NAMES.len())].to_string(),
+                })
+            };
+            (policy, ChannelPolicies { orgs, named })
+        }
+    }
+
+    /// Identities per org and role in [`pool`]: as many as a tree has
+    /// principals, so that distinctness never binds.
+    const PER_ROLE: usize = 5;
+
+    /// [`PER_ROLE`] distinct identities of every org and role.
+    fn pool() -> &'static [Identity] {
+        static POOL: OnceLock<Vec<Identity>> = OnceLock::new();
+        POOL.get_or_init(|| {
+            (0..ORGS.len() * ROLES.len() * PER_ROLE)
+                .map(|key| identity(key % 4, key / 4 % 3, 1_000 + key as u64))
+                .collect()
+        })
+    }
+
+    /// The orgs whose bit is set in `mask`.
+    fn orgs_in(mask: usize) -> Vec<OrgId> {
+        (0..ORGS.len())
+            .filter(|bit| mask >> bit & 1 == 1)
+            .map(|bit| OrgId::new(ORGS[bit]))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The static answer is the evaluator's answer over every identity
+        /// the orgs could bring, it only grows with the orgs, and a
+        /// sub-policy name no org defines is never satisfied.
+        #[test]
+        fn static_answer_matches_the_evaluator(
+            deployment in Deployment { tree: PolicyTree { depth: 3, leaves: PER_ROLE } },
+            within in 0usize..16,
+            more in 0usize..16,
+        ) {
+            let (policy, channel) = deployment;
+            let orgs = orgs_in(within);
+            let endorsers: EndorserSet<'_> =
+                pool().iter().filter(|id| orgs.contains(&id.org)).collect();
+            let statically = policy.satisfiable_within(&orgs, &channel);
+            prop_assert_eq!(
+                statically,
+                policy.evaluate_set(&channel, &endorsers),
+                "{policy} within {orgs:?} over {channel:?}"
+            );
+            if statically {
+                prop_assert!(policy.satisfiable_within(&orgs_in(within | more), &channel));
+            }
+            if let Policy::ImplicitMeta(meta) = &policy {
+                let defined = channel.named.contains_key(&meta.sub_policy);
+                prop_assert!(defined || !statically, "{policy} over {channel:?}");
+            }
+        }
 
         #[test]
         fn evaluator_agrees_with_the_replaced_one(

@@ -12,6 +12,15 @@
 //!   organizations' own sub-policies, e.g. the default chaincode-level
 //!   policy `MAJORITY Endorsement` (Eq. 1 in the paper).
 //!
+//! An implicitMeta policy resolves its sub-policy name in the channel's
+//! [`ChannelPolicies`], as Fabric does: every org on the channel counts in
+//! the denominator, and an org that does not define the name never
+//! satisfies it (Fabric's reject policy), so a name no org defines — say
+//! `MAJORITY Endorsment` — is never satisfied. [`Policy::evaluate_set`]
+//! gives the answer for one endorser set, [`Policy::satisfiable_within`]
+//! whether any endorsement set drawn from a set of orgs could satisfy the
+//! policy, and both apply the same ANY/ALL/MAJORITY rule.
+//!
 //! Evaluation is *matching-exact*: each endorsement may satisfy at most one
 //! principal requirement, as in Fabric (so `AND('Org1.peer','Org1.peer')`
 //! needs two distinct Org1 peers).
@@ -35,6 +44,7 @@
 
 mod ast;
 mod cache;
+mod channel;
 mod eval;
 mod parser;
 mod plan;
@@ -43,6 +53,7 @@ pub use ast::{
     ImplicitMetaPolicy, ImplicitMetaRule, Policy, Principal, PrincipalRole, SignaturePolicy,
 };
 pub use cache::PolicyCache;
+pub use channel::ChannelPolicies;
 pub use eval::EndorserSet;
 pub use parser::ParsePolicyError;
 pub use plan::{minimal_endorsement_set, minimal_endorsement_set_for};

@@ -8,8 +8,8 @@
 //! policy is dangerous (Use Case 2).
 
 use crate::ast::{Policy, SignaturePolicy};
-use fabric_types::{Identity, OrgId};
-use std::collections::BTreeMap;
+use crate::channel::ChannelPolicies;
+use fabric_types::Identity;
 
 /// Finds a minimum-cardinality subset of `available` identities that
 /// satisfies `policy`, or `None` when even the full set fails.
@@ -25,18 +25,13 @@ pub fn minimal_endorsement_set(
 }
 
 /// [`minimal_endorsement_set`] for either policy family, resolving
-/// implicitMeta sub-policies through `org_policies`.
+/// implicitMeta sub-policies by name in `channel`.
 pub fn minimal_endorsement_set_for(
     policy: &Policy,
-    org_policies: &BTreeMap<OrgId, SignaturePolicy>,
+    channel: &ChannelPolicies,
     available: &[Identity],
 ) -> Option<Vec<Identity>> {
-    match policy {
-        Policy::Signature(p) => minimal_endorsement_set(p, available),
-        Policy::ImplicitMeta(meta) => {
-            minimal_set(available, |subset| meta.evaluate(org_policies, subset))
-        }
-    }
+    minimal_set(available, |subset| policy.evaluate(channel, subset))
 }
 
 /// The size-ordered search behind both planners: the first subset of
@@ -102,7 +97,7 @@ fn for_each_combination(n: usize, k: usize, f: &mut dyn FnMut(&[usize])) {
 mod tests {
     use super::*;
     use fabric_crypto::Keypair;
-    use fabric_types::Role;
+    use fabric_types::{OrgId, Role};
 
     fn peer(org: &str, seed: u64) -> Identity {
         Identity::new(
@@ -116,6 +111,11 @@ mod tests {
         (1..=5)
             .map(|i| peer(&format!("Org{i}MSP"), 700 + i))
             .collect()
+    }
+
+    fn five_org_channel() -> ChannelPolicies {
+        let orgs: Vec<OrgId> = (1..=5).map(|i| OrgId::new(format!("Org{i}MSP"))).collect();
+        ChannelPolicies::default_for(&orgs)
     }
 
     #[test]
@@ -153,15 +153,9 @@ mod tests {
 
     #[test]
     fn majority_meta_plan_is_strict_majority() {
-        let mut org_policies = BTreeMap::new();
-        for i in 1..=5 {
-            org_policies.insert(
-                OrgId::new(format!("Org{i}MSP")),
-                SignaturePolicy::parse(&format!("OR('Org{i}MSP.peer')")).unwrap(),
-            );
-        }
+        let channel = five_org_channel();
         let policy = Policy::parse("MAJORITY Endorsement").unwrap();
-        let plan = minimal_endorsement_set_for(&policy, &org_policies, &channel_peers()).unwrap();
+        let plan = minimal_endorsement_set_for(&policy, &channel, &channel_peers()).unwrap();
         assert_eq!(plan.len(), 3, "3 of 5 is the strict majority");
     }
 
@@ -170,19 +164,13 @@ mod tests {
         // The planner exposes the paper's point: under MAJORITY on a 5-org
         // channel with PDC = {org1, org2}, a valid minimal plan can consist
         // entirely of non-members (org3, org4, org5).
-        let mut org_policies = BTreeMap::new();
-        for i in 1..=5 {
-            org_policies.insert(
-                OrgId::new(format!("Org{i}MSP")),
-                SignaturePolicy::parse(&format!("OR('Org{i}MSP.peer')")).unwrap(),
-            );
-        }
+        let channel = five_org_channel();
         let policy = Policy::parse("MAJORITY Endorsement").unwrap();
         // Only non-member peers are "available" (an attacker's view).
         let non_members: Vec<Identity> = (3..=5)
             .map(|i| peer(&format!("Org{i}MSP"), 800 + i))
             .collect();
-        let plan = minimal_endorsement_set_for(&policy, &org_policies, &non_members).unwrap();
+        let plan = minimal_endorsement_set_for(&policy, &channel, &non_members).unwrap();
         assert_eq!(plan.len(), 3);
         assert!(plan
             .iter()

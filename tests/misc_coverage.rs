@@ -176,7 +176,9 @@ fn empty_args_and_unicode_keys_survive_the_full_pipeline() {
 }
 
 /// Policy text that does not parse, deployed as is. A chaincode policy
-/// with a misspelt rule fails every transaction as `BadPayload`. So does a
+/// with a misspelt rule fails every transaction as `BadPayload`; one that
+/// parses but names a sub-policy no org defines fails every transaction
+/// the policy check, and discovery finds no endorsers for it. So does a
 /// write under a collection endorsement policy that does not parse, and
 /// that policy, being defined, is no Use Case 2 fallback. A member policy
 /// that does not parse names no member org, so a private write reaches no
@@ -204,7 +206,6 @@ fn malformed_policies_fail_closed_end_to_end() {
             &["peer0.org1", "peer0.org2"],
         )
         .unwrap()
-        .validation_code
     };
     let fallbacks = |net: &FabricNetwork| {
         let events = net.telemetry().unwrap().audit().events();
@@ -222,14 +223,37 @@ fn malformed_policies_fail_closed_end_to_end() {
             .with_collection(pdc1.clone()),
     );
     for key in ["k1", "k2", "k3"] {
-        assert_eq!(write(&mut net, key), TxValidationCode::BadPayload);
+        assert_eq!(
+            write(&mut net, key).validation_code,
+            TxValidationCode::BadPayload
+        );
     }
+
+    // No org defines a sub-policy `Endorsment`, so the policy is never
+    // satisfied: every peer fails every write, and discovery finds no set.
+    let mut net = deploy(
+        ChaincodeDefinition::new("guarded")
+            .with_endorsement_policy("MAJORITY Endorsment")
+            .with_collection(pdc1.clone()),
+    );
+    for key in ["k1", "k2", "k3"] {
+        let tx_id = write(&mut net, key).tx_id;
+        for name in net.peer_names() {
+            let (_, code) = net.peer(&name).block_store().transaction(&tx_id).unwrap();
+            let failed = Some(TxValidationCode::EndorsementPolicyFailure);
+            assert_eq!(code, failed, "{key} on {name}");
+        }
+    }
+    assert_eq!(net.discover_endorsers("guarded"), None);
 
     let mut net = deploy(
         ChaincodeDefinition::new("guarded")
             .with_collection(pdc1.with_endorsement_policy("AND('Org1MSP.peer','Org2MSP.peer'")),
     );
-    assert_eq!(write(&mut net, "k1"), TxValidationCode::BadPayload);
+    assert_eq!(
+        write(&mut net, "k1").validation_code,
+        TxValidationCode::BadPayload
+    );
     assert_eq!(fallbacks(&net), 0);
 
     let mut net = deploy(ChaincodeDefinition::new("guarded").with_collection(
@@ -242,7 +266,10 @@ fn malformed_policies_fail_closed_end_to_end() {
             assert!(!installed.definition.org_is_member(&OrgId::new(org), &col));
         }
     }
-    assert_eq!(write(&mut net, "k1"), TxValidationCode::Valid);
+    assert_eq!(
+        write(&mut net, "k1").validation_code,
+        TxValidationCode::Valid
+    );
     // Undefined, not unparsable: this write does fall back, once per peer.
     assert_eq!(fallbacks(&net), net.peer_names().len());
     let gossip = net.gossip_mut();

@@ -13,13 +13,13 @@ use fabric_pdc::chaincode::ChaincodeDefinition;
 use fabric_pdc::crypto::sha256;
 use fabric_pdc::ledger::{BlockStore, BlockStoreError, HistoryDb, WorldState};
 use fabric_pdc::peer::{BlockCommitOutcome, CommitError, Peer, PvtDataProvider};
-use fabric_pdc::policy::{Policy, SignaturePolicy};
+use fabric_pdc::policy::{ChannelPolicies, Policy, SignaturePolicy};
 use fabric_pdc::types::{
     Block, ChaincodeId, ChannelId, CollectionConfig, CollectionName, DefenseConfig, Identity,
     OrgId, PvtDataPackage, Transaction, TxId, TxValidationCode, Version,
 };
 use fabric_pdc::wire::Encode;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A chaincode as the reference sees it: the channel-agreed definition and
@@ -39,7 +39,7 @@ pub struct ReferencePeer {
     pub history: HistoryDb,
     channel: ChannelId,
     chaincodes: HashMap<ChaincodeId, ReferenceChaincode>,
-    org_policies: BTreeMap<OrgId, SignaturePolicy>,
+    channel_policies: ChannelPolicies,
     defense: DefenseConfig,
 }
 
@@ -75,7 +75,7 @@ impl From<&Peer> for ReferencePeer {
                     )
                 })
                 .collect(),
-            org_policies: peer.channel_policies().org_policies().clone(),
+            channel_policies: peer.channel_policies().clone(),
             defense: peer.defense(),
         }
     }
@@ -187,7 +187,7 @@ impl ReferencePeer {
                 let Ok(cc_policy) = Policy::parse(def.endorsement_policy()) else {
                     return TxValidationCode::BadPayload;
                 };
-                if !cc_policy.evaluate(&self.org_policies, &endorsers) {
+                if !cc_policy.evaluate(&self.channel_policies, &endorsers) {
                     return TxValidationCode::EndorsementPolicyFailure;
                 }
             }

@@ -20,8 +20,7 @@
 
 use fabric_pdc::gossip::{GossipHub, PeerId};
 use fabric_pdc::orderer::{BatchConfig, OrderingService};
-use fabric_pdc::peer::ChannelPolicies;
-use fabric_pdc::policy::EndorserSet;
+use fabric_pdc::policy::{ChannelPolicies, EndorserSet};
 use fabric_pdc::prelude::*;
 use fabric_pdc::types::{Block, PvtDataPackage};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -258,8 +257,7 @@ fn policy_evaluation_is_allocation_free() {
         .collect();
     peers.push(peers[0].clone());
     let all: Vec<&Identity> = peers.iter().collect();
-    let org_policies = ChannelPolicies::default_for(&orgs);
-    let org_policies = org_policies.org_policies();
+    let channel = ChannelPolicies::default_for(&orgs);
 
     let signature = [
         "AND('Org1MSP.peer','Org2MSP.peer','Org3MSP.peer')",
@@ -277,23 +275,22 @@ fn policy_evaluation_is_allocation_free() {
             measured(|| std::hint::black_box(policy.satisfied_by_set(&set_of(endorsers))));
         assert_eq!(calls, 0, "{expr} over {} endorsers", endorsers.len());
         let policy = Policy::Signature(policy);
-        let (_, calls, _) = measured(|| {
-            std::hint::black_box(policy.evaluate_set(org_policies, &set_of(endorsers)))
-        });
+        let (_, calls, _) =
+            measured(|| std::hint::black_box(policy.evaluate_set(&channel, &set_of(endorsers))));
         assert_eq!(calls, 0, "Policy {expr} over {} endorsers", endorsers.len());
     }
     for expr in ["MAJORITY Endorsement", "ANY Endorsement", "ALL Endorsement"] {
         let policy = Policy::parse(expr).unwrap();
         for endorsers in [&all[..], &all[..2], &all[..0]] {
             let (_, calls, _) = measured(|| {
-                std::hint::black_box(policy.evaluate_set(org_policies, &set_of(endorsers)))
+                std::hint::black_box(policy.evaluate_set(&channel, &set_of(endorsers)))
             });
             assert_eq!(calls, 0, "{expr} over {} endorsers", endorsers.len());
         }
     }
     assert!(Policy::parse("MAJORITY Endorsement")
         .unwrap()
-        .evaluate_set(org_policies, &set_of(&all)));
+        .evaluate_set(&channel, &set_of(&all)));
 }
 
 /// The commit path's endorser set: built once per transaction from its
