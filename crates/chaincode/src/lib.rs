@@ -11,7 +11,9 @@
 //!   (`GetPrivateData` fails at non-member peers, **`GetPrivateDataHash`
 //!   works everywhere** and records the correct version — §IV-A1);
 //! * [`ChaincodeDefinition`] — the channel-agreed chaincode configuration:
-//!   chaincode-level endorsement policy plus collection configs;
+//!   chaincode-level endorsement policy plus collection configs, each
+//!   policy parsed once, and a [`DefinitionError`] for a part that cannot
+//!   be installed;
 //! * [`samples`] — runnable chaincodes, including the paper's two
 //!   vulnerable GitHub listings and the guarded-update chaincode used in
 //!   its attack experiments (§V-A/§V-B).
@@ -27,7 +29,7 @@ mod stub;
 
 pub mod samples;
 
-pub use definition::ChaincodeDefinition;
+pub use definition::{ChaincodeDefinition, DefinitionError};
 pub use error::ChaincodeError;
 pub use stub::{ChaincodeStub, SimulationResult, StubOp};
 

@@ -39,9 +39,9 @@ impl Label {
     }
 
     /// The label of `collection` under `definition`: its membership
-    /// policy's org set. Unknown collections and unparsable membership
-    /// policies yield `Members(∅)` — maximally confidential, so analysis
-    /// errs toward reporting rather than missing a flow.
+    /// policy's org set. Unknown collections yield `Members(∅)` —
+    /// maximally confidential, so analysis errs toward reporting rather
+    /// than missing a flow.
     pub fn of_collection(definition: &ChaincodeDefinition, collection: &CollectionName) -> Self {
         Label::Members(definition.members(collection).cloned().unwrap_or_default())
     }

@@ -161,12 +161,4 @@ mod tests {
         assert_eq!(c.member_only_write, Some(true));
         assert_eq!(subject.non_members(c), orgs(&["Org2MSP", "Org3MSP"]));
     }
-
-    #[test]
-    fn unparsable_membership_policy_yields_no_member_orgs() {
-        let def = ChaincodeDefinition::new("cc")
-            .with_collection(CollectionConfig::new("c", "NOT A POLICY (("));
-        let subject = LintSubject::from_definition(&def, &orgs(&["Org1MSP"]));
-        assert!(subject.collections[0].member_orgs.is_empty());
-    }
 }

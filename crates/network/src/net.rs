@@ -337,7 +337,7 @@ impl FabricNetwork {
         let cc = ChaincodeId::new(chaincode);
         let any_peer = self.peers.values().next()?;
         let definition = &any_peer.chaincode(&cc)?.definition;
-        let policy = definition.endorsement()?;
+        let policy = definition.endorsement();
         let identities: Vec<fabric_types::Identity> =
             self.peers.values().map(|p| p.identity().clone()).collect();
         let channel = any_peer.channel_policies();
@@ -356,9 +356,18 @@ impl FabricNetwork {
 
     /// Installs a chaincode definition with the same implementation on
     /// every peer (the honest deployment).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`DefinitionError`](fabric_chaincode::DefinitionError)
+    /// when the channel cannot run the definition (see
+    /// [`Peer::install_chaincode`]). Every peer shares the channel's
+    /// policies, so the first peer refuses it and no peer installs it.
     pub fn deploy_chaincode(&mut self, definition: ChaincodeDefinition, handle: ChaincodeHandle) {
         for peer in self.peers.values_mut() {
-            peer.install_chaincode(definition.clone(), handle.clone());
+            if let Err(error) = peer.install_chaincode(definition.clone(), handle.clone()) {
+                panic!("cannot deploy {}: {error}", definition.id);
+            }
         }
         self.deployed.push((definition, handle));
         self.refresh_peer_caches();
@@ -366,13 +375,22 @@ impl FabricNetwork {
 
     /// Installs a per-peer implementation (Fabric's customizable-chaincode
     /// feature: orgs may extend the logic, and malicious orgs abuse this).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `peer` is unknown, and with the
+    /// [`DefinitionError`](fabric_chaincode::DefinitionError) when the
+    /// channel cannot run the definition (see [`Peer::install_chaincode`]).
     pub fn install_custom_chaincode(
         &mut self,
         peer: &str,
         definition: ChaincodeDefinition,
         handle: ChaincodeHandle,
     ) {
-        self.peer_mut(peer).install_chaincode(definition, handle);
+        let id = definition.id.clone();
+        if let Err(error) = self.peer_mut(peer).install_chaincode(definition, handle) {
+            panic!("cannot install {id} on {peer}: {error}");
+        }
     }
 
     /// Endorses a proposal at the named peer and disseminates the private
@@ -725,7 +743,8 @@ impl FabricNetwork {
             peer.set_telemetry(t);
         }
         for (definition, handle) in &self.deployed {
-            peer.install_chaincode(definition.clone(), handle.clone());
+            peer.install_chaincode(definition.clone(), handle.clone())
+                .expect("the channel accepted this definition at deploy");
         }
         // Replay the chain; the archive serves plaintext private data for
         // collections the new peer's org belongs to.
@@ -1424,50 +1443,47 @@ mod tests {
 
     #[test]
     fn dissemination_reaches_exactly_the_definitions_members() {
-        let unparsable = CollectionConfig::new("PDC1", "OR('Org1MSP.member'");
-        let two_of_three = CollectionConfig::membership_of(
+        let cfg = CollectionConfig::membership_of(
             "PDC1",
             &[OrgId::new("Org1MSP"), OrgId::new("Org3MSP")],
         );
-        for (cfg, expected_recipients) in [(unparsable, 0), (two_of_three, 3)] {
-            let mut net = NetworkBuilder::new("ch1")
-                .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
-                .seed(14)
-                .build();
-            let def = ChaincodeDefinition::new("guarded").with_collection(cfg);
-            net.deploy_chaincode(def.clone(), Arc::new(GuardedPdc::unconstrained("PDC1")));
-            for org in ["Org1MSP", "Org2MSP", "Org3MSP"] {
-                net.add_peer(org);
-            }
-            let proposal = net.client_mut("client0.org1").create_proposal(
-                "ch1",
-                "guarded",
-                "write",
-                vec![b"k".to_vec(), b"1".to_vec()],
-                BTreeMap::new(),
-            );
-            net.endorse("peer0.org1", &proposal).unwrap();
-
-            let col = CollectionName::new("PDC1");
-            let selected: Vec<&PeerId> = net
-                .peers
-                .values()
-                .filter(|p| p.gossip_id().as_str() != "peer0.org1")
-                .filter(|p| def.org_is_member(p.org(), &col))
-                .map(Peer::gossip_id)
-                .collect();
-            assert_eq!(selected.len(), expected_recipients);
-            let holders: Vec<&PeerId> = net
-                .peers
-                .values()
-                .map(Peer::gossip_id)
-                .filter(|id| net.gossip.get(id, &proposal.tx_id).is_some())
-                .filter(|id| id.as_str() != "peer0.org1")
-                .collect();
-            assert_eq!(holders, selected);
-            let pushes = (net.gossip.delivered_total(), net.gossip.dropped_total());
-            assert_eq!(pushes, (expected_recipients as u64, 0));
+        let mut net = NetworkBuilder::new("ch1")
+            .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
+            .seed(14)
+            .build();
+        let def = ChaincodeDefinition::new("guarded").with_collection(cfg);
+        net.deploy_chaincode(def.clone(), Arc::new(GuardedPdc::unconstrained("PDC1")));
+        for org in ["Org1MSP", "Org2MSP", "Org3MSP"] {
+            net.add_peer(org);
         }
+        let proposal = net.client_mut("client0.org1").create_proposal(
+            "ch1",
+            "guarded",
+            "write",
+            vec![b"k".to_vec(), b"1".to_vec()],
+            BTreeMap::new(),
+        );
+        net.endorse("peer0.org1", &proposal).unwrap();
+
+        let col = CollectionName::new("PDC1");
+        let selected: Vec<&PeerId> = net
+            .peers
+            .values()
+            .filter(|p| p.gossip_id().as_str() != "peer0.org1")
+            .filter(|p| def.org_is_member(p.org(), &col))
+            .map(Peer::gossip_id)
+            .collect();
+        assert_eq!(selected.len(), 3);
+        let holders: Vec<&PeerId> = net
+            .peers
+            .values()
+            .map(Peer::gossip_id)
+            .filter(|id| net.gossip.get(id, &proposal.tx_id).is_some())
+            .filter(|id| id.as_str() != "peer0.org1")
+            .collect();
+        assert_eq!(holders, selected);
+        let pushes = (net.gossip.delivered_total(), net.gossip.dropped_total());
+        assert_eq!(pushes, (3, 0));
     }
 
     #[test]

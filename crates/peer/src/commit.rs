@@ -305,13 +305,12 @@ impl Peer {
                 || non_sbe_public_writes
                 || !ns.collections.is_empty()
                 || (ns.public.writes.is_empty() && ns.metadata_writes.is_empty());
-            if needs_chaincode_policy {
-                let Some(cc_policy) = definition.endorsement() else {
-                    return Some(TxValidationCode::BadPayload);
-                };
-                if !cc_policy.evaluate_set(&self.channel_policies, &endorsers) {
-                    return Some(TxValidationCode::EndorsementPolicyFailure);
-                }
+            if needs_chaincode_policy
+                && !definition
+                    .endorsement()
+                    .evaluate_set(&self.channel_policies, &endorsers)
+            {
+                return Some(TxValidationCode::EndorsementPolicyFailure);
             }
 
             for col in &ns.collections {
@@ -329,9 +328,6 @@ impl Peer {
                 // read-only transactions (§IV-C1).
                 if has_writes || (self.defense.collection_policy_for_reads && has_reads) {
                     if let Some(col_policy) = definition.collection_endorsement(&col.collection) {
-                        let Some(col_policy) = col_policy else {
-                            return Some(TxValidationCode::BadPayload);
-                        };
                         if !col_policy.satisfied_by_set(&endorsers) {
                             return Some(TxValidationCode::EndorsementPolicyFailure);
                         }
@@ -621,7 +617,8 @@ mod tests {
         );
         let def = ChaincodeDefinition::new("guarded")
             .with_collection(CollectionConfig::membership_of(COL, &orgs()[..2]));
-        p.install_chaincode(def, Arc::new(GuardedPdc::unconstrained(COL)));
+        p.install_chaincode(def, Arc::new(GuardedPdc::unconstrained(COL)))
+            .unwrap();
         p
     }
 

@@ -203,7 +203,8 @@ mod tests {
                 Guard::LessThan(15),
                 Guard::LessThan(15),
             )),
-        );
+        )
+        .unwrap();
         p
     }
 

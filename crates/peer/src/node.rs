@@ -1,6 +1,6 @@
 //! The peer node: identity, ledger, installed chaincodes.
 
-use fabric_chaincode::{ChaincodeDefinition, ChaincodeHandle};
+use fabric_chaincode::{ChaincodeDefinition, ChaincodeHandle, DefinitionError};
 use fabric_crypto::Keypair;
 use fabric_gossip::PeerId;
 use fabric_ledger::{BlockStore, HistoryDb, WorldState};
@@ -84,8 +84,19 @@ impl Peer {
 
     /// Installs a chaincode: the shared definition plus this peer's own
     /// implementation (pass a malicious variant here to model colluding
-    /// organizations).
-    pub fn install_chaincode(&mut self, definition: ChaincodeDefinition, handle: ChaincodeHandle) {
+    /// organizations). This is where a definition is checked against the
+    /// channel, as Fabric's lifecycle validates it before commit.
+    ///
+    /// # Errors
+    ///
+    /// The [`DefinitionError`] of a definition this channel cannot run
+    /// (see [`ChaincodeDefinition::check`]); nothing is installed.
+    pub fn install_chaincode(
+        &mut self,
+        definition: ChaincodeDefinition,
+        handle: ChaincodeHandle,
+    ) -> Result<(), DefinitionError> {
+        definition.check(&self.channel_policies)?;
         let memberships: HashSet<CollectionName> = definition
             .memberships_of(&self.identity.org)
             .into_iter()
@@ -98,6 +109,7 @@ impl Peer {
                 memberships,
             },
         );
+        Ok(())
     }
 
     /// The peer's gossip identifier.
@@ -176,17 +188,6 @@ impl Peer {
     pub fn chaincodes(&self) -> impl Iterator<Item = &InstalledChaincode> {
         self.chaincodes.values()
     }
-
-    /// Whether this peer's org is a member of `collection` in `chaincode`.
-    pub fn is_collection_member(
-        &self,
-        chaincode: &ChaincodeId,
-        collection: &CollectionName,
-    ) -> bool {
-        self.chaincodes
-            .get(chaincode)
-            .is_some_and(|cc| cc.memberships.contains(collection))
-    }
 }
 
 #[cfg(test)]
@@ -222,12 +223,14 @@ mod tests {
         );
         let def = ChaincodeDefinition::new("cc")
             .with_collection(CollectionConfig::membership_of("PDC1", &orgs[..2]));
-        p1.install_chaincode(def.clone(), Arc::new(AssetTransfer));
-        p3.install_chaincode(def, Arc::new(AssetTransfer));
+        p1.install_chaincode(def.clone(), Arc::new(AssetTransfer))
+            .unwrap();
+        p3.install_chaincode(def, Arc::new(AssetTransfer)).unwrap();
         let cc = ChaincodeId::new("cc");
         let pdc1 = CollectionName::new("PDC1");
-        assert!(p1.is_collection_member(&cc, &pdc1));
-        assert!(!p3.is_collection_member(&cc, &pdc1));
-        assert!(!p1.is_collection_member(&ChaincodeId::new("nope"), &pdc1));
+        let is_member = |p: &Peer| p.chaincode(&cc).unwrap().memberships.contains(&pdc1);
+        assert!(is_member(&p1));
+        assert!(!is_member(&p3));
+        assert!(p1.chaincode(&ChaincodeId::new("nope")).is_none());
     }
 }

@@ -37,6 +37,18 @@ impl ChannelPolicies {
         }
     }
 
+    /// Whether `org` is an organization of this channel.
+    pub fn has_org(&self, org: &OrgId) -> bool {
+        self.orgs.contains(org)
+    }
+
+    /// Whether some organization of this channel defines a sub-policy
+    /// named `name`; an implicitMeta policy over any other name is never
+    /// satisfied.
+    pub fn defines(&self, name: &str) -> bool {
+        self.sub_policies(name).next().is_some()
+    }
+
     /// The sub-policies named `name`, one per org that defines it.
     pub(crate) fn sub_policies(&self, name: &str) -> impl Iterator<Item = &SignaturePolicy> {
         self.named.get(name).into_iter().flat_map(BTreeMap::values)
@@ -66,5 +78,8 @@ mod tests {
             endorsement(&orgs[0]),
             &SignaturePolicy::parse("OR('Org1MSP.peer')").unwrap()
         );
+        assert!(policies.has_org(&orgs[1]) && !policies.has_org(&OrgId::new("Org3MSP")));
+        assert!(policies.defines("Endorsement") && !policies.defines("Endorsment"));
+        assert!(!ChannelPolicies::default_for(&[]).defines("Endorsement"));
     }
 }

@@ -9,10 +9,11 @@
 #      dead intra-doc link behind; the three vendored stand-ins
 #      (parking_lot, proptest, rand) are excluded because
 #      `vendor/proptest`'s docs carry broken links of their own
-#   6. the examples that assert                     `monitor_status`,
-#      `trace_tx`, `telemetry`, `quickstart`, `lint_demo`, `raft_demo` and
-#      `attack_demo` run to exit 0
-#      (stdout dropped; a failed assertion panics on stderr)
+#   6. every example                                all 11 under
+#      `examples/` run to exit 0 (stdout dropped; a failed assertion, or a
+#      definition the channel refuses at deploy, panics on stderr);
+#      `corpus_scan` writes its corpus under the system temp dir and
+#      removes it
 #   7. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
 #      that commits on several threads, `mixed_small_blocks`, the one
 #      that runs with telemetry and the monitor attached,
@@ -45,7 +46,8 @@ echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
     --exclude parking_lot --exclude proptest --exclude rand
 
-for example in monitor_status trace_tx telemetry quickstart lint_demo raft_demo attack_demo; do
+for example in monitor_status trace_tx telemetry quickstart lint_demo raft_demo attack_demo \
+    corpus_scan leakage_audit secured_trade fig11; do
     echo "==> example $example"
     cargo run --release -q -p fabric-pdc --example "$example" > /dev/null
 done

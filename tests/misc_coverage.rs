@@ -2,8 +2,9 @@
 //! reach: orderer batching behaviour, deep policy nesting, identity
 //! corner cases, and hostile-input handling at the network boundary.
 
+use fabric_pdc::chaincode::DefinitionError;
 use fabric_pdc::orderer::{BatchConfig, OrderingService};
-use fabric_pdc::policy::SignaturePolicy;
+use fabric_pdc::policy::{Policy, SignaturePolicy};
 use fabric_pdc::prelude::*;
 use std::sync::Arc;
 
@@ -175,108 +176,132 @@ fn empty_args_and_unicode_keys_survive_the_full_pipeline() {
     assert_eq!(Asset::from_bytes(&payload).unwrap().owner, "aliče");
 }
 
-/// Policy text that does not parse, deployed as is. A chaincode policy
-/// with a misspelt rule fails every transaction as `BadPayload`; one that
-/// parses but names a sub-policy no org defines fails every transaction
-/// the policy check, and discovery finds no endorsers for it. So does a
-/// write under a collection endorsement policy that does not parse, and
-/// that policy, being defined, is no Use Case 2 fallback. A member policy
-/// that does not parse names no member org, so a private write reaches no
-/// peer in plaintext and commits hashes everywhere.
+/// A definition the channel cannot run is refused at install, field by
+/// field, and installs nothing: a chaincode policy with a misspelt rule or
+/// a sub-policy name no org defines, a collection endorsement policy or a
+/// member policy that does not parse, a member org the channel does not
+/// have, `RequiredPeerCount` above `MaxPeerCount`, and a second collection
+/// of one name. None of them reaches a validator, so none can fail a
+/// transaction as `BadPayload`; read as undefined, the unparsable
+/// collection endorsement policy would instead have fallen back to the
+/// chaincode policy (Use Case 2). `deploy_chaincode` panics with the
+/// refusal.
 #[test]
-fn malformed_policies_fail_closed_end_to_end() {
+fn malformed_definitions_are_refused_at_install() {
     let (ns, col) = (ChaincodeId::new("guarded"), CollectionName::new("PDC1"));
-    let orgs = ["Org1MSP", "Org2MSP", "Org3MSP"];
-    let deploy = |definition: ChaincodeDefinition| {
-        let mut net = NetworkBuilder::new("ch1")
-            .orgs(&orgs)
-            .seed(49)
-            .with_telemetry(Telemetry::new())
-            .build();
-        net.deploy_chaincode(definition, Arc::new(GuardedPdc::unconstrained("PDC1")));
-        net
-    };
-    let write = |net: &mut FabricNetwork, key: &str| {
-        net.submit_transaction(
+    let mut net = NetworkBuilder::new("ch1")
+        .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
+        .seed(49)
+        .build();
+    let pdc1 =
+        CollectionConfig::membership_of("PDC1", &[OrgId::new("Org1MSP"), OrgId::new("Org2MSP")]);
+    let guarded = || ChaincodeDefinition::new("guarded");
+    let unparsable = |expr: &str| SignaturePolicy::parse(expr).unwrap_err();
+    let mut too_few_max = pdc1.clone();
+    (too_few_max.required_peer_count, too_few_max.max_peer_count) = (2, 1);
+
+    let cases = [
+        (
+            guarded()
+                .with_endorsement_policy("MAJORTY Endorsement")
+                .with_collection(pdc1.clone()),
+            DefinitionError::UnparsableEndorsementPolicy(
+                Policy::parse("MAJORTY Endorsement").unwrap_err(),
+            ),
+        ),
+        (
+            guarded()
+                .with_endorsement_policy("MAJORITY Endorsment")
+                .with_collection(pdc1.clone()),
+            DefinitionError::UndefinedSubPolicy("Endorsment".into()),
+        ),
+        (
+            guarded().with_collection(
+                pdc1.clone()
+                    .with_endorsement_policy("AND('Org1MSP.peer','Org2MSP.peer'"),
+            ),
+            DefinitionError::UnparsableCollectionEndorsementPolicy {
+                collection: col.clone(),
+                error: unparsable("AND('Org1MSP.peer','Org2MSP.peer'"),
+            },
+        ),
+        (
+            guarded().with_collection(CollectionConfig::new(
+                "PDC1",
+                "OR('Org1MSP.member','Org2MSP.member'",
+            )),
+            DefinitionError::UnparsableMemberPolicy {
+                collection: col.clone(),
+                error: unparsable("OR('Org1MSP.member','Org2MSP.member'"),
+            },
+        ),
+        (
+            guarded().with_collection(CollectionConfig::membership_of(
+                "PDC1",
+                &[OrgId::new("Org1MSP"), OrgId::new("Org9MSP")],
+            )),
+            DefinitionError::UnknownMemberOrg {
+                collection: col.clone(),
+                org: OrgId::new("Org9MSP"),
+            },
+        ),
+        (
+            guarded().with_collection(too_few_max),
+            DefinitionError::RequiredAboveMax {
+                collection: col.clone(),
+                required: 2,
+                max: 1,
+            },
+        ),
+        (
+            guarded()
+                .with_collection(pdc1.clone())
+                .with_collection(CollectionConfig::new("PDC1", "OR('Org3MSP.member')")),
+            DefinitionError::DuplicateCollection(col.clone()),
+        ),
+    ];
+    for (definition, refusal) in cases {
+        for name in net.peer_names() {
+            let handle = Arc::new(GuardedPdc::unconstrained("PDC1"));
+            let peer = net.peer_mut(&name);
+            assert_eq!(
+                peer.install_chaincode(definition.clone(), handle),
+                Err(refusal.clone()),
+                "{name}"
+            );
+            assert!(peer.chaincode(&ns).is_none(), "{name}");
+        }
+    }
+
+    let misspelt = guarded().with_endorsement_policy("MAJORTY Endorsement");
+    let deploy = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        net.deploy_chaincode(misspelt, Arc::new(GuardedPdc::unconstrained("PDC1")));
+    }));
+    let message = deploy.unwrap_err();
+    let message = message.downcast_ref::<String>().unwrap();
+    assert!(
+        message.starts_with("cannot deploy guarded: EndorsementPolicy:"),
+        "{message}"
+    );
+    for name in net.peer_names() {
+        assert!(net.peer(&name).chaincode(&ns).is_none(), "{name}");
+    }
+    assert!(net.deployed_definitions().is_empty());
+
+    // The same collection, well formed, deploys and commits.
+    net.deploy_chaincode(
+        guarded().with_collection(pdc1),
+        Arc::new(GuardedPdc::unconstrained("PDC1")),
+    );
+    let outcome = net
+        .submit_transaction(
             "client0.org1",
             "guarded",
             "write",
-            &[key, "1"],
+            &["k1", "1"],
             &[],
             &["peer0.org1", "peer0.org2"],
         )
-        .unwrap()
-    };
-    let fallbacks = |net: &FabricNetwork| {
-        let events = net.telemetry().unwrap().audit().events();
-        events
-            .iter()
-            .filter(|e| matches!(e, AuditEvent::PolicyFallbackToChaincodeLevel { .. }))
-            .count()
-    };
-    let pdc1 =
-        CollectionConfig::membership_of("PDC1", &[OrgId::new("Org1MSP"), OrgId::new("Org2MSP")]);
-
-    let mut net = deploy(
-        ChaincodeDefinition::new("guarded")
-            .with_endorsement_policy("MAJORTY Endorsement")
-            .with_collection(pdc1.clone()),
-    );
-    for key in ["k1", "k2", "k3"] {
-        assert_eq!(
-            write(&mut net, key).validation_code,
-            TxValidationCode::BadPayload
-        );
-    }
-
-    // No org defines a sub-policy `Endorsment`, so the policy is never
-    // satisfied: every peer fails every write, and discovery finds no set.
-    let mut net = deploy(
-        ChaincodeDefinition::new("guarded")
-            .with_endorsement_policy("MAJORITY Endorsment")
-            .with_collection(pdc1.clone()),
-    );
-    for key in ["k1", "k2", "k3"] {
-        let tx_id = write(&mut net, key).tx_id;
-        for name in net.peer_names() {
-            let (_, code) = net.peer(&name).block_store().transaction(&tx_id).unwrap();
-            let failed = Some(TxValidationCode::EndorsementPolicyFailure);
-            assert_eq!(code, failed, "{key} on {name}");
-        }
-    }
-    assert_eq!(net.discover_endorsers("guarded"), None);
-
-    let mut net = deploy(
-        ChaincodeDefinition::new("guarded")
-            .with_collection(pdc1.with_endorsement_policy("AND('Org1MSP.peer','Org2MSP.peer'")),
-    );
-    assert_eq!(
-        write(&mut net, "k1").validation_code,
-        TxValidationCode::BadPayload
-    );
-    assert_eq!(fallbacks(&net), 0);
-
-    let mut net = deploy(ChaincodeDefinition::new("guarded").with_collection(
-        CollectionConfig::new("PDC1", "OR('Org1MSP.member','Org2MSP.member'"),
-    ));
-    for name in net.peer_names() {
-        let installed = net.peer(&name).chaincode(&ns).unwrap();
-        assert!(installed.memberships.is_empty(), "{name}");
-        for org in orgs {
-            assert!(!installed.definition.org_is_member(&OrgId::new(org), &col));
-        }
-    }
-    assert_eq!(
-        write(&mut net, "k1").validation_code,
-        TxValidationCode::Valid
-    );
-    // Undefined, not unparsable: this write does fall back, once per peer.
-    assert_eq!(fallbacks(&net), net.peer_names().len());
-    let gossip = net.gossip_mut();
-    assert_eq!((gossip.delivered_total(), gossip.dropped_total()), (0, 0));
-    for name in net.peer_names() {
-        let state = net.peer(&name).world_state();
-        assert!(state.get_private(&ns, &col, "k1").is_none(), "{name}");
-        assert!(state.get_private_hash(&ns, &col, "k1").is_some(), "{name}");
-    }
+        .unwrap();
+    assert_eq!(outcome.validation_code, TxValidationCode::Valid);
 }
