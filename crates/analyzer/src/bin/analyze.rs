@@ -17,6 +17,7 @@ use fabric_analyzer::{
     corpus, dir_is_project, lint_corpus, scan_corpus, scan_project, CorpusReport, CorpusSpec,
 };
 use fabric_lint::render;
+use fabric_types::json_str;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -200,14 +201,13 @@ fn cmd_project(dir: &Path, json: bool) -> ExitCode {
 /// JSON detail report for one project (hand-rolled, like the rest of the
 /// workspace's encoders).
 fn project_json(report: &fabric_analyzer::ProjectReport) -> String {
-    use render::escape;
     let collections: Vec<String> = report
         .collections
         .iter()
         .map(|c| {
             format!(
                 "{{\"name\": {}, \"endorsement_policy_customized\": {}}}",
-                escape(&c.name),
+                json_str(&c.name),
                 c.has_endorsement_policy
             )
         })
@@ -218,8 +218,8 @@ fn project_json(report: &fabric_analyzer::ProjectReport) -> String {
         .map(|l| {
             format!(
                 "{{\"file\": {}, \"function\": {}, \"kind\": \"{}\"}}",
-                escape(&l.file.to_string_lossy()),
-                escape(&l.function),
+                json_str(&l.file.to_string_lossy()),
+                json_str(&l.function),
                 l.kind
             )
         })
@@ -227,20 +227,20 @@ fn project_json(report: &fabric_analyzer::ProjectReport) -> String {
     let skipped: Vec<String> = report
         .skipped_dirs
         .iter()
-        .map(|d| escape(&d.to_string_lossy()))
+        .map(|d| json_str(&d.to_string_lossy()))
         .collect();
     format!(
         "{{\n  \"path\": {},\n  \"explicit_pdc\": {},\n  \"implicit_pdc\": {},\n  \
          \"collections\": [{}],\n  \"default_policy\": {},\n  \"leaks\": [{}],\n  \
          \"skipped_dirs\": [{}]\n}}",
-        escape(&report.path.to_string_lossy()),
+        json_str(&report.path.to_string_lossy()),
         report.explicit_pdc,
         report.implicit_pdc,
         collections.join(", "),
         report
             .default_policy
             .as_deref()
-            .map_or("null".to_string(), escape),
+            .map_or("null".to_string(), json_str),
         leaks.join(", "),
         skipped.join(", "),
     )

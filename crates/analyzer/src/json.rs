@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn escape_roundtrips_through_parser() {
         let nasty = "a\"b\\c\nd\te\u{1}";
-        let doc = fabric_lint::render::escape(nasty);
+        let doc = fabric_types::json_str(nasty);
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
     }
 
@@ -388,7 +388,7 @@ mod proptests {
         /// Escaped strings always roundtrip.
         #[test]
         fn escape_roundtrip(s in ".*") {
-            let doc = fabric_lint::render::escape(&s);
+            let doc = fabric_types::json_str(&s);
             let parsed = parse(&doc).unwrap();
             prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
         }

@@ -7,6 +7,7 @@
 //! dependency.
 
 use crate::{rules, Finding, Severity};
+use fabric_types::json_str;
 use std::fmt::Write as _;
 
 /// Renders findings as one line each, followed by a summary line.
@@ -36,15 +37,15 @@ pub fn render_json(findings: &[Finding]) -> String {
             out,
             "\n    {{\"rule\": {}, \"severity\": {}, \"subject\": {}, \"uri\": {}, \
              \"collection\": {}, \"message\": {}}}",
-            escape(f.rule_id),
-            escape(&f.severity.to_string()),
-            escape(&f.subject),
-            escape(&f.location.uri),
+            json_str(f.rule_id),
+            json_str(&f.severity.to_string()),
+            json_str(&f.subject),
+            json_str(&f.location.uri),
             f.location
                 .collection
                 .as_deref()
-                .map_or_else(|| "null".to_string(), escape),
-            escape(&f.message),
+                .map_or_else(|| "null".to_string(), json_str),
+            json_str(&f.message),
         );
     }
     if !findings.is_empty() {
@@ -78,10 +79,10 @@ pub fn render_sarif(findings: &[Finding]) -> String {
             out,
             "\n            {{\"id\": {}, \"name\": {}, \"shortDescription\": {{\"text\": {}}}, \
              \"defaultConfiguration\": {{\"level\": {}}}{}}}",
-            escape(r.id),
-            escape(r.name),
-            escape(r.description),
-            escape(r.severity.sarif_level()),
+            json_str(r.id),
+            json_str(r.name),
+            json_str(r.description),
+            json_str(r.severity.sarif_level()),
             r.use_case
                 .map(|uc| format!(", \"properties\": {{\"paperUseCase\": {uc}}}"))
                 .unwrap_or_default(),
@@ -103,7 +104,7 @@ pub fn render_sarif(findings: &[Finding]) -> String {
             .map(|c| {
                 format!(
                     ", \"logicalLocations\": [{{\"name\": {}, \"kind\": \"collection\"}}]",
-                    escape(c)
+                    json_str(c)
                 )
             })
             .unwrap_or_default();
@@ -112,10 +113,10 @@ pub fn render_sarif(findings: &[Finding]) -> String {
             "\n        {{\"ruleId\": {}, \"ruleIndex\": {rule_index}, \"level\": {}, \
              \"message\": {{\"text\": {}}}, \"locations\": [{{\"physicalLocation\": \
              {{\"artifactLocation\": {{\"uri\": {}}}}}{logical}}}]}}",
-            escape(f.rule_id),
-            escape(f.severity.sarif_level()),
-            escape(&format!("{}: {}", f.subject, f.message)),
-            escape(&f.location.uri),
+            json_str(f.rule_id),
+            json_str(f.severity.sarif_level()),
+            json_str(&format!("{}: {}", f.subject, f.message)),
+            json_str(&f.location.uri),
         );
     }
     if !findings.is_empty() {
@@ -132,28 +133,6 @@ fn tally(findings: &[Finding]) -> (usize, usize, usize) {
         count(Severity::Warning),
         count(Severity::Note),
     )
-}
-
-/// `s` as a JSON string literal, quotes included, with the mandatory
-/// escapes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -213,11 +192,5 @@ mod tests {
         assert!(render_json(&[]).contains("\"findings\": []"));
         assert!(render_sarif(&[]).contains("\"results\": []"));
         assert!(render_text(&[]).contains("0 finding(s)"));
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        assert_eq!(escape("a\tb\nc"), "\"a\\tb\\nc\"");
-        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::alert::{AlertPhase, AlertTransition};
 use crate::NetworkStatus;
-use fabric_telemetry::json_str;
+use fabric_types::json_str;
 use std::fmt::Write as _;
 
 /// How many transition-log tail entries the status table shows.

@@ -273,6 +273,9 @@ impl<'a> Parser<'a> {
         Err(self.error("unterminated quoted principal"))
     }
 
+    /// Fabric's principal grammar, `^([[:alnum:].-]+)\.(admin|member|client|peer|orderer)$`:
+    /// the org is ASCII letters, digits, dots and dashes, and the role is
+    /// one lower-case word after the last dot.
     fn parse_principal_text(&self, text: &str) -> Result<SignaturePolicy, ParsePolicyError> {
         let Some((org, role)) = text.rsplit_once('.') else {
             return Err(self.error(format!("principal {text:?} must have the form Org.role")));
@@ -280,15 +283,18 @@ impl<'a> Parser<'a> {
         if org.is_empty() {
             return Err(self.error("principal has empty organization"));
         }
-        let role = if role.eq_ignore_ascii_case("member") {
-            PrincipalRole::Member
-        } else {
-            match Role::parse(&role.to_ascii_lowercase()) {
+        if let Some(c) = org
+            .chars()
+            .find(|c| !(c.is_ascii_alphanumeric() || *c == '.' || *c == '-'))
+        {
+            return Err(self.error(format!("organization {org:?} contains {c:?}")));
+        }
+        let role = match role {
+            "member" => PrincipalRole::Member,
+            _ => match Role::parse(role) {
                 Some(r) => PrincipalRole::Exact(r),
-                None => {
-                    return Err(self.error(format!("unknown role {role:?}")));
-                }
-            }
+                None => return Err(self.error(format!("unknown role {role:?}"))),
+            },
         };
         Ok(SignaturePolicy::Principal(Principal::new(org, role)))
     }
@@ -367,10 +373,10 @@ mod tests {
     #[test]
     fn org_names_may_contain_dots() {
         // rsplit_once: the role is after the *last* dot.
-        let p = parse_signature_policy("'acme.example.peer'").unwrap();
+        let p = parse_signature_policy("'acme-1.example.peer'").unwrap();
         assert_eq!(
             p,
-            principal("acme.example", PrincipalRole::Exact(Role::Peer))
+            principal("acme-1.example", PrincipalRole::Exact(Role::Peer))
         );
     }
 
@@ -388,6 +394,11 @@ mod tests {
             "OutOf(x,'Org1MSP.peer')",
             "AND('Org1MSP.peer') trailing",
             "'.peer'",
+            "'Org3 MSP.peer'",
+            "'Org1_MSP.peer'",
+            "'Org1MSP.membeR'",
+            "'Org1MSP.Peer'",
+            "'Org1MSP.ADMIN'",
         ] {
             assert!(
                 parse_signature_policy(bad).is_err(),

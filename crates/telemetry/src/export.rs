@@ -8,8 +8,8 @@
 //! `process_name` metadata event) and traces map to threads within the
 //! node, so one transaction reads as one lane per node in the UI.
 
-use crate::metrics::json_str;
 use crate::span::SpanRecord;
+use fabric_types::json_str;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 

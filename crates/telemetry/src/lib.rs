@@ -53,8 +53,7 @@ mod trace;
 pub use audit::{AuditEvent, AuditLog};
 pub use export::render_chrome_trace;
 pub use metrics::{
-    json_str, Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry,
-    DURATION_SECONDS_BUCKETS,
+    Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry, DURATION_SECONDS_BUCKETS,
 };
 pub use span::{FieldValue, Fields, SpanRecord, TraceSink};
 pub use timeline::{TxTimeline, PHASES};

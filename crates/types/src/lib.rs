@@ -18,6 +18,7 @@ mod collection;
 mod defense;
 mod identity;
 mod ids;
+mod json;
 mod proposal;
 mod rwset;
 mod transaction;
@@ -27,6 +28,7 @@ pub use collection::CollectionConfig;
 pub use defense::DefenseConfig;
 pub use identity::{Identity, Role};
 pub use ids::{ChaincodeId, ChannelId, CollectionName, OrgId, TxId};
+pub use json::json_str;
 pub use proposal::{
     ChaincodeEvent, Endorsement, PayloadCommitment, Proposal, ProposalResponse,
     ProposalResponsePayload, Response, RESPONSE_ERROR, RESPONSE_OK,

@@ -14,15 +14,10 @@
 #      definition the channel refuses at deploy, panics on stderr);
 #      `corpus_scan` writes its corpus under the system temp dir and
 #      removes it
-#   7. `fabric-benchmark check --smoke`             `wide_fanout`, the workload
-#      that commits on several threads, `mixed_small_blocks`, the one
-#      that runs with telemetry and the monitor attached,
-#      `narrow_pipeline`, the one the client and orderer carry,
-#      `read_defended`, the one that runs Features 1 and 2, and
-#      `mixed_overload`, the one past the knee, where about a third of the
-#      transactions commit as MVCC conflicts and so the most private-data
-#      archive entries are dropped; each run twice and must pass the
-#      correctness checks with equal tick-denominated metrics
+#   7. `fabric-benchmark check --smoke`             each of the five
+#      workloads (`BENCHMARK.json`'s `why` fields say what each one
+#      exercises), run twice; each must pass the correctness checks with
+#      equal tick-denominated metrics
 #
 # No step writes inside the work tree outside `target/`: after a passing run
 # `git status --porcelain` prints what it printed before.
@@ -52,19 +47,9 @@ for example in monitor_status trace_tx telemetry quickstart lint_demo raft_demo 
     cargo run --release -q -p fabric-pdc --example "$example" > /dev/null
 done
 
-echo "==> fabric-benchmark check --smoke --workload wide_fanout"
-cargo run --release -q -p fabric-benchmark -- check --smoke --workload wide_fanout
-
-echo "==> fabric-benchmark check --smoke --workload mixed_small_blocks"
-cargo run --release -q -p fabric-benchmark -- check --smoke --workload mixed_small_blocks
-
-echo "==> fabric-benchmark check --smoke --workload narrow_pipeline"
-cargo run --release -q -p fabric-benchmark -- check --smoke --workload narrow_pipeline
-
-echo "==> fabric-benchmark check --smoke --workload read_defended"
-cargo run --release -q -p fabric-benchmark -- check --smoke --workload read_defended
-
-echo "==> fabric-benchmark check --smoke --workload mixed_overload"
-cargo run --release -q -p fabric-benchmark -- check --smoke --workload mixed_overload
+for workload in wide_fanout mixed_small_blocks narrow_pipeline read_defended mixed_overload; do
+    echo "==> fabric-benchmark check --smoke --workload $workload"
+    cargo run --release -q -p fabric-benchmark -- check --smoke --workload "$workload"
+done
 
 echo "CI gate passed."
