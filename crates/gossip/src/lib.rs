@@ -93,11 +93,10 @@ impl From<&str> for PeerId {
 /// The channel-wide gossip router plus each peer's transient store.
 ///
 /// Packages are held behind [`Arc`]: one endorsement's private data is
-/// referenced by the endorser's own store, every pushed-to member, a
-/// caller's durable archive while it keeps the package, and commit-time
-/// providers — sharing one allocation instead of deep-copying the rwsets
-/// at each hop. `PvtDataPackage` is immutable once disseminated, so
-/// sharing is safe.
+/// referenced by the endorser's own store, every pushed-to member and
+/// commit-time providers — sharing one allocation instead of deep-copying
+/// the rwsets at each hop. `PvtDataPackage` is immutable once
+/// disseminated, so sharing is safe.
 #[derive(Debug)]
 pub struct GossipHub {
     transient: BTreeMap<PeerId, IdMap<TxId, Arc<PvtDataPackage>>>,

@@ -450,6 +450,43 @@ impl WorldState {
         count
     }
 
+    /// Brings one collection's plaintext in line with this state's own
+    /// hashed store, which every peer commits from the block: a plaintext
+    /// entry whose committed hash is gone, or is at another version, is
+    /// dropped, and `source`'s entry for a key this state lacks is taken
+    /// only when this state holds that key's hash, that value's hash and
+    /// that version.
+    pub fn reconcile_private(
+        &mut self,
+        ns: &ChaincodeId,
+        collection: &CollectionName,
+        source: &WorldState,
+    ) {
+        let committed = self.hashed.get(ns).and_then(|cols| cols.get(collection));
+        let held = |key: &str| committed?.get(&sha256(key.as_bytes())).copied();
+        if let Some(own) = self
+            .private
+            .get_mut(ns)
+            .and_then(|cols| cols.get_mut(collection))
+        {
+            own.retain(|key, vv| held(key).is_some_and(|(_, version)| version == vv.version));
+        }
+        let own = self.private.get(ns).and_then(|cols| cols.get(collection));
+        let offered = source.private.get(ns).and_then(|cols| cols.get(collection));
+        let taken: Vec<(String, VersionedValue)> = offered
+            .into_iter()
+            .flatten()
+            .filter(|(key, vv)| {
+                !own.is_some_and(|own| own.contains_key(*key))
+                    && held(key) == Some((sha256(&vv.value), vv.version))
+            })
+            .map(|(key, vv)| (key.clone(), vv.clone()))
+            .collect();
+        if !taken.is_empty() {
+            nested(nested(&mut self.private, ns), collection).extend(taken);
+        }
+    }
+
     /// Number of public entries (all namespaces).
     pub fn public_len(&self) -> usize {
         self.public.values().map(BTreeMap::len).sum()
@@ -741,6 +778,54 @@ mod tests {
         // BTL = 0 keeps everything.
         assert_eq!(ws.purge_expired_private(&col(), 0, 1000), 0);
         assert!(ws.get_private(&ns(), &col(), "new").is_some());
+    }
+
+    #[test]
+    fn reconcile_takes_only_what_the_own_hashes_commit() {
+        let (v1, v2) = (Version::new(1, 0), Version::new(2, 0));
+        let mut source = WorldState::new();
+        source.put_private(&ns(), &col(), "fresh", b"a".to_vec(), v2);
+        source.put_private(&ns(), &col(), "forged", b"evil".to_vec(), v2);
+        source.put_private(&ns(), &col(), "unknown", b"c".to_vec(), v2);
+        source.put_private(&ns(), &col(), "old", b"d".to_vec(), v1);
+
+        let mut ws = WorldState::new();
+        ws.put_private(&ns(), &col(), "stale", b"s".to_vec(), v1);
+        ws.put_private(&ns(), &col(), "deleted", b"x".to_vec(), v1);
+        for (key, value, version) in [
+            ("stale", "s2", v2),
+            ("fresh", "a", v2),
+            ("forged", "b", v2),
+            ("old", "d", v2),
+        ] {
+            let (key, value) = (sha256(key.as_bytes()), sha256(value.as_bytes()));
+            ws.put_private_hash(&ns(), &col(), key, value, version);
+        }
+        ws.apply_hashed_writes(
+            &ns(),
+            &col(),
+            &[HashedWrite {
+                key_hash: sha256(b"deleted"),
+                value_hash: None,
+                is_delete: true,
+            }],
+            v2,
+        );
+
+        ws.reconcile_private(&ns(), &col(), &source);
+        let held = |key| {
+            ws.get_private(&ns(), &col(), key)
+                .map(|vv| vv.value.clone())
+        };
+        assert_eq!(held("fresh"), Some(b"a".to_vec()));
+        for key in ["stale", "deleted", "forged", "unknown", "old"] {
+            assert_eq!(held(key), None, "{key}");
+        }
+        // A second pass, or a source of another collection, changes nothing.
+        let before = ws.digest();
+        ws.reconcile_private(&ns(), &col(), &source);
+        ws.reconcile_private(&ns(), &CollectionName::new("PDC2"), &source);
+        assert_eq!(ws.digest(), before);
     }
 
     #[test]

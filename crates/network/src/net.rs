@@ -13,7 +13,6 @@ use fabric_types::{
     Block, ChaincodeId, ChannelId, CollectionName, CollectionPvtRwSet, OrgId, Proposal,
     ProposalResponse, PvtDataPackage, Transaction, TxId, TxValidationCode,
 };
-use fabric_wire::IdMap;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -144,12 +143,6 @@ pub struct FabricNetwork {
     events: Vec<(TxId, fabric_types::ChaincodeEvent)>,
     /// Chaincodes deployed uniformly (replayed onto late-joining peers).
     deployed: Vec<(ChaincodeDefinition, ChaincodeHandle)>,
-    /// Private writes of disseminated transactions, as held persistently
-    /// by member peers, kept unless a block commits the transaction
-    /// without it being valid; the source of truth Fabric's reconciliation
-    /// protocol queries when a peer joins late or lost data. Packages are
-    /// shared with the gossip layer — one allocation per dissemination.
-    pvt_archive: IdMap<TxId, Arc<PvtDataPackage>>,
     /// Streaming alert engine driven one evaluation tick per network tick.
     monitor: Option<MonitorTick>,
     /// Peer names in map order, cached so per-block delivery does not
@@ -201,7 +194,6 @@ impl FabricNetwork {
             gossip,
             events: Vec::new(),
             deployed: Vec::new(),
-            pvt_archive: IdMap::default(),
             monitor: None,
             cached_peer_names: Vec::new(),
             cached_gossip_ids: Vec::new(),
@@ -436,8 +428,8 @@ impl FabricNetwork {
         }
         let peer = &self.peers[endorser];
         let endorser_id = peer.gossip_id();
-        // One shared allocation serves the endorser's transient store, the
-        // durable archive, and every push recipient below.
+        // One shared allocation serves the endorser's transient store and
+        // every push recipient below.
         let pkg = Arc::new(pkg);
         self.gossip.store_local(endorser_id, Arc::clone(&pkg));
         // Push to every peer whose org is a member of a written collection.
@@ -462,10 +454,6 @@ impl FabricNetwork {
                 });
             }
         }
-        // Member peers persist the private data of an endorsement that
-        // disseminated; the archive models that durable store for late
-        // reconciliation.
-        self.pvt_archive.insert(pkg.tx_id.clone(), pkg);
         Ok(())
     }
 
@@ -560,42 +548,36 @@ impl FabricNetwork {
         done.into_iter().map(|(_, outcome)| outcome).collect()
     }
 
-    /// Folds a block's per-peer results into what the network keeps: the
-    /// event stream, the refused-block record and the private-data archive.
+    /// Folds a block's per-peer results into the event stream and the
+    /// refused-block record, and reconciles every peer that committed a
+    /// valid private write as hashes only (see [`Peer::reconcile_from`]).
     fn record_outcomes(&mut self, block: &Block, outcomes: Vec<PeerOutcome>) {
-        self.prune_archive(block, &outcomes);
         for (p, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
-                // Event listeners are fed once per block (from the first
-                // peer; all honest peers deliver identical event streams).
-                Ok(outcome) if p == 0 => self.events.extend(outcome.events),
-                Ok(_) => {}
+                Ok(outcome) => {
+                    if !outcome.missing_private_data.is_empty() {
+                        self.reconcile(p);
+                    }
+                    // Event listeners are fed once per block (from the
+                    // first peer; all honest peers deliver identical event
+                    // streams).
+                    if p == 0 {
+                        self.events.extend(outcome.events);
+                    }
+                }
                 Err(error) => self.record_commit_error(p, block.header.number, error),
             }
         }
     }
 
-    /// Drops the archived private data of every transaction this block
-    /// committed with no peer marking it `Valid`. Fabric's ledger keeps
-    /// private data for valid transactions only, and a replaying peer
-    /// applies nothing else. A `DuplicateTxId` keeps the entry, which
-    /// belongs to the transaction that first used the id; a block no peer
-    /// committed drops nothing.
-    fn prune_archive(&mut self, block: &Block, outcomes: &[PeerOutcome]) {
-        if self.pvt_archive.is_empty() {
-            return;
+    /// Reconciles the `p`-th peer in name order from every other peer.
+    fn reconcile(&mut self, p: usize) {
+        let name = &self.cached_peer_names[p];
+        let mut peer = self.peers.remove(name).expect("a cached peer name");
+        for source in self.peers.values() {
+            peer.reconcile_from(source);
         }
-        let keeps =
-            |code: TxValidationCode| code.is_valid() || code == TxValidationCode::DuplicateTxId;
-        for (i, tx) in block.transactions.iter().enumerate() {
-            let mut codes = outcomes
-                .iter()
-                .filter_map(|outcome| outcome.as_ref().ok())
-                .map(|outcome| outcome.validation_codes[i]);
-            if codes.next().is_some_and(|code| !keeps(code)) && !codes.any(keeps) {
-                self.pvt_archive.remove(&tx.tx_id);
-            }
-        }
+        self.peers.insert(name.clone(), peer);
     }
 
     fn record_commit_error(&mut self, peer: usize, block: u64, error: CommitError) {
@@ -704,10 +686,11 @@ impl FabricNetwork {
     }
 
     /// Adds a new peer for an existing channel organization *after* the
-    /// channel has been running: the peer is bootstrapped by replaying the
-    /// full block history from an existing peer, reconciling private data
-    /// (for collections its org is a member of) from the member archive.
-    /// Returns the new peer's name (`peer<N>.<org>`).
+    /// channel has been running: the peer replays the full block history
+    /// from an existing peer, committing private writes as hashes, then
+    /// reconciles the plaintext of its org's collections from the other
+    /// peers (see [`Peer::reconcile_from`]). Returns the new peer's name
+    /// (`peer<N>.<org>`).
     ///
     /// # Panics
     ///
@@ -746,13 +729,13 @@ impl FabricNetwork {
             peer.install_chaincode(definition.clone(), handle.clone())
                 .expect("the channel accepted this definition at deploy");
         }
-        // Replay the chain; the archive serves plaintext private data for
-        // collections the new peer's org belongs to.
-        let archive = &self.pvt_archive;
-        let mut provider = |tx_id: &TxId| archive.get(tx_id).map(Arc::clone);
+        // Validation reads no plaintext, so the replay needs none.
         for block in blocks {
-            peer.process_block(block, &mut provider)
+            peer.process_block(block, &mut |_| None)
                 .expect("replaying a valid chain succeeds");
+        }
+        for source in self.peers.values() {
+            peer.reconcile_from(source);
         }
         self.gossip.register(peer.gossip_id().clone());
         self.peers.insert(name.clone(), peer);
@@ -1018,9 +1001,8 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, NetworkError::DisseminationFailed { .. }));
-        // The refused endorsement is not archived; the endorser keeps its
-        // own transient copy, as a Fabric endorser does.
-        assert!(net.pvt_archive.is_empty());
+        // The endorser keeps its own transient copy, as a Fabric endorser
+        // does.
         let endorser = net.peer("peer0.org1").gossip_id();
         assert_eq!(net.gossip.transient_len(endorser), 1);
     }
@@ -1051,7 +1033,12 @@ mod tests {
             &MEMBERS,
         )
         .unwrap();
-        let (delivered, archived) = (net.gossip.delivered_total(), net.pvt_archive.len());
+        let delivered = net.gossip.delivered_total();
+        let private: Vec<_> = net
+            .peers
+            .values()
+            .map(|p| p.world_state().private_len())
+            .collect();
 
         let read = net
             .submit_transaction("client0.org1", "guarded", "read", &["k1"], &[], &MEMBERS)
@@ -1068,32 +1055,85 @@ mod tests {
             assert_eq!(code, Some(TxValidationCode::Valid), "{}", peer.gossip_id());
         }
         assert_eq!(net.gossip.delivered_total(), delivered);
-        assert_eq!(net.pvt_archive.len(), archived);
-        assert!(!net.pvt_archive.contains_key(&read.tx_id));
+        for (peer, held) in net.peers.values().zip(private) {
+            assert_eq!(peer.world_state().private_len(), held);
+        }
+    }
+
+    /// Endorses `function(args)` at both members, plants `forge`'s copy of
+    /// the package in peer0.org2's transient store in place of the honest
+    /// push, and commits the transaction.
+    fn commit_forged(
+        net: &mut FabricNetwork,
+        function: &str,
+        args: &[&str],
+        forge: impl FnOnce(&mut fabric_types::KvWrite),
+    ) {
+        let channel = net.channel().clone();
+        let proposal = net.client_mut("client0.org1").create_proposal(
+            channel,
+            ChaincodeId::new("guarded"),
+            function,
+            args.iter().map(|a| a.as_bytes().to_vec()).collect(),
+            BTreeMap::new(),
+        );
+        let responses: Vec<_> = MEMBERS
+            .iter()
+            .map(|peer| net.endorse(peer, &proposal).unwrap())
+            .collect();
+        let victim = net.peer("peer0.org2").gossip_id().clone();
+        let mut forged = net.gossip.get(&victim, &proposal.tx_id).unwrap().clone();
+        forge(&mut forged.collections[0].rwset.writes[0]);
+        net.gossip_mut().store_local(&victim, forged);
+        let client = net.client_mut("client0.org1");
+        let (tx, _) = client.assemble_transaction(&proposal, &responses).unwrap();
+        net.submit(tx);
+        while net.transaction_status(&proposal.tx_id).is_none() {
+            net.advance(1);
+        }
+        assert_eq!(
+            net.transaction_status(&proposal.tx_id),
+            Some(TxValidationCode::Valid)
+        );
     }
 
     #[test]
-    fn archive_keeps_only_what_committed_valid() {
-        let (mut net, blocks, _) = staged_blocks(3, 0.0);
-        let archived =
-            |net: &FabricNetwork, tx: &Transaction| net.pvt_archive.contains_key(&tx.tx_id);
-        assert!(blocks
-            .iter()
-            .flat_map(|b| b.transactions.iter())
-            .all(|tx| archived(&net, tx)));
-        for block in &blocks {
-            let outcomes = net.deliver(block, 1);
-            net.record_outcomes(block, outcomes);
-        }
+    fn member_fed_forged_plaintext_ends_the_block_with_the_honest_state() {
+        let mut net = unconstrained_pdc_net(19, 0);
+        let (ns, col) = (ChaincodeId::new("guarded"), CollectionName::new("PDC1"));
+        let held = |net: &FabricNetwork, key: &str| {
+            let state = net.peer("peer0.org2").world_state();
+            state.get_private(&ns, &col, key).map(|vv| vv.value.clone())
+        };
+        let agree = |net: &FabricNetwork| {
+            let [honest, victim] = MEMBERS.map(|p| net.peer(p).world_state().digest());
+            assert_eq!(victim, honest);
+        };
+        net.submit_transaction(
+            "client0.org1",
+            "guarded",
+            "write",
+            &["k1", "12"],
+            &[],
+            &MEMBERS,
+        )
+        .unwrap();
 
-        // Valid, valid, MVCC conflict, policy failure, valid, and two
-        // duplicates of valid writes: one in this block, one in block 0.
-        let kept = [true, true, false, false, true, true, true];
-        for (tx, kept) in blocks[1].transactions.iter().zip(kept) {
-            assert_eq!(archived(&net, tx), kept, "{}", tx.tx_id);
-        }
-        assert!(archived(&net, &blocks[0].transactions[0]));
-        assert!(blocks[2].transactions.iter().all(|tx| archived(&net, tx)));
+        // A delete forged into a write: the victim commits the delete's
+        // hashes, and its old plaintext goes with them.
+        commit_forged(&mut net, "delete", &["k1"], |w| {
+            (w.is_delete, w.value) = (false, Some(b"13".to_vec()));
+        });
+        assert_eq!(held(&net, "k1"), None);
+        agree(&net);
+
+        // A forged value: the victim takes the honest one from the other
+        // member.
+        commit_forged(&mut net, "write", &["k2", "12"], |w| {
+            w.value = Some(b"99".to_vec());
+        });
+        assert_eq!(held(&net, "k2"), Some(b"12".to_vec()));
+        agree(&net);
     }
 
     #[test]
@@ -1227,8 +1267,6 @@ mod tests {
         transient: Vec<Vec<TxId>>,
         /// The hub's push totals: delivered, dropped.
         pushes: (u64, u64),
-        /// The archived transactions with their packages, by id.
-        archive: Vec<(TxId, PvtDataPackage)>,
     }
 
     fn observe(
@@ -1268,19 +1306,12 @@ mod tests {
                 held.map(|tx| (*tx).clone()).collect()
             })
             .collect();
-        let mut archive: Vec<_> = net
-            .pvt_archive
-            .iter()
-            .map(|(tx, pkg)| (tx.clone(), (**pkg).clone()))
-            .collect();
-        archive.sort_by(|a, b| a.0.cmp(&b.0));
         Delivered {
             outcomes,
             ledgers,
             events: net.drain_events(),
             transient,
             pushes: (net.gossip.delivered_total(), net.gossip.dropped_total()),
-            archive,
         }
     }
 

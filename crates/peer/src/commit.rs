@@ -31,8 +31,8 @@ use std::sync::Arc;
 
 /// Supplies plaintext private data for a transaction being committed
 /// (backed by the gossip transient store plus anti-entropy pull). The
-/// package comes back `Arc`-shared: providers forward the gossip/archive
-/// handle instead of deep-copying the rwsets per requesting peer.
+/// package comes back `Arc`-shared: providers forward the transient
+/// store's handle instead of deep-copying the rwsets per requesting peer.
 pub type PvtDataProvider<'a> = dyn FnMut(&TxId) -> Option<Arc<PvtDataPackage>> + 'a;
 
 /// Errors that abort block processing entirely (individual transaction
@@ -79,7 +79,8 @@ pub struct BlockCommitOutcome {
     pub validation_codes: Vec<TxValidationCode>,
     /// Valid PDC transactions for which this (member) peer could not obtain
     /// matching plaintext private data; only hashes were committed and the
-    /// transaction awaits reconciliation.
+    /// transaction awaits reconciliation from other members
+    /// ([`Peer::reconcile_from`]).
     pub missing_private_data: Vec<TxId>,
     /// Chaincode events of the VALID transactions, in block order
     /// (invalid transactions' events are never delivered, as in Fabric).
@@ -372,6 +373,20 @@ impl Peer {
             }
         }
         None
+    }
+
+    /// Reconciles the plaintext of every collection this peer's org is a
+    /// member of with `source`'s, checked against this peer's own committed
+    /// hashes ([`WorldState::reconcile_private`]): stale entries go and
+    /// missing ones come from `source` when they hash to what the block
+    /// committed. A non-member `source` holds no plaintext to offer.
+    pub fn reconcile_from(&mut self, source: &Peer) {
+        for (ns, installed) in &self.chaincodes {
+            for collection in &installed.memberships {
+                self.world_state
+                    .reconcile_private(ns, collection, &source.world_state);
+            }
+        }
     }
 
     /// Purges expired private data for every collection with a

@@ -83,6 +83,51 @@ fn private_data_purges_after_btl_blocks() {
 }
 
 #[test]
+fn purged_plaintext_is_held_nowhere_and_late_joiners_match_the_members() {
+    let mut net = NetworkBuilder::new("ch1")
+        .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])
+        .seed(997)
+        .build();
+    let def = ChaincodeDefinition::new("guarded").with_collection(
+        CollectionConfig::membership_of("PDC1", &[OrgId::new("Org1MSP"), OrgId::new("Org2MSP")])
+            .with_block_to_live(2),
+    );
+    net.deploy_chaincode(def, Arc::new(GuardedPdc::unconstrained("PDC1")));
+    let writes: Vec<TxId> = (0..7)
+        .map(|i| {
+            let key = format!("k{i}");
+            let outcome = net
+                .submit_transaction(
+                    "client0.org1",
+                    "guarded",
+                    "write",
+                    &[&key, "42"],
+                    &[],
+                    &["peer0.org1", "peer0.org2"],
+                )
+                .unwrap();
+            outcome.tx_id
+        })
+        .collect();
+
+    let (ns, col) = (ChaincodeId::new("guarded"), CollectionName::new("PDC1"));
+    for name in net.peer_names() {
+        let peer = net.peer(&name);
+        assert!(peer.world_state().get_private(&ns, &col, "k0").is_none());
+        let id = peer.gossip_id().clone();
+        assert!(net.gossip_mut().get(&id, &writes[0]).is_none(), "{name}");
+    }
+    let veteran = net.peer("peer0.org2").world_state();
+    assert!(veteran.get_private(&ns, &col, "k6").is_some());
+    let veteran = veteran.digest();
+
+    let member = net.add_peer("Org2MSP");
+    assert_eq!(net.peer(&member).world_state().digest(), veteran);
+    let outsider = net.add_peer("Org3MSP");
+    assert_eq!(net.peer(&outsider).world_state().private_len(), 0);
+}
+
+#[test]
 fn btl_zero_keeps_data_forever() {
     let mut net = NetworkBuilder::new("ch1")
         .orgs(&["Org1MSP", "Org2MSP", "Org3MSP"])

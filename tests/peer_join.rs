@@ -1,5 +1,6 @@
-//! Late peer join: a new peer bootstraps by replaying the chain and
-//! reconciling private data for its org's collections.
+//! Late peer join: a new peer bootstraps by replaying the chain, which
+//! commits private writes as hashes, then takes its org's collections'
+//! plaintext from the other peers wherever it matches those hashes.
 
 use fabric_pdc::prelude::*;
 use std::sync::Arc;
