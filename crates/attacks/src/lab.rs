@@ -11,6 +11,7 @@ use fabric_telemetry::{AuditEvent, Telemetry};
 use fabric_types::{
     ChaincodeId, CollectionConfig, CollectionName, DefenseConfig, OrgId, TxValidationCode,
 };
+use fabric_wire::derive_seed;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -272,7 +273,7 @@ pub fn build_lab(cfg: &LabConfig) -> AttackLab {
 
     let attacker = MaliciousClient::new(
         cfg.attacker_org(),
-        Keypair::generate_from_seed(cfg.seed ^ 0xbad0_c0de),
+        Keypair::generate_from_seed(derive_seed(cfg.seed, "lab.attacker.key")),
     );
     AttackLab {
         net,

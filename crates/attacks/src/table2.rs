@@ -4,6 +4,7 @@
 use crate::lab::{build_lab, run_attack, AttackKind, ChaincodePolicy, LabConfig};
 use crate::leakage::{run_read_leakage_scenario, run_write_leakage_scenario};
 use fabric_types::DefenseConfig;
+use fabric_wire::derive_seed;
 
 /// One cell of Table II.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,20 +55,20 @@ fn injection_configs(seed: u64) -> [LabConfig; 4] {
         LabConfig {
             org_count: 5,
             chaincode_policy: ChaincodePolicy::NOutOf(2),
-            seed: seed ^ 1,
+            seed: derive_seed(seed, "table2.2outof5"),
             ..LabConfig::default()
         },
         // Column 3: collection-level AND(org1,org2), original validation.
         LabConfig {
             collection_policy: Some(and_policy.clone()),
-            seed: seed ^ 2,
+            seed: derive_seed(seed, "table2.and"),
             ..LabConfig::default()
         },
         // Column 4: New Feature 1 on top of the collection-level policy.
         LabConfig {
             collection_policy: Some(and_policy),
             defense: DefenseConfig::feature1(),
-            seed: seed ^ 3,
+            seed: derive_seed(seed, "table2.feature1"),
             ..LabConfig::default()
         },
     ]
@@ -125,11 +126,17 @@ pub fn run_table2(seed: u64) -> Vec<Table2Row> {
             .collect();
         cells.push(Table2Cell {
             config: LEAKAGE_COLUMNS[0].1.to_string(),
-            works: Some(run(DefenseConfig::original(), seed ^ 0x10)),
+            works: Some(run(
+                DefenseConfig::original(),
+                derive_seed(seed, "table2.leak.original"),
+            )),
         });
         cells.push(Table2Cell {
             config: LEAKAGE_COLUMNS[1].1.to_string(),
-            works: Some(run(DefenseConfig::feature2(), seed ^ 0x11)),
+            works: Some(run(
+                DefenseConfig::feature2(),
+                derive_seed(seed, "table2.leak.feature2"),
+            )),
         });
         rows.push(Table2Row {
             family: "PDC Leakage",

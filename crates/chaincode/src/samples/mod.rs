@@ -17,7 +17,6 @@
 
 mod asset_transfer;
 mod guarded;
-mod indexed_assets;
 mod leaky_escrow;
 mod perf_test;
 mod sacc;
@@ -26,7 +25,6 @@ mod secured_trade;
 
 pub use asset_transfer::{Asset, AssetTransfer};
 pub use guarded::{Guard, GuardedPdc};
-pub use indexed_assets::IndexedAssets;
 pub use leaky_escrow::LeakyEscrow;
 pub use perf_test::PerfTest;
 pub use sacc::{SaccPrivate, SaccPrivateFixed};

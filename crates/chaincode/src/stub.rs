@@ -10,9 +10,6 @@ use fabric_types::{
 };
 use std::collections::{BTreeMap, HashSet};
 
-/// Delimiter of composite key components (Fabric uses U+0000).
-const COMPOSITE_DELIMITER: char = '\u{0}';
-
 /// One shim-API call observed during a traced simulation.
 ///
 /// Recording is off by default; [`ChaincodeStub::enable_op_log`] turns it
@@ -367,69 +364,6 @@ impl<'a> ChaincodeStub<'a> {
             returned: out.len(),
         });
         out
-    }
-
-    /// Builds a composite key `\u{0}objectType\u{0}attr1\u{0}attr2...`
-    /// (`CreateCompositeKey`). Composite keys live in a reserved range that
-    /// plain keys cannot collide with, enabling secondary indexes.
-    ///
-    /// # Errors
-    ///
-    /// [`ChaincodeError::InvalidArguments`] when the object type or an
-    /// attribute is empty or contains the `\u{0}` delimiter.
-    pub fn create_composite_key(
-        &self,
-        object_type: &str,
-        attributes: &[&str],
-    ) -> Result<String, ChaincodeError> {
-        let mut key = String::from(COMPOSITE_DELIMITER);
-        for part in std::iter::once(object_type).chain(attributes.iter().copied()) {
-            if part.is_empty() || part.contains(COMPOSITE_DELIMITER) {
-                return Err(ChaincodeError::InvalidArguments(format!(
-                    "invalid composite key component {part:?}"
-                )));
-            }
-            key.push_str(part);
-            key.push(COMPOSITE_DELIMITER);
-        }
-        Ok(key)
-    }
-
-    /// Splits a composite key back into `(object_type, attributes)`.
-    /// Returns `None` for keys not produced by
-    /// [`create_composite_key`](Self::create_composite_key).
-    pub fn split_composite_key(&self, key: &str) -> Option<(String, Vec<String>)> {
-        let rest = key.strip_prefix(COMPOSITE_DELIMITER)?;
-        let mut parts = rest.split(COMPOSITE_DELIMITER);
-        let object_type = parts.next()?.to_string();
-        if object_type.is_empty() {
-            return None;
-        }
-        let mut attributes: Vec<String> = parts.map(str::to_string).collect();
-        // The trailing delimiter yields one empty tail element.
-        if attributes.pop() != Some(String::new()) {
-            return None;
-        }
-        Some((object_type, attributes))
-    }
-
-    /// Range-scans all composite keys matching `object_type` and the given
-    /// attribute prefix (`GetStateByPartialCompositeKey`), recording reads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`create_composite_key`](Self::create_composite_key)
-    /// validation errors.
-    pub fn get_state_by_partial_composite_key(
-        &mut self,
-        object_type: &str,
-        attributes: &[&str],
-    ) -> Result<Vec<(String, Vec<u8>)>, ChaincodeError> {
-        let prefix = self.create_composite_key(object_type, attributes)?;
-        // The prefix ends with the delimiter; every extension sorts within
-        // [prefix, prefix + MAX).
-        let end = format!("{prefix}\u{10FFFF}");
-        Ok(self.get_state_by_range(&prefix, &end))
     }
 
     /// The committed write history of a public key (`GetHistoryForKey`),

@@ -16,7 +16,6 @@ use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An identity's keyed material: the HMAC pad midstates precomputed from
 /// its secret key, so each signature or verification skips the key-pad
@@ -38,9 +37,6 @@ impl SecretEntry {
 /// Module-private: attack code cannot reach other identities' secrets
 /// through the public API.
 static CA_REGISTRY: RwLock<Option<IdMap<[u8; 32], SecretEntry>>> = RwLock::new(None);
-
-/// Monotonic counter making `Keypair::generate` unique within a process.
-static KEYGEN_COUNTER: AtomicU64 = AtomicU64::new(1);
 
 /// A public identity key (the SHA-256 of the secret key).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -245,20 +241,9 @@ impl fmt::Debug for Keypair {
 }
 
 impl Keypair {
-    /// Generates a fresh keypair with process-unique entropy and registers
-    /// its public key with the simulation CA.
-    pub fn generate() -> Self {
-        let n = KEYGEN_COUNTER.fetch_add(1, Ordering::Relaxed);
-        // Mix a counter with OS-independent RNG seeding for uniqueness.
-        let mut rng = StdRng::seed_from_u64(n ^ 0x9e37_79b9_7f4a_7c15);
-        let mut sk = [0u8; 32];
-        rng.fill_bytes(&mut sk);
-        sk[..8].copy_from_slice(&n.to_be_bytes());
-        Self::from_secret(sk)
-    }
-
-    /// Generates a deterministic keypair from a seed; used by tests and the
-    /// deterministic network simulator.
+    /// Generates the keypair of `seed` and registers its public key with
+    /// the simulation CA. A network node's seed comes from
+    /// `fabric_wire::derive_seed`, so no two nodes share one.
     pub fn generate_from_seed(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sk = [0u8; 32];
@@ -299,7 +284,7 @@ mod tests {
 
     #[test]
     fn sign_verify_roundtrip() {
-        let kp = Keypair::generate();
+        let kp = Keypair::generate_from_seed(40);
         let sig = kp.sign(b"msg");
         assert!(sig.verify(&kp.public_key(), b"msg"));
         assert!(!sig.verify(&kp.public_key(), b"other"));
@@ -341,7 +326,7 @@ mod tests {
 
     #[test]
     fn forged_signature_fails() {
-        let kp = Keypair::generate();
+        let kp = Keypair::generate_from_seed(44);
         let forged = Signature::from_bytes([0u8; 32]);
         assert!(!forged.verify(&kp.public_key(), b"msg"));
     }
@@ -349,7 +334,7 @@ mod tests {
     #[test]
     fn unknown_identity_fails() {
         let pk = PublicKey([7u8; 32]);
-        let kp = Keypair::generate();
+        let kp = Keypair::generate_from_seed(45);
         let sig = kp.sign(b"msg");
         assert!(!sig.verify(&pk, b"msg"));
     }
@@ -364,8 +349,8 @@ mod tests {
 
     #[test]
     fn distinct_generate_keys_are_distinct() {
-        let a = Keypair::generate();
-        let b = Keypair::generate();
+        let a = Keypair::generate_from_seed(46);
+        let b = Keypair::generate_from_seed(47);
         assert_ne!(a.public_key(), b.public_key());
     }
 

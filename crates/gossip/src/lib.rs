@@ -47,7 +47,7 @@
 //! ```
 
 use fabric_types::{PvtDataPackage, TxId};
-use fabric_wire::IdMap;
+use fabric_wire::{derive_seed, IdMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -108,14 +108,15 @@ pub struct GossipHub {
 }
 
 impl GossipHub {
-    /// Creates a hub with a seeded RNG for reproducible loss injection.
+    /// Creates a hub whose loss-injection stream is `"gossip.drop"`
+    /// under `seed`.
     pub fn new(seed: u64) -> Self {
         GossipHub {
             transient: BTreeMap::new(),
             delivered: 0,
             dropped: 0,
             drop_rate: 0.0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: StdRng::seed_from_u64(derive_seed(seed, "gossip.drop")),
         }
     }
 

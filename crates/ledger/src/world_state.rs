@@ -419,11 +419,14 @@ impl WorldState {
         Ok(())
     }
 
-    /// Purges plaintext and hashed private data older than `block_to_live`
-    /// blocks (the collection's `BlockToLive`); `0` disables purging.
-    /// Returns the number of purged plaintext entries.
+    /// Purges `ns`'s plaintext and hashed private data of `collection`
+    /// older than `block_to_live` blocks (the collection's `BlockToLive`);
+    /// `0` disables purging. A same-named collection of another chaincode
+    /// is another collection and is left alone. Returns the number of
+    /// purged plaintext entries.
     pub fn purge_expired_private(
         &mut self,
+        ns: &ChaincodeId,
         collection: &CollectionName,
         block_to_live: u64,
         current_block: u64,
@@ -435,17 +438,13 @@ impl WorldState {
             current_block >= version.block_num && current_block - version.block_num > block_to_live
         };
         let mut count = 0;
-        for cols in self.private.values_mut() {
-            if let Some(entries) = cols.get_mut(collection) {
-                let before = entries.len();
-                entries.retain(|_, v| !expired(v.version));
-                count += before - entries.len();
-            }
+        if let Some(entries) = self.private.get_mut(ns).and_then(|c| c.get_mut(collection)) {
+            let before = entries.len();
+            entries.retain(|_, v| !expired(v.version));
+            count = before - entries.len();
         }
-        for cols in self.hashed.values_mut() {
-            if let Some(entries) = cols.get_mut(collection) {
-                entries.retain(|_, (_, ver)| !expired(*ver));
-            }
+        if let Some(entries) = self.hashed.get_mut(ns).and_then(|c| c.get_mut(collection)) {
+            entries.retain(|_, (_, ver)| !expired(*ver));
         }
         count
     }
@@ -769,14 +768,14 @@ mod tests {
         ws.put_private(&ns(), &col(), "old", b"a".to_vec(), Version::new(1, 0));
         ws.put_private(&ns(), &col(), "new", b"b".to_vec(), Version::new(9, 0));
         // BTL = 3, current block 10: entries written before block 7 purge.
-        let purged = ws.purge_expired_private(&col(), 3, 10);
+        let purged = ws.purge_expired_private(&ns(), &col(), 3, 10);
         assert_eq!(purged, 1);
         assert!(ws.get_private(&ns(), &col(), "old").is_none());
         assert!(ws.get_private_hash(&ns(), &col(), "old").is_none());
         assert!(ws.get_private(&ns(), &col(), "new").is_some());
 
         // BTL = 0 keeps everything.
-        assert_eq!(ws.purge_expired_private(&col(), 0, 1000), 0);
+        assert_eq!(ws.purge_expired_private(&ns(), &col(), 0, 1000), 0);
         assert!(ws.get_private(&ns(), &col(), "new").is_some());
     }
 

@@ -10,6 +10,7 @@ use fabric_peer::Peer;
 use fabric_policy::ChannelPolicies;
 use fabric_telemetry::Telemetry;
 use fabric_types::{ChannelId, DefenseConfig, OrgId};
+use fabric_wire::derive_seed;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -120,24 +121,15 @@ impl NetworkBuilder {
         let mut clients = BTreeMap::new();
 
         for org in self.orgs.iter() {
-            // "Org1MSP" -> "org1"; fall back to the lowercased org id.
-            let short = org
-                .as_str()
-                .to_ascii_lowercase()
-                .trim_end_matches("msp")
-                .to_string();
+            let short = short_org_name(org.as_str());
             let peer_name = format!("peer0.{short}");
             let client_name = format!("client0.{short}");
-            // Identity seeds derive from the org *name*, so organizations
-            // keep the same identities across channels built from the same
-            // consortium seed (the paper's Fig. 1 topology).
-            let org_tag = org_name_tag(org.as_str());
             let mut peer = Peer::new(
                 peer_name.clone(),
                 org.clone(),
                 self.channel.clone(),
                 policies.clone(),
-                Keypair::generate_from_seed(self.seed ^ 0x5eed_0000 ^ org_tag),
+                node_key(self.seed, "peer", &peer_name),
                 self.defense,
             );
             if let Some(t) = &self.telemetry {
@@ -147,7 +139,7 @@ impl NetworkBuilder {
             peers.insert(peer_name, peer);
             let mut client = Client::new(
                 org.clone(),
-                Keypair::generate_from_seed(self.seed ^ 0xc11e_0000 ^ org_tag),
+                node_key(self.seed, "client", &client_name),
                 self.defense,
             );
             if let Some(t) = &self.telemetry {
@@ -178,14 +170,18 @@ impl NetworkBuilder {
     }
 }
 
-/// FNV-1a over the org name: a stable per-org identity-seed component.
-pub(crate) fn org_name_tag(name: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    hash
+/// The node-name part of an org: "Org1MSP" -> "org1" (otherwise the
+/// lowercased org id).
+pub(crate) fn short_org_name(org: &str) -> String {
+    org.to_ascii_lowercase().trim_end_matches("msp").to_string()
+}
+
+/// The signing key of the `kind` node `name` (`"peer"` or `"client"`):
+/// `"<kind>.key/<name>"` under the network seed. It depends on the name
+/// alone, so a node keeps one identity across the channels a consortium
+/// builds from one seed (the paper's Fig. 1 topology).
+pub(crate) fn node_key(seed: u64, kind: &str, name: &str) -> Keypair {
+    Keypair::generate_from_seed(derive_seed(seed, &format!("{kind}.key/{name}")))
 }
 
 #[cfg(test)]

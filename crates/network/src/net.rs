@@ -1,6 +1,6 @@
 //! The running network: the three-phase transaction workflow end to end.
 
-use crate::builder::org_name_tag;
+use crate::builder::{node_key, short_org_name};
 use crate::error::NetworkError;
 use fabric_chaincode::{ChaincodeDefinition, ChaincodeHandle};
 use fabric_client::Client;
@@ -701,9 +701,8 @@ impl FabricNetwork {
             self.orgs.contains(&org_id),
             "{org} is not an organization of this channel"
         );
-        let short = org.to_ascii_lowercase().trim_end_matches("msp").to_string();
         let index = self.peers.values().filter(|p| p.org() == &org_id).count();
-        let name = format!("peer{index}.{short}");
+        let name = format!("peer{index}.{}", short_org_name(org));
 
         let template = self.peers.values().next().expect("channel has peers");
         let policies = template.channel_policies().clone();
@@ -717,9 +716,7 @@ impl FabricNetwork {
             org_id,
             channel,
             policies,
-            fabric_crypto::Keypair::generate_from_seed(
-                self.seed ^ 0x9ee7 ^ (index as u64) << 32 ^ blocks.len() as u64 ^ org_name_tag(org),
-            ),
+            node_key(self.seed, "peer", &name),
             defense,
         );
         if let Some(t) = telemetry {
@@ -799,6 +796,28 @@ mod tests {
     }
 
     use fabric_chaincode::ChaincodeDefinition;
+
+    #[test]
+    fn every_node_of_a_network_has_its_own_key() {
+        let orgs = [
+            "Org1MSP", "Org2MSP", "Org3MSP", "Org4MSP", "Org5MSP", "Org6MSP",
+        ];
+        for seed in 0..200 {
+            let mut net = NetworkBuilder::new("ch1").orgs(&orgs).seed(seed).build();
+            for org in orgs.iter().cycle().take(3 * orgs.len()) {
+                net.add_peer(org);
+            }
+            let keys: Vec<_> = net
+                .peers
+                .values()
+                .map(|p| p.identity().public_key)
+                .chain(net.clients.values().map(|c| c.identity().public_key))
+                .chain([net.orderer.identity().public_key])
+                .collect();
+            let distinct: std::collections::BTreeSet<_> = keys.iter().collect();
+            assert_eq!((keys.len(), distinct.len()), (31, 31), "seed {seed}");
+        }
+    }
 
     fn pdc_net(defense: DefenseConfig) -> FabricNetwork {
         let mut net = NetworkBuilder::new("ch1")

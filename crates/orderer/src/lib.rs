@@ -25,7 +25,7 @@ use fabric_crypto::{Hash256, Keypair};
 use fabric_raft::{Cluster, NodeId};
 use fabric_telemetry::{trace_id, SpanGuard, Telemetry};
 use fabric_types::{Block, Identity, Role, Transaction};
-use fabric_wire::{Decode, Encode};
+use fabric_wire::{derive_seed, Decode, Encode};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -85,7 +85,9 @@ pub struct OrderingService {
 }
 
 impl OrderingService {
-    /// Creates an ordering cluster of `orderer_count` Raft nodes.
+    /// Creates an ordering cluster of `orderer_count` Raft nodes. The
+    /// signing key is `"orderer.key"` under `seed`; the Raft cluster gets
+    /// `seed` itself ([`Cluster::new`] derives its own streams).
     ///
     /// # Panics
     ///
@@ -97,7 +99,7 @@ impl OrderingService {
             config.max_message_count > 0,
             "a batch must hold at least one transaction"
         );
-        let keypair = Keypair::generate_from_seed(seed ^ ORDERER_SEED_MIX);
+        let keypair = Keypair::generate_from_seed(derive_seed(seed, "orderer.key"));
         let identity = Identity::new("OrdererMSP", Role::Orderer, keypair.public_key());
         OrderingService {
             config,
@@ -296,9 +298,6 @@ impl OrderingService {
         }
     }
 }
-
-/// Distinguishes orderer keypair seeds from peer/client seeds.
-const ORDERER_SEED_MIX: u64 = 0xDEAD_BEEF_0BAD_F00D;
 
 #[cfg(test)]
 mod tests {

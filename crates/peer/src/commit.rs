@@ -393,10 +393,15 @@ impl Peer {
     /// block-to-live bound.
     fn purge_expired(&mut self, current_block: u64) {
         for cc in self.chaincodes.values() {
+            let ns = &cc.definition.id;
             for c in cc.definition.collections() {
                 if c.block_to_live > 0 {
-                    self.world_state
-                        .purge_expired_private(&c.name, c.block_to_live, current_block);
+                    self.world_state.purge_expired_private(
+                        ns,
+                        &c.name,
+                        c.block_to_live,
+                        current_block,
+                    );
                 }
             }
         }

@@ -3,6 +3,7 @@
 use crate::message::{Envelope, Message, NodeId};
 use crate::node::{NotLeader, RaftNode, Role};
 use fabric_telemetry::{SpanGuard, Telemetry};
+use fabric_wire::derive_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -54,7 +55,9 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds a cluster of `n` nodes with IDs `1..=n`.
+    /// Builds a cluster of `n` nodes with IDs `1..=n`. Its message-drop
+    /// stream is `"raft.drop"` under `seed`; each node draws its election
+    /// timeouts from `seed` as [`RaftNode::new`] says.
     pub fn new(n: usize, seed: u64) -> Self {
         let ids: Vec<NodeId> = (1..=n as NodeId).collect();
         let mut nodes = BTreeMap::new();
@@ -72,7 +75,7 @@ impl Cluster {
             committed: ids.iter().map(|&id| (id, Vec::new())).collect(),
             severed: HashSet::new(),
             drop_rate: 0.0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: StdRng::seed_from_u64(derive_seed(seed, "raft.drop")),
             messages_delivered: 0,
             messages_dropped: 0,
             append_repairs: 0,
@@ -168,7 +171,8 @@ impl Cluster {
     }
 
     /// Proposes a command at `node` and queues its appends to every
-    /// follower; the next tick delivers them.
+    /// follower; the next tick delivers them. An empty command panics, as
+    /// [`RaftNode::propose`] says.
     ///
     /// # Errors
     ///
@@ -376,14 +380,16 @@ mod tests {
             assert!(c.node(leader).commit_index() < index, "phase {phase}");
 
             c.tick(); // t+2: the acks arrive and the leader commits.
-            assert_eq!(c.committed_len(leader), index as usize, "phase {phase}");
+            assert_eq!(c.node(leader).commit_index(), index, "phase {phase}");
+            assert_eq!(bytes(&c, leader), vec![b"e".to_vec()], "phase {phase}");
             for &f in &followers {
                 assert!(c.node(f).commit_index() < index, "phase {phase}");
             }
 
             c.tick(); // t+3: the new commit index arrives.
             for &f in &followers {
-                assert_eq!(c.committed_len(f), index as usize, "phase {phase}");
+                assert_eq!(c.node(f).commit_index(), index, "phase {phase}");
+                assert_eq!(bytes(&c, f), vec![b"e".to_vec()], "phase {phase}");
             }
         }
     }
@@ -428,6 +434,28 @@ mod tests {
     }
 
     #[test]
+    fn a_new_leader_commits_the_entry_it_inherited_without_another_proposal() {
+        let mut c = Cluster::new(3, 1);
+        let leader = c.run_until_leader(500).expect("leader elected");
+        c.run_ticks(10);
+        let followers: Vec<NodeId> = c.node_ids().into_iter().filter(|&n| n != leader).collect();
+        let index = c.propose(leader, b"inherited".to_vec()).unwrap();
+        c.tick(); // The appends reach both followers; their acks are queued.
+        for &f in &followers {
+            assert_eq!(c.node(f).log_len(), index);
+        }
+        // The leader is cut off before any ack arrives, so it never commits.
+        c.partition(&[leader], &followers);
+        c.run_ticks(200);
+        let new_leader = c.leader().expect("the followers elect a leader");
+        assert!(followers.contains(&new_leader));
+        for &f in &followers {
+            assert_eq!(bytes(&c, f), vec![b"inherited".to_vec()], "node {f}");
+        }
+        assert!(c.committed(leader).is_empty());
+    }
+
+    #[test]
     fn minority_partition_cannot_commit() {
         let mut c = Cluster::new(5, 3);
         let leader = c.run_until_leader(500).unwrap();
@@ -460,19 +488,29 @@ mod tests {
 
     #[test]
     fn survives_heavy_message_loss() {
+        // Raft does not promise that one proposal commits: a leader deposed
+        // before it replicates an entry loses it. It promises that a
+        // command re-proposed at the current leader commits, and that
+        // every live node then commits the same prefix.
         let mut c = Cluster::new(3, 4);
         c.set_drop_rate(0.3);
-        let leader = c.run_until_leader(5000).expect("leader despite loss");
-        let _ = c.propose(leader, b"x".to_vec());
+        c.run_until_leader(5000).expect("leader despite loss");
+        let mut proposals = 0;
+        while c.node_ids().iter().all(|&id| c.committed_len(id) == 0) {
+            assert!(proposals < 20, "{proposals} proposals, none committed");
+            if let Some(leader) = c.leader() {
+                if c.propose(leader, b"x".to_vec()).is_ok() {
+                    proposals += 1;
+                }
+            }
+            c.run_ticks(50);
+        }
         c.run_ticks(2000);
-        // At least a majority eventually commits; with retransmission via
-        // heartbeats all live nodes converge.
-        let committed_count = c
-            .node_ids()
-            .iter()
-            .filter(|&&id| bytes(&c, id) == vec![b"x".to_vec()])
-            .count();
-        assert!(committed_count >= 2, "only {committed_count} committed");
+        let first = bytes(&c, 1);
+        assert!(first.iter().all(|cmd| cmd == b"x") && !first.is_empty());
+        for id in c.node_ids() {
+            assert_eq!(bytes(&c, id), first, "node {id}");
+        }
     }
 
     #[test]
@@ -491,10 +529,11 @@ mod tests {
             c.propose(leader, vec![i]).unwrap();
         }
         c.run_ticks(50);
-        // Compact the leader's log beyond what the follower has.
-        let discarded = c.take_snapshot(leader, b"state@10".to_vec());
-        assert_eq!(discarded, 10);
-        assert_eq!(c.node(leader).snapshot_index(), 10);
+        // Compact the leader's log beyond what the follower has: its no-op
+        // and the ten commands.
+        let discarded = c.take_snapshot(leader, b"state@11".to_vec());
+        assert_eq!(discarded, 11);
+        assert_eq!(c.node(leader).snapshot_index(), 11);
         assert_eq!(c.node(leader).log_len(), 0);
 
         // More entries after the snapshot point.
@@ -508,9 +547,9 @@ mod tests {
         let snap = c
             .take_installed_snapshot(lagging)
             .expect("snapshot was installed");
-        assert_eq!(snap.last_included_index, 10);
-        assert_eq!(snap.data, b"state@10");
-        assert_eq!(c.node(lagging).snapshot_index(), 10);
+        assert_eq!(snap.last_included_index, 11);
+        assert_eq!(snap.data, b"state@11");
+        assert_eq!(c.node(lagging).snapshot_index(), 11);
         // The post-snapshot entry arrived through the normal path.
         assert_eq!(bytes(&c, lagging), vec![b"post".to_vec()]);
         // The healthy follower replicated everything normally and saw all 11.

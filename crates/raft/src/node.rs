@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A node's role in the current term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +45,12 @@ pub(crate) const HEARTBEAT_INTERVAL: u64 = 3;
 /// Drive it with [`RaftNode::tick`] and [`RaftNode::receive`]; both return
 /// outbound messages. Committed commands are drained with
 /// [`RaftNode::take_committed`].
+///
+/// A new leader appends an empty entry of its own term (Raft §8, as
+/// etcd/raft does): entries it inherited may commit only under an entry
+/// of its term (§5.4.2), so without one they would wait for the next
+/// proposal. The empty command is reserved for that entry:
+/// [`RaftNode::propose`] refuses it and the committed stream skips it.
 ///
 /// PreVote is always on, as in Fabric's etcdraft orderer: a follower whose
 /// election timer fires first asks for pre-votes for the next term, and
@@ -88,6 +95,12 @@ pub struct RaftNode {
 
 impl RaftNode {
     /// Creates a follower with a seeded RNG for reproducible timeouts.
+    ///
+    /// The stream is `seed` mixed with the node id by hand, the one stream
+    /// of a network not derived through `fabric_wire::derive_seed`:
+    /// deriving it changes which orderer leads a network, and with it
+    /// every tick-denominated benchmark metric, so it moves together with
+    /// the orderer's delivery rework (ROADMAP, *First-committer delivery*).
     pub fn new(id: NodeId, peers: Vec<NodeId>, seed: u64) -> Self {
         let mut node = RaftNode {
             id,
@@ -229,7 +242,14 @@ impl RaftNode {
             self.match_index.insert(p, 0);
         }
         self.ticks_since_reset = 0;
-        // Immediate heartbeat to assert leadership.
+        // The no-op of this term, sent at once: it asserts leadership and
+        // commits every inherited entry with it.
+        self.log.push(LogEntry {
+            term: self.current_term,
+            index: next,
+            command: Arc::from(&[][..]),
+        });
+        self.advance_commit_index();
         self.append_entries_to_all()
     }
 
@@ -329,10 +349,19 @@ impl RaftNode {
     ///
     /// [`NotLeader`] when this node is not the current leader; the caller
     /// should retry against the leader.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty command, which marks a leader's no-op entry.
     pub fn propose(
         &mut self,
-        command: impl Into<std::sync::Arc<[u8]>>,
+        command: impl Into<Arc<[u8]>>,
     ) -> Result<(u64, Vec<Envelope>), NotLeader> {
+        let command = command.into();
+        assert!(
+            !command.is_empty(),
+            "the empty command is reserved for a leader's no-op entry"
+        );
         if self.role != Role::Leader {
             return Err(NotLeader);
         }
@@ -340,7 +369,7 @@ impl RaftNode {
         self.log.push(LogEntry {
             term: self.current_term,
             index,
-            command: command.into(),
+            command,
         });
         // Single-node cluster commits immediately.
         self.advance_commit_index();
@@ -708,13 +737,16 @@ impl RaftNode {
         }
     }
 
-    /// Drains commands committed since the last call, in log order.
+    /// Drains commands committed since the last call, in log order: the
+    /// proposed ones only, leaders' no-op entries skipped.
     pub fn take_committed(&mut self) -> Vec<LogEntry> {
         let mut out = Vec::new();
         while self.last_applied < self.commit_index {
             self.last_applied += 1;
             if let Some(entry) = self.entry_at(self.last_applied) {
-                out.push(entry.clone());
+                if !entry.command.is_empty() {
+                    out.push(entry.clone());
+                }
             }
         }
         out
@@ -733,9 +765,11 @@ mod tests {
             n.tick();
         }
         assert_eq!(n.role(), Role::Leader);
-        let (index, out) = n.propose(b"cmd".to_vec()).unwrap();
-        assert_eq!((index, out.len()), (1, 0));
+        // Entry 1 is the leader's no-op, committed at election.
         assert_eq!(n.commit_index(), 1);
+        let (index, out) = n.propose(b"cmd".to_vec()).unwrap();
+        assert_eq!((index, out.len()), (2, 0));
+        assert_eq!(n.commit_index(), 2);
         let committed = n.take_committed();
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].command.as_ref(), b"cmd");

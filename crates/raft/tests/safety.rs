@@ -7,8 +7,10 @@
 //! once and crashes the leader once, and after every tick checks:
 //!
 //! * election safety: at most one leader per term, over the whole run;
-//! * committed prefixes agree: every node's log up to its commit index, and
-//!   every node's drained committed stream, is a prefix of one chain;
+//! * committed prefixes agree: every node's log up to its commit index is a
+//!   prefix of one chain, and every node's drained committed stream is a
+//!   prefix of that chain's proposed commands (a leader's no-op entry,
+//!   the empty command, is never drained);
 //! * leader completeness: a leader whose term is above the term in which an
 //!   entry was seen committed holds that entry.
 
@@ -75,12 +77,12 @@ impl Checked {
                 }
             }
             let drained = c.committed_since(id, 0);
-            assert!(drained.len() <= self.chain.len());
+            let mut proposed = self.chain.iter().filter(|(_, cmd, _)| !cmd.is_empty());
             for (i, command) in drained.iter().enumerate() {
                 assert_eq!(
-                    command,
-                    &self.chain[i].1,
-                    "tick {tick}: node {id} drained a different entry {}",
+                    Some(command),
+                    proposed.next().map(|(_, cmd, _)| cmd),
+                    "tick {tick}: node {id} drained a different command {}",
                     i + 1
                 );
             }

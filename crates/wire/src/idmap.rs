@@ -5,6 +5,9 @@
 //! it serves. [`IdHasher`] is a multiply–rotate over 8-byte words with a
 //! folding finish. It is unkeyed: use it for maps whose keys are digests
 //! or names the operator chose, never for keys an outside party picks.
+//!
+//! [`derive_seed`] is the one way a seeded component gets its own seed
+//! from its parent's: the label is hashed here and mixed in.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -65,6 +68,20 @@ impl Hasher for IdHasher {
     }
 }
 
+/// The seed of the component `label` names under `parent`: the label's
+/// [`IdHasher`] digest mixed into the parent through SplitMix64's
+/// finaliser. Distinct labels give unrelated streams under one parent,
+/// and one label gives unrelated streams under neighbouring parents, so
+/// no two components share a stream by accident.
+pub fn derive_seed(parent: u64, label: &str) -> u64 {
+    let mut hasher = IdHasher::default();
+    hasher.write(label.as_bytes());
+    let mut z = parent ^ hasher.finish();
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,6 +99,30 @@ mod tests {
         assert_eq!(hash_of("tx-1"), 0x447b_ee71_4940_50d3);
         assert_eq!(hash_of(&[0u8; 32]), 0x5afb_90a1_774f_c65d);
         assert_eq!(hash_of(&[0xabu8; 32]), 0x2c18_02f1_8dce_d35e);
+    }
+
+    #[test]
+    fn derived_seeds_part_by_label_and_by_parent() {
+        let mut seen = std::collections::HashSet::new();
+        for parent in 0..1_000u64 {
+            for label in [
+                "gossip.drop",
+                "raft.drop",
+                "orderer.key",
+                "peer.key/peer0.org1",
+            ] {
+                assert!(seen.insert(derive_seed(parent, label)), "{parent} {label}");
+            }
+        }
+    }
+
+    /// Every network key and loss stream comes from this function, so a
+    /// silent change to it would re-key every node.
+    #[test]
+    fn derived_seed_vectors() {
+        assert_eq!(derive_seed(0, "gossip.drop"), 0x1fb0_531c_3bc4_288b);
+        assert_eq!(derive_seed(1, "raft.drop"), 0x3c5d_5b63_3416_4745);
+        assert_eq!(derive_seed(1, "peer.key/peer0.org1"), 0x9b58_a360_0a8c_0dd3);
     }
 
     /// Largest bucket when `keys` fill 2¹⁴ buckets by the low and by the

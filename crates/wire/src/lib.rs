@@ -36,7 +36,7 @@ mod primitives;
 mod reader;
 
 pub use error::WireError;
-pub use idmap::{IdHasher, IdMap, IdSet};
+pub use idmap::{derive_seed, IdHasher, IdMap, IdSet};
 pub use primitives::{read_varint, write_varint};
 pub use reader::{Reader, WireBytes};
 

@@ -169,3 +169,54 @@ fn btl_zero_keeps_data_forever() {
         )
         .is_some());
 }
+
+#[test]
+fn block_to_live_purges_only_its_own_chaincodes_collection() {
+    // Two chaincodes each define a collection named PDC1; only `short`'s
+    // carries a BlockToLive. `kept`'s PDC1 is another collection.
+    let mut net = NetworkBuilder::new("ch1")
+        .orgs(&["Org1MSP", "Org2MSP"])
+        .seed(996)
+        .build();
+    let members = [OrgId::new("Org1MSP"), OrgId::new("Org2MSP")];
+    for (name, block_to_live) in [("kept", 0), ("short", 2)] {
+        let def = ChaincodeDefinition::new(name).with_collection(
+            CollectionConfig::membership_of("PDC1", &members).with_block_to_live(block_to_live),
+        );
+        net.deploy_chaincode(def, Arc::new(GuardedPdc::unconstrained("PDC1")));
+    }
+    let write = |net: &mut FabricNetwork, chaincode: &str, key: &str| {
+        let outcome = net
+            .submit_transaction(
+                "client0.org1",
+                chaincode,
+                "write",
+                &[key, "42"],
+                &[],
+                &["peer0.org1", "peer0.org2"],
+            )
+            .unwrap();
+        assert!(outcome.validation_code.is_valid());
+    };
+    write(&mut net, "kept", "k");
+    for i in 0..6 {
+        write(&mut net, "short", &format!("s{i}"));
+    }
+
+    let col = CollectionName::new("PDC1");
+    let (kept, short) = (ChaincodeId::new("kept"), ChaincodeId::new("short"));
+    for peer in ["peer0.org1", "peer0.org2"] {
+        let state = net.peer(peer).world_state();
+        assert!(
+            state.get_private(&kept, &col, "k").is_some(),
+            "{peer} plaintext"
+        );
+        assert!(
+            state.get_private_hash(&kept, &col, "k").is_some(),
+            "{peer} hash"
+        );
+        // `short`'s own old writes did expire.
+        assert!(state.get_private(&short, &col, "s0").is_none(), "{peer}");
+        assert!(state.get_private(&short, &col, "s5").is_some(), "{peer}");
+    }
+}

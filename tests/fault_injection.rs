@@ -2,7 +2,11 @@
 //! gossip loss must not break safety (consistent ledgers) or liveness
 //! (transactions still commit while a Raft quorum survives).
 
+use fabric_pdc::gossip::{GossipHub, PeerId};
 use fabric_pdc::prelude::*;
+use fabric_pdc::raft::Cluster;
+use fabric_pdc::types::PvtDataPackage;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn network(seed: u64) -> FabricNetwork {
@@ -112,4 +116,84 @@ fn many_transactions_across_crash_keep_unique_heights() {
             .get_public(&ChaincodeId::new("assets"), &format!("a{i}"))
             .is_some());
     }
+}
+
+#[test]
+fn a_lone_transaction_commits_whichever_orderer_crashes_once_its_batch_is_replicated() {
+    // Ticks 1-2 age the lone transaction into a batch; tick 3 delivers the
+    // batch's appends to the followers, whose acks would commit it at
+    // tick 4. Crashing the leader then leaves the batch on the followers
+    // only: the new leader must commit it without another proposal.
+    for crashed in 1..=3 {
+        let mut net = network(943);
+        let client = net.client_mut("client0.org1");
+        let args = ["lone", "red", "alice", "1"].map(|a| a.as_bytes().to_vec());
+        let proposal = client.create_proposal(
+            "ch1",
+            "assets",
+            "CreateAsset",
+            args.to_vec(),
+            BTreeMap::new(),
+        );
+        let responses = ["peer0.org1", "peer0.org2"].map(|p| net.endorse(p, &proposal).unwrap());
+        let (tx, _) = net
+            .client_mut("client0.org1")
+            .assemble_transaction(&proposal, &responses)
+            .unwrap();
+        let tx_id = tx.tx_id.clone();
+        net.submit(tx);
+        net.advance(3);
+        assert_eq!(net.transaction_status(&tx_id), None, "orderer {crashed}");
+
+        net.crash_orderer(crashed);
+        assert!(net.wait_for_orderer(5000), "orderer {crashed}");
+        net.advance(200);
+        assert!(
+            net.transaction_status(&tx_id)
+                .is_some_and(|code| code.is_valid()),
+            "orderer {crashed} crashed and the transaction never committed"
+        );
+    }
+}
+
+#[test]
+fn gossip_and_raft_draw_different_drop_sequences_from_one_seed() {
+    // Raft's loss coins, one per message, grouped by tick: (messages, drops).
+    let seed = 7;
+    let mut cluster = Cluster::new(3, seed);
+    cluster.set_drop_rate(0.5);
+    let mut raft = Vec::new();
+    for _ in 0..300 {
+        let before = cluster.stats();
+        cluster.tick();
+        let after = cluster.stats();
+        let dropped = after.messages_dropped - before.messages_dropped;
+        let sent = after.messages_delivered - before.messages_delivered + dropped;
+        if sent > 0 {
+            raft.push((sent, dropped));
+        }
+    }
+    assert!(raft.len() >= 20, "{} ticks sent messages", raft.len());
+
+    // Gossip's coins in the same groups: one push to one member per coin.
+    let (endorser, member) = (PeerId::new("peer0.org1"), PeerId::new("peer0.org2"));
+    let mut hub = GossipHub::new(seed);
+    hub.register(endorser.clone());
+    hub.register(member.clone());
+    hub.set_drop_rate(0.5);
+    let pkg = Arc::new(PvtDataPackage {
+        tx_id: TxId::new("tx"),
+        namespaces: vec![],
+        collections: vec![],
+    });
+    let gossip: Vec<(u64, u64)> = raft
+        .iter()
+        .map(|&(sent, _)| {
+            let delivered: usize = (0..sent)
+                .map(|_| hub.push(&endorser, std::slice::from_ref(&member), Arc::clone(&pkg)))
+                .sum();
+            (sent, sent - delivered as u64)
+        })
+        .collect();
+    assert_ne!(raft, gossip, "the two components drew the same coins");
 }
