@@ -430,21 +430,15 @@ fn execute_injection(
         .assemble_unchecked(&proposal, &responses)
         .ok_or_else(|| "no endorsements collected".to_string())?;
     let tx_id = tx.tx_id.clone();
-    lab.net.submit(tx);
-    for _ in 0..200 {
-        lab.net.advance(1);
-        if let Some(code) = lab.net.transaction_status(&tx_id) {
-            let payload = lab
-                .net
-                .peer("peer0.org2")
-                .block_store()
-                .transaction(&tx_id)
-                .map(|(t, _)| t.payload.response.payload.clone())
-                .unwrap_or_default();
-            return Ok((code, payload));
-        }
-    }
-    Err("transaction never ordered".to_string())
+    let code = lab.net.commit(tx).map_err(|e| e.to_string())?;
+    let payload = lab
+        .net
+        .peer("peer0.org2")
+        .block_store()
+        .transaction(&tx_id)
+        .map(|(t, _)| t.payload.response.payload.clone())
+        .unwrap_or_default();
+    Ok((code, payload))
 }
 
 /// Success for write-family attacks: the transaction committed as VALID

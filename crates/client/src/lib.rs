@@ -79,8 +79,7 @@ pub struct Client {
     keypair: Keypair,
     nonce: u64,
     defense: DefenseConfig,
-    /// The attached pipeline and the node its spans name, `client.<org>`,
-    /// built once on attach.
+    /// The attached pipeline and the node its spans name.
     telemetry: Option<(Telemetry, Arc<str>)>,
 }
 
@@ -98,9 +97,9 @@ impl Client {
     }
 
     /// Attaches a shared telemetry pipeline; transaction assembly then
-    /// records a `client.assemble` span in the transaction's trace.
-    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        let node = Arc::from(format!("client.{}", self.identity.org));
+    /// records a `client.assemble` span in the transaction's trace, naming
+    /// `node`, the client's name in its network.
+    pub fn attach_telemetry(&mut self, telemetry: Telemetry, node: Arc<str>) {
         self.telemetry = Some((telemetry, node));
     }
 

@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use fabric_gossip::{GossipHub, PeerId};
-//! use fabric_types::{CollectionPvtRwSet, KvRwSet, PvtDataPackage, TxId};
+//! use fabric_types::{ChaincodeId, PvtDataPackage, TxId};
 //!
 //! let mut hub = GossipHub::new(0);
 //! let endorser = PeerId::new("peer0.org1");
@@ -38,7 +38,7 @@
 //!
 //! let pkg = PvtDataPackage {
 //!     tx_id: TxId::new("tx1"),
-//!     namespaces: vec![],
+//!     namespace: ChaincodeId::new("cc"),
 //!     collections: vec![],
 //! };
 //! hub.store_local(&endorser, pkg.clone());
@@ -254,7 +254,7 @@ mod tests {
     fn pkg(tx: &str) -> PvtDataPackage {
         PvtDataPackage {
             tx_id: TxId::new(tx),
-            namespaces: vec![ChaincodeId::new("cc")],
+            namespace: ChaincodeId::new("cc"),
             collections: vec![CollectionPvtRwSet {
                 collection: CollectionName::new("PDC1"),
                 rwset: KvRwSet {

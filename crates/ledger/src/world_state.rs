@@ -2,8 +2,8 @@
 
 use fabric_crypto::{sha256, Hash256};
 use fabric_types::{
-    ChaincodeId, CollectionHashedRwSet, CollectionName, CollectionPvtRwSet, HashedRead, KvRead,
-    KvRwSet, MetadataWrite, Version,
+    ChaincodeId, CollectionName, CollectionPvtRwSet, HashedRead, KvRead, KvRwSet, MetadataWrite,
+    Version,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -242,110 +242,22 @@ impl WorldState {
 
     // ---- commit helpers ----
 
-    /// Applies a public rwset's writes at `version`.
+    /// Applies a public rwset's writes at `version`. A committed write
+    /// is a delete exactly when it carries no value
+    /// ([`fabric_types::TxRwSet::writes_are_well_formed`]).
     pub fn apply_public_writes(&mut self, ns: &ChaincodeId, rwset: &KvRwSet, version: Version) {
         for w in &rwset.writes {
-            if w.is_delete {
-                self.delete_public(ns, &w.key);
-            } else {
-                self.put_public(ns, &w.key, w.value.clone().unwrap_or_default(), version);
+            match &w.value {
+                Some(value) => self.put_public(ns, &w.key, value.clone(), version),
+                None => self.delete_public(ns, &w.key),
             }
         }
     }
 
-    /// Applies a plaintext private rwset's writes at `version` (member
-    /// peers; also maintains the hashed store).
-    pub fn apply_private_writes(
-        &mut self,
-        ns: &ChaincodeId,
-        pvt: &CollectionPvtRwSet,
-        version: Version,
-    ) {
-        for w in &pvt.rwset.writes {
-            if w.is_delete {
-                self.delete_private(ns, &pvt.collection, &w.key);
-            } else {
-                self.put_private(
-                    ns,
-                    &pvt.collection,
-                    &w.key,
-                    w.value.clone().unwrap_or_default(),
-                    version,
-                );
-            }
-        }
-    }
-
-    /// Verifies that `pvt` hashes exactly to `expected` and, when it does,
-    /// applies its plaintext writes (plus the matching hashed entries) at
-    /// `version`. Returns whether the plaintext matched; nothing is
-    /// written on a mismatch.
-    ///
-    /// Equivalent to checking `pvt.to_hashed() == *expected` and then
-    /// calling [`WorldState::apply_private_writes`], but each key and
-    /// value is hashed once — the digests computed for verification are
-    /// the ones stored — instead of once for the comparison and again for
-    /// the hashed-store insert. This is the member-peer commit hot path.
-    pub fn apply_private_writes_verified(
-        &mut self,
-        ns: &ChaincodeId,
-        pvt: &CollectionPvtRwSet,
-        expected: &CollectionHashedRwSet,
-        version: Version,
-    ) -> bool {
-        if pvt.collection != expected.collection
-            || pvt.rwset.reads.len() != expected.reads.len()
-            || pvt.rwset.writes.len() != expected.writes.len()
-        {
-            return false;
-        }
-        let reads_match = pvt
-            .rwset
-            .reads
-            .iter()
-            .zip(&expected.reads)
-            .all(|(r, h)| h.version == r.version && h.key_hash == sha256(r.key.as_bytes()));
-        if !reads_match {
-            return false;
-        }
-        let writes_match = pvt.rwset.writes.iter().zip(&expected.writes).all(|(w, h)| {
-            h.is_delete == w.is_delete
-                && h.key_hash == sha256(w.key.as_bytes())
-                && h.value_hash == w.value.as_deref().map(sha256)
-        });
-        if !writes_match {
-            return false;
-        }
-        // Resolve each store's collection map once; the per-write loop
-        // then runs against the innermost maps directly.
-        let hashed_col = nested(nested(&mut self.hashed, ns), &pvt.collection);
-        for (w, h) in pvt.rwset.writes.iter().zip(&expected.writes) {
-            if w.is_delete {
-                hashed_col.remove(&h.key_hash);
-            } else {
-                let value_hash = match h.value_hash {
-                    Some(vh) => vh,
-                    // A `None` value hashes as empty in the hashed store,
-                    // as in `put_private`.
-                    None => sha256(w.value.as_deref().unwrap_or_default()),
-                };
-                hashed_col.insert(h.key_hash, (value_hash, version));
-            }
-        }
-        let private_col = nested(nested(&mut self.private, ns), &pvt.collection);
-        for w in &pvt.rwset.writes {
-            if w.is_delete {
-                private_col.remove(&w.key);
-            } else {
-                let value = w.value.clone().unwrap_or_default();
-                private_col.insert(w.key.clone(), VersionedValue { value, version });
-            }
-        }
-        true
-    }
-
-    /// Applies hashed private writes at `version` (all peers; the only
-    /// private state non-members hold).
+    /// Applies a collection's hashed writes at `version`: the one writer
+    /// of the hashed store on every peer, member or not, so the store is
+    /// a function of the committed blocks alone. A committed write is a
+    /// delete exactly when it carries no value hash.
     pub fn apply_hashed_writes(
         &mut self,
         ns: &ChaincodeId,
@@ -358,10 +270,33 @@ impl WorldState {
         }
         let entries = nested(nested(&mut self.hashed, ns), collection);
         for w in writes {
-            if w.is_delete {
-                entries.remove(&w.key_hash);
-            } else {
-                entries.insert(w.key_hash, (w.value_hash.unwrap_or_default(), version));
+            match w.value_hash {
+                Some(value_hash) => entries.insert(w.key_hash, (value_hash, version)),
+                None => entries.remove(&w.key_hash),
+            };
+        }
+    }
+
+    /// Applies a member's plaintext private writes at `version`, leaving
+    /// the hashed store to [`WorldState::apply_hashed_writes`]. The caller
+    /// first checks that `pvt` hashes to the block's writes
+    /// ([`CollectionPvtRwSet::hashes_to`]).
+    pub fn apply_private_plaintext(
+        &mut self,
+        ns: &ChaincodeId,
+        pvt: &CollectionPvtRwSet,
+        version: Version,
+    ) {
+        let entries = nested(nested(&mut self.private, ns), &pvt.collection);
+        for w in &pvt.rwset.writes {
+            match &w.value {
+                Some(value) => {
+                    let value = value.clone();
+                    entries.insert(w.key.clone(), VersionedValue { value, version });
+                }
+                None => {
+                    entries.remove(&w.key);
+                }
             }
         }
     }
@@ -760,6 +695,41 @@ mod tests {
         }];
         ws.apply_hashed_writes(&ns(), &col(), &deletes, Version::new(2, 0));
         assert!(ws.hashed_version(&ns(), &col(), sha256(b"k1")).is_none());
+    }
+
+    /// The plaintext writer leaves the hashed store to the block's hashes:
+    /// a member's committed write is the block's hashed write plus this.
+    #[test]
+    fn private_plaintext_is_written_beside_the_blocks_hashes() {
+        let mut ws = WorldState::new();
+        let pvt = CollectionPvtRwSet {
+            collection: col(),
+            rwset: KvRwSet {
+                reads: vec![],
+                writes: vec![KvWrite {
+                    key: "k1".into(),
+                    value: Some(b"v1".to_vec()),
+                    is_delete: false,
+                }],
+            },
+        };
+        ws.apply_private_plaintext(&ns(), &pvt, Version::new(1, 0));
+        assert_eq!(ws.get_private(&ns(), &col(), "k1").unwrap().value, b"v1");
+        assert_eq!(ws.get_private_hash(&ns(), &col(), "k1"), None);
+
+        ws.apply_hashed_writes(&ns(), &col(), &pvt.to_hashed().writes, Version::new(1, 0));
+        let mut by_put = WorldState::new();
+        by_put.put_private(&ns(), &col(), "k1", b"v1".to_vec(), Version::new(1, 0));
+        assert_eq!(ws.digest(), by_put.digest());
+
+        let mut delete = pvt.clone();
+        delete.rwset.writes[0] = KvWrite {
+            key: "k1".into(),
+            value: None,
+            is_delete: true,
+        };
+        ws.apply_private_plaintext(&ns(), &delete, Version::new(2, 0));
+        assert!(ws.get_private(&ns(), &col(), "k1").is_none());
     }
 
     #[test]

@@ -142,10 +142,11 @@ impl NetworkBuilder {
                 node_key(self.seed, "client", &client_name),
                 self.defense,
             );
+            let client_name: Arc<str> = Arc::from(client_name);
             if let Some(t) = &self.telemetry {
-                client.attach_telemetry(t.clone());
+                client.attach_telemetry(t.clone(), Arc::clone(&client_name));
             }
-            clients.insert(Arc::from(client_name), client);
+            clients.insert(client_name, client);
         }
 
         let mut orderer = OrderingService::new(ORDERERS, self.seed, self.batch_config);

@@ -10,8 +10,8 @@ use fabric_orderer::OrderingService;
 use fabric_peer::{BlockCommitOutcome, CommitError, Peer};
 use fabric_telemetry::Histogram;
 use fabric_types::{
-    Block, ChaincodeId, ChannelId, CollectionName, CollectionPvtRwSet, OrgId, Proposal,
-    ProposalResponse, PvtDataPackage, Transaction, TxId, TxValidationCode,
+    Block, ChaincodeId, ChannelId, CollectionName, OrgId, Proposal, ProposalResponse,
+    PvtDataPackage, Transaction, TxId, TxValidationCode,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
@@ -70,15 +70,7 @@ fn push_recipients(endorser: &Peer, peers: &BTreeMap<String, Peer>) -> PushRecip
 /// the public rwset, as in Fabric, whose private simulation result holds
 /// writes only. `None` when nothing was written.
 fn written_part(mut pkg: PvtDataPackage) -> Option<PvtDataPackage> {
-    let wrote = |c: &CollectionPvtRwSet| !c.rwset.writes.is_empty();
-    if !pkg.collections.iter().all(wrote) {
-        (pkg.namespaces, pkg.collections) = pkg
-            .namespaces
-            .into_iter()
-            .zip(pkg.collections)
-            .filter(|(_, c)| wrote(c))
-            .unzip();
-    }
+    pkg.collections.retain(|c| !c.rwset.writes.is_empty());
     (!pkg.collections.is_empty()).then_some(pkg)
 }
 
@@ -670,16 +662,28 @@ impl FabricNetwork {
         let client_ref = self.clients.get(client).expect("checked above");
         let (tx, payload) = client_ref.assemble_transaction(&proposal, &responses)?;
         let tx_id = tx.tx_id.clone();
-        self.submit(tx);
+        let validation_code = self.commit(tx)?;
+        Ok(SubmitOutcome {
+            tx_id,
+            validation_code,
+            payload,
+        })
+    }
 
+    /// Submits `tx` for ordering and advances the network until the first
+    /// peer has its validation code.
+    ///
+    /// # Errors
+    ///
+    /// [`NetworkError::NotCommitted`] if the transaction does not commit
+    /// within 200 ticks.
+    pub fn commit(&mut self, tx: Transaction) -> Result<TxValidationCode, NetworkError> {
+        let tx_id = tx.tx_id.clone();
+        self.submit(tx);
         for _ in 0..200 {
             self.advance(1);
             if let Some(code) = self.transaction_status(&tx_id) {
-                return Ok(SubmitOutcome {
-                    tx_id,
-                    validation_code: code,
-                    payload,
-                });
+                return Ok(code);
             }
         }
         Err(NetworkError::NotCommitted)
@@ -1106,14 +1110,7 @@ mod tests {
         net.gossip_mut().store_local(&victim, forged);
         let client = net.client_mut("client0.org1");
         let (tx, _) = client.assemble_transaction(&proposal, &responses).unwrap();
-        net.submit(tx);
-        while net.transaction_status(&proposal.tx_id).is_none() {
-            net.advance(1);
-        }
-        assert_eq!(
-            net.transaction_status(&proposal.tx_id),
-            Some(TxValidationCode::Valid)
-        );
+        assert_eq!(net.commit(tx), Ok(TxValidationCode::Valid));
     }
 
     #[test]

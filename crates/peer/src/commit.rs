@@ -2,14 +2,14 @@
 //!
 //! [`Peer::process_block`] is one ordered walk over the block, the order
 //! of Fabric's validator (§II-B3, Fig. 2). Each transaction is checked in
-//! turn for an in-block duplicate tx-id, its signatures, its channel, a
-//! committed duplicate, its endorsement policies (chaincode-level,
-//! collection-level, key-level/SBE, and the defense filters) against the
-//! state the block's earlier transactions left, and MVCC version
-//! conflicts. A valid transaction is applied before the next one is
-//! checked. Policies are evaluated in the forms the chaincode definition
-//! parsed once, and key-level expressions through the peer's interned SBE
-//! cache, instead of re-parsing expressions per transaction.
+//! turn for an in-block duplicate tx-id, its signatures, its channel,
+//! well-formed writes, a committed duplicate, its endorsement policies
+//! (chaincode-level, collection-level, key-level/SBE, and the defense
+//! filters) against the state the block's earlier transactions left, and
+//! MVCC version conflicts. A valid transaction is applied before the next
+//! one is checked. Policies are evaluated in the forms the chaincode
+//! definition parsed once, and key-level expressions through the peer's
+//! interned SBE cache, instead of re-parsing expressions per transaction.
 //!
 //! The walk runs on the calling thread; the only threads on the commit
 //! path are the cross-peer workers of `FabricNetwork::deliver`.
@@ -21,8 +21,8 @@ use fabric_ledger::{BlockStoreError, HistoryDb, WorldState};
 use fabric_policy::EndorserSet;
 use fabric_telemetry::{trace_id, AuditEvent};
 use fabric_types::{
-    Block, ChaincodeEvent, ChaincodeId, OrgId, PayloadCommitment, PvtDataPackage, SignatureFailure,
-    Transaction, TxId, TxValidationCode, Version,
+    Block, ChaincodeEvent, ChaincodeId, CollectionHashedRwSet, OrgId, PayloadCommitment,
+    PvtDataPackage, SignatureFailure, Transaction, TxId, TxValidationCode, Version,
 };
 use fabric_wire::IdSet;
 use std::collections::{HashMap, HashSet};
@@ -239,7 +239,8 @@ impl Peer {
     /// The checks that read neither policies nor versions: signatures
     /// (through the block's [`BatchVerifier`], so the CA registry's lock is
     /// taken once per signing identity instead of once per signature),
-    /// channel, and committed-duplicate lookup; `None` = passed.
+    /// channel, well-formed writes (a write is a delete exactly when it
+    /// carries no value), and committed-duplicate lookup; `None` = passed.
     fn structural_checks(
         &self,
         tx: &Transaction,
@@ -248,7 +249,9 @@ impl Peer {
         match tx.verify_signatures_batched(batch) {
             Some(SignatureFailure::Client) => Some(TxValidationCode::InvalidClientSignature),
             Some(SignatureFailure::Endorsement) => Some(TxValidationCode::InvalidEndorserSignature),
-            None if tx.channel != self.channel => Some(TxValidationCode::BadPayload),
+            None if tx.channel != self.channel || !tx.payload.results.writes_are_well_formed() => {
+                Some(TxValidationCode::BadPayload)
+            }
             None if self.block_store.contains_tx(&tx.tx_id) => {
                 Some(TxValidationCode::DuplicateTxId)
             }
@@ -410,9 +413,11 @@ impl Peer {
 
 /// Applies a valid transaction's writes at `version`, through the peer
 /// fields it writes so the block's audit memo can keep borrowing
-/// `chaincodes`. Returns `false` when this peer is a member of a written
-/// collection but could not obtain matching plaintext (hashes were
-/// committed regardless).
+/// `chaincodes`. Every peer writes a collection's hashed store from the
+/// block alone; a member then adds the plaintext, and only plaintext that
+/// hashes to the block's writes (Fig. 2, step 18). Returns `false` when
+/// this peer is a member of a written collection but could not obtain
+/// matching plaintext.
 fn apply_transaction(
     world_state: &mut WorldState,
     history: &mut HistoryDb,
@@ -421,10 +426,26 @@ fn apply_transaction(
     version: Version,
     pvt_provider: &mut PvtDataProvider<'_>,
 ) -> bool {
+    let rwsets = &tx.payload.results.ns_rwsets;
+    let member_writes = |ns: &ChaincodeId, col: &CollectionHashedRwSet| {
+        !col.writes.is_empty()
+            && chaincodes
+                .get(ns)
+                .is_some_and(|cc| cc.memberships.contains(&col.collection))
+    };
+    // A member of a written collection fetches the package once.
+    let package = rwsets
+        .iter()
+        .any(|ns| {
+            ns.collections
+                .iter()
+                .any(|c| member_writes(&ns.namespace, c))
+        })
+        .then(|| pvt_provider(&tx.tx_id))
+        .flatten();
     let mut plaintext_complete = true;
-    let mut package: Option<Option<Arc<PvtDataPackage>>> = None;
 
-    for ns in &tx.payload.results.ns_rwsets {
+    for ns in rwsets {
         world_state.apply_public_writes(&ns.namespace, &ns.public, version);
         world_state.apply_metadata_writes(&ns.namespace, &ns.metadata_writes);
         for w in &ns.public.writes {
@@ -438,49 +459,21 @@ fn apply_transaction(
             );
         }
         for col in &ns.collections {
-            if col.writes.is_empty() {
+            world_state.apply_hashed_writes(&ns.namespace, &col.collection, &col.writes, version);
+            if !member_writes(&ns.namespace, col) {
                 continue;
             }
-            let is_member = chaincodes
-                .get(&ns.namespace)
-                .is_some_and(|cc| cc.memberships.contains(&col.collection));
-            let mut applied_plaintext = false;
-            if is_member {
-                let pkg = package
-                    .get_or_insert_with(|| pvt_provider(&tx.tx_id))
-                    .as_ref();
-                if let Some(pkg) = pkg {
-                    // Verify plaintext against committed hashes before
-                    // updating the ledger (Fig. 2, step 18). The
-                    // verify-and-apply entry point hashes each key and
-                    // value exactly once instead of materializing a
-                    // full hashed copy of the plaintext rwset.
-                    let matching = pkg
-                        .namespaces
+            let pvt = (package.as_deref())
+                .filter(|pkg| pkg.namespace == ns.namespace)
+                .and_then(|pkg| {
+                    pkg.collections
                         .iter()
-                        .zip(&pkg.collections)
-                        .find(|(n, c)| **n == ns.namespace && c.collection == col.collection)
-                        .map(|(_, c)| c);
-                    if let Some(pvt) = matching {
-                        applied_plaintext = world_state.apply_private_writes_verified(
-                            &ns.namespace,
-                            pvt,
-                            col,
-                            version,
-                        );
-                    }
-                }
-            }
-            if !applied_plaintext {
-                world_state.apply_hashed_writes(
-                    &ns.namespace,
-                    &col.collection,
-                    &col.writes,
-                    version,
-                );
-                if is_member {
-                    plaintext_complete = false;
-                }
+                        .find(|c| c.collection == col.collection)
+                })
+                .filter(|pvt| pvt.hashes_to(col));
+            match pvt {
+                Some(pvt) => world_state.apply_private_plaintext(&ns.namespace, pvt, version),
+                None => plaintext_complete = false,
             }
         }
     }
@@ -615,7 +608,7 @@ mod tests {
     use fabric_policy::ChannelPolicies;
     use fabric_types::{
         CollectionConfig, CollectionName, CollectionPvtRwSet, DefenseConfig, Endorsement, Identity,
-        KvWrite, OrgId, Proposal, Role,
+        KvWrite, OrgId, Proposal, Role, TxRwSet,
     };
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -648,13 +641,24 @@ mod tests {
         value: i64,
         nonce: u64,
     ) -> (Transaction, Arc<PvtDataPackage>) {
+        invoke_tx(endorsing_peers, "write", &["k1", &value.to_string()], nonce)
+    }
+
+    /// Builds a transaction invoking `function(args)`, endorsed by the
+    /// given peers and signed by the client of `nonce`.
+    fn invoke_tx(
+        endorsing_peers: &[&Peer],
+        function: &str,
+        args: &[&str],
+        nonce: u64,
+    ) -> (Transaction, Arc<PvtDataPackage>) {
         let client_kp = Keypair::generate_from_seed(1000 + nonce);
         let creator = Identity::new("Org1MSP", Role::Client, client_kp.public_key());
         let proposal = Proposal::new(
             "ch1",
             "guarded",
-            "write",
-            vec![b"k1".to_vec(), value.to_string().into_bytes()],
+            function,
+            args.iter().map(|a| a.as_bytes().to_vec()).collect(),
             BTreeMap::new(),
             creator.clone(),
             nonce,
@@ -690,6 +694,51 @@ mod tests {
             },
             Arc::new(pvt.expect("write produces private data")),
         )
+    }
+
+    /// `tx` with `results` in place of its own, signed again as colluding
+    /// endorsers would: each endorsement with the key of the peer made
+    /// from the matching seed, and the client's with `invoke_tx`'s key
+    /// for `nonce`.
+    fn collude(tx: &Transaction, results: TxRwSet, seeds: &[u64], nonce: u64) -> Transaction {
+        let mut payload = tx.payload.clone();
+        payload.results = results;
+        let signed = payload.signed_bytes(tx.commitment);
+        let endorsements: Vec<Endorsement> = (tx.endorsements.iter().zip(seeds))
+            .map(|(e, &seed)| Endorsement {
+                endorser: e.endorser.clone(),
+                signature: Keypair::generate_from_seed(seed).sign(&signed),
+            })
+            .collect();
+        let client_kp = Keypair::generate_from_seed(1000 + nonce);
+        let client_signature = client_kp.sign(&Transaction::client_signed_bytes(
+            &tx.tx_id,
+            &payload,
+            &endorsements,
+        ));
+        Transaction {
+            payload,
+            endorsements,
+            client_signature,
+            memo: Default::default(),
+            ..tx.clone()
+        }
+    }
+
+    /// Makes the first private write of `results` and `plaintext` carry
+    /// no value when it is not a delete, and a value when it is: a write
+    /// that is neither a put nor a delete, hashed consistently, as
+    /// colluding endorsers can sign it.
+    fn malform(results: &mut TxRwSet, plaintext: &mut PvtDataPackage) {
+        let hashed = &mut results.ns_rwsets[0].collections[0].writes[0];
+        let plain = &mut plaintext.collections[0].rwset.writes[0];
+        if hashed.is_delete {
+            plain.value = Some(b"x".to_vec());
+            hashed.value_hash = Some(fabric_crypto::sha256(b"x"));
+        } else {
+            plain.value = None;
+            hashed.value_hash = None;
+        }
     }
 
     fn block_of(peer: &Peer, txs: Vec<Transaction>) -> Block {
@@ -818,6 +867,172 @@ mod tests {
                 held.get_private_hash(&ns, &col, "k2").is_none(),
                 "{forgery}"
             );
+        }
+    }
+
+    /// A write is a delete exactly when it carries no value. Colluding
+    /// endorsers can sign one that is neither; committed, a member holding
+    /// its plaintext would hash the missing value as empty while the other
+    /// peers copied a missing hash, and a member without the plaintext
+    /// could never reconcile it. Every peer refuses it instead.
+    #[test]
+    fn a_write_that_is_neither_put_nor_delete_is_refused_everywhere() {
+        let ns = fabric_types::ChaincodeId::new("guarded");
+        let col = CollectionName::new(COL);
+        let cases: [(&str, &[&str]); 3] = [
+            ("write", &["k1", "7"]),
+            ("delete", &["k1"]),
+            ("public write", &["k1", "7"]),
+        ];
+        for (nonce, (case, args)) in (30..).zip(cases) {
+            let mut peers = [
+                make_peer("peer0.org1", "Org1MSP", 51),
+                make_peer("peer0.org2", "Org2MSP", 52),
+                make_peer("peer0.org3", "Org3MSP", 53),
+            ];
+            let function = if case == "delete" { "delete" } else { "write" };
+            let (honest, pkg) = invoke_tx(&[&peers[0], &peers[1]], function, args, nonce);
+            let (mut results, mut plaintext) = (honest.payload.results.clone(), (*pkg).clone());
+            if case == "public write" {
+                results.ns_rwsets[0].public.writes.push(KvWrite {
+                    key: "p".into(),
+                    value: None,
+                    is_delete: false,
+                });
+            } else {
+                malform(&mut results, &mut plaintext);
+            }
+            let tx = collude(&honest, results, &[51, 52], nonce);
+            let block = block_of(&peers[0], vec![tx]);
+            let plaintext = Arc::new(plaintext);
+            let mut with_plaintext = |_: &TxId| Some(plaintext.clone());
+            let mut without = |_: &TxId| None;
+            let [member, missed, non_member] = &mut peers;
+            let codes = [
+                member.process_block(block.clone(), &mut with_plaintext),
+                missed.process_block(block.clone(), &mut without),
+                non_member.process_block(block, &mut without),
+            ]
+            .map(|outcome| outcome.unwrap().validation_codes);
+
+            let hash = |p: &Peer| p.world_state().get_private_hash(&ns, &col, "k1");
+            assert_eq!(hash(member), hash(non_member), "{case}");
+            assert_eq!(hash(missed), hash(non_member), "{case}");
+            missed.reconcile_from(member);
+            let plain = |p: &Peer| p.world_state().get_private(&ns, &col, "k1").cloned();
+            assert_eq!(plain(missed), plain(member), "{case}");
+            for (p, codes) in peers.iter().zip(codes) {
+                assert_eq!(codes, vec![TxValidationCode::BadPayload], "{case}");
+                assert_eq!(hash(p), None, "{case}");
+                assert_eq!(plain(p), None, "{case}");
+                assert!(p.world_state().get_public(&ns, "p").is_none(), "{case}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// The hashed store is a function of the blocks. Blocks of
+        /// private writes and deletes, some handed to the member with
+        /// forged plaintext and some neither put nor delete, leave a
+        /// member with the plaintext, a member without it and a
+        /// non-member with equal hashed entries after every block; the
+        /// first member holds exactly the plaintext of the transactions
+        /// whose package hashed to the block.
+        #[test]
+        fn every_peer_holds_the_blocks_hashes_whatever_plaintext_it_got(
+            blocks in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u8..3, proptest::option::of(0u8..50), 0u8..6),
+                    1..4,
+                ),
+                1..5,
+            ),
+        ) {
+            let ns = fabric_types::ChaincodeId::new("guarded");
+            let col = CollectionName::new(COL);
+            let mut peers = [
+                make_peer("peer0.org1", "Org1MSP", 51),
+                make_peer("peer0.org2", "Org2MSP", 52),
+                make_peer("peer0.org3", "Org3MSP", 53),
+            ];
+            // What the first member should hold: (value, version) by key.
+            let mut model: BTreeMap<String, (Vec<u8>, Version)> = BTreeMap::new();
+            let mut nonce = 0;
+            for ops in &blocks {
+                let block_num = peers[0].block_store().height();
+                let (mut txs, mut packages) = (Vec::new(), HashMap::new());
+                let mut expected = Vec::new();
+                for (i, &(key, value, fault)) in ops.iter().enumerate() {
+                    nonce += 1;
+                    let key = format!("k{key}");
+                    let value = value.map(|v| v.to_string());
+                    let (function, args) = match &value {
+                        Some(v) => ("write", vec![key.as_str(), v.as_str()]),
+                        None => ("delete", vec![key.as_str()]),
+                    };
+                    let (mut tx, pkg) = invoke_tx(&[&peers[0], &peers[1]], function, &args, nonce);
+                    let mut plaintext = (*pkg).clone();
+                    let forged = fault == 4;
+                    if forged {
+                        let w = &mut plaintext.collections[0].rwset.writes[0];
+                        (w.is_delete, w.value) = (false, Some(b"forged".to_vec()));
+                    }
+                    let malformed = fault == 5;
+                    if malformed {
+                        let mut results = tx.payload.results.clone();
+                        malform(&mut results, &mut plaintext);
+                        tx = collude(&tx, results, &[51, 52], nonce);
+                    }
+                    let code = if malformed {
+                        TxValidationCode::BadPayload
+                    } else {
+                        TxValidationCode::Valid
+                    };
+                    if code.is_valid() && !forged {
+                        let version = Version::new(block_num, i as u64);
+                        match value {
+                            Some(v) => model.insert(key, (v.into_bytes(), version)),
+                            None => model.remove(&key),
+                        };
+                    }
+                    expected.push((tx.tx_id.clone(), code, forged));
+                    packages.insert(tx.tx_id.clone(), Arc::new(plaintext));
+                    txs.push(tx);
+                }
+                let block = block_of(&peers[0], txs);
+                let mut with_plaintext = |id: &TxId| packages.get(id).cloned();
+                let mut without = |_: &TxId| None;
+                let [member, missed, non_member] = &mut peers;
+                let outcomes = [
+                    member.process_block(block.clone(), &mut with_plaintext),
+                    missed.process_block(block.clone(), &mut without),
+                    non_member.process_block(block, &mut without),
+                ]
+                .map(Result::unwrap);
+
+                for key in ["k0", "k1", "k2"] {
+                    let hash = |p: &Peer| p.world_state().get_private_hash(&ns, &col, key);
+                    proptest::prop_assert_eq!(hash(&peers[0]), hash(&peers[2]), "{}", key);
+                    proptest::prop_assert_eq!(hash(&peers[1]), hash(&peers[2]), "{}", key);
+                    let held = peers[0].world_state().get_private(&ns, &col, key);
+                    let held = held.map(|vv| (vv.value.clone(), vv.version));
+                    proptest::prop_assert_eq!(held.as_ref(), model.get(key), "{}", key);
+                }
+                let codes: Vec<_> = expected.iter().map(|(_, code, _)| *code).collect();
+                let valid = |forged_only: bool| -> Vec<TxId> {
+                    (expected.iter())
+                        .filter(|(_, code, forged)| code.is_valid() && (*forged || !forged_only))
+                        .map(|(id, _, _)| id.clone())
+                        .collect()
+                };
+                let missing = [valid(true), valid(false), vec![]];
+                for (outcome, missing) in outcomes.iter().zip(missing) {
+                    proptest::prop_assert_eq!(&outcome.validation_codes, &codes);
+                    proptest::prop_assert_eq!(&outcome.missing_private_data, &missing);
+                }
+            }
         }
     }
 

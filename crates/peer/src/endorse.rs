@@ -151,11 +151,7 @@ impl Peer {
         } else {
             Some(PvtDataPackage {
                 tx_id: proposal.tx_id.clone(),
-                namespaces: results
-                    .collections
-                    .iter()
-                    .map(|_| proposal.chaincode.clone())
-                    .collect(),
+                namespace: proposal.chaincode.clone(),
                 collections: results.collections,
             })
         };

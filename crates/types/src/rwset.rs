@@ -100,17 +100,10 @@ impl KvRwSet {
 
     /// Classifies the rwset per the paper's Table I.
     pub fn kind(&self) -> TxKind {
-        let has_reads = !self.reads.is_empty();
-        let has_writes = self.writes.iter().any(|w| !w.is_delete);
-        let has_deletes = self.writes.iter().any(|w| w.is_delete);
-        match (has_reads, has_writes, has_deletes) {
-            (false, false, false) => TxKind::Empty,
-            (true, false, false) => TxKind::ReadOnly,
-            (false, true, false) => TxKind::WriteOnly,
-            (true, true, false) => TxKind::ReadWrite,
-            (false, false, true) => TxKind::DeleteOnly,
-            _ => TxKind::Mixed,
-        }
+        TxKind::classify(
+            !self.reads.is_empty(),
+            self.writes.iter().map(|w| w.is_delete),
+        )
     }
 
     /// Converts to the hashed form stored in PDC transactions:
@@ -153,6 +146,26 @@ pub enum TxKind {
     DeleteOnly,
     /// A combination involving deletes plus reads/writes.
     Mixed,
+}
+
+impl TxKind {
+    /// Table I's one classification rule, from whether the rwset reads
+    /// and the delete flag of each of its writes.
+    fn classify(has_reads: bool, is_delete: impl IntoIterator<Item = bool>) -> TxKind {
+        let (mut has_writes, mut has_deletes) = (false, false);
+        for d in is_delete {
+            has_deletes |= d;
+            has_writes |= !d;
+        }
+        match (has_reads, has_writes, has_deletes) {
+            (false, false, false) => TxKind::Empty,
+            (true, false, false) => TxKind::ReadOnly,
+            (false, true, false) => TxKind::WriteOnly,
+            (true, true, false) => TxKind::ReadWrite,
+            (false, false, true) => TxKind::DeleteOnly,
+            _ => TxKind::Mixed,
+        }
+    }
 }
 
 impl fmt::Display for TxKind {
@@ -221,17 +234,10 @@ impl_wire_struct!(CollectionHashedRwSet {
 impl CollectionHashedRwSet {
     /// Classifies the hashed rwset per Table I.
     pub fn kind(&self) -> TxKind {
-        let has_reads = !self.reads.is_empty();
-        let has_writes = self.writes.iter().any(|w| !w.is_delete);
-        let has_deletes = self.writes.iter().any(|w| w.is_delete);
-        match (has_reads, has_writes, has_deletes) {
-            (false, false, false) => TxKind::Empty,
-            (true, false, false) => TxKind::ReadOnly,
-            (false, true, false) => TxKind::WriteOnly,
-            (true, true, false) => TxKind::ReadWrite,
-            (false, false, true) => TxKind::DeleteOnly,
-            _ => TxKind::Mixed,
-        }
+        TxKind::classify(
+            !self.reads.is_empty(),
+            self.writes.iter().map(|w| w.is_delete),
+        )
     }
 }
 
@@ -256,6 +262,26 @@ impl CollectionPvtRwSet {
             reads,
             writes,
         }
+    }
+
+    /// Whether this plaintext hashes exactly to `hashed`, reads included:
+    /// the check a member makes before it commits gossiped plaintext
+    /// (Fig. 2, step 18). Equal to `self.to_hashed() == *hashed`, but
+    /// each key and value is hashed once and no hashed copy is built.
+    pub fn hashes_to(&self, hashed: &CollectionHashedRwSet) -> bool {
+        let KvRwSet { reads, writes } = &self.rwset;
+        self.collection == hashed.collection
+            && reads.len() == hashed.reads.len()
+            && writes.len() == hashed.writes.len()
+            && reads
+                .iter()
+                .zip(&hashed.reads)
+                .all(|(r, h)| h.version == r.version && h.key_hash == sha256(r.key.as_bytes()))
+            && writes.iter().zip(&hashed.writes).all(|(w, h)| {
+                h.is_delete == w.is_delete
+                    && h.key_hash == sha256(w.key.as_bytes())
+                    && h.value_hash == w.value.as_deref().map(sha256)
+            })
     }
 }
 
@@ -326,47 +352,52 @@ impl TxRwSet {
 
     /// Overall classification: combines public and hashed collection rwsets.
     pub fn kind(&self) -> TxKind {
-        let mut combined = KvRwSet::new();
-        for ns in &self.ns_rwsets {
-            combined.reads.extend(ns.public.reads.iter().cloned());
-            combined.writes.extend(ns.public.writes.iter().cloned());
-            for col in &ns.collections {
-                for r in &col.reads {
-                    combined.reads.push(KvRead {
-                        key: r.key_hash.to_hex(),
-                        version: r.version,
-                    });
-                }
-                for w in &col.writes {
-                    combined.writes.push(KvWrite {
-                        key: w.key_hash.to_hex(),
-                        value: w.value_hash.map(|h| h.0.to_vec()),
-                        is_delete: w.is_delete,
-                    });
-                }
-            }
-        }
-        combined.kind()
+        let has_reads = self.ns_rwsets.iter().any(|ns| {
+            !ns.public.reads.is_empty() || ns.collections.iter().any(|c| !c.reads.is_empty())
+        });
+        let deletes = self.ns_rwsets.iter().flat_map(|ns| {
+            let public = ns.public.writes.iter().map(|w| w.is_delete);
+            let hashed = ns.collections.iter().flat_map(|c| &c.writes);
+            public.chain(hashed.map(|w| w.is_delete))
+        });
+        TxKind::classify(has_reads, deletes)
+    }
+
+    /// Whether every write, public or hashed, is a delete exactly when it
+    /// carries no value (or value hash). Peers refuse a transaction for
+    /// which this is false.
+    pub fn writes_are_well_formed(&self) -> bool {
+        self.ns_rwsets.iter().all(|ns| {
+            let public = ns
+                .public
+                .writes
+                .iter()
+                .map(|w| (w.is_delete, w.value.is_some()));
+            let hashed = (ns.collections.iter().flat_map(|c| &c.writes))
+                .map(|w| (w.is_delete, w.value_hash.is_some()));
+            public
+                .chain(hashed)
+                .all(|(delete, valued)| delete != valued)
+        })
     }
 }
 
-/// Plaintext private rwsets of one transaction, disseminated via gossip to
-/// collection members and matched against the transaction's hashes before
-/// commit.
+/// Plaintext private rwsets of one endorsement of one chaincode,
+/// disseminated via gossip to collection members and matched against the
+/// transaction's hashes before commit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PvtDataPackage {
     /// The transaction these plaintext rwsets belong to.
     pub tx_id: TxId,
-    /// Namespace each collection rwset belongs to, aligned with
-    /// `collections`.
-    pub namespaces: Vec<ChaincodeId>,
+    /// The chaincode whose collections these are.
+    pub namespace: ChaincodeId,
     /// Plaintext collection rwsets.
     pub collections: Vec<CollectionPvtRwSet>,
 }
 
 impl_wire_struct!(PvtDataPackage {
     tx_id,
-    namespaces,
+    namespace,
     collections
 });
 

@@ -180,9 +180,7 @@ fn block(c: &mut Choices) -> Block {
 fn package(c: &mut Choices) -> PvtDataPackage {
     PvtDataPackage {
         tx_id: TxId::new(sha256(&c.bytes(8)).to_hex()),
-        namespaces: (0..c.next(3))
-            .map(|n| ChaincodeId::new(format!("cc{n}")))
-            .collect(),
+        namespace: ChaincodeId::new(format!("cc{}", c.next(3))),
         collections: (0..c.next(3))
             .map(|i| CollectionPvtRwSet {
                 collection: CollectionName::new(format!("col{i}")),

@@ -85,17 +85,9 @@ fn invalid_transactions_emit_no_events() {
     );
     let r1 = net.endorse("peer0.org1", &proposal).unwrap();
     let (tx, _) = client.assemble_transaction(&proposal, &[r1]).unwrap();
-    let tx_id = tx.tx_id.clone();
-    net.submit(tx);
-    for _ in 0..200 {
-        net.advance(1);
-        if net.transaction_status(&tx_id).is_some() {
-            break;
-        }
-    }
     assert_eq!(
-        net.transaction_status(&tx_id),
-        Some(TxValidationCode::EndorsementPolicyFailure)
+        net.commit(tx),
+        Ok(TxValidationCode::EndorsementPolicyFailure)
     );
     assert!(net.drain_events().is_empty());
 }

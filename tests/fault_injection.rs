@@ -183,7 +183,7 @@ fn gossip_and_raft_draw_different_drop_sequences_from_one_seed() {
     hub.set_drop_rate(0.5);
     let pkg = Arc::new(PvtDataPackage {
         tx_id: TxId::new("tx"),
-        namespaces: vec![],
+        namespace: ChaincodeId::new("cc"),
         collections: vec![],
     });
     let gossip: Vec<(u64, u64)> = raft

@@ -42,8 +42,9 @@ fn names(rows: &[Vec<String>]) -> BTreeSet<String> {
 }
 
 /// Every attack of the lab under its default configuration, then under
-/// the hardened defenses, on one traced and monitored network each.
-fn lab_pipelines() -> Vec<Telemetry> {
+/// the hardened defenses, on one traced and monitored network each; each
+/// pipeline comes with the names of its network's peers and clients.
+fn lab_pipelines() -> Vec<(Telemetry, BTreeSet<String>)> {
     let hardened = LabConfig {
         defense: DefenseConfig::hardened(),
         ..LabConfig::default()
@@ -56,7 +57,11 @@ fn lab_pipelines() -> Vec<Telemetry> {
                 run_attack(&mut lab, kind);
             }
             lab.net.advance(4);
-            lab.net.telemetry().expect("the lab is traced").clone()
+            let names = (lab.net.peer_names().into_iter())
+                .chain(lab.net.client_names())
+                .collect();
+            let telemetry = lab.net.telemetry().expect("the lab is traced");
+            (telemetry.clone(), names)
         })
         .collect()
 }
@@ -66,7 +71,7 @@ fn catalogue_matches_what_a_traced_attack_lab_registers() {
     let pipelines = lab_pipelines();
     let samples: Vec<_> = pipelines
         .iter()
-        .flat_map(|t| t.metrics().samples())
+        .flat_map(|(t, _)| t.metrics().samples())
         .collect();
 
     // Metric families and their kinds.
@@ -114,7 +119,10 @@ fn catalogue_matches_what_a_traced_attack_lab_registers() {
     // Span names: every span the lab records is catalogued, and carries
     // a trace id exactly when its row keys it by transaction.
     let span_rows = rows("Spans");
-    let records: Vec<_> = pipelines.iter().flat_map(|t| t.trace().records()).collect();
+    let records: Vec<_> = pipelines
+        .iter()
+        .flat_map(|(t, _)| t.trace().records())
+        .collect();
     let spans: BTreeSet<String> = records.iter().map(|r| r.name.to_string()).collect();
     assert_eq!(spans, names(&span_rows));
     for record in &records {
@@ -126,6 +134,22 @@ fn catalogue_matches_what_a_traced_attack_lab_registers() {
             record.name,
             row[2]
         );
+    }
+
+    // Span nodes: every span names a node of its network — a peer, a
+    // client, the ordering service or one of its Raft nodes.
+    for (t, names) in &pipelines {
+        for record in t.trace().records() {
+            let node = &*record.node;
+            let raft = node
+                .strip_prefix("raft")
+                .is_some_and(|id| id.parse::<u64>().is_ok());
+            assert!(
+                names.contains(node) || node == "orderer" || raft,
+                "{} names {node:?}, not a node of its network",
+                record.name
+            );
+        }
     }
 
     // Audit kinds: the catalogue lists every kind the lab counted.

@@ -80,18 +80,7 @@ fn range_read_is_mvcc_protected_on_returned_keys() {
         .unwrap();
     assert!(outcome.validation_code.is_valid());
 
-    let tx_id = stale_tx.tx_id.clone();
-    net.submit(stale_tx);
-    for _ in 0..200 {
-        net.advance(1);
-        if net.transaction_status(&tx_id).is_some() {
-            break;
-        }
-    }
-    assert_eq!(
-        net.transaction_status(&tx_id),
-        Some(TxValidationCode::MvccReadConflict)
-    );
+    assert_eq!(net.commit(stale_tx), Ok(TxValidationCode::MvccReadConflict));
 }
 
 #[test]

@@ -131,18 +131,7 @@ fn foreign_channel_transaction_is_invalidated_not_committed() {
     let (tx, _) = client.assemble_transaction(&proposal, &[r1, r2]).unwrap();
 
     // Cross-submit to channel 1's orderer.
-    let tx_id = tx.tx_id.clone();
-    net1.submit(tx);
-    for _ in 0..200 {
-        net1.advance(1);
-        if net1.transaction_status(&tx_id).is_some() {
-            break;
-        }
-    }
-    assert_eq!(
-        net1.transaction_status(&tx_id),
-        Some(TxValidationCode::BadPayload)
-    );
+    assert_eq!(net1.commit(tx), Ok(TxValidationCode::BadPayload));
     assert!(net1
         .peer("peer0.org1")
         .world_state()

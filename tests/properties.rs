@@ -63,6 +63,34 @@ proptest! {
         prop_assert_eq!(pvt.to_hashed().kind(), rwset.kind());
     }
 
+    /// A member's plaintext check is the hashed form's equality: plaintext
+    /// hashes to a transaction's collection rwset exactly when hashing it
+    /// gives that rwset, whichever one field of it was edited.
+    #[test]
+    fn plaintext_hashes_to_exactly_its_own_hashed_form(rwset in arb_rwset(), edit in 0u8..5) {
+        let pvt = fabric_pdc::types::CollectionPvtRwSet {
+            collection: CollectionName::new("c"),
+            rwset,
+        };
+        let mut edited = pvt.clone();
+        match edit {
+            1 => if let Some(r) = edited.rwset.reads.first_mut() {
+                r.version = r.version.map_or(Some(Version::new(1, 1)), |_| None);
+            },
+            2 => if let Some(w) = edited.rwset.writes.first_mut() {
+                w.value = Some(b"edited".to_vec());
+            },
+            3 => if let Some(w) = edited.rwset.writes.first_mut() {
+                w.is_delete ^= true;
+            },
+            4 => edited.collection = CollectionName::new("d"),
+            _ => {}
+        }
+        let hashed = edited.to_hashed();
+        prop_assert!(edited.hashes_to(&hashed));
+        prop_assert_eq!(pvt.hashes_to(&hashed), pvt.to_hashed() == hashed);
+    }
+
     /// Wire roundtrip for rwsets.
     #[test]
     fn rwset_wire_roundtrip(rwset in arb_rwset()) {

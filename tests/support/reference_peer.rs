@@ -20,7 +20,6 @@ use fabric_pdc::types::{
 };
 use fabric_pdc::wire::Encode;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// A chaincode as the reference sees it: the channel-agreed definition and
 /// the collections the replicated peer's org belongs to.
@@ -143,6 +142,22 @@ impl ReferencePeer {
         if tx.channel != self.channel {
             return TxValidationCode::BadPayload;
         }
+        // A write is a delete exactly when it carries no value.
+        for ns in &tx.payload.results.ns_rwsets {
+            let public = ns
+                .public
+                .writes
+                .iter()
+                .map(|w| (w.is_delete, w.value.is_some()));
+            let hashed = (ns.collections.iter().flat_map(|c| &c.writes))
+                .map(|w| (w.is_delete, w.value_hash.is_some()));
+            if public
+                .chain(hashed)
+                .any(|(delete, valued)| delete == valued)
+            {
+                return TxValidationCode::BadPayload;
+            }
+        }
         if self.block_store.contains_tx(&tx.tx_id) {
             return TxValidationCode::DuplicateTxId;
         }
@@ -244,9 +259,10 @@ impl ReferencePeer {
     }
 
     /// The original apply path: clones the namespace rwsets and the
-    /// private-data package, and verifies plaintext by materializing a
-    /// fully hashed copy (`to_hashed`) before applying. Returns `false`
-    /// when a member could not obtain matching plaintext.
+    /// private-data package, writes the hashed store from the block, and
+    /// verifies plaintext by materializing a fully hashed copy
+    /// (`to_hashed`) before writing it key by key. Returns `false` when a
+    /// member could not obtain matching plaintext.
     fn apply_transaction(
         &mut self,
         tx: &Transaction,
@@ -254,7 +270,7 @@ impl ReferencePeer {
         pvt_provider: &mut PvtDataProvider<'_>,
     ) -> bool {
         let mut plaintext_complete = true;
-        let mut package: Option<Option<Arc<PvtDataPackage>>> = None;
+        let mut package: Option<Option<PvtDataPackage>> = None;
 
         let ns_rwsets = tx.payload.results.ns_rwsets.clone();
         for ns in &ns_rwsets {
@@ -276,43 +292,49 @@ impl ReferencePeer {
                 if col.writes.is_empty() {
                     continue;
                 }
+                self.world_state.apply_hashed_writes(
+                    &ns.namespace,
+                    &col.collection,
+                    &col.writes,
+                    version,
+                );
                 let is_member = self
                     .chaincodes
                     .get(&ns.namespace)
                     .is_some_and(|cc| cc.memberships.contains(&col.collection));
-                let mut applied_plaintext = false;
-                if is_member {
-                    let pkg = package
-                        .get_or_insert_with(|| pvt_provider(&tx.tx_id))
-                        .as_ref()
-                        .map(|p| (**p).clone());
-                    if let Some(pkg) = pkg {
-                        // Verify plaintext against committed hashes before
-                        // updating the ledger (Fig. 2, step 18).
-                        let matching = pkg
-                            .namespaces
-                            .iter()
-                            .zip(&pkg.collections)
-                            .find(|(n, c)| **n == ns.namespace && c.collection == col.collection)
-                            .map(|(_, c)| c);
-                        if let Some(pvt) = matching {
-                            if pvt.to_hashed() == *col {
-                                self.world_state
-                                    .apply_private_writes(&ns.namespace, pvt, version);
-                                applied_plaintext = true;
-                            }
-                        }
-                    }
+                if !is_member {
+                    continue;
                 }
-                if !applied_plaintext {
-                    self.world_state.apply_hashed_writes(
-                        &ns.namespace,
-                        &col.collection,
-                        &col.writes,
-                        version,
-                    );
-                    if is_member {
-                        plaintext_complete = false;
+                let pkg = package
+                    .get_or_insert_with(|| pvt_provider(&tx.tx_id).map(|p| (*p).clone()))
+                    .clone();
+                // Verify plaintext against committed hashes before
+                // updating the ledger (Fig. 2, step 18).
+                let matching = pkg
+                    .filter(|pkg| pkg.namespace == ns.namespace)
+                    .and_then(|pkg| {
+                        pkg.collections
+                            .into_iter()
+                            .find(|c| c.collection == col.collection)
+                    })
+                    .filter(|pvt| pvt.to_hashed() == *col);
+                let Some(pvt) = matching else {
+                    plaintext_complete = false;
+                    continue;
+                };
+                for w in &pvt.rwset.writes {
+                    match &w.value {
+                        Some(value) => self.world_state.put_private(
+                            &ns.namespace,
+                            &col.collection,
+                            &w.key,
+                            value.clone(),
+                            version,
+                        ),
+                        None => {
+                            self.world_state
+                                .delete_private(&ns.namespace, &col.collection, &w.key)
+                        }
                     }
                 }
             }

@@ -176,17 +176,12 @@ fn mvcc_conflict_audit_trail() -> Vec<(&'static str, TxId)> {
         txs.push(tx);
     }
     let tx_ids: Vec<TxId> = txs.iter().map(|tx| tx.tx_id.clone()).collect();
-    for tx in txs {
-        net.submit(tx);
-    }
-    net.advance(20);
+    let [first, second] = <[Transaction; 2]>::try_from(txs).expect("two transfers");
+    net.submit(first);
+    assert_eq!(net.commit(second), Ok(TxValidationCode::MvccReadConflict));
     assert_eq!(
         net.transaction_status(&tx_ids[0]),
         Some(TxValidationCode::Valid)
-    );
-    assert_eq!(
-        net.transaction_status(&tx_ids[1]),
-        Some(TxValidationCode::MvccReadConflict)
     );
 
     assert_metric_families(&telemetry, &["fabric_audit_events_total"]);

@@ -167,18 +167,7 @@ fn mvcc_rejects_stale_update_between_endorsement_and_commit() {
     )
     .unwrap();
 
-    let tx_id = stale_tx.tx_id.clone();
-    net.submit(stale_tx);
-    for _ in 0..200 {
-        net.advance(1);
-        if net.transaction_status(&tx_id).is_some() {
-            break;
-        }
-    }
-    assert_eq!(
-        net.transaction_status(&tx_id),
-        Some(TxValidationCode::MvccReadConflict)
-    );
+    assert_eq!(net.commit(stale_tx), Ok(TxValidationCode::MvccReadConflict));
     // The conflicting value stands.
     assert_eq!(
         net.peer("peer0.org1")

@@ -316,7 +316,7 @@ fn gossip_push_is_allocation_free_once_stores_have_capacity() {
     let package = |i: u32| {
         Arc::new(PvtDataPackage {
             tx_id: TxId::new(format!("tx{i}")),
-            namespaces: vec![],
+            namespace: ChaincodeId::new("cc"),
             collections: vec![],
         })
     };
