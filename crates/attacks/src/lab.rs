@@ -1,9 +1,9 @@
 //! The §V-A experiment harness: prototype networks and attack runners.
 
 use crate::collusion::ColludingGuardedPdc;
-use crate::mal_client::MaliciousClient;
 use fabric_chaincode::samples::{Guard, GuardedPdc};
 use fabric_chaincode::ChaincodeDefinition;
+use fabric_client::Client;
 use fabric_crypto::Keypair;
 use fabric_monitor::{AlertTransition, Monitor};
 use fabric_network::{FabricNetwork, NetworkBuilder};
@@ -152,7 +152,7 @@ pub struct AttackLab {
     pub cfg: LabConfig,
     /// The attacker-controlled client (its nonce spans all attack runs on
     /// this lab, so fabricated transactions get distinct IDs).
-    attacker: MaliciousClient,
+    attacker: Client,
 }
 
 /// The outcome of one attack run.
@@ -271,9 +271,10 @@ pub fn build_lab(cfg: &LabConfig) -> AttackLab {
         monitor.reset();
     }
 
-    let attacker = MaliciousClient::new(
+    let attacker = Client::new(
         cfg.attacker_org(),
         Keypair::generate_from_seed(derive_seed(cfg.seed, "lab.attacker.key")),
+        DefenseConfig::original(),
     );
     AttackLab {
         net,
@@ -283,9 +284,10 @@ pub fn build_lab(cfg: &LabConfig) -> AttackLab {
 }
 
 /// Runs one injection attack against a lab, per §V-A. The attacker's
-/// client collects endorsements **only from the malicious peers**, bypasses
-/// SDK checks, and submits for ordering; success is then judged against the
-/// honest peers' ledgers.
+/// client collects endorsements **only from the malicious peers** and
+/// submits for ordering; the colluders return identical, validly signed
+/// responses, so the attack needs no modified client. Success is then
+/// judged against the honest peers' ledgers.
 pub fn run_attack(lab: &mut AttackLab, kind: AttackKind) -> AttackOutcome {
     let audit_before = lab
         .net
@@ -403,7 +405,7 @@ fn failed(kind: AttackKind, code: Option<TxValidationCode>, note: String) -> Att
 }
 
 /// Drives one malicious submission: proposal → colluding endorsements →
-/// unchecked assembly → ordering → committed status. Returns the
+/// assembly → ordering → committed status. Returns the
 /// validation code and the committed payload.
 fn execute_injection(
     lab: &mut AttackLab,
@@ -425,10 +427,10 @@ fn execute_injection(
             Err(e) => return Err(format!("endorsement refused at {peer}: {e}")),
         }
     }
-    let tx = lab
+    let (tx, _) = lab
         .attacker
-        .assemble_unchecked(&proposal, &responses)
-        .ok_or_else(|| "no endorsements collected".to_string())?;
+        .assemble_transaction(&proposal, &responses)
+        .map_err(|e| e.to_string())?;
     let tx_id = tx.tx_id.clone();
     let code = lab.net.commit(tx).map_err(|e| e.to_string())?;
     let payload = lab

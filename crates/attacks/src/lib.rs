@@ -20,7 +20,6 @@
 mod collusion;
 mod lab;
 mod leakage;
-mod mal_client;
 mod table2;
 
 pub use collusion::ColludingGuardedPdc;
@@ -32,5 +31,4 @@ pub use leakage::{
     extract_payload_leaks, run_read_leakage_scenario, run_write_leakage_scenario, LeakScenario,
     LeakedRecord,
 };
-pub use mal_client::MaliciousClient;
 pub use table2::{render_table2, run_table2, Table2Cell, Table2Row};

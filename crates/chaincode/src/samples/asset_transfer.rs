@@ -151,7 +151,7 @@ impl Chaincode for AssetTransfer {
                     .get_history_for_key(&id)
                     .into_iter()
                     .map(|e| {
-                        let what = if e.is_delete {
+                        let what = if e.is_delete() {
                             "deleted".to_string()
                         } else {
                             e.value
@@ -249,7 +249,7 @@ mod tests {
         let ws = seeded_state();
         let (out, results) = run(&ws, "DeleteAsset", &["a1"]);
         assert!(out.is_ok());
-        assert!(results.public.writes[0].is_delete);
+        assert!(results.public.writes[0].is_delete());
     }
 
     #[test]

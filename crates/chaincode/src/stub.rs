@@ -317,12 +317,10 @@ impl<'a> ChaincodeStub<'a> {
         self.public_rwset.writes.push(KvWrite {
             key: key.to_string(),
             value: Some(value),
-            is_delete: false,
         });
     }
 
-    /// Stages a public delete (a write with `is_delete = true` and a null
-    /// value, per Table I).
+    /// Stages a public delete (a write with a null value, per Table I).
     pub fn del_state(&mut self, key: &str) {
         self.record(|| StubOp::DelState {
             key: key.to_string(),
@@ -330,7 +328,6 @@ impl<'a> ChaincodeStub<'a> {
         self.public_rwset.writes.push(KvWrite {
             key: key.to_string(),
             value: None,
-            is_delete: true,
         });
     }
 
@@ -518,7 +515,6 @@ impl<'a> ChaincodeStub<'a> {
             .push(KvWrite {
                 key: key.to_string(),
                 value: Some(value),
-                is_delete: false,
             });
     }
 
@@ -536,7 +532,6 @@ impl<'a> ChaincodeStub<'a> {
             .push(KvWrite {
                 key: key.to_string(),
                 value: None,
-                is_delete: true,
             });
     }
 
@@ -700,7 +695,7 @@ mod tests {
         stub.del_private_data(&CollectionName::new("PDC1"), "k1");
         let results = stub.into_results();
         let w = &results.collections[0].rwset.writes[0];
-        assert!(w.is_delete);
+        assert!(w.is_delete());
         assert_eq!(w.value, None);
         assert_eq!(results.collections[0].rwset.kind(), TxKind::DeleteOnly);
     }

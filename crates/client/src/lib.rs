@@ -15,9 +15,11 @@
 //! transaction from `(PR_Hash, Sign(PR_Hash))` — it keeps the plaintext for
 //! itself, so committed blocks never carry the private value (§IV-C2).
 //!
-//! Malicious clients (see the attacks crate) skip the consistency checks
-//! and choose endorsers adversarially; nothing in the protocol forces them
-//! to behave.
+//! The attacks crate drives this same client: its attacker chooses the
+//! endorsers adversarially, and colluding endorsers return identical,
+//! validly signed responses, so these checks do not stop it. Only the
+//! validation phase at peers stands between such a transaction and the
+//! ledger.
 
 use fabric_crypto::{sha256, Keypair};
 use fabric_telemetry::{trace_id, Telemetry};

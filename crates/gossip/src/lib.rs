@@ -262,7 +262,6 @@ mod tests {
                     writes: vec![KvWrite {
                         key: "k".into(),
                         value: Some(b"v".to_vec()),
-                        is_delete: false,
                     }],
                 },
             }],

@@ -13,8 +13,13 @@ pub struct HistoryEntry {
     pub version: Version,
     /// The written value; `None` for deletes.
     pub value: Option<Vec<u8>>,
+}
+
+impl HistoryEntry {
     /// Whether the write was a delete.
-    pub is_delete: bool,
+    pub fn is_delete(&self) -> bool {
+        self.value.is_none()
+    }
 }
 
 /// Append-only per-key write history for public data.
@@ -37,7 +42,6 @@ impl HistoryDb {
         tx_id: &TxId,
         version: Version,
         value: Option<Vec<u8>>,
-        is_delete: bool,
     ) {
         self.entries
             .entry((ns.clone(), key.to_string()))
@@ -46,7 +50,6 @@ impl HistoryDb {
                 tx_id: tx_id.clone(),
                 version,
                 value,
-                is_delete,
             });
     }
 
@@ -81,7 +84,6 @@ mod tests {
             &TxId::new("t1"),
             Version::new(1, 0),
             Some(b"a".to_vec()),
-            false,
         );
         db.record(
             &ns(),
@@ -89,14 +91,13 @@ mod tests {
             &TxId::new("t2"),
             Version::new(2, 0),
             Some(b"b".to_vec()),
-            false,
         );
-        db.record(&ns(), "k", &TxId::new("t3"), Version::new(3, 0), None, true);
+        db.record(&ns(), "k", &TxId::new("t3"), Version::new(3, 0), None);
         let h = db.key_history(&ns(), "k");
         assert_eq!(h.len(), 3);
         assert_eq!(h[0].value.as_deref(), Some(b"a".as_slice()));
         assert_eq!(h[1].tx_id, TxId::new("t2"));
-        assert!(h[2].is_delete);
+        assert!(h[2].is_delete());
         assert_eq!(db.keys_tracked(), 1);
     }
 
@@ -115,7 +116,6 @@ mod tests {
             &TxId::new("t1"),
             Version::new(1, 0),
             Some(vec![1]),
-            false,
         );
         assert!(db.key_history(&ChaincodeId::new("other"), "k").is_empty());
     }

@@ -242,9 +242,8 @@ impl WorldState {
 
     // ---- commit helpers ----
 
-    /// Applies a public rwset's writes at `version`. A committed write
-    /// is a delete exactly when it carries no value
-    /// ([`fabric_types::TxRwSet::writes_are_well_formed`]).
+    /// Applies a public rwset's writes at `version`: a write with no
+    /// value deletes its key.
     pub fn apply_public_writes(&mut self, ns: &ChaincodeId, rwset: &KvRwSet, version: Version) {
         for w in &rwset.writes {
             match &w.value {
@@ -660,12 +659,10 @@ mod tests {
                 KvWrite {
                     key: "k1".into(),
                     value: Some(b"v1".to_vec()),
-                    is_delete: false,
                 },
                 KvWrite {
                     key: "gone".into(),
                     value: None,
-                    is_delete: true,
                 },
             ],
         };
@@ -683,7 +680,6 @@ mod tests {
         let writes = vec![HashedWrite {
             key_hash: sha256(b"k1"),
             value_hash: Some(sha256(b"v1")),
-            is_delete: false,
         }];
         ws.apply_hashed_writes(&ns(), &col(), &writes, Version::new(1, 0));
         assert!(ws.hashed_version(&ns(), &col(), sha256(b"k1")).is_some());
@@ -691,7 +687,6 @@ mod tests {
         let deletes = vec![HashedWrite {
             key_hash: sha256(b"k1"),
             value_hash: None,
-            is_delete: true,
         }];
         ws.apply_hashed_writes(&ns(), &col(), &deletes, Version::new(2, 0));
         assert!(ws.hashed_version(&ns(), &col(), sha256(b"k1")).is_none());
@@ -709,7 +704,6 @@ mod tests {
                 writes: vec![KvWrite {
                     key: "k1".into(),
                     value: Some(b"v1".to_vec()),
-                    is_delete: false,
                 }],
             },
         };
@@ -726,7 +720,6 @@ mod tests {
         delete.rwset.writes[0] = KvWrite {
             key: "k1".into(),
             value: None,
-            is_delete: true,
         };
         ws.apply_private_plaintext(&ns(), &delete, Version::new(2, 0));
         assert!(ws.get_private(&ns(), &col(), "k1").is_none());
@@ -776,7 +769,6 @@ mod tests {
             &[HashedWrite {
                 key_hash: sha256(b"deleted"),
                 value_hash: None,
-                is_delete: true,
             }],
             v2,
         );

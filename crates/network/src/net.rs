@@ -1138,7 +1138,7 @@ mod tests {
         // A delete forged into a write: the victim commits the delete's
         // hashes, and its old plaintext goes with them.
         commit_forged(&mut net, "delete", &["k1"], |w| {
-            (w.is_delete, w.value) = (false, Some(b"13".to_vec()));
+            w.value = Some(b"13".to_vec());
         });
         assert_eq!(held(&net, "k1"), None);
         agree(&net);

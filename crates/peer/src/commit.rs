@@ -239,8 +239,7 @@ impl Peer {
     /// The checks that read neither policies nor versions: signatures
     /// (through the block's [`BatchVerifier`], so the CA registry's lock is
     /// taken once per signing identity instead of once per signature),
-    /// channel, well-formed writes (a write is a delete exactly when it
-    /// carries no value), and committed-duplicate lookup; `None` = passed.
+    /// channel, and committed-duplicate lookup; `None` = passed.
     fn structural_checks(
         &self,
         tx: &Transaction,
@@ -249,9 +248,7 @@ impl Peer {
         match tx.verify_signatures_batched(batch) {
             Some(SignatureFailure::Client) => Some(TxValidationCode::InvalidClientSignature),
             Some(SignatureFailure::Endorsement) => Some(TxValidationCode::InvalidEndorserSignature),
-            None if tx.channel != self.channel || !tx.payload.results.writes_are_well_formed() => {
-                Some(TxValidationCode::BadPayload)
-            }
+            None if tx.channel != self.channel => Some(TxValidationCode::BadPayload),
             None if self.block_store.contains_tx(&tx.tx_id) => {
                 Some(TxValidationCode::DuplicateTxId)
             }
@@ -449,14 +446,7 @@ fn apply_transaction(
         world_state.apply_public_writes(&ns.namespace, &ns.public, version);
         world_state.apply_metadata_writes(&ns.namespace, &ns.metadata_writes);
         for w in &ns.public.writes {
-            history.record(
-                &ns.namespace,
-                &w.key,
-                &tx.tx_id,
-                version,
-                w.value.clone(),
-                w.is_delete,
-            );
+            history.record(&ns.namespace, &w.key, &tx.tx_id, version, w.value.clone());
         }
         for col in &ns.collections {
             world_state.apply_hashed_writes(&ns.namespace, &col.collection, &col.writes, version);
@@ -608,7 +598,7 @@ mod tests {
     use fabric_policy::ChannelPolicies;
     use fabric_types::{
         CollectionConfig, CollectionName, CollectionPvtRwSet, DefenseConfig, Endorsement, Identity,
-        KvWrite, OrgId, Proposal, Role, TxRwSet,
+        KvWrite, OrgId, Proposal, Role,
     };
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -696,51 +686,6 @@ mod tests {
         )
     }
 
-    /// `tx` with `results` in place of its own, signed again as colluding
-    /// endorsers would: each endorsement with the key of the peer made
-    /// from the matching seed, and the client's with `invoke_tx`'s key
-    /// for `nonce`.
-    fn collude(tx: &Transaction, results: TxRwSet, seeds: &[u64], nonce: u64) -> Transaction {
-        let mut payload = tx.payload.clone();
-        payload.results = results;
-        let signed = payload.signed_bytes(tx.commitment);
-        let endorsements: Vec<Endorsement> = (tx.endorsements.iter().zip(seeds))
-            .map(|(e, &seed)| Endorsement {
-                endorser: e.endorser.clone(),
-                signature: Keypair::generate_from_seed(seed).sign(&signed),
-            })
-            .collect();
-        let client_kp = Keypair::generate_from_seed(1000 + nonce);
-        let client_signature = client_kp.sign(&Transaction::client_signed_bytes(
-            &tx.tx_id,
-            &payload,
-            &endorsements,
-        ));
-        Transaction {
-            payload,
-            endorsements,
-            client_signature,
-            memo: Default::default(),
-            ..tx.clone()
-        }
-    }
-
-    /// Makes the first private write of `results` and `plaintext` carry
-    /// no value when it is not a delete, and a value when it is: a write
-    /// that is neither a put nor a delete, hashed consistently, as
-    /// colluding endorsers can sign it.
-    fn malform(results: &mut TxRwSet, plaintext: &mut PvtDataPackage) {
-        let hashed = &mut results.ns_rwsets[0].collections[0].writes[0];
-        let plain = &mut plaintext.collections[0].rwset.writes[0];
-        if hashed.is_delete {
-            plain.value = Some(b"x".to_vec());
-            hashed.value_hash = Some(fabric_crypto::sha256(b"x"));
-        } else {
-            plain.value = None;
-            hashed.value_hash = None;
-        }
-    }
-
     fn block_of(peer: &Peer, txs: Vec<Transaction>) -> Block {
         Block::new(peer.block_store.height(), peer.block_store.tip_hash(), txs)
     }
@@ -821,9 +766,7 @@ mod tests {
                 c.rwset.writes[0].value = Some(b"8".to_vec())
             }),
             ("changed key", |c| c.rwset.writes[0].key = "k2".into()),
-            ("flipped delete flag", |c| {
-                c.rwset.writes[0].is_delete ^= true
-            }),
+            ("dropped value", |c| c.rwset.writes[0].value = None),
             ("wrong collection", |c| {
                 c.collection = CollectionName::new("PDC2")
             }),
@@ -831,7 +774,6 @@ mod tests {
                 c.rwset.writes.push(KvWrite {
                     key: "k2".into(),
                     value: Some(b"8".to_vec()),
-                    is_delete: false,
                 })
             }),
         ];
@@ -870,81 +812,20 @@ mod tests {
         }
     }
 
-    /// A write is a delete exactly when it carries no value. Colluding
-    /// endorsers can sign one that is neither; committed, a member holding
-    /// its plaintext would hash the missing value as empty while the other
-    /// peers copied a missing hash, and a member without the plaintext
-    /// could never reconcile it. Every peer refuses it instead.
-    #[test]
-    fn a_write_that_is_neither_put_nor_delete_is_refused_everywhere() {
-        let ns = fabric_types::ChaincodeId::new("guarded");
-        let col = CollectionName::new(COL);
-        let cases: [(&str, &[&str]); 3] = [
-            ("write", &["k1", "7"]),
-            ("delete", &["k1"]),
-            ("public write", &["k1", "7"]),
-        ];
-        for (nonce, (case, args)) in (30..).zip(cases) {
-            let mut peers = [
-                make_peer("peer0.org1", "Org1MSP", 51),
-                make_peer("peer0.org2", "Org2MSP", 52),
-                make_peer("peer0.org3", "Org3MSP", 53),
-            ];
-            let function = if case == "delete" { "delete" } else { "write" };
-            let (honest, pkg) = invoke_tx(&[&peers[0], &peers[1]], function, args, nonce);
-            let (mut results, mut plaintext) = (honest.payload.results.clone(), (*pkg).clone());
-            if case == "public write" {
-                results.ns_rwsets[0].public.writes.push(KvWrite {
-                    key: "p".into(),
-                    value: None,
-                    is_delete: false,
-                });
-            } else {
-                malform(&mut results, &mut plaintext);
-            }
-            let tx = collude(&honest, results, &[51, 52], nonce);
-            let block = block_of(&peers[0], vec![tx]);
-            let plaintext = Arc::new(plaintext);
-            let mut with_plaintext = |_: &TxId| Some(plaintext.clone());
-            let mut without = |_: &TxId| None;
-            let [member, missed, non_member] = &mut peers;
-            let codes = [
-                member.process_block(block.clone(), &mut with_plaintext),
-                missed.process_block(block.clone(), &mut without),
-                non_member.process_block(block, &mut without),
-            ]
-            .map(|outcome| outcome.unwrap().validation_codes);
-
-            let hash = |p: &Peer| p.world_state().get_private_hash(&ns, &col, "k1");
-            assert_eq!(hash(member), hash(non_member), "{case}");
-            assert_eq!(hash(missed), hash(non_member), "{case}");
-            missed.reconcile_from(member);
-            let plain = |p: &Peer| p.world_state().get_private(&ns, &col, "k1").cloned();
-            assert_eq!(plain(missed), plain(member), "{case}");
-            for (p, codes) in peers.iter().zip(codes) {
-                assert_eq!(codes, vec![TxValidationCode::BadPayload], "{case}");
-                assert_eq!(hash(p), None, "{case}");
-                assert_eq!(plain(p), None, "{case}");
-                assert!(p.world_state().get_public(&ns, "p").is_none(), "{case}");
-            }
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
 
         /// The hashed store is a function of the blocks. Blocks of
         /// private writes and deletes, some handed to the member with
-        /// forged plaintext and some neither put nor delete, leave a
-        /// member with the plaintext, a member without it and a
-        /// non-member with equal hashed entries after every block; the
-        /// first member holds exactly the plaintext of the transactions
-        /// whose package hashed to the block.
+        /// forged plaintext, leave a member with the plaintext, a member
+        /// without it and a non-member with equal hashed entries after
+        /// every block; the first member holds exactly the plaintext of
+        /// the transactions whose package hashed to the block.
         #[test]
         fn every_peer_holds_the_blocks_hashes_whatever_plaintext_it_got(
             blocks in proptest::collection::vec(
                 proptest::collection::vec(
-                    (0u8..3, proptest::option::of(0u8..50), 0u8..6),
+                    (0u8..3, proptest::option::of(0u8..50), 0u8..5),
                     1..4,
                 ),
                 1..5,
@@ -963,7 +844,7 @@ mod tests {
             for ops in &blocks {
                 let block_num = peers[0].block_store().height();
                 let (mut txs, mut packages) = (Vec::new(), HashMap::new());
-                let mut expected = Vec::new();
+                let mut forgeries = Vec::new();
                 for (i, &(key, value, fault)) in ops.iter().enumerate() {
                     nonce += 1;
                     let key = format!("k{key}");
@@ -972,32 +853,19 @@ mod tests {
                         Some(v) => ("write", vec![key.as_str(), v.as_str()]),
                         None => ("delete", vec![key.as_str()]),
                     };
-                    let (mut tx, pkg) = invoke_tx(&[&peers[0], &peers[1]], function, &args, nonce);
+                    let (tx, pkg) = invoke_tx(&[&peers[0], &peers[1]], function, &args, nonce);
                     let mut plaintext = (*pkg).clone();
                     let forged = fault == 4;
                     if forged {
-                        let w = &mut plaintext.collections[0].rwset.writes[0];
-                        (w.is_delete, w.value) = (false, Some(b"forged".to_vec()));
-                    }
-                    let malformed = fault == 5;
-                    if malformed {
-                        let mut results = tx.payload.results.clone();
-                        malform(&mut results, &mut plaintext);
-                        tx = collude(&tx, results, &[51, 52], nonce);
-                    }
-                    let code = if malformed {
-                        TxValidationCode::BadPayload
+                        plaintext.collections[0].rwset.writes[0].value = Some(b"forged".to_vec());
                     } else {
-                        TxValidationCode::Valid
-                    };
-                    if code.is_valid() && !forged {
                         let version = Version::new(block_num, i as u64);
                         match value {
                             Some(v) => model.insert(key, (v.into_bytes(), version)),
                             None => model.remove(&key),
                         };
                     }
-                    expected.push((tx.tx_id.clone(), code, forged));
+                    forgeries.push((tx.tx_id.clone(), forged));
                     packages.insert(tx.tx_id.clone(), Arc::new(plaintext));
                     txs.push(tx);
                 }
@@ -1020,14 +888,14 @@ mod tests {
                     let held = held.map(|vv| (vv.value.clone(), vv.version));
                     proptest::prop_assert_eq!(held.as_ref(), model.get(key), "{}", key);
                 }
-                let codes: Vec<_> = expected.iter().map(|(_, code, _)| *code).collect();
-                let valid = |forged_only: bool| -> Vec<TxId> {
-                    (expected.iter())
-                        .filter(|(_, code, forged)| code.is_valid() && (*forged || !forged_only))
-                        .map(|(id, _, _)| id.clone())
+                let codes = vec![TxValidationCode::Valid; forgeries.len()];
+                let missing = |forged_only: bool| -> Vec<TxId> {
+                    (forgeries.iter())
+                        .filter(|(_, forged)| *forged || !forged_only)
+                        .map(|(id, _)| id.clone())
                         .collect()
                 };
-                let missing = [valid(true), valid(false), vec![]];
+                let missing = [missing(true), missing(false), vec![]];
                 for (outcome, missing) in outcomes.iter().zip(missing) {
                     proptest::prop_assert_eq!(&outcome.validation_codes, &codes);
                     proptest::prop_assert_eq!(&outcome.missing_private_data, &missing);

@@ -9,6 +9,10 @@
 //! | read-write       | `(key, version)`    | `(key, value, is_delete=false)` |
 //! | delete-only      | empty               | `(key, null, is_delete=true)` |
 //!
+//! Here a write is a key and an optional value: `is_delete` is not stored
+//! but read off a `None` value, so a write cannot be a delete that carries
+//! a value or a put that carries none.
+//!
 //! For private data collections, only the **hashed** rwset
 //! (`hash(key), hash(value), version`) enters the transaction; the plaintext
 //! [`CollectionPvtRwSet`] travels to collection members over gossip.
@@ -55,25 +59,25 @@ pub struct KvRead {
 
 impl_wire_struct!(KvRead { key, version });
 
-/// One entry of a write set: key, value, and the delete flag.
+/// One entry of a write set: a key and its new value.
 ///
-/// Per the paper's Table I, a delete is a write with `is_delete = true` and
-/// a `None` ("null") value.
+/// Per the paper's Table I, a delete is a write with a `None` ("null") value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KvWrite {
     /// The key written or deleted.
     pub key: String,
     /// New value; `None` for deletes.
     pub value: Option<Vec<u8>>,
-    /// Whether this write removes the key from the world state.
-    pub is_delete: bool,
 }
 
-impl_wire_struct!(KvWrite {
-    key,
-    value,
-    is_delete
-});
+impl_wire_struct!(KvWrite { key, value });
+
+impl KvWrite {
+    /// Whether this write removes the key (Table I's `is_delete`).
+    pub fn is_delete(&self) -> bool {
+        self.value.is_none()
+    }
+}
 
 /// A plaintext read/write set over one namespace or collection.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -102,7 +106,7 @@ impl KvRwSet {
     pub fn kind(&self) -> TxKind {
         TxKind::classify(
             !self.reads.is_empty(),
-            self.writes.iter().map(|w| w.is_delete),
+            self.writes.iter().map(KvWrite::is_delete),
         )
     }
 
@@ -123,7 +127,6 @@ impl KvRwSet {
             .map(|w| HashedWrite {
                 key_hash: sha256(w.key.as_bytes()),
                 value_hash: w.value.as_deref().map(sha256),
-                is_delete: w.is_delete,
             })
             .collect();
         (reads, writes)
@@ -142,7 +145,7 @@ pub enum TxKind {
     WriteOnly,
     /// Reads and writes.
     ReadWrite,
-    /// Deletes only (a delete is a write with `is_delete = true`).
+    /// Deletes only (a delete is a write with a null value).
     DeleteOnly,
     /// A combination involving deletes plus reads/writes.
     Mixed,
@@ -150,7 +153,7 @@ pub enum TxKind {
 
 impl TxKind {
     /// Table I's one classification rule, from whether the rwset reads
-    /// and the delete flag of each of its writes.
+    /// and whether each of its writes is a delete.
     fn classify(has_reads: bool, is_delete: impl IntoIterator<Item = bool>) -> TxKind {
         let (mut has_writes, mut has_deletes) = (false, false);
         for d in is_delete {
@@ -197,22 +200,26 @@ pub struct HashedRead {
 
 impl_wire_struct!(HashedRead { key_hash, version });
 
-/// A hashed write entry: `hash(key)`, `hash(value)`, delete flag.
+/// A hashed write entry: `hash(key)` and `hash(value)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HashedWrite {
     /// SHA-256 of the key.
     pub key_hash: Hash256,
     /// SHA-256 of the value; `None` for deletes.
     pub value_hash: Option<Hash256>,
-    /// Whether the key is being deleted.
-    pub is_delete: bool,
 }
 
 impl_wire_struct!(HashedWrite {
     key_hash,
-    value_hash,
-    is_delete
+    value_hash
 });
+
+impl HashedWrite {
+    /// Whether this write removes the key (Table I's `is_delete`).
+    pub fn is_delete(&self) -> bool {
+        self.value_hash.is_none()
+    }
+}
 
 /// The hashed rwset of one collection, as embedded in a transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,7 +243,7 @@ impl CollectionHashedRwSet {
     pub fn kind(&self) -> TxKind {
         TxKind::classify(
             !self.reads.is_empty(),
-            self.writes.iter().map(|w| w.is_delete),
+            self.writes.iter().map(HashedWrite::is_delete),
         )
     }
 }
@@ -278,8 +285,7 @@ impl CollectionPvtRwSet {
                 .zip(&hashed.reads)
                 .all(|(r, h)| h.version == r.version && h.key_hash == sha256(r.key.as_bytes()))
             && writes.iter().zip(&hashed.writes).all(|(w, h)| {
-                h.is_delete == w.is_delete
-                    && h.key_hash == sha256(w.key.as_bytes())
+                h.key_hash == sha256(w.key.as_bytes())
                     && h.value_hash == w.value.as_deref().map(sha256)
             })
     }
@@ -356,29 +362,11 @@ impl TxRwSet {
             !ns.public.reads.is_empty() || ns.collections.iter().any(|c| !c.reads.is_empty())
         });
         let deletes = self.ns_rwsets.iter().flat_map(|ns| {
-            let public = ns.public.writes.iter().map(|w| w.is_delete);
+            let public = ns.public.writes.iter().map(KvWrite::is_delete);
             let hashed = ns.collections.iter().flat_map(|c| &c.writes);
-            public.chain(hashed.map(|w| w.is_delete))
+            public.chain(hashed.map(HashedWrite::is_delete))
         });
         TxKind::classify(has_reads, deletes)
-    }
-
-    /// Whether every write, public or hashed, is a delete exactly when it
-    /// carries no value (or value hash). Peers refuse a transaction for
-    /// which this is false.
-    pub fn writes_are_well_formed(&self) -> bool {
-        self.ns_rwsets.iter().all(|ns| {
-            let public = ns
-                .public
-                .writes
-                .iter()
-                .map(|w| (w.is_delete, w.value.is_some()));
-            let hashed = (ns.collections.iter().flat_map(|c| &c.writes))
-                .map(|w| (w.is_delete, w.value_hash.is_some()));
-            public
-                .chain(hashed)
-                .all(|(delete, valued)| delete != valued)
-        })
     }
 }
 
@@ -410,7 +398,6 @@ mod tests {
         KvWrite {
             key: key.into(),
             value: Some(value.to_vec()),
-            is_delete: false,
         }
     }
 
@@ -418,7 +405,6 @@ mod tests {
         KvWrite {
             key: key.into(),
             value: None,
-            is_delete: true,
         }
     }
 
@@ -480,9 +466,9 @@ mod tests {
         assert_eq!(hr[0].version, Some(Version::new(3, 1)));
         assert_eq!(hw[0].key_hash, sha256(b"k1"));
         assert_eq!(hw[0].value_hash, Some(sha256(b"val1")));
-        assert!(!hw[0].is_delete);
+        assert!(!hw[0].is_delete());
         assert_eq!(hw[1].value_hash, None);
-        assert!(hw[1].is_delete);
+        assert!(hw[1].is_delete());
     }
 
     #[test]
@@ -539,7 +525,6 @@ mod tests {
                     writes: vec![HashedWrite {
                         key_hash: sha256(b"k"),
                         value_hash: Some(sha256(b"v")),
-                        is_delete: false,
                     }],
                 }],
             }],

@@ -484,13 +484,15 @@ mod tests {
     /// The wire format is the ledger's hash pre-image and what Raft
     /// replicates, so it must not move when a type's in-memory form does.
     ///
-    /// Re-recorded when signatures became hash-then-sign and the data hash
-    /// two-level. Three things moved and nothing else: the 32 signature
-    /// bytes of each signer, the header's data hash, and with it the
-    /// header hash. The `PARENT_*` constants are what the previous
-    /// definitions produced; spliced back over the new values they must
-    /// reproduce the previously recorded encodings byte for byte, which
-    /// pins the lengths and every other field.
+    /// Re-recorded twice. When signatures became hash-then-sign and the
+    /// data hash two-level, the 32 signature bytes of each signer, the
+    /// header's data hash and with it the header hash moved. When the
+    /// delete flag left the write (a delete is a write with no value),
+    /// each write lost its flag byte. The `PARENT_*` constants are what
+    /// the definitions before both changes produced: with the flag byte
+    /// put back and them spliced over the new values, the encodings must
+    /// reproduce the first recorded ones byte for byte, which pins the
+    /// lengths and every other field.
     #[test]
     fn golden_bytes_of_a_fixed_transaction_and_block() {
         use crate::rwset::{CollectionHashedRwSet, HashedWrite, NsRwSet};
@@ -502,14 +504,25 @@ mod tests {
             "de185dac9c78954d3e3f4bafa6e000135e256fd5a1e584db9e0b38a427a67235";
         const PARENT_DATA_HASH: &str =
             "264ae8d517f89d77bebe5978326562371f6a1ed12c9fc64bfb3b605350f0273e";
+        /// Where the one occurrence of `value` in `wire` starts.
+        fn find(wire: &[u8], value: &[u8; 32]) -> usize {
+            let at: Vec<usize> = (0..=wire.len() - 32)
+                .filter(|&i| wire[i..i + 32] == value[..])
+                .collect();
+            assert_eq!(at.len(), 1, "value occurs once");
+            at[0]
+        }
         /// Overwrites the one occurrence of `new` in `wire` with `parent`.
         fn splice(wire: &mut [u8], new: &[u8; 32], parent: &str) {
             let parent = Hash256::from_hex(parent).expect("hex constant");
-            let at: Vec<usize> = (0..=wire.len() - 32)
-                .filter(|&i| wire[i..i + 32] == new[..])
-                .collect();
-            assert_eq!(at.len(), 1, "value to splice occurs once");
-            wire[at[0]..at[0] + 32].copy_from_slice(parent.as_bytes());
+            let at = find(wire, new);
+            wire[at..at + 32].copy_from_slice(parent.as_bytes());
+        }
+        /// `wire` with the write's delete flag (`false`) back after its
+        /// value hash, where the parent encoding held it.
+        fn with_delete_flag(mut wire: Vec<u8>) -> Vec<u8> {
+            wire.insert(find(&wire, sha256(b"v").as_bytes()) + 32, 0);
+            wire
         }
 
         assert_eq!(TxId::new("tx-1").to_wire(), b"\x04tx-1");
@@ -529,21 +542,20 @@ mod tests {
                 writes: vec![HashedWrite {
                     key_hash: sha256(b"k"),
                     value_hash: Some(sha256(b"v")),
-                    is_delete: false,
                 }],
             }],
         });
         let wire = tx.to_wire();
-        assert_eq!(wire.len(), 295);
+        assert_eq!(wire.len(), 294);
         assert_eq!(
             sha256(&wire).to_hex(),
-            "41eac28cba4822cf6c5be519ef098b3edc10b1f9ca1e18c8fef37e97d762fd86"
+            "ee77ea9c6db7a72ba1552f601559f23245176d4afb9a306fb0a8f2dab2c7af49"
         );
         assert_eq!(*tx.tx_digest(), sha256(&wire));
         assert_eq!(Transaction::from_wire(&wire).unwrap(), tx);
         let endorser_sig = *tx.endorsements[0].signature.as_bytes();
         let client_sig = *tx.client_signature.as_bytes();
-        let mut as_parent = wire;
+        let mut as_parent = with_delete_flag(wire);
         splice(&mut as_parent, &endorser_sig, PARENT_ENDORSER_SIG);
         splice(&mut as_parent, &client_sig, PARENT_CLIENT_SIG);
         assert_eq!(
@@ -553,20 +565,20 @@ mod tests {
 
         let block = Block::new(7, Hash256::default(), vec![tx]);
         let block_wire = block.to_wire();
-        assert_eq!(block_wire.len(), 364);
+        assert_eq!(block_wire.len(), 363);
         assert_eq!(
             block.header.data_hash.to_hex(),
-            "d46a8b1b9b40f6b34e885cf034c69ef935d27409a2b16a2cb437881ee8d8c907"
+            "04b07cd44dd89674395acd4736aed2c52d57dcd06cb66a583d45690b625fdd93"
         );
         assert_eq!(
             block.hash().to_hex(),
-            "2295b6cd61f30dea46d73b9f5a30b9781b0b5f56ad89c0eabb0f6531b3ce3305"
+            "814792e8f002364dcdfe958aa73dc5b75c39781df00af7db77a4ec766864bd73"
         );
         assert_eq!(
             sha256(&block_wire).to_hex(),
-            "31d12250141c440d3f24df7f3dacab25ed8c2b6d6292456c4ee65c3c03e4c290"
+            "0ad6085bf69a0acfff56c7b191ab52acb7e34b911b62944b12be91ca21603a45"
         );
-        let mut as_parent = block_wire;
+        let mut as_parent = with_delete_flag(block_wire);
         splice(&mut as_parent, &endorser_sig, PARENT_ENDORSER_SIG);
         splice(&mut as_parent, &client_sig, PARENT_CLIENT_SIG);
         splice(
@@ -889,7 +901,6 @@ mod memo_proptests {
                 .map(|i| KvWrite {
                     key: format!("k{i}"),
                     value: Some(spec.value.clone()),
-                    is_delete: false,
                 })
                 .collect();
             results.ns_rwsets.push(ns);

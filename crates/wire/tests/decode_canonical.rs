@@ -75,7 +75,6 @@ fn kv_rwset(c: &mut Choices) -> KvRwSet {
             .map(|i| KvWrite {
                 key: format!("w{i}"),
                 value: (c.next(3) > 0).then(|| c.bytes(40)),
-                is_delete: c.next(4) == 0,
             })
             .collect(),
     }
@@ -105,7 +104,6 @@ fn transaction(c: &mut Choices) -> Transaction {
                         .map(|_| HashedWrite {
                             key_hash: sha256(&c.bytes(8)),
                             value_hash: (c.next(3) > 0).then(|| sha256(&c.bytes(8))),
-                            is_delete: c.next(4) == 0,
                         })
                         .collect(),
                 })

@@ -282,18 +282,26 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-#[test]
-fn every_shipped_seed_is_derived_through_one_function() {
-    let root = root();
+/// The `.rs` files under every crate's `src` but the benchmark's.
+fn shipped_files(root: &Path) -> Vec<PathBuf> {
     let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
         .unwrap()
         .map(|entry| entry.unwrap().path())
         .filter(|path| !path.ends_with("benchmark"))
         .collect();
     crates.sort();
+    crates
+        .iter()
+        .flat_map(|c| rust_files(&c.join("src")))
+        .collect()
+}
+
+#[test]
+fn every_shipped_seed_is_derived_through_one_function() {
+    let root = root();
     let mut excused = BTreeSet::new();
     let mut violations = Vec::new();
-    for file in crates.iter().flat_map(|c| rust_files(&c.join("src"))) {
+    for file in shipped_files(&root) {
         let rel = file
             .strip_prefix(&root)
             .unwrap()
@@ -359,4 +367,69 @@ fn hand_mixed_seeds_are_seen_and_derived_ones_are_not() {
         flagged("pub fn derive_seed(parent: u64) -> u64 { let z = parent ^ seed; z }"),
         0
     );
+}
+
+/// The byte offsets at which `code` builds a `Transaction` with a struct
+/// literal: `Transaction {` (path-qualified or not) that does not follow
+/// `struct`, `impl`, `for` or `->`.
+fn transaction_literals(code: &str) -> Vec<usize> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices("Transaction {")
+        .map(|(at, _)| at)
+        .filter(|&at| {
+            let before = &code[..at];
+            let head = before.trim_end_matches(|c: char| ident(c) || c == ':');
+            !before.ends_with(ident)
+                && !["struct", "impl", "for", "->"]
+                    .iter()
+                    .any(|word| head.trim_end().ends_with(word))
+        })
+        .collect()
+}
+
+/// One assembler: outside the benchmark, shipped code builds a
+/// `Transaction` only in the client SDK, which checks the endorsements it
+/// packages, and in `Transaction`'s own `Decode`. An attack drives the
+/// same client an honest organization runs.
+#[test]
+fn only_the_client_and_the_decoder_build_transactions() {
+    let root = root();
+    let mut violations = Vec::new();
+    for file in shipped_files(&root) {
+        let rel = file.strip_prefix(&root).unwrap().to_string_lossy();
+        let code = shipped_code(&read(&file));
+        let decode = code.find("impl Decode for Transaction {").map(|start| {
+            let open = start + code[start..].find('{').unwrap();
+            open..open + balanced(&code[open..], '{', '}')
+        });
+        for at in transaction_literals(&code) {
+            let allowed = rel == "crates/client/src/lib.rs"
+                || (rel == "crates/types/src/transaction.rs"
+                    && decode.as_ref().is_some_and(|body| body.contains(&at)));
+            if !allowed {
+                let line_no = code[..at].lines().count();
+                violations.push(format!("{rel}:{line_no}"));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "a Transaction built outside fabric_client::Client and its Decode:\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn transaction_literals_are_told_from_declarations() {
+    let found = |code: &str| transaction_literals(code).len();
+    assert_eq!(found("let tx = Transaction { tx_id, ..cold };"), 1);
+    assert_eq!(found("Some(fabric_types::Transaction { tx_id })"), 1);
+    assert_eq!(found("Ok(Transaction { memo, ..cold })"), 1);
+    assert_eq!(found("pub struct Transaction {"), 0);
+    assert_eq!(
+        found("impl Transaction {\nimpl Decode for Transaction {"),
+        0
+    );
+    assert_eq!(found("fn tx() -> Transaction {"), 0);
+    assert_eq!(found("let p = PvtTransaction { id };"), 0);
 }

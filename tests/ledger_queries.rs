@@ -113,9 +113,9 @@ fn history_tracks_updates_and_deletes() {
             .history()
             .key_history(&ChaincodeId::new("assets"), "a1");
         assert_eq!(h.len(), 3, "{peer}");
-        assert!(!h[0].is_delete);
-        assert!(!h[1].is_delete);
-        assert!(h[2].is_delete);
+        assert!(!h[0].is_delete());
+        assert!(!h[1].is_delete());
+        assert!(h[2].is_delete());
         assert_eq!(
             Asset::from_bytes(h[1].value.as_ref().unwrap())
                 .unwrap()

@@ -20,13 +20,8 @@ fn arb_rwset() -> impl Strategy<Value = KvRwSet> {
         (
             "[a-z]{1,8}",
             proptest::option::of(proptest::collection::vec(any::<u8>(), 0..16)),
-            any::<bool>(),
         )
-            .prop_map(|(key, value, is_delete)| KvWrite {
-                key,
-                value: if is_delete { None } else { value },
-                is_delete,
-            }),
+            .prop_map(|(key, value)| KvWrite { key, value }),
         0..5,
     );
     (reads, writes).prop_map(|(reads, writes)| KvRwSet { reads, writes })
@@ -36,7 +31,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Hashing a rwset preserves shape: same lengths, same versions, same
-    /// delete flags, and key hashes are the SHA-256 of the keys.
+    /// deletes, and key hashes are the SHA-256 of the keys.
     #[test]
     fn hashed_rwset_preserves_shape(rwset in arb_rwset()) {
         let (hr, hw) = rwset.to_hashed();
@@ -47,7 +42,7 @@ proptest! {
             prop_assert_eq!(h.version, r.version);
         }
         for (h, w) in hw.iter().zip(&rwset.writes) {
-            prop_assert_eq!(h.is_delete, w.is_delete);
+            prop_assert_eq!(h.is_delete(), w.is_delete());
             prop_assert_eq!(h.value_hash.is_some(), w.value.is_some());
         }
     }
@@ -81,7 +76,7 @@ proptest! {
                 w.value = Some(b"edited".to_vec());
             },
             3 => if let Some(w) = edited.rwset.writes.first_mut() {
-                w.is_delete ^= true;
+                w.value = None;
             },
             4 => edited.collection = CollectionName::new("d"),
             _ => {}

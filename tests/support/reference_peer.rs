@@ -142,22 +142,6 @@ impl ReferencePeer {
         if tx.channel != self.channel {
             return TxValidationCode::BadPayload;
         }
-        // A write is a delete exactly when it carries no value.
-        for ns in &tx.payload.results.ns_rwsets {
-            let public = ns
-                .public
-                .writes
-                .iter()
-                .map(|w| (w.is_delete, w.value.is_some()));
-            let hashed = (ns.collections.iter().flat_map(|c| &c.writes))
-                .map(|w| (w.is_delete, w.value_hash.is_some()));
-            if public
-                .chain(hashed)
-                .any(|(delete, valued)| delete == valued)
-            {
-                return TxValidationCode::BadPayload;
-            }
-        }
         if self.block_store.contains_tx(&tx.tx_id) {
             return TxValidationCode::DuplicateTxId;
         }
@@ -279,14 +263,8 @@ impl ReferencePeer {
             self.world_state
                 .apply_metadata_writes(&ns.namespace, &ns.metadata_writes);
             for w in &ns.public.writes {
-                self.history.record(
-                    &ns.namespace,
-                    &w.key,
-                    &tx.tx_id,
-                    version,
-                    w.value.clone(),
-                    w.is_delete,
-                );
+                self.history
+                    .record(&ns.namespace, &w.key, &tx.tx_id, version, w.value.clone());
             }
             for col in &ns.collections {
                 if col.writes.is_empty() {

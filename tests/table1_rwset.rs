@@ -81,7 +81,7 @@ fn write_only_row() {
     assert_eq!(rwset.writes.len(), 1);
     assert_eq!(rwset.writes[0].key_hash, sha256(b"k1"));
     assert_eq!(rwset.writes[0].value_hash, Some(sha256(b"41")));
-    assert!(!rwset.writes[0].is_delete);
+    assert!(!rwset.writes[0].is_delete());
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn read_write_row() {
     assert_eq!(rwset.reads[0].version, Some(Version::new(0, 0)));
     assert_eq!(rwset.writes.len(), 1);
     assert_eq!(rwset.writes[0].value_hash, Some(sha256(b"42")));
-    assert!(!rwset.writes[0].is_delete);
+    assert!(!rwset.writes[0].is_delete());
 }
 
 #[test]
@@ -105,5 +105,5 @@ fn delete_only_row() {
     assert!(rwset.reads.is_empty());
     assert_eq!(rwset.writes.len(), 1);
     assert_eq!(rwset.writes[0].value_hash, None);
-    assert!(rwset.writes[0].is_delete);
+    assert!(rwset.writes[0].is_delete());
 }
